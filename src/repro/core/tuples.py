@@ -60,7 +60,12 @@ def mask_of(variables: Iterable[int]) -> int:
 
 
 def variables_of(mask: int) -> Iterator[int]:
-    """Yield the 0-based indices of set bits, ascending."""
+    """Yield the 0-based indices of set bits, ascending.
+
+    Every step copies ``mask``, so this suits variable masks (at most
+    :data:`MAX_VARIABLES` bits); object-position bitsets decode with
+    :func:`repro.data.index.positions_of`.
+    """
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1
@@ -117,8 +122,7 @@ def union_masks(masks: Iterable[int]) -> int:
     """OR together a collection of bitmasks (empty iterable gives ``0``).
 
     Used both for variable tuples and for the arbitrary-width
-    object-position bitsets of the batch evaluation engine, which also
-    reuses :func:`variables_of` to enumerate set positions.
+    object-position bitsets of the batch evaluation engine.
     """
     out = 0
     for m in masks:

@@ -10,8 +10,7 @@ Five built-in implementations of the :class:`EvaluationBackend` contract:
   ``kernel=`` choice and a parallel-ingest ``ingest="raw"`` mode in
   pool execution);
 * ``numpy`` — the inverted index packed into numpy arrays so the kernel
-  runs as SIMD-width array operations (DESIGN.md §2g; registered only
-  when numpy imports);
+  runs as SIMD-width array operations (DESIGN.md §2g);
 * ``sql`` — the relation loaded into in-memory SQLite, each query
   compiled to SQL once and answered in one round trip;
 * ``dbapi`` — the relation loaded into *any* DB-API database through a
@@ -48,6 +47,7 @@ from repro.data.backends.sharded import (
     ShardedBitmaskBackend,
 )
 from repro.data.backends.sqlexec import SqlBackend
+from repro.data.backends.vectorized import NumpyBackend
 from repro.data.propositions import Vocabulary
 from repro.data.relation import NestedRelation
 
@@ -61,6 +61,7 @@ __all__ = [
     "DbApiBackend",
     "DEFAULT_SHARD_SIZE",
     "EvaluationBackend",
+    "NumpyBackend",
     "PooledConnectionSource",
     "ShardedBitmaskBackend",
     "SqlBackend",
@@ -85,14 +86,7 @@ REGISTRY.register(
 REGISTRY.register(
     DbApiBackend.name, DbApiBackend, supports_sql=True, supports_oracle=True
 )
-
-try:  # numpy is an optional accelerator, not a hard dependency
-    from repro.data.backends.vectorized import NumpyBackend
-except ImportError:  # pragma: no cover - exercised only without numpy
-    NumpyBackend = None  # type: ignore[assignment, misc]
-else:
-    REGISTRY.register(NumpyBackend.name, NumpyBackend, max_width=64)
-    __all__.append("NumpyBackend")
+REGISTRY.register(NumpyBackend.name, NumpyBackend, max_width=64)
 
 #: PR 3 compatibility: a live name → class mapping view over the
 #: registry.  Reads see every registered *and* discoverable backend;

@@ -61,10 +61,9 @@ from __future__ import annotations
 from itertools import repeat
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from repro.core import tuples as bt
 from repro.core.query import CompiledQuery, QhornQuery
 from repro.data.backends.base import check_width
-from repro.data.index import evaluate_inverted, labels_of
+from repro.data.index import evaluate_inverted, labels_of, positions_of
 from repro.data.propositions import Vocabulary
 from repro.data.relation import NestedObject, NestedRelation
 
@@ -498,7 +497,8 @@ class ShardedBitmaskBackend:
 
     def execute(self, query: QhornQuery | CompiledQuery) -> list[NestedObject]:
         bits = self.matching_bits(query)
-        return [self._objects[i] for i in bt.variables_of(bits)]
+        objects = self._objects
+        return [objects[i] for i in positions_of(bits, len(objects))]
 
     def matches_many(
         self,

@@ -57,9 +57,9 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from repro.core import tuples as bt
 from repro.core.query import CompiledQuery, QhornQuery
 from repro.data.backends.base import check_width
+from repro.data.index import positions_of
 from repro.data.propositions import Vocabulary
 from repro.data.relation import NestedObject, NestedRelation
 
@@ -418,7 +418,8 @@ class NumpyBackend:
 
     def execute(self, query: QhornQuery | CompiledQuery) -> list[NestedObject]:
         bits = self.matching_bits(query)
-        return [self._objects[i] for i in bt.variables_of(bits)]
+        objects = self._objects
+        return [objects[i] for i in positions_of(bits, len(objects))]
 
     def matches_many(
         self,

@@ -145,11 +145,13 @@ def test_differential_thousand_cases_across_backends():
 def test_backends_agree_at_word_packing_boundaries():
     """63/64/65 objects straddle the packed kernel's uint64 word edge:
     the trailing partial word, an exactly-full word, and a second word —
-    where a wrong trailing mask would leak phantom objects through NOT."""
+    where a wrong trailing mask would leak phantom objects through NOT.
+    7/8/9 straddle the byte edge of the answer decoder behind every
+    ``execute``."""
     rng = random.Random(6364)
     n = 4
     vocab = bool_vocabulary(n)
-    for count in (63, 64, 65, 127, 128, 129):
+    for count in (7, 8, 9, 63, 64, 65, 127, 128, 129):
         mask_sets = [
             frozenset(
                 rng.randrange(1 << n) for _ in range(rng.randrange(0, 4))
@@ -161,12 +163,16 @@ def test_backends_agree_at_word_packing_boundaries():
         for _ in range(12):
             query = random_query(rng, n)
             expected_bits = engine.backend.matching_bits(query)
+            expected_keys = [o.key for o in engine.execute(query)]
             expected_labels = [engine.matches(query, o) for o in relation]
             assert len(expected_labels) == count
             for backend in _backends(relation, vocab, rng):
                 assert backend.matching_bits(query) == expected_bits, (
                     backend.name, count, query.shorthand(),
                 )
+                assert [o.key for o in backend.execute(query)] == (
+                    expected_keys
+                ), (backend.name, count, query.shorthand())
                 assert backend.matches_many(query) == expected_labels, (
                     backend.name, count, query.shorthand(),
                 )
@@ -176,7 +182,7 @@ def test_backends_agree_on_empty_and_all_false_relations():
     """Degenerate shapes: no objects at all, objects with no rows, and
     relations where every row abstracts to the all-false tuple (mask 0
     everywhere — every broadcast body-compare selects it, no head ever
-    witnesses)."""
+    witnesses).  The empty relation decodes a zero-width answer bitset."""
     rng = random.Random(65)
     n = 3
     vocab = bool_vocabulary(n)
@@ -191,8 +197,12 @@ def test_backends_agree_on_empty_and_all_false_relations():
         engine = QueryEngine(relation, vocab)
         for _ in range(20):
             query = random_query(rng, n)
+            expected_keys = [o.key for o in engine.execute(query)]
             expected = [engine.matches(query, o) for o in relation]
             for backend in _backends(relation, vocab, rng):
+                assert [o.key for o in backend.execute(query)] == (
+                    expected_keys
+                ), (backend.name, label, query.shorthand())
                 assert backend.matches_many(query) == expected, (
                     backend.name, label, query.shorthand(),
                 )
