@@ -114,7 +114,7 @@ def _kernel_row(label, relation, vocab, workload, gated):
     the table row and the measured speedup."""
     compiled = [q.compile() for q in workload]
     index = create_backend("bitmask", relation, vocab).index
-    inverted, all_bits = index._inverted, index._all_bits
+    inverted, all_bits = index._kernel.inverted, index._kernel.all_bits
     numpy_backend = create_backend("numpy", relation, vocab)
     numpy_backend.refresh(force=True)
     numpy_backend.matching_bits(compiled[0])  # build the zeta tables

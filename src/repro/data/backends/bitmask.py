@@ -2,9 +2,10 @@
 
 :class:`BitmaskBackend` is a thin adapter around
 :class:`~repro.data.index.RelationIndex` — the evaluation logic lives in
-the index (and its shared :func:`~repro.data.index.evaluate_inverted`
-kernel); the backend only adds the seam's lazy-build and describe
-affordances.  This is the default backend of
+the index and its :class:`~repro.data.index.BitsetKernel` (superset-union
+tables when the data admits them, the
+:func:`~repro.data.index.evaluate_inverted` scan otherwise); the backend
+only adds the seam's lazy-build and describe affordances.  This is the default backend of
 :class:`~repro.data.engine.QueryEngine` and is behaviourally identical to
 the pre-seam engine.
 """

@@ -15,10 +15,12 @@ costs grow super-linearly with relation size ``W``:
 own inverted index with **shard-local positions**, so every bitset is
 bounded to ``shard_size`` bits: builds and label extractions become
 linear in relation size, and shards evaluate independently through a
-per-shard kernel — the pure-python
-:func:`~repro.data.index.evaluate_inverted` by default, or the packed
-numpy kernel (:class:`~repro.data.backends.vectorized.PackedBitIndex`)
-with ``kernel="numpy"``.
+per-shard kernel — each :class:`Shard` is a big-int
+:class:`~repro.data.index.BitsetKernel` (superset-union tables built
+lazily per shard, never shipped; the scan for data that does not admit
+them) by default, or answers through the packed numpy kernel
+(:class:`~repro.data.backends.vectorized.PackedBitIndex`) with
+``kernel="numpy"``.
 
 Three execution modes share that layout:
 
@@ -63,7 +65,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 from repro.core.query import CompiledQuery, QhornQuery
 from repro.data.backends.base import check_width
-from repro.data.index import evaluate_inverted, labels_of, positions_of
+from repro.data.index import BitsetKernel, invert, labels_of, positions_of
 from repro.data.propositions import Vocabulary
 from repro.data.relation import NestedObject, NestedRelation
 
@@ -78,8 +80,8 @@ __all__ = ["ShardedBitmaskBackend", "Shard", "DEFAULT_SHARD_SIZE", "KERNELS"]
 #: amortized, small enough that every bitset stays a few machine words.
 DEFAULT_SHARD_SIZE = 4096
 
-#: Per-shard evaluation kernels: the pure-python bitset algebra, or the
-#: packed numpy kernel (requires numpy and ``vocabulary.n <= 64``).
+#: Per-shard evaluation kernels: the big-int bitset kernel, or the
+#: packed numpy kernel (requires ``vocabulary.n <= 64``).
 KERNELS = ("python", "numpy")
 
 #: Shard-shipping modes for the worker pool: ship raw rows and abstract
@@ -88,11 +90,12 @@ KERNELS = ("python", "numpy")
 INGEST_MODES = ("raw", "built")
 
 
-class Shard:
-    """One object-position block: a shard-local inverted index, plus an
-    optional packed copy when the numpy kernel is selected."""
+class Shard(BitsetKernel):
+    """One object-position block: the shared bitmask kernel over a
+    shard-local inverted index, plus a packed copy when the numpy kernel
+    is selected."""
 
-    __slots__ = ("offset", "count", "inverted", "all_bits", "packed")
+    __slots__ = ("offset", "packed")
 
     def __init__(
         self,
@@ -100,20 +103,20 @@ class Shard:
         mask_sets: Sequence[Iterable[int]],
         kernel: str = "python",
     ) -> None:
+        self._load(
+            offset, invert(mask_sets), len(mask_sets), kernel == "numpy"
+        )
+
+    def _load(
+        self, offset: int, inverted: dict[int, int], count: int, packed: bool
+    ) -> None:
+        BitsetKernel.__init__(self, inverted, count)
         self.offset = offset
-        self.count = len(mask_sets)
-        inverted: dict[int, int] = {}
-        for local, masks in enumerate(mask_sets):
-            bit = 1 << local
-            for m in masks:
-                inverted[m] = inverted.get(m, 0) | bit
-        self.inverted = inverted
-        self.all_bits = (1 << self.count) - 1
         self.packed = None
-        if kernel == "numpy":
+        if packed:
             from repro.data.backends.vectorized import PackedBitIndex
 
-            self.packed = PackedBitIndex.from_inverted(inverted, self.count)
+            self.packed = PackedBitIndex.from_inverted(inverted, count)
 
     @classmethod
     def from_payload(
@@ -123,49 +126,33 @@ class Shard:
     ) -> "Shard":
         """Rebuild a shard from its wire payload (worker-side loading of
         a coordinator-built shard)."""
+        offset, count, inverted, _all_bits = payload
         shard = cls.__new__(cls)
-        shard.offset, shard.count, shard.inverted, shard.all_bits = payload
-        shard.packed = None
-        if kernel == "numpy":
-            from repro.data.backends.vectorized import PackedBitIndex
-
-            shard.packed = PackedBitIndex.from_inverted(
-                shard.inverted, shard.count
-            )
+        shard._load(offset, inverted, count, kernel == "numpy")
         return shard
 
     def evaluate_bits(self, compiled: CompiledQuery) -> int:
         """Shard-local answer bitset through the selected kernel."""
         if self.packed is not None:
             return self.packed.matching_bits(compiled)
-        return evaluate_inverted(compiled, self.inverted, self.all_bits)
+        return self.matching_bits(compiled)
 
     def evaluate_labels(self, compiled: CompiledQuery) -> list[bool]:
         """Shard-local answer labels (kernel + extraction in one call)."""
         if self.packed is not None:
             return self.packed.labels(compiled)
-        return labels_of(
-            evaluate_inverted(compiled, self.inverted, self.all_bits),
-            self.count,
-        )
+        return labels_of(self.matching_bits(compiled), self.count)
 
     def __getstate__(self) -> tuple:
-        # Executor/process transport: the packed copy is derived state —
-        # rebuild it on the far side instead of pickling numpy arrays.
-        return (self.offset, self.count, self.inverted, self.all_bits,
-                self.packed is not None)
+        # Executor/process transport: the tables and the packed copy are
+        # derived state, rebuilt on the far side instead of pickled.
+        return (
+            self.offset, self.count, self.inverted, self.packed is not None
+        )
 
     def __setstate__(self, state: tuple) -> None:
-        offset, count, inverted, all_bits, packed = state
-        self.offset = offset
-        self.count = count
-        self.inverted = inverted
-        self.all_bits = all_bits
-        self.packed = None
-        if packed:
-            from repro.data.backends.vectorized import PackedBitIndex
-
-            self.packed = PackedBitIndex.from_inverted(inverted, count)
+        offset, count, inverted, packed = state
+        self._load(offset, inverted, count, packed)
 
 
 def _shard_bits(compiled: CompiledQuery, shard: Shard) -> int:
@@ -185,9 +172,9 @@ class ShardedBitmaskBackend:
         Objects per shard (the bound on every bitset's width).
     kernel:
         Per-shard evaluation kernel: ``"python"`` (default, the big-int
-        bitset algebra) or ``"numpy"`` (the packed-bit kernel of
-        :mod:`repro.data.backends.vectorized`; requires numpy and
-        ``vocabulary.n <= 64``).  Applies in every execution mode,
+        :class:`~repro.data.index.BitsetKernel`) or ``"numpy"`` (the
+        packed-bit kernel of :mod:`repro.data.backends.vectorized`;
+        requires ``vocabulary.n <= 64``).  Applies in every execution mode,
         including worker-side in the pool.
     executor:
         Optional :class:`concurrent.futures.Executor`; when given, the

@@ -1,11 +1,7 @@
 """Vectorized numpy evaluation kernel: the inverted index as packed bits.
 
-:func:`~repro.data.index.evaluate_inverted` spends its time in two
-pure-python loops: the mask scan (``(m & body) == body`` per distinct
-mask) and the big-int bitset unions (``violators |= bits``), which at
-``W`` objects re-copy ``W/30``-digit integers per distinct mask.
-:class:`PackedBitIndex` stores the same inverted index as two numpy
-arrays so both loops become SIMD-width array operations:
+:class:`PackedBitIndex` stores the inverted ``mask -> object-position
+bitset`` index of :mod:`repro.data.index` as two numpy arrays:
 
 * ``masks`` — the ``D`` distinct Boolean-tuple bitmasks as a ``uint64``
   vector (hence the ``n <= 64`` width limit of this backend);
@@ -13,53 +9,50 @@ arrays so both loops become SIMD-width array operations:
   matrix of little-endian ``uint64`` words: bit ``i`` of an object
   bitset lives at ``bits[row, i >> 6]``, bit position ``i & 63``.
 
-The kernel contract is exactly :func:`evaluate_inverted`'s: a universal
-Horn expression selects rows with a broadcast compare
-(``(masks & body) == body``), splits them on the head, and unions each
-side with one ``np.bitwise_or.reduce`` down the rows; existential
-conjunctions union one selection; AND/OR/NOT happen word-wise on the
-answer vector.  ``np.bitwise_or.reduce`` over an empty selection yields
-the zero vector — the same identity as the python kernel's empty union —
-so answers are bit-identical by construction (and pinned against every
-other backend by ``tests/properties/test_prop_backends.py``).
+It answers exactly like the big-int
+:class:`~repro.data.index.BitsetKernel`, under the same admission rule
+(:func:`~repro.data.index.zeta_bits`):
 
-Both the python kernel and the plain reduce are memory-bandwidth bound —
-every query re-reads all ``D`` bitset rows — so a straight translation
-cannot beat CPython's big-int loops by much.  The packed index therefore
-precomputes, lazily on first evaluation and only when the table fits
-:data:`ZETA_TABLE_BUDGET`, the *superset-union (zeta) tables* that make
-warm evaluation touch one row per quantifier instead of all ``D``:
+* **tabled** — the superset-union tables ``Z`` and ``V_h`` come from the
+  shared transform (:func:`~repro.data.index.superset_unions`), lazily, and
+  are packed into ``2^n_used x words`` matrices; the shared
+  :func:`~repro.data.index.evaluate_tabled` reads one row per
+  quantifier (a universal ``(body, head=1<<h)`` as ``answers &=
+  ~V_h[body]`` plus, under guarantees, ``answers &= Z[body | head]``; an
+  existential ``mask`` as ``answers &= Z[mask]``);
+* **reduce** — for refused data and hand-built multi-bit heads, the scan
+  of :func:`~repro.data.index.evaluate_inverted` as array operations: a
+  broadcast compare (``(masks & body) == body``) selects rows, and one
+  ``np.bitwise_or.reduce`` down the rows unions each side.  A reduce over
+  an empty selection yields the zero vector — the empty union's
+  identity — so answers are bit-identical by construction (and pinned by
+  ``tests/properties/test_prop_tables.py`` and
+  ``tests/properties/test_prop_backends.py``).
 
-* ``Z[mask]``   — union of the bitsets of all data masks ``m ⊇ mask``;
-* ``V_h[mask]`` — the same union restricted to ``m`` with head bit ``h``
-  clear (built per head bit on first use).
-
-With them a universal ``(body, head=1<<h)`` evaluates as
-``answers &= ~V_h[body]`` plus (guarantees) ``answers &= Z[body | head]``
-and an existential ``mask`` as ``answers &= Z[mask]`` — a constant
-number of ``O(words)`` operations per expression.  Compiled queries with
-a multi-bit head mask (impossible via ``QhornQuery.compile``, possible
-by hand) and indexes whose ``2^n`` table would blow the budget fall back
-to the reduce path above; both paths produce bit-identical answers.
-
+Only the packed layout and the reduce path are numpy-specific.
 :class:`NumpyBackend` wraps the packed index behind the
 :class:`~repro.data.backends.base.EvaluationBackend` seam
 (``--backend numpy``); :class:`~repro.data.backends.sharded.
 ShardedBitmaskBackend` reuses :class:`PackedBitIndex` per shard via its
 ``kernel="numpy"`` option, including worker-side in the process pool.
-E26 (``benchmarks/test_e26_numpy_kernel.py``) gates the speedup over the
-pure-python kernel at 100k objects.
+E26 (``benchmarks/test_e26_numpy_kernel.py``) gates its speedup over the
+:func:`~repro.data.index.evaluate_inverted` scan at 100k objects.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence
+from typing import Collection, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from repro.core.query import CompiledQuery, QhornQuery
 from repro.data.backends.base import check_width
-from repro.data.index import positions_of
+from repro.data.index import (
+    evaluate_tabled,
+    positions_of,
+    superset_unions,
+    zeta_bits,
+)
 from repro.data.propositions import Vocabulary
 from repro.data.relation import NestedObject, NestedRelation
 
@@ -71,17 +64,23 @@ __all__ = ["MAX_PACKED_VARIABLES", "NumpyBackend", "PackedBitIndex"]
 #: limit is checked, not assumed.
 MAX_PACKED_VARIABLES = 64
 
-#: Per-table byte cap for the zeta (superset-union) fast path: a table
-#: holds ``2^n_used * words`` uint64 words, where ``n_used`` counts only
-#: the proposition bits actually set in the data.  Under the cap, warm
-#: evaluation is one table row per quantifier; over it, the kernel keeps
-#: the ``O(D * words)`` reduce path.  At most ``n_used + 1`` tables ever
-#: exist (``Z`` plus one ``V_h`` per head bit queried).
-ZETA_TABLE_BUDGET = 1 << 24
-
 _ONE = np.uint64(1)
 _WORD_SHIFT = np.uint64(6)
 _BIT_MASK = np.uint64(63)
+
+
+def _pack_rows(bitsets: Collection[int], count: int) -> np.ndarray:
+    """Big-int object-position bitsets over ``count`` objects as a
+    ``uint64[rows, words]`` matrix (little-endian words)."""
+    words = (count + 63) >> 6
+    buffer = b"".join(
+        bitset.to_bytes(words * 8, "little") for bitset in bitsets
+    )
+    return (
+        np.frombuffer(buffer, dtype="<u8")
+        .reshape(len(bitsets), words)
+        .astype(np.uint64, copy=False)
+    )
 
 
 class PackedBitIndex:
@@ -112,8 +111,7 @@ class PackedBitIndex:
         "bits",
         "all_bits",
         "_zeta_bits",
-        "_zeta",
-        "_zeta_heads",
+        "_tables",
     )
 
     def __init__(
@@ -127,16 +125,13 @@ class PackedBitIndex:
         if self.words and count & 63:
             all_bits[-1] = (_ONE << np.uint64(count & 63)) - _ONE
         self.all_bits = all_bits
-        # Zeta tables cover the mask space the data actually inhabits:
-        # a query bit above _zeta_bits cannot occur in any data mask, so
-        # its selections are empty unions (handled without a table).
-        self._zeta_bits = (
-            int(masks.max()).bit_length() if len(masks) else 0
+        # The admission rule shared with the big-int kernel: -1 keeps
+        # the reduce path only.
+        self._zeta_bits = zeta_bits(
+            int(masks.max()) if len(masks) else 0, len(masks), count
         )
-        if (1 << self._zeta_bits) * self.words * 8 > ZETA_TABLE_BUDGET:
-            self._zeta_bits = -1  # over budget: reduce path only
-        self._zeta: np.ndarray | None = None
-        self._zeta_heads: dict[int, np.ndarray] = {}
+        #: Packed tables, keyed like ``BitsetKernel``'s.
+        self._tables: dict[int, np.ndarray] = {}
 
     # ------------------------------------------------------------------
     # Construction
@@ -182,99 +177,34 @@ class PackedBitIndex:
         cls, inverted: Mapping[int, int], count: int
     ) -> "PackedBitIndex":
         """Pack an already-built big-int inverted index (shard payloads)."""
-        words = (count + 63) >> 6
-        row_bytes = words * 8
-        buffer = bytearray(len(inverted) * row_bytes)
-        masks_arr = np.empty(len(inverted), dtype=np.uint64)
-        for row, (m, bitset) in enumerate(inverted.items()):
-            masks_arr[row] = m
-            start = row * row_bytes
-            buffer[start : start + row_bytes] = bitset.to_bytes(
-                row_bytes, "little"
-            )
-        bits = (
-            np.frombuffer(bytes(buffer), dtype="<u8")
-            .reshape(len(inverted), words)
-            .astype(np.uint64, copy=False)
-        )
-        return cls(count, masks_arr, bits)
+        masks = np.fromiter(inverted, dtype=np.uint64, count=len(inverted))
+        return cls(count, masks, _pack_rows(inverted.values(), count))
 
     # ------------------------------------------------------------------
     # Zeta (superset-union) tables
     # ------------------------------------------------------------------
-    def _superset_union(
-        self, rows: np.ndarray, row_bits: np.ndarray
-    ) -> np.ndarray:
-        """``table[mask] = OR of row_bits[r] for rows[r] ⊇ mask`` over the
-        full ``2^_zeta_bits`` mask space (the standard OR-zeta transform:
-        one butterfly pass per bit)."""
-        size = 1 << self._zeta_bits
-        table = np.zeros((size, self.words), dtype=np.uint64)
-        table[rows.astype(np.intp)] = row_bits
-        index = np.arange(size)
-        for j in range(self._zeta_bits):
-            bit = 1 << j
-            lo = index[(index & bit) == 0]
-            table[lo] |= table[lo + bit]
-        return table
-
-    def _zeta_table(self) -> np.ndarray:
-        if self._zeta is None:
-            self._zeta = self._superset_union(self.masks, self.bits)
-        return self._zeta
-
-    def _zeta_head_table(self, h: int) -> np.ndarray:
-        """``V_h``: superset unions over data masks with head bit ``h``
-        clear — the violator side of a universal ``(body, 1 << h)``."""
-        table = self._zeta_heads.get(h)
-        if table is None:
-            keep = (self.masks >> np.uint64(h)) & _ONE == 0
-            table = self._superset_union(self.masks[keep], self.bits[keep])
-            self._zeta_heads[h] = table
-        return table
-
-    def _evaluate_words_zeta(self, compiled: CompiledQuery) -> np.ndarray | None:
-        """Constant-rows-per-quantifier evaluation off the zeta tables;
-        ``None`` defers to the reduce path (multi-bit head mask)."""
-        zeta = self._zeta_table()
-        size = 1 << self._zeta_bits
-        negatives: list[np.ndarray] = []  # violator unions, to be OR-ed
-        positives: list[np.ndarray] = []  # witness unions, to be AND-ed
-        unwitnessed = False
-        for body, head in compiled.universal_masks:
-            if head & (head - 1):
-                return None  # hand-built multi-bit head: reduce path
-            h = head.bit_length() - 1
-            if body < size:
-                if head and h < self._zeta_bits:
-                    negatives.append(self._zeta_head_table(h)[body])
-                else:
-                    # No data mask can witness this head: every row that
-                    # matches the body violates the implication.
-                    negatives.append(zeta[body])
-            # else: nothing matches the body — no violators.
-            if compiled.require_guarantees:
-                witness = body | head
-                if head and witness < size:
-                    positives.append(zeta[witness])
-                else:
-                    unwitnessed = True
-        for mask in compiled.existential_masks:
-            if mask < size:
-                positives.append(zeta[mask])
-            else:
-                unwitnessed = True
-        if unwitnessed:  # an empty union zeroes the whole answer
+    def _row(self, clear: int, mask: int) -> np.ndarray:
+        """Row ``mask`` of table ``clear`` (``BitsetKernel._row`` over
+        words).  A table is built once: the rows unpack to big ints, the
+        shared :func:`~repro.data.index.superset_unions` runs, and its
+        table packs back into words."""
+        if mask >> self._zeta_bits:
             return np.zeros(self.words, dtype=np.uint64)
-        answers = self.all_bits.copy()
-        for union in positives:
-            answers &= union
-        if negatives:
-            violators = negatives[0]
-            for union in negatives[1:]:
-                violators = violators | union
-            answers &= ~violators
-        return answers
+        table = self._tables.get(clear)
+        if table is None:
+            row_bytes = self.words * 8
+            buffer = self.bits.astype("<u8", copy=False).tobytes()
+            inverted = {
+                m: int.from_bytes(
+                    buffer[row * row_bytes : (row + 1) * row_bytes], "little"
+                )
+                for row, m in enumerate(self.masks.tolist())
+            }
+            table = _pack_rows(
+                superset_unions(inverted, self._zeta_bits, clear), self.count
+            )
+            self._tables[clear] = table
+        return table[mask]
 
     # ------------------------------------------------------------------
     # Evaluation
@@ -282,18 +212,19 @@ class PackedBitIndex:
     def evaluate_words(self, compiled: CompiledQuery) -> np.ndarray:
         """The answer bitset as a ``uint64[words]`` vector.
 
-        Same algebra as :func:`~repro.data.index.evaluate_inverted`:
-        warm evaluation reads one zeta-table row per quantifier when the
-        tables fit the budget, else the mask scan runs as broadcast
-        compares with per-expression unions as row reductions.
+        Same algebra as :class:`~repro.data.index.BitsetKernel`: one
+        table row per quantifier when the tables are admitted, else the
+        mask scan as broadcast compares with per-expression unions as
+        row reductions.
         """
-        if self._zeta_bits >= 0:
-            answers = self._evaluate_words_zeta(compiled)
-            if answers is not None:
-                return answers
+        answers = self.all_bits.copy()
+        tabled = evaluate_tabled(
+            compiled, self._zeta_bits, self._row, answers
+        )
+        if tabled is not None:
+            return tabled
         masks = self.masks
         bits = self.bits
-        answers = self.all_bits.copy()
         for body, head in compiled.universal_masks:
             selected = (masks & np.uint64(body)) == np.uint64(body)
             witnessed = (masks & np.uint64(head)) != 0

@@ -15,21 +15,27 @@ algebra over big integers: a universal Horn expression contributes one
 "violators" bitset and one "witnesses" bitset (unions over the distinct
 masks, not over objects), an existential conjunction one "witnesses"
 bitset, and the answer set is a handful of AND/OR/NOT operations.
-Computing the answer bitset (:meth:`RelationIndex.matching_bits`) costs
-``O(#distinct_masks × #expressions)`` mask tests plus word-parallel
-bitset operations — a count independent of relation size once masks
-repeat, which they necessarily do for relations far larger than ``2^n``.
+:class:`BitsetKernel` — the kernel of the index and of every sharded
+backend shard — precomputes those unions for every mask in lazily built
+superset-union tables (:func:`superset_unions`), so computing the answer
+bitset (:meth:`RelationIndex.matching_bits`) costs ``O(#expressions ×
+W/64)`` word operations over ``W`` objects.  Data whose tables
+:func:`zeta_bits` refuses (a mask space much wider than the distinct
+masks in it) goes through the :func:`evaluate_inverted` scan instead:
+``O(#distinct_masks × #expressions)`` mask tests and bitset unions.
 Turning the bitset into objects (:meth:`RelationIndex.execute`) adds one
-``O(W/8 + answers)`` decode over ``W`` objects (:func:`positions_of`).
+``O(W/8 + answers)`` decode (:func:`positions_of`).
 
 Agreement with the per-object reference path is enforced by the
 differential property suite in ``tests/properties/test_prop_engine.py``;
-the representation and contract are documented in DESIGN.md §2.
+the tabled path is pinned to the scan by
+``tests/properties/test_prop_tables.py``; the representation and
+contract are documented in DESIGN.md §2.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -38,7 +44,25 @@ from repro.core.query import CompiledQuery, QhornQuery
 from repro.data.propositions import Vocabulary
 from repro.data.relation import NestedObject, NestedRelation
 
-__all__ = ["RelationIndex", "evaluate_inverted", "labels_of", "positions_of"]
+__all__ = [
+    "BitsetKernel",
+    "RelationIndex",
+    "ZETA_TABLE_BUDGET",
+    "evaluate_inverted",
+    "evaluate_tabled",
+    "invert",
+    "labels_of",
+    "positions_of",
+    "superset_unions",
+    "zeta_bits",
+]
+
+#: Per-table byte cap for the superset-union tables, counting a table as
+#: ``2^n_used`` bitsets of ``ceil(W / 64)`` 8-byte words over ``W``
+#: objects; over it, :func:`zeta_bits` refuses tables.  At most
+#: ``n_used + 1`` tables exist per index (``Z`` plus one ``V_h`` per head
+#: bit queried).
+ZETA_TABLE_BUDGET = 1 << 24
 
 #: Byte value → its 8 bit labels (LSB first), so decoding an
 #: object-position bitset costs one table lookup per 8 positions.
@@ -84,17 +108,27 @@ def positions_of(bits: int, count: int) -> list[int]:
     return np.flatnonzero(np.unpackbits(packed, bitorder="little")).tolist()
 
 
+def invert(mask_sets: Sequence[Iterable[int]]) -> dict[int, int]:
+    """The inverted ``mask → object-position bitset`` index of per-object
+    mask sets (object order = bit position)."""
+    inverted: dict[int, int] = {}
+    for position, masks in enumerate(mask_sets):
+        bit = 1 << position
+        for m in masks:
+            inverted[m] = inverted.get(m, 0) | bit
+    return inverted
+
+
 def evaluate_inverted(
     compiled: CompiledQuery, inverted: Mapping[int, int], all_bits: int
 ) -> int:
-    """Core bitset algebra: the answer bitset of ``compiled`` over one
-    inverted ``mask → object-position bitset`` index covering the objects
-    of ``all_bits``.
+    """The scan: the answer bitset of ``compiled`` over one inverted
+    ``mask → object-position bitset`` index covering the objects of
+    ``all_bits``, testing every distinct mask per quantifier.
 
-    This is the single evaluation kernel shared by every bitmask backend:
-    :class:`RelationIndex` runs it over the whole relation, the sharded
-    backend runs it once per shard (each shard's bitsets are bounded to
-    the shard width, positions are shard-local).
+    :class:`BitsetKernel` falls back to it for data whose tables
+    :func:`zeta_bits` refuses and for hand-built multi-bit heads; the
+    tabled path must agree with it bit for bit.
     """
     answers = all_bits
     for body, head in compiled.universal_masks:
@@ -118,6 +152,142 @@ def evaluate_inverted(
         if not answers:
             return 0
     return answers
+
+
+def zeta_bits(max_mask: int, distinct: int, count: int) -> int:
+    """The admission rule for superset-union tables, shared by every
+    kernel that builds them: the table width ``n_used`` of an inverted
+    index of ``distinct`` masks, the highest being ``max_mask``, over
+    ``count`` objects — or ``-1`` when the kernel should scan instead.
+
+    A table has one entry per mask below ``2^n_used``.  It is admitted
+    when ``2^n_used <= 4 * distinct`` — then it is at most 4x the
+    inverted index it summarizes, and its ``n_used * 2^(n_used - 1)``
+    unions cost about ``2 * n_used`` scans — and when ``2^n_used``
+    bitsets of ``ceil(count / 64)`` words fit :data:`ZETA_TABLE_BUDGET`.
+    """
+    bits = max_mask.bit_length()
+    size = 1 << bits
+    table_bytes = size * ((count + 63) >> 6) * 8
+    if size > 4 * distinct or table_bytes > ZETA_TABLE_BUDGET:
+        return -1
+    return bits
+
+
+def superset_unions(
+    inverted: Mapping[int, int], bits: int, clear: int = 0
+) -> list[int]:
+    """The superset-union (zeta) table of an inverted index whose masks
+    all lie below ``2^bits``: entry ``m`` is the union of the bitsets of
+    every data mask ``⊇ m`` that has no bit of ``clear`` set.
+
+    The OR-zeta transform, one butterfly pass per bit:
+    ``bits * 2^(bits - 1)`` unions at most.  Entries with a ``clear``
+    bit set stay the shared ``0``.  The one implementation of the
+    transform: :class:`BitsetKernel` keeps its tables as these lists and
+    the packed numpy kernel packs them into word matrices.
+    """
+    size = 1 << bits
+    table = [0] * size
+    for m, bitset in inverted.items():
+        if not m & clear:
+            table[m] = bitset
+    for j in range(bits):
+        step = 1 << j
+        for low in range(0, size, step << 1):
+            for m in range(low, low + step):
+                above = table[m + step]
+                if above:
+                    table[m] |= above
+    return table
+
+
+def evaluate_tabled(
+    compiled: CompiledQuery,
+    bits: int,
+    row: Callable[[int, int], Any],
+    everyone: Any,
+) -> Any:
+    """The answer bitset of ``compiled`` read off superset-union tables
+    over masks below ``2^bits``, or ``None`` when they cannot answer it:
+    the data was refused (``bits < 0``) or a head has several bits.
+
+    ``row(clear, mask)`` is entry ``mask`` of the table over the data
+    masks with no ``clear`` bit (``Z`` for ``0``, ``V_h`` for ``1 <<
+    h``), and the empty union when ``mask`` has a bit no data mask
+    carries; ``everyone`` is the all-objects bitset, which a mutable
+    (word-vector) caller must pass as a copy: it is narrowed in place.
+    Both kernels share this algebra: :class:`BitsetKernel` on big ints,
+    the packed numpy kernel on ``uint64`` word vectors.
+    """
+    if bits < 0 or any(
+        head & (head - 1) for _body, head in compiled.universal_masks
+    ):
+        return None
+    # A head bit no data mask carries is never witnessed: every mask
+    # covering the body violates, so its violators come from Z.
+    carried = (1 << bits) - 1
+    answers = everyone
+    for body, head in compiled.universal_masks:
+        answers &= ~row(head & carried, body)
+        if compiled.require_guarantees:
+            answers &= row(0, body | head)
+    for mask in compiled.existential_masks:
+        answers &= row(0, mask)
+    return answers
+
+
+class BitsetKernel:
+    """The bitmask kernel: one inverted ``mask → object-position
+    bitset`` index over ``count`` objects, answered from lazily built
+    superset-union tables — ``Z[m]``, the union of the bitsets of data
+    masks ``⊇ m``, and ``V_h[m]``, the same union over the masks with
+    head bit ``h`` clear — at a few ``W``-bit operations per quantifier
+    (:func:`evaluate_tabled`) instead of one per distinct mask.
+
+    :class:`RelationIndex` holds one over the whole relation and every
+    sharded-backend ``Shard`` is one over its block.  The tables are
+    derived state, built on first use (``Z`` once, one ``V_h`` per head
+    bit queried) and dropped with the kernel.  Data that
+    :func:`zeta_bits` refuses, and hand-built multi-bit heads, go through
+    the :func:`evaluate_inverted` scan instead.
+    """
+
+    __slots__ = ("inverted", "count", "all_bits", "_zeta_bits", "_tables")
+
+    def __init__(self, inverted: dict[int, int], count: int) -> None:
+        self.inverted = inverted
+        self.count = count
+        self.all_bits = (1 << count) - 1
+        self._zeta_bits = zeta_bits(
+            max(inverted, default=0), len(inverted), count
+        )
+        #: Tables by the head bits their masks must lack: ``Z`` at 0,
+        #: ``V_h`` at ``1 << h``.
+        self._tables: dict[int, list[int]] = {}
+
+    def _row(self, clear: int, mask: int) -> int:
+        """Entry ``mask`` of table ``clear``; a mask with a bit no data
+        mask carries covers none of them: the empty union."""
+        if mask >> self._zeta_bits:
+            return 0
+        table = self._tables.get(clear)
+        if table is None:
+            # Threads sharing a shard may both build a missing table;
+            # they build the same one, so either may be kept.
+            table = superset_unions(self.inverted, self._zeta_bits, clear)
+            self._tables[clear] = table
+        return table[mask]
+
+    def matching_bits(self, compiled: CompiledQuery) -> int:
+        """The answer bitset of ``compiled``: one table entry per
+        quantifier when tables are admitted, else the scan."""
+        answers = evaluate_tabled(
+            compiled, self._zeta_bits, self._row, self.all_bits
+        )
+        if answers is None:
+            return evaluate_inverted(compiled, self.inverted, self.all_bits)
+        return answers
 
 
 class RelationIndex:
@@ -156,16 +326,10 @@ class RelationIndex:
         objects = self.relation.objects
         # Bulk abstraction: one distinct-row memo across the whole build.
         mask_sets = self.vocabulary.mask_sets(obj.rows for obj in objects)
-        inverted: dict[int, int] = {}
-        for position, masks in enumerate(mask_sets):
-            bit = 1 << position
-            for m in masks:
-                inverted[m] = inverted.get(m, 0) | bit
         self._objects = objects
         self._mask_sets = mask_sets
-        self._inverted = inverted
+        self._kernel = BitsetKernel(invert(mask_sets), len(objects))
         self._positions = {o.key: i for i, o in enumerate(objects)}
-        self._all_bits = (1 << len(objects)) - 1
         self._built_version = getattr(self.relation, "version", None)
 
     @property
@@ -196,7 +360,7 @@ class RelationIndex:
     def distinct_masks(self) -> int:
         """Number of distinct Boolean tuples across the whole relation."""
         self._ensure_fresh()
-        return len(self._inverted)
+        return len(self._kernel.inverted)
 
     def mask_set(self, obj: NestedObject) -> frozenset[int]:
         """The abstracted mask set of ``obj`` — from the index when the
@@ -219,7 +383,7 @@ class RelationIndex:
                 f"query over n={compiled.n} propositions, vocabulary has "
                 f"{self.vocabulary.n}"
             )
-        return evaluate_inverted(compiled, self._inverted, self._all_bits)
+        return self._kernel.matching_bits(compiled)
 
     def execute(self, query: QhornQuery | CompiledQuery) -> list[NestedObject]:
         """The relation's answers to ``query``, in relation order."""

@@ -338,13 +338,13 @@ class TestNumpyKernel:
     def test_reduce_path_matches_zeta_path(self, store, vocab, monkeypatch):
         """With the zeta-table budget forced to zero the kernel falls
         back to the masked-reduce path; answers must not change."""
-        from repro.data.backends import vectorized
+        from repro.data import index
 
         zeta = create_backend("numpy", store, vocab)
         zeta.refresh(force=True)
         assert zeta._packed._zeta_bits >= 0
 
-        monkeypatch.setattr(vectorized, "ZETA_TABLE_BUDGET", 0)
+        monkeypatch.setattr(index, "ZETA_TABLE_BUDGET", 0)
         reduce_only = create_backend("numpy", store, vocab)
         reduce_only.refresh(force=True)
         assert reduce_only._packed._zeta_bits == -1
