@@ -30,7 +30,10 @@ server → client
     ``{"type": "finished", "session": ID, ..., "metering": {...}}``
     ``{"type": "closed", "session": ID}``    reply to quit
     ``{"type": "error", "message": "...", ["session": ID]}``
-        recoverable; the session (if any) stays parked at its round
+        recoverable; the session (if any) stays parked at its round.  A
+        line longer than :data:`MAX_LINE_BYTES` gets one error and the
+        connection closes; a failed store write drops the live session,
+        so the next message rebuilds it from its last durable round
 
 Rounds are the billable unit of user interaction (Drachsler-Cohen et
 al.; Bshouty et al. — see PAPERS.md): every session carries per-round
@@ -42,6 +45,15 @@ drained by a writer task, so a slow reader suspends its own reader loop
 are evicted from memory on a timer — eviction is safe *because* the
 round-boundary snapshot is already durable; a later message under the
 same session id transparently resumes from the store.
+
+A ``quit`` also keeps the parked session *warm*: up to
+:data:`WARM_SESSIONS` of them per server, least recently parked dropped
+first.  A reconnect still loads and claims the row, then reuses the warm
+session only if the row's snapshot equals the warm session's exactly;
+anything else (another worker advanced the row, a correction rewrote it,
+a restart, an eviction) replays the log.  ``stats()`` counts every store
+rebuild in ``sessions_resumed`` and the replayed ones, a subset, in
+``sessions_replayed``.
 
 Since §2h one ``RoundServer`` is also one *fleet worker*: N of them can
 listen on the same host:port (``SO_REUSEPORT``) over one shared
@@ -59,8 +71,10 @@ from __future__ import annotations
 
 import asyncio
 import json
+import sqlite3
 import time
 import uuid
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping
 
@@ -86,6 +100,15 @@ LEARNERS: Mapping[str, Callable[..., Any]] = {
 }
 
 DEFAULT_LEARNER = "qhorn1"
+
+#: Parked sessions one worker keeps warm for a same-worker reconnect.
+#: Past this many, the least recently parked one drops (and replays if
+#: it ever comes back).  One parked session holds about 4-20 KiB.
+WARM_SESSIONS = 1024
+
+#: Longest inbound line in bytes.  A longer one gets an error reply and
+#: the connection closes (the rest of the line cannot be resynchronised).
+MAX_LINE_BYTES = 1 << 16
 
 
 def _now() -> float:
@@ -163,12 +186,16 @@ class RoundServer:
         self.worker_id = worker_id or uuid.uuid4().hex[:8]
         self._claim_token = owner_token(self.worker_id)
         self._sessions: dict[str, _LiveSession] = {}
+        # Parked sessions kept warm by quit, oldest first; a store
+        # rebuild reuses one only while its row still matches it.
+        self._warm: OrderedDict[str, _LiveSession] = OrderedDict()
         self._server: asyncio.AbstractServer | None = None
         self._evictor: asyncio.Task | None = None
         self._connections: set[asyncio.Task] = set()
         # Server-level counters (surfaced by stats()).
         self.sessions_opened = 0
         self.sessions_resumed = 0
+        self.sessions_replayed = 0
         self.sessions_finished = 0
         self.evictions = 0
         self.wire_errors = 0
@@ -191,7 +218,11 @@ class RoundServer:
         if self._server is not None:
             raise RuntimeError("server already started")
         self._server = await asyncio.start_server(
-            self._handle_connection, host, port, reuse_port=reuse_port
+            self._handle_connection,
+            host,
+            port,
+            reuse_port=reuse_port,
+            limit=MAX_LINE_BYTES,
         )
         if self.idle_timeout is not None:
             self._evictor = asyncio.ensure_future(self._evict_loop())
@@ -229,6 +260,7 @@ class RoundServer:
         for session_id in self._sessions:
             self.store.release(session_id, self._claim_token)
         self._sessions.clear()
+        self._warm.clear()
         self.store.save_worker_stats(self.worker_id, self.stats())
 
     def stats(self) -> dict[str, int]:
@@ -241,8 +273,10 @@ class RoundServer:
 
         counters = {
             "live_sessions": len(self._sessions),
+            "warm_sessions": len(self._warm),
             "sessions_opened": self.sessions_opened,
             "sessions_resumed": self.sessions_resumed,
+            "sessions_replayed": self.sessions_replayed,
             "sessions_finished": self.sessions_finished,
             "evictions": self.evictions,
             "wire_errors": self.wire_errors,
@@ -262,7 +296,9 @@ class RoundServer:
         Safe at any time: the round-boundary snapshot in the store is
         the authoritative state, so eviction only frees memory — and
         releases the ownership claim, so any fleet worker may pick the
-        session back up.  Returns the number of sessions evicted."""
+        session back up.  Warm parked sessions idle as long are dropped
+        too, uncounted: they hold no claim.  Returns the number of live
+        sessions evicted."""
         now = _now()
         evicted = 0
         for session_id, live in list(self._sessions.items()):
@@ -270,6 +306,9 @@ class RoundServer:
                 del self._sessions[session_id]
                 self.store.release(session_id, self._claim_token)
                 evicted += 1
+        for session_id, warm in list(self._warm.items()):
+            if now - warm.last_used >= max_idle:
+                del self._warm[session_id]
         self.evictions += evicted
         return evicted
 
@@ -290,7 +329,16 @@ class RoundServer:
         pump = asyncio.ensure_future(self._pump(outbox, writer))
         try:
             while True:
-                line = await reader.readline()
+                try:
+                    line = await reader.readline()
+                except ValueError:  # the line overran MAX_LINE_BYTES
+                    await outbox.put(
+                        self._error(
+                            f"line longer than {MAX_LINE_BYTES} bytes; "
+                            "closing the connection"
+                        )
+                    )
+                    break
                 if not line:
                     break
                 text = line.strip().decode("utf-8", errors="replace")
@@ -374,6 +422,13 @@ class RoundServer:
             if live is not None:
                 live.meter.errors += 1
             return [self._error(str(error), session_id)]
+        except sqlite3.Error as error:
+            # Nothing live ran ahead of the store (see _persist): the
+            # next message rebuilds the session from its last durable
+            # round.
+            return [
+                self._error(f"session store failed: {error}", session_id)
+            ]
         return [self._error(f"unknown type {kind!r}", session_id)]
 
     def _handle_open(self, message: dict) -> list[dict]:
@@ -427,9 +482,16 @@ class RoundServer:
         # Quit parks rather than destroys: the snapshot stays in the
         # store, so the same id can reconnect later — on *any* fleet
         # worker, which is why parking releases the ownership claim
-        # before the "closed" reply reaches the client.
-        if self._sessions.pop(session_id, None) is not None:
+        # before the "closed" reply reaches the client.  The session
+        # stays warm here, so a reconnect to this worker can skip the
+        # replay.
+        live = self._sessions.pop(session_id, None)
+        if live is not None:
             self.store.release(session_id, self._claim_token)
+            self._touch(live)
+            self._warm[session_id] = live
+            if len(self._warm) > WARM_SESSIONS:
+                self._warm.popitem(last=False)
         return [{"type": "closed", "session": session_id}]
 
     # ------------------------------------------------------------------
@@ -439,12 +501,16 @@ class RoundServer:
         self, session_id: str | None, verb: str
     ) -> _LiveSession:
         """The live session for ``session_id``, resuming from the store
-        when it is not in memory (eviction or a past server restart)."""
+        when it is not in memory (quit, eviction or a past server
+        restart).  A session this worker parked warm is reused when the
+        row still matches it exactly; otherwise the log is replayed."""
         if session_id is None:
             raise ProtocolError(f'"{verb}" needs a "session" id')
         live = self._sessions.get(session_id)
         if live is not None:
             return live
+        # Popped before any check, so a stale entry dies on every path.
+        warm = self._warm.pop(session_id, None)
         record = self.store.load(session_id)
         if record is None:
             raise ProtocolError(f"unknown session {session_id!r}")
@@ -470,20 +536,31 @@ class RoundServer:
                 f"session {session_id!r} needs unknown learner "
                 f"{record.learner!r}"
             )
-        session = LearningSession(
-            lambda oracle: learner_cls(oracle), n=record.n
-        )
-        try:
-            session.resume(record.snapshot)
-        except Exception:
-            self.store.release(session_id, self._claim_token)
-            raise
+        if (
+            warm is not None
+            and warm.learner == record.learner
+            and warm.session.n == record.n
+            and warm.session.snapshot() == record.snapshot
+        ):
+            # Equal logs give equal learner state: this is the session
+            # a replay would build.
+            session = warm.session
+        else:
+            session = LearningSession(
+                lambda oracle: learner_cls(oracle), n=record.n
+            )
+            try:
+                session.resume(record.snapshot)
+            except Exception:
+                self.store.release(session_id, self._claim_token)
+                raise
+            self.sessions_replayed += 1
         live = _LiveSession(
             session_id,
             record.learner,
             session,
-            # Lifetime totals continue across the resume; ``resumes``
-            # counts store-rebuilds (eviction, disconnect, restart).
+            # Rounds and questions are lifetime totals from the row, on
+            # both paths; errors and resumes start again here.
             meter=SessionMeter(
                 rounds=record.rounds, questions=record.questions, resumes=1
             ),
@@ -500,19 +577,29 @@ class RoundServer:
 
         Active rows carry this worker's claim token (the session is live
         here); finished rows carry none — there is nothing left to own.
+        A failed write drops the live session, which is now a round
+        ahead of its row, and releases the claim where it can: memory
+        never runs ahead of the store.
         """
-        self.store.save(
-            StoredSession(
-                session_id=live.session_id,
-                learner=live.learner,
-                n=live.session.n,
-                status=status,
-                rounds=live.meter.rounds,
-                questions=live.meter.questions,
-                snapshot=live.session.snapshot(),
-                owner=self._claim_token if status == ACTIVE else None,
-            )
+        record = StoredSession(
+            session_id=live.session_id,
+            learner=live.learner,
+            n=live.session.n,
+            status=status,
+            rounds=live.meter.rounds,
+            questions=live.meter.questions,
+            snapshot=live.session.snapshot(),
+            owner=self._claim_token if status == ACTIVE else None,
         )
+        try:
+            self.store.save(record)
+        except sqlite3.Error:
+            self._sessions.pop(live.session_id, None)
+            try:
+                self.store.release(live.session_id, self._claim_token)
+            except sqlite3.Error:
+                pass  # the claim is ours; our next rebuild reclaims it
+            raise
 
     def _emit_event(
         self, live: _LiveSession, event: Round | Finished, fresh_round: bool

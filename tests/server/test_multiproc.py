@@ -10,15 +10,19 @@ of the E25b restart story.
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import json
+import random
 
 import pytest
 
+from repro.core.generators import random_qhorn1
 from repro.interactive import LearningSession
 from repro.learning import Qhorn1Learner
 from repro.oracle import QueryOracle
+from repro.protocol.wire import payload_from_dict
 from repro.server import RoundServer, ServerFleet, SessionStore
-from repro.server.loadgen import random_intents, run_load
+from repro.server.loadgen import UserResult, random_intents, run_load
 from repro.server.multiproc import ShardRouter
 
 
@@ -43,6 +47,53 @@ def assert_bit_identical(user):
     assert answers == reference.transcript.responses()
     assert user.learned == reference.query.shorthand()
     return reference
+
+
+@contextlib.asynccontextmanager
+async def two_workers(store_path):
+    """Workers "wa" and "wb" over one store file, one connection each."""
+    stores = [SessionStore(store_path), SessionStore(store_path)]
+    servers = [
+        RoundServer(store, worker_id=name)
+        for store, name in zip(stores, ("wa", "wb"))
+    ]
+    connections = []
+    try:
+        for server in servers:
+            await server.start()
+            connections.append(
+                await asyncio.open_connection("127.0.0.1", server.port)
+            )
+        yield servers, connections
+    finally:
+        for _, writer in connections:
+            writer.close()
+        for server in servers:
+            await server.close()
+        for store in stores:
+            store.close()
+
+
+async def ask(connection, **message):
+    """Send one message and return the one reply."""
+    reader, writer = connection
+    writer.write((json.dumps(message) + "\n").encode())
+    await writer.drain()
+    return json.loads(await asyncio.wait_for(reader.readline(), 30))
+
+
+async def answer_round(connection, message, user):
+    """Answer ``message``'s round as ``user`` and return the reply."""
+    truth = QueryOracle(user.intent)
+    questions = [payload_from_dict(d) for d in message["questions"]]
+    answers = [truth.ask(q) for q in questions]
+    user.transcript.append((questions, answers))
+    reply = await ask(
+        connection, type="answers", session=user.session_id, answers=answers
+    )
+    if reply["type"] == "finished":
+        user.learned = reply["query"]
+    return reply
 
 
 @pytest.fixture
@@ -84,6 +135,10 @@ class TestServerFleet:
         assert stats["sessions_finished"] == len(intents)
         assert stats["sessions_opened"] == len(intents)
         assert stats["sessions_resumed"] == report.total_hops
+        # Same-worker reconnects reuse the warm parked session, hops to
+        # the other worker replay: with ~60 kernel-balanced reconnects
+        # both happen with overwhelming probability.
+        assert 0 < stats["sessions_replayed"] < stats["sessions_resumed"]
         assert stats["claims_rejected"] == 0
 
     def test_router_fallback_serves_hopping_dialogues(self, store_path):
@@ -306,7 +361,7 @@ class TestOwnershipHandoff:
         assert resumed["questions"] == first["questions"]
         assert resumed["index"] == first["index"]
         assert stats_b["claims_rejected"] == 1
-        assert stats_b["sessions_resumed"] == 1
+        assert stats_b["sessions_resumed"] == stats_b["sessions_replayed"] == 1
 
     def test_clean_close_releases_every_claim(self, store_path):
         async def main():
@@ -352,6 +407,111 @@ class TestOwnershipHandoff:
         owned_before, owner_after = run(main())
         assert owned_before is not None
         assert owner_after is None
+
+
+class TestWarmParkedSessions:
+    """A worker's warm parked session is reused only while the store row
+    still matches it; another worker's progress forces a replay."""
+
+    def test_stale_warm_session_replays_the_other_workers_round(
+        self, store_path
+    ):
+        intent = random_qhorn1(3, random.Random(31))
+
+        async def main():
+            async with two_workers(store_path) as (servers, (on_a, on_b)):
+                first = await ask(on_a, type="open", n=3)
+                user = UserResult(session_id=first["session"], intent=intent)
+                sid = user.session_id
+                closed = await ask(on_a, type="quit", session=sid)
+                assert closed["type"] == "closed"
+                # B advances the row one round, then parks it.
+                resumed = await ask(on_b, type="reconnect", session=sid)
+                second = await answer_round(on_b, resumed, user)
+                await ask(on_b, type="quit", session=sid)
+                # A's warm session is a round behind the row: replay.
+                again = await ask(on_a, type="reconnect", session=sid)
+                message = again
+                while message["type"] == "round":
+                    message = await answer_round(on_a, message, user)
+            return first, resumed, second, again, user, servers
+
+        first, resumed, second, again, user, servers = run(main())
+        assert resumed["questions"] == first["questions"]
+        assert second["type"] == "round" and second["worker"] == "wb"
+        assert again["worker"] == "wa"
+        assert again["index"] == second["index"] == 1
+        assert again["questions"] == second["questions"]
+        assert_bit_identical(user)
+        a, b = (server.stats() for server in servers)
+        assert a["sessions_resumed"] == a["sessions_replayed"] == 1
+        assert b["sessions_resumed"] == b["sessions_replayed"] == 1
+
+    def test_reconnect_to_a_session_live_elsewhere_drops_the_warm_entry(
+        self, store_path
+    ):
+        intent = random_qhorn1(3, random.Random(31))
+
+        async def main():
+            seen = {}
+            async with two_workers(store_path) as (servers, (on_a, on_b)):
+                a = servers[0]
+                first = await ask(on_a, type="open", n=3)
+                user = UserResult(session_id=first["session"], intent=intent)
+                sid = user.session_id
+                await ask(on_a, type="quit", session=sid)
+                seen["parked"] = a.stats()
+                await ask(on_b, type="reconnect", session=sid)
+                seen["rejected"] = await ask(
+                    on_a, type="reconnect", session=sid
+                )
+                seen["after_rejection"] = a.stats()
+                # B parks it unchanged: the row matches what A parked,
+                # but A dropped its entry, so A replays.
+                await ask(on_b, type="quit", session=sid)
+                again = await ask(on_a, type="reconnect", session=sid)
+                message = again
+                while message["type"] == "round":
+                    message = await answer_round(on_a, message, user)
+                seen["finished"] = a.stats()
+            return first, again, user, seen
+
+        first, again, user, seen = run(main())
+        assert seen["parked"]["warm_sessions"] == 1
+        assert seen["rejected"]["type"] == "error"
+        assert "another worker" in seen["rejected"]["message"]
+        assert seen["after_rejection"]["warm_sessions"] == 0
+        assert again["questions"] == first["questions"]
+        assert again["index"] == first["index"] == 0
+        assert_bit_identical(user)
+        a = seen["finished"]
+        assert a["claims_rejected"] == 1
+        assert a["sessions_resumed"] == a["sessions_replayed"] == 1
+
+    def test_reconnect_to_a_session_finished_elsewhere_drops_the_warm_entry(
+        self, store_path
+    ):
+        intent = random_qhorn1(3, random.Random(31))
+
+        async def main():
+            async with two_workers(store_path) as (servers, (on_a, on_b)):
+                a = servers[0]
+                first = await ask(on_a, type="open", n=3)
+                user = UserResult(session_id=first["session"], intent=intent)
+                sid = user.session_id
+                await ask(on_a, type="quit", session=sid)
+                message = await ask(on_b, type="reconnect", session=sid)
+                while message["type"] == "round":
+                    message = await answer_round(on_b, message, user)
+                rejected = await ask(on_a, type="reconnect", session=sid)
+                return rejected, user, a.stats()
+
+        rejected, user, a = run(main())
+        assert_bit_identical(user)
+        assert rejected["type"] == "error"
+        assert "already finished" in rejected["message"]
+        assert a["warm_sessions"] == 0
+        assert a["sessions_resumed"] == 0
 
 
 class TestShardRouter:

@@ -11,15 +11,17 @@ from __future__ import annotations
 import asyncio
 import json
 import random
+import sqlite3
 
 import pytest
 
 from repro.core.generators import random_qhorn1
-from repro.interactive import LearningSession
+from repro.interactive import LearningSession, SessionSnapshot
 from repro.learning import Qhorn1Learner
 from repro.oracle import QueryOracle
 from repro.protocol.wire import payload_from_dict
-from repro.server import RoundServer, SessionStore
+from repro.server import RoundServer, SessionStore, StoredSession
+from repro.server import core as server_core
 
 
 class Client:
@@ -60,6 +62,23 @@ def sync_reference(intent, learner_cls=Qhorn1Learner):
         lambda oracle: learner_cls(oracle), oracle=QueryOracle(intent)
     )
     return session.run()
+
+
+def assert_bit_identical(finished, wire, intent):
+    """A served dialogue's wire transcript and summary equal the
+    synchronous path's."""
+    reference = sync_reference(intent)
+    assert finished["type"] == "finished", finished
+    assert [q for q, _ in wire] == [e.question for e in reference.transcript]
+    assert [a for _, a in wire] == reference.transcript.responses()
+    assert finished["query"] == reference.query.shorthand()
+    assert finished["questions"] == reference.questions_asked
+
+
+def answer(message, oracle):
+    """The (questions, answers) for one round message."""
+    questions = [payload_from_dict(d) for d in message["questions"]]
+    return questions, [oracle.ask(q) for q in questions]
 
 
 async def answer_until_done(client, oracle, session_id=None, first=None):
@@ -253,6 +272,95 @@ class TestWireErrors:
         finished = run(main())
         assert finished["metering"]["errors"] == 1
 
+    def test_oversized_line_gets_an_error_then_eof(self):
+        """A line past MAX_LINE_BYTES is answered with one error naming
+        the limit before the connection closes; the session it carried
+        stays resumable from a second connection."""
+        target = random_qhorn1(3, random.Random(5))
+
+        async def main():
+            with SessionStore() as store:
+                server = RoundServer(store)
+                await server.start()
+                client = await Client.connect(server.port)
+                await client.send(type="open", n=3)
+                first = await client.recv()
+                await client.send(type="open", n=3, pad="x" * 70_000)
+                error = await client.recv()
+                eof = await asyncio.wait_for(client.reader.readline(), 30)
+                await client.close()
+                errors = server.stats()["wire_errors"]
+                client = await Client.connect(server.port)
+                finished, wire = await answer_until_done(
+                    client, QueryOracle(target), first=first
+                )
+                await client.close()
+                await server.close()
+                return error, eof, errors, finished, wire
+
+        error, eof, errors, finished, wire = run(main())
+        assert error["type"] == "error"
+        assert str(server_core.MAX_LINE_BYTES) in error["message"]
+        assert eof == b""
+        assert errors == 1
+        assert_bit_identical(finished, wire, target)
+
+
+class TestStoreFailure:
+    """A failed round-boundary write never leaves memory ahead of the
+    store: the round is rolled back and the client told so."""
+
+    class SaveFailsOnce(SessionStore):
+        fail_next_save = False
+
+        def save(self, record):
+            if self.fail_next_save:
+                self.fail_next_save = False
+                raise sqlite3.OperationalError("database is locked")
+            super().save(record)
+
+    def test_failed_save_rolls_the_round_back(self):
+        target = random_qhorn1(3, random.Random(31))
+
+        async def main():
+            with self.SaveFailsOnce() as store:
+                server = RoundServer(store)
+                await server.start()
+                client = await Client.connect(server.port)
+                await client.send(type="open", n=3)
+                first = await client.recv()
+                sid = first["session"]
+                oracle = QueryOracle(target)
+                questions, answers = answer(first, oracle)
+                store.fail_next_save = True
+                await client.send(type="answers", session=sid, answers=answers)
+                error = await client.recv()
+                failed_stats = server.stats()
+                row, owner = store.load(sid), store.owner_of(sid)
+                # Resending the same answers rebuilds the session from
+                # its last durable round and carries on.
+                await client.send(type="answers", session=sid, answers=answers)
+                finished, wire = await answer_until_done(
+                    client, oracle, first=await client.recv()
+                )
+                await client.close()
+                await server.close()
+                wire = list(zip(questions, answers)) + wire
+                stats = server.stats()
+                return error, failed_stats, row, owner, finished, wire, stats
+
+        error, failed_stats, row, owner, finished, wire, stats = run(main())
+        assert error["type"] == "error"
+        assert error["session"] == finished["session"]
+        assert "session store failed" in error["message"]
+        assert failed_stats["live_sessions"] == 0
+        assert failed_stats["warm_sessions"] == 0
+        assert failed_stats["wire_errors"] == 1
+        assert row.rounds == 1 and row.snapshot.responses == []
+        assert owner is None
+        assert_bit_identical(finished, wire, target)
+        assert stats["sessions_resumed"] == stats["sessions_replayed"] == 1
+
 
 class TestParkAndResume:
     def test_snapshot_while_parked_then_quit_then_reconnect(self):
@@ -345,6 +453,176 @@ class TestParkAndResume:
         reply = run(main())
         assert reply["type"] == "error"
         assert "already finished" in reply["message"]
+
+
+class TestWarmParkedSessions:
+    """quit keeps the parked session warm on its worker; a reconnect
+    reuses it only while the stored row still matches it exactly, and
+    replays the log otherwise (``sessions_replayed`` tells which)."""
+
+    def test_same_worker_reconnect_reuses_the_warm_session(
+        self, monkeypatch
+    ):
+        replays = []
+        resume = LearningSession.resume
+
+        def counted_resume(session, snapshot):
+            replays.append(snapshot)
+            return resume(session, snapshot)
+
+        monkeypatch.setattr(LearningSession, "resume", counted_resume)
+        target = random_qhorn1(3, random.Random(31))
+
+        async def main():
+            with SessionStore() as store:
+                server = RoundServer(store)
+                await server.start()
+                client = await Client.connect(server.port)
+                await client.send(type="open", n=3)
+                message = await client.recv()
+                oracle, wire, hops = QueryOracle(target), [], 0
+                while message["type"] == "round":
+                    # Park after every round, then reconnect.
+                    sid = message["session"]
+                    await client.send(type="quit", session=sid)
+                    assert (await client.recv())["type"] == "closed"
+                    await client.send(type="reconnect", session=sid)
+                    again = await client.recv()
+                    hops += 1
+                    assert again["index"] == message["index"]
+                    assert again["questions"] == message["questions"]
+                    questions, answers = answer(again, oracle)
+                    wire.extend(zip(questions, answers))
+                    await client.send(
+                        type="answers", session=sid, answers=answers
+                    )
+                    message = await client.recv()
+                await client.close()
+                await server.close()
+                return message, wire, hops, server.stats()
+
+        finished, wire, hops, stats = run(main())
+        assert_bit_identical(finished, wire, target)
+        assert hops > 1
+        assert replays == []
+        assert stats["sessions_resumed"] == hops
+        assert stats["sessions_replayed"] == 0
+        assert finished["metering"]["resumes"] == 1
+
+    def test_rewritten_row_replays_to_the_corrected_round(self):
+        """A correction rewrites the parked row to a shorter log: the
+        warm session no longer matches, and the reconnect replays to the
+        corrected round."""
+        target = random_qhorn1(3, random.Random(31))
+
+        async def main():
+            with SessionStore() as store:
+                server = RoundServer(store)
+                await server.start()
+                client = await Client.connect(server.port)
+                await client.send(type="open", n=3)
+                first = await client.recv()
+                sid = first["session"]
+                oracle = QueryOracle(target)
+                questions, answers = answer(first, oracle)
+                wire = list(zip(questions, answers))
+                await client.send(type="answers", session=sid, answers=answers)
+                second = await client.recv()
+                await client.send(type="snapshot", session=sid)
+                parked = (await client.recv())["snapshot"]
+                _, answers = answer(second, oracle)
+                await client.send(type="answers", session=sid, answers=answers)
+                assert (await client.recv())["type"] == "round"
+                await client.send(type="quit", session=sid)
+                assert (await client.recv())["type"] == "closed"
+                # Rewrite the row back to the second round's log.
+                store.save(
+                    StoredSession(
+                        session_id=sid,
+                        learner="qhorn1",
+                        n=3,
+                        status="active",
+                        rounds=2,
+                        questions=len(wire),
+                        snapshot=SessionSnapshot.from_dict(parked),
+                    )
+                )
+                await client.send(type="reconnect", session=sid)
+                again = await client.recv()
+                finished, rest = await answer_until_done(
+                    client, oracle, first=again
+                )
+                await client.close()
+                await server.close()
+                return second, again, finished, wire + rest, server.stats()
+
+        second, again, finished, wire, stats = run(main())
+        assert again["index"] == second["index"] == 1
+        assert again["questions"] == second["questions"]
+        assert_bit_identical(finished, wire, target)
+        assert stats["sessions_resumed"] == stats["sessions_replayed"] == 1
+
+    def test_table_is_capped_and_emptied(self, monkeypatch):
+        """Past WARM_SESSIONS the least recently parked session drops
+        and replays; evict_idle (uncounted) and close() empty the
+        table."""
+        monkeypatch.setattr(server_core, "WARM_SESSIONS", 3)
+        targets = [random_qhorn1(3, random.Random(91 + i)) for i in range(4)]
+
+        async def park(client, sid):
+            await client.send(type="quit", session=sid)
+            assert (await client.recv())["type"] == "closed"
+
+        async def main():
+            seen = {"replayed": [], "dialogues": []}
+            with SessionStore() as store:
+                server = RoundServer(store)
+                await server.start()
+                client = await Client.connect(server.port)
+                firsts = []
+                for _ in targets:
+                    await client.send(type="open", n=3)
+                    firsts.append(await client.recv())
+                    await park(client, firsts[-1]["session"])
+                seen["parked"] = server.stats()
+                for first in firsts:
+                    sid = first["session"]
+                    await client.send(type="reconnect", session=sid)
+                    again = await client.recv()
+                    assert again["questions"] == first["questions"]
+                    seen["replayed"].append(
+                        server.stats()["sessions_replayed"]
+                    )
+                for first in firsts:
+                    await park(client, first["session"])
+                seen["evicted"] = server.evict_idle(0.0)
+                seen["idle"] = server.stats()
+                for first, target in zip(firsts, targets):
+                    sid = first["session"]
+                    await client.send(type="reconnect", session=sid)
+                    seen["dialogues"].append(
+                        await answer_until_done(client, QueryOracle(target))
+                    )
+                seen["finished"] = server.stats()
+                await client.send(type="open", n=3)
+                await park(client, (await client.recv())["session"])
+                seen["before_close"] = server.stats()
+                await client.close()
+                await server.close()
+                seen["closed"] = server.stats()
+            return seen
+
+        seen = run(main())
+        assert seen["parked"]["warm_sessions"] == 3
+        assert seen["replayed"] == [1, 1, 1, 1]  # only the oldest replayed
+        assert seen["evicted"] == 0
+        assert seen["idle"]["warm_sessions"] == 0
+        assert seen["idle"]["evictions"] == 0
+        for (finished, wire), target in zip(seen["dialogues"], targets):
+            assert_bit_identical(finished, wire, target)
+        assert seen["finished"]["sessions_replayed"] == 1 + len(targets)
+        assert seen["before_close"]["warm_sessions"] == 1
+        assert seen["closed"]["warm_sessions"] == 0
 
 
 class TestRestartDurability:
