@@ -28,8 +28,7 @@ the sharded backend's end-to-end throughput (build + labeling) must
 stay within the parity floor below of the single index's — a guard
 against a sharded-layer regression, not a speedup claim.  Sharding's
 structural wins live elsewhere now: bounded bitset width, the worker
-pool, and parallel ingest (E24's build gate) and the per-shard numpy
-kernel (E26).
+pool, and parallel ingest (E24's build gate).
 """
 
 from __future__ import annotations

@@ -242,7 +242,7 @@ def _time_to_first_answer(store, vocab, ingest, query):
 
 
 def test_e24_parallel_ingest_build(report, trend):
-    """The build-phase split of the two ingest modes (DESIGN.md §2d/§2g):
+    """The build-phase split of the two ingest modes (DESIGN.md §2d):
 
     * ``ingest="built"`` — the coordinator abstracts every object's rows
       single-core, then ships the built shard payloads;

@@ -1,25 +1,29 @@
-"""E26 — the packed numpy kernel vs the pure-python ``evaluate_inverted``.
+"""E26 — the tabled bitmask kernel vs the ``evaluate_inverted`` scan.
 
-The measurement the ``repro.data.backends.vectorized`` module (DESIGN.md
-§2g) exists to answer: at 100 000 objects, how much faster is warm
-query evaluation once the inverted index lives in packed uint64 words
-with superset-union (zeta) tables?
+The measurement the superset-union tables of
+:class:`~repro.data.index.BitsetKernel` (DESIGN.md §2, §2g) exist to
+answer: at 100 000 objects, how much faster is warm query evaluation
+when each quantifier reads one precomputed table row instead of
+scanning every distinct mask's bitset?  Both sides run over the same
+inverted index of the default ``bitmask`` backend: the scan is
+:func:`~repro.data.index.evaluate_inverted` (the kernel's fallback for
+data whose tables are refused), the tabled side is the backend's warm
+``matching_bits``.
 
 Two workloads, because the answer depends on the mask-space density:
 
 * **storefront** (n=4, ≤16 distinct masks) — the repo's default domain.
-  CPython's big-int bitwise loops are already memory-bandwidth bound
-  here, so the kernel records only a modest edge; the row is
+  With so few masks the scan touches only a handful of bitsets per
+  quantifier, so the tables record only a modest edge; the row is
   informational.
-* **wide** (n=10, ~1024 distinct masks) — the regime the vectorized
-  kernel is for.  The python kernel re-reads all ``D`` bitset rows per
-  quantifier; the zeta tables make the numpy kernel touch one
-  precomputed row instead, so the gap grows with ``D``.  This row is
-  the gate: committed runs record >10x, CI enforces
-  ``SPEEDUP_FLOOR`` (the structural floor is machine-independent —
-  both kernels are single-core and bandwidth-bound).
+* **wide** (n=10, ~1024 distinct masks) — the regime the tables are
+  for.  The scan re-reads all ``D`` bitset rows per quantifier; the
+  tabled kernel touches one precomputed row instead, so the gap grows
+  with ``D``.  This row is the gate: CI enforces ``SPEEDUP_FLOOR`` (the
+  structural floor is machine-independent — both sides are
+  single-core and bandwidth-bound).
 
-Answers are asserted bit-identical between the kernels on every query
+Answers are asserted bit-identical between the two sides on every query
 of both workloads (the full cross-backend identity lives in
 ``tests/properties/test_prop_backends.py``).
 """
@@ -110,32 +114,31 @@ def _measure(compiled, evaluate):
 
 
 def _kernel_row(label, relation, vocab, workload, gated):
-    """Warm python-kernel vs numpy-kernel sweep on one workload; returns
-    the table row and the measured speedup."""
+    """Warm scan vs tabled-kernel sweep on one workload; returns the
+    table row, the measured speedup and the warm backend."""
     compiled = [q.compile() for q in workload]
-    index = create_backend("bitmask", relation, vocab).index
+    backend = create_backend("bitmask", relation, vocab)
+    index = backend.index
     inverted, all_bits = index._kernel.inverted, index._kernel.all_bits
-    numpy_backend = create_backend("numpy", relation, vocab)
-    numpy_backend.refresh(force=True)
-    numpy_backend.matching_bits(compiled[0])  # build the zeta tables
+    backend.matching_bits(compiled[0])  # build the zeta tables
 
-    python_ms, python_answers = _measure(
+    scan_ms, scan_answers = _measure(
         compiled, lambda c: evaluate_inverted(c, inverted, all_bits)
     )
-    numpy_ms, numpy_answers = _measure(compiled, numpy_backend.matching_bits)
-    assert numpy_answers == python_answers, (
-        f"{label}: numpy kernel answers diverge from evaluate_inverted"
+    tabled_ms, tabled_answers = _measure(compiled, backend.matching_bits)
+    assert tabled_answers == scan_answers, (
+        f"{label}: tabled kernel answers diverge from evaluate_inverted"
     )
-    speedup = python_ms / numpy_ms if numpy_ms else float("inf")
+    speedup = scan_ms / tabled_ms if tabled_ms else float("inf")
     row = [
         label,
         str(index.distinct_masks),
-        f"{python_ms:.2f}",
-        f"{numpy_ms:.2f}",
+        f"{scan_ms:.2f}",
+        f"{tabled_ms:.2f}",
         f"{speedup:.1f}x",
         "yes" if gated else "-",
     ]
-    return row, speedup, numpy_backend
+    return row, speedup, backend
 
 
 def test_e26_numpy_kernel(
@@ -158,17 +161,17 @@ def test_e26_numpy_kernel(
         gated=True,
     )
     assert wide_speedup >= SPEEDUP_FLOOR, (
-        f"numpy kernel only {wide_speedup:.1f}x the python kernel on the "
+        f"tabled kernel only {wide_speedup:.1f}x the scan on the "
         f"wide workload at {SIZE} objects (floor {SPEEDUP_FLOOR}x)"
     )
     trend("e26_numpy_kernel", speedup=wide_speedup)
     trend("e26_numpy_kernel_storefront", speedup=store_speedup)
 
     table = render_table(
-        ["workload", "distinct masks", "python ms", "numpy ms", "speedup", "gated"],
+        ["workload", "distinct masks", "scan ms", "tabled ms", "speedup", "gated"],
         [store_row, wide_row],
         title=(
-            f"E26 — packed numpy kernel vs pure-python evaluate_inverted "
+            f"E26 — tabled bitmask kernel vs the evaluate_inverted scan "
             f"at {SIZE} objects (8-query warm sweep, best-of-{PASSES}; "
             f"answers bit-identical on every query; gate: wide workload "
             f"≥ {SPEEDUP_FLOOR:.0f}x)"

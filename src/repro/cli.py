@@ -38,18 +38,12 @@ __all__ = ["main", "build_parser"]
 BACKEND_GUIDE = """\
 evaluation backends (--backend):
   bitmask   one in-process inverted bitmask index over the whole relation;
-            the default — fastest for small/medium relations and the
-            mask-native oracle for learn/verify
-  sharded   the bitmask index partitioned into object-position blocks with
-            bounded bitset widths; pick for relations beyond ~10k objects
-            (linear builds and full-relation labeling, parallel-capable;
-            backend options kernel=numpy and ingest=raw/built select the
-            per-shard kernel and the pool-mode build path)
-  numpy     the inverted index packed into numpy arrays (DESIGN.md §2g):
-            the evaluation kernel runs as SIMD-width word operations
-            instead of python big-int loops; pick for warm repeated
-            evaluation over large relations (≥3x kernel speedup at 100k
-            objects, see E26); requires numpy, supports n ≤ 64
+            the default and the mask-native oracle for learn/verify
+  sharded   the same bitmask kernel over object-position blocks with
+            bounded bitset widths; E23 records 1.0-1.2x the speed of
+            bitmask at 4k-40k objects (cold build + full-relation
+            labeling); the layout behind demo --parallel (backend option
+            ingest=raw/built selects the pool-mode build path)
   sql       queries compile to SQL once and run on SQLite; pick when a
             real database should answer — batches are one round trip, and
             learn/verify answer membership questions through the database

@@ -5,7 +5,6 @@ Boolean-tuple→row synthesis, question rendering, and a query engine.
 """
 
 from repro.data.backends import (
-    BACKENDS,
     REGISTRY,
     BackendCapabilities,
     BackendLoadError,
@@ -60,7 +59,6 @@ from repro.data.schema import (
 __all__ = [
     "Attribute",
     "AttributeType",
-    "BACKENDS",
     "BackendCapabilities",
     "BackendLoadError",
     "BackendRegistry",

@@ -1,16 +1,13 @@
 """Pluggable evaluation backends behind one seam (DESIGN.md §2c, §2i).
 
-Five built-in implementations of the :class:`EvaluationBackend` contract:
+Four built-in implementations of the :class:`EvaluationBackend` contract:
 
 * ``bitmask`` — one :class:`~repro.data.index.RelationIndex` over the
-  whole relation (the default; fastest for small/medium relations);
+  whole relation (the default);
 * ``sharded`` — the relation partitioned into object-position blocks so
   bitset widths stay bounded; builds and full-relation labeling scale
-  linearly, shards optionally evaluate in parallel (with a per-shard
-  ``kernel=`` choice and a parallel-ingest ``ingest="raw"`` mode in
-  pool execution);
-* ``numpy`` — the inverted index packed into numpy arrays so the kernel
-  runs as SIMD-width array operations (DESIGN.md §2g);
+  linearly, shards optionally evaluate in parallel (with a
+  parallel-ingest ``ingest="raw"`` mode in pool execution);
 * ``sql`` — the relation loaded into in-memory SQLite, each query
   compiled to SQL once and answered in one round trip;
 * ``dbapi`` — the relation loaded into *any* DB-API database through a
@@ -21,8 +18,9 @@ Five built-in implementations of the :class:`EvaluationBackend` contract:
 Backends register on the plugin :data:`REGISTRY` (DESIGN.md §2i) with
 capability flags the CLI derives its choices from; third-party backends
 join via ``repro.backends`` entry points or the ``REPRO_BACKENDS``
-environment variable without editing this package.  ``BACKENDS`` remains
-as a live mapping view for PR 3 era callers.
+environment variable without editing this package.  ``bitmask`` and
+``sharded`` both evaluate through the one bitmask kernel,
+:class:`~repro.data.index.BitsetKernel` (DESIGN.md §2g).
 
 ``create_backend(name, relation, vocabulary, **options)`` is the single
 construction seam the engine, CLI and experiments go through.
@@ -38,7 +36,6 @@ from repro.data.backends.registry import (
     BackendCapabilities,
     BackendLoadError,
     BackendRegistry,
-    BackendsView,
     coerce_option,
     parse_backend_opts,
 )
@@ -47,12 +44,10 @@ from repro.data.backends.sharded import (
     ShardedBitmaskBackend,
 )
 from repro.data.backends.sqlexec import SqlBackend
-from repro.data.backends.vectorized import NumpyBackend
 from repro.data.propositions import Vocabulary
 from repro.data.relation import NestedRelation
 
 __all__ = [
-    "BACKENDS",
     "REGISTRY",
     "BackendCapabilities",
     "BackendLoadError",
@@ -61,7 +56,6 @@ __all__ = [
     "DbApiBackend",
     "DEFAULT_SHARD_SIZE",
     "EvaluationBackend",
-    "NumpyBackend",
     "PooledConnectionSource",
     "ShardedBitmaskBackend",
     "SqlBackend",
@@ -86,13 +80,6 @@ REGISTRY.register(
 REGISTRY.register(
     DbApiBackend.name, DbApiBackend, supports_sql=True, supports_oracle=True
 )
-REGISTRY.register(NumpyBackend.name, NumpyBackend, max_width=64)
-
-#: PR 3 compatibility: a live name → class mapping view over the
-#: registry.  Reads see every registered *and* discoverable backend;
-#: ``BACKENDS[name] = cls`` still registers (with a DeprecationWarning)
-#: but new code should use ``REGISTRY.register(name, ...)``.
-BACKENDS: BackendsView = BackendsView(REGISTRY)
 
 
 def create_backend(

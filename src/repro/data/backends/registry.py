@@ -1,11 +1,9 @@
 """Backend plugin API v2: the registry behind ``--backend`` (DESIGN.md §2i).
 
-PR 3 wired every evaluation backend into a module-level ``BACKENDS`` dict
-at import time, so landing a backend meant editing
-``repro.data.backends``.  This module replaces that dict with a
-:class:`BackendRegistry` — the ``TARGET_GENERATORS`` registry idiom —
-so backends register *by name*, carry machine-readable capability flags,
-and can live out of tree entirely:
+A :class:`BackendRegistry` — the ``TARGET_GENERATORS`` registry idiom —
+lets backends register *by name*, carry machine-readable capability
+flags, and live out of tree entirely, without editing
+``repro.data.backends``:
 
 * ``@REGISTRY.register("mine", supports_sql=True)`` — in-process
   registration (the built-ins, test doubles, ``examples/custom_backend.py``);
@@ -21,22 +19,18 @@ Capability flags (:class:`BackendCapabilities`) are what the CLI derives
 its per-subcommand ``--backend`` choices from — ``supports_oracle``
 marks backends that can answer membership questions for ``learn``/
 ``verify``, ``supports_parallel`` marks the worker-pool layout behind
-``--parallel``, ``supports_sql`` and ``max_width`` describe the dialect
-and packed-kernel constraints — instead of hard-coding name literals per
-subcommand.
-
-The PR 3 surface keeps working: ``repro.data.backends.BACKENDS`` is a
-mapping view over this registry (mutation routes through
-:meth:`BackendRegistry.register` with a :class:`DeprecationWarning`) and
-``create_backend(name, ...)`` is still the construction seam.
+``--parallel``, ``supports_sql`` marks the dialect-driven SQL backends —
+instead of hard-coding name literals per subcommand.
+``create_backend(name, ...)`` in :mod:`repro.data.backends` is the
+construction seam over this registry.
 """
 
 from __future__ import annotations
 
 import difflib
 import os
-from dataclasses import dataclass, replace
-from typing import Any, Callable, Iterator, MutableMapping
+from dataclasses import dataclass
+from typing import Any, Callable
 
 __all__ = [
     "REGISTRY",
@@ -72,15 +66,11 @@ class BackendCapabilities:
         ``learn``/``verify`` can build a ground-truth membership oracle
         for this backend choice (in-process compiled evaluation or the
         one-round-trip SQL path).
-    max_width:
-        Upper bound on the vocabulary width ``n`` the backend can
-        evaluate (``None`` = unbounded; the packed numpy kernel is 64).
     """
 
     supports_parallel: bool = False
     supports_sql: bool = False
     supports_oracle: bool = False
-    max_width: int | None = None
 
 
 @dataclass
@@ -156,7 +146,6 @@ class BackendRegistry:
         supports_parallel: bool = False,
         supports_sql: bool = False,
         supports_oracle: bool = False,
-        max_width: int | None = None,
     ):
         """Register a backend class, directly or as a decorator.
 
@@ -169,7 +158,6 @@ class BackendRegistry:
             supports_parallel=supports_parallel,
             supports_sql=supports_sql,
             supports_oracle=supports_oracle,
-            max_width=max_width,
         )
         caps_declared = caps != BackendCapabilities()
 
@@ -373,69 +361,11 @@ class BackendRegistry:
 
     def create(self, name: str, *args: Any, **options: Any):
         """Construct a registered backend by name (the v2 seam)."""
-        cls = self.get(name)
-        caps = self._entries[name].capabilities
-        if caps.max_width is not None and args:
-            vocabulary = args[1] if len(args) > 1 else options.get("vocabulary")
-            width = getattr(vocabulary, "n", None)
-            if width is not None and width > caps.max_width:
-                raise ValueError(
-                    f"backend {name!r} supports at most "
-                    f"n={caps.max_width} propositions, vocabulary has {width}"
-                )
-        return cls(*args, **options)
+        return self.get(name)(*args, **options)
 
 
-#: The process-wide registry the package-level BACKENDS view and
-#: ``create_backend`` delegate to.
+#: The process-wide registry ``create_backend`` delegates to.
 REGISTRY = BackendRegistry()
-
-
-class BackendsView(MutableMapping):
-    """PR 3 compatibility: ``BACKENDS`` as a live view of the registry.
-
-    Reads (``BACKENDS[name]``, ``name in BACKENDS``, iteration,
-    ``sorted(BACKENDS)``) delegate to the registry, so plugins appear
-    without editing this package.  Writes were the PR 3 registration
-    path; they still work but route through
-    :meth:`BackendRegistry.register` with a :class:`DeprecationWarning`.
-    """
-
-    def __init__(self, registry: BackendRegistry) -> None:
-        self._registry = registry
-
-    def __getitem__(self, name: str) -> type:
-        try:
-            return self._registry.get(name)
-        except ValueError as error:
-            raise KeyError(str(error)) from None
-
-    def __setitem__(self, name: str, cls: type) -> None:
-        import warnings
-
-        warnings.warn(
-            "BACKENDS[name] = cls is deprecated; use "
-            "repro.data.backends.REGISTRY.register(name, cls, ...) "
-            "(DESIGN.md §2i)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        self._registry.register(name, cls, replace_existing=True)
-
-    def __delitem__(self, name: str) -> None:
-        self._registry.unregister(name)
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._registry.names())
-
-    def __len__(self) -> int:
-        return len(self._registry.names())
-
-    def __contains__(self, name: object) -> bool:
-        return name in self._registry
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"BackendsView({self._registry.names()})"
 
 
 # ----------------------------------------------------------------------
@@ -483,8 +413,3 @@ def parse_backend_opts(pairs: Any) -> dict[str, Any]:
         options[key] = coerce_option(value)
     return options
 
-
-def _merge_capabilities(
-    caps: BackendCapabilities, **overrides: Any
-) -> BackendCapabilities:  # pragma: no cover - helper for plugins
-    return replace(caps, **overrides)

@@ -14,13 +14,11 @@ costs grow super-linearly with relation size ``W``:
 *object-position blocks* of ``shard_size`` objects.  Each shard owns its
 own inverted index with **shard-local positions**, so every bitset is
 bounded to ``shard_size`` bits: builds and label extractions become
-linear in relation size, and shards evaluate independently through a
-per-shard kernel — each :class:`Shard` is a big-int
-:class:`~repro.data.index.BitsetKernel` (superset-union tables built
-lazily per shard, never shipped; the scan for data that does not admit
-them) by default, or answers through the packed numpy kernel
-(:class:`~repro.data.backends.vectorized.PackedBitIndex`) with
-``kernel="numpy"``.
+linear in relation size, and shards evaluate independently.  Each
+:class:`Shard` is the one bitmask kernel,
+:class:`~repro.data.index.BitsetKernel`, over its block (superset-union
+tables built lazily per shard, never shipped; the scan for data that
+does not admit them), plus the block's ``offset``.
 
 Three execution modes share that layout:
 
@@ -32,7 +30,7 @@ Three execution modes share that layout:
   shard state once and evaluates it in ``N`` processes; per query only
   the compiled form crosses the boundary and either bitsets or
   worker-extracted label lists come back (DESIGN.md §2d).  This is the
-  mode that beats the GIL on the pure-python kernel.  Rebuilds (relation
+  mode that beats the GIL on the big-int kernel.  Rebuilds (relation
   ``version`` bumps) re-ship automatically — the invalidation broadcast
   — and a pool crash raises
   :class:`~repro.parallel.WorkerCrashError` cleanly; the next evaluation
@@ -46,7 +44,7 @@ a ``processes=N`` build uses all cores instead of abstracting
 single-core in the coordinator.  ``ingest="built"`` restores the old
 behaviour — abstract locally, ship built payloads — which is the right
 trade when rows are much wider than their inverted index (DESIGN.md
-§2g discusses the tradeoff).
+§2d discusses the tradeoff).
 
 Shard boundaries are unobservable: answers are identical to the single
 index on identical state (enforced by
@@ -74,15 +72,11 @@ if TYPE_CHECKING:  # pragma: no cover
 
     from repro.parallel import ShardWorkerPool
 
-__all__ = ["ShardedBitmaskBackend", "Shard", "DEFAULT_SHARD_SIZE", "KERNELS"]
+__all__ = ["ShardedBitmaskBackend", "Shard", "DEFAULT_SHARD_SIZE"]
 
 #: Default objects per shard: big enough that per-shard dict overhead is
 #: amortized, small enough that every bitset stays a few machine words.
 DEFAULT_SHARD_SIZE = 4096
-
-#: Per-shard evaluation kernels: the big-int bitset kernel, or the
-#: packed numpy kernel (requires ``vocabulary.n <= 64``).
-KERNELS = ("python", "numpy")
 
 #: Shard-shipping modes for the worker pool: ship raw rows and abstract
 #: worker-side (parallel ingest), or abstract in the coordinator and
@@ -92,73 +86,36 @@ INGEST_MODES = ("raw", "built")
 
 class Shard(BitsetKernel):
     """One object-position block: the shared bitmask kernel over a
-    shard-local inverted index, plus a packed copy when the numpy kernel
-    is selected."""
+    shard-local inverted index, plus the block's ``offset``."""
 
-    __slots__ = ("offset", "packed")
+    __slots__ = ("offset",)
 
-    def __init__(
-        self,
-        offset: int,
-        mask_sets: Sequence[Iterable[int]],
-        kernel: str = "python",
-    ) -> None:
-        self._load(
-            offset, invert(mask_sets), len(mask_sets), kernel == "numpy"
-        )
+    def __init__(self, offset: int, mask_sets: Sequence[Iterable[int]]) -> None:
+        self._load(offset, invert(mask_sets), len(mask_sets))
 
-    def _load(
-        self, offset: int, inverted: dict[int, int], count: int, packed: bool
-    ) -> None:
+    def _load(self, offset: int, inverted: dict[int, int], count: int) -> None:
         BitsetKernel.__init__(self, inverted, count)
         self.offset = offset
-        self.packed = None
-        if packed:
-            from repro.data.backends.vectorized import PackedBitIndex
-
-            self.packed = PackedBitIndex.from_inverted(inverted, count)
 
     @classmethod
     def from_payload(
-        cls,
-        payload: tuple[int, int, dict[int, int], int],
-        kernel: str = "python",
+        cls, payload: tuple[int, int, dict[int, int], int]
     ) -> "Shard":
         """Rebuild a shard from its wire payload (worker-side loading of
         a coordinator-built shard)."""
         offset, count, inverted, _all_bits = payload
         shard = cls.__new__(cls)
-        shard._load(offset, inverted, count, kernel == "numpy")
+        shard._load(offset, inverted, count)
         return shard
 
-    def evaluate_bits(self, compiled: CompiledQuery) -> int:
-        """Shard-local answer bitset through the selected kernel."""
-        if self.packed is not None:
-            return self.packed.matching_bits(compiled)
-        return self.matching_bits(compiled)
-
-    def evaluate_labels(self, compiled: CompiledQuery) -> list[bool]:
-        """Shard-local answer labels (kernel + extraction in one call)."""
-        if self.packed is not None:
-            return self.packed.labels(compiled)
-        return labels_of(self.matching_bits(compiled), self.count)
-
     def __getstate__(self) -> tuple:
-        # Executor/process transport: the tables and the packed copy are
-        # derived state, rebuilt on the far side instead of pickled.
-        return (
-            self.offset, self.count, self.inverted, self.packed is not None
-        )
+        # Executor/process transport: the tables are derived state,
+        # rebuilt on the far side instead of pickled.
+        return (self.offset, self.count, self.inverted)
 
     def __setstate__(self, state: tuple) -> None:
-        offset, count, inverted, packed = state
-        self._load(offset, inverted, count, packed)
-
-
-def _shard_bits(compiled: CompiledQuery, shard: Shard) -> int:
-    """Module-level kernel trampoline so ``executor.map`` works with
-    process executors (bound methods don't pickle)."""
-    return shard.evaluate_bits(compiled)
+        offset, count, inverted = state
+        self._load(offset, inverted, count)
 
 
 class ShardedBitmaskBackend:
@@ -170,12 +127,6 @@ class ShardedBitmaskBackend:
         The evaluated pair.
     shard_size:
         Objects per shard (the bound on every bitset's width).
-    kernel:
-        Per-shard evaluation kernel: ``"python"`` (default, the big-int
-        :class:`~repro.data.index.BitsetKernel`) or ``"numpy"`` (the
-        packed-bit kernel of :mod:`repro.data.backends.vectorized`;
-        requires ``vocabulary.n <= 64``).  Applies in every execution mode,
-        including worker-side in the pool.
     executor:
         Optional :class:`concurrent.futures.Executor`; when given, the
         per-shard evaluations of one query run through ``executor.map``.
@@ -210,7 +161,6 @@ class ShardedBitmaskBackend:
         relation: NestedRelation,
         vocabulary: Vocabulary,
         shard_size: int = DEFAULT_SHARD_SIZE,
-        kernel: str = "python",
         executor: "Executor | None" = None,
         processes: int | None = None,
         pool: "ShardWorkerPool | None" = None,
@@ -219,22 +169,6 @@ class ShardedBitmaskBackend:
     ) -> None:
         if shard_size < 1:
             raise ValueError(f"shard_size must be positive, got {shard_size}")
-        if kernel not in KERNELS:
-            raise ValueError(
-                f"unknown kernel {kernel!r}; choices: {', '.join(KERNELS)}"
-            )
-        if kernel == "numpy":
-            # Validate eagerly: a missing numpy or an over-wide
-            # vocabulary must fail at construction, not mid-evaluation
-            # (possibly inside a worker).
-            from repro.data.backends.vectorized import MAX_PACKED_VARIABLES
-
-            if vocabulary.n > MAX_PACKED_VARIABLES:
-                raise ValueError(
-                    f"kernel='numpy' packs masks into uint64 and supports "
-                    f"at most n={MAX_PACKED_VARIABLES} propositions, "
-                    f"vocabulary has {vocabulary.n}"
-                )
         given = [
             name
             for name, value in (
@@ -252,7 +186,6 @@ class ShardedBitmaskBackend:
         self.relation = relation
         self.vocabulary = vocabulary
         self.shard_size = shard_size
-        self.kernel = kernel
         self.executor = executor
         self.processes = processes
         if processes is not None or pool is not None:
@@ -311,7 +244,7 @@ class ShardedBitmaskBackend:
                 obj.rows for obj in objects
             )
             self._shards = [
-                Shard(offset, mask_sets[offset : offset + size], self.kernel)
+                Shard(offset, mask_sets[offset : offset + size])
                 for offset, _count in self._spans
             ]
         self._built = True
@@ -388,14 +321,12 @@ class ShardedBitmaskBackend:
                         ),
                     )
                 )
-            self._shipped_token = pool.build_shards(
-                self.vocabulary, payloads, kernel=self.kernel
-            )
+            self._shipped_token = pool.build_shards(self.vocabulary, payloads)
         else:
             from repro.parallel import shard_payloads
 
             self._shipped_token = pool.load_shards(
-                shard_payloads(self._shards), kernel=self.kernel
+                shard_payloads(self._shards)
             )
         return self._shipped_token
 
@@ -467,10 +398,14 @@ class ShardedBitmaskBackend:
             return [bits for _offset, bits in self._pool_evaluate("bits", compiled)]
         shards = self._shards
         if self.executor is not None and len(shards) > 1:
+            # A plain function pickles by name, so process executors
+            # work too.
             return list(
-                self.executor.map(_shard_bits, repeat(compiled), shards)
+                self.executor.map(
+                    Shard.matching_bits, shards, repeat(compiled)
+                )
             )
-        return [shard.evaluate_bits(compiled) for shard in shards]
+        return [shard.matching_bits(compiled) for shard in shards]
 
     def matching_bits(self, query: QhornQuery | CompiledQuery) -> int:
         self._ensure_fresh()
@@ -533,7 +468,6 @@ class ShardedBitmaskBackend:
             layout = f"{masks} inverted entries"
         else:
             layout = "raw ingest (abstraction runs worker-side)"
-        kernel = f", {self.kernel} kernel" if self.kernel != "python" else ""
         pool = self._lease.pool if self._lease is not None else None
         if pool is not None and not pool.closed:
             mode = f", {pool.processes}-process pool"
@@ -546,7 +480,7 @@ class ShardedBitmaskBackend:
         return (
             f"sharded: {len(self._objects)} objects in "
             f"{len(self._spans)} shard(s) of ≤{self.shard_size}, "
-            f"{layout}" + kernel + mode
+            f"{layout}" + mode
         )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

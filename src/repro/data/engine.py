@@ -13,14 +13,14 @@ abstracts rows on every call, and the *batch path*
 (:meth:`QueryEngine.execute_batch` / :meth:`QueryEngine.matches_many`),
 which dispatches to a pluggable
 :class:`~repro.data.backends.EvaluationBackend` (DESIGN.md §2c) —
-single bitmask index, sharded bitmask blocks, the packed numpy kernel,
-or SQL batch execution.  Every backend must return identical answers on
-identical state.
+single bitmask index, sharded bitmask blocks (both on the one bitmask
+kernel, :class:`~repro.data.index.BitsetKernel`), or SQL batch
+execution.  Every backend must return identical answers on identical
+state.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Any, Iterable
 
@@ -54,44 +54,23 @@ class QueryEngine:
 
     The batch evaluation methods dispatch to a pluggable
     :class:`~repro.data.backends.EvaluationBackend` (``backend=`` accepts
-    a registry name — ``"bitmask"``, ``"sharded"``, ``"numpy"``,
-    ``"sql"`` — or a
-    constructed backend instance; backends build lazily on first batch
-    call).  The per-object methods keep the seed reference semantics
-    regardless of backend.  ``index=`` — the pre-seam shortcut of
-    injecting a shared :class:`RelationIndex` — is deprecated: it now
-    warns and routes through ``backend="bitmask"``,
-    ``backend_options={"index": index}`` (DESIGN.md §2i).
+    a registry name — ``"bitmask"``, ``"sharded"``, ``"sql"``,
+    ``"dbapi"`` — or a constructed backend instance; backends build
+    lazily on first batch call).  The per-object methods keep the seed
+    reference semantics regardless of backend.  A shared
+    :class:`RelationIndex` is injected with ``backend_options={"index":
+    index}`` on the ``bitmask`` backend.
     """
 
     def __init__(
         self,
         relation: NestedRelation,
         vocabulary: Vocabulary,
-        index: RelationIndex | None = None,
         backend: str | EvaluationBackend = "bitmask",
         backend_options: dict[str, Any] | None = None,
     ) -> None:
         self.relation = relation
         self.vocabulary = vocabulary
-        if index is not None:
-            # PR 3 back-compat shortcut, deprecated by the v2 plugin API
-            # (DESIGN.md §2i): route through the same backend=/
-            # backend_options= path every other construction takes.
-            warnings.warn(
-                'QueryEngine(index=...) is deprecated; pass '
-                'backend="bitmask", backend_options={"index": index} '
-                "instead (DESIGN.md §2i)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            if not (backend == "bitmask" or isinstance(backend, BitmaskBackend)):
-                raise ValueError(
-                    "index= injects a RelationIndex and requires the "
-                    "bitmask backend"
-                )
-            backend = "bitmask"
-            backend_options = dict(backend_options or {}, index=index)
         if isinstance(backend, str):
             # Validate the name eagerly (fail at construction, not first
             # batch call) but build the backend lazily.

@@ -15,16 +15,16 @@ algebra over big integers: a universal Horn expression contributes one
 "violators" bitset and one "witnesses" bitset (unions over the distinct
 masks, not over objects), an existential conjunction one "witnesses"
 bitset, and the answer set is a handful of AND/OR/NOT operations.
-:class:`BitsetKernel` — the kernel of the index and of every sharded
-backend shard — precomputes those unions for every mask in lazily built
-superset-union tables (:func:`superset_unions`), so computing the answer
-bitset (:meth:`RelationIndex.matching_bits`) costs ``O(#expressions ×
-W/64)`` word operations over ``W`` objects.  Data whose tables
-:func:`zeta_bits` refuses (a mask space much wider than the distinct
-masks in it) goes through the :func:`evaluate_inverted` scan instead:
-``O(#distinct_masks × #expressions)`` mask tests and bitset unions.
-Turning the bitset into objects (:meth:`RelationIndex.execute`) adds one
-``O(W/8 + answers)`` decode (:func:`positions_of`).
+:class:`BitsetKernel` — the one evaluation kernel, behind the index and
+every sharded backend shard — precomputes those unions for every mask in
+lazily built superset-union tables (:func:`superset_unions`), so
+computing the answer bitset (:meth:`RelationIndex.matching_bits`) costs
+``O(#expressions × W/64)`` word operations over ``W`` objects.  Data
+whose tables :func:`zeta_bits` refuses (a mask space much wider than the
+distinct masks in it) goes through the :func:`evaluate_inverted` scan
+instead: ``O(#distinct_masks × #expressions)`` mask tests and bitset
+unions.  Turning the bitset into objects (:meth:`RelationIndex.execute`)
+adds one ``O(W/8 + answers)`` decode (:func:`positions_of`).
 
 Agreement with the per-object reference path is enforced by the
 differential property suite in ``tests/properties/test_prop_engine.py``;
@@ -35,7 +35,7 @@ contract are documented in DESIGN.md §2.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -49,7 +49,6 @@ __all__ = [
     "RelationIndex",
     "ZETA_TABLE_BUDGET",
     "evaluate_inverted",
-    "evaluate_tabled",
     "invert",
     "labels_of",
     "positions_of",
@@ -101,8 +100,8 @@ def positions_of(bits: int, count: int) -> list[int]:
     copies the bitset once, ``np.unpackbits`` expands it to one byte per
     position and ``np.flatnonzero`` collects the set ones:
     ``O(W/8 + answers)``.  The one decoder behind every bitmask
-    backend's ``execute``: :meth:`RelationIndex.execute`, the numpy
-    backend and the sharded backend.
+    backend's ``execute``: :meth:`RelationIndex.execute` and the sharded
+    backend.
     """
     packed = np.frombuffer(bits.to_bytes((count + 7) // 8, "little"), np.uint8)
     return np.flatnonzero(np.unpackbits(packed, bitorder="little")).tolist()
@@ -155,10 +154,10 @@ def evaluate_inverted(
 
 
 def zeta_bits(max_mask: int, distinct: int, count: int) -> int:
-    """The admission rule for superset-union tables, shared by every
-    kernel that builds them: the table width ``n_used`` of an inverted
-    index of ``distinct`` masks, the highest being ``max_mask``, over
-    ``count`` objects — or ``-1`` when the kernel should scan instead.
+    """The admission rule for superset-union tables: the table width
+    ``n_used`` of an inverted index of ``distinct`` masks, the highest
+    being ``max_mask``, over ``count`` objects — or ``-1`` when
+    :class:`BitsetKernel` should scan instead.
 
     A table has one entry per mask below ``2^n_used``.  It is admitted
     when ``2^n_used <= 4 * distinct`` — then it is at most 4x the
@@ -183,9 +182,8 @@ def superset_unions(
 
     The OR-zeta transform, one butterfly pass per bit:
     ``bits * 2^(bits - 1)`` unions at most.  Entries with a ``clear``
-    bit set stay the shared ``0``.  The one implementation of the
-    transform: :class:`BitsetKernel` keeps its tables as these lists and
-    the packed numpy kernel packs them into word matrices.
+    bit set stay the shared ``0``.  :class:`BitsetKernel` keeps its
+    tables as these lists.
     """
     size = 1 << bits
     table = [0] * size
@@ -202,48 +200,13 @@ def superset_unions(
     return table
 
 
-def evaluate_tabled(
-    compiled: CompiledQuery,
-    bits: int,
-    row: Callable[[int, int], Any],
-    everyone: Any,
-) -> Any:
-    """The answer bitset of ``compiled`` read off superset-union tables
-    over masks below ``2^bits``, or ``None`` when they cannot answer it:
-    the data was refused (``bits < 0``) or a head has several bits.
-
-    ``row(clear, mask)`` is entry ``mask`` of the table over the data
-    masks with no ``clear`` bit (``Z`` for ``0``, ``V_h`` for ``1 <<
-    h``), and the empty union when ``mask`` has a bit no data mask
-    carries; ``everyone`` is the all-objects bitset, which a mutable
-    (word-vector) caller must pass as a copy: it is narrowed in place.
-    Both kernels share this algebra: :class:`BitsetKernel` on big ints,
-    the packed numpy kernel on ``uint64`` word vectors.
-    """
-    if bits < 0 or any(
-        head & (head - 1) for _body, head in compiled.universal_masks
-    ):
-        return None
-    # A head bit no data mask carries is never witnessed: every mask
-    # covering the body violates, so its violators come from Z.
-    carried = (1 << bits) - 1
-    answers = everyone
-    for body, head in compiled.universal_masks:
-        answers &= ~row(head & carried, body)
-        if compiled.require_guarantees:
-            answers &= row(0, body | head)
-    for mask in compiled.existential_masks:
-        answers &= row(0, mask)
-    return answers
-
-
 class BitsetKernel:
     """The bitmask kernel: one inverted ``mask → object-position
     bitset`` index over ``count`` objects, answered from lazily built
     superset-union tables — ``Z[m]``, the union of the bitsets of data
     masks ``⊇ m``, and ``V_h[m]``, the same union over the masks with
     head bit ``h`` clear — at a few ``W``-bit operations per quantifier
-    (:func:`evaluate_tabled`) instead of one per distinct mask.
+    (:meth:`matching_bits`) instead of one per distinct mask.
 
     :class:`RelationIndex` holds one over the whole relation and every
     sharded-backend ``Shard`` is one over its block.  The tables are
@@ -281,12 +244,30 @@ class BitsetKernel:
 
     def matching_bits(self, compiled: CompiledQuery) -> int:
         """The answer bitset of ``compiled``: one table entry per
-        quantifier when tables are admitted, else the scan."""
-        answers = evaluate_tabled(
-            compiled, self._zeta_bits, self._row, self.all_bits
-        )
-        if answers is None:
+        quantifier, or the :func:`evaluate_inverted` scan when the tables
+        cannot answer it — the data was refused (``_zeta_bits < 0``) or
+        a head has several bits.
+
+        Per universal ``(body, head = 1 << h)`` the violators are
+        ``V_h[body]`` and, under guarantees, the witnesses ``Z[body |
+        head]``; per existential ``mask`` the witnesses are ``Z[mask]``.
+        """
+        bits = self._zeta_bits
+        if bits < 0 or any(
+            head & (head - 1) for _body, head in compiled.universal_masks
+        ):
             return evaluate_inverted(compiled, self.inverted, self.all_bits)
+        # A head bit no data mask carries is never witnessed: every mask
+        # covering the body violates, so its violators come from Z.
+        carried = (1 << bits) - 1
+        row = self._row
+        answers = self.all_bits
+        for body, head in compiled.universal_masks:
+            answers &= ~row(head & carried, body)
+            if compiled.require_guarantees:
+                answers &= row(0, body | head)
+        for mask in compiled.existential_masks:
+            answers &= row(0, mask)
         return answers
 
 

@@ -19,16 +19,16 @@ matrix and every leg must agree **exactly**:
   qhorn-1 learner, the role-preserving bound
   (``4n³ + 6kn·lg n + 40``) for the §4 learner.
 * **Backend matrix** (per (query, store) pair): every registered
-  evaluation backend — ``bitmask``, ``sharded`` (python and numpy
-  kernels, plus a shared-worker-pool leg), ``numpy``, ``sql``,
-  ``dbapi`` — must produce the per-object labels, answer keys and
-  answer bitmask that :class:`~repro.core.query.CompiledQuery` computes
-  from each object's abstraction.  The ``dbapi`` leg additionally
-  answers membership questions through a pooled
-  :class:`~repro.oracle.SqlQueryOracle` *sharing the backend's
-  connection pool* (:meth:`~repro.oracle.SqlQueryOracle.for_backend`),
-  so oracle batching and relation evaluation are checked against each
-  other inside one database.
+  evaluation backend — ``bitmask``, ``sharded`` (serial, plus a
+  shared-worker-pool leg), ``sql``, ``dbapi`` — must produce the
+  per-object labels, answer keys and answer bitmask that
+  :class:`~repro.core.query.CompiledQuery` computes from each object's
+  abstraction.  The ``dbapi`` leg additionally answers membership
+  questions through a pooled :class:`~repro.oracle.SqlQueryOracle`
+  *sharing the backend's connection pool*
+  (:meth:`~repro.oracle.SqlQueryOracle.for_backend`), so oracle batching
+  and relation evaluation are checked against each other inside one
+  database.
 
 A failed leg becomes a :class:`Divergence` carrying a greedily
 **shrunk** witness (expressions dropped from the query, objects and
@@ -118,9 +118,7 @@ class MatrixSpec:
     backends: tuple[str, ...] = (
         "bitmask",
         "sharded",
-        "sharded-numpy",
         "sharded-pool",
-        "numpy",
         "sql",
         "dbapi",
     )
@@ -152,15 +150,6 @@ class MatrixSpec:
                     )
             chosen[axis] = values
         return replace(full, **chosen)
-
-    def without_numpy(self) -> "MatrixSpec":
-        """Drop the numpy-kernel legs (gating a missing dependency)."""
-        return replace(
-            self,
-            backends=tuple(
-                b for b in self.backends if "numpy" not in b
-            ),
-        )
 
     def without_pool(self) -> "MatrixSpec":
         """Drop the worker-pool legs (``--parallel 0``)."""
@@ -509,9 +498,7 @@ def _in_learner_class(query: QhornQuery, learner: str) -> bool:
 BACKEND_LEGS: dict[str, tuple[str, dict]] = {
     "bitmask": ("bitmask", {}),
     "sharded": ("sharded", {"shard_size": 2}),
-    "sharded-numpy": ("sharded", {"shard_size": 2, "kernel": "numpy"}),
     "sharded-pool": ("sharded", {"shard_size": 1}),
-    "numpy": ("numpy", {}),
     "sql": ("sql", {}),
     "dbapi": ("dbapi", {"pool_size": 2}),
 }

@@ -69,8 +69,6 @@ class RunConfig:
         spec = MatrixSpec.parse(self.matrix)
         if self.parallel == 0:
             spec = spec.without_pool()
-        if not _numpy_available():
-            spec = spec.without_numpy()
         return spec
 
     def guarantee_values(self) -> tuple[bool, ...]:
@@ -121,14 +119,6 @@ class RunResult:
             "bound_ok": self.ok,
             "status": "ok" if self.ok else "divergent",
         }
-
-
-def _numpy_available() -> bool:
-    try:
-        import numpy  # noqa: F401
-    except Exception:
-        return False
-    return True
 
 
 def load_done(path: str) -> tuple[set[str], set[tuple[str, str]]]:

@@ -2,7 +2,8 @@
 
 ROADMAP names the gap directly: the sharded backend accepts a
 caller-owned :mod:`concurrent.futures` executor, but the GIL makes
-thread pools useless on the pure-python kernel, and a stock
+thread pools useless on the one evaluation kernel (the big-int
+:class:`~repro.data.index.BitsetKernel` every shard is), and a stock
 ``ProcessPoolExecutor`` re-pickles the shard state on **every** submit.
 This pool inverts that cost: each worker process receives its slice of
 the built shard payloads *once* and keeps it between calls, so per
@@ -254,14 +255,9 @@ class ShardWorkerPool:
     # ------------------------------------------------------------------
     # Shard evaluation
     # ------------------------------------------------------------------
-    def load_shards(
-        self, payloads: Sequence[ShardPayload], kernel: str = "python"
-    ) -> int:
+    def load_shards(self, payloads: Sequence[ShardPayload]) -> int:
         """Ship built shard payloads, striped round-robin across workers,
         and return the state token naming this load.
-
-        ``kernel`` selects the worker-side evaluation kernel for this
-        load (``"python"`` or ``"numpy"``, DESIGN.md §2g).
 
         This is the invalidation broadcast: a re-ship replaces every
         worker's shard state and retires the previous token, so requests
@@ -271,17 +267,14 @@ class ShardWorkerPool:
         self._check_open()
         token = next(self._tokens)
         shares = [
-            ("shards", token, list(payloads[index :: self.processes]), kernel)
+            ("shards", token, list(payloads[index :: self.processes]))
             for index in range(self.processes)
         ]
         self._broadcast(shares)
         return token
 
     def build_shards(
-        self,
-        vocabulary: Any,
-        payloads: Sequence[RawShardPayload],
-        kernel: str = "python",
+        self, vocabulary: Any, payloads: Sequence[RawShardPayload]
     ) -> int:
         """Ship **raw** shard rows plus the vocabulary and let the
         workers run the abstraction themselves — the parallel-ingest
@@ -298,7 +291,6 @@ class ShardWorkerPool:
                 token,
                 vocabulary,
                 list(payloads[index :: self.processes]),
-                kernel,
             )
             for index in range(self.processes)
         ]

@@ -38,6 +38,7 @@ import traceback
 from typing import Any, Iterator, Mapping
 
 from repro.data.backends.sharded import Shard
+from repro.data.index import labels_of
 
 __all__ = ["worker_main"]
 
@@ -83,23 +84,20 @@ def _handle(message: tuple, state: _WorkerState) -> tuple:
     """Compute the reply for one request against the persistent state."""
     op = message[0]
     if op == "shards":
-        token, payloads, kernel = message[1], message[2], message[3]
-        state.shards = [Shard.from_payload(p, kernel) for p in payloads]
+        token, payloads = message[1], message[2]
+        state.shards = [Shard.from_payload(p) for p in payloads]
         state.state_token = token
         return ("ok", len(state.shards))
     if op == "build_shards":
         # Parallel ingest: abstraction (the expensive part of a build)
         # runs here, on this worker's slice, not in the coordinator.
-        token, vocabulary, payloads, kernel = (
-            message[1], message[2], message[3], message[4],
-        )
+        token, vocabulary, payloads = message[1], message[2], message[3]
         state.shards = [
             Shard(
                 offset,
                 vocabulary.mask_sets_projected(
                     _regroup(row_counts, flat_rows)
                 ),
-                kernel,
             )
             for offset, _count, row_counts, flat_rows in payloads
         ]
@@ -122,11 +120,14 @@ def _handle(message: tuple, state: _WorkerState) -> tuple:
         if op == "eval_bits":
             return (
                 "ok",
-                [(s.offset, s.evaluate_bits(compiled)) for s in state.shards],
+                [(s.offset, s.matching_bits(compiled)) for s in state.shards],
             )
         return (
             "ok",
-            [(s.offset, s.evaluate_labels(compiled)) for s in state.shards],
+            [
+                (s.offset, labels_of(s.matching_bits(compiled), s.count))
+                for s in state.shards
+            ],
         )
     if op == "oracle":
         token, payload, is_factory = message[1], message[2], message[3]

@@ -20,8 +20,7 @@ import pytest
 from repro.core.parser import parse_query
 from repro.core.query import QhornQuery
 from repro.data import (
-    BACKENDS,
-    BitmaskBackend,
+    REGISTRY,
     EvaluationBackend,
     QueryEngine,
     RelationIndex,
@@ -68,13 +67,7 @@ def _reference(engine, query):
 
 class TestRegistry:
     def test_all_backends_registered(self):
-        assert set(BACKENDS) == {
-            "bitmask",
-            "dbapi",
-            "sharded",
-            "numpy",
-            "sql",
-        }
+        assert set(REGISTRY.names()) == {"bitmask", "dbapi", "sharded", "sql"}
 
     def test_unknown_backend_rejected(self, store, vocab):
         with pytest.raises(ValueError, match="unknown evaluation backend"):
@@ -176,6 +169,35 @@ class TestBackendContract:
         with pytest.raises(ValueError):
             backend.execute(parse_query("∃x1x2x3x4x5"))
 
+    def test_answers_over_a_65_proposition_vocabulary(
+        self, backend_name, backend_options
+    ):
+        """No backend caps the vocabulary width: past 64 propositions
+        each answers exactly like the reference path."""
+        from repro.data import BoolIs, NestedRelation, Vocabulary
+        from repro.data.schema import Attribute, FlatSchema, NestedSchema
+
+        names = [f"b{i + 1}" for i in range(65)]
+        flat = FlatSchema(
+            name="wide", attributes=tuple(Attribute.boolean(n) for n in names)
+        )
+        wide = Vocabulary(flat, [BoolIs(n) for n in names])
+        relation = NestedRelation(NestedSchema(name="wobjs", embedded=flat))
+        rng = random.Random(65)
+        for i in range(40):
+            relation.add_object(
+                f"w{i}",
+                rows=[
+                    {n: bool(rng.getrandbits(1)) for n in names}
+                    for _ in range(rng.randrange(1, 4))
+                ],
+            )
+        query = parse_query("∀x64→x65 ∃x1x65", n=65)
+        expected = [o.key for o in QueryEngine(relation, wide).execute(query)]
+        assert 0 < len(expected) < len(relation)
+        backend = create_backend(backend_name, relation, wide, **backend_options)
+        assert [o.key for o in backend.execute(query)] == expected
+
     def test_describe_is_informative(
         self, store, vocab, backend_name, backend_options
     ):
@@ -204,31 +226,6 @@ class TestEngineDispatch:
             store, vocab, backend="sharded", backend_options={"shard_size": 8}
         )
         assert engine.backend.shard_size == 8
-
-    def test_injected_index_implies_bitmask(self, store, vocab):
-        index = RelationIndex(store, vocab)
-        with pytest.warns(DeprecationWarning, match="index=.*deprecated"):
-            engine = QueryEngine(store, vocab, index=index)
-        assert isinstance(engine.backend, BitmaskBackend)
-        assert engine.index is index
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ValueError, match="bitmask backend"):
-                QueryEngine(store, vocab, index=index, backend="sql")
-
-    def test_deprecated_index_routes_through_backend_options(
-        self, store, vocab
-    ):
-        """The shim is a pure rewrite onto the v2 path: same backend
-        options dict the explicit spelling would produce."""
-        index = RelationIndex(store, vocab)
-        with pytest.warns(DeprecationWarning):
-            engine = QueryEngine(store, vocab, index=index)
-        assert engine.backend_name == "bitmask"
-        assert engine._backend_options == {"index": index}
-        explicit = QueryEngine(
-            store, vocab, backend="bitmask", backend_options={"index": index}
-        )
-        assert explicit.index is index
 
     def test_injected_backend_instance(self, store, vocab):
         backend = ShardedBitmaskBackend(store, vocab, shard_size=5)
@@ -279,54 +276,6 @@ class TestShardedLayout:
             assert "parallel" in backend.describe()
 
 
-class TestNumpyKernel:
-    """Construction-time validation and kernel plumbing of the packed
-    numpy paths (answer identity lives in the property suite)."""
-
-    def test_unknown_kernel_rejected(self, store, vocab):
-        with pytest.raises(ValueError, match="unknown kernel"):
-            ShardedBitmaskBackend(store, vocab, kernel="fortran")
-
-    def test_sharded_numpy_kernel_is_unobservable(self, store, vocab):
-        single = QueryEngine(store, vocab)
-        backend = ShardedBitmaskBackend(
-            store, vocab, shard_size=7, kernel="numpy"
-        )
-        for query in _queries():
-            assert backend.matching_bits(query) == (
-                single.index.matching_bits(query)
-            )
-            assert backend.matches_many(query) == single.matches_many(query)
-        assert "numpy kernel" in backend.describe()
-
-    def test_numpy_kernel_through_executor(self, store, vocab):
-        single = QueryEngine(store, vocab)
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            backend = ShardedBitmaskBackend(
-                store, vocab, shard_size=7, kernel="numpy", executor=pool
-            )
-            for query in _queries():
-                assert backend.matches_many(query) == (
-                    single.matches_many(query)
-                )
-
-    def test_over_wide_vocabulary_rejected(self):
-        from repro.data import BoolIs, NestedRelation, Vocabulary
-        from repro.data.schema import Attribute, FlatSchema, NestedSchema
-
-        flat = FlatSchema(
-            name="wide",
-            attributes=tuple(
-                Attribute.boolean(f"b{i + 1}") for i in range(65)
-            ),
-        )
-        wide = Vocabulary(flat, [BoolIs(f"b{i + 1}") for i in range(65)])
-        relation = NestedRelation(NestedSchema(name="wobjs", embedded=flat))
-        with pytest.raises(ValueError, match="at most n=64"):
-            create_backend("numpy", relation, wide)
-        with pytest.raises(ValueError, match="at most n=64"):
-            ShardedBitmaskBackend(relation, wide, kernel="numpy")
-
     def test_ingest_requires_pool_mode(self, store, vocab):
         with pytest.raises(ValueError, match="worker-pool modes"):
             ShardedBitmaskBackend(store, vocab, ingest="raw")
@@ -335,24 +284,22 @@ class TestNumpyKernel:
                 store, vocab, processes=2, ingest="streaming"
             )
 
-    def test_reduce_path_matches_zeta_path(self, store, vocab, monkeypatch):
-        """With the zeta-table budget forced to zero the kernel falls
-        back to the masked-reduce path; answers must not change."""
+
+class TestBitmaskKernel:
+    def test_scan_path_matches_tabled_path(self, store, vocab, monkeypatch):
+        """With the table budget forced to zero the kernel refuses the
+        superset-union tables and scans; answers must not change."""
         from repro.data import index
 
-        zeta = create_backend("numpy", store, vocab)
-        zeta.refresh(force=True)
-        assert zeta._packed._zeta_bits >= 0
+        tabled = create_backend("bitmask", store, vocab)
+        assert tabled.index._kernel._zeta_bits >= 0
 
         monkeypatch.setattr(index, "ZETA_TABLE_BUDGET", 0)
-        reduce_only = create_backend("numpy", store, vocab)
-        reduce_only.refresh(force=True)
-        assert reduce_only._packed._zeta_bits == -1
+        scan = create_backend("bitmask", store, vocab)
+        assert scan.index._kernel._zeta_bits == -1
 
         for query in _queries():
-            assert reduce_only.matching_bits(query) == (
-                zeta.matching_bits(query)
-            )
+            assert scan.matching_bits(query) == tabled.matching_bits(query)
 
 
 class TestPooledConnectionSource:

@@ -123,13 +123,9 @@ class TestBatchEngine:
         store = random_store(30, random.Random(5))
         vocab = storefront_vocabulary()
         index = RelationIndex(store, vocab)
-        with pytest.warns(DeprecationWarning, match="index=.*deprecated"):
-            a = QueryEngine(store, vocab, index=index)
-        # The non-deprecated spelling of the same sharing.
-        b = QueryEngine(
-            store, vocab, backend="bitmask", backend_options={"index": index}
-        )
-        assert a.index is b.index
+        a = QueryEngine(store, vocab, backend_options={"index": index})
+        b = QueryEngine(store, vocab, backend_options={"index": index})
+        assert a.index is index and b.index is index
         assert [o.key for o in a.execute_batch(intro_query())] == [
             o.key for o in b.execute_batch(intro_query())
         ]

@@ -2,8 +2,8 @@
 
 The registry is the v2 seam behind ``--backend``: eager and lazy
 registration, entry-point / ``REPRO_BACKENDS`` discovery, capability
-flags, the did-you-mean error, the deprecated ``BACKENDS`` mapping view,
-and the uniform ``--backend-opt`` coercion pipeline.
+flags, the did-you-mean error, and the uniform ``--backend-opt``
+coercion pipeline.
 """
 
 from __future__ import annotations
@@ -12,12 +12,11 @@ import textwrap
 
 import pytest
 
-from repro.data.backends import BACKENDS, REGISTRY, create_backend
+from repro.data.backends import REGISTRY, create_backend
 from repro.data.backends.registry import (
     BackendCapabilities,
     BackendLoadError,
     BackendRegistry,
-    BackendsView,
     coerce_option,
     parse_backend_opts,
 )
@@ -65,9 +64,9 @@ class TestRegistration:
 
     def test_explicit_flags_win_over_class_flags(self):
         registry = _fresh()
-        registry.register("dummy", _Dummy, max_width=8)
+        registry.register("dummy", _Dummy, supports_parallel=True)
         caps = registry.capabilities("dummy")
-        assert caps.max_width == 8
+        assert caps.supports_parallel is True
         assert caps.supports_sql is False
 
     def test_unregister(self):
@@ -183,7 +182,7 @@ class TestEnvDiscovery:
         )
         try:
             assert "mine" in REGISTRY.names()
-            assert "mine" in BACKENDS
+            assert "mine" in REGISTRY
         finally:
             REGISTRY.unregister("mine")
             monkeypatch.setenv("REPRO_BACKENDS", "")
@@ -215,41 +214,6 @@ class TestErrors:
     def test_create_backend_uses_registry_message(self):
         with pytest.raises(ValueError, match="did you mean 'sharded'"):
             create_backend("shraded", None, None)
-
-    def test_max_width_enforced_without_constructing(self):
-        registry = _fresh()
-        built = []
-
-        class Narrow(_Dummy):
-            def __init__(self, *args, **options):
-                built.append(1)
-
-        registry.register("narrow", Narrow, max_width=4)
-
-        class Vocab:
-            n = 9
-
-        with pytest.raises(ValueError, match="at most n=4"):
-            registry.create("narrow", None, Vocab())
-        assert not built
-
-
-class TestBackendsViewShim:
-    def test_reads_delegate_to_registry(self):
-        assert BACKENDS["bitmask"] is REGISTRY.get("bitmask")
-        assert set(BACKENDS) == set(REGISTRY.names())
-        assert len(BACKENDS) == len(REGISTRY.names())
-        with pytest.raises(KeyError):
-            BACKENDS["nope"]
-
-    def test_setitem_warns_and_registers(self):
-        registry = _fresh()
-        view = BackendsView(registry)
-        with pytest.warns(DeprecationWarning, match="REGISTRY.register"):
-            view["dummy"] = _Dummy
-        assert registry.get("dummy") is _Dummy
-        del view["dummy"]
-        assert "dummy" not in registry
 
 
 class TestOptionPipeline:

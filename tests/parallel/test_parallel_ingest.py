@@ -7,8 +7,8 @@ These tests pin the property that makes that ingest mode safe to
 default: the worker-side build is **bit-identical** to a coordinator
 build — same shard offsets/counts, same inverted indexes, same
 ``all_bits`` — observed through the pool's ``dump_shards``
-introspection, across kernels, relation versions, stale displacement
-and worker crashes mid-build.
+introspection, across relation versions, stale displacement and
+worker crashes mid-build.
 """
 
 from __future__ import annotations
@@ -50,18 +50,10 @@ def _coordinator_payloads(store, vocab, shard_size):
 
 
 class TestBuildEquivalence:
-    @pytest.mark.parametrize("kernel", ["python", "numpy"])
-    def test_raw_build_bit_identical_to_coordinator_build(
-        self, store, vocab, kernel
-    ):
+    def test_raw_build_bit_identical_to_coordinator_build(self, store, vocab):
         expected = _coordinator_payloads(store, vocab, shard_size=37)
         with create_backend(
-            "sharded",
-            store,
-            vocab,
-            shard_size=37,
-            processes=2,
-            kernel=kernel,
+            "sharded", store, vocab, shard_size=37, processes=2
         ) as backend:
             assert backend.ingest == "raw"
             backend.matching_bits(intro_query())  # ships raw, builds remotely

@@ -1,16 +1,13 @@
 """Differential properties: the evaluation backends are answer-identical.
 
 The :class:`~repro.data.backends.EvaluationBackend` contract (DESIGN.md
-§2c) demands that ``bitmask``, ``sharded``, ``numpy``, ``sql`` and
-``dbapi`` return
-exactly the answers of the per-object reference path on identical state,
-for every qhorn query.  The SQL leg is the strongest form of the check:
-it evaluates propositions over *real rows* in SQLite while the bitmask
-legs evaluate vocabulary abstractions in-process, so agreement exercises
-the whole ``proposition_to_sql`` / ``Proposition.holds`` correspondence
-too.  The ``numpy`` leg pins the packed-bit kernel (DESIGN.md §2g) —
-including its word-boundary packing, exercised explicitly at 63/64/65
-objects below — against the same reference.
+§2c) demands that ``bitmask``, ``sharded``, ``sql`` and ``dbapi``
+return exactly the answers of the per-object reference path on identical
+state, for every qhorn query.  The SQL leg is the strongest form of the
+check: it evaluates propositions over *real rows* in SQLite while the
+bitmask legs evaluate vocabulary abstractions in-process, so agreement
+exercises the whole ``proposition_to_sql`` / ``Proposition.holds``
+correspondence too.
 
 Two layers, mirroring ``test_prop_engine.py``:
 
@@ -37,23 +34,16 @@ from tests.properties.test_prop_engine import (
     relation_from_masks,
 )
 
-BACKEND_NAMES = ("bitmask", "sharded", "numpy", "sql", "dbapi")
-
 
 def _backends(relation, vocab, rng):
     """One instance of every backend; sharded gets a tiny shard size so
-    even 2-object relations span multiple shards, and runs once per
-    kernel so the packed per-shard kernel is differentially pinned too.
-    The dbapi leg runs on its default private shared-memory database, so
-    the pooled/dialect path is differentially pinned alongside ``sql``."""
+    even 2-object relations span multiple shards.  The dbapi leg runs on
+    its default private shared-memory database, so the pooled/dialect
+    path is differentially pinned alongside ``sql``."""
     shard_size = rng.randint(1, 3)
     return [
         create_backend("bitmask", relation, vocab),
         create_backend("sharded", relation, vocab, shard_size=shard_size),
-        create_backend(
-            "sharded", relation, vocab, shard_size=shard_size, kernel="numpy"
-        ),
-        create_backend("numpy", relation, vocab),
         create_backend("sql", relation, vocab),
         create_backend("dbapi", relation, vocab, pool_size=2),
     ]
@@ -138,14 +128,14 @@ def test_differential_thousand_cases_across_backends():
 
 
 # ----------------------------------------------------------------------
-# Packed-bit boundaries and degenerate shapes (the numpy kernel's edges)
+# Word and byte boundaries, and degenerate shapes
 # ----------------------------------------------------------------------
 
 
 def test_backends_agree_at_word_packing_boundaries():
-    """63/64/65 objects straddle the packed kernel's uint64 word edge:
-    the trailing partial word, an exactly-full word, and a second word —
-    where a wrong trailing mask would leak phantom objects through NOT.
+    """63/64/65 objects straddle a 64-bit word edge: the trailing
+    partial word, an exactly-full word, and a second word — where a
+    wrong all-objects mask would leak phantom objects through NOT.
     7/8/9 straddle the byte edge of the answer decoder behind every
     ``execute``."""
     rng = random.Random(6364)

@@ -1,11 +1,9 @@
-"""Differential properties: the superset-union (tabled) kernels vs the scan.
+"""Differential properties: the superset-union (tabled) kernel vs the scan.
 
-:class:`~repro.data.index.BitsetKernel` (the big-int kernel behind the
-bitmask and sharded backends) and
-:class:`~repro.data.backends.vectorized.PackedBitIndex` answer from
-lazily built superset-union tables when
-:func:`~repro.data.index.zeta_bits` admits them, and scan otherwise.
-Either way their answer bitset must be bit-identical to
+:class:`~repro.data.index.BitsetKernel` (the one kernel behind the
+bitmask and sharded backends) answers from lazily built superset-union
+tables when :func:`~repro.data.index.zeta_bits` admits them, and scans
+otherwise.  Either way its answer bitset must be bit-identical to
 :func:`~repro.data.index.evaluate_inverted` over the same inverted
 index.  Queries are drawn as raw ``CompiledQuery`` masks, so they reach
 what ``QhornQuery.compile`` never emits: query bits at or above the
@@ -21,47 +19,23 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core.query import CompiledQuery
-from repro.data.backends.vectorized import PackedBitIndex
-from repro.data.index import (
-    BitsetKernel,
-    evaluate_inverted,
-    invert,
-    labels_of,
-    zeta_bits,
-)
+from repro.data.index import BitsetKernel, evaluate_inverted, invert, zeta_bits
 
 MAX_DATA_BITS = 6
 #: Query width beyond the data's: bits no data mask carries.
 MAX_EXTRA_BITS = 3
 
 
-def _kernels(mask_sets):
-    """Every tabled kernel over one relation's mask sets, plus the
-    inverted index and full-relation bitset the scan runs over."""
-    inverted = invert(mask_sets)
-    count = len(mask_sets)
-    kernels = [
-        BitsetKernel(inverted, count),
-        PackedBitIndex.from_mask_sets(mask_sets),
-        PackedBitIndex.from_inverted(inverted, count),
-    ]
-    return kernels, inverted, (1 << count) - 1
-
-
 def _assert_match_scan(mask_sets, queries):
-    """All kernels equal the scan on every query, in order, so tables
+    """The kernel equals the scan on every query, in order, so tables
     one query builds serve the next."""
-    kernels, inverted, all_bits = _kernels(mask_sets)
-    rules = {kernel._zeta_bits for kernel in kernels}
-    assert len(rules) == 1, "the kernels disagree on admitting tables"
+    inverted = invert(mask_sets)
+    kernel = BitsetKernel(inverted, len(mask_sets))
+    all_bits = (1 << len(mask_sets)) - 1
     for compiled in queries:
         expected = evaluate_inverted(compiled, inverted, all_bits)
-        for kernel in kernels:
-            assert kernel.matching_bits(compiled) == expected, compiled
-        labels = labels_of(expected, len(mask_sets))
-        for kernel in kernels[1:]:
-            assert kernel.labels(compiled) == labels
-    return kernels
+        assert kernel.matching_bits(compiled) == expected, compiled
+    return kernel
 
 
 def _compiled(n, universals=(), existentials=(), guarantees=False):
@@ -155,8 +129,8 @@ def test_seeded_sweep_covers_admitted_and_refused_data():
             for _ in range(rng.randrange(13))
         ]
         queries = [_random_compiled(rng, n) for _ in range(3)]
-        kernels = _assert_match_scan(mask_sets, queries)
-        if kernels[0]._zeta_bits >= 0:
+        kernel = _assert_match_scan(mask_sets, queries)
+        if kernel._zeta_bits >= 0:
             admitted += 1
         else:
             refused += 1
@@ -170,7 +144,7 @@ def test_seeded_sweep_covers_admitted_and_refused_data():
 
 def test_sparse_wide_masks_build_no_tables():
     """A few objects with masks over 18 bits: a table would hold 2^18
-    entries for 4 distinct masks, so both kernels refuse and scan."""
+    entries for 4 distinct masks, so the kernel refuses and scans."""
     mask_sets = [
         frozenset({1 << 17 | 1 << 3, 1 << 16}),
         frozenset({1 << 15 | 1 << 17}),
@@ -183,10 +157,9 @@ def test_sparse_wide_masks_build_no_tables():
         _compiled(n, [(1 << 15, 1 << 19)]),
         _compiled(n, existentials=[1 << 17]),
     ]
-    kernels = _assert_match_scan(mask_sets, queries)
-    for kernel in kernels:
-        assert kernel._zeta_bits == -1
-        assert not kernel._tables
+    kernel = _assert_match_scan(mask_sets, queries)
+    assert kernel._zeta_bits == -1
+    assert not kernel._tables
 
 
 def test_dense_masks_build_tables():
@@ -195,11 +168,10 @@ def test_dense_masks_build_tables():
         _compiled(4, [(0b0011, 0b0100)], [0b1000], guarantees=True),
         _compiled(4, [(0b0001, 0b1000), (0, 0b0010)]),
     ]
-    kernels = _assert_match_scan(mask_sets, queries)
-    for kernel in kernels:
-        assert kernel._zeta_bits == 4
-        # Z, and V_h for the heads x2, x3, x4.
-        assert set(kernel._tables) == {0, 0b0010, 0b0100, 0b1000}
+    kernel = _assert_match_scan(mask_sets, queries)
+    assert kernel._zeta_bits == 4
+    # Z, and V_h for the heads x2, x3, x4.
+    assert set(kernel._tables) == {0, 0b0010, 0b0100, 0b1000}
 
 
 def test_query_bits_above_the_data_width():
@@ -220,11 +192,10 @@ def test_query_bits_above_the_data_width():
         _compiled(6, [(0b001, 0b010)], [1 << 3 | 1], guarantees=guarantees)
         for guarantees in (False, True)
     ]
-    kernels = _assert_match_scan(mask_sets, queries)
-    for kernel in kernels:
-        assert kernel._zeta_bits == 3
-        # The head x6 never occurs in the data: its violators come from Z.
-        assert set(kernel._tables) == {0, 0b010}
+    kernel = _assert_match_scan(mask_sets, queries)
+    assert kernel._zeta_bits == 3
+    # The head x6 never occurs in the data: its violators come from Z.
+    assert set(kernel._tables) == {0, 0b010}
 
 
 def test_multi_bit_head_falls_back_to_the_scan():
@@ -233,10 +204,9 @@ def test_multi_bit_head_falls_back_to_the_scan():
         _compiled(3, [(0b001, 0b110)], guarantees=guarantees)
         for guarantees in (False, True)
     ]
-    kernels = _assert_match_scan(mask_sets, queries)
-    for kernel in kernels:
-        assert kernel._zeta_bits == 3
-        assert not kernel._tables
+    kernel = _assert_match_scan(mask_sets, queries)
+    assert kernel._zeta_bits == 3
+    assert not kernel._tables
 
 
 def test_empty_index():
@@ -246,9 +216,9 @@ def test_empty_index():
         for guarantees in (False, True)
     ] + [_compiled(2, existentials=[0])]
     for mask_sets in ([], [frozenset()] * 3):
-        kernels = _assert_match_scan(mask_sets, queries)
+        kernel = _assert_match_scan(mask_sets, queries)
         everyone = (1 << len(mask_sets)) - 1
-        assert kernels[0].matching_bits(queries[0]) == everyone
+        assert kernel.matching_bits(queries[0]) == everyone
         assert zeta_bits(0, 0, len(mask_sets)) == -1
 
 
@@ -263,8 +233,7 @@ def test_only_mask_zero():
         _compiled(2, existentials=[0]),
         _compiled(2, existentials=[0b01]),
     ]
-    kernels = _assert_match_scan(mask_sets, queries)
-    for kernel in kernels:
-        assert kernel._zeta_bits == 0
-    assert kernels[0].matching_bits(queries[0]) == 0b010
-    assert kernels[0].matching_bits(queries[3]) == 0b101
+    kernel = _assert_match_scan(mask_sets, queries)
+    assert kernel._zeta_bits == 0
+    assert kernel.matching_bits(queries[0]) == 0b010
+    assert kernel.matching_bits(queries[3]) == 0b101

@@ -126,8 +126,10 @@ class TestBackendFlag:
         oracle_names = set(REGISTRY.names_with(supports_oracle=True))
         assert {"bitmask", "sql", "dbapi"} <= oracle_names
         with pytest.raises(SystemExit):
-            parser.parse_args(["learn", "∃x1", "--backend", "numpy"])
-        parser.parse_args(["demo", "--backend", "numpy"])
+            parser.parse_args(["learn", "∃x1", "--backend", "sharded"])
+        parser.parse_args(["demo", "--backend", "sharded"])
+        with pytest.raises(SystemExit):
+            parser.parse_args(["demo", "--backend", "numpy"])
 
 
 class TestBackendOptions:
