@@ -1,5 +1,5 @@
 """E23 — evaluation backends at scale: single bitmask index vs sharded
-blocks vs SQL batch execution vs the pooled file-backed dbapi backend.
+blocks vs the pooled file-backed dbapi backend (SQL batch execution).
 
 Not a paper experiment, but the measurement the `EvaluationBackend` seam
 (DESIGN.md §2c) exists to answer: which backend serves an oracle-style
@@ -16,12 +16,11 @@ linear everywhere now, so only the build accumulation separates the
 layouts and the sharded edge narrowed from the pre-linear-extraction
 2.8-3.3x to a noisy 1.2-1.9x band whose low edge touches parity.  The
 sharded backend bounds every bitset to ``shard_size`` bits, making the
-build linear too; SQL runs the workload in SQLite round trips; the
-``dbapi`` row (DESIGN.md §2i) runs the same round trips on a
-*file-backed* SQLite URI through the bounded connection pool —
-informational (trend entry ``e23_dbapi``), since disk and pool overhead
-are machine-dependent.  Answers are asserted identical across all four
-on every tier (the differential contract).
+build linear too.  The ``dbapi`` row (DESIGN.md §2i) runs the workload
+in SQLite round trips on a *file-backed* URI through the bounded
+connection pool — informational (trend entry ``e23_dbapi``), since disk
+and pool overhead are machine-dependent.  Answers are asserted identical
+across all three on every tier (the differential contract).
 
 Acceptance gate: on the largest tier (≥ 10× the seed benchmark size)
 the sharded backend's end-to-end throughput (build + labeling) must
@@ -46,7 +45,6 @@ SHARDED_SPEEDUP_FLOOR = 0.9  # parity guard; measured band is 1.2-1.9x
 BACKENDS = (
     ("bitmask", {}),
     ("sharded", {}),  # DEFAULT_SHARD_SIZE blocks
-    ("sql", {}),
     ("dbapi", {}),  # pooled + file-backed; uri= filled in per run
 )
 
@@ -148,8 +146,6 @@ def test_e23_backend_scaling(
                 f"{timings['bitmask'][1]:.1f}",
                 f"{timings['sharded'][0]:.1f}",
                 f"{timings['sharded'][1]:.1f}",
-                f"{timings['sql'][0]:.1f}",
-                f"{timings['sql'][1]:.1f}",
                 f"{timings['dbapi'][0]:.1f}",
                 f"{timings['dbapi'][1]:.1f}",
                 f"{sharded_speedup:.1f}x",
@@ -163,8 +159,6 @@ def test_e23_backend_scaling(
             "single label ms",
             "sharded build ms",
             "sharded label ms",
-            "sql build ms",
-            "sql label ms",
             "dbapi build ms",
             "dbapi label ms",
             "sharded speedup",

@@ -10,9 +10,9 @@ test directory is selected on the command line.
 
 Also registers ``--backend`` and ``--backend-opt``: tests parametrized
 over the evaluation backends (they request the ``backend_name`` fixture)
-normally run once per registered backend; ``--backend sql`` restricts
-them to a single backend, which is how CI exercises the SQL and dbapi
-paths on a fast tier-1 subset.  ``--backend-opt KEY=VALUE``
+normally run once per registered backend; ``--backend dbapi`` restricts
+them to a single backend, which is how CI exercises the SQL path on a
+fast tier-1 subset.  ``--backend-opt KEY=VALUE``
 (repeatable) rides along through the ``backend_options`` fixture — the
 same uniform options pipeline the CLI subcommands use (DESIGN.md §2i) —
 so e.g. ``--backend dbapi --backend-opt uri=file:/tmp/t/s.sqlite`` pins

@@ -3,8 +3,9 @@
 
 "SQL interfaces force us to formulate precise quantified queries from the
 get go."  Here the quantified query is *learned* from yes/no examples, then
-compiled to SQL and executed on a real SQLite database — with the
-in-process engine cross-checking every answer.
+compiled to SQL and executed on a real SQLite database through the
+pooled ``dbapi`` backend — with the in-process engine cross-checking
+every answer.
 
 Run:  python examples/sql_export.py
 """
@@ -12,13 +13,13 @@ Run:  python examples/sql_export.py
 import random
 
 from repro import QueryOracle, learn_qhorn1
-from repro.data import QueryEngine
+from repro.data import DbApiBackend, QueryEngine
 from repro.data.chocolate import (
     intro_query,
     random_store,
     storefront_vocabulary,
 )
-from repro.data.sql import SqliteEngine, to_sql
+from repro.data.sql import to_sql
 
 
 def main() -> None:
@@ -37,17 +38,14 @@ def main() -> None:
     print(sql)
 
     # execute on SQLite and cross-check with the in-process engine
-    with SqliteEngine(store, vocabulary) as db:
-        via_sql = db.execute(learned)
+    with DbApiBackend(store, vocabulary) as db:
+        via_sql = [o.key for o in db.execute(learned)]
         print(f"\nSQLite answers: {len(via_sql)} boxes")
         for key in via_sql[:5]:
             print(f"  {key}")
-        print("\nquery plan:")
-        for line in db.explain_plan(learned)[:4]:
-            print(f"  {line}")
 
     memory = QueryEngine(store, vocabulary)
-    via_memory = sorted(o.key for o in memory.execute(learned))
+    via_memory = [o.key for o in memory.execute(learned)]
     print(f"\nin-process engine agrees: {via_sql == via_memory}")
     assert via_sql == via_memory
 

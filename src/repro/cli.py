@@ -44,17 +44,17 @@ evaluation backends (--backend):
             bitmask at 4k-40k objects (cold build + full-relation
             labeling); the layout behind demo --parallel (backend option
             ingest=raw/built selects the pool-mode build path)
-  sql       queries compile to SQL once and run on SQLite; pick when a
-            real database should answer — batches are one round trip, and
-            learn/verify answer membership questions through the database
-  dbapi     the SQL path generalized to any DB-API driver (DESIGN.md §2i):
-            queries render through a SQL dialect (placeholder style,
-            identifier quoting, type mapping) and run through a bounded
-            connection pool with health checks and retry-on-stale; the
-            built-in connector is SQLite over a URI, so
-            --backend-opt uri=file:/path/db.sqlite evaluates on a
-            file-backed store today and a client/server database plugs
-            in as a third-party backend tomorrow
+  dbapi     the database answers (DESIGN.md §2i): the relation loads into
+            any DB-API database, queries compile to SQL once through a
+            SQL dialect (placeholder style, identifier quoting, type
+            mapping) and run in one round trip through a bounded
+            connection pool with health checks and retry-on-stale;
+            learn/verify answer membership questions through the same
+            pooled path.  The built-in connector is SQLite: a private
+            shared-memory database by default, or
+            --backend-opt uri=file:/path/db.sqlite for a file-backed
+            store; a client/server database plugs in as a third-party
+            backend
 All backends return identical answers on identical state (DESIGN.md §2c).
 Subcommand choices are derived from each backend's registered capability
 flags: learn/verify list the oracle-capable backends, demo lists all.
@@ -131,7 +131,7 @@ exhaustive conformance (repro enumerate, DESIGN.md §2j):
   (deduplicated up to semantic equivalence) and EVERY relation up to
   --max-objects objects, then drives each through the full matrix —
   learner (qhorn1/naive/role-preserving) × oracle transport
-  (direct/sql/dbapi-pooled) × driver (pull/sans-io) × parallelism
+  (direct/dbapi-pooled) × driver (pull/sans-io) × parallelism
   (serial/worker-pool), and every evaluation backend — asserting
   bit-identical transcripts, stats and learned queries everywhere, and
   checking Theorem 3.1's question bound on every single instance.  Any
@@ -194,7 +194,7 @@ def _add_enumerate_arguments(parser: argparse.ArgumentParser) -> None:
         metavar="SPEC",
         help="conformance matrix: 'full' or axis=a+b pairs joined by ';' "
         "(axes: learners, oracles, drivers, parallel, backends), e.g. "
-        "'learners=qhorn1;backends=bitmask+sql;parallel=serial'",
+        "'learners=qhorn1;backends=bitmask+dbapi;parallel=serial'",
     )
     parser.add_argument(
         "--out",
@@ -417,18 +417,18 @@ def _target_oracle(
 ):
     """The ground-truth oracle for ``target`` under a backend choice.
 
-    SQL-capable backends (``sql``, ``dbapi``) answer through
-    :class:`SqlQueryOracle`'s one-round-trip ``ask_many``.  ``dbapi``
-    answers through the pooled oracle (:meth:`SqlQueryOracle.pooled`):
-    batches check connections out of a health-checked
-    ``PooledConnectionSource`` exactly like ``DbApiBackend`` evaluations
-    do, and ``--backend-opt uri=file:...`` / ``pool_size=N`` configure
-    the pool.  With ``parallel`` set, the evaluator is wrapped in a
+    SQL-capable backends (``dbapi``) answer through
+    :class:`SqlQueryOracle`'s one-round-trip ``ask_many``: batches check
+    connections out of a health-checked ``PooledConnectionSource``
+    exactly like ``DbApiBackend`` evaluations do, and
+    ``--backend-opt uri=file:...`` / ``pool_size=N`` configure the pool.
+    With ``parallel`` set, the evaluator is wrapped in a
     :class:`ParallelOracle`; SQL evaluators ship as a factory so every
-    worker opens a *private* scratch database (a shared file URI or pool
-    across processes would race, so those stay coordinator-only).
-    Returns ``(oracle, closer)`` where ``closer`` releases the worker or
-    connection pool — ``None`` when nothing needs closing.
+    worker opens a *private* shared-memory database (a shared file URI
+    or pool across processes would race, so ``uri``/``pool_size`` stay
+    coordinator-only).  Returns ``(oracle, closer)`` where ``closer``
+    releases the worker or connection pool — ``None`` when nothing needs
+    closing.
     """
     from repro.data.backends import REGISTRY
 
@@ -452,11 +452,9 @@ def _target_oracle(
         else:
             oracle = ParallelOracle(QueryOracle(target), processes=parallel)
         return oracle, oracle
-    if backend == "dbapi":
-        oracle = SqlQueryOracle.pooled(target, **options)
-        return oracle, oracle
     if sql_capable:
-        return SqlQueryOracle(target, **options), None
+        oracle = SqlQueryOracle(target, **options)
+        return oracle, oracle
     return QueryOracle(target), None
 
 

@@ -14,7 +14,6 @@ from repro.data.backends import (
     EvaluationBackend,
     PooledConnectionSource,
     ShardedBitmaskBackend,
-    SqlBackend,
     coerce_option,
     create_backend,
     parse_backend_opts,
@@ -31,7 +30,6 @@ from repro.data.generator import (
 from repro.data.sql import (
     DIALECTS,
     SqlDialect,
-    SqliteEngine,
     get_dialect,
     to_sql,
 )
@@ -71,14 +69,12 @@ __all__ = [
     "PooledConnectionSource",
     "REGISTRY",
     "ShardedBitmaskBackend",
-    "SqlBackend",
     "SqlDialect",
     "coerce_option",
     "create_backend",
     "get_dialect",
     "parse_backend_opts",
     "RelationGenerator",
-    "SqliteEngine",
     "bernoulli",
     "categorical",
     "to_sql",

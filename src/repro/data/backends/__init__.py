@@ -1,6 +1,6 @@
 """Pluggable evaluation backends behind one seam (DESIGN.md §2c, §2i).
 
-Four built-in implementations of the :class:`EvaluationBackend` contract:
+Three built-in implementations of the :class:`EvaluationBackend` contract:
 
 * ``bitmask`` — one :class:`~repro.data.index.RelationIndex` over the
   whole relation (the default);
@@ -8,12 +8,11 @@ Four built-in implementations of the :class:`EvaluationBackend` contract:
   bitset widths stay bounded; builds and full-relation labeling scale
   linearly, shards optionally evaluate in parallel (with a
   parallel-ingest ``ingest="raw"`` mode in pool execution);
-* ``sql`` — the relation loaded into in-memory SQLite, each query
-  compiled to SQL once and answered in one round trip;
 * ``dbapi`` — the relation loaded into *any* DB-API database through a
-  :class:`~repro.data.sql.SqlDialect` and evaluated through a bounded
-  connection pool (file-backed SQLite URIs today, client/server drivers
-  via ``connect=`` tomorrow; DESIGN.md §2i).
+  :class:`~repro.data.sql.SqlDialect`, each query compiled to SQL once
+  and answered in one round trip through a bounded connection pool
+  (shared-memory or file-backed SQLite today, client/server drivers via
+  ``connect=`` tomorrow; DESIGN.md §2i).
 
 Backends register on the plugin :data:`REGISTRY` (DESIGN.md §2i) with
 capability flags the CLI derives its choices from; third-party backends
@@ -43,7 +42,6 @@ from repro.data.backends.sharded import (
     DEFAULT_SHARD_SIZE,
     ShardedBitmaskBackend,
 )
-from repro.data.backends.sqlexec import SqlBackend
 from repro.data.propositions import Vocabulary
 from repro.data.relation import NestedRelation
 
@@ -58,7 +56,6 @@ __all__ = [
     "EvaluationBackend",
     "PooledConnectionSource",
     "ShardedBitmaskBackend",
-    "SqlBackend",
     "check_width",
     "coerce_option",
     "create_backend",
@@ -73,9 +70,6 @@ REGISTRY.register(
 )
 REGISTRY.register(
     ShardedBitmaskBackend.name, ShardedBitmaskBackend, supports_parallel=True
-)
-REGISTRY.register(
-    SqlBackend.name, SqlBackend, supports_sql=True, supports_oracle=True
 )
 REGISTRY.register(
     DbApiBackend.name, DbApiBackend, supports_sql=True, supports_oracle=True

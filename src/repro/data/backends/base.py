@@ -73,12 +73,12 @@ class EvaluationBackend(Protocol):
     The bitmask-family backends additionally accept a pre-compiled
     :class:`~repro.core.query.CompiledQuery` as an optimization, but a
     ``CompiledQuery`` has no propositions and therefore cannot cross
-    every backend (the SQL backend rejects it with ``TypeError``) —
+    every backend (the ``dbapi`` backend rejects it with ``TypeError``) —
     backend-generic callers must pass the ``QhornQuery``, as
     :class:`~repro.data.engine.QueryEngine` does.
     """
 
-    #: Registry name (``"bitmask"``, ``"sharded"``, ``"sql"``, ...).
+    #: Registry name (``"bitmask"``, ``"sharded"``, ``"dbapi"``, ...).
     name: str
     relation: NestedRelation
     vocabulary: Vocabulary

@@ -1,16 +1,22 @@
 """External databases as first-class backends (DESIGN.md §2i).
 
-:class:`~repro.data.backends.sqlexec.SqlBackend` proved the seam — the
-database answers, not the process — but it owns one in-memory SQLite
-connection and nothing else.  :class:`DbApiBackend` generalizes it to
-*any* PEP 249 driver: the relation loads through a
+The database answers, not the process.  :class:`DbApiBackend` loads the
+relation into *any* PEP 249 database through a
 :class:`~repro.data.sql.SqlDialect` (placeholder style, identifier
-quoting, column-type mapping), each query compiles to dialect SQL once
-(the same per-backend statement cache as ``SqlBackend``), and every
-evaluation runs through a :class:`PooledConnectionSource` — a
-thread-safe bounded pool with a health check on checkout and a
-retry-once-on-stale-connection path, which is what a client/server
-database needs and an in-process SQLite file tolerates.
+quoting, column-type mapping), compiles each query to dialect SQL once
+(a per-backend statement cache keyed on the hashable ``QhornQuery``),
+and answers every evaluation in one round trip through a
+:class:`PooledConnectionSource` — a thread-safe bounded pool with a
+health check on checkout and a retry-once-on-stale-connection
+:meth:`~PooledConnectionSource.run`, which is what a client/server
+database needs and an in-process SQLite file tolerates.  The pooled
+:class:`~repro.oracle.SqlQueryOracle` runs through the same pool type,
+so this is the one SQL path for evaluation and membership answering.
+
+Because SQL evaluates propositions over the *real* rows while the
+bitmask backends evaluate vocabulary abstractions, answer identity
+across the seam doubles as an end-to-end check that
+``proposition_to_sql`` and ``Proposition.holds`` agree.
 
 Today the built-in connector is SQLite-over-URI (``uri=file:...`` for a
 file-backed store, or the default per-backend shared-memory database),
@@ -29,7 +35,8 @@ import threading
 import weakref
 from collections import deque
 from contextlib import contextmanager
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator, TypeVar
+from urllib.parse import parse_qs, urlsplit
 
 from repro.core import tuples as bt
 from repro.core.query import CompiledQuery, QhornQuery
@@ -96,12 +103,36 @@ def memory_uri(tag: str = "dbapi") -> str:
     )
 
 
+def _private_per_connection(uri: str) -> bool:
+    """Would every connection to ``uri`` open its own database?
+
+    True for ``:memory:``, the empty path (a private temporary file) and
+    in-memory ``file:`` URIs without ``cache=shared``.
+    """
+    if uri in ("", ":memory:"):
+        return True
+    if not uri.startswith("file:"):
+        return False
+    parts = urlsplit(uri)
+    query = parse_qs(parts.query)
+    in_memory = parts.path == ":memory:" or "memory" in query.get("mode", [])
+    return in_memory and "shared" not in query.get("cache", [])
+
+
 def sqlite_connector(uri: str) -> Callable[[], sqlite3.Connection]:
     """The built-in connector: SQLite over a URI or plain path.
 
     ``check_same_thread=False`` because pooled connections migrate
-    across threads (an executor labeling shards, the serve tier).
+    across threads (an executor labeling shards, the serve tier).  A
+    pool opens several connections to one URI, so a URI that gives each
+    connection its own empty database is refused up front.
     """
+    if _private_per_connection(uri):
+        raise ValueError(
+            f"uri={uri!r} gives every pooled connection its own empty "
+            f"database; omit uri for a shared in-memory database, or "
+            f"pass a file path"
+        )
 
     def connect() -> sqlite3.Connection:
         return sqlite3.connect(
@@ -111,6 +142,9 @@ def sqlite_connector(uri: str) -> Callable[[], sqlite3.Connection]:
         )
 
     return connect
+
+
+_T = TypeVar("_T")
 
 
 def default_health_check(connection: Any) -> None:
@@ -159,8 +193,8 @@ class PooledConnectionSource:
         self.connections_opened = 0
         self.checkouts = 0
         self.health_failures = 0
-        #: Statements replayed on a fresh checkout after an in-flight
-        #: driver error (callers increment via :meth:`count_stale_retry`).
+        #: Work replayed on a fresh checkout after an in-flight driver
+        #: error (see :meth:`run`).
         self.stale_retries = 0
         _POOLS.add(self)
 
@@ -237,9 +271,32 @@ class PooledConnectionSource:
         except Exception:
             pass
 
-    def count_stale_retry(self) -> None:
-        """Record one discard-and-replay after an in-flight failure."""
-        self.stale_retries += 1
+    def run(
+        self,
+        work: Callable[[Any], _T],
+        retry_on: tuple[type[BaseException], ...],
+    ) -> _T:
+        """``work(connection)`` on a checkout, retried once on ``retry_on``.
+
+        A stale handle that slipped past the checkout health check (or a
+        server that dropped the connection mid-flight) is discarded and
+        ``work`` replays on a fresh checkout, counted in
+        :attr:`stale_retries`; a second failure is the caller's problem.
+        ``work`` must therefore be safe to replay.
+        """
+        connection = self.acquire()
+        try:
+            try:
+                return work(connection)
+            except retry_on:
+                self.discard(connection)
+                self.stale_retries += 1
+                connection = None
+                connection = self.acquire()
+                return work(connection)
+        finally:
+            if connection is not None:
+                self.release(connection)
 
     @contextmanager
     def connection(self) -> Iterator[Any]:
@@ -296,8 +353,9 @@ class DbApiBackend:
     uri:
         Database location for the built-in SQLite connector —
         ``file:/path/db.sqlite`` (file-backed), a plain path, or omitted
-        for a private shared-memory database.  Ignored when ``connect``
-        is given.
+        for a private shared-memory database (``:memory:`` is refused:
+        every pooled connection would see its own empty database).
+        Ignored when ``connect`` is given.
     dialect:
         ``"sqlite"`` (default) or ``"postgres"`` — or a
         :class:`~repro.data.sql.SqlDialect` instance when constructed in
@@ -462,34 +520,16 @@ class DbApiBackend:
         return sql
 
     def _select(self, sql: str) -> list[tuple]:
-        """One round trip through the pool, retried once on driver error.
+        """One round trip through the pool (retried once when stale)."""
 
-        A stale handle that slipped past the checkout health check (or a
-        server that dropped the connection mid-flight) is discarded and
-        the statement re-runs on a fresh checkout; a second failure is
-        the caller's problem.
-        """
-        connection = self.pool.acquire()
-        try:
-            try:
-                cursor = connection.cursor()
-                cursor.execute(sql)
-                rows = cursor.fetchall()
-                cursor.close()
-                return rows
-            except self._retry_on:
-                self.pool.discard(connection)
-                self.pool.count_stale_retry()
-                connection = None
-                connection = self.pool.acquire()
-                cursor = connection.cursor()
-                cursor.execute(sql)
-                rows = cursor.fetchall()
-                cursor.close()
-                return rows
-        finally:
-            if connection is not None:
-                self.pool.release(connection)
+        def fetch(connection: Any) -> list[tuple]:
+            cursor = connection.cursor()
+            cursor.execute(sql)
+            rows = cursor.fetchall()
+            cursor.close()
+            return rows
+
+        return self.pool.run(fetch, self._retry_on)
 
     def _matching_keys(self, query: QhornQuery) -> set[str]:
         """One round trip: every answer object key of ``query``."""

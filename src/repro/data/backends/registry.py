@@ -19,7 +19,7 @@ Capability flags (:class:`BackendCapabilities`) are what the CLI derives
 its per-subcommand ``--backend`` choices from — ``supports_oracle``
 marks backends that can answer membership questions for ``learn``/
 ``verify``, ``supports_parallel`` marks the worker-pool layout behind
-``--parallel``, ``supports_sql`` marks the dialect-driven SQL backends —
+``--parallel``, ``supports_sql`` marks the dialect-driven SQL backend —
 instead of hard-coding name literals per subcommand.
 ``create_backend(name, ...)`` in :mod:`repro.data.backends` is the
 construction seam over this registry.

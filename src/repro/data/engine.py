@@ -54,9 +54,9 @@ class QueryEngine:
 
     The batch evaluation methods dispatch to a pluggable
     :class:`~repro.data.backends.EvaluationBackend` (``backend=`` accepts
-    a registry name — ``"bitmask"``, ``"sharded"``, ``"sql"``,
-    ``"dbapi"`` — or a constructed backend instance; backends build
-    lazily on first batch call).  The per-object methods keep the seed
+    a registry name — ``"bitmask"``, ``"sharded"``, ``"dbapi"`` — or a
+    constructed backend instance; backends build lazily on first batch
+    call).  The per-object methods keep the seed
     reference semantics regardless of backend.  A shared
     :class:`RelationIndex` is injected with ``backend_options={"index":
     index}`` on the ``bitmask`` backend.

@@ -14,17 +14,17 @@ using the classic translation of quantifiers:
   plus its guarantee clause ``EXISTS (row with B and h true)``;
 * ``∃t ∈ S (C)``      →  ``EXISTS (row with C true)``.
 
-:class:`SqliteEngine` loads a :class:`~repro.data.relation.NestedRelation`
-into an in-memory SQLite database and executes the generated SQL — the
-test-suite cross-checks it against the in-process
-:class:`~repro.data.engine.QueryEngine` on every query, so the two
-evaluators validate each other.
+The ``dbapi`` evaluation backend
+(:class:`~repro.data.backends.dbapi.DbApiBackend`) loads a
+:class:`~repro.data.relation.NestedRelation` into this encoding and
+executes the generated SQL — the test-suite cross-checks it against the
+in-process :class:`~repro.data.engine.QueryEngine` on every query, so
+the two evaluators validate each other.
 """
 
 from __future__ import annotations
 
 import re
-import sqlite3
 from dataclasses import dataclass, field
 from typing import Any, Iterable
 
@@ -39,13 +39,11 @@ from repro.data.propositions import (
     Proposition,
     Vocabulary,
 )
-from repro.data.relation import NestedRelation
 from repro.data.schema import AttributeType
 
 __all__ = [
     "DIALECTS",
     "SqlDialect",
-    "SqliteEngine",
     "SqlCompileError",
     "get_dialect",
     "proposition_to_sql",
@@ -192,10 +190,6 @@ def get_dialect(dialect: SqlDialect | str | None) -> SqlDialect:
         ) from None
 
 
-def _literal(value: Any) -> str:
-    return SQLITE_DIALECT.literal(value)
-
-
 def proposition_to_sql(
     prop: Proposition,
     alias: str = "r",
@@ -308,105 +302,3 @@ def to_sql(
         + where
         + "\nORDER BY o.object_key"
     )
-
-
-class SqliteEngine:
-    """Executes compiled qhorn SQL against an in-memory SQLite database.
-
-    The nested relation is loaded once into the two-table encoding; every
-    :meth:`execute` call compiles the query and runs it, returning the
-    matching object keys.  The engine snapshots the relation's ``version``
-    counter at load time: :attr:`is_stale` / :meth:`refresh` implement the
-    same staleness contract as :class:`~repro.data.index.RelationIndex`,
-    so backend layers can keep the database in step with inserts.
-    """
-
-    def __init__(
-        self, relation: NestedRelation, vocabulary: Vocabulary
-    ) -> None:
-        self.relation = relation
-        self.vocabulary = vocabulary
-        self.connection = sqlite3.connect(":memory:")
-        self._load()
-
-    @property
-    def is_stale(self) -> bool:
-        """Has the relation been mutated since the database was loaded?"""
-        return getattr(self.relation, "version", None) != self._loaded_version
-
-    def refresh(self, force: bool = False) -> bool:
-        """Reload the database if stale (or unconditionally with
-        ``force``); returns whether a reload happened."""
-        if force or self.is_stale:
-            cur = self.connection.cursor()
-            cur.execute("DROP TABLE IF EXISTS rows")
-            cur.execute("DROP TABLE IF EXISTS objects")
-            self._load()
-            return True
-        return False
-
-    def _column_type(self, attr_type: AttributeType) -> str:
-        return SQLITE_DIALECT.column_type(attr_type)
-
-    def _load(self) -> None:
-        schema = self.relation.schema
-        cur = self.connection.cursor()
-        object_cols = "".join(
-            f", {a.name} {self._column_type(a.type)}"
-            for a in schema.object_attributes
-        )
-        cur.execute(
-            f"CREATE TABLE objects (object_key TEXT PRIMARY KEY{object_cols})"
-        )
-        row_cols = ", ".join(
-            f"{a.name} {self._column_type(a.type)}"
-            for a in schema.embedded.attributes
-        )
-        cur.execute(
-            "CREATE TABLE rows (object_key TEXT REFERENCES objects, "
-            + row_cols
-            + ")"
-        )
-        cur.execute(
-            "CREATE INDEX rows_by_object ON rows (object_key)"
-        )
-        for obj in self.relation:
-            names = [a.name for a in schema.object_attributes]
-            cur.execute(
-                "INSERT INTO objects VALUES (?"
-                + ", ?" * len(names)
-                + ")",
-                [obj.key] + [obj.attributes.get(n) for n in names],
-            )
-            row_names = schema.embedded.attribute_names
-            for row in obj.rows:
-                cur.execute(
-                    "INSERT INTO rows VALUES (?"
-                    + ", ?" * len(row_names)
-                    + ")",
-                    [obj.key] + [row[n] for n in row_names],
-                )
-        self.connection.commit()
-        self._loaded_version = getattr(self.relation, "version", None)
-
-    def execute(self, query: QhornQuery) -> list[str]:
-        """Answer object keys, sorted, via the compiled SQL."""
-        sql = to_sql(query, self.vocabulary)
-        return [row[0] for row in self.connection.execute(sql)]
-
-    def explain_plan(self, query: QhornQuery) -> list[str]:
-        """SQLite's query plan for the compiled statement (for curiosity)."""
-        sql = to_sql(query, self.vocabulary)
-        return [
-            str(row)
-            for row in self.connection.execute("EXPLAIN QUERY PLAN " + sql)
-        ]
-
-    def close(self) -> None:
-        self.connection.close()
-
-    def __enter__(self) -> "SqliteEngine":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()

@@ -5,13 +5,12 @@ matrix and every leg must agree **exactly**:
 
 * **Learner matrix** (per query — learners never see the store):
   learner (``qhorn1`` / ``naive`` / ``role-preserving``) × oracle
-  transport (in-process ``direct`` / ``sql`` scratch database /
-  ``dbapi`` pooled connections) × driver (``pull`` ``learn()`` vs
-  manual ``sansio`` :class:`~repro.protocol.core.LearnerProtocol`
-  stepping) × parallelism (``serial`` vs a
-  :class:`~repro.oracle.ParallelOracle` fanning chunks over a shared
-  :class:`~repro.parallel.ShardWorkerPool`).  Across all legs the
-  question/answer transcript, the learned query and the
+  transport (in-process ``direct`` / ``dbapi`` pooled scratch database)
+  × driver (``pull`` ``learn()`` vs manual ``sansio``
+  :class:`~repro.protocol.core.LearnerProtocol` stepping) × parallelism
+  (``serial`` vs a :class:`~repro.oracle.ParallelOracle` fanning chunks
+  over a shared :class:`~repro.parallel.ShardWorkerPool`).  Across all
+  legs the question/answer transcript, the learned query and the
   :class:`~repro.oracle.counting.QuestionStats` must be bit-identical,
   the learned query must be semantically equivalent to the target, and
   the question count must satisfy the paper's bound — Theorem 3.1
@@ -20,7 +19,7 @@ matrix and every leg must agree **exactly**:
   (``4n³ + 6kn·lg n + 40``) for the §4 learner.
 * **Backend matrix** (per (query, store) pair): every registered
   evaluation backend — ``bitmask``, ``sharded`` (serial, plus a
-  shared-worker-pool leg), ``sql``, ``dbapi`` — must produce the
+  shared-worker-pool leg), ``dbapi`` — must produce the
   per-object labels, answer keys and answer bitmask that
   :class:`~repro.core.query.CompiledQuery` computes from each object's
   abstraction.  The ``dbapi`` leg additionally answers membership
@@ -45,7 +44,7 @@ from typing import Any, Callable, Sequence
 
 from repro.core.normalize import brute_force_equivalent
 from repro.core.query import QhornQuery
-from repro.core.serialize import query_from_dict, query_to_dict
+from repro.core.serialize import query_to_dict
 from repro.core.tuples import Question
 from repro.enumerate.space import EnumeratedQuery, EnumeratedStore
 from repro.learning import Qhorn1Learner, RolePreservingLearner
@@ -108,18 +107,17 @@ class MatrixSpec:
 
     ``parse`` accepts ``"full"`` or a ``;``-separated spec of
     ``axis=choice+choice`` entries, e.g.
-    ``learners=qhorn1+naive;backends=bitmask+sql;drivers=pull``.
+    ``learners=qhorn1+naive;backends=bitmask+dbapi;drivers=pull``.
     """
 
     learners: tuple[str, ...] = ("qhorn1", "naive", "role-preserving")
-    oracles: tuple[str, ...] = ("direct", "sql", "dbapi")
+    oracles: tuple[str, ...] = ("direct", "dbapi")
     drivers: tuple[str, ...] = ("pull", "sansio")
     parallel: tuple[str, ...] = ("serial", "pool")
     backends: tuple[str, ...] = (
         "bitmask",
         "sharded",
         "sharded-pool",
-        "sql",
         "dbapi",
     )
 
@@ -208,17 +206,12 @@ class LearnerOutcome:
     rounds: int
 
 
-def _fresh_pooled_oracle(query_dict: dict) -> SqlQueryOracle:
-    """Worker-side factory for the dbapi×pool leg (module level: ships
-    pickled to :class:`~repro.parallel.ShardWorkerPool` workers)."""
-    return SqlQueryOracle.pooled(query_from_dict(query_dict))
-
-
 def _transport_oracle(
     target: QhornQuery, oracle_kind: str, parallel_mode: str, pool: Any
 ) -> tuple[Any, list[Any]]:
     """Build one leg's transport oracle; returns (oracle, closeables)."""
-    closeables: list[Any] = []
+    if oracle_kind not in ("direct", "dbapi"):
+        raise ValueError(f"unknown oracle transport {oracle_kind!r}")
     if parallel_mode == "pool":
         # chunk_size=1 forces every multi-question batch across the
         # process boundary — the leg exists to exercise the dispatch.
@@ -226,35 +219,18 @@ def _transport_oracle(
             oracle: Any = ParallelOracle(
                 QueryOracle(target), pool=pool, chunk_size=1
             )
-        elif oracle_kind == "sql":
+        else:
             oracle = ParallelOracle(
                 factory=functools.partial(SqlQueryOracle, target),
                 pool=pool,
                 chunk_size=1,
             )
-        elif oracle_kind == "dbapi":
-            oracle = ParallelOracle(
-                factory=functools.partial(
-                    _fresh_pooled_oracle, query_to_dict(target)
-                ),
-                pool=pool,
-                chunk_size=1,
-            )
-        else:
-            raise ValueError(f"unknown oracle transport {oracle_kind!r}")
-        closeables.append(oracle)
-        closeables.append(oracle.inner)  # the coordinator-local copy
-        return oracle, closeables
+        # The coordinator-local copy closes too.
+        return oracle, [oracle, oracle.inner]
     if oracle_kind == "direct":
-        return QueryOracle(target), closeables
-    if oracle_kind == "sql":
-        oracle = SqlQueryOracle(target)
-    elif oracle_kind == "dbapi":
-        oracle = SqlQueryOracle.pooled(target)
-    else:
-        raise ValueError(f"unknown oracle transport {oracle_kind!r}")
-    closeables.append(oracle)
-    return oracle, closeables
+        return QueryOracle(target), []
+    oracle = SqlQueryOracle(target)
+    return oracle, [oracle]
 
 
 def _stats_key(stats: Any) -> tuple:
@@ -499,7 +475,6 @@ BACKEND_LEGS: dict[str, tuple[str, dict]] = {
     "bitmask": ("bitmask", {}),
     "sharded": ("sharded", {"shard_size": 2}),
     "sharded-pool": ("sharded", {"shard_size": 1}),
-    "sql": ("sql", {}),
     "dbapi": ("dbapi", {"pool_size": 2}),
 }
 

@@ -227,7 +227,7 @@ def store_vocabulary(n: int, flavor: str = "bool") -> Vocabulary:
     ``b1..bn``) — masks are rows, the property-suite convention.
     ``mixed``: proposition types cycle Boolean / category equality /
     integer comparison, so enumerated stores also exercise the typed
-    predicate rendering of the SQL backends.
+    predicate rendering of the SQL backend.
     """
     if flavor not in STORE_VOCABULARIES:
         raise ValueError(

@@ -58,7 +58,7 @@ class ParallelOracle:
         each worker, which constructs its own instance.  This is the
         path for oracles that are deterministic but not picklable —
         e.g. ``functools.partial(SqlQueryOracle, target)``, where every
-        worker gets a private SQLite connection.
+        worker gets a private shared-memory SQLite pool.
     pool:
         Caller-owned :class:`~repro.parallel.ShardWorkerPool` to
         dispatch through (shareable with a sharded backend); the oracle

@@ -6,46 +6,51 @@ batch-first realization of that idea (the ROADMAP's SQL-backed batch
 oracle): the hidden target compiles **once** to SQL
 (:func:`repro.data.sql.to_sql` over a pure Boolean vocabulary), and each
 :meth:`~SqlQueryOracle.ask_many` call loads the batch's *distinct*
-questions as objects of a scratch SQLite database and answers them all
-in **one round trip** — the ``SELECT`` returns exactly the keys of the
-answer questions.
+questions as objects of scratch tables and answers them all in **one
+round trip** — the ``SELECT`` returns exactly the keys of the answer
+questions.
+
+Every statement runs through a
+:class:`~repro.data.backends.dbapi.PooledConnectionSource` checkout:
+either the oracle's own pool (SQLite over ``uri=``, or a private
+shared-memory database) or, through :meth:`SqlQueryOracle.for_backend`,
+the pool a :class:`~repro.data.backends.dbapi.DbApiBackend` already
+holds open, so oracle batches and backend evaluations share one bounded,
+health-checked connection set.  The scratch tables are named
+``question_objects``/``question_rows`` so they coexist with a loaded
+relation's ``objects``/``rows`` in the same database, and a statement
+that dies on a stale connection is replayed once on a fresh checkout
+(:meth:`~repro.data.backends.dbapi.PooledConnectionSource.run`, counted
+in the pool's ``stale_retries``).
 
 The oracle is a pure function of each question (no state across calls
-beyond the reusable connection), so the sequential-equivalence contract
-of DESIGN.md §2b holds trivially; agreement with the in-process
+beyond the reusable pool), so the sequential-equivalence contract of
+DESIGN.md §2b holds trivially; agreement with the in-process
 :class:`~repro.oracle.base.QueryOracle` on identical targets is part of
 the backend differential suite.
-
-Connection modes
-----------------
-* **Private** (default): the oracle owns one connection to a private
-  in-memory SQLite (or ``uri=``/``connect=`` for a file or third-party
-  driver), exactly the PR 3 behaviour.
-* **Pooled** (``pool=`` or :meth:`SqlQueryOracle.for_backend`): every
-  statement runs through a
-  :class:`~repro.data.backends.dbapi.PooledConnectionSource` checkout —
-  the pool a :class:`~repro.data.backends.dbapi.DbApiBackend` already
-  holds open, so oracle batches and backend evaluations share the same
-  bounded, health-checked connection set instead of the oracle opening a
-  private handle on the side.  Scratch tables are prefixed
-  (``question_objects``/``question_rows``) so they coexist with a loaded
-  relation's ``objects``/``rows`` in the same database, and a statement
-  that dies on a stale connection is replayed once on a fresh checkout
-  (counted in the pool's ``stale_retries``).
 """
 
 from __future__ import annotations
 
 import sqlite3
-from typing import Any, Callable, Sequence
+from typing import Any, Sequence
 
 from repro.core.query import QhornQuery
 from repro.core.tuples import Question
+from repro.data.backends.dbapi import (
+    PooledConnectionSource,
+    memory_uri,
+    sqlite_connector,
+)
 from repro.data.propositions import BoolIs, Vocabulary
 from repro.data.schema import Attribute, FlatSchema
 from repro.data.sql import SqlDialect, get_dialect, to_sql
 
 __all__ = ["SqlQueryOracle"]
+
+#: Scratch-table names, clear of a loaded relation's ``objects``/``rows``.
+OBJECTS_TABLE = "question_objects"
+ROWS_TABLE = "question_rows"
 
 
 def _boolean_vocabulary(n: int) -> Vocabulary:
@@ -65,75 +70,76 @@ class SqlQueryOracle:
     database instead of the process, which makes whole-batch answering a
     single SQL execution however large the batch.
 
-    By default the scratch database is a private in-memory SQLite; the
-    v2 backend API (DESIGN.md §2i) adds ``uri=`` (a file-backed SQLite
-    URI — ``repro learn --backend dbapi --backend-opt uri=file:...``),
-    ``connect=`` (any zero-argument DB-API connection factory) and
-    ``dialect=`` so the same one-round-trip ``ask_many`` runs on an
-    external database.  ``pool=`` switches to pooled checkouts (see the
-    module docstring); :meth:`for_backend` wires the oracle onto a
-    :class:`~repro.data.backends.dbapi.DbApiBackend`'s existing pool,
-    and :meth:`pooled` builds an oracle that owns its own pool.  The
-    scratch tables are dropped and recreated at construction, so reusing
-    a file (or a backend's database) between runs is safe.
+    Parameters
+    ----------
+    uri:
+        SQLite location of the oracle's own pool — a file URI
+        (``repro learn --backend dbapi --backend-opt uri=file:...``) or
+        omitted for a private shared-memory database.
+    dialect:
+        ``"sqlite"`` (default), ``"postgres"`` or a
+        :class:`~repro.data.sql.SqlDialect` (DESIGN.md §2i).
+    pool:
+        An existing :class:`PooledConnectionSource` (any DB-API driver)
+        to check connections out of instead of opening one; it stays its
+        owner's to close.  Replaces ``uri=``; :meth:`for_backend` passes
+        a backend's pool.
+    pool_size:
+        Bound on the oracle's own pool (default 4).
+    retry_on:
+        Driver errors that replay a statement once on a fresh checkout
+        (default ``sqlite3.Error`` for the oracle's own pool, any
+        ``Exception`` for a given one).
+
+    The scratch tables are dropped and recreated at construction, so
+    reusing a file (or a backend's database) between runs is safe.
     """
 
     def __init__(
         self,
         target: QhornQuery,
         uri: str | None = None,
-        connect: Callable[[], Any] | None = None,
         dialect: SqlDialect | str | None = "sqlite",
-        pool: Any | None = None,
-        table_prefix: str | None = None,
+        pool: PooledConnectionSource | None = None,
+        pool_size: int = 4,
         retry_on: tuple[type[BaseException], ...] | None = None,
     ) -> None:
         self.target = target
         self.n = target.n
-        self.uri = uri
-        self.dialect = get_dialect(dialect)
-        self.pool = pool
-        #: (pool, keeper) pairs this oracle must close — only set by
-        #: :meth:`pooled`; a pool shared via ``pool=``/:meth:`for_backend`
-        #: stays the caller's to close.
+        self.dialect = d = get_dialect(dialect)
+        #: What :meth:`close` releases: the oracle's own pool and the
+        #: keeper connection that pins its database.
         self._owned: list[Any] = []
-        d = self.dialect
-        if pool is not None:
-            if uri is not None or connect is not None:
-                raise ValueError(
-                    "pool= replaces uri=/connect=: pooled oracles check "
-                    "connections out of the shared pool"
-                )
-            self.connection = None
-            self._retry_on = retry_on if retry_on is not None else (Exception,)
-        elif connect is not None:
-            self.connection = connect()
-            self._retry_on = ()
+        if pool is None:
+            self.uri = uri if uri is not None else memory_uri("oracle")
+            connect = sqlite_connector(self.uri)
+            pool = PooledConnectionSource(connect, maxsize=pool_size)
+            # A shared-memory database lives while one connection stays
+            # open; the keeper pins it across pool churn.
+            self._owned = [pool, connect()]
+            if retry_on is None:
+                retry_on = (sqlite3.Error,)
         elif uri is not None:
-            self.connection = sqlite3.connect(
-                uri, uri=uri.startswith("file:"), check_same_thread=False
+            raise ValueError(
+                "pool= replaces uri=: the oracle checks connections out "
+                "of the given pool"
             )
-            self._retry_on = ()
         else:
-            self.connection = sqlite3.connect(":memory:")
-            self._retry_on = ()
-        if table_prefix is None:
-            # Pooled oracles share a database that may hold a loaded
-            # relation; namespace the scratch tables out of its way.
-            table_prefix = "question_" if pool is not None else ""
-        self.table_prefix = table_prefix
-        self._objects_name = f"{table_prefix}objects"
-        self._rows_name = f"{table_prefix}rows"
+            self.uri = None
+            if retry_on is None:
+                retry_on = (Exception,)
+        self.pool = pool
+        self._retry_on = retry_on
         self._sql = to_sql(
             target,
             _boolean_vocabulary(target.n),
             dialect=d,
-            objects_table=self._objects_name,
-            rows_table=self._rows_name,
+            objects_table=OBJECTS_TABLE,
+            rows_table=ROWS_TABLE,
         )
         names = [f"p{i + 1}" for i in range(target.n)]
-        objects_table = d.identifier(self._objects_name)
-        rows_table = d.identifier(self._rows_name)
+        objects_table = d.identifier(OBJECTS_TABLE)
+        rows_table = d.identifier(ROWS_TABLE)
         self._objects_table = objects_table
         self._rows_table = rows_table
         self._insert_object = (
@@ -148,7 +154,7 @@ class SqlQueryOracle:
         cols = ", ".join(
             f"{d.identifier(name)} {boolean_type}" for name in names
         )
-        index_name = d.identifier(f"{self._rows_name}_by_object")
+        index_name = d.identifier(f"{ROWS_TABLE}_by_object")
         ddl = (
             f"DROP TABLE IF EXISTS {rows_table}",
             f"DROP TABLE IF EXISTS {objects_table}",
@@ -163,11 +169,12 @@ class SqlQueryOracle:
                 cur.execute(statement)
             connection.commit()
 
-        self._run(setup)
+        try:
+            self.pool.run(setup, self._retry_on)
+        except BaseException:
+            self.close()
+            raise
 
-    # ------------------------------------------------------------------
-    # Construction helpers
-    # ------------------------------------------------------------------
     @classmethod
     def for_backend(cls, target: QhornQuery, backend: Any) -> "SqlQueryOracle":
         """An oracle batching through ``backend``'s existing connection
@@ -181,62 +188,9 @@ class SqlQueryOracle:
             retry_on=getattr(backend, "_retry_on", None),
         )
 
-    @classmethod
-    def pooled(
-        cls,
-        target: QhornQuery,
-        uri: str | None = None,
-        dialect: SqlDialect | str | None = "sqlite",
-        pool_size: int = 4,
-    ) -> "SqlQueryOracle":
-        """A standalone pooled oracle that owns its pool (and closes it).
-
-        This is the ``--backend dbapi`` oracle path: SQLite over ``uri``
-        (or a private shared-memory database) behind a health-checked
-        :class:`~repro.data.backends.dbapi.PooledConnectionSource`.
-        """
-        from repro.data.backends.dbapi import (
-            PooledConnectionSource,
-            memory_uri,
-            sqlite_connector,
-        )
-
-        actual_uri = uri if uri is not None else memory_uri("oracle")
-        connect = sqlite_connector(actual_uri)
-        # Shared-memory databases live while one connection stays open.
-        keeper = connect()
-        pool = PooledConnectionSource(connect, maxsize=pool_size)
-        oracle = cls(
-            target, pool=pool, dialect=dialect, retry_on=(sqlite3.Error,)
-        )
-        oracle.uri = actual_uri
-        oracle._owned = [pool, keeper]
-        return oracle
-
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def _run(self, work: Callable[[Any], Any]) -> Any:
-        """Run ``work(connection)`` — directly in private mode, through a
-        pool checkout in pooled mode, replayed once on a fresh checkout
-        if a retryable driver error kills the first attempt (the batch
-        setup deletes before inserting, so a replay is idempotent)."""
-        if self.pool is None:
-            return work(self.connection)
-        connection = self.pool.acquire()
-        try:
-            try:
-                return work(connection)
-            except self._retry_on:
-                self.pool.discard(connection)
-                self.pool.count_stale_retry()
-                connection = None
-                connection = self.pool.acquire()
-                return work(connection)
-        finally:
-            if connection is not None:
-                self.pool.release(connection)
-
     def _check(self, question: Question) -> None:
         if question.n != self.n:
             raise ValueError(
@@ -261,6 +215,8 @@ class SqlQueryOracle:
         n = self.n
 
         def answer(connection: Any) -> set:
+            # Deletes before inserting, so a stale-handle replay is
+            # idempotent.
             cur = connection.cursor()
             cur.execute(f"DELETE FROM {self._rows_table}")
             cur.execute(f"DELETE FROM {self._objects_table}")
@@ -276,22 +232,18 @@ class SqlQueryOracle:
                 ],
             )
             found = {row[0] for row in cur.execute(self._sql)}
-            if self.pool is not None:
-                # Pooled connections interleave with other checkouts;
-                # never park an open write transaction in the pool.
-                connection.commit()
+            # Pooled connections interleave with other checkouts; never
+            # park an open write transaction in the pool.
+            connection.commit()
             return found
 
-        answers = self._run(answer)
+        answers = self.pool.run(answer, self._retry_on)
         return [keys[q] in answers for q in questions]
 
     def close(self) -> None:
-        """Close what this oracle owns: its private connection, or (for
-        :meth:`pooled` oracles) its own pool and keeper.  A pool shared
-        through ``pool=``/:meth:`for_backend` is left open — the backend
-        that owns it decides its lifetime."""
-        if self.connection is not None:
-            self.connection.close()
+        """Close the oracle's own pool and keeper (safe to call twice).
+        A pool passed in through ``pool=``/:meth:`for_backend` is left
+        open — its owner decides its lifetime."""
         for resource in self._owned:
             try:
                 resource.close()

@@ -3,10 +3,10 @@
 The answer-identity contract across backends is enforced at scale by
 ``tests/properties/test_prop_backends.py``; these tests pin the seam
 itself — construction, dispatch, staleness, sharding layout, executor
-plumbing, SQL lifecycle — on the chocolate-store domain.
+plumbing, the dbapi pool and lifecycle — on the chocolate-store domain.
 
 Tests taking the ``backend_name`` fixture run once per registered
-backend (restrict with ``pytest --backend sql``).
+backend (restrict with ``pytest --backend dbapi``).
 """
 
 from __future__ import annotations
@@ -25,10 +25,10 @@ from repro.data import (
     QueryEngine,
     RelationIndex,
     ShardedBitmaskBackend,
-    SqlBackend,
     create_backend,
 )
 from repro.data.backends import DbApiBackend, PooledConnectionSource
+from repro.data.backends.dbapi import memory_uri
 from repro.data.chocolate import (
     intro_query,
     random_store,
@@ -67,7 +67,7 @@ def _reference(engine, query):
 
 class TestRegistry:
     def test_all_backends_registered(self):
-        assert set(REGISTRY.names()) == {"bitmask", "dbapi", "sharded", "sql"}
+        assert set(REGISTRY.names()) == {"bitmask", "dbapi", "sharded"}
 
     def test_unknown_backend_rejected(self, store, vocab):
         with pytest.raises(ValueError, match="unknown evaluation backend"):
@@ -236,13 +236,14 @@ class TestEngineDispatch:
     def test_backend_relation_mismatch_rejected(self, vocab):
         a = random_store(5, random.Random(1))
         b = random_store(5, random.Random(2))
-        with pytest.raises(ValueError, match="different relation"):
-            QueryEngine(a, vocab, backend=SqlBackend(b, vocab))
+        with DbApiBackend(b, vocab) as foreign:
+            with pytest.raises(ValueError, match="different relation"):
+                QueryEngine(a, vocab, backend=foreign)
 
     def test_index_property_is_introspection_for_other_backends(
         self, store, vocab
     ):
-        engine = QueryEngine(store, vocab, backend="sql")
+        engine = QueryEngine(store, vocab, backend="dbapi")
         index = engine.index
         assert isinstance(index, RelationIndex)
         assert index.distinct_masks <= 16
@@ -450,27 +451,26 @@ class TestDbApiBackendLifecycle:
         backend.close()
         backend.close()
 
+    @pytest.mark.parametrize(
+        "uri", [":memory:", "", "file::memory:", "file:scratch?mode=memory"]
+    )
+    def test_private_in_memory_uri_rejected(self, store, vocab, uri):
+        """Each pooled connection would open its own empty database:
+        with one connection checked out, a query on a second one found
+        no ``objects`` table.  The connector refuses such URIs."""
+        with pytest.raises(ValueError, match="omit uri"):
+            DbApiBackend(store, vocab, uri=uri, pool_size=2)
 
-class TestSqlBackendLifecycle:
-    def test_rejects_compiled_query(self, store, vocab):
-        backend = SqlBackend(store, vocab)
-        with pytest.raises(TypeError, match="CompiledQuery"):
-            backend.execute(intro_query().compile())
-
-    def test_statement_cache_compiles_once(self, store, vocab):
-        backend = SqlBackend(store, vocab)
-        query = intro_query()
-        backend.execute(query)
-        cached = backend._sql_cache[query]
-        backend.matches_many(query)
-        assert backend._sql_cache[query] is cached
-        assert len(backend._sql_cache) == 1
-
-    def test_context_manager_closes(self, store, vocab):
-        with SqlBackend(store, vocab) as backend:
-            assert backend.matches_many(intro_query())
-        assert backend._engine is None
-        # Usable again after close: evaluation reloads the database.
-        assert len(backend.matches_many(QhornQuery(n=4))) == len(store)
-        backend.close()
-        backend.close()  # idempotent
+    def test_shared_cache_memory_uri_spans_the_pool(self, store, vocab):
+        """The accepted in-memory spelling: one shared-cache database
+        behind every pooled connection."""
+        expected = _reference(QueryEngine(store, vocab), intro_query())
+        with DbApiBackend(
+            store, vocab, uri=memory_uri("test"), pool_size=2
+        ) as backend:
+            backend.refresh()  # loads through the first connection
+            with backend.pool.connection():  # which is now held
+                keys = [o.key for o in backend.execute(intro_query())]
+            assert keys == expected
+            assert backend.pool.connections_opened == 2
+            assert backend.pool.stale_retries == 0

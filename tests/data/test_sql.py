@@ -1,4 +1,4 @@
-"""Tests for SQL compilation and the SQLite execution backend."""
+"""Tests for SQL compilation and its evaluation on the dbapi backend."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ import pytest
 
 from repro.core.generators import random_role_preserving
 from repro.core.parser import parse_query
-from repro.data import QueryEngine
+from repro.data import DbApiBackend, QueryEngine
 from repro.data.chocolate import (
     paper_figure1_relation,
     paper_vocabulary,
@@ -30,7 +30,6 @@ from repro.data.sql import (
     POSTGRES_DIALECT,
     SQLITE_DIALECT,
     SqlCompileError,
-    SqliteEngine,
     get_dialect,
     proposition_to_sql,
     to_sql,
@@ -174,29 +173,30 @@ class TestDialects:
             get_dialect("oracle9i")
 
 
-class TestSqliteEngine:
+def _keys(backend, query):
+    """Answer keys, sorted, through one SQL round trip."""
+    return sorted(o.key for o in backend.execute(query))
+
+
+class TestSqlEvaluation:
     def test_fig1_boxes(self):
-        engine = SqliteEngine(paper_figure1_relation(), paper_vocabulary())
-        assert engine.execute(parse_query("∀x1 ∃x2x3")) == []
-        # every box has a dark chocolate
-        assert engine.execute(parse_query("∃x1", n=3)) == [
-            "Europe's Finest",
-            "Global Ground",
-        ]
-        engine.close()
+        with DbApiBackend(
+            paper_figure1_relation(), paper_vocabulary()
+        ) as backend:
+            assert _keys(backend, parse_query("∀x1 ∃x2x3")) == []
+            # every box has a dark chocolate
+            assert _keys(backend, parse_query("∃x1", n=3)) == [
+                "Europe's Finest",
+                "Global Ground",
+            ]
 
     def test_context_manager(self):
-        with SqliteEngine(
+        with DbApiBackend(
             paper_figure1_relation(), paper_vocabulary()
-        ) as engine:
-            assert engine.execute(parse_query("∃x1", n=3))
-
-    def test_explain_plan_runs(self):
-        with SqliteEngine(
-            paper_figure1_relation(), paper_vocabulary()
-        ) as engine:
-            plan = engine.explain_plan(parse_query("∀x1 ∃x2x3"))
-            assert plan
+        ) as backend:
+            assert backend.execute(parse_query("∃x1", n=3))
+        with pytest.raises(RuntimeError, match="closed"):
+            backend.pool.acquire()
 
     def test_cross_check_against_memory_engine(self):
         """The two evaluators must agree on every random query."""
@@ -204,12 +204,10 @@ class TestSqliteEngine:
         vocab = storefront_vocabulary()
         memory = QueryEngine(store, vocab)
         rng = random.Random(17)
-        with SqliteEngine(store, vocab) as sql_engine:
+        with DbApiBackend(store, vocab) as backend:
             for _ in range(40):
                 q = random_role_preserving(4, rng, theta=2)
-                via_sql = sql_engine.execute(q)
-                via_memory = sorted(o.key for o in memory.execute(q))
-                assert via_sql == via_memory, q.shorthand()
+                assert _keys(backend, q) == _keys(memory, q), q.shorthand()
 
     def test_cross_check_with_numeric_vocabulary(self):
         schema = FlatSchema(
@@ -244,20 +242,18 @@ class TestSqliteEngine:
             ]
             relation.add_object(f"batch-{i:02d}", rows=rows)
         memory = QueryEngine(relation, vocab)
-        with SqliteEngine(relation, vocab) as sql_engine:
+        with DbApiBackend(relation, vocab) as backend:
             for _ in range(30):
                 q = random_role_preserving(3, rng, theta=1)
-                assert sql_engine.execute(q) == sorted(
-                    o.key for o in memory.execute(q)
-                )
+                assert _keys(backend, q) == _keys(memory, q)
 
     def test_empty_query_matches_everything(self):
         from repro.core.query import QhornQuery
 
         store = random_store(5, random.Random(2))
-        with SqliteEngine(store, storefront_vocabulary()) as engine:
+        with DbApiBackend(store, storefront_vocabulary()) as backend:
             q = QhornQuery(n=4)
-            assert len(engine.execute(q)) == 5
+            assert len(backend.execute(q)) == 5
 
 
 class TestSqlEdgeCases:
@@ -298,10 +294,10 @@ class TestSqlEdgeCases:
         reference = QueryEngine(relation, vocab)
         bitmask = create_backend("bitmask", relation, vocab)
         sharded = create_backend("sharded", relation, vocab, shard_size=2)
-        with SqliteEngine(relation, vocab) as sql_engine:
+        with DbApiBackend(relation, vocab) as sql_backend:
             for q in queries:
-                expected = sorted(o.key for o in reference.execute(q))
-                assert sql_engine.execute(q) == expected, q.shorthand()
+                expected = _keys(reference, q)
+                assert _keys(sql_backend, q) == expected, q.shorthand()
                 assert sorted(
                     o.key for o in bitmask.execute(q)
                 ) == expected, q.shorthand()
@@ -354,13 +350,11 @@ class TestSqlEdgeCases:
         strict = parse_query("∀x1→x2", n=3)
         relaxed = parse_query("∀x1→x2", n=3, require_guarantees=False)
         reference = QueryEngine(relation, vocab)
-        with SqliteEngine(relation, vocab) as sql_engine:
-            strict_keys = sql_engine.execute(strict)
-            relaxed_keys = sql_engine.execute(relaxed)
-        assert strict_keys == sorted(o.key for o in reference.execute(strict))
-        assert relaxed_keys == sorted(
-            o.key for o in reference.execute(relaxed)
-        )
+        with DbApiBackend(relation, vocab) as sql_backend:
+            strict_keys = _keys(sql_backend, strict)
+            relaxed_keys = _keys(sql_backend, relaxed)
+        assert strict_keys == _keys(reference, strict)
+        assert relaxed_keys == _keys(reference, relaxed)
         # obj-0 (empty), obj-1 (all-false row) and obj-2 (head-only row)
         # have no body-satisfying row: answers only under relaxation.
         assert set(relaxed_keys) - set(strict_keys) == {

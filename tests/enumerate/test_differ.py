@@ -23,7 +23,7 @@ from repro.enumerate.space import (
     store_vocabulary,
 )
 
-SERIAL = MatrixSpec.parse("parallel=serial;backends=bitmask+sharded+sql+dbapi")
+SERIAL = MatrixSpec.parse("parallel=serial;backends=bitmask+sharded+dbapi")
 
 
 class TestMatrixSpec:
@@ -61,7 +61,7 @@ class TestLearnerMatrix:
             report, divergences = check_learners(entry, SERIAL)
             assert divergences == [], [d.detail for d in divergences]
             assert report["status"] == "ok"
-            assert report["combos"] == 3 * 3 * 2  # learners×oracles×drivers
+            assert report["combos"] == 3 * 2 * 2  # learners×oracles×drivers
 
     def test_question_counts_within_paper_bounds(self):
         for entry in enumerate_queries(2):
@@ -75,7 +75,7 @@ class TestLearnerMatrix:
     def test_transcripts_identical_across_drivers(self):
         target = parse_query("∀x1→x2 ∃x1x2", n=2)
         pull = run_learner_leg(target, "qhorn1", "direct", "pull", "serial")
-        sansio = run_learner_leg(target, "qhorn1", "sql", "sansio", "serial")
+        sansio = run_learner_leg(target, "qhorn1", "dbapi", "sansio", "serial")
         assert pull.transcript == sansio.transcript
         assert pull.stats == sansio.stats
         assert pull.learned == sansio.learned
@@ -147,7 +147,7 @@ class TestBackendMatrix:
         relation = store.relation(vocabulary)
         backends = {
             leg: _build_backend(leg, relation, vocabulary, None)
-            for leg in ("bitmask", "sql", "dbapi")
+            for leg in ("bitmask", "dbapi")
         }
         try:
             for entry in entries:

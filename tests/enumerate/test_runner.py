@@ -11,7 +11,7 @@ from repro.enumerate.runner import RunConfig, load_done, run
 TINY = RunConfig(
     max_props=1,
     max_objects=1,
-    matrix="parallel=serial;backends=bitmask+sql",
+    matrix="parallel=serial;backends=bitmask+dbapi",
     parallel=0,
 )
 
@@ -40,9 +40,9 @@ class TestRun:
         assert summary["divergences"] == 0
         assert summary["bound_ok"] is True
         assert summary["status"] == "ok"
-        # 3 learners × 2 oracle transports... spec trimmed: here the
-        # full learner axes on a serial matrix = 3×3×2 legs per query.
-        assert summary["learner_runs"] == 2 * 3 * 3 * 2
+        # The full learner axes on a serial matrix: 3 learners × 2
+        # oracle transports × 2 drivers = 3×2×2 legs per query.
+        assert summary["learner_runs"] == 2 * 3 * 2 * 2
         assert summary["backend_checks"] == summary["pairs"] * 2
 
     def test_learner_records_carry_bounds(self):
@@ -126,7 +126,7 @@ class TestCli:
             "--max-objects",
             "1",
             "--matrix",
-            "parallel=serial;backends=bitmask+sql",
+            "parallel=serial;backends=bitmask+dbapi",
             "--parallel",
             "0",
             "--out",
@@ -199,7 +199,7 @@ class TestRelaxedSemanticsGate:
             max_props=1,
             max_objects=1,
             guarantees="both",
-            matrix="parallel=serial;backends=bitmask+sql",
+            matrix="parallel=serial;backends=bitmask+dbapi",
             parallel=0,
         )
         result = run(config, sink)

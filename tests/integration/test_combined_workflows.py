@@ -12,9 +12,8 @@ from repro.core.generators import random_role_preserving
 from repro.core.normalize import canonicalize
 from repro.core.parser import parse_query
 from repro.core.serialize import query_from_json, query_to_json
-from repro.data import QueryEngine
+from repro.data import DbApiBackend, QueryEngine
 from repro.data.chocolate import random_store, storefront_vocabulary
-from repro.data.sql import SqliteEngine
 from repro.interactive.verbalize import verbalize
 from repro.learning import (
     Qhorn1Learner,
@@ -49,10 +48,10 @@ class TestLearnSerializeReviseExecute:
 
         # 4. execute through both engines and agree
         memory = QueryEngine(store, vocab)
-        with SqliteEngine(store, vocab) as db:
-            assert db.execute(revised) == sorted(
+        with DbApiBackend(store, vocab) as db:
+            assert [o.key for o in db.execute(revised)] == [
                 o.key for o in memory.execute(revised)
-            )
+            ]
 
     def test_verbalized_summary_mentions_every_expression(self, rng):
         target = parse_query("∀x1 ∃x2x3", n=4)

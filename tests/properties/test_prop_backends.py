@@ -1,8 +1,8 @@
 """Differential properties: the evaluation backends are answer-identical.
 
 The :class:`~repro.data.backends.EvaluationBackend` contract (DESIGN.md
-§2c) demands that ``bitmask``, ``sharded``, ``sql`` and ``dbapi``
-return exactly the answers of the per-object reference path on identical
+§2c) demands that ``bitmask``, ``sharded`` and ``dbapi`` return
+exactly the answers of the per-object reference path on identical
 state, for every qhorn query.  The SQL leg is the strongest form of the
 check: it evaluates propositions over *real rows* in SQLite while the
 bitmask legs evaluate vocabulary abstractions in-process, so agreement
@@ -38,13 +38,12 @@ from tests.properties.test_prop_engine import (
 def _backends(relation, vocab, rng):
     """One instance of every backend; sharded gets a tiny shard size so
     even 2-object relations span multiple shards.  The dbapi leg runs on
-    its default private shared-memory database, so the pooled/dialect
-    path is differentially pinned alongside ``sql``."""
+    its default private shared-memory database through a two-connection
+    pool, so the pooled/dialect path is differentially pinned."""
     shard_size = rng.randint(1, 3)
     return [
         create_backend("bitmask", relation, vocab),
         create_backend("sharded", relation, vocab, shard_size=shard_size),
-        create_backend("sql", relation, vocab),
         create_backend("dbapi", relation, vocab, pool_size=2),
     ]
 

@@ -46,7 +46,7 @@ class TestExhaustiveConformance:
         assert result.queries == 13
         assert result.stores == 93  # 15 at n=1 + 78 at n=2
         assert result.pairs == 888
-        assert result.learner_runs == 13 * 3 * 3 * 2
+        assert result.learner_runs == 13 * 3 * 2 * 2
         assert result.backend_checks > 0
 
     def test_zero_divergences_with_worker_pool_legs(self):
@@ -56,7 +56,7 @@ class TestExhaustiveConformance:
         config = RunConfig(max_props=1, max_objects=1, parallel=2)
         result = run(config, io.StringIO())
         assert result.ok, [d.detail for d in result.divergences]
-        assert result.learner_runs == 2 * 3 * 3 * 2 * 2  # ×2 parallel axis
+        assert result.learner_runs == 2 * 3 * 2 * 2 * 2  # ×2 parallel axis
 
 
 class TestTheorem31Exhaustive:

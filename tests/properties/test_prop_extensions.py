@@ -73,11 +73,10 @@ def test_expression_learner_matches_membership_learner(target):
 @given(role_preserving_queries(max_n=5), st.integers(0, 2**31 - 1))
 @settings(max_examples=30, deadline=None)
 def test_sql_engine_agrees_with_memory_engine(query, seed):
-    from repro.data import QueryEngine
+    from repro.data import DbApiBackend, QueryEngine
     from repro.data.propositions import BoolIs, Vocabulary
     from repro.data.schema import Attribute, FlatSchema, NestedSchema
     from repro.data.relation import NestedRelation
-    from repro.data.sql import SqliteEngine
 
     n = query.n
     schema = FlatSchema(
@@ -93,7 +92,7 @@ def test_sql_engine_agrees_with_memory_engine(query, seed):
         ]
         relation.add_object(f"o{i}", rows=rows)
     memory = QueryEngine(relation, vocab)
-    with SqliteEngine(relation, vocab) as db:
-        assert db.execute(query) == sorted(
+    with DbApiBackend(relation, vocab) as db:
+        assert [o.key for o in db.execute(query)] == [
             o.key for o in memory.execute(query)
-        )
+        ]

@@ -95,7 +95,7 @@ class TestPoolMetering:
         with SessionStore() as store:
             server = RoundServer(store)
             before = server.stats()
-            oracle = SqlQueryOracle.pooled(parse_query("∃x1"))
+            oracle = SqlQueryOracle(parse_query("∃x1"))
             try:
                 from repro.core.tuples import Question
 

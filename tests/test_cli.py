@@ -76,26 +76,26 @@ class TestParser:
 class TestBackendFlag:
     def test_learn_with_sql_backend(self, capsys):
         assert main(
-            ["learn", "∀x1x2→x3 ∃x4", "--learner", "qhorn1", "--backend", "sql"]
+            ["learn", "∀x1x2→x3 ∃x4", "--learner", "qhorn1", "--backend", "dbapi"]
         ) == 0
         assert "exact: True" in capsys.readouterr().out
 
     def test_learn_backends_ask_identical_questions(self, capsys):
         """The backend choice changes who evaluates, never what is asked."""
         outputs = []
-        for backend in ("bitmask", "sql"):
+        for backend in ("bitmask", "dbapi"):
             assert main(["learn", "∀x1 ∃x2x3", "--backend", backend]) == 0
             outputs.append(capsys.readouterr().out)
         assert outputs[0] == outputs[1]
 
     def test_verify_with_sql_backend(self, capsys):
         assert main(
-            ["verify", "∀x1 ∃x2", "∀x1 ∃x2", "--backend", "sql"]
+            ["verify", "∀x1 ∃x2", "∀x1 ∃x2", "--backend", "dbapi"]
         ) == 0
         assert "verified: True" in capsys.readouterr().out
 
     def test_demo_backend_choices(self, capsys):
-        for backend in ("bitmask", "sharded", "sql"):
+        for backend in ("bitmask", "sharded", "dbapi"):
             assert main(["demo", "--backend", backend]) == 0
             out = capsys.readouterr().out
             assert "matching boxes:" in out
@@ -110,7 +110,7 @@ class TestBackendFlag:
             build_parser().parse_args(["--help"])
         out = capsys.readouterr().out
         assert "evaluation backends (--backend):" in out
-        for name in ("bitmask", "sharded", "sql", "dbapi"):
+        for name in ("bitmask", "sharded", "dbapi"):
             assert name in out
         assert "--backend-opt" in out
         assert "third-party backends" in out
@@ -124,12 +124,22 @@ class TestBackendFlag:
         args = parser.parse_args(["learn", "∃x1", "--backend", "dbapi"])
         assert args.backend == "dbapi"
         oracle_names = set(REGISTRY.names_with(supports_oracle=True))
-        assert {"bitmask", "sql", "dbapi"} <= oracle_names
+        assert {"bitmask", "dbapi"} <= oracle_names
         with pytest.raises(SystemExit):
             parser.parse_args(["learn", "∃x1", "--backend", "sharded"])
         parser.parse_args(["demo", "--backend", "sharded"])
         with pytest.raises(SystemExit):
             parser.parse_args(["demo", "--backend", "numpy"])
+
+    def test_sql_backend_is_gone(self, capsys):
+        """dbapi is the one SQL path; ``--backend sql`` is an argparse
+        error on every subcommand."""
+        parser = build_parser()
+        for command in (["learn", "∃x1"], ["verify", "∃x1", "∃x1"], ["demo"]):
+            with pytest.raises(SystemExit):
+                parser.parse_args(command + ["--backend", "sql"])
+            err = capsys.readouterr().err
+            assert "invalid choice" in err and "sql" in err
 
 
 class TestBackendOptions:
@@ -179,6 +189,16 @@ class TestBackendOptions:
              "--backend-opt", "uri=file:/nope.db"]
         ) == 2
         assert "backend" in capsys.readouterr().err
+
+    def test_private_in_memory_uri_exits_two(self, capsys):
+        # Every pooled connection would see its own empty database.
+        assert main(
+            ["learn", "∃x1", "--backend", "dbapi",
+             "--backend-opt", "uri=:memory:"]
+        ) == 2
+        captured = capsys.readouterr()
+        assert "omit uri" in captured.err
+        assert captured.out == ""
 
     def test_typed_coercion_reaches_backend(self, capsys):
         # pool_size must arrive as an int for range checks to work.
@@ -237,7 +257,7 @@ class TestParallelFlag:
 
     def test_learn_parallel_sql_backend(self, capsys):
         assert main(
-            ["learn", "∃x1x2", "--backend", "sql", "--parallel", "2"]
+            ["learn", "∃x1x2", "--backend", "dbapi", "--parallel", "2"]
         ) == 0
         assert "exact: True" in capsys.readouterr().out
 
@@ -250,7 +270,7 @@ class TestParallelFlag:
     def test_demo_parallel_rejects_conflicting_backend(self, capsys):
         """The silent backend="sharded" override of an explicitly passed
         --backend is now an explicit error (DESIGN.md §2i)."""
-        for backend in ("sql", "bitmask", "dbapi"):
+        for backend in ("bitmask", "dbapi"):
             assert main(
                 ["demo", "--backend", backend, "--parallel", "2"]
             ) == 2

@@ -570,7 +570,7 @@ class TestSqlQueryOraclePooled:
             Question.of(3, [rng.randrange(8) for _ in range(rng.randint(0, 3))])
             for _ in range(40)
         ]
-        oracle = SqlQueryOracle.pooled(target, pool_size=2)
+        oracle = SqlQueryOracle(target, pool_size=2)
         try:
             assert oracle.ask_many(questions) == QueryOracle(target).ask_many(
                 questions
@@ -582,7 +582,7 @@ class TestSqlQueryOraclePooled:
     def test_pooled_close_closes_owned_pool(self):
         from repro.oracle import SqlQueryOracle
 
-        oracle = SqlQueryOracle.pooled(parse_query("∃x1"))
+        oracle = SqlQueryOracle(parse_query("∃x1"))
         pool = oracle.pool
         oracle.close()
         with pytest.raises(RuntimeError):
@@ -591,18 +591,28 @@ class TestSqlQueryOraclePooled:
     def test_pool_conflicts_with_uri(self):
         from repro.data.backends.dbapi import (
             PooledConnectionSource,
+            memory_uri,
             sqlite_connector,
         )
         from repro.oracle import SqlQueryOracle
 
-        pool = PooledConnectionSource(sqlite_connector(":memory:"))
+        pool = PooledConnectionSource(sqlite_connector(memory_uri("test")))
         try:
             with pytest.raises(ValueError, match="pool="):
                 SqlQueryOracle(
-                    parse_query("∃x1"), uri="file:x?mode=memory", pool=pool
+                    parse_query("∃x1"), uri=memory_uri("test"), pool=pool
                 )
         finally:
             pool.close()
+
+    def test_private_in_memory_uri_rejected(self):
+        """The oracle's own pool has the dbapi backend's trap: a private
+        in-memory database per connection.  The connector refuses it."""
+        from repro.oracle import SqlQueryOracle
+
+        for uri in (":memory:", "file::memory:"):
+            with pytest.raises(ValueError, match="omit uri"):
+                SqlQueryOracle(parse_query("∃x1"), uri=uri)
 
     def test_for_backend_shares_pool_and_coexists(self):
         """The §2j integration: oracle batches and relation evaluation
@@ -640,7 +650,7 @@ class TestSqlQueryOraclePooled:
 
         from repro.oracle import SqlQueryOracle
 
-        oracle = SqlQueryOracle.pooled(parse_query("∃x1x2"))
+        oracle = SqlQueryOracle(parse_query("∃x1x2"))
         try:
             calls = []
 
@@ -650,7 +660,8 @@ class TestSqlQueryOraclePooled:
                     raise _sqlite3.OperationalError("synthetic stale handle")
                 return "answered"
 
-            assert oracle._run(work) == "answered"
+            retry_on = (_sqlite3.OperationalError,)
+            assert oracle.pool.run(work, retry_on) == "answered"
             assert len(calls) == 2
             assert calls[1] is not calls[0]
             assert oracle.pool.stale_retries == 1
