@@ -35,7 +35,7 @@ from __future__ import annotations
 import time
 
 from repro.analysis import render_table
-from repro.data import create_backend
+from repro.data import REGISTRY
 from repro.data.chocolate import intro_query
 
 SEED_STORE_BOXES = 400  # the seed E21 benchmark store size
@@ -97,7 +97,7 @@ def test_e23_backend_scaling(
                 options = dict(
                     options, uri=f"file:{tmp_path}/e23-{size}.sqlite"
                 )
-            backend = create_backend(
+            backend = REGISTRY.create(
                 name, store, storefront_vocab, **options
             )
             build_ms, label_ms, labels = _measure(backend, engine_workload)

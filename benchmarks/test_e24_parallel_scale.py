@@ -36,7 +36,7 @@ import os
 import time
 
 from repro.analysis import render_table
-from repro.data import create_backend
+from repro.data import REGISTRY
 from repro.data.chocolate import intro_query
 
 SIZE = 40000
@@ -70,7 +70,7 @@ def test_e24_parallel_scaling(
     store = store_factory(SIZE)
     cpus = os.cpu_count() or 1
 
-    serial = create_backend("sharded", store, storefront_vocab)
+    serial = REGISTRY.create("sharded", store, storefront_vocab)
     t0 = time.perf_counter()
     serial.refresh(force=True)
     build_ms = (time.perf_counter() - t0) * 1000
@@ -80,7 +80,7 @@ def test_e24_parallel_scaling(
     gated_speedup = None
     last_backend = None
     for workers in WORKER_COUNTS:
-        backend = create_backend(
+        backend = REGISTRY.create(
             "sharded", store, storefront_vocab, processes=workers
         )
         t0 = time.perf_counter()
@@ -226,7 +226,7 @@ def _continuous_store(count, seed):
 def _time_to_first_answer(store, vocab, ingest, query):
     """Cold build with a fresh pool: refresh (coordinator-side work) plus
     the first evaluation (fork + ship + worker-side work), in ms."""
-    backend = create_backend(
+    backend = REGISTRY.create(
         "sharded", store, vocab, processes=GATE_WORKERS, ingest=ingest
     )
     try:
@@ -264,7 +264,7 @@ def test_e24_parallel_ingest_build(report, trend):
     query = QhornQuery.build(
         vocab.n, universals=[((0,), 2), ((1, 3), 6)], existentials=[(4, 7)]
     ).compile()
-    reference = create_backend("sharded", store, vocab).matching_bits(query)
+    reference = REGISTRY.create("sharded", store, vocab).matching_bits(query)
 
     totals: dict[str, float] = {}
     rows = []

@@ -8,7 +8,7 @@ the process-wide :data:`~repro.data.backends.REGISTRY` (decorator shown
 here; installed packages use a ``repro.backends`` entry point, ad-hoc
 code the ``REPRO_BACKENDS`` environment variable), and immediately works
 everywhere a backend name is accepted — ``QueryEngine(backend=...)``,
-``create_backend``, the CLI ``--backend`` choices, and the pytest
+``REGISTRY.create``, the CLI ``--backend`` choices, and the pytest
 ``--backend`` fixture.
 
 The toy backend below memoizes full-relation answer bitmasks per query —
@@ -28,7 +28,7 @@ To load the same class without importing this file yourself::
 import random
 
 from repro.core import tuples as bt
-from repro.data import QueryEngine, create_backend
+from repro.data import QueryEngine
 from repro.data.backends import REGISTRY
 from repro.data.backends.base import check_width
 from repro.data.chocolate import (
@@ -112,7 +112,7 @@ def main():
     print("memo capabilities:  ", REGISTRY.capabilities("memo"))
 
     # The plugin is a first-class citizen of every construction seam.
-    backend = create_backend("memo", store, vocab)
+    backend = REGISTRY.create("memo", store, vocab)
     engine = QueryEngine(store, vocab, backend="memo")
     reference = QueryEngine(store, vocab)  # default bitmask backend
 

@@ -38,7 +38,6 @@ from repro.data import (
     PooledConnectionSource,
     QueryEngine,
     SqlDialect,
-    create_backend,
     get_dialect,
     parse_backend_opts,
 )
@@ -80,7 +79,6 @@ __all__ = [
     "QueryEngine",
     "REGISTRY",
     "SqlDialect",
-    "create_backend",
     "get_dialect",
     "parse_backend_opts",
     "ExistentialConjunction",

@@ -89,17 +89,9 @@ process parallelism (--parallel N, DESIGN.md §2d):
   N=0 uses every core (os.cpu_count()).  Parallelism pays on multi-core
   machines with large batches/relations; small runs are faster without it.
 
-remote sessions (learn --serve-stdio, DESIGN.md §2e):
-  the learner runs sans-io and speaks newline-delimited JSON on stdio:
-  one {"type":"round",...} line per question batch out, one
-  {"type":"answers",...} line in; {"type":"snapshot"} parks the session
-  as a replay log that `--resume FILE` restores later at the exact same
-  round.  Pipe it to a subprocess, an ssh session or a websocket bridge
-  to serve a remote user without blocking a thread per session.
-
 multi-session server (repro serve, DESIGN.md §2f):
   an asyncio TCP server multiplexing many concurrent dialogues in one
-  event loop, speaking the stdio wire framed with a session id:
+  event loop, speaking newline-delimited JSON framed with a session id:
   {"type":"open","n":N,"learner":"qhorn1"} starts a dialogue,
   {"type":"answers","session":ID,...} answers its pending round,
   {"type":"reconnect","session":ID} resumes a parked one.  Every round
@@ -110,15 +102,25 @@ multi-session server (repro serve, DESIGN.md §2f):
   prints one {"type":"listening","port":P} line on startup (--port 0
   picks an ephemeral port) and exits cleanly on SIGINT/SIGTERM.
 
+remote sessions (repro serve --stdio, DESIGN.md §2e):
+  the same server and wire over one connection on stdin/stdout instead
+  of a TCP port: no listening line, one {"type":"round",...} line out
+  per question batch, one {"type":"answers",...} line in.  Closing stdin
+  parks every open dialogue in --store and exits; a later
+  `repro serve --stdio` on the same store continues one with
+  {"type":"reconnect","session":ID} at the exact same round.  Pipe it to
+  a subprocess, an ssh session or a websocket bridge to serve a remote
+  user without a listening socket.
+
 multi-process fleet (repro serve --workers N, DESIGN.md §2h):
   N worker processes each run their own RoundServer event loop on the
-  same host:port via SO_REUSEPORT (platforms without it get a shard
-  router keyed on session id), with the file-backed --store as the only
-  shared state (WAL mode, per-worker connections).  A reconnect landing
-  on a different worker rebuilds the parked session from the store; a
-  session still live on another running worker is a recoverable error
-  (ownership claim tokens), and sessions owned by a killed worker are
-  stolen and resumed.  N=0 uses every core.  SIGTERM fans out to every
+  same host:port via SO_REUSEPORT (required: without it there is no
+  fleet), with the file-backed --store as the only shared state (WAL
+  mode, per-worker connections).  A reconnect landing on a different
+  worker rebuilds the parked session from the store; a session still
+  live on another running worker is a recoverable error (ownership
+  claim tokens), and sessions owned by a killed worker are stolen and
+  resumed.  N=0 uses every core.  SIGTERM fans out to every
   worker and joins them; the shutdown line merges all worker counters.
   `repro serve --stats --store FILE` prints the merged counters of the
   last fleet on that store and exits.  Counters include the DB-API
@@ -287,13 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
 
     learn = sub.add_parser("learn", help="learn a target query by example")
-    learn.add_argument(
-        "target",
-        nargs="?",
-        default=None,
-        help="query shorthand, e.g. '∀x1 ∃x2x3' (omit with --serve-stdio: "
-        "the remote user is the oracle)",
-    )
+    learn.add_argument("target", help="query shorthand, e.g. '∀x1 ∃x2x3'")
     learn.add_argument("--n", type=int, default=None)
     learn.add_argument(
         "--learner",
@@ -301,20 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="role-preserving",
     )
     learn.add_argument("--json", action="store_true", help="emit JSON")
-    learn.add_argument(
-        "--serve-stdio",
-        action="store_true",
-        help="serve the learner's question rounds as JSON lines on stdout "
-        "and read answer lines from stdin (see the serve guide at the "
-        "bottom of `repro --help`); requires --n, ignores the target",
-    )
-    learn.add_argument(
-        "--resume",
-        metavar="SNAPSHOT",
-        default=None,
-        help="with --serve-stdio: resume a parked session from a snapshot "
-        "JSON file written by an earlier {\"type\": \"snapshot\"} exchange",
-    )
     add_backend_flag(learn, oracle_only=True)
     add_parallel_flag(learn)
 
@@ -353,6 +335,13 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=0,
         help="TCP port (0 = pick an ephemeral port and print it)",
+    )
+    serve.add_argument(
+        "--stdio",
+        action="store_true",
+        help="serve one connection on stdin/stdout (pipes, sockets or a "
+        "terminal) instead of a TCP port, until stdin closes (see the "
+        "remote-sessions guide at the bottom of `repro --help`)",
     )
     serve.add_argument(
         "--store",
@@ -458,49 +447,7 @@ def _target_oracle(
     return QueryOracle(target), None
 
 
-def _n_for(*queries, explicit: int | None) -> int | None:
-    return explicit
-
-
-def _cmd_serve_stdio(args) -> int:
-    """Round-per-line JSON session over stdio (DESIGN.md §2e).
-
-    The learner runs sans-io inside a resumable
-    :class:`~repro.interactive.session.LearningSession`; whoever is on the
-    other side of the pipe answers the rounds.
-    """
-    from repro.interactive.session import LearningSession, SessionSnapshot
-    from repro.protocol.stdio import serve_stdio
-
-    if args.n is None:
-        print(
-            "repro learn --serve-stdio: --n is required (the remote user "
-            "answers; nothing else fixes the variable count)",
-            file=sys.stderr,
-        )
-        return 2
-    learner_cls = (
-        Qhorn1Learner if args.learner == "qhorn1" else RolePreservingLearner
-    )
-    session = LearningSession(lambda oracle: learner_cls(oracle), n=args.n)
-    resume = None
-    if args.resume is not None:
-        import json
-
-        with open(args.resume, encoding="utf-8") as fh:
-            resume = SessionSnapshot.from_dict(json.load(fh))
-    return serve_stdio(session, sys.stdin, sys.stdout, resume=resume)
-
-
 def _cmd_learn(args) -> int:
-    if args.serve_stdio:
-        return _cmd_serve_stdio(args)
-    if args.target is None:
-        print(
-            "repro learn: a target query is required (or --serve-stdio)",
-            file=sys.stderr,
-        )
-        return 2
     target = parse_query(args.target, n=args.n)
     options = _backend_opts(args, "learn")
     if options is None:
@@ -685,7 +632,8 @@ def _cmd_demo(args) -> int:
 
 def _cmd_serve(args) -> int:
     """Multi-session round server (DESIGN.md §2f), single-process by
-    default; ``--workers N`` serves from an N-process fleet (§2h)."""
+    default; ``--stdio`` serves one connection on stdin/stdout (§2e),
+    ``--workers N`` serves from an N-process fleet (§2h)."""
     import asyncio
     import json
     import signal
@@ -703,6 +651,13 @@ def _cmd_serve(args) -> int:
         with SessionStore(args.store) as store:
             print(json.dumps(store.fleet_stats()))
         return 0
+    if args.stdio and (args.workers != 1 or args.idle_timeout is not None):
+        print(
+            "repro serve: --stdio serves one connection from one process "
+            "and takes no --workers or --idle-timeout",
+            file=sys.stderr,
+        )
+        return 2
     if args.workers != 1:
         return _cmd_serve_fleet(args)
 
@@ -713,27 +668,31 @@ def _cmd_serve(args) -> int:
             max_outbox=args.max_outbox,
             idle_timeout=args.idle_timeout,
         )
-        await server.start(args.host, args.port)
-        print(
-            json.dumps(
-                {
-                    "type": "listening",
-                    "host": args.host,
-                    "port": server.port,
-                    "store": args.store,
-                }
-            ),
-            flush=True,
-        )
         stop = asyncio.Event()
-        loop = asyncio.get_running_loop()
-        for signum in (signal.SIGINT, signal.SIGTERM):
-            try:
-                loop.add_signal_handler(signum, stop.set)
-            except NotImplementedError:  # pragma: no cover - non-unix
-                pass
+        if not args.stdio:
+            await server.start(args.host, args.port)
+            print(
+                json.dumps(
+                    {
+                        "type": "listening",
+                        "host": args.host,
+                        "port": server.port,
+                        "store": args.store,
+                    }
+                ),
+                flush=True,
+            )
+            loop = asyncio.get_running_loop()
+            for signum in (signal.SIGINT, signal.SIGTERM):
+                try:
+                    loop.add_signal_handler(signum, stop.set)
+                except NotImplementedError:  # pragma: no cover - non-unix
+                    pass
         try:
-            await stop.wait()
+            if args.stdio:
+                await server.serve_stdio(sys.stdin, sys.stdout)
+            else:
+                await stop.wait()
         finally:
             await server.close()
             stats = server.stats()

@@ -15,7 +15,6 @@ from repro.data.backends import (
     PooledConnectionSource,
     ShardedBitmaskBackend,
     coerce_option,
-    create_backend,
     parse_backend_opts,
 )
 from repro.data.engine import ExampleFactory, ExpressionReport, QueryEngine
@@ -71,7 +70,6 @@ __all__ = [
     "ShardedBitmaskBackend",
     "SqlDialect",
     "coerce_option",
-    "create_backend",
     "get_dialect",
     "parse_backend_opts",
     "RelationGenerator",

@@ -21,7 +21,7 @@ environment variable without editing this package.  ``bitmask`` and
 ``sharded`` both evaluate through the one bitmask kernel,
 :class:`~repro.data.index.BitsetKernel` (DESIGN.md §2g).
 
-``create_backend(name, relation, vocabulary, **options)`` is the single
+``REGISTRY.create(name, relation, vocabulary, **options)`` is the single
 construction seam the engine, CLI and experiments go through.
 """
 
@@ -42,8 +42,6 @@ from repro.data.backends.sharded import (
     DEFAULT_SHARD_SIZE,
     ShardedBitmaskBackend,
 )
-from repro.data.propositions import Vocabulary
-from repro.data.relation import NestedRelation
 
 __all__ = [
     "REGISTRY",
@@ -58,7 +56,6 @@ __all__ = [
     "ShardedBitmaskBackend",
     "check_width",
     "coerce_option",
-    "create_backend",
     "parse_backend_opts",
 ]
 
@@ -74,26 +71,3 @@ REGISTRY.register(
 REGISTRY.register(
     DbApiBackend.name, DbApiBackend, supports_sql=True, supports_oracle=True
 )
-
-
-def create_backend(
-    name: str,
-    relation: NestedRelation,
-    vocabulary: Vocabulary,
-    **options,
-) -> EvaluationBackend:
-    """Construct a registered backend by name.
-
-    ``options`` are forwarded to the backend constructor (``shard_size``,
-    ``executor``, ``processes`` and ``pool`` for ``sharded``, ``uri``,
-    ``dialect`` and ``pool_size`` for ``dbapi``, ``auto_refresh`` for
-    all).  ``processes`` makes the sharded backend own a persistent
-    :class:`~repro.parallel.ShardWorkerPool` (DESIGN.md §2d); callers
-    should ``close()`` the backend (or use it as a context manager) when
-    done, though an :mod:`atexit` guard covers forgotten pools.
-
-    Unknown names raise ``ValueError`` listing every registered and
-    discoverable-but-unloaded backend, sorted, with a did-you-mean
-    suggestion for near misses.
-    """
-    return REGISTRY.create(name, relation, vocabulary, **options)

@@ -21,8 +21,8 @@ marks backends that can answer membership questions for ``learn``/
 ``verify``, ``supports_parallel`` marks the worker-pool layout behind
 ``--parallel``, ``supports_sql`` marks the dialect-driven SQL backend —
 instead of hard-coding name literals per subcommand.
-``create_backend(name, ...)`` in :mod:`repro.data.backends` is the
-construction seam over this registry.
+``REGISTRY.create(name, relation, vocabulary, **options)`` is the one
+construction seam.
 """
 
 from __future__ import annotations
@@ -360,11 +360,14 @@ class BackendRegistry:
         )
 
     def create(self, name: str, *args: Any, **options: Any):
-        """Construct a registered backend by name (the v2 seam)."""
+        """Construct a registered backend by name: ``args`` are the
+        relation and vocabulary, ``options`` go to its constructor.
+        Unknown names raise ``ValueError`` listing every known backend,
+        sorted, with a did-you-mean suggestion."""
         return self.get(name)(*args, **options)
 
 
-#: The process-wide registry ``create_backend`` delegates to.
+#: The process-wide backend registry.
 REGISTRY = BackendRegistry()
 
 

@@ -26,12 +26,7 @@ from typing import Any, Iterable
 
 from repro.core.query import QhornQuery
 from repro.core.tuples import Question
-from repro.data.backends import (
-    REGISTRY,
-    BitmaskBackend,
-    EvaluationBackend,
-    create_backend,
-)
+from repro.data.backends import REGISTRY, BitmaskBackend, EvaluationBackend
 from repro.data.backends.base import check_width
 from repro.data.index import RelationIndex
 from repro.data.propositions import Vocabulary
@@ -97,7 +92,7 @@ class QueryEngine:
     def backend(self) -> EvaluationBackend:
         """The engine's evaluation backend, built on first access."""
         if self._backend is None:
-            self._backend = create_backend(
+            self._backend = REGISTRY.create(
                 self._backend_spec,
                 self.relation,
                 self.vocabulary,

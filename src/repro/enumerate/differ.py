@@ -494,13 +494,13 @@ def reference_labels(
 def _build_backend(
     leg: str, relation: Any, vocabulary: Any, pool: Any
 ) -> Any:
-    from repro.data.backends import create_backend
+    from repro.data.backends import REGISTRY
 
     name, options = BACKEND_LEGS[leg]
     options = dict(options)
     if leg == "sharded-pool":
         options["pool"] = pool
-    return create_backend(name, relation, vocabulary, **options)
+    return REGISTRY.create(name, relation, vocabulary, **options)
 
 
 def check_backends(

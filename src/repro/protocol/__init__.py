@@ -6,8 +6,8 @@
 * :mod:`repro.protocol.drivers` — the synchronous pull driver,
   bit-identical to the historical inline oracle calls.
 * :mod:`repro.protocol.aio` — the asyncio driver for remote answerers.
-* :mod:`repro.protocol.stdio` — a round-per-line JSON wire format and the
-  ``repro learn --serve-stdio`` server loop.
+* :mod:`repro.protocol.wire` — question payloads and answer batches as
+  JSON data; :mod:`repro.server` serves rounds with them.
 """
 
 from repro.protocol.aio import AsyncDriver, answer_round_async, async_drive

@@ -2,7 +2,7 @@
 
 Rounds carry either membership :class:`~repro.core.tuples.Question`
 objects or :class:`~repro.oracle.expression.ExpressionQuestion` payloads
-(DESIGN.md §2e); snapshots and the stdio wire must round-trip both.
+(DESIGN.md §2e); snapshots and the server wire must round-trip both.
 Membership questions keep the paper-style tuple-string form of
 :func:`~repro.core.serialize.question_to_dict`; expression questions are
 tagged by their ``kind`` key, which no membership dict has.

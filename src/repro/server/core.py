@@ -1,16 +1,14 @@
-"""Multi-session asyncio round server (DESIGN.md §2f).
+"""Multi-session asyncio round server (DESIGN.md §2e, §2f).
 
-``repro learn --serve-stdio`` holds exactly one dialogue per process;
-this module is the production form the ROADMAP's "millions of users"
-item asks for: one event loop multiplexing many concurrent learning
-dialogues, each a step-driven
-:class:`~repro.interactive.session.LearningSession` parked between
-answers, persisted to a :class:`~repro.server.store.SessionStore` on
-every round boundary so dialogues survive disconnects, idle eviction and
-full server restarts.
+One event loop multiplexes many concurrent learning dialogues, each a
+step-driven :class:`~repro.interactive.session.LearningSession` parked
+between answers, persisted to a :class:`~repro.server.store.SessionStore`
+on every round boundary so dialogues survive disconnects, idle eviction
+and full server restarts.
 
-The wire is the stdio format framed with a session id — newline-delimited
-JSON, one message per line:
+The wire is newline-delimited JSON framed with a session id, one message
+per line, over a TCP connection (``repro serve``) or a stdin/stdout pipe
+pair (``repro serve --stdio``, :meth:`RoundServer.serve_stdio`):
 
 client → server
     ``{"type": "open", "n": N, "learner": "qhorn1"}``
@@ -78,11 +76,11 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping
 
+from repro.core.serialize import query_to_dict
 from repro.interactive.session import LearningSession
 from repro.learning import Qhorn1Learner, RolePreservingLearner
 from repro.protocol.core import Finished, ProtocolError, Round
-from repro.protocol.stdio import finished_to_dict, round_to_dict
-from repro.protocol.wire import decode_answers
+from repro.protocol.wire import decode_answers, payload_to_dict
 from repro.server.store import (
     ACTIVE,
     FINISHED,
@@ -109,6 +107,30 @@ WARM_SESSIONS = 1024
 #: Longest inbound line in bytes.  A longer one gets an error reply and
 #: the connection closes (the rest of the line cannot be resynchronised).
 MAX_LINE_BYTES = 1 << 16
+
+
+def round_to_dict(round_: Round, index: int) -> dict[str, Any]:
+    """The wire form of one round (membership or expression questions)."""
+    return {
+        "type": "round",
+        "index": index,
+        "batched": round_.batched,
+        "questions": [payload_to_dict(q) for q in round_.questions],
+    }
+
+
+def finished_to_dict(session: LearningSession, rounds: int) -> dict[str, Any]:
+    """The wire form of the terminal summary, before session framing and
+    metering."""
+    result = session.result
+    return {
+        "type": "finished",
+        "query": result.query.shorthand(),
+        "query_json": query_to_dict(result.query),
+        "questions": result.questions_asked,
+        "rounds": rounds,
+        "restarts": result.restarts,
+    }
 
 
 def _now() -> float:
@@ -234,6 +256,28 @@ class RoundServer:
             raise RuntimeError("server not started")
         return self._server.sockets[0].getsockname()[1]
 
+    async def serve_stdio(self, stdin, stdout) -> None:
+        """Serve one connection over ``stdin``/``stdout`` (pipes, sockets
+        or a terminal; ``repro serve --stdio``): the TCP wire, line limit
+        included, without the idle evictor.  Returns when the client
+        closes ``stdin``; the caller still owns :meth:`close`."""
+        loop = asyncio.get_running_loop()
+        reader = asyncio.StreamReader(limit=MAX_LINE_BYTES)
+        source, _ = await loop.connect_read_pipe(
+            lambda: asyncio.StreamReaderProtocol(reader), stdin
+        )
+        try:
+            # The protocol gives the writer flow control and a close
+            # waiter.
+            sink, protocol = await loop.connect_write_pipe(
+                lambda: asyncio.StreamReaderProtocol(asyncio.StreamReader()),
+                stdout,
+            )
+            writer = asyncio.StreamWriter(sink, protocol, None, loop)
+            await self._handle_connection(reader, writer)
+        finally:
+            source.close()
+
     async def close(self) -> None:
         """Stop accepting, drop connections, keep every session parked
         in the store (that is the durability story, not a data loss).
@@ -244,10 +288,7 @@ class RoundServer:
         """
         if self._evictor is not None:
             self._evictor.cancel()
-            try:
-                await self._evictor
-            except asyncio.CancelledError:
-                pass
+            await asyncio.gather(self._evictor, return_exceptions=True)
             self._evictor = None
         if self._server is not None:
             self._server.close()
@@ -258,7 +299,7 @@ class RoundServer:
         if self._connections:
             await asyncio.gather(*self._connections, return_exceptions=True)
         for session_id in self._sessions:
-            self.store.release(session_id, self._claim_token)
+            self._release(session_id)
         self._sessions.clear()
         self._warm.clear()
         self.store.save_worker_stats(self.worker_id, self.stats())
@@ -304,7 +345,7 @@ class RoundServer:
         for session_id, live in list(self._sessions.items()):
             if now - live.last_used >= max_idle:
                 del self._sessions[session_id]
-                self.store.release(session_id, self._claim_token)
+                self._release(session_id)
                 evicted += 1
         for session_id, warm in list(self._warm.items()):
             if now - warm.last_used >= max_idle:
@@ -595,11 +636,16 @@ class RoundServer:
             self.store.save(record)
         except sqlite3.Error:
             self._sessions.pop(live.session_id, None)
-            try:
-                self.store.release(live.session_id, self._claim_token)
-            except sqlite3.Error:
-                pass  # the claim is ours; our next rebuild reclaims it
+            self._release(live.session_id)
             raise
+
+    def _release(self, session_id: str) -> None:
+        """Release our claim on a session that left memory, where the
+        store lets us."""
+        try:
+            self.store.release(session_id, self._claim_token)
+        except sqlite3.Error:
+            pass  # the claim is ours; our next rebuild reclaims it
 
     def _emit_event(
         self, live: _LiveSession, event: Round | Finished, fresh_round: bool

@@ -171,7 +171,7 @@ async def simulate_user(
     transcript.  With ``hop_every=k`` the user parks (quit) after every
     ``k`` answered rounds and reconnects on a brand-new connection —
     against a fleet, that connection lands on whichever worker the
-    kernel (or the shard router) picks, so the dialogue hops workers.
+    kernel picks, so the dialogue hops workers.
     The quit's ``closed`` reply is awaited before reconnecting: the park
     releases the session's ownership claim, so the next worker's rebuild
     is guaranteed to find it released.  ``think_time`` sleeps before

@@ -9,15 +9,10 @@ shared state.  A reconnect that lands on a different worker rebuilds the
 parked session from the store exactly the way a post-restart reconnect
 does (``_require_session``), guarded by the store's claim tokens: a
 session live on another running worker is rejected with a recoverable
-error, one owned by a killed worker is stolen and resumed.
-
-On platforms without ``SO_REUSEPORT`` (and for explicit testing) the
-fleet falls back to a :class:`ShardRouter`: each worker listens on its
-own ephemeral port, and a tiny asyncio splice proxy on the public port
-routes each incoming connection by the first message's session id
-(stable hashing, so a reconnect reaches the worker that most recently
-served that session) or round-robin for ``open``.  Either way the store
-handoff — not the routing — is what makes hops correct.
+error, one owned by a killed worker is stolen and resumed.  The store
+handoff, not the kernel's choice of worker, is what makes hops correct.
+A platform without ``SO_REUSEPORT`` gets no fleet: the constructor
+raises, and one process serves.
 
 Lifecycle: ``start()`` blocks until every worker reports listening;
 ``stop()`` fans SIGTERM out, joins every worker, and returns the
@@ -34,13 +29,11 @@ import os
 import signal
 import socket
 import sys
-import threading
-import zlib
 from pathlib import Path
 
 from repro.server.store import SessionStore
 
-__all__ = ["ServerFleet", "ShardRouter", "default_workers"]
+__all__ = ["ServerFleet", "default_workers"]
 
 #: Seconds start() waits for every worker's "listening" handshake.
 START_TIMEOUT = 30.0
@@ -49,10 +42,6 @@ START_TIMEOUT = 30.0
 def default_workers() -> int:
     """Fleet size for ``--workers 0``: one worker per core."""
     return os.cpu_count() or 1
-
-
-def reuse_port_supported() -> bool:
-    return hasattr(socket, "SO_REUSEPORT")
 
 
 # ----------------------------------------------------------------------
@@ -71,7 +60,6 @@ def _worker_main(
     store_path: str,
     host: str,
     port: int,
-    reuse_port: bool,
     max_outbox: int,
     idle_timeout: float | None,
     ready,
@@ -85,7 +73,6 @@ def _worker_main(
                 store_path,
                 host,
                 port,
-                reuse_port,
                 max_outbox,
                 idle_timeout,
                 ready,
@@ -100,7 +87,6 @@ async def _worker_serve(
     store_path: str,
     host: str,
     port: int,
-    reuse_port: bool,
     max_outbox: int,
     idle_timeout: float | None,
     ready,
@@ -117,7 +103,7 @@ async def _worker_serve(
         worker_id=f"w{index}",
     )
     try:
-        await server.start(host, port, reuse_port=reuse_port)
+        await server.start(host, port, reuse_port=True)
     except Exception as error:
         ready.put(("error", index, f"{type(error).__name__}: {error}"))
         store.close()
@@ -129,187 +115,12 @@ async def _worker_serve(
             loop.add_signal_handler(signum, stop.set)
         except NotImplementedError:  # pragma: no cover - non-unix
             signal.signal(signum, lambda *_: stop.set())
-    ready.put(("listening", index, server.port))
+    ready.put(("listening", index, None))
     try:
         await stop.wait()
     finally:
         await server.close()  # releases claims, persists worker stats
         store.close()
-
-
-# ----------------------------------------------------------------------
-# Shard-router fallback
-# ----------------------------------------------------------------------
-
-
-class ShardRouter:
-    """Asyncio splice proxy routing connections to fleet workers.
-
-    The routing key is the first message of each connection: a message
-    naming a ``"session"`` hashes that id onto a stable backend (so the
-    reconnects of one dialogue keep landing on one worker while it is
-    live there), anything else — an ``open`` — goes round-robin.  After
-    the first line the proxy splices raw bytes both ways.  A backend
-    that refuses the connection (e.g. a killed worker) falls through to
-    the next alive one: correctness never depends on the routing choice,
-    only on the store's claim handoff.
-    """
-
-    def __init__(self, backends: list[tuple[str, int]]) -> None:
-        if not backends:
-            raise ValueError("ShardRouter needs at least one backend")
-        self.backends = list(backends)
-        self._next = 0
-        self._server = None
-        self.connections_routed = 0
-
-    def pick(self, first_message: object) -> int:
-        """Backend index for a connection opening with this message."""
-        if isinstance(first_message, dict):
-            session_id = first_message.get("session")
-            if isinstance(session_id, str):
-                return zlib.crc32(session_id.encode()) % len(self.backends)
-        choice = self._next % len(self.backends)
-        self._next += 1
-        return choice
-
-    async def start(self, host: str, port: int = 0) -> None:
-        import asyncio
-
-        self._server = await asyncio.start_server(self._handle, host, port)
-
-    @property
-    def port(self) -> int:
-        if self._server is None:
-            raise RuntimeError("router not started")
-        return self._server.sockets[0].getsockname()[1]
-
-    async def close(self) -> None:
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-
-    async def _connect_backend(self, preferred: int):
-        """The preferred backend, or the next one that accepts."""
-        import asyncio
-
-        count = len(self.backends)
-        last_error: Exception | None = None
-        for offset in range(count):
-            backend_host, backend_port = self.backends[
-                (preferred + offset) % count
-            ]
-            try:
-                return await asyncio.open_connection(
-                    backend_host, backend_port
-                )
-            except OSError as error:
-                last_error = error
-        raise last_error or OSError("no backend accepted the connection")
-
-    async def _handle(self, reader, writer) -> None:
-        import asyncio
-
-        upstream_writer = None
-        try:
-            first = await reader.readline()
-            if not first:
-                return
-            try:
-                message = json.loads(first)
-            except json.JSONDecodeError:
-                message = None  # still routed; the worker answers the error
-            upstream_reader, upstream_writer = await self._connect_backend(
-                self.pick(message)
-            )
-            self.connections_routed += 1
-            upstream_writer.write(first)
-            await upstream_writer.drain()
-            await asyncio.gather(
-                _splice(reader, upstream_writer),
-                _splice(upstream_reader, writer),
-            )
-        except (ConnectionError, OSError, asyncio.CancelledError):
-            pass
-        finally:
-            for w in (writer, upstream_writer):
-                if w is None:
-                    continue
-                w.close()
-                try:
-                    await w.wait_closed()
-                except (ConnectionError, OSError):
-                    pass
-
-
-async def _splice(reader, writer) -> None:
-    """Pump bytes one way until EOF; half-close so quits propagate."""
-    try:
-        while True:
-            chunk = await reader.read(65536)
-            if not chunk:
-                break
-            writer.write(chunk)
-            await writer.drain()
-    except (ConnectionError, OSError):
-        pass
-    finally:
-        try:
-            if writer.can_write_eof():
-                writer.write_eof()
-        except (ConnectionError, OSError, RuntimeError):
-            pass
-
-
-class _RouterThread(threading.Thread):
-    """The router's event loop, parked on a daemon thread so the fleet
-    keeps a synchronous management face."""
-
-    def __init__(self, backends, host, port):
-        super().__init__(name="shard-router", daemon=True)
-        self.router = ShardRouter(backends)
-        # NB: attribute names must not collide with threading.Thread
-        # internals (_started, _stop are Thread's own machinery).
-        self._router_host = host
-        self._router_port = port
-        self._router_up = threading.Event()
-        self._router_loop = None
-        self._stop_serving = None
-        self.error: Exception | None = None
-        self.port: int | None = None
-
-    def run(self) -> None:
-        import asyncio
-
-        async def main():
-            self._router_loop = asyncio.get_running_loop()
-            self._stop_serving = asyncio.Event()
-            try:
-                await self.router.start(
-                    self._router_host, self._router_port
-                )
-                self.port = self.router.port
-            except Exception as error:
-                self.error = error
-                self._router_up.set()
-                return
-            self._router_up.set()
-            await self._stop_serving.wait()
-            await self.router.close()
-
-        asyncio.run(main())
-
-    def wait_started(self, timeout: float) -> None:
-        if not self._router_up.wait(timeout):
-            raise TimeoutError("shard router did not start")
-        if self.error is not None:
-            raise self.error
-
-    def stop(self) -> None:
-        if self._router_loop is not None and self._stop_serving is not None:
-            self._router_loop.call_soon_threadsafe(self._stop_serving.set)
-        self.join(timeout=10)
 
 
 # ----------------------------------------------------------------------
@@ -328,9 +139,9 @@ class ServerFleet:
         (process-local by definition) is rejected.
     workers:
         Process count; ``0`` means one per core.
-    reuse_port:
-        ``True`` forces ``SO_REUSEPORT``, ``False`` forces the
-        :class:`ShardRouter` fallback, ``None`` picks by platform.
+
+    The workers share the port through ``SO_REUSEPORT``; construction
+    raises ``RuntimeError`` on a platform without it.
     """
 
     def __init__(
@@ -341,7 +152,6 @@ class ServerFleet:
         port: int = 0,
         max_outbox: int = 64,
         idle_timeout: float | None = None,
-        reuse_port: bool | None = None,
     ) -> None:
         self.store_path = str(store)
         if self.store_path == ":memory:":
@@ -349,16 +159,18 @@ class ServerFleet:
                 "a ServerFleet needs a file-backed store — the store is "
                 "the only state workers share"
             )
+        if not hasattr(socket, "SO_REUSEPORT"):
+            raise RuntimeError(
+                "a ServerFleet needs socket.SO_REUSEPORT, which this "
+                "platform lacks — its workers share one port through it; "
+                "serve from one process instead"
+            )
         self.workers = workers if workers > 0 else default_workers()
         self.host = host
         self.requested_port = port
         self.max_outbox = max_outbox
         self.idle_timeout = idle_timeout
-        self.reuse_port = (
-            reuse_port_supported() if reuse_port is None else reuse_port
-        )
         self._processes: list[multiprocessing.process.BaseProcess] = []
-        self._router: _RouterThread | None = None
         self._port: int | None = None
         context_name = (
             "fork"
@@ -391,20 +203,15 @@ class ServerFleet:
         # double-count into the merged stats line).
         with SessionStore(self.store_path) as store:
             store.clear_worker_stats()
-        placeholder: socket.socket | None = None
-        worker_port = self.requested_port
-        if self.reuse_port:
-            # Resolve port 0 once, and hold the placeholder bound (but
-            # never listening — only listeners receive connections)
-            # until every worker has bound the same port.
-            placeholder = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-            placeholder.setsockopt(
-                socket.SOL_SOCKET, socket.SO_REUSEPORT, 1
-            )
-            placeholder.bind((self.host, self.requested_port))
-            worker_port = placeholder.getsockname()[1]
+        # Resolve port 0 once, and hold the placeholder bound (but never
+        # listening — only listeners receive connections) until every
+        # worker has bound the same port.
+        placeholder = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         ready = self._context.Queue()
         try:
+            placeholder.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEPORT, 1)
+            placeholder.bind((self.host, self.requested_port))
+            port = placeholder.getsockname()[1]
             for index in range(self.workers):
                 process = self._context.Process(
                     target=_worker_main,
@@ -412,8 +219,7 @@ class ServerFleet:
                         index,
                         self.store_path,
                         self.host,
-                        worker_port if self.reuse_port else 0,
-                        self.reuse_port,
+                        port,
                         self.max_outbox,
                         self.idle_timeout,
                         ready,
@@ -423,48 +229,29 @@ class ServerFleet:
                 )
                 process.start()
                 self._processes.append(process)
-            worker_ports = self._await_ready(ready, timeout)
+            self._await_ready(ready, timeout)
         except Exception:
             self._terminate_all()
             raise
         finally:
-            if placeholder is not None:
-                placeholder.close()
-        if self.reuse_port:
-            self._port = worker_port
-        else:
-            router = _RouterThread(
-                [(self.host, p) for _, p in sorted(worker_ports.items())],
-                self.host,
-                self.requested_port,
-            )
-            router.start()
-            try:
-                router.wait_started(timeout)
-            except Exception:
-                self._terminate_all()
-                raise
-            self._router = router
-            self._port = router.port
+            placeholder.close()
+        self._port = port
 
-    def _await_ready(self, ready, timeout: float) -> dict[int, int]:
+    def _await_ready(self, ready, timeout: float) -> None:
         import queue as queue_module
 
-        ports: dict[int, int] = {}
-        while len(ports) < self.workers:
+        for listening in range(self.workers):
             try:
-                kind, index, payload = ready.get(timeout=timeout)
+                kind, index, error = ready.get(timeout=timeout)
             except queue_module.Empty:
                 raise TimeoutError(
-                    f"fleet start timed out: {len(ports)} of "
+                    f"fleet start timed out: {listening} of "
                     f"{self.workers} workers listening"
                 ) from None
             if kind == "error":
                 raise RuntimeError(
-                    f"fleet worker {index} failed to start: {payload}"
+                    f"fleet worker {index} failed to start: {error}"
                 )
-            ports[index] = payload
-        return ports
 
     # ------------------------------------------------------------------
     def kill_worker(self, index: int) -> None:
@@ -472,9 +259,8 @@ class ServerFleet:
 
         Its live sessions stay claimed by a dead pid in the store, which
         is exactly what :meth:`SessionStore.claim` steals from; its
-        in-flight connections drop; with ``SO_REUSEPORT`` new
-        connections flow to the surviving listeners, and the router
-        fallback fails over on connect.
+        in-flight connections drop; new connections flow to the
+        surviving listeners.
         """
         self._processes[index].kill()
         self._processes[index].join(timeout=10)
@@ -493,9 +279,6 @@ class ServerFleet:
             if process.is_alive():  # pragma: no cover - stuck worker
                 process.kill()
                 process.join(timeout=5)
-        if self._router is not None:
-            self._router.stop()
-            self._router = None
         self._processes = []
         self._port = None
         with SessionStore(self.store_path) as store:
@@ -516,9 +299,8 @@ class ServerFleet:
         self.stop()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        mode = "reuseport" if self.reuse_port else "router"
         return (
-            f"ServerFleet(workers={self.workers}, mode={mode}, "
+            f"ServerFleet(workers={self.workers}, "
             f"store={self.store_path!r})"
         )
 
@@ -533,7 +315,6 @@ def print_listening(fleet: ServerFleet, stream=None) -> None:
                 "port": fleet.port,
                 "store": fleet.store_path,
                 "workers": fleet.workers,
-                "mode": "reuseport" if fleet.reuse_port else "router",
             }
         ),
         file=stream if stream is not None else sys.stdout,

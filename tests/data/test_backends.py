@@ -25,7 +25,6 @@ from repro.data import (
     QueryEngine,
     RelationIndex,
     ShardedBitmaskBackend,
-    create_backend,
 )
 from repro.data.backends import DbApiBackend, PooledConnectionSource
 from repro.data.backends.dbapi import memory_uri
@@ -71,17 +70,17 @@ class TestRegistry:
 
     def test_unknown_backend_rejected(self, store, vocab):
         with pytest.raises(ValueError, match="unknown evaluation backend"):
-            create_backend("async", store, vocab)
+            REGISTRY.create("async", store, vocab)
 
     def test_options_forwarded(self, store, vocab):
-        backend = create_backend("sharded", store, vocab, shard_size=10)
+        backend = REGISTRY.create("sharded", store, vocab, shard_size=10)
         assert backend.shard_size == 10
         assert backend.shard_count == 6
 
     def test_created_backends_satisfy_protocol(
         self, store, vocab, backend_name, backend_options
     ):
-        backend = create_backend(backend_name, store, vocab, **backend_options)
+        backend = REGISTRY.create(backend_name, store, vocab, **backend_options)
         assert isinstance(backend, EvaluationBackend)
         assert backend.name == backend_name
 
@@ -91,7 +90,7 @@ class TestBackendContract:
         self, store, vocab, backend_name, backend_options
     ):
         engine = QueryEngine(store, vocab)
-        backend = create_backend(backend_name, store, vocab, **backend_options)
+        backend = REGISTRY.create(backend_name, store, vocab, **backend_options)
         for query in _queries():
             expected = _reference(engine, query)
             assert [o.key for o in backend.execute(query)] == expected
@@ -103,7 +102,7 @@ class TestBackendContract:
     def test_explicit_objects_and_foreign_fallback(
         self, store, vocab, backend_name, backend_options
     ):
-        backend = create_backend(backend_name, store, vocab, **backend_options)
+        backend = REGISTRY.create(backend_name, store, vocab, **backend_options)
         engine = QueryEngine(store, vocab)
         query = intro_query()
         objs = store.objects[:7]
@@ -126,7 +125,7 @@ class TestBackendContract:
     def test_auto_refresh_sees_inserts(
         self, store, vocab, backend_name, backend_options
     ):
-        backend = create_backend(backend_name, store, vocab, **backend_options)
+        backend = REGISTRY.create(backend_name, store, vocab, **backend_options)
         query = QhornQuery(n=4)
         before = backend.matches_many(query)
         assert backend.is_stale is False
@@ -151,7 +150,7 @@ class TestBackendContract:
     def test_explicit_refresh(
         self, store, vocab, backend_name, backend_options
     ):
-        backend = create_backend(
+        backend = REGISTRY.create(
             backend_name, store, vocab,
             **dict(backend_options, auto_refresh=False),
         )
@@ -165,7 +164,7 @@ class TestBackendContract:
     def test_width_mismatch_rejected(
         self, store, vocab, backend_name, backend_options
     ):
-        backend = create_backend(backend_name, store, vocab, **backend_options)
+        backend = REGISTRY.create(backend_name, store, vocab, **backend_options)
         with pytest.raises(ValueError):
             backend.execute(parse_query("∃x1x2x3x4x5"))
 
@@ -195,13 +194,13 @@ class TestBackendContract:
         query = parse_query("∀x64→x65 ∃x1x65", n=65)
         expected = [o.key for o in QueryEngine(relation, wide).execute(query)]
         assert 0 < len(expected) < len(relation)
-        backend = create_backend(backend_name, relation, wide, **backend_options)
+        backend = REGISTRY.create(backend_name, relation, wide, **backend_options)
         assert [o.key for o in backend.execute(query)] == expected
 
     def test_describe_is_informative(
         self, store, vocab, backend_name, backend_options
     ):
-        backend = create_backend(backend_name, store, vocab, **backend_options)
+        backend = REGISTRY.create(backend_name, store, vocab, **backend_options)
         assert backend_name in backend.describe()
         backend.matches_many(intro_query())
         assert str(len(store)) in backend.describe()
@@ -292,11 +291,11 @@ class TestBitmaskKernel:
         superset-union tables and scans; answers must not change."""
         from repro.data import index
 
-        tabled = create_backend("bitmask", store, vocab)
+        tabled = REGISTRY.create("bitmask", store, vocab)
         assert tabled.index._kernel._zeta_bits >= 0
 
         monkeypatch.setattr(index, "ZETA_TABLE_BUDGET", 0)
-        scan = create_backend("bitmask", store, vocab)
+        scan = REGISTRY.create("bitmask", store, vocab)
         assert scan.index._kernel._zeta_bits == -1
 
         for query in _queries():

@@ -12,7 +12,7 @@ import textwrap
 
 import pytest
 
-from repro.data.backends import REGISTRY, create_backend
+from repro.data.backends import REGISTRY
 from repro.data.backends.registry import (
     BackendCapabilities,
     BackendLoadError,
@@ -211,9 +211,9 @@ class TestErrors:
         # Unloaded/discoverable names are part of the listing too.
         assert "dbapi" in message
 
-    def test_create_backend_uses_registry_message(self):
+    def test_create_uses_registry_message(self):
         with pytest.raises(ValueError, match="did you mean 'sharded'"):
-            create_backend("shraded", None, None)
+            REGISTRY.create("shraded", None, None)
 
 
 class TestOptionPipeline:

@@ -289,11 +289,11 @@ class TestSqlEdgeCases:
         return vocab, relation
 
     def _cross_check(self, vocab, relation, queries):
-        from repro.data import QueryEngine, create_backend
+        from repro.data import REGISTRY, QueryEngine
 
         reference = QueryEngine(relation, vocab)
-        bitmask = create_backend("bitmask", relation, vocab)
-        sharded = create_backend("sharded", relation, vocab, shard_size=2)
+        bitmask = REGISTRY.create("bitmask", relation, vocab)
+        sharded = REGISTRY.create("sharded", relation, vocab, shard_size=2)
         with DbApiBackend(relation, vocab) as sql_backend:
             for q in queries:
                 expected = _keys(reference, q)

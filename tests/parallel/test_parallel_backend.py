@@ -14,7 +14,7 @@ import random
 import pytest
 
 from repro.data import QueryEngine
-from repro.data.backends import create_backend
+from repro.data.backends import REGISTRY
 from repro.data.chocolate import (
     intro_query,
     random_store,
@@ -36,7 +36,7 @@ def store(vocab):
 
 @pytest.fixture()
 def reference(store, vocab):
-    return create_backend("bitmask", store, vocab)
+    return REGISTRY.create("bitmask", store, vocab)
 
 
 def _clone_row(store):
@@ -45,7 +45,7 @@ def _clone_row(store):
 
 class TestPoolEvaluation:
     def test_agrees_with_reference(self, store, vocab, reference):
-        with create_backend(
+        with REGISTRY.create(
             "sharded", store, vocab, shard_size=64, processes=2
         ) as backend:
             query = intro_query()
@@ -56,10 +56,10 @@ class TestPoolEvaluation:
             assert backend.matches_many(query) == reference.matches_many(query)
 
     def test_explicit_objects_and_foreign_fallback(self, store, vocab):
-        with create_backend(
+        with REGISTRY.create(
             "sharded", store, vocab, shard_size=64, processes=2
         ) as backend:
-            serial = create_backend("sharded", store, vocab, shard_size=64)
+            serial = REGISTRY.create("sharded", store, vocab, shard_size=64)
             foreign = NestedObject(key="foreign", rows=[_clone_row(store)])
             objects = [store.objects[3], foreign, store.objects[0]]
             query = intro_query()
@@ -89,7 +89,7 @@ class TestPoolEvaluation:
         from repro.data.schema import NestedSchema
 
         empty = NestedRelation(NestedSchema("empty", vocab.schema))
-        with create_backend(
+        with REGISTRY.create(
             "sharded", empty, vocab, processes=2
         ) as backend:
             assert backend.execute(intro_query()) == []
@@ -98,7 +98,7 @@ class TestPoolEvaluation:
 
 class TestInvalidationBroadcast:
     def test_insert_reaches_workers(self, store, vocab):
-        with create_backend(
+        with REGISTRY.create(
             "sharded", store, vocab, shard_size=64, processes=2
         ) as backend:
             query = intro_query()
@@ -107,11 +107,11 @@ class TestInvalidationBroadcast:
             store.insert(NestedObject(key="late", rows=[_clone_row(store)]))
             after = backend.matches_many(query)
             assert len(after) == len(store)
-            fresh = create_backend("bitmask", store, vocab)
+            fresh = REGISTRY.create("bitmask", store, vocab)
             assert after == fresh.matches_many(query)
 
     def test_manual_refresh_reships(self, store, vocab):
-        with create_backend(
+        with REGISTRY.create(
             "sharded",
             store,
             vocab,
@@ -127,7 +127,7 @@ class TestInvalidationBroadcast:
             assert backend.refresh() is True
             after = backend.matches_many(query)
             assert backend._shipped_token != shipped_before
-            assert after == create_backend(
+            assert after == REGISTRY.create(
                 "bitmask", store, vocab
             ).matches_many(query)
 
@@ -137,13 +137,13 @@ class TestSharedPool:
         store_a = random_store(300, random.Random(11))
         store_b = random_store(200, random.Random(12))
         query = intro_query()
-        expected_a = create_backend("bitmask", store_a, vocab).matches_many(query)
-        expected_b = create_backend("bitmask", store_b, vocab).matches_many(query)
+        expected_a = REGISTRY.create("bitmask", store_a, vocab).matches_many(query)
+        expected_b = REGISTRY.create("bitmask", store_b, vocab).matches_many(query)
         with ShardWorkerPool(2) as pool:
-            a = create_backend(
+            a = REGISTRY.create(
                 "sharded", store_a, vocab, shard_size=64, pool=pool
             )
-            b = create_backend(
+            b = REGISTRY.create(
                 "sharded", store_b, vocab, shard_size=64, pool=pool
             )
             # Interleaved evaluations: each call displaces the other's
@@ -156,7 +156,7 @@ class TestSharedPool:
 
     def test_backend_close_leaves_injected_pool_open(self, store, vocab):
         with ShardWorkerPool(1) as pool:
-            backend = create_backend("sharded", store, vocab, pool=pool)
+            backend = REGISTRY.create("sharded", store, vocab, pool=pool)
             backend.matches_many(intro_query())
             backend.close()
             assert not pool.closed
@@ -164,7 +164,7 @@ class TestSharedPool:
 
     def test_closed_injected_pool_raises(self, store, vocab):
         pool = ShardWorkerPool(1)
-        backend = create_backend("sharded", store, vocab, pool=pool)
+        backend = REGISTRY.create("sharded", store, vocab, pool=pool)
         pool.close()
         with pytest.raises(RuntimeError, match="injected worker pool"):
             backend.matches_many(intro_query())
@@ -176,29 +176,29 @@ class TestLifecycle:
 
         with ThreadPoolExecutor(1) as executor:
             with pytest.raises(ValueError, match="at most one"):
-                create_backend(
+                REGISTRY.create(
                     "sharded", store, vocab, executor=executor, processes=2
                 )
 
     def test_invalid_process_count_rejected(self, store, vocab):
         with pytest.raises(ValueError, match="processes"):
-            create_backend("sharded", store, vocab, processes=-1)
+            REGISTRY.create("sharded", store, vocab, processes=-1)
 
     def test_double_close_is_noop(self, store, vocab):
-        backend = create_backend("sharded", store, vocab, processes=1)
+        backend = REGISTRY.create("sharded", store, vocab, processes=1)
         backend.matches_many(intro_query())
         backend.close()
         backend.close()
 
     def test_closed_backend_rejects_pool_evaluation(self, store, vocab):
-        backend = create_backend("sharded", store, vocab, processes=1)
+        backend = REGISTRY.create("sharded", store, vocab, processes=1)
         backend.matches_many(intro_query())
         backend.close()
         with pytest.raises(RuntimeError, match="closed"):
             backend.matches_many(intro_query())
 
     def test_crash_recovery_builds_fresh_owned_pool(self, store, vocab):
-        backend = create_backend(
+        backend = REGISTRY.create(
             "sharded", store, vocab, shard_size=64, processes=2
         )
         try:
@@ -212,6 +212,6 @@ class TestLifecycle:
             backend.close()
 
     def test_lazy_pool_creation(self, store, vocab):
-        backend = create_backend("sharded", store, vocab, processes=2)
+        backend = REGISTRY.create("sharded", store, vocab, processes=2)
         assert backend._lease.pool is None  # no workers until first call
         backend.close()

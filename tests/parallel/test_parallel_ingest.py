@@ -17,7 +17,7 @@ import random
 
 import pytest
 
-from repro.data.backends import create_backend
+from repro.data.backends import REGISTRY
 from repro.data.chocolate import (
     intro_query,
     random_store,
@@ -44,7 +44,7 @@ def store(vocab):
 
 def _coordinator_payloads(store, vocab, shard_size):
     """The wire form of a coordinator-side (``ingest="built"``) build."""
-    serial = create_backend("sharded", store, vocab, shard_size=shard_size)
+    serial = REGISTRY.create("sharded", store, vocab, shard_size=shard_size)
     serial.refresh(force=True)
     return shard_payloads(serial._shards)
 
@@ -52,7 +52,7 @@ def _coordinator_payloads(store, vocab, shard_size):
 class TestBuildEquivalence:
     def test_raw_build_bit_identical_to_coordinator_build(self, store, vocab):
         expected = _coordinator_payloads(store, vocab, shard_size=37)
-        with create_backend(
+        with REGISTRY.create(
             "sharded", store, vocab, shard_size=37, processes=2
         ) as backend:
             assert backend.ingest == "raw"
@@ -62,7 +62,7 @@ class TestBuildEquivalence:
 
     def test_built_ingest_ships_same_state(self, store, vocab):
         expected = _coordinator_payloads(store, vocab, shard_size=37)
-        with create_backend(
+        with REGISTRY.create(
             "sharded",
             store,
             vocab,
@@ -75,7 +75,7 @@ class TestBuildEquivalence:
         assert dumped == expected
 
     def test_version_bump_rebuilds_identically(self, store, vocab):
-        with create_backend(
+        with REGISTRY.create(
             "sharded", store, vocab, shard_size=37, processes=2
         ) as backend:
             backend.matching_bits(intro_query())
@@ -90,7 +90,7 @@ class TestBuildEquivalence:
         assert dumped == _coordinator_payloads(store, vocab, shard_size=37)
 
     def test_dump_of_retired_token_is_stale(self, store, vocab):
-        with create_backend(
+        with REGISTRY.create(
             "sharded", store, vocab, shard_size=37, processes=2
         ) as backend:
             backend.matching_bits(intro_query())
@@ -112,13 +112,13 @@ class TestDisplacementAndCrash:
         store_a = random_store(150, random.Random(21))
         store_b = random_store(120, random.Random(22))
         query = intro_query()
-        expected_a = create_backend("bitmask", store_a, vocab).matches_many(query)
-        expected_b = create_backend("bitmask", store_b, vocab).matches_many(query)
+        expected_a = REGISTRY.create("bitmask", store_a, vocab).matches_many(query)
+        expected_b = REGISTRY.create("bitmask", store_b, vocab).matches_many(query)
         with ShardWorkerPool(2) as pool:
-            a = create_backend(
+            a = REGISTRY.create(
                 "sharded", store_a, vocab, shard_size=31, pool=pool
             )
-            b = create_backend(
+            b = REGISTRY.create(
                 "sharded", store_b, vocab, shard_size=31, pool=pool
             )
             assert a.ingest == "raw" and b.ingest == "raw"
@@ -134,7 +134,7 @@ class TestDisplacementAndCrash:
         surfaces as WorkerCrashError on that very call, not as a wrong
         or partial build."""
         pool = ShardWorkerPool(2)
-        backend = create_backend(
+        backend = REGISTRY.create(
             "sharded", store, vocab, shard_size=37, pool=pool
         )
         pool._send(0, ("abort",))  # dies before the build request lands
@@ -143,7 +143,7 @@ class TestDisplacementAndCrash:
         assert pool.closed
 
     def test_owned_pool_recovers_with_fresh_raw_build(self, store, vocab):
-        backend = create_backend(
+        backend = REGISTRY.create(
             "sharded", store, vocab, shard_size=37, processes=2
         )
         try:

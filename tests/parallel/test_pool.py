@@ -18,7 +18,7 @@ import random
 import pytest
 
 from repro.core.tuples import Question
-from repro.data.backends import create_backend
+from repro.data.backends import REGISTRY
 from repro.data.chocolate import (
     intro_query,
     random_store,
@@ -47,7 +47,7 @@ def store(vocab):
 
 @pytest.fixture(scope="module")
 def built_shards(store, vocab):
-    backend = create_backend("sharded", store, vocab, shard_size=100)
+    backend = REGISTRY.create("sharded", store, vocab, shard_size=100)
     backend.refresh(force=True)
     return backend._shards
 
@@ -104,7 +104,7 @@ class TestLifecycle:
 
 class TestShardEvaluation:
     def test_bits_match_serial_kernel(self, pool, built_shards, store, vocab):
-        serial = create_backend("sharded", store, vocab, shard_size=100)
+        serial = REGISTRY.create("sharded", store, vocab, shard_size=100)
         token = pool.load_shards(shard_payloads(built_shards))
         compiled = intro_query().compile()
         bits = 0
@@ -115,7 +115,7 @@ class TestShardEvaluation:
     def test_labels_match_serial_extraction(
         self, pool, built_shards, store, vocab
     ):
-        serial = create_backend("sharded", store, vocab, shard_size=100)
+        serial = REGISTRY.create("sharded", store, vocab, shard_size=100)
         token = pool.load_shards(shard_payloads(built_shards))
         labels: list[bool] = []
         for _offset, shard_labels in pool.evaluate_labels(

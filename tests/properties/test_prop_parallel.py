@@ -27,7 +27,7 @@ import pytest
 from hypothesis import given, settings
 
 from repro.core.tuples import Question
-from repro.data import create_backend
+from repro.data import REGISTRY
 from repro.oracle import CountingOracle, NoisyOracle, ParallelOracle, QueryOracle
 from repro.parallel import ShardWorkerPool
 from tests.properties.test_prop_engine import (
@@ -70,8 +70,8 @@ def test_pool_backend_agrees_with_serial(pool, case):
     query = random_query(rng, n)
     relation = relation_from_masks(n, mask_sets)
     vocab = bool_vocabulary(n)
-    serial = create_backend("bitmask", relation, vocab)
-    parallel = create_backend(
+    serial = REGISTRY.create("bitmask", relation, vocab)
+    parallel = REGISTRY.create(
         "sharded",
         relation,
         vocab,
@@ -117,8 +117,8 @@ def test_seeded_backend_sweep(pool):
         ]
         relation = relation_from_masks(n, mask_sets)
         query = random_query(rng, n)
-        serial = create_backend("bitmask", relation, vocab)
-        parallel = create_backend(
+        serial = REGISTRY.create("bitmask", relation, vocab)
+        parallel = REGISTRY.create(
             "sharded",
             relation,
             vocab,

@@ -1,8 +1,8 @@
 """Integration tests for the multi-process serving tier (§2h).
 
 Real forked worker processes, real sockets, one shared file-backed
-store: kernel-balanced ``SO_REUSEPORT`` accept, the shard-router
-fallback, worker-hopping reconnects through the ownership handoff,
+store: kernel-balanced ``SO_REUSEPORT`` accept (required: no fallback),
+worker-hopping reconnects through the ownership handoff,
 concurrent-claim rejection, and the kill-one-worker durability variant
 of the E25b restart story.
 """
@@ -23,7 +23,6 @@ from repro.oracle import QueryOracle
 from repro.protocol.wire import payload_from_dict
 from repro.server import RoundServer, ServerFleet, SessionStore
 from repro.server.loadgen import UserResult, random_intents, run_load
-from repro.server.multiproc import ShardRouter
 
 
 def run(coro):
@@ -141,28 +140,6 @@ class TestServerFleet:
         assert 0 < stats["sessions_replayed"] < stats["sessions_resumed"]
         assert stats["claims_rejected"] == 0
 
-    def test_router_fallback_serves_hopping_dialogues(self, store_path):
-        """reuse_port=False forces the shard-router path (what platforms
-        without SO_REUSEPORT get): same contract, same handoff."""
-        intents = random_intents(6, 3, seed=2601)
-        with ServerFleet(
-            store_path, workers=2, reuse_port=False
-        ) as fleet:
-            report = run(
-                run_load(
-                    fleet.host,
-                    fleet.port,
-                    intents,
-                    seed=2601,
-                    hop_every=1,
-                )
-            )
-            stats = fleet.stop()
-        assert all(user.finished for user in report.users)
-        for user in report.users:
-            assert_bit_identical(user)
-        assert stats["sessions_finished"] == len(intents)
-
     def test_double_start_rejected(self, store_path):
         fleet = ServerFleet(store_path, workers=1)
         fleet.start()
@@ -175,6 +152,18 @@ class TestServerFleet:
     def test_port_before_start_rejected(self, store_path):
         with pytest.raises(RuntimeError, match="not started"):
             ServerFleet(store_path, workers=1).port
+
+    def test_missing_reuse_port_rejected_before_forking(
+        self, store_path, monkeypatch
+    ):
+        import multiprocessing
+        import socket
+
+        monkeypatch.delattr(socket, "SO_REUSEPORT")
+        before = multiprocessing.active_children()
+        with pytest.raises(RuntimeError, match="SO_REUSEPORT"):
+            ServerFleet(store_path, workers=2)
+        assert multiprocessing.active_children() == before
 
 
 class TestKillOneWorker:
@@ -512,22 +501,3 @@ class TestWarmParkedSessions:
         assert "already finished" in rejected["message"]
         assert a["warm_sessions"] == 0
         assert a["sessions_resumed"] == 0
-
-
-class TestShardRouter:
-    def test_pick_is_stable_per_session_and_round_robin_for_opens(self):
-        router = ShardRouter([("h", 1), ("h", 2), ("h", 3)])
-        by_session = router.pick({"session": "abc123"})
-        assert all(
-            router.pick({"session": "abc123"}) == by_session
-            for _ in range(5)
-        )
-        opens = [router.pick({"type": "open"}) for _ in range(6)]
-        assert opens == [0, 1, 2, 0, 1, 2]
-        # Unparseable first lines still route (the worker answers the
-        # wire error itself).
-        assert router.pick(None) in (0, 1, 2)
-
-    def test_empty_backends_rejected(self):
-        with pytest.raises(ValueError, match="at least one"):
-            ShardRouter([])

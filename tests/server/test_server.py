@@ -16,7 +16,7 @@ import sqlite3
 import pytest
 
 from repro.core.generators import random_qhorn1
-from repro.interactive import LearningSession, SessionSnapshot
+from repro.interactive import LearningSession, SessionSnapshot, SnapshotError
 from repro.learning import Qhorn1Learner
 from repro.oracle import QueryOracle
 from repro.protocol.wire import payload_from_dict
@@ -216,6 +216,9 @@ class TestWireErrors:
                     '{"type": "mystery", "session": "SID"}',
                     '{"type": "answers", "session": "SID"}',
                     '{"type": "answers", "session": "SID", "answers": true}',
+                    '{"type": "answers", "session": "SID", "answers": "yes"}',
+                    '{"type": "answers", "session": "SID", '
+                    '"answers": {"0": true}}',
                     '{"type": "answers", "session": "SID", "answers": [true]}',
                     '{"type": "answers", "session": "bogus", "answers": []}',
                     '{"type": "open", "n": 0}',
@@ -228,13 +231,15 @@ class TestWireErrors:
             )
         )
         assert finished["type"] == "finished"
-        assert len(errors) == 13
+        assert len(errors) == 15
         for needle, message in zip(
             [
                 "JSON",
                 "JSON object",
                 "unknown type",
                 'no "answers" key',
+                "must be a list",
+                "must be a list",
                 "must be a list",
                 "questions",  # wrong answer count
                 "unknown session",
@@ -361,6 +366,61 @@ class TestStoreFailure:
         assert_bit_identical(finished, wire, target)
         assert stats["sessions_resumed"] == stats["sessions_replayed"] == 1
 
+    class ReleaseFails(SessionStore):
+        fail_release = False
+
+        def release(self, session_id, owner):
+            if self.fail_release:
+                raise sqlite3.OperationalError("database is locked")
+            return super().release(session_id, owner)
+
+    def test_failed_release_spares_the_evictor_and_close(self):
+        """A release that fails during idle eviction or close() leaves
+        the claim ours (the next rebuild here reclaims it); the evictor
+        keeps sweeping and close() still finishes its work."""
+        targets = [random_qhorn1(3, random.Random(seed)) for seed in (32, 33)]
+
+        async def main():
+            with self.ReleaseFails() as store:
+                server = RoundServer(store, idle_timeout=0.05)
+                await server.start()
+                client = await Client.connect(server.port)
+                firsts = []
+                for _ in targets:
+                    await client.send(type="open", n=3)
+                    firsts.append(await client.recv())
+                store.fail_release = True
+                await asyncio.sleep(0.3)  # several sweeps past the timeout
+                evicted = server.stats()
+                owners = [store.owner_of(m["session"]) for m in firsts]
+                # No further sweeps: the second session must reach
+                # close() live.
+                server.idle_timeout = 3600.0
+                # Both sessions resume here, release still failing; the
+                # second stays live into close().
+                finished, wire = await answer_until_done(
+                    client, QueryOracle(targets[0]), first=firsts[0]
+                )
+                await client.send(
+                    type="reconnect", session=firsts[1]["session"]
+                )
+                assert (await client.recv())["type"] == "round"
+                assert server.stats()["live_sessions"] == 1
+                await client.close()
+                port = server.port
+                await server.close()
+                with pytest.raises(OSError):
+                    await Client.connect(port)
+                return evicted, owners, finished, wire, store.fleet_stats()
+
+        evicted, owners, finished, wire, fleet = run(main())
+        assert evicted["evictions"] == 2
+        assert evicted["live_sessions"] == 0
+        assert owners[0] == owners[1] is not None  # still ours
+        assert_bit_identical(finished, wire, targets[0])
+        assert fleet["workers"] == 1
+        assert fleet["sessions_resumed"] == 2
+
 
 class TestParkAndResume:
     def test_snapshot_while_parked_then_quit_then_reconnect(self):
@@ -402,6 +462,45 @@ class TestParkAndResume:
 
         finished = run(main())
         assert finished["query"] == sync_reference(target).query.shorthand()
+
+    def test_snapshot_failure_keeps_serving(self, monkeypatch):
+        """A SnapshotError on a snapshot request becomes an error reply,
+        not a dropped connection; the session stays parked at its
+        round."""
+        target = random_qhorn1(3, random.Random(31))
+
+        def boom(self):
+            raise SnapshotError("simulated mid-round guard")
+
+        async def main():
+            with SessionStore() as store:
+                server = RoundServer(store)
+                await server.start()
+                client = await Client.connect(server.port)
+                await client.send(type="open", n=3)
+                first = await client.recv()
+                sid = first["session"]
+                monkeypatch.setattr(LearningSession, "snapshot", boom)
+                await client.send(type="snapshot", session=sid)
+                error = await client.recv()
+                monkeypatch.undo()
+                await client.send(type="reconnect", session=sid)
+                again = await client.recv()
+                finished, _ = await answer_until_done(
+                    client, QueryOracle(target), first=again
+                )
+                await client.close()
+                await server.close()
+                return first, error, again, finished
+
+        first, error, again, finished = run(main())
+        assert error["type"] == "error"
+        assert error["session"] == first["session"]
+        assert "mid-round guard" in error["message"]
+        assert again["index"] == first["index"] == 0
+        assert again["questions"] == first["questions"]
+        assert finished["query"] == sync_reference(target).query.shorthand()
+        assert finished["metering"]["errors"] == 1
 
     def test_idle_eviction_then_transparent_resume(self):
         target = random_qhorn1(3, random.Random(41))

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -292,10 +294,11 @@ class TestParallelFlag:
 
 
 class TestServeStdio:
-    """End-to-end remote-session story: the CLI serves learner rounds as
-    JSON lines over a real pipe; this test is the remote user."""
+    """`repro serve --stdio` end to end: one server connection over a
+    real pipe pair; this test is the remote user."""
 
-    def _spawn(self, tmp_path, *extra):
+    @contextlib.contextmanager
+    def _serve(self, store):
         import os
         import subprocess
         import sys
@@ -304,96 +307,118 @@ class TestServeStdio:
         src = os.path.abspath("src")
         existing = env.get("PYTHONPATH")
         env["PYTHONPATH"] = src + (os.pathsep + existing if existing else "")
-        return subprocess.Popen(
-            [
-                sys.executable,
-                "-m",
-                "repro",
-                "learn",
-                "--serve-stdio",
-                "--n",
-                "4",
-                "--learner",
-                "qhorn1",
-                *extra,
-            ],
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--stdio",
+             "--store", str(store)],
             stdin=subprocess.PIPE,
             stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
             text=True,
             env=env,
         )
+        try:
+            yield proc
+        finally:
+            proc.kill()
+            proc.wait(timeout=30)
+            for pipe in (proc.stdin, proc.stdout, proc.stderr):
+                try:
+                    pipe.close()
+                except BrokenPipeError:
+                    pass  # input left unsent to a server that stopped reading
 
-    def test_serve_snapshot_resume_round_trip(self, tmp_path):
+    @staticmethod
+    def _send(proc, **message):
         import json
 
+        proc.stdin.write(json.dumps(message) + "\n")
+        proc.stdin.flush()
+
+    @staticmethod
+    def _recv(proc):
+        import json
+
+        return json.loads(proc.stdout.readline())
+
+    def _answer(self, proc, message, oracle):
         from repro.core.serialize import question_from_dict
-        from repro.oracle import QueryOracle
+
+        answers = [
+            oracle.ask(question_from_dict(d)) for d in message["questions"]
+        ]
+        self._send(
+            proc, type="answers", session=message["session"], answers=answers
+        )
+
+    def test_serve_snapshot_resume_round_trip(self, tmp_path):
+        """Park at round 2, close stdin, restart on the same store and
+        finish through reconnect: the answered round is not re-asked."""
         from repro.core.parser import parse_query
+        from repro.oracle import QueryOracle
 
         intent = parse_query("∀x1 ∃x2x3", n=4)
         oracle = QueryOracle(intent)
-        proc = self._spawn(tmp_path)
-        snapshot = None
-        rounds = 0
-        try:
+        store = tmp_path / "sessions.sqlite"
+        with self._serve(store) as proc:
+            self._send(proc, type="open", n=4, learner="qhorn1")
+            first = self._recv(proc)
+            assert first["type"] == "round" and first["index"] == 0
+            self._answer(proc, first, oracle)
+            message = self._recv(proc)
+            assert message["type"] == "round" and message["index"] == 1
+            session = message["session"]
+            self._send(proc, type="snapshot", session=session)
+            reply = self._recv(proc)
+            assert reply["type"] == "snapshot"
+            # The log holds exactly the first round's answers.
+            assert len(reply["snapshot"]["responses"]) == len(
+                first["questions"]
+            )
+            proc.stdin.close()
+            assert proc.wait(timeout=30) == 0
+            assert "shut down clean" in proc.stderr.read()
+
+        with self._serve(store) as proc:
+            self._send(proc, type="reconnect", session=session)
+            live = 0
             while True:
-                message = json.loads(proc.stdout.readline())
+                message = self._recv(proc)
                 if message["type"] == "finished":
                     break
-                assert message["type"] == "round"
-                rounds += 1
-                if rounds == 2:
-                    proc.stdin.write('{"type":"snapshot"}\n')
-                    proc.stdin.flush()
-                    reply = json.loads(proc.stdout.readline())
-                    assert reply["type"] == "snapshot"
-                    snapshot = reply["snapshot"]
-                questions = [
-                    question_from_dict(d) for d in message["questions"]
-                ]
-                answers = [oracle.ask(question) for question in questions]
-                proc.stdin.write(
-                    json.dumps({"type": "answers", "answers": answers}) + "\n"
-                )
-                proc.stdin.flush()
+                assert message["type"] == "round", message
+                live += 1
+                self._answer(proc, message, oracle)
+            assert message["session"] == session
             assert message["query"] == intent.shorthand()
+            assert live == message["rounds"] - 1 and live > 1
+            proc.stdin.close()
             assert proc.wait(timeout=30) == 0
-        finally:
-            proc.kill()
 
-        assert snapshot is not None and rounds > 2
-        path = tmp_path / "snapshot.json"
-        path.write_text(json.dumps(snapshot))
-        proc = self._spawn(tmp_path, "--resume", str(path))
-        try:
-            replayed = 0
-            while True:
-                message = json.loads(proc.stdout.readline())
-                if message["type"] == "finished":
-                    break
-                replayed += 1
-                questions = [
-                    question_from_dict(d) for d in message["questions"]
-                ]
-                answers = [oracle.ask(question) for question in questions]
-                proc.stdin.write(
-                    json.dumps({"type": "answers", "answers": answers}) + "\n"
-                )
-                proc.stdin.flush()
-            # the parked prefix is replayed, not re-asked: fewer live rounds
-            assert replayed == rounds - 1
-            assert message["query"] == intent.shorthand()
+    def test_oversized_line_gets_an_error_then_eof(self, tmp_path):
+        from repro.server.core import MAX_LINE_BYTES
+
+        with self._serve(tmp_path / "sessions.sqlite") as proc:
+            try:
+                self._send(proc, type="open", n=3, pad="x" * 70_000)
+            except BrokenPipeError:
+                pass  # the server may stop reading at the limit first
+            error = self._recv(proc)
+            assert error["type"] == "error"
+            assert str(MAX_LINE_BYTES) in error["message"]
+            assert proc.stdout.readline() == ""
             assert proc.wait(timeout=30) == 0
-        finally:
-            proc.kill()
 
-    def test_serve_requires_n(self, capsys):
-        assert main(["learn", "--serve-stdio"]) == 2
-        assert "--n is required" in capsys.readouterr().err
+    def test_stdio_rejects_workers_and_idle_timeout(self, capsys):
+        assert main(["serve", "--stdio", "--workers", "2"]) == 2
+        assert main(["serve", "--stdio", "--idle-timeout", "5"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("takes no --workers or --idle-timeout") == 2
 
     def test_learn_requires_target_without_serve(self, capsys):
-        assert main(["learn"]) == 2
-        assert "target query is required" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exit_info:
+            main(["learn"])
+        assert exit_info.value.code == 2
+        assert "target" in capsys.readouterr().err
 
 
 class TestServeCommand:

@@ -1,18 +1,16 @@
 """Unit tests for the sans-io step protocol (DESIGN.md §2e): the
 Round/Finished state machine, the driver dispatch, the async adapters,
-and the stdio wire format."""
+and the round payloads' wire form."""
 
 from __future__ import annotations
 
 import asyncio
-import io
 import json
 import random
 
 import pytest
 
 from repro.core.generators import random_qhorn1
-from repro.core.serialize import question_from_dict
 from repro.core.tuples import Question
 from repro.interactive import (
     LearningSession,
@@ -40,7 +38,6 @@ from repro.protocol import (
     drive,
     run_inline,
 )
-from repro.protocol.stdio import serve_stdio
 
 
 def q(n, *masks):
@@ -378,129 +375,9 @@ class TestSessionStepMode:
             SessionSnapshot.from_dict({"version": 99, "n": 2, "responses": []})
 
 
-class TestServeStdio:
-    def _serve(self, lines, n=3, resume=None, factory=None):
-        factory = factory or (lambda oracle: Qhorn1Learner(oracle))
-        session = LearningSession(factory, n=n)
-        stdout = io.StringIO()
-        code = serve_stdio(
-            session, io.StringIO("".join(lines)), stdout, resume=resume
-        )
-        messages = [
-            json.loads(line) for line in stdout.getvalue().splitlines()
-        ]
-        return code, messages
-
-    def test_full_session_over_the_wire(self):
-        target = random_qhorn1(3, random.Random(4))
-        oracle = QueryOracle(target)
-        # Answer adaptively: serve twice, replaying recorded answers —
-        # first pass harvests the questions round by round.
-        lines: list[str] = []
-        while True:
-            code, messages = self._serve(lines + ['{"type":"quit"}\n'])
-            last = messages[-1]
-            if last["type"] == "finished":
-                break
-            assert last["type"] == "round"
-            questions = [question_from_dict(d) for d in last["questions"]]
-            answers = [oracle.ask(x) for x in questions]
-            lines.append(json.dumps({"type": "answers", "answers": answers}) + "\n")
-        code, messages = self._serve(lines)
-        assert code == 0
-        finished = messages[-1]
-        assert finished["query"] == target.shorthand()
-        assert finished["questions"] == sum(
-            len(m["questions"]) for m in messages if m["type"] == "round"
-        )
-
-    def test_snapshot_exchange_and_resume(self):
-        target = random_qhorn1(3, random.Random(4))
-        oracle = QueryOracle(target)
-        code, messages = self._serve(['{"type":"snapshot"}\n', '{"type":"quit"}\n'])
-        assert code == 1
-        snapshot_msg = next(m for m in messages if m["type"] == "snapshot")
-        snapshot = SessionSnapshot.from_dict(snapshot_msg["snapshot"])
-        assert snapshot.responses == []
-
-        lines: list[str] = []
-        while True:
-            code, messages = self._serve(
-                lines + ['{"type":"quit"}\n'], resume=snapshot
-            )
-            last = messages[-1]
-            if last["type"] == "finished":
-                break
-            questions = [question_from_dict(d) for d in last["questions"]]
-            answers = [oracle.ask(x) for x in questions]
-            lines.append(json.dumps({"answers": answers}) + "\n")
-        assert last["query"] == target.shorthand()
-
-    def test_error_recovery(self):
-        code, messages = self._serve(
-            [
-                "not json\n",
-                '{"type":"mystery"}\n',
-                '{"type":"answers","answers":[]}\n',  # wrong count
-                '{"type":"quit"}\n',
-            ]
-        )
-        assert code == 1
-        kinds = [m["type"] for m in messages]
-        assert kinds.count("error") == 3
-
-    def test_answers_payload_validation(self):
-        """A message with no "answers" key must not silently feed [],
-        and a non-list value must not raise an uncaught TypeError."""
-        code, messages = self._serve(
-            [
-                '{"type":"answers"}\n',
-                '{"answers": true}\n',
-                '{"answers": "yes"}\n',
-                '{"answers": {"0": true}}\n',
-                '{"type":"quit"}\n',
-            ]
-        )
-        assert code == 1
-        errors = [m["message"] for m in messages if m["type"] == "error"]
-        assert len(errors) == 4
-        assert 'no "answers" key' in errors[0]
-        for message in errors[1:]:
-            assert "must be a list" in message
-
-    def test_snapshot_failure_keeps_serving(self, monkeypatch):
-        """A SnapshotError mid-serve becomes an error line, not a server
-        crash; the session stays parked at its round."""
-        session = LearningSession(lambda oracle: Qhorn1Learner(oracle), n=3)
-
-        def boom():
-            raise SnapshotError("simulated mid-round guard")
-
-        monkeypatch.setattr(session, "snapshot", boom)
-        stdout = io.StringIO()
-        code = serve_stdio(
-            session,
-            io.StringIO('{"type":"snapshot"}\n{"type":"quit"}\n'),
-            stdout,
-        )
-        assert code == 1
-        messages = [
-            json.loads(line) for line in stdout.getvalue().splitlines()
-        ]
-        kinds = [m["type"] for m in messages]
-        assert kinds == ["round", "error"]
-        error = messages[-1]
-        assert "mid-round guard" in error["message"]
-
-    def test_eof_mid_session(self):
-        code, messages = self._serve([])
-        assert code == 1
-        assert messages[-1]["type"] == "round"
-
-
 class TestExpressionPayloadWire:
     """Expression-question rounds serialize through snapshots and the
-    stdio wire exactly like membership rounds (review finding)."""
+    server wire exactly like membership rounds (review finding)."""
 
     def test_payload_round_trip(self):
         from repro.protocol import payload_from_dict, payload_to_dict
@@ -520,7 +397,7 @@ class TestExpressionPayloadWire:
         from repro.core.generators import random_role_preserving
         from repro.learning import ExpressionLearner
         from repro.oracle import ExpressionOracle
-        from repro.protocol.stdio import round_to_dict
+        from repro.server.core import round_to_dict
 
         target = random_role_preserving(4, random.Random(6), theta=2)
         truth = ExpressionOracle(target)
