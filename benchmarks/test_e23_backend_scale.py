@@ -26,8 +26,7 @@ Acceptance gate: on the largest tier (≥ 10× the seed benchmark size)
 the sharded backend's end-to-end throughput (build + labeling) must
 stay within the parity floor below of the single index's — a guard
 against a sharded-layer regression, not a speedup claim.  Sharding's
-structural wins live elsewhere now: bounded bitset width, the worker
-pool, and parallel ingest (E24's build gate).
+remaining structural win is bounded bitset width.
 """
 
 from __future__ import annotations

@@ -26,7 +26,6 @@ from repro.learning import (
 from repro.oracle import (
     CachingOracle,
     CountingOracle,
-    ParallelOracle,
     QueryOracle,
     SqlQueryOracle,
 )
@@ -34,7 +33,7 @@ from repro.verification import Verifier
 
 __all__ = ["main", "build_parser"]
 
-#: Backend-selection guide shown in ``--help`` (DESIGN.md §2c/§2d).
+#: Backend-selection guide shown in ``--help`` (DESIGN.md §2c).
 BACKEND_GUIDE = """\
 evaluation backends (--backend):
   bitmask   one in-process inverted bitmask index over the whole relation;
@@ -42,8 +41,7 @@ evaluation backends (--backend):
   sharded   the same bitmask kernel over object-position blocks with
             bounded bitset widths; E23 records 1.0-1.2x the speed of
             bitmask at 4k-40k objects (cold build + full-relation
-            labeling); the layout behind demo --parallel (backend option
-            ingest=raw/built selects the pool-mode build path)
+            labeling)
   dbapi     the database answers (DESIGN.md §2i): the relation loads into
             any DB-API database, queries compile to SQL once through a
             SQL dialect (placeholder style, identifier quoting, type
@@ -77,17 +75,6 @@ third-party backends (DESIGN.md §2i):
   name=pkg.mod:Class, comma-separated) — and then appear in --backend
   choices and the backend-parametrized test-suite without editing repro.
   See examples/custom_backend.py for a complete out-of-tree backend.
-
-process parallelism (--parallel N, DESIGN.md §2d):
-  learn/verify   membership-question batches fan out over N persistent
-                 worker processes (a ParallelOracle around the target
-                 oracle); answers, question counts and round statistics
-                 are bit-identical to the sequential path
-  demo           the relation evaluates on the sharded backend through an
-                 N-process worker pool (shard state ships to the workers
-                 once; per query only the compiled form crosses)
-  N=0 uses every core (os.cpu_count()).  Parallelism pays on multi-core
-  machines with large batches/relations; small runs are faster without it.
 
 multi-session server (repro serve, DESIGN.md §2f):
   an asyncio TCP server multiplexing many concurrent dialogues in one
@@ -133,14 +120,14 @@ exhaustive conformance (repro enumerate, DESIGN.md §2j):
   (deduplicated up to semantic equivalence) and EVERY relation up to
   --max-objects objects, then drives each through the full matrix —
   learner (qhorn1/naive/role-preserving) × oracle transport
-  (direct/dbapi-pooled) × driver (pull/sans-io) × parallelism
-  (serial/worker-pool), and every evaluation backend — asserting
-  bit-identical transcripts, stats and learned queries everywhere, and
-  checking Theorem 3.1's question bound on every single instance.  Any
-  disagreement is shrunk to a minimal witness and written to the JSONL
-  corpus (--out FILE), which `python -m repro.server.loadgen
-  --scenario FILE` replays as server load and --resume continues after
-  an interruption.  Exit status 1 on any divergence.
+  (direct/dbapi-pooled) × driver (pull/sans-io), and every evaluation
+  backend — asserting bit-identical transcripts, stats and learned
+  queries everywhere, and checking Theorem 3.1's question bound on
+  every single instance.  Any disagreement is shrunk to a minimal
+  witness and written to the JSONL corpus (--out FILE), which
+  `python -m repro.server.loadgen --scenario FILE` replays as server
+  load and --resume continues after an interruption.  Exit status 1 on
+  any divergence.
 """
 
 
@@ -195,8 +182,8 @@ def _add_enumerate_arguments(parser: argparse.ArgumentParser) -> None:
         default="full",
         metavar="SPEC",
         help="conformance matrix: 'full' or axis=a+b pairs joined by ';' "
-        "(axes: learners, oracles, drivers, parallel, backends), e.g. "
-        "'learners=qhorn1;backends=bitmask+dbapi;parallel=serial'",
+        "(axes: learners, oracles, drivers, backends), e.g. "
+        "'learners=qhorn1;backends=bitmask+dbapi;drivers=pull'",
     )
     parser.add_argument(
         "--out",
@@ -209,14 +196,6 @@ def _add_enumerate_arguments(parser: argparse.ArgumentParser) -> None:
         "--resume",
         action="store_true",
         help="skip work already verified clean in --out and append",
-    )
-    parser.add_argument(
-        "--parallel",
-        type=int,
-        default=2,
-        metavar="N",
-        help="worker processes for the pool matrix legs "
-        "(0 drops those legs entirely; default 2)",
     )
     parser.add_argument(
         "--progress-every",
@@ -254,9 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
         # literals: learn/verify need a backend that can answer
         # membership questions (supports_oracle), demo evaluates a
         # relation and takes every registered backend — including
-        # entry-point / REPRO_BACKENDS plugins.  default=None so
-        # handlers can tell an explicit --backend from the default
-        # (the --parallel conflict check).
+        # entry-point / REPRO_BACKENDS plugins.
         choices = (
             tuple(REGISTRY.names_with(supports_oracle=True))
             if oracle_only
@@ -265,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--backend",
             choices=choices,
-            default=None,
+            default="bitmask",
             help="evaluation backend (default: bitmask; see the guide at "
             "the bottom of `repro --help`)",
         )
@@ -278,16 +255,6 @@ def build_parser() -> argparse.ArgumentParser:
             "(see the guide at the bottom of `repro --help`)",
         )
 
-    def add_parallel_flag(p) -> None:
-        p.add_argument(
-            "--parallel",
-            type=int,
-            default=None,
-            metavar="N",
-            help="evaluate through N worker processes (0 = one per core; "
-            "see the guide at the bottom of `repro --help`)",
-        )
-
     learn = sub.add_parser("learn", help="learn a target query by example")
     learn.add_argument("target", help="query shorthand, e.g. '∀x1 ∃x2x3'")
     learn.add_argument("--n", type=int, default=None)
@@ -298,7 +265,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     learn.add_argument("--json", action="store_true", help="emit JSON")
     add_backend_flag(learn, oracle_only=True)
-    add_parallel_flag(learn)
 
     verify = sub.add_parser(
         "verify", help="verify a given query against an intended one"
@@ -307,7 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("intended")
     verify.add_argument("--n", type=int, default=None)
     add_backend_flag(verify, oracle_only=True)
-    add_parallel_flag(verify)
 
     revise = sub.add_parser(
         "revise", help="revise a close query toward the intended one"
@@ -322,7 +287,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     demo = sub.add_parser("demo", help="run the chocolate-store walkthrough")
     add_backend_flag(demo)
-    add_parallel_flag(demo)
 
     serve = sub.add_parser(
         "serve",
@@ -401,9 +365,7 @@ def _backend_opts(args, command: str) -> dict | None:
         return None
 
 
-def _target_oracle(
-    target, backend: str, parallel: int | None = None, options: dict | None = None
-):
+def _target_oracle(target, backend: str, options: dict):
     """The ground-truth oracle for ``target`` under a backend choice.
 
     SQL-capable backends (``dbapi``) answer through
@@ -411,36 +373,17 @@ def _target_oracle(
     connections out of a health-checked ``PooledConnectionSource``
     exactly like ``DbApiBackend`` evaluations do, and
     ``--backend-opt uri=file:...`` / ``pool_size=N`` configure the pool.
-    With ``parallel`` set, the evaluator is wrapped in a
-    :class:`ParallelOracle`; SQL evaluators ship as a factory so every
-    worker opens a *private* shared-memory database (a shared file URI
-    or pool across processes would race, so ``uri``/``pool_size`` stay
-    coordinator-only).  Returns ``(oracle, closer)`` where ``closer``
-    releases the worker or connection pool — ``None`` when nothing needs
-    closing.
+    Returns ``(oracle, closer)`` where ``closer`` releases the
+    connection pool — ``None`` when nothing needs closing.
     """
     from repro.data.backends import REGISTRY
 
-    options = dict(options or {})
     sql_capable = REGISTRY.capabilities(backend).supports_sql
     if not sql_capable and options:
         raise ValueError(
             f"backend {backend!r} answers in process and takes no "
             f"--backend-opt (got: {', '.join(sorted(options))})"
         )
-    if parallel is not None:
-        import functools
-
-        if sql_capable:
-            options.pop("uri", None)
-            options.pop("pool_size", None)
-            oracle = ParallelOracle(
-                factory=functools.partial(SqlQueryOracle, target, **options),
-                processes=parallel,
-            )
-        else:
-            oracle = ParallelOracle(QueryOracle(target), processes=parallel)
-        return oracle, oracle
     if sql_capable:
         oracle = SqlQueryOracle(target, **options)
         return oracle, oracle
@@ -453,9 +396,7 @@ def _cmd_learn(args) -> int:
     if options is None:
         return 2
     try:
-        evaluator, closer = _target_oracle(
-            target, args.backend or "bitmask", args.parallel, options
-        )
+        evaluator, closer = _target_oracle(target, args.backend, options)
     except (TypeError, ValueError) as error:
         print(f"repro learn: {error}", file=sys.stderr)
         return 2
@@ -498,9 +439,7 @@ def _cmd_verify(args) -> int:
     if options is None:
         return 2
     try:
-        evaluator, closer = _target_oracle(
-            intended, args.backend or "bitmask", args.parallel, options
-        )
+        evaluator, closer = _target_oracle(intended, args.backend, options)
     except (TypeError, ValueError) as error:
         print(f"repro verify: {error}", file=sys.stderr)
         return 2
@@ -558,34 +497,9 @@ def _cmd_sql(args) -> int:
 
 
 def _cmd_demo(args) -> int:
-    from repro.data.backends import REGISTRY
-
-    # Validate the flag combination before any work happens.  --parallel
-    # evaluates through the worker-pool (sharded) layout; an *explicit*
-    # --backend without the supports_parallel capability is a conflict
-    # the user must resolve, not a choice to silently override (the PR 3
-    # behaviour quietly replaced any backend with "sharded").
-    backend = args.backend
-    if args.parallel is not None:
-        if backend is not None and not (
-            REGISTRY.capabilities(backend).supports_parallel
-        ):
-            print(
-                f"repro demo: --parallel evaluates through the worker-pool "
-                f"(sharded) layout and conflicts with --backend {backend}; "
-                f"drop --backend or pass --backend sharded",
-                file=sys.stderr,
-            )
-            return 2
-        backend = "sharded"
-    backend = backend or "bitmask"
     backend_options = _backend_opts(args, "demo")
     if backend_options is None:
         return 2
-    if args.parallel is not None:
-        # Process parallelism partitions the relation, which is exactly
-        # the sharded layout (validated above).
-        backend_options["processes"] = args.parallel
 
     from repro.data import QueryEngine
     from repro.data.chocolate import (
@@ -608,7 +522,7 @@ def _cmd_demo(args) -> int:
           f"{cache.stats.misses} distinct, "
           f"{oracle.stats.rounds} rounds)")
     engine = QueryEngine(
-        store, vocabulary, backend=backend, backend_options=backend_options
+        store, vocabulary, backend=args.backend, backend_options=backend_options
     )
     try:
         try:
@@ -639,6 +553,7 @@ def _cmd_serve(args) -> int:
     import signal
 
     from repro.server import RoundServer, SessionStore
+    from repro.server.core import check_limits
 
     if args.stats:
         if args.store == ":memory:":
@@ -660,6 +575,11 @@ def _cmd_serve(args) -> int:
         return 2
     if args.workers != 1:
         return _cmd_serve_fleet(args)
+    try:
+        check_limits(args.max_outbox, args.idle_timeout)
+    except ValueError as error:
+        print(f"repro serve: {error}", file=sys.stderr)
+        return 2
 
     async def serve() -> int:
         store = SessionStore(args.store)
@@ -723,14 +643,20 @@ def _cmd_serve_fleet(args) -> int:
             file=sys.stderr,
         )
         return 2
-    fleet = ServerFleet(
-        args.store,
-        workers=args.workers,
-        host=args.host,
-        port=args.port,
-        max_outbox=args.max_outbox,
-        idle_timeout=args.idle_timeout,
-    )
+    try:
+        fleet = ServerFleet(
+            args.store,
+            workers=args.workers,
+            host=args.host,
+            port=args.port,
+            max_outbox=args.max_outbox,
+            idle_timeout=args.idle_timeout,
+        )
+    except (RuntimeError, ValueError) as error:
+        # No SO_REUSEPORT, a negative --workers or a rejected limit:
+        # nothing was forked yet.
+        print(f"repro serve: {error}", file=sys.stderr)
+        return 2
     fleet.start()
     print_listening(fleet)
     stop = threading.Event()

@@ -6,8 +6,7 @@ Three built-in implementations of the :class:`EvaluationBackend` contract:
   whole relation (the default);
 * ``sharded`` — the relation partitioned into object-position blocks so
   bitset widths stay bounded; builds and full-relation labeling scale
-  linearly, shards optionally evaluate in parallel (with a
-  parallel-ingest ``ingest="raw"`` mode in pool execution);
+  linearly;
 * ``dbapi`` — the relation loaded into *any* DB-API database through a
   :class:`~repro.data.sql.SqlDialect`, each query compiled to SQL once
   and answered in one round trip through a bounded connection pool
@@ -65,9 +64,7 @@ __all__ = [
 REGISTRY.register(
     BitmaskBackend.name, BitmaskBackend, supports_oracle=True
 )
-REGISTRY.register(
-    ShardedBitmaskBackend.name, ShardedBitmaskBackend, supports_parallel=True
-)
+REGISTRY.register(ShardedBitmaskBackend.name, ShardedBitmaskBackend)
 REGISTRY.register(
     DbApiBackend.name, DbApiBackend, supports_sql=True, supports_oracle=True
 )

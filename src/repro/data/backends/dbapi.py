@@ -123,7 +123,7 @@ def sqlite_connector(uri: str) -> Callable[[], sqlite3.Connection]:
     """The built-in connector: SQLite over a URI or plain path.
 
     ``check_same_thread=False`` because pooled connections migrate
-    across threads (an executor labeling shards, the serve tier).  A
+    across threads (a caller's thread pool, the serve tier).  A
     pool opens several connections to one URI, so a URI that gives each
     connection its own empty database is refused up front.
     """

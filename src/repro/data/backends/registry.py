@@ -18,8 +18,7 @@ flags, and live out of tree entirely, without editing
 Capability flags (:class:`BackendCapabilities`) are what the CLI derives
 its per-subcommand ``--backend`` choices from — ``supports_oracle``
 marks backends that can answer membership questions for ``learn``/
-``verify``, ``supports_parallel`` marks the worker-pool layout behind
-``--parallel``, ``supports_sql`` marks the dialect-driven SQL backend —
+``verify``, ``supports_sql`` marks the dialect-driven SQL backend —
 instead of hard-coding name literals per subcommand.
 ``REGISTRY.create(name, relation, vocabulary, **options)`` is the one
 construction seam.
@@ -56,9 +55,6 @@ class BackendLoadError(ValueError):
 class BackendCapabilities:
     """Machine-readable facts the CLI and tooling key decisions on.
 
-    supports_parallel:
-        The backend partitions the relation and can evaluate through a
-        worker pool (``--parallel`` implies it for ``demo``).
     supports_sql:
         Evaluation compiles to SQL over a :class:`~repro.data.sql.SqlDialect`
         (the backend accepts dialect-flavoured options such as ``uri=``).
@@ -68,7 +64,6 @@ class BackendCapabilities:
         one-round-trip SQL path).
     """
 
-    supports_parallel: bool = False
     supports_sql: bool = False
     supports_oracle: bool = False
 
@@ -143,7 +138,6 @@ class BackendRegistry:
         cls: type | None = None,
         *,
         replace_existing: bool = False,
-        supports_parallel: bool = False,
         supports_sql: bool = False,
         supports_oracle: bool = False,
     ):
@@ -155,7 +149,6 @@ class BackendRegistry:
         wins, the plugin-override story).
         """
         caps = BackendCapabilities(
-            supports_parallel=supports_parallel,
             supports_sql=supports_sql,
             supports_oracle=supports_oracle,
         )

@@ -78,9 +78,8 @@ def labels_of(bits: int, count: int) -> list[bool]:
     dominated full-relation labeling at large relations.  ``to_bytes``
     extracts every position in one linear pass instead; a 256-entry table
     then expands each byte to its 8 labels.  Shared by every bitmask
-    evaluation path: :meth:`RelationIndex.matches_many`, the sharded
-    backend's serial extraction and the worker-side extraction in
-    :mod:`repro.parallel.worker`.
+    evaluation path: :meth:`RelationIndex.matches_many` and the sharded
+    backend's per-shard extraction.
     """
     if count <= 0:
         return []
@@ -236,7 +235,7 @@ class BitsetKernel:
             return 0
         table = self._tables.get(clear)
         if table is None:
-            # Threads sharing a shard may both build a missing table;
+            # Threads sharing a kernel may both build a missing table;
             # they build the same one, so either may be kept.
             table = superset_unions(self.inverted, self._zeta_bits, clear)
             self._tables[clear] = table

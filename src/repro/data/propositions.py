@@ -64,18 +64,6 @@ class Proposition(abc.ABC):
     def evaluate(self, row: Mapping[str, Any]) -> bool:
         """Truth value of the proposition on a data row."""
 
-    def evaluate_value(self, value: Any) -> bool:
-        """Truth value on just this proposition's attribute value.
-
-        A proposition reads exactly the one attribute it names, so this
-        is :meth:`evaluate` without the row lookup — the positional fast
-        path of :meth:`Vocabulary.mask_sets_projected`, where rows
-        arrive as bare value tuples.  Subclasses override it with the
-        direct comparison; this default keeps custom propositions
-        correct unmodified.
-        """
-        return self.evaluate({self.attribute: value})
-
     @abc.abstractmethod
     def candidates(self, attribute: Attribute) -> list[Any]:
         """Attribute values that witness interesting truth assignments.
@@ -103,9 +91,6 @@ class BoolIs(Proposition):
     def evaluate(self, row: Mapping[str, Any]) -> bool:
         return bool(row[self.attribute]) == self.value
 
-    def evaluate_value(self, value: Any) -> bool:
-        return bool(value) == self.value
-
     def candidates(self, attribute: Attribute) -> list[Any]:
         return [True, False]
 
@@ -122,9 +107,6 @@ class Equals(Proposition):
 
     def evaluate(self, row: Mapping[str, Any]) -> bool:
         return row[self.attribute] == self.constant
-
-    def evaluate_value(self, value: Any) -> bool:
-        return value == self.constant
 
     def candidates(self, attribute: Attribute) -> list[Any]:
         out = [self.constant]
@@ -154,9 +136,6 @@ class OneOf(Proposition):
     def evaluate(self, row: Mapping[str, Any]) -> bool:
         return row[self.attribute] in self.constants
 
-    def evaluate_value(self, value: Any) -> bool:
-        return value in self.constants
-
     def candidates(self, attribute: Attribute) -> list[Any]:
         out = sorted(self.constants, key=str)
         out.extend(attribute.universe)
@@ -178,9 +157,6 @@ class LessThan(Proposition):
     def evaluate(self, row: Mapping[str, Any]) -> bool:
         return row[self.attribute] < self.constant
 
-    def evaluate_value(self, value: Any) -> bool:
-        return value < self.constant
-
     def candidates(self, attribute: Attribute) -> list[Any]:
         delta = 1 if attribute.type is AttributeType.INTEGER else 0.5
         return [self.constant - delta, self.constant, self.constant + delta]
@@ -198,9 +174,6 @@ class GreaterThan(Proposition):
 
     def evaluate(self, row: Mapping[str, Any]) -> bool:
         return row[self.attribute] > self.constant
-
-    def evaluate_value(self, value: Any) -> bool:
-        return value > self.constant
 
     def candidates(self, attribute: Attribute) -> list[Any]:
         delta = 1 if attribute.type is AttributeType.INTEGER else 0.5
@@ -223,9 +196,6 @@ class Between(Proposition):
 
     def evaluate(self, row: Mapping[str, Any]) -> bool:
         return self.lo <= row[self.attribute] <= self.hi
-
-    def evaluate_value(self, value: Any) -> bool:
-        return self.lo <= value <= self.hi
 
     def candidates(self, attribute: Attribute) -> list[Any]:
         delta = 1 if attribute.type is AttributeType.INTEGER else 0.5
@@ -260,23 +230,6 @@ class InterferenceError(ValueError):
             "; ".join(r.describe() for r in self.reports[:5])
             + (f" (+{len(self.reports) - 5} more)" if len(self.reports) > 5 else "")
         )
-
-
-class _SingleValueTuple:
-    """``itemgetter`` with one key wraps the value in a 1-tuple, so
-    single-attribute projections stay tuples on the wire (and picklable,
-    unlike a closure)."""
-
-    __slots__ = ("attribute",)
-
-    def __init__(self, attribute: str) -> None:
-        self.attribute = attribute
-
-    def __call__(self, row: Mapping[str, Any]) -> tuple:
-        return (row[self.attribute],)
-
-    def __reduce__(self):
-        return (_SingleValueTuple, (self.attribute,))
 
 
 class Vocabulary:
@@ -320,25 +273,6 @@ class Vocabulary:
             if self._key_attributes
             else None
         )
-        # Positional (bit, tuple_index, value_predicate) triples for
-        # abstracting projected value tuples without rebuilding rows
-        # (:meth:`mask_sets_projected`).
-        position = {a: i for i, a in enumerate(self._key_attributes)}
-        self._value_evaluators = tuple(
-            (1 << i, position[p.attribute], p.evaluate_value)
-            for i, p in enumerate(self.propositions)
-        )
-        # The wire projector always yields tuples (even for one
-        # attribute), so projected rows stay distinguishable from the
-        # Mapping fallback rows in :meth:`project_rows` payloads.
-        if len(self._key_attributes) > 1:
-            self._row_projector: Callable[
-                [Mapping[str, Any]], tuple
-            ] | None = operator.itemgetter(*self._key_attributes)
-        elif self._key_attributes:
-            self._row_projector = _SingleValueTuple(self._key_attributes[0])
-        else:
-            self._row_projector = None
         if check:
             reports = self.check_interference()
             if reports:
@@ -389,8 +323,8 @@ class Vocabulary:
         so any two rows agreeing on those values share a mask.  This fast
         path memoizes masks per distinct projection of a row onto the
         proposition-referenced attributes, turning the dominant build
-        cost of every bitmask backend (and the worker-side raw-shard
-        build) into one dict lookup per repeated row.
+        cost of every bitmask backend into one dict lookup per repeated
+        row.
 
         The memo lives for one call, so it covers an entire build without
         growing unboundedly across relation versions.  Rows with
@@ -420,79 +354,6 @@ class Vocabulary:
                         continue
                     except (TypeError, KeyError):  # unhashable / partial row
                         pass
-                mask = 0
-                for bit, evaluate in evaluators:
-                    if evaluate(row):
-                        mask |= bit
-                masks.add(mask)
-            out.append(frozenset(masks))
-        return out
-
-    def project_rows(
-        self, rows: Iterable[Mapping[str, Any]]
-    ) -> list[tuple | Mapping[str, Any]]:
-        """Rows in the wire form of the raw-ingest path (DESIGN.md §2d).
-
-        Propositions only read ``_key_attributes``, so a shard worker can
-        abstract a row from just those values: each row projects to one
-        value tuple, typically a fraction of the full row's pickle cost.
-        Rows missing a key attribute ship as plain dict copies instead —
-        :meth:`mask_sets_projected` tells the two apart by type, and
-        evaluates either exactly like :meth:`mask_sets` would have
-        coordinator-side.
-        """
-        project = self._row_projector
-        if project is None:
-            return [dict(row) for row in rows]
-        rows = rows if isinstance(rows, (list, tuple)) else list(rows)
-        try:
-            # The hot path is one C-level pass; the build ships hundreds
-            # of thousands of rows, so per-row python overhead matters.
-            return list(map(project, rows))
-        except (TypeError, KeyError):  # partial / odd rows: go row-wise
-            out: list[tuple | Mapping[str, Any]] = []
-            for row in rows:
-                try:
-                    out.append(project(row))
-                except (TypeError, KeyError):
-                    out.append(dict(row))
-            return out
-
-    def mask_sets_projected(
-        self, projected_objects: Iterable[Iterable[tuple | Mapping[str, Any]]]
-    ) -> list[frozenset[int]]:
-        """:meth:`mask_sets` over :meth:`project_rows` output — the
-        worker side of raw shard ingest.
-
-        Value tuples are themselves the memo keys (no re-projection); a
-        memo miss runs the positional value evaluators straight off the
-        tuple (``Proposition.evaluate_value``), never rebuilding a row
-        dict.  Answers are exactly ``mask_sets`` of the original rows.
-        """
-        evaluators = self._evaluators
-        value_evaluators = self._value_evaluators
-        key_attributes = self._key_attributes
-        memo: dict[Any, int] = {}
-        memo_get = memo.get
-        out: list[frozenset[int]] = []
-        for rows in projected_objects:
-            masks: set[int] = set()
-            for row in rows:
-                if type(row) is tuple:
-                    try:
-                        mask = memo_get(row, -1)
-                        if mask < 0:
-                            mask = 0
-                            for bit, pos, predicate in value_evaluators:
-                                if predicate(row[pos]):
-                                    mask |= bit
-                            memo[row] = mask
-                        masks.add(mask)
-                        continue
-                    except TypeError:  # unhashable projected value
-                        row = dict(zip(key_attributes, row))
-                # Mapping row (wire fallback, or rebuilt above): evaluate
-                # directly, exactly like the mask_sets fallback.
                 mask = 0
                 for bit, evaluate in evaluators:
                     if evaluate(row):

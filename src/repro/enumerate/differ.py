@@ -7,9 +7,7 @@ matrix and every leg must agree **exactly**:
   learner (``qhorn1`` / ``naive`` / ``role-preserving``) × oracle
   transport (in-process ``direct`` / ``dbapi`` pooled scratch database)
   × driver (``pull`` ``learn()`` vs manual ``sansio``
-  :class:`~repro.protocol.core.LearnerProtocol` stepping) × parallelism
-  (``serial`` vs a :class:`~repro.oracle.ParallelOracle` fanning chunks
-  over a shared :class:`~repro.parallel.ShardWorkerPool`).  Across all
+  :class:`~repro.protocol.core.LearnerProtocol` stepping).  Across all
   legs the question/answer transcript, the learned query and the
   :class:`~repro.oracle.counting.QuestionStats` must be bit-identical,
   the learned query must be semantically equivalent to the target, and
@@ -18,9 +16,8 @@ matrix and every leg must agree **exactly**:
   qhorn-1 learner, the role-preserving bound
   (``4n³ + 6kn·lg n + 40``) for the §4 learner.
 * **Backend matrix** (per (query, store) pair): every registered
-  evaluation backend — ``bitmask``, ``sharded`` (serial, plus a
-  shared-worker-pool leg), ``dbapi`` — must produce the
-  per-object labels, answer keys and answer bitmask that
+  evaluation backend — ``bitmask``, ``sharded``, ``dbapi`` — must
+  produce the per-object labels, answer keys and answer bitmask that
   :class:`~repro.core.query.CompiledQuery` computes from each object's
   abstraction.  The ``dbapi`` leg additionally answers membership
   questions through a pooled :class:`~repro.oracle.SqlQueryOracle`
@@ -37,7 +34,6 @@ enough to paste into a regression test.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Sequence
@@ -49,12 +45,7 @@ from repro.core.tuples import Question
 from repro.enumerate.space import EnumeratedQuery, EnumeratedStore
 from repro.learning import Qhorn1Learner, RolePreservingLearner
 from repro.learning.baselines import NaiveQhorn1Learner
-from repro.oracle import (
-    CountingOracle,
-    ParallelOracle,
-    QueryOracle,
-    SqlQueryOracle,
-)
+from repro.oracle import CountingOracle, QueryOracle, SqlQueryOracle
 from repro.oracle.counting import RecordingOracle
 from repro.protocol.core import Finished, LearnerProtocol
 from repro.protocol.drivers import answer_round
@@ -113,13 +104,7 @@ class MatrixSpec:
     learners: tuple[str, ...] = ("qhorn1", "naive", "role-preserving")
     oracles: tuple[str, ...] = ("direct", "dbapi")
     drivers: tuple[str, ...] = ("pull", "sansio")
-    parallel: tuple[str, ...] = ("serial", "pool")
-    backends: tuple[str, ...] = (
-        "bitmask",
-        "sharded",
-        "sharded-pool",
-        "dbapi",
-    )
+    backends: tuple[str, ...] = ("bitmask", "sharded", "dbapi")
 
     @classmethod
     def parse(cls, spec: str | None) -> "MatrixSpec":
@@ -148,23 +133,6 @@ class MatrixSpec:
                     )
             chosen[axis] = values
         return replace(full, **chosen)
-
-    def without_pool(self) -> "MatrixSpec":
-        """Drop the worker-pool legs (``--parallel 0``)."""
-        return replace(
-            self,
-            parallel=tuple(p for p in self.parallel if p != "pool"),
-            backends=tuple(b for b in self.backends if b != "sharded-pool"),
-        )
-
-    def learner_combos(self) -> list[tuple[str, str, str, str]]:
-        return [
-            (learner, oracle, driver, parallel)
-            for learner in self.learners
-            for oracle in self.oracles
-            for driver in self.drivers
-            for parallel in self.parallel
-        ]
 
 
 @dataclass
@@ -207,30 +175,15 @@ class LearnerOutcome:
 
 
 def _transport_oracle(
-    target: QhornQuery, oracle_kind: str, parallel_mode: str, pool: Any
+    target: QhornQuery, oracle_kind: str
 ) -> tuple[Any, list[Any]]:
     """Build one leg's transport oracle; returns (oracle, closeables)."""
-    if oracle_kind not in ("direct", "dbapi"):
-        raise ValueError(f"unknown oracle transport {oracle_kind!r}")
-    if parallel_mode == "pool":
-        # chunk_size=1 forces every multi-question batch across the
-        # process boundary — the leg exists to exercise the dispatch.
-        if oracle_kind == "direct":
-            oracle: Any = ParallelOracle(
-                QueryOracle(target), pool=pool, chunk_size=1
-            )
-        else:
-            oracle = ParallelOracle(
-                factory=functools.partial(SqlQueryOracle, target),
-                pool=pool,
-                chunk_size=1,
-            )
-        # The coordinator-local copy closes too.
-        return oracle, [oracle, oracle.inner]
     if oracle_kind == "direct":
         return QueryOracle(target), []
-    oracle = SqlQueryOracle(target)
-    return oracle, [oracle]
+    if oracle_kind == "dbapi":
+        oracle = SqlQueryOracle(target)
+        return oracle, [oracle]
+    raise ValueError(f"unknown oracle transport {oracle_kind!r}")
 
 
 def _stats_key(stats: Any) -> tuple:
@@ -256,13 +209,9 @@ def run_learner_leg(
     learner_kind: str,
     oracle_kind: str,
     driver: str,
-    parallel_mode: str,
-    pool: Any = None,
 ) -> LearnerOutcome:
     """Run one leg of the learner matrix to completion."""
-    transport, closeables = _transport_oracle(
-        target, oracle_kind, parallel_mode, pool
-    )
+    transport, closeables = _transport_oracle(target, oracle_kind)
     try:
         recording = RecordingOracle(transport)
         counting = CountingOracle(recording)
@@ -296,9 +245,7 @@ def run_learner_leg(
 
 
 def check_learners(
-    entry: EnumeratedQuery,
-    matrix: MatrixSpec,
-    pool: Any = None,
+    entry: EnumeratedQuery, matrix: MatrixSpec
 ) -> tuple[dict, list[Divergence]]:
     """Run every learner-matrix leg for one enumerated query.
 
@@ -327,7 +274,7 @@ def check_learners(
     def diverge(site: str, detail: str, combo: dict) -> None:
         shrunk = shrink_query(
             target,
-            lambda q: _learner_leg_differs(q, matrix, pool, combo),
+            lambda q: _learner_leg_differs(q, matrix, combo),
         )
         divergences.append(
             Divergence(
@@ -343,26 +290,17 @@ def check_learners(
     for learner_kind in matrix.learners:
         reference: LearnerOutcome | None = None
         reference_combo: dict | None = None
-        for oracle_kind, driver, parallel_mode in (
-            (o, d, p)
-            for o in matrix.oracles
-            for d in matrix.drivers
-            for p in matrix.parallel
+        for oracle_kind, driver in (
+            (o, d) for o in matrix.oracles for d in matrix.drivers
         ):
             combo = {
                 "learner": learner_kind,
                 "oracle": oracle_kind,
                 "driver": driver,
-                "parallel": parallel_mode,
             }
             try:
                 outcome = run_learner_leg(
-                    target,
-                    learner_kind,
-                    oracle_kind,
-                    driver,
-                    parallel_mode,
-                    pool,
+                    target, learner_kind, oracle_kind, driver
                 )
             except Exception as error:
                 divergences.append(
@@ -428,7 +366,7 @@ def check_learners(
 
 
 def _learner_leg_differs(
-    query: QhornQuery, matrix: MatrixSpec, pool: Any, combo: dict
+    query: QhornQuery, matrix: MatrixSpec, combo: dict
 ) -> bool:
     """Shrinking predicate: does ``combo``'s leg still disagree with the
     first-configured leg of the same learner on ``query``?"""
@@ -436,20 +374,10 @@ def _learner_leg_differs(
         return False
     try:
         probe = run_learner_leg(
-            query,
-            combo["learner"],
-            combo["oracle"],
-            combo["driver"],
-            combo["parallel"],
-            pool,
+            query, combo["learner"], combo["oracle"], combo["driver"]
         )
         reference = run_learner_leg(
-            query,
-            combo["learner"],
-            matrix.oracles[0],
-            matrix.drivers[0],
-            matrix.parallel[0],
-            pool,
+            query, combo["learner"], matrix.oracles[0], matrix.drivers[0]
         )
     except Exception:
         return True
@@ -474,7 +402,6 @@ def _in_learner_class(query: QhornQuery, learner: str) -> bool:
 BACKEND_LEGS: dict[str, tuple[str, dict]] = {
     "bitmask": ("bitmask", {}),
     "sharded": ("sharded", {"shard_size": 2}),
-    "sharded-pool": ("sharded", {"shard_size": 1}),
     "dbapi": ("dbapi", {"pool_size": 2}),
 }
 
@@ -491,15 +418,10 @@ def reference_labels(
     ]
 
 
-def _build_backend(
-    leg: str, relation: Any, vocabulary: Any, pool: Any
-) -> Any:
+def _build_backend(leg: str, relation: Any, vocabulary: Any) -> Any:
     from repro.data.backends import REGISTRY
 
     name, options = BACKEND_LEGS[leg]
-    options = dict(options)
-    if leg == "sharded-pool":
-        options["pool"] = pool
     return REGISTRY.create(name, relation, vocabulary, **options)
 
 
@@ -694,7 +616,7 @@ def shrink_backend_case(
         relation = probe_store.relation(vocabulary)
         backend = None
         try:
-            backend = _build_backend(leg, relation, vocabulary, None)
+            backend = _build_backend(leg, relation, vocabulary)
             expected = reference_labels(q, relation, vocabulary)
             if list(backend.matches_many(q)) != expected:
                 return True
@@ -713,10 +635,6 @@ def shrink_backend_case(
                 except Exception:
                     pass
 
-    if leg == "sharded-pool":
-        # The shared pool is not available inside shrink probes; fall
-        # back to the serial sharded layout, which shares the kernel.
-        leg = "sharded"
     masks = shrink_store(
         store.mask_sets, lambda candidate: fails(query, candidate)
     )

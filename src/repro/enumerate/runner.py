@@ -62,14 +62,10 @@ class RunConfig:
     vocab: str = "bool"
     guarantees: str = "true"  # "true" | "both"
     matrix: str = "full"
-    parallel: int = 2
     progress_every: int = 25
 
     def matrix_spec(self) -> MatrixSpec:
-        spec = MatrixSpec.parse(self.matrix)
-        if self.parallel == 0:
-            spec = spec.without_pool()
-        return spec
+        return MatrixSpec.parse(self.matrix)
 
     def guarantee_values(self) -> tuple[bool, ...]:
         return (True,) if self.guarantees == "true" else (True, False)
@@ -84,7 +80,6 @@ class RunConfig:
             "vocab": self.vocab,
             "guarantees": self.guarantees,
             "matrix": self.matrix,
-            "parallel": self.parallel,
         }
 
 
@@ -171,114 +166,104 @@ def run(
 
     emit(config.to_record())
 
-    pool = None
-    needs_pool = "pool" in matrix.parallel or "sharded-pool" in matrix.backends
-    if needs_pool and config.parallel > 0:
-        from repro.parallel import ShardWorkerPool
+    queries_by_n: dict[int, list[EnumeratedQuery]] = {}
+    for entry in enumerate_queries(
+        config.max_props,
+        max_exprs=config.max_exprs,
+        guarantees=config.guarantee_values(),
+    ):
+        queries_by_n.setdefault(entry.n, []).append(entry)
+        result.queries += 1
+        emit(entry.to_record())
+    tick(f"enumerated {result.queries} queries (n<={config.max_props})")
 
-        pool = ShardWorkerPool(processes=config.parallel)
-    try:
-        queries_by_n: dict[int, list[EnumeratedQuery]] = {}
-        for entry in enumerate_queries(
-            config.max_props,
-            max_exprs=config.max_exprs,
-            guarantees=config.guarantee_values(),
+    # Learner matrix: per query, store-independent.
+    done_units = 0
+    for entries in queries_by_n.values():
+        for entry in entries:
+            if not entry.query.require_guarantees:
+                # Learners implement the paper's guarantee-clause
+                # semantics; a relaxed target is not in their
+                # hypothesis class (it differs exactly on
+                # witness-free objects).  Relaxed queries still run
+                # the full backend matrix below.
+                continue
+            if entry.id in done_learners:
+                result.skipped += 1
+                continue
+            report, divergences = check_learners(entry, matrix)
+            result.learner_runs += report["combos"]
+            if report["questions"]:
+                result.max_questions = max(
+                    result.max_questions, max(report["questions"].values())
+                )
+            for divergence in divergences:
+                result.divergences.append(divergence)
+                emit(divergence.to_record())
+            emit(report)
+            done_units += 1
+            if done_units % config.progress_every == 0:
+                tick(
+                    f"learner matrix: {done_units} queries, "
+                    f"{result.learner_runs} legs, "
+                    f"{len(result.divergences)} divergences"
+                )
+    tick(
+        f"learner matrix done: {result.learner_runs} legs over "
+        f"{result.queries} queries"
+    )
+
+    # Backend matrix: stores outer (backends build once per store).
+    done_units = 0
+    for n, entries in sorted(queries_by_n.items()):
+        vocabulary = store_vocabulary(n, config.vocab)
+        for store in enumerate_stores(
+            n, config.max_objects, max_rows=config.max_rows
         ):
-            queries_by_n.setdefault(entry.n, []).append(entry)
-            result.queries += 1
-            emit(entry.to_record())
-        tick(f"enumerated {result.queries} queries (n<={config.max_props})")
-
-        # Learner matrix: per query, store-independent.
-        done_units = 0
-        for entries in queries_by_n.values():
-            for entry in entries:
-                if not entry.query.require_guarantees:
-                    # Learners implement the paper's guarantee-clause
-                    # semantics; a relaxed target is not in their
-                    # hypothesis class (it differs exactly on
-                    # witness-free objects).  Relaxed queries still run
-                    # the full backend matrix below.
-                    continue
-                if entry.id in done_learners:
-                    result.skipped += 1
-                    continue
-                report, divergences = check_learners(entry, matrix, pool)
-                result.learner_runs += report["combos"]
-                if report["questions"]:
-                    result.max_questions = max(
-                        result.max_questions, max(report["questions"].values())
+            result.stores += 1
+            emit(store.to_record())
+            pending = [
+                e for e in entries if (e.id, store.id) not in done_pairs
+            ]
+            result.skipped += len(entries) - len(pending)
+            result.pairs += len(entries)
+            if not pending:
+                continue
+            relation = store.relation(vocabulary)
+            backends = {
+                leg: _build_backend(leg, relation, vocabulary)
+                for leg in matrix.backends
+                if leg in BACKEND_LEGS
+            }
+            try:
+                for entry in pending:
+                    record, divergences = check_backends(
+                        entry, store, backends, relation, vocabulary
                     )
-                for divergence in divergences:
-                    result.divergences.append(divergence)
-                    emit(divergence.to_record())
-                emit(report)
-                done_units += 1
-                if done_units % config.progress_every == 0:
-                    tick(
-                        f"learner matrix: {done_units} queries, "
-                        f"{result.learner_runs} legs, "
-                        f"{len(result.divergences)} divergences"
-                    )
-        tick(
-            f"learner matrix done: {result.learner_runs} legs over "
-            f"{result.queries} queries"
-        )
-
-        # Backend matrix: stores outer (backends build once per store).
-        done_units = 0
-        for n, entries in sorted(queries_by_n.items()):
-            vocabulary = store_vocabulary(n, config.vocab)
-            for store in enumerate_stores(
-                n, config.max_objects, max_rows=config.max_rows
-            ):
-                result.stores += 1
-                emit(store.to_record())
-                pending = [
-                    e for e in entries if (e.id, store.id) not in done_pairs
-                ]
-                result.skipped += len(entries) - len(pending)
-                result.pairs += len(entries)
-                if not pending:
-                    continue
-                relation = store.relation(vocabulary)
-                backends = {
-                    leg: _build_backend(leg, relation, vocabulary, pool)
-                    for leg in matrix.backends
-                    if leg in BACKEND_LEGS
-                }
-                try:
-                    for entry in pending:
-                        record, divergences = check_backends(
-                            entry, store, backends, relation, vocabulary
+                    result.backend_checks += len(backends)
+                    for divergence in divergences:
+                        result.divergences.append(divergence)
+                        emit(divergence.to_record())
+                    emit(record)
+                    done_units += 1
+                    if done_units % config.progress_every == 0:
+                        tick(
+                            f"backend matrix: {done_units} pairs, "
+                            f"{result.backend_checks} checks, "
+                            f"{len(result.divergences)} divergences"
                         )
-                        result.backend_checks += len(backends)
-                        for divergence in divergences:
-                            result.divergences.append(divergence)
-                            emit(divergence.to_record())
-                        emit(record)
-                        done_units += 1
-                        if done_units % config.progress_every == 0:
-                            tick(
-                                f"backend matrix: {done_units} pairs, "
-                                f"{result.backend_checks} checks, "
-                                f"{len(result.divergences)} divergences"
-                            )
-                finally:
-                    for backend in backends.values():
-                        close = getattr(backend, "close", None)
-                        if close is not None:
-                            try:
-                                close()
-                            except Exception:
-                                pass
-        tick(
-            f"backend matrix done: {result.backend_checks} checks over "
-            f"{result.pairs} pairs ({result.stores} stores)"
-        )
-    finally:
-        if pool is not None:
-            pool.close()
+            finally:
+                for backend in backends.values():
+                    close = getattr(backend, "close", None)
+                    if close is not None:
+                        try:
+                            close()
+                        except Exception:
+                            pass
+    tick(
+        f"backend matrix done: {result.backend_checks} checks over "
+        f"{result.pairs} pairs ({result.stores} stores)"
+    )
 
     emit(result.summary())
     return result
@@ -317,7 +302,6 @@ def run_from_args(args: Any) -> int:
         vocab=args.vocab,
         guarantees=args.guarantees,
         matrix=args.matrix,
-        parallel=args.parallel,
         progress_every=args.progress_every,
     )
     resume = None

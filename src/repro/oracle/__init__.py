@@ -23,7 +23,6 @@ from repro.oracle.expression import (
 )
 from repro.oracle.human import HumanOracle
 from repro.oracle.noisy import ExhaustedReplayError, NoisyOracle, ReplayOracle
-from repro.oracle.parallel import ParallelOracle
 from repro.oracle.persistent import PersistentCachingOracle
 from repro.oracle.sqlbacked import SqlQueryOracle
 
@@ -47,7 +46,6 @@ __all__ = [
     "HumanOracle",
     "MembershipOracle",
     "NoisyOracle",
-    "ParallelOracle",
     "QueryOracle",
     "QuestionStats",
     "RecordingOracle",

@@ -1,8 +1,6 @@
 """Asynchronous membership oracles: remote users on an event loop.
 
-:class:`~repro.oracle.parallel.ParallelOracle` covers multi-core dispatch
-of *simulated* oracles; the adapters here cover the other half of the
-ROADMAP's scaling story — *remote* answering (human UIs, sockets, work
+The adapters here cover *remote* answering (human UIs, sockets, work
 queues) without blocking a thread per session.  The contract mirrors the
 synchronous one exactly: an async oracle answers ``ask``/``ask_many``
 coroutines with the same sequential-equivalence guarantees, and

@@ -109,6 +109,19 @@ WARM_SESSIONS = 1024
 MAX_LINE_BYTES = 1 << 16
 
 
+def check_limits(max_outbox: int, idle_timeout: float | None) -> None:
+    """Reject server limits that would switch a safeguard off silently:
+    ``asyncio.Queue(maxsize=0)`` is unbounded, so an outbox bound below
+    1 drops backpressure, and an idle timeout of 0 or less evicts every
+    session on the shortest sweep."""
+    if max_outbox < 1:
+        raise ValueError(f"max_outbox must be at least 1, got {max_outbox}")
+    if idle_timeout is not None and not idle_timeout > 0:
+        raise ValueError(
+            f"idle_timeout must be positive (or None), got {idle_timeout}"
+        )
+
+
 def round_to_dict(round_: Round, index: int) -> dict[str, Any]:
     """The wire form of one round (membership or expression questions)."""
     return {
@@ -191,6 +204,9 @@ class RoundServer:
         on persisted worker stats).  Defaults to a fresh short id.  The
         session-ownership claim token derives from it plus the pid, so a
         server must be constructed in the process that runs it.
+
+    Construction raises ``ValueError`` on limits :func:`check_limits`
+    rejects.
     """
 
     def __init__(
@@ -201,6 +217,7 @@ class RoundServer:
         idle_timeout: float | None = None,
         worker_id: str | None = None,
     ) -> None:
+        check_limits(max_outbox, idle_timeout)
         self.store = store
         self.learners = dict(learners)
         self.max_outbox = max_outbox
@@ -477,7 +494,11 @@ class RoundServer:
         if isinstance(n, bool) or not isinstance(n, int) or n < 1:
             return [self._error('"open" needs a positive integer "n"')]
         learner = message.get("learner", DEFAULT_LEARNER)
-        learner_cls = self.learners.get(learner)
+        # A non-string learner (a JSON list or object) is unhashable:
+        # answer it like any other unknown name.
+        learner_cls = (
+            self.learners.get(learner) if isinstance(learner, str) else None
+        )
         if learner_cls is None:
             known = ", ".join(sorted(self.learners))
             return [

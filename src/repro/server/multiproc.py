@@ -31,6 +31,7 @@ import socket
 import sys
 from pathlib import Path
 
+from repro.server.core import check_limits
 from repro.server.store import SessionStore
 
 __all__ = ["ServerFleet", "default_workers"]
@@ -49,7 +50,7 @@ def default_workers() -> int:
 # ----------------------------------------------------------------------
 #
 # Module-level so the fleet works under the ``spawn`` start method too
-# (the fork-preferring context mirrors repro.parallel.pool).  Everything
+# (the fleet prefers ``fork`` where the platform has it).  Everything
 # a worker needs crosses as plain picklable values; the worker opens its
 # *own* SessionStore connection — a sqlite handle must never cross fork,
 # which is the whole point of per-worker connections (§2h).
@@ -141,7 +142,9 @@ class ServerFleet:
         Process count; ``0`` means one per core.
 
     The workers share the port through ``SO_REUSEPORT``; construction
-    raises ``RuntimeError`` on a platform without it.
+    raises ``RuntimeError`` on a platform without it, and ``ValueError``
+    on a negative ``workers`` or on limits
+    :func:`~repro.server.core.check_limits` rejects, before forking.
     """
 
     def __init__(
@@ -165,6 +168,9 @@ class ServerFleet:
                 "platform lacks — its workers share one port through it; "
                 "serve from one process instead"
             )
+        if workers < 0:
+            raise ValueError(f"workers must be 0 or more, got {workers}")
+        check_limits(max_outbox, idle_timeout)
         self.workers = workers if workers > 0 else default_workers()
         self.host = host
         self.requested_port = port

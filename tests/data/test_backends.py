@@ -2,8 +2,8 @@
 
 The answer-identity contract across backends is enforced at scale by
 ``tests/properties/test_prop_backends.py``; these tests pin the seam
-itself — construction, dispatch, staleness, sharding layout, executor
-plumbing, the dbapi pool and lifecycle — on the chocolate-store domain.
+itself — construction, dispatch, staleness, sharding layout, the dbapi
+pool and lifecycle — on the chocolate-store domain.
 
 Tests taking the ``backend_name`` fixture run once per registered
 backend (restrict with ``pytest --backend dbapi``).
@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import random
 import sqlite3
-from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -261,27 +260,6 @@ class TestShardedLayout:
         for query in _queries():
             assert backend.matching_bits(query) == (
                 single.index.matching_bits(query)
-            )
-
-    def test_executor_evaluates_in_parallel_shards(self, store, vocab):
-        single = QueryEngine(store, vocab)
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            backend = ShardedBitmaskBackend(
-                store, vocab, shard_size=7, executor=pool
-            )
-            for query in _queries():
-                assert backend.matches_many(query) == (
-                    single.matches_many(query)
-                )
-            assert "parallel" in backend.describe()
-
-
-    def test_ingest_requires_pool_mode(self, store, vocab):
-        with pytest.raises(ValueError, match="worker-pool modes"):
-            ShardedBitmaskBackend(store, vocab, ingest="raw")
-        with pytest.raises(ValueError, match="unknown ingest mode"):
-            ShardedBitmaskBackend(
-                store, vocab, processes=2, ingest="streaming"
             )
 
 

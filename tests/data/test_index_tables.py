@@ -1,17 +1,13 @@
 """Regression tests for the superset-union tables as cached state.
 
 The tables behind :class:`~repro.data.index.BitsetKernel` are derived
-from one build of the inverted index: a rebuild must drop them, and
-pickling a shard must never carry them.
+from one build of the inverted index: a rebuild must drop them.
 """
 
 from __future__ import annotations
 
-import pickle
-
 from repro.core.query import QhornQuery
 from repro.data import BoolIs, NestedRelation, QueryEngine, Vocabulary
-from repro.data.backends.sharded import Shard
 from repro.data.schema import Attribute, FlatSchema, NestedSchema
 
 N = 4
@@ -71,15 +67,3 @@ def test_in_place_mutation_then_forced_refresh_changes_the_answer():
     assert not engine.index._kernel._tables
     assert _answer_keys(engine) == ["o0", "o3", "o5", "o12", "o15"]
 
-
-def test_shard_pickles_the_same_before_and_after_its_tables_are_built():
-    shard = Shard(64, [{m, m ^ 0b1111} for m in range(1 << N)])
-    before = pickle.dumps(shard)
-    compiled = QUERY.compile()
-    answer = shard.matching_bits(compiled)
-    assert set(shard._tables) == {0, 0b0010}
-    assert pickle.dumps(shard) == before
-    clone = pickle.loads(before)
-    assert clone.offset == 64
-    assert not clone._tables
-    assert clone.matching_bits(compiled) == answer

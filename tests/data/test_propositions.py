@@ -16,7 +16,6 @@ from repro.data.propositions import (
     InterferenceError,
     LessThan,
     OneOf,
-    Proposition,
     Vocabulary,
 )
 from repro.data.schema import Attribute, FlatSchema
@@ -101,10 +100,9 @@ class TestVocabularyAbstraction:
             Vocabulary(chocolate_schema(), [])
 
 
-class TestProjectedAbstraction:
-    """The raw-ingest wire path: ``project_rows`` on the coordinator,
-    ``mask_sets_projected`` (positional ``evaluate_value``) on the
-    worker, answers exactly those of ``mask_sets``."""
+class TestMaskSets:
+    """The bulk abstraction every bitmask build runs: answers exactly
+    those of the per-row reference path, memo hits and misses alike."""
 
     VOCAB = Vocabulary(
         NUM_SCHEMA,
@@ -123,66 +121,16 @@ class TestProjectedAbstraction:
             {"count": 3, "weight": 1.5, "flag": True, "kind": "a"},
         ]
 
-    def test_evaluate_value_matches_evaluate(self):
-        rows = self._rows()
-        for p in self.VOCAB.propositions:
-            for row in rows:
-                assert p.evaluate_value(row[p.attribute]) == p.evaluate(row)
-
-    def test_default_evaluate_value_delegates(self):
-        class IsNegative(Proposition):
-            """No override: exercises the base-class delegation."""
-
-            def describe(self):
-                return f"{self.attribute} < 0"
-
-            def evaluate(self, row):
-                return row[self.attribute] < 0
-
-            def candidates(self, attribute):
-                return [-1, 0, 1]
-
-        p = IsNegative("count")
-        assert p.evaluate_value(-1) is True
-        assert p.evaluate_value(1) is False
-
-    def test_projected_rows_are_value_tuples(self):
-        projected = self.VOCAB.project_rows(self._rows())
-        keys = self.VOCAB._key_attributes
-        assert all(type(r) is tuple and len(r) == len(keys) for r in projected)
-
-    def test_single_attribute_projection_stays_a_tuple(self):
-        vocab = Vocabulary(NUM_SCHEMA, [BoolIs("flag")])
-        projected = vocab.project_rows([{"flag": True}, {"flag": False}])
-        assert projected == [(True,), (False,)]
-        assert vocab.mask_sets_projected([projected]) == (
-            vocab.mask_sets([[{"flag": True}, {"flag": False}]])
-        )
-
-    def test_partial_rows_ship_as_dicts(self):
-        # The row-wise fallback keeps the good row projected and ships
-        # the partial one whole.
-        rows = [{"count": 1, "weight": 1.5, "flag": True, "kind": "a"},
-                {"flag": True}]  # missing key attributes
-        projected = self.VOCAB.project_rows(rows)
-        assert type(projected[0]) is tuple
-        assert projected[1] == {"flag": True}
-
-    def test_round_trip_matches_mask_sets(self):
+    def test_matches_the_per_row_path(self):
         objects_rows = [self._rows(), self._rows()[:1], []]
-        projected = [self.VOCAB.project_rows(rows) for rows in objects_rows]
-        assert self.VOCAB.mask_sets_projected(projected) == (
-            self.VOCAB.mask_sets(objects_rows)
-        )
+        assert self.VOCAB.mask_sets(objects_rows) == [
+            frozenset(self.VOCAB.boolean_tuples(rows)) for rows in objects_rows
+        ]
 
-    def test_unhashable_projected_value_falls_back(self):
+    def test_unhashable_value_falls_back(self):
         vocab = Vocabulary(NUM_SCHEMA, [Equals("kind", "a")])
-        rows = [{"kind": ["a"]}]  # list value: unhashable memo key
-        projected = vocab.project_rows(rows)
-        assert projected == [(["a"],)]
-        assert vocab.mask_sets_projected([projected]) == (
-            vocab.mask_sets([rows])
-        )
+        rows = [{"kind": ["a"]}, {"kind": "a"}]  # a list is no memo key
+        assert vocab.mask_sets([rows]) == [frozenset({0, 1})]
 
 
 class TestSynthesis:

@@ -41,14 +41,14 @@ class TestRegistration:
         registry = _fresh()
         registry.register("direct", _Dummy)
 
-        @registry.register("decorated", supports_parallel=True)
+        @registry.register("decorated", supports_oracle=True)
         class Decorated(_Dummy):
             pass
 
         assert registry.names() == ["decorated", "direct"]
         assert registry.get("direct") is _Dummy
         assert registry.get("decorated") is Decorated
-        assert registry.capabilities("decorated").supports_parallel
+        assert registry.capabilities("decorated").supports_oracle
 
     def test_duplicate_name_rejected(self):
         registry = _fresh()
@@ -64,9 +64,9 @@ class TestRegistration:
 
     def test_explicit_flags_win_over_class_flags(self):
         registry = _fresh()
-        registry.register("dummy", _Dummy, supports_parallel=True)
+        registry.register("dummy", _Dummy, supports_oracle=True)
         caps = registry.capabilities("dummy")
-        assert caps.supports_parallel is True
+        assert caps.supports_oracle is True
         assert caps.supports_sql is False
 
     def test_unregister(self):

@@ -23,7 +23,7 @@ from repro.enumerate.space import (
     store_vocabulary,
 )
 
-SERIAL = MatrixSpec.parse("parallel=serial;backends=bitmask+sharded+dbapi")
+MATRIX = MatrixSpec()
 
 
 class TestMatrixSpec:
@@ -43,11 +43,6 @@ class TestMatrixSpec:
         with pytest.raises(ValueError, match="unknown learners choice"):
             MatrixSpec.parse("learners=gradient-descent")
 
-    def test_without_pool_drops_pool_legs(self):
-        spec = MatrixSpec().without_pool()
-        assert spec.parallel == ("serial",)
-        assert "sharded-pool" not in spec.backends
-
     def test_bounds_are_the_pinned_constants(self):
         import math
 
@@ -58,14 +53,14 @@ class TestMatrixSpec:
 class TestLearnerMatrix:
     def test_all_serial_legs_agree_everywhere(self):
         for entry in enumerate_queries(2):
-            report, divergences = check_learners(entry, SERIAL)
+            report, divergences = check_learners(entry, MATRIX)
             assert divergences == [], [d.detail for d in divergences]
             assert report["status"] == "ok"
             assert report["combos"] == 3 * 2 * 2  # learners×oracles×drivers
 
     def test_question_counts_within_paper_bounds(self):
         for entry in enumerate_queries(2):
-            report, _ = check_learners(entry, SERIAL)
+            report, _ = check_learners(entry, MATRIX)
             n = entry.n
             assert report["questions"]["qhorn1"] <= theorem_31_bound(n)
             assert report["questions"]["role-preserving"] <= (
@@ -74,8 +69,8 @@ class TestLearnerMatrix:
 
     def test_transcripts_identical_across_drivers(self):
         target = parse_query("∀x1→x2 ∃x1x2", n=2)
-        pull = run_learner_leg(target, "qhorn1", "direct", "pull", "serial")
-        sansio = run_learner_leg(target, "qhorn1", "dbapi", "sansio", "serial")
+        pull = run_learner_leg(target, "qhorn1", "direct", "pull")
+        sansio = run_learner_leg(target, "qhorn1", "dbapi", "sansio")
         assert pull.transcript == sansio.transcript
         assert pull.stats == sansio.stats
         assert pull.learned == sansio.learned
@@ -100,7 +95,7 @@ class TestLearnerMatrix:
         differ_module.QueryOracle = LyingOracle
         try:
             spec = MatrixSpec.parse(
-                "learners=qhorn1;oracles=direct;drivers=pull;parallel=serial"
+                "learners=qhorn1;oracles=direct;drivers=pull"
             )
             report, divergences = check_learners(entry, spec)
         finally:
@@ -120,8 +115,8 @@ class TestBackendMatrix:
         for store in list(enumerate_stores(2, 2))[:15]:
             relation = store.relation(vocabulary)
             backends = {
-                leg: _build_backend(leg, relation, vocabulary, None)
-                for leg in SERIAL.backends
+                leg: _build_backend(leg, relation, vocabulary)
+                for leg in MATRIX.backends
             }
             try:
                 for entry in entries:
@@ -146,7 +141,7 @@ class TestBackendMatrix:
         )
         relation = store.relation(vocabulary)
         backends = {
-            leg: _build_backend(leg, relation, vocabulary, None)
+            leg: _build_backend(leg, relation, vocabulary)
             for leg in ("bitmask", "dbapi")
         }
         try:
@@ -166,7 +161,7 @@ class TestBackendMatrix:
         store = next(s for s in enumerate_stores(2, 2) if len(s.objects) == 2)
         vocabulary = store_vocabulary(2, "bool")
         relation = store.relation(vocabulary)
-        reference = _build_backend("bitmask", relation, vocabulary, None)
+        reference = _build_backend("bitmask", relation, vocabulary)
 
         class InvertingBackend:
             def matches_many(self, query, objects=None):

@@ -11,8 +11,7 @@ from repro.enumerate.runner import RunConfig, load_done, run
 TINY = RunConfig(
     max_props=1,
     max_objects=1,
-    matrix="parallel=serial;backends=bitmask+dbapi",
-    parallel=0,
+    matrix="backends=bitmask+dbapi",
 )
 
 
@@ -40,8 +39,8 @@ class TestRun:
         assert summary["divergences"] == 0
         assert summary["bound_ok"] is True
         assert summary["status"] == "ok"
-        # The full learner axes on a serial matrix: 3 learners × 2
-        # oracle transports × 2 drivers = 3×2×2 legs per query.
+        # The full learner axes: 3 learners × 2 oracle transports × 2
+        # drivers = 3×2×2 legs per query.
         assert summary["learner_runs"] == 2 * 3 * 2 * 2
         assert summary["backend_checks"] == summary["pairs"] * 2
 
@@ -126,9 +125,7 @@ class TestCli:
             "--max-objects",
             "1",
             "--matrix",
-            "parallel=serial;backends=bitmask+dbapi",
-            "--parallel",
-            "0",
+            "backends=bitmask+dbapi",
             "--out",
             str(out),
         ]
@@ -156,9 +153,7 @@ class TestCli:
                     "--max-objects",
                     "0",
                     "--matrix",
-                    "parallel=serial;backends=bitmask",
-                    "--parallel",
-                    "0",
+                    "backends=bitmask",
                     "--out",
                     str(out),
                 ]
@@ -187,7 +182,7 @@ class TestRelaxedSemanticsGate:
         from repro.enumerate.differ import run_learner_leg
 
         relaxed = parse_query("∀x1", n=1, require_guarantees=False)
-        outcome = run_learner_leg(relaxed, "qhorn1", "direct", "pull", "serial")
+        outcome = run_learner_leg(relaxed, "qhorn1", "direct", "pull")
         # The learner answers consistently with the oracle yet cannot
         # express the relaxed semantics: not a conformance bug.
         assert not brute_force_equivalent(outcome.learned, relaxed)
@@ -199,8 +194,7 @@ class TestRelaxedSemanticsGate:
             max_props=1,
             max_objects=1,
             guarantees="both",
-            matrix="parallel=serial;backends=bitmask+dbapi",
-            parallel=0,
+            matrix="backends=bitmask+dbapi",
         )
         result = run(config, sink)
         assert result.ok, [d.detail for d in result.divergences]

@@ -3,9 +3,9 @@
 Where the other property suites sample random (query, relation) pairs,
 this one *proves by cases* at small bounds (DESIGN.md §2j):
 
-* the full conformance matrix — learner × oracle transport × driver ×
-  parallelism, and every evaluation backend — produces **zero
-  divergences** over the complete enumerated space at ``n ≤ 2``;
+* the full conformance matrix — learner × oracle transport × driver,
+  and every evaluation backend — produces **zero divergences** over the
+  complete enumerated space at ``n ≤ 2``;
 * Theorem 3.1's question bound (at the constants pinned by the learning
   suite: ``12·n·lg n + 12``) holds on **every** enumerated instance,
   not just sampled ones — and the exhaustive maxima are pinned exactly,
@@ -30,39 +30,25 @@ from repro.enumerate.differ import (
 from repro.enumerate.runner import RunConfig, run
 from repro.enumerate.space import enumerate_queries, query_signature
 
-SERIAL_FULL = RunConfig(
-    max_props=2,
-    max_objects=2,
-    matrix="parallel=serial",
-    parallel=0,
-)
+FULL = RunConfig(max_props=2, max_objects=2)
 
 
 class TestExhaustiveConformance:
     def test_zero_divergences_across_the_serial_matrix(self):
-        """Every (query, store) pair × every serial matrix leg agrees."""
-        result = run(SERIAL_FULL, io.StringIO())
+        """Every (query, store) pair × every matrix leg agrees."""
+        result = run(FULL, io.StringIO())
         assert result.ok, [d.detail for d in result.divergences]
         assert result.queries == 13
         assert result.stores == 93  # 15 at n=1 + 78 at n=2
         assert result.pairs == 888
         assert result.learner_runs == 13 * 3 * 2 * 2
-        assert result.backend_checks > 0
-
-    def test_zero_divergences_with_worker_pool_legs(self):
-        """The parallel legs (ParallelOracle dispatch, pool-built
-        sharded backend) agree bit-identically too — n=1 bounds keep
-        the process fan-out cheap."""
-        config = RunConfig(max_props=1, max_objects=1, parallel=2)
-        result = run(config, io.StringIO())
-        assert result.ok, [d.detail for d in result.divergences]
-        assert result.learner_runs == 2 * 3 * 2 * 2 * 2  # ×2 parallel axis
+        assert result.backend_checks == 888 * 3
 
 
 class TestTheorem31Exhaustive:
     def test_bound_holds_on_every_instance(self):
         matrix = MatrixSpec.parse(
-            "learners=qhorn1;oracles=direct;drivers=pull;parallel=serial"
+            "learners=qhorn1;oracles=direct;drivers=pull"
         )
         for entry in enumerate_queries(2):
             report, divergences = check_learners(entry, matrix)
@@ -73,7 +59,7 @@ class TestTheorem31Exhaustive:
         """The worst case over the WHOLE bounded space, by n — a
         one-question learner regression moves these."""
         matrix = MatrixSpec.parse(
-            "learners=qhorn1;oracles=direct;drivers=pull;parallel=serial"
+            "learners=qhorn1;oracles=direct;drivers=pull"
         )
         worst: dict[int, int] = {}
         for entry in enumerate_queries(2):

@@ -203,6 +203,7 @@ class TestWireErrors:
             finished, _ = await answer_until_done(
                 client, QueryOracle(target), first=first
             )
+            assert server.wire_errors == len(errors)  # every one counted
             await client.close()
             await server.close()
             return errors, finished
@@ -224,6 +225,8 @@ class TestWireErrors:
                     '{"type": "open", "n": 0}',
                     '{"type": "open", "n": true}',
                     '{"type": "open", "n": 3, "learner": "nope"}',
+                    '{"type": "open", "n": 3, "learner": ["x"]}',
+                    '{"type": "open", "n": 3, "learner": {"a": 1}}',
                     '{"type": "answers", "session": 7, "answers": []}',
                     '{"type": "quit"}',
                     '{"type": "reconnect", "session": "bogus"}',
@@ -231,7 +234,7 @@ class TestWireErrors:
             )
         )
         assert finished["type"] == "finished"
-        assert len(errors) == 15
+        assert len(errors) == 17
         for needle, message in zip(
             [
                 "JSON",
@@ -245,6 +248,8 @@ class TestWireErrors:
                 "unknown session",
                 'positive integer "n"',
                 'positive integer "n"',
+                "unknown learner",
+                "unknown learner",  # unhashable learner names
                 "unknown learner",
                 '"session" must be a string',
                 '"quit" needs a "session"',

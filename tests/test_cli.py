@@ -241,58 +241,6 @@ class TestThirdPartyBackends:
             REGISTRY.names()  # re-sync the env-discovery cache
 
 
-class TestParallelFlag:
-    def test_learn_parallel_matches_sequential(self, capsys):
-        """--parallel changes who evaluates, never the interaction: the
-        full printed transcript (questions, rounds, result) is identical."""
-        outputs = []
-        for extra in ([], ["--parallel", "2"]):
-            assert main(["learn", "∀x1x2→x3 ∃x4"] + extra) == 0
-            outputs.append(capsys.readouterr().out)
-        assert outputs[0] == outputs[1]
-
-    def test_verify_parallel(self, capsys):
-        assert main(
-            ["verify", "∀x1 ∃x2", "∀x1 ∃x2", "--parallel", "2"]
-        ) == 0
-        assert "verified: True" in capsys.readouterr().out
-
-    def test_learn_parallel_sql_backend(self, capsys):
-        assert main(
-            ["learn", "∃x1x2", "--backend", "dbapi", "--parallel", "2"]
-        ) == 0
-        assert "exact: True" in capsys.readouterr().out
-
-    def test_demo_parallel_uses_worker_pool(self, capsys):
-        assert main(["demo", "--parallel", "2"]) == 0
-        out = capsys.readouterr().out
-        assert "matching boxes:" in out
-        assert "2-process pool" in out  # describe() names the pool
-
-    def test_demo_parallel_rejects_conflicting_backend(self, capsys):
-        """The silent backend="sharded" override of an explicitly passed
-        --backend is now an explicit error (DESIGN.md §2i)."""
-        for backend in ("bitmask", "dbapi"):
-            assert main(
-                ["demo", "--backend", backend, "--parallel", "2"]
-            ) == 2
-            captured = capsys.readouterr()
-            assert "conflicts with --backend" in captured.err
-            assert backend in captured.err
-            assert captured.out == ""  # rejected before any work ran
-
-    def test_demo_parallel_accepts_explicit_sharded(self, capsys):
-        assert main(
-            ["demo", "--backend", "sharded", "--parallel", "2"]
-        ) == 0
-        assert "2-process pool" in capsys.readouterr().out
-
-    def test_help_contains_parallel_guide(self, capsys):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["--help"])
-        assert "process parallelism (--parallel N" in capsys.readouterr().out
-
-
 class TestServeStdio:
     """`repro serve --stdio` end to end: one server connection over a
     real pipe pair; this test is the remote user."""
@@ -483,6 +431,14 @@ class TestServeFleetFlags:
         assert main(["serve", "--port", "0", "--workers", "2"]) == 2
         assert "file-backed --store" in capsys.readouterr().err
 
+    def test_missing_reuse_port_exits_two(self, tmp_path, monkeypatch, capsys):
+        import socket
+
+        monkeypatch.delattr(socket, "SO_REUSEPORT")
+        store = str(tmp_path / "sessions.sqlite")
+        assert main(["serve", "--store", store, "--workers", "2"]) == 2
+        assert "SO_REUSEPORT" in capsys.readouterr().err
+
     def test_stats_require_a_file_store(self, capsys):
         assert main(["serve", "--stats"]) == 2
         assert "--store FILE" in capsys.readouterr().err
@@ -499,3 +455,37 @@ class TestServeFleetFlags:
         assert main(["serve", "--store", str(store_path), "--stats"]) == 0
         merged = json.loads(capsys.readouterr().out)
         assert merged == {"workers": 2, "sessions_finished": 7}
+
+
+class TestServeLimits:
+    """Out-of-range limits would switch a safeguard off silently: an
+    outbox bound below 1 is an unbounded queue (no backpressure), an
+    idle timeout of 0 or less evicts every session on the shortest
+    sweep, and a negative worker count forked one worker per core.
+    Both constructors and `repro serve` refuse them."""
+
+    @pytest.mark.parametrize(
+        "option, value",
+        [
+            ("max_outbox", 0),
+            ("max_outbox", -1),
+            ("idle_timeout", 0.0),
+            ("idle_timeout", -1.0),
+            ("workers", -1),
+        ],
+    )
+    def test_out_of_range_limit_is_rejected(
+        self, option, value, tmp_path, capsys
+    ):
+        from repro.server import RoundServer, ServerFleet, SessionStore
+
+        store = str(tmp_path / "sessions.sqlite")
+        with pytest.raises(ValueError, match=option):
+            ServerFleet(store, **{option: value})
+        if option != "workers":
+            with SessionStore() as sessions:
+                with pytest.raises(ValueError, match=option):
+                    RoundServer(sessions, **{option: value})
+        flag = "--" + option.replace("_", "-")
+        assert main(["serve", "--store", store, flag, str(value)]) == 2
+        assert option in capsys.readouterr().err
