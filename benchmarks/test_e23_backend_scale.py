@@ -34,7 +34,7 @@ from __future__ import annotations
 import time
 
 from repro.analysis import render_table
-from repro.data import REGISTRY
+from repro.data.backends import create
 from repro.data.chocolate import intro_query
 
 SEED_STORE_BOXES = 400  # the seed E21 benchmark store size
@@ -96,9 +96,7 @@ def test_e23_backend_scaling(
                 options = dict(
                     options, uri=f"file:{tmp_path}/e23-{size}.sqlite"
                 )
-            backend = REGISTRY.create(
-                name, store, storefront_vocab, **options
-            )
+            backend = create(name, store, storefront_vocab, **options)
             build_ms, label_ms, labels = _measure(backend, engine_workload)
             if reference_labels is None:
                 reference_labels = labels

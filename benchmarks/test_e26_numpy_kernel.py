@@ -35,11 +35,11 @@ import time
 
 from repro.analysis import render_table
 from repro.data import (
-    REGISTRY,
     BoolIs,
     NestedRelation,
     Vocabulary,
 )
+from repro.data.backends import create
 from repro.data.index import evaluate_inverted
 from repro.data.schema import Attribute, FlatSchema, NestedSchema
 from repro.core.query import QhornQuery
@@ -117,7 +117,7 @@ def _kernel_row(label, relation, vocab, workload, gated):
     """Warm scan vs tabled-kernel sweep on one workload; returns the
     table row, the measured speedup and the warm backend."""
     compiled = [q.compile() for q in workload]
-    backend = REGISTRY.create("bitmask", relation, vocab)
+    backend = create("bitmask", relation, vocab)
     index = backend.index
     inverted, all_bits = index._kernel.inverted, index._kernel.all_bits
     backend.matching_bits(compiled[0])  # build the zeta tables

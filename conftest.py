@@ -10,7 +10,7 @@ test directory is selected on the command line.
 
 Also registers ``--backend`` and ``--backend-opt``: tests parametrized
 over the evaluation backends (they request the ``backend_name`` fixture)
-normally run once per registered backend; ``--backend dbapi`` restricts
+normally run once per backend; ``--backend dbapi`` restricts
 them to a single backend, which is how CI exercises the SQL path on a
 fast tier-1 subset.  ``--backend-opt KEY=VALUE``
 (repeatable) rides along through the ``backend_options`` fixture — the
@@ -26,12 +26,11 @@ import pytest
 
 sys.path.insert(0, str(pathlib.Path(__file__).parent / "src"))
 
-from repro.data.backends import REGISTRY, parse_backend_opts  # noqa: E402
+from repro.data.backends import BACKENDS, parse_backend_opts  # noqa: E402
 
-# Derived from the plugin registry (DESIGN.md §2i) so a newly registered
-# backend — including entry-point / REPRO_BACKENDS plugins — is picked up
-# by every backend-parametrized test without touching this file.
-ALL_BACKENDS = tuple(REGISTRY.names())
+# Every backend in the name table (DESIGN.md §2i), so a backend added
+# there is picked up by every backend-parametrized test.
+ALL_BACKENDS = tuple(sorted(BACKENDS))
 
 
 def pytest_addoption(parser):
@@ -47,7 +46,7 @@ def pytest_addoption(parser):
         choices=ALL_BACKENDS,
         default=None,
         help="restrict backend-parametrized tests to one evaluation "
-        "backend (default: run them against every registered backend)",
+        "backend (default: run them against every backend)",
     )
     parser.addoption(
         "--backend-opt",

@@ -30,10 +30,6 @@ from repro.core.parser import parse_query
 from repro.core.query import QhornQuery
 from repro.core.tuples import Question
 from repro.data import (
-    REGISTRY,
-    BackendCapabilities,
-    BackendLoadError,
-    BackendRegistry,
     DbApiBackend,
     PooledConnectionSource,
     QueryEngine,
@@ -57,27 +53,20 @@ from repro.oracle import (
     RecordingOracle,
 )
 from repro.protocol import (
-    AsyncDriver,
     Finished,
     LearnerProtocol,
     Round,
-    SyncDriver,
     drive,
 )
 
 __version__ = "1.0.0"
 
 __all__ = [
-    "AsyncDriver",
-    "BackendCapabilities",
-    "BackendLoadError",
-    "BackendRegistry",
     "CanonicalForm",
     "CountingOracle",
     "DbApiBackend",
     "PooledConnectionSource",
     "QueryEngine",
-    "REGISTRY",
     "SqlDialect",
     "get_dialect",
     "parse_backend_opts",
@@ -90,7 +79,6 @@ __all__ = [
     "Finished",
     "LearnerProtocol",
     "Round",
-    "SyncDriver",
     "Question",
     "QueryOracle",
     "RecordingOracle",

@@ -16,8 +16,9 @@ import random
 import sys
 
 from repro.core.normalize import canonicalize
-from repro.core.parser import parse_query
+from repro.core.parser import ParseError, parse_query
 from repro.core.serialize import query_to_json
+from repro.data.backends import BACKENDS, parse_backend_opts
 from repro.learning import (
     Qhorn1Learner,
     RolePreservingLearner,
@@ -32,6 +33,12 @@ from repro.oracle import (
 from repro.verification import Verifier
 
 __all__ = ["main", "build_parser"]
+
+#: Backends that can answer membership questions for ``learn``/``verify``.
+ORACLE_BACKENDS = frozenset({"bitmask", "dbapi"})
+
+#: Backends whose membership oracle runs SQL and takes ``--backend-opt``.
+SQL_BACKENDS = frozenset({"dbapi"})
 
 #: Backend-selection guide shown in ``--help`` (DESIGN.md §2c).
 BACKEND_GUIDE = """\
@@ -51,11 +58,11 @@ evaluation backends (--backend):
             pooled path.  The built-in connector is SQLite: a private
             shared-memory database by default, or
             --backend-opt uri=file:/path/db.sqlite for a file-backed
-            store; a client/server database plugs in as a third-party
-            backend
+            store; a client/server database plugs in through
+            DbApiBackend(connect=...) in code
 All backends return identical answers on identical state (DESIGN.md §2c).
-Subcommand choices are derived from each backend's registered capability
-flags: learn/verify list the oracle-capable backends, demo lists all.
+learn/verify take the backends that answer membership questions (bitmask,
+dbapi); demo takes all three.
 
 backend options (--backend-opt KEY=VALUE, repeatable):
   one uniform options pipeline for every subcommand: each occurrence is
@@ -67,14 +74,6 @@ backend options (--backend-opt KEY=VALUE, repeatable):
                     --backend-opt pool_size=2
   The same pairs drive QueryEngine(backend_options=...) in code and the
   pytest --backend/--backend-opt fixtures in the test-suite.
-
-third-party backends (DESIGN.md §2i):
-  backends register by name on repro.data.backends.REGISTRY — packaged
-  plugins via the 'repro.backends' entry-point group (loaded lazily on
-  first use), ad-hoc plugins via REPRO_BACKENDS=pkg.mod:Class (or
-  name=pkg.mod:Class, comma-separated) — and then appear in --backend
-  choices and the backend-parametrized test-suite without editing repro.
-  See examples/custom_backend.py for a complete out-of-tree backend.
 
 multi-session server (repro serve, DESIGN.md §2f):
   an asyncio TCP server multiplexing many concurrent dialogues in one
@@ -110,9 +109,7 @@ multi-process fleet (repro serve --workers N, DESIGN.md §2h):
   resumed.  N=0 uses every core.  SIGTERM fans out to every
   worker and joins them; the shutdown line merges all worker counters.
   `repro serve --stats --store FILE` prints the merged counters of the
-  last fleet on that store and exits.  Counters include the DB-API
-  connection-pool health of each worker (pool_connections_opened,
-  pool_checkouts, pool_health_failures, pool_stale_retries).
+  last fleet on that store and exits.
 
 exhaustive conformance (repro enumerate, DESIGN.md §2j):
   where the property suites sample, `repro enumerate` proves by cases:
@@ -226,19 +223,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    from repro.data.backends import REGISTRY
-
     def add_backend_flag(p, oracle_only: bool = False) -> None:
-        # Choices come from the registry's capability flags, not name
-        # literals: learn/verify need a backend that can answer
-        # membership questions (supports_oracle), demo evaluates a
-        # relation and takes every registered backend — including
-        # entry-point / REPRO_BACKENDS plugins.
-        choices = (
-            tuple(REGISTRY.names_with(supports_oracle=True))
-            if oracle_only
-            else tuple(REGISTRY.names())
-        )
+        # learn/verify need a backend that can answer membership
+        # questions; demo evaluates a relation on any backend.
+        choices = sorted(ORACLE_BACKENDS if oracle_only else BACKENDS)
         p.add_argument(
             "--backend",
             choices=choices,
@@ -296,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument(
         "--port",
-        type=int,
+        type=_port,
         default=0,
         help="TCP port (0 = pick an ephemeral port and print it)",
     )
@@ -354,10 +342,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _port(text: str) -> int:
+    """argparse type of ``--port``: a TCP port number, 0-65535."""
+    try:
+        port = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid port {text!r}") from None
+    if not 0 <= port <= 65535:
+        raise argparse.ArgumentTypeError(f"port must be 0-65535, got {port}")
+    return port
+
+
 def _backend_opts(args, command: str) -> dict | None:
     """Parse the repeatable ``--backend-opt`` pairs; None + message on error."""
-    from repro.data.backends import parse_backend_opts
-
     try:
         return parse_backend_opts(getattr(args, "backend_opt", None))
     except ValueError as error:
@@ -376,9 +373,7 @@ def _target_oracle(target, backend: str, options: dict):
     Returns ``(oracle, closer)`` where ``closer`` releases the
     connection pool — ``None`` when nothing needs closing.
     """
-    from repro.data.backends import REGISTRY
-
-    sql_capable = REGISTRY.capabilities(backend).supports_sql
+    sql_capable = backend in SQL_BACKENDS
     if not sql_capable and options:
         raise ValueError(
             f"backend {backend!r} answers in process and takes no "
@@ -691,7 +686,12 @@ def main(argv: list[str] | None = None) -> int:
         "serve": _cmd_serve,
         "enumerate": _cmd_enumerate,
     }
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except ParseError as error:
+        # A malformed query argument is an input error, not a crash.
+        print(f"repro {args.command}: {error}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -5,10 +5,6 @@ Boolean-tuple→row synthesis, question rendering, and a query engine.
 """
 
 from repro.data.backends import (
-    REGISTRY,
-    BackendCapabilities,
-    BackendLoadError,
-    BackendRegistry,
     BitmaskBackend,
     DbApiBackend,
     EvaluationBackend,
@@ -19,13 +15,6 @@ from repro.data.backends import (
 )
 from repro.data.engine import ExampleFactory, ExpressionReport, QueryEngine
 from repro.data.index import RelationIndex
-from repro.data.generator import (
-    RelationGenerator,
-    bernoulli,
-    categorical,
-    uniform_float,
-    uniform_int,
-)
 from repro.data.sql import (
     DIALECTS,
     SqlDialect,
@@ -56,9 +45,6 @@ from repro.data.schema import (
 __all__ = [
     "Attribute",
     "AttributeType",
-    "BackendCapabilities",
-    "BackendLoadError",
-    "BackendRegistry",
     "Between",
     "BitmaskBackend",
     "BoolIs",
@@ -66,18 +52,12 @@ __all__ = [
     "DbApiBackend",
     "EvaluationBackend",
     "PooledConnectionSource",
-    "REGISTRY",
     "ShardedBitmaskBackend",
     "SqlDialect",
     "coerce_option",
     "get_dialect",
     "parse_backend_opts",
-    "RelationGenerator",
-    "bernoulli",
-    "categorical",
     "to_sql",
-    "uniform_float",
-    "uniform_int",
     "Equals",
     "ExampleFactory",
     "ExpressionReport",

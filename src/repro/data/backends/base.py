@@ -78,7 +78,8 @@ class EvaluationBackend(Protocol):
     :class:`~repro.data.engine.QueryEngine` does.
     """
 
-    #: Registry name (``"bitmask"``, ``"sharded"``, ``"dbapi"``, ...).
+    #: Key in :data:`~repro.data.backends.BACKENDS` (``"bitmask"``,
+    #: ``"sharded"``, ``"dbapi"``).
     name: str
     relation: NestedRelation
     vocabulary: Vocabulary

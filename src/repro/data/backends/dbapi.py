@@ -32,7 +32,6 @@ import itertools
 import os
 import sqlite3
 import threading
-import weakref
 from collections import deque
 from contextlib import contextmanager
 from typing import Any, Callable, Iterable, Iterator, TypeVar
@@ -41,7 +40,6 @@ from urllib.parse import parse_qs, urlsplit
 from repro.core import tuples as bt
 from repro.core.query import CompiledQuery, QhornQuery
 from repro.data.backends.base import check_width
-from repro.data.backends.registry import BackendCapabilities
 from repro.data.propositions import Vocabulary
 from repro.data.relation import NestedObject, NestedRelation
 from repro.data.sql import SqlDialect, get_dialect, to_sql
@@ -49,41 +47,8 @@ from repro.data.sql import SqlDialect, get_dialect, to_sql
 __all__ = [
     "DbApiBackend",
     "PooledConnectionSource",
-    "pool_stats",
     "sqlite_connector",
 ]
-
-#: Every live pool in this process, for aggregate metering.  A WeakSet
-#: so pools vanish from the report when their owners drop them — the
-#: registry observes, it never extends a pool's lifetime.
-_POOLS: "weakref.WeakSet[PooledConnectionSource]" = weakref.WeakSet()
-
-#: The counters every pool exposes, in reporting order.
-POOL_COUNTERS = (
-    "connections_opened",
-    "checkouts",
-    "health_failures",
-    "stale_retries",
-)
-
-
-def pool_stats() -> dict[str, int]:
-    """Process-wide connection-pool counters, summed over live pools.
-
-    The serving tier folds these into each worker's ``stats()`` (as
-    ``pool_*`` keys) so `repro serve --stats` reports pool health per
-    worker and fleet-merged — the ROADMAP's "pool metrics surfaced
-    through the server's metering" item.
-    """
-    totals = {name: 0 for name in POOL_COUNTERS}
-    totals["pools"] = 0
-    for pool in list(_POOLS):
-        if getattr(pool, "_closed", False):
-            continue  # closed pools linger in the weak set until GC
-        totals["pools"] += 1
-        for name in POOL_COUNTERS:
-            totals[name] += getattr(pool, name, 0)
-    return totals
 
 #: Distinguishes the default shared-memory databases of concurrently
 #: live backends in one process.
@@ -189,14 +154,13 @@ class PooledConnectionSource:
         self._available = threading.Condition(self._lock)
         self._live = 0
         self._closed = False
-        # Introspection counters (describe(), pool_stats(), tests).
+        # Introspection counters (describe(), tests).
         self.connections_opened = 0
         self.checkouts = 0
         self.health_failures = 0
         #: Work replayed on a fresh checkout after an in-flight driver
         #: error (see :meth:`run`).
         self.stale_retries = 0
-        _POOLS.add(self)
 
     # ------------------------------------------------------------------
     def _open(self) -> Any:
@@ -372,9 +336,6 @@ class DbApiBackend:
     """
 
     name = "dbapi"
-    capabilities = BackendCapabilities(
-        supports_sql=True, supports_oracle=True
-    )
 
     def __init__(
         self,

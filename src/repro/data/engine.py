@@ -26,7 +26,12 @@ from typing import Any, Iterable
 
 from repro.core.query import QhornQuery
 from repro.core.tuples import Question
-from repro.data.backends import REGISTRY, BitmaskBackend, EvaluationBackend
+from repro.data.backends import (
+    BitmaskBackend,
+    EvaluationBackend,
+    backend_class,
+    create,
+)
 from repro.data.backends.base import check_width
 from repro.data.index import RelationIndex
 from repro.data.propositions import Vocabulary
@@ -49,7 +54,7 @@ class QueryEngine:
 
     The batch evaluation methods dispatch to a pluggable
     :class:`~repro.data.backends.EvaluationBackend` (``backend=`` accepts
-    a registry name — ``"bitmask"``, ``"sharded"``, ``"dbapi"`` — or a
+    a backend name — ``"bitmask"``, ``"sharded"``, ``"dbapi"`` — or a
     constructed backend instance; backends build lazily on first batch
     call).  The per-object methods keep the seed
     reference semantics regardless of backend.  A shared
@@ -72,8 +77,7 @@ class QueryEngine:
             self._backend: EvaluationBackend | None = None
             self._backend_spec = backend
             self._backend_options = dict(backend_options or {})
-            if backend not in REGISTRY:
-                raise ValueError(REGISTRY.unknown_backend_message(backend))
+            backend_class(backend)
         else:
             if backend.relation is not relation:
                 raise ValueError(
@@ -92,7 +96,7 @@ class QueryEngine:
     def backend(self) -> EvaluationBackend:
         """The engine's evaluation backend, built on first access."""
         if self._backend is None:
-            self._backend = REGISTRY.create(
+            self._backend = create(
                 self._backend_spec,
                 self.relation,
                 self.vocabulary,
@@ -102,7 +106,7 @@ class QueryEngine:
 
     @property
     def backend_name(self) -> str:
-        """Registry name of the active backend (without building it)."""
+        """Name of the active backend (without building it)."""
         return self._backend_spec
 
     @property

@@ -398,7 +398,7 @@ def _in_learner_class(query: QhornQuery, learner: str) -> bool:
 # ----------------------------------------------------------------------
 # Backend matrix
 # ----------------------------------------------------------------------
-#: Backend leg name → (registry name, constructor options).
+#: Backend leg name → (backend name, constructor options).
 BACKEND_LEGS: dict[str, tuple[str, dict]] = {
     "bitmask": ("bitmask", {}),
     "sharded": ("sharded", {"shard_size": 2}),
@@ -419,10 +419,10 @@ def reference_labels(
 
 
 def _build_backend(leg: str, relation: Any, vocabulary: Any) -> Any:
-    from repro.data.backends import REGISTRY
+    from repro.data.backends import create
 
     name, options = BACKEND_LEGS[leg]
-    return REGISTRY.create(name, relation, vocabulary, **options)
+    return create(name, relation, vocabulary, **options)
 
 
 def check_backends(

@@ -1,5 +1,5 @@
 """Query learning algorithms (§3): qhorn-1, role-preserving, baselines,
-plus the §6 extensions (revision, expression questions, PAC, class check).
+plus the §6 extensions (revision, expression questions, PAC).
 """
 
 from repro.learning.baselines import (
@@ -7,7 +7,6 @@ from repro.learning.baselines import (
     HeadPairLearner,
     NaiveQhorn1Learner,
 )
-from repro.learning.class_check import ClassCheckReport, check_class_membership
 from repro.learning.expression_learner import (
     ExpressionLearner,
     ExpressionLearnerResult,
@@ -39,7 +38,6 @@ from repro.learning.role_preserving import (
 from repro.learning.version_space import SplitQuality, VersionSpace
 
 __all__ = [
-    "ClassCheckReport",
     "ExpressionLearner",
     "ExpressionLearnerResult",
     "PacLearner",
@@ -48,7 +46,6 @@ __all__ = [
     "RevisionResult",
     "SplitQuality",
     "VersionSpace",
-    "check_class_membership",
     "estimate_error",
     "pac_learn",
     "pac_sample_bound",

@@ -1,12 +1,6 @@
 """Membership oracles: simulated users, wrappers, adversaries (§2.1.2)."""
 
 from repro.oracle.adversaries import CandidateEliminationAdversary, max_elimination
-from repro.oracle.aio import (
-    AsyncMembershipOracle,
-    AsyncOracle,
-    QueueUserOracle,
-    ask_all_async,
-)
 from repro.oracle.base import (
     ASK_ALL_CHUNK_SIZE,
     FunctionOracle,
@@ -21,21 +15,14 @@ from repro.oracle.expression import (
     ExpressionOracle,
     ExpressionQuestion,
 )
-from repro.oracle.human import HumanOracle
 from repro.oracle.noisy import ExhaustedReplayError, NoisyOracle, ReplayOracle
-from repro.oracle.persistent import PersistentCachingOracle
 from repro.oracle.sqlbacked import SqlQueryOracle
 
 __all__ = [
     "ASK_ALL_CHUNK_SIZE",
-    "AsyncMembershipOracle",
-    "AsyncOracle",
-    "QueueUserOracle",
-    "ask_all_async",
     "ExpressionQuestion",
     "CacheStats",
     "CachingOracle",
-    "PersistentCachingOracle",
     "SqlQueryOracle",
     "CandidateEliminationAdversary",
     "CountingExpressionOracle",
@@ -43,7 +30,6 @@ __all__ = [
     "ExpressionOracle",
     "ExhaustedReplayError",
     "FunctionOracle",
-    "HumanOracle",
     "MembershipOracle",
     "NoisyOracle",
     "QueryOracle",

@@ -8,11 +8,11 @@ of :class:`Round` objects that receives the answers at each ``yield``,
 and :class:`LearnerProtocol` wraps that generator behind
 ``start() -> Round | Finished`` / ``feed(answers) -> Round | Finished``.
 
-Nothing in this module performs I/O or touches an oracle.  Drivers live
-in :mod:`repro.protocol.drivers` (synchronous, bit-identical to the old
-pull path) and :mod:`repro.protocol.aio` (asyncio, for remote answerers);
-:class:`~repro.interactive.session.LearningSession` builds parking and
-snapshot/resume on top.
+Nothing in this module performs I/O or touches an oracle.  The driver
+lives in :mod:`repro.protocol.drivers` (synchronous, bit-identical to
+the old pull path); :class:`~repro.interactive.session.LearningSession`
+builds parking and snapshot/resume on top, and
+:class:`~repro.server.RoundServer` serves remote answerers with it.
 
 Writing a step-driven learner
 -----------------------------
@@ -122,8 +122,8 @@ class LearnerProtocol:
     supplies the pending round's labels and runs to the next round (or to
     :class:`Finished`).  The protocol object never touches an oracle — the
     caller decides where answers come from, which is what lets one learner
-    body serve synchronous drivers, asyncio drivers, and parked/resumed
-    server sessions.
+    body serve the synchronous driver and parked/resumed server
+    sessions.
     """
 
     def __init__(self, steps: Steps) -> None:

@@ -18,7 +18,7 @@ from repro.oracle.base import ask_all
 from repro.oracle.expression import ExpressionQuestion
 from repro.protocol.core import Finished, Round, as_protocol
 
-__all__ = ["answer_round", "drive", "SyncDriver"]
+__all__ = ["answer_round", "drive"]
 
 
 def answer_round(oracle: Any, round_: Round) -> list[bool]:
@@ -49,14 +49,3 @@ def drive(learner: Any, oracle: Any) -> Any:
     while not isinstance(event, Finished):
         event = protocol.feed(answer_round(oracle, event))
     return event.result
-
-
-class SyncDriver:
-    """The pull-path driver as an object, for symmetry with
-    :class:`~repro.protocol.aio.AsyncDriver`."""
-
-    def __init__(self, oracle: Any) -> None:
-        self.oracle = oracle
-
-    def run(self, learner: Any) -> Any:
-        return drive(learner, self.oracle)

@@ -30,8 +30,9 @@ server → client
     ``{"type": "error", "message": "...", ["session": ID]}``
         recoverable; the session (if any) stays parked at its round.  A
         line longer than :data:`MAX_LINE_BYTES` gets one error and the
-        connection closes; a failed store write drops the live session,
-        so the next message rebuilds it from its last durable round
+        connection closes; a failed store write, or any other fault
+        while handling a message, drops the live session, so the next
+        message rebuilds it from its last durable round
 
 Rounds are the billable unit of user interaction (Drachsler-Cohen et
 al.; Bshouty et al. — see PAPERS.md): every session carries per-round
@@ -69,6 +70,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import logging
 import sqlite3
 import time
 import uuid
@@ -90,6 +92,8 @@ from repro.server.store import (
 )
 
 __all__ = ["LEARNERS", "SessionMeter", "RoundServer"]
+
+_log = logging.getLogger(__name__)
 
 #: Registry of wire-addressable learners: name → class taking an oracle.
 LEARNERS: Mapping[str, Callable[..., Any]] = {
@@ -322,14 +326,7 @@ class RoundServer:
         self.store.save_worker_stats(self.worker_id, self.stats())
 
     def stats(self) -> dict[str, int]:
-        # Connection-pool health rides along as pool_* counters: every
-        # live PooledConnectionSource in this worker's process (dbapi
-        # backends, pooled SqlQueryOracles) reports through one
-        # process-wide aggregate, so `repro serve --stats` shows pool
-        # health per worker and fleet-merged (DESIGN.md §2i).
-        from repro.data.backends.dbapi import pool_stats
-
-        counters = {
+        return {
             "live_sessions": len(self._sessions),
             "warm_sessions": len(self._warm),
             "sessions_opened": self.sessions_opened,
@@ -340,10 +337,6 @@ class RoundServer:
             "wire_errors": self.wire_errors,
             "claims_rejected": self.claims_rejected,
         }
-        counters.update(
-            (f"pool_{name}", value) for name, value in pool_stats().items()
-        )
-        return counters
 
     # ------------------------------------------------------------------
     # Idle eviction
@@ -486,6 +479,22 @@ class RoundServer:
             # round.
             return [
                 self._error(f"session store failed: {error}", session_id)
+            ]
+        except Exception as error:
+            # Any other fault may have left the live session half-stepped:
+            # forget it and its claim, so the next message replays it from
+            # its last durable round.
+            _log.exception("unexpected fault handling a %r message", kind)
+            if session_id is not None:
+                self._warm.pop(session_id, None)
+                self._sessions.pop(session_id, None)
+                self._release(session_id)
+            return [
+                self._error(
+                    f"server failed on {kind!r}: "
+                    f"{type(error).__name__}: {error}",
+                    session_id,
+                )
             ]
         return [self._error(f"unknown type {kind!r}", session_id)]
 
@@ -655,7 +664,7 @@ class RoundServer:
         )
         try:
             self.store.save(record)
-        except sqlite3.Error:
+        except Exception:
             self._sessions.pop(live.session_id, None)
             self._release(live.session_id)
             raise

@@ -3,10 +3,9 @@
 The server parks every :class:`~repro.interactive.session.LearningSession`
 as a :class:`~repro.interactive.session.SessionSnapshot` replay log on
 each round boundary.  This module backs those parked snapshots with
-SQLite on disk, following the :class:`~repro.oracle.persistent.
-PersistentCachingOracle` idiom: one table, write-through on every save,
-plain ``INSERT OR REPLACE`` keyed by session id, and a context-manager
-face over an owned connection.
+SQLite on disk: one table, write-through on every save, plain
+``INSERT OR REPLACE`` keyed by session id, and a context-manager face
+over an owned connection.
 
 Because a snapshot *is* the session state (learners are deterministic
 given responses, DESIGN.md §2e), a row here is everything needed to

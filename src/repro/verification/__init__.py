@@ -1,10 +1,6 @@
 """Query verification: O(k) verification sets and the verifier (§4),
-plus teaching-set analysis (§5) and per-query minimization."""
+plus teaching-set analysis (§5)."""
 
-from repro.verification.minimize import (
-    minimize_verification_set,
-    redundant_questions,
-)
 from repro.verification.sets import (
     VerificationQuestion,
     VerificationSet,
@@ -34,8 +30,6 @@ __all__ = [
     "build_verification_set",
     "detecting_kinds",
     "greedy_teaching_set",
-    "minimize_verification_set",
-    "redundant_questions",
     "teaching_set",
     "verification_set_as_examples",
     "verify_query",

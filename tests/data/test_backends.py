@@ -5,8 +5,8 @@ The answer-identity contract across backends is enforced at scale by
 itself — construction, dispatch, staleness, sharding layout, the dbapi
 pool and lifecycle — on the chocolate-store domain.
 
-Tests taking the ``backend_name`` fixture run once per registered
-backend (restrict with ``pytest --backend dbapi``).
+Tests taking the ``backend_name`` fixture run once per backend
+(restrict with ``pytest --backend dbapi``).
 """
 
 from __future__ import annotations
@@ -19,13 +19,17 @@ import pytest
 from repro.core.parser import parse_query
 from repro.core.query import QhornQuery
 from repro.data import (
-    REGISTRY,
     EvaluationBackend,
     QueryEngine,
     RelationIndex,
     ShardedBitmaskBackend,
 )
-from repro.data.backends import DbApiBackend, PooledConnectionSource
+from repro.data.backends import (
+    BACKENDS,
+    DbApiBackend,
+    PooledConnectionSource,
+    create,
+)
 from repro.data.backends.dbapi import memory_uri
 from repro.data.chocolate import (
     intro_query,
@@ -65,21 +69,21 @@ def _reference(engine, query):
 
 class TestRegistry:
     def test_all_backends_registered(self):
-        assert set(REGISTRY.names()) == {"bitmask", "dbapi", "sharded"}
+        assert set(BACKENDS) == {"bitmask", "dbapi", "sharded"}
 
     def test_unknown_backend_rejected(self, store, vocab):
         with pytest.raises(ValueError, match="unknown evaluation backend"):
-            REGISTRY.create("async", store, vocab)
+            create("async", store, vocab)
 
     def test_options_forwarded(self, store, vocab):
-        backend = REGISTRY.create("sharded", store, vocab, shard_size=10)
+        backend = create("sharded", store, vocab, shard_size=10)
         assert backend.shard_size == 10
         assert backend.shard_count == 6
 
     def test_created_backends_satisfy_protocol(
         self, store, vocab, backend_name, backend_options
     ):
-        backend = REGISTRY.create(backend_name, store, vocab, **backend_options)
+        backend = create(backend_name, store, vocab, **backend_options)
         assert isinstance(backend, EvaluationBackend)
         assert backend.name == backend_name
 
@@ -89,7 +93,7 @@ class TestBackendContract:
         self, store, vocab, backend_name, backend_options
     ):
         engine = QueryEngine(store, vocab)
-        backend = REGISTRY.create(backend_name, store, vocab, **backend_options)
+        backend = create(backend_name, store, vocab, **backend_options)
         for query in _queries():
             expected = _reference(engine, query)
             assert [o.key for o in backend.execute(query)] == expected
@@ -101,7 +105,7 @@ class TestBackendContract:
     def test_explicit_objects_and_foreign_fallback(
         self, store, vocab, backend_name, backend_options
     ):
-        backend = REGISTRY.create(backend_name, store, vocab, **backend_options)
+        backend = create(backend_name, store, vocab, **backend_options)
         engine = QueryEngine(store, vocab)
         query = intro_query()
         objs = store.objects[:7]
@@ -124,7 +128,7 @@ class TestBackendContract:
     def test_auto_refresh_sees_inserts(
         self, store, vocab, backend_name, backend_options
     ):
-        backend = REGISTRY.create(backend_name, store, vocab, **backend_options)
+        backend = create(backend_name, store, vocab, **backend_options)
         query = QhornQuery(n=4)
         before = backend.matches_many(query)
         assert backend.is_stale is False
@@ -149,7 +153,7 @@ class TestBackendContract:
     def test_explicit_refresh(
         self, store, vocab, backend_name, backend_options
     ):
-        backend = REGISTRY.create(
+        backend = create(
             backend_name, store, vocab,
             **dict(backend_options, auto_refresh=False),
         )
@@ -163,7 +167,7 @@ class TestBackendContract:
     def test_width_mismatch_rejected(
         self, store, vocab, backend_name, backend_options
     ):
-        backend = REGISTRY.create(backend_name, store, vocab, **backend_options)
+        backend = create(backend_name, store, vocab, **backend_options)
         with pytest.raises(ValueError):
             backend.execute(parse_query("∃x1x2x3x4x5"))
 
@@ -193,13 +197,13 @@ class TestBackendContract:
         query = parse_query("∀x64→x65 ∃x1x65", n=65)
         expected = [o.key for o in QueryEngine(relation, wide).execute(query)]
         assert 0 < len(expected) < len(relation)
-        backend = REGISTRY.create(backend_name, relation, wide, **backend_options)
+        backend = create(backend_name, relation, wide, **backend_options)
         assert [o.key for o in backend.execute(query)] == expected
 
     def test_describe_is_informative(
         self, store, vocab, backend_name, backend_options
     ):
-        backend = REGISTRY.create(backend_name, store, vocab, **backend_options)
+        backend = create(backend_name, store, vocab, **backend_options)
         assert backend_name in backend.describe()
         backend.matches_many(intro_query())
         assert str(len(store)) in backend.describe()
@@ -269,11 +273,11 @@ class TestBitmaskKernel:
         superset-union tables and scans; answers must not change."""
         from repro.data import index
 
-        tabled = REGISTRY.create("bitmask", store, vocab)
+        tabled = create("bitmask", store, vocab)
         assert tabled.index._kernel._zeta_bits >= 0
 
         monkeypatch.setattr(index, "ZETA_TABLE_BUDGET", 0)
-        scan = REGISTRY.create("bitmask", store, vocab)
+        scan = create("bitmask", store, vocab)
         assert scan.index._kernel._zeta_bits == -1
 
         for query in _queries():

@@ -289,11 +289,12 @@ class TestSqlEdgeCases:
         return vocab, relation
 
     def _cross_check(self, vocab, relation, queries):
-        from repro.data import REGISTRY, QueryEngine
+        from repro.data import QueryEngine
+        from repro.data.backends import create
 
         reference = QueryEngine(relation, vocab)
-        bitmask = REGISTRY.create("bitmask", relation, vocab)
-        sharded = REGISTRY.create("sharded", relation, vocab, shard_size=2)
+        bitmask = create("bitmask", relation, vocab)
+        sharded = create("sharded", relation, vocab, shard_size=2)
         with DbApiBackend(relation, vocab) as sql_backend:
             for q in queries:
                 expected = _keys(reference, q)

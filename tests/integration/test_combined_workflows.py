@@ -1,7 +1,7 @@
 """Integration tests combining subsystems the way a deployment would.
 
 Each test chains at least three subsystems: learning + verification +
-revision + SQL + serialization + class checking, over the data domain.
+revision + SQL + serialization, over the data domain.
 """
 
 from __future__ import annotations
@@ -14,13 +14,11 @@ from repro.core.parser import parse_query
 from repro.core.serialize import query_from_json, query_to_json
 from repro.data import DbApiBackend, QueryEngine
 from repro.data.chocolate import random_store, storefront_vocabulary
-from repro.interactive.verbalize import verbalize
 from repro.learning import (
     Qhorn1Learner,
     RolePreservingLearner,
     revise_query,
 )
-from repro.learning.class_check import check_class_membership
 from repro.oracle import CountingOracle, QueryOracle
 from repro.verification import verify_query
 
@@ -53,28 +51,8 @@ class TestLearnSerializeReviseExecute:
                 o.key for o in memory.execute(revised)
             ]
 
-    def test_verbalized_summary_mentions_every_expression(self, rng):
-        target = parse_query("∀x1 ∃x2x3", n=4)
-        learned = Qhorn1Learner(QueryOracle(target)).learn().query
-        names = [p.name for p in storefront_vocabulary().propositions]
-        text = verbalize(learned, names, noun="chocolate", group_noun="box")
-        assert "every chocolate is isDark" in text
-        assert "at least one chocolate is isSugarFree and hasNuts" in text
-
 
 class TestClassCheckThenLearn:
-    def test_check_then_trust_pipeline(self, rng):
-        """A cautious client checks the class before trusting the learner."""
-        for _ in range(5):
-            target = random_role_preserving(5, rng, theta=2)
-            oracle = QueryOracle(target)
-            report = check_class_membership(
-                oracle, "role-preserving", probes=50, rng=rng
-            )
-            assert report.consistent
-            # the report's candidate IS the learned query — no second pass
-            assert canonicalize(report.candidate) == canonicalize(target)
-
     def test_question_budget_accounting_across_subsystems(self, rng):
         """CountingOracle totals across learn + verify + revise compose."""
         target = random_role_preserving(6, rng, theta=2)

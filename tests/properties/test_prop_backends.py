@@ -24,7 +24,8 @@ import random
 
 from hypothesis import given, settings
 
-from repro.data import REGISTRY, QueryEngine
+from repro.data import QueryEngine
+from repro.data.backends import create
 from repro.oracle import QueryOracle, SqlQueryOracle
 from repro.core.tuples import Question
 from tests.properties.test_prop_engine import (
@@ -42,9 +43,9 @@ def _backends(relation, vocab, rng):
     pool, so the pooled/dialect path is differentially pinned."""
     shard_size = rng.randint(1, 3)
     return [
-        REGISTRY.create("bitmask", relation, vocab),
-        REGISTRY.create("sharded", relation, vocab, shard_size=shard_size),
-        REGISTRY.create("dbapi", relation, vocab, pool_size=2),
+        create("bitmask", relation, vocab),
+        create("sharded", relation, vocab, shard_size=shard_size),
+        create("dbapi", relation, vocab, pool_size=2),
     ]
 
 
@@ -215,8 +216,8 @@ def test_dbapi_file_backed_store_agrees(tmp_path):
         ]
         relation = relation_from_masks(n, mask_sets)
         vocab = bool_vocabulary(n)
-        bitmask = REGISTRY.create("bitmask", relation, vocab)
-        with REGISTRY.create("dbapi", relation, vocab, uri=uri) as dbapi:
+        bitmask = create("bitmask", relation, vocab)
+        with create("dbapi", relation, vocab, uri=uri) as dbapi:
             for _ in range(5):
                 query = random_query(rng, n)
                 assert dbapi.matching_bits(query) == (

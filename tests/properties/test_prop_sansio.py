@@ -9,8 +9,6 @@ historical pull path for *any* way of answering the rounds:
   same oracle stack produce the same learned query, the same transcript
   (questions and responses, positionally), and the same wrapper
   statistics — counting stats, cache residency, seeded noise flips;
-* the asyncio driver over :class:`~repro.oracle.aio.AsyncOracle` passes
-  the same differential check (chunk-reassembly semantics are shared);
 * a session parked with ``snapshot()`` at *any* round and resumed through
   a fresh learner converges to the same pending round and the same final
   query — the transcript really is the session state.
@@ -23,7 +21,6 @@ round-trip.
 
 from __future__ import annotations
 
-import asyncio
 import random
 
 from hypothesis import given, settings
@@ -42,7 +39,6 @@ from repro.learning import (
     random_object_sampler,
 )
 from repro.oracle import (
-    AsyncOracle,
     CachingOracle,
     CountingExpressionOracle,
     CountingOracle,
@@ -52,7 +48,6 @@ from repro.oracle import (
     RecordingOracle,
 )
 from repro.protocol import Finished, LearnerProtocol, Round, answer_round
-from repro.protocol.aio import answer_round_async
 from repro.verification import Verifier
 
 CASES_TARGET = 1000
@@ -204,104 +199,55 @@ def _outcome(kind, run):
 
 
 def test_seeded_sweep_sync_async_manual_equivalence():
-    """≥1000 cases: pull path == manual protocol == asyncio driver,
-    down to wrapper statistics, cache residency, noise draws — and
-    identical failures when noise drives a learner off the rails."""
+    """≥1000 cases: pull path == manual protocol, down to wrapper
+    statistics, cache residency, noise draws — and identical failures
+    when noise drives a learner off the rails."""
     cases = 0
-    loop = asyncio.new_event_loop()
-    try:
-        seed = 0
-        while cases < CASES_TARGET:
-            for learner_kind in LEARNERS:
-                for stack_kind in STACKS:
-                    seed += 1
-                    rng = random.Random(seed * 7919)
-                    n = rng.randrange(2, 6)
-                    factory, target = _learner_case(learner_kind, n, rng)
+    seed = 0
+    while cases < CASES_TARGET:
+        for learner_kind in LEARNERS:
+            for stack_kind in STACKS:
+                seed += 1
+                rng = random.Random(seed * 7919)
+                n = rng.randrange(2, 6)
+                factory, target = _learner_case(learner_kind, n, rng)
 
-                    o_pull = _stack(stack_kind, target, seed)
-                    key = _outcome(
-                        learner_kind, lambda: factory(o_pull).learn()
-                    )
+                o_pull = _stack(stack_kind, target, seed)
+                key = _outcome(learner_kind, lambda: factory(o_pull).learn())
 
-                    o_manual = _stack(stack_kind, target, seed)
-                    key_manual = _outcome(
-                        learner_kind,
-                        lambda: _drive_manual(factory, o_manual)[0],
-                    )
+                o_manual = _stack(stack_kind, target, seed)
+                key_manual = _outcome(
+                    learner_kind,
+                    lambda: _drive_manual(factory, o_manual)[0],
+                )
 
-                    o_async = _stack(stack_kind, target, seed)
-                    key_async = _outcome(
-                        learner_kind,
-                        lambda: loop.run_until_complete(
-                            _drive_async(factory, o_async)
-                        ),
-                    )
-
-                    assert key_manual == key
-                    assert key_async == key
-                    obs = _observe(o_pull)
-                    assert _observe(o_manual) == obs
-                    assert _observe(o_async) == obs
-                    cases += 1
-    finally:
-        loop.close()
+                assert key_manual == key
+                assert _observe(o_manual) == _observe(o_pull)
+                cases += 1
     assert cases >= CASES_TARGET
-
-
-async def _drive_async(factory, oracle):
-    from repro.protocol import LearnerProtocol
-
-    learner = factory(oracle)
-    protocol = LearnerProtocol(learner.steps())
-    event = protocol.start()
-    wrapped = AsyncOracle(oracle)
-    while isinstance(event, Round):
-        event = protocol.feed(await answer_round_async(wrapped, event))
-    return event.result
 
 
 def test_seeded_sweep_expression_learner():
     """The expression learner speaks ExpressionQuestion rounds through the
-    same protocol; pull, manual and async paths agree with the counting
+    same protocol; pull and manual paths agree with the counting
     wrapper's tally."""
-    loop = asyncio.new_event_loop()
-    try:
-        for seed in range(120):
-            rng = random.Random(seed * 104729)
-            target = random_role_preserving(rng.randrange(2, 6), rng, theta=2)
+    for seed in range(120):
+        rng = random.Random(seed * 104729)
+        target = random_role_preserving(rng.randrange(2, 6), rng, theta=2)
 
-            o_pull = CountingExpressionOracle(ExpressionOracle(target))
-            r_pull = ExpressionLearner(o_pull).learn()
+        o_pull = CountingExpressionOracle(ExpressionOracle(target))
+        r_pull = ExpressionLearner(o_pull).learn()
 
-            o_manual = CountingExpressionOracle(ExpressionOracle(target))
-            r_manual, rounds = _drive_manual(
-                lambda o: ExpressionLearner(o), o_manual
-            )
+        o_manual = CountingExpressionOracle(ExpressionOracle(target))
+        r_manual, rounds = _drive_manual(
+            lambda o: ExpressionLearner(o), o_manual
+        )
 
-            o_async = CountingExpressionOracle(ExpressionOracle(target))
-            r_async = loop.run_until_complete(
-                _drive_async_expression(o_async)
-            )
-
-            assert r_manual.query == r_pull.query
-            assert r_async.query == r_pull.query
-            assert r_manual.questions_asked == r_pull.questions_asked
-            assert o_manual.questions_asked == o_pull.questions_asked
-            assert o_async.questions_asked == o_pull.questions_asked
-            assert len(rounds) == r_pull.questions_asked  # one bit per round
-            assert canonicalize(r_pull.query) == canonicalize(target)
-    finally:
-        loop.close()
-
-
-async def _drive_async_expression(oracle):
-    learner = ExpressionLearner(oracle)
-    protocol = LearnerProtocol(learner.steps())
-    event = protocol.start()
-    while isinstance(event, Round):
-        event = protocol.feed(await answer_round_async(oracle, event))
-    return event.result
+        assert r_manual.query == r_pull.query
+        assert r_manual.questions_asked == r_pull.questions_asked
+        assert o_manual.questions_asked == o_pull.questions_asked
+        assert len(rounds) == r_pull.questions_asked  # one bit per round
+        assert canonicalize(r_pull.query) == canonicalize(target)
 
 
 # ----------------------------------------------------------------------

@@ -1,12 +1,8 @@
-"""Loadgen scenario files and the pool-health metering they ride on.
+"""Loadgen scenario files.
 
 ``repro enumerate --out FILE`` writes a JSONL corpus whose ``query``
 records double as loadgen scenarios; :func:`load_scenarios` is the
-parser.  The pool-metering tests pin the §2i satellite: every
-:class:`~repro.data.backends.dbapi.PooledConnectionSource` in a worker
-process reports its health counters through ``RoundServer.stats()`` as
-``pool_*`` keys, which the fleet store then merges for
-``repro serve --stats``.
+parser.
 """
 
 from __future__ import annotations
@@ -68,58 +64,3 @@ class TestLoadScenarios:
         with pytest.raises(ValueError, match="no scenario intents"):
             load_scenarios(path)
 
-
-class TestPoolMetering:
-    def test_server_stats_carry_pool_counters(self):
-        from repro.server.core import RoundServer
-        from repro.server.store import SessionStore
-
-        with SessionStore() as store:
-            server = RoundServer(store)
-            stats = server.stats()
-        for name in (
-            "pool_connections_opened",
-            "pool_checkouts",
-            "pool_health_failures",
-            "pool_stale_retries",
-            "pool_pools",
-        ):
-            assert name in stats
-
-    def test_pool_activity_shows_up_in_stats_deltas(self):
-        """pool_stats() aggregates process-wide, so assert deltas."""
-        from repro.oracle import SqlQueryOracle
-        from repro.server.core import RoundServer
-        from repro.server.store import SessionStore
-
-        with SessionStore() as store:
-            server = RoundServer(store)
-            before = server.stats()
-            oracle = SqlQueryOracle(parse_query("∃x1"))
-            try:
-                from repro.core.tuples import Question
-
-                assert oracle.ask(Question.of(1, [1])) is True
-                after = server.stats()
-                assert after["pool_pools"] >= before["pool_pools"] + 1
-                assert (
-                    after["pool_connections_opened"]
-                    > before["pool_connections_opened"]
-                )
-                assert after["pool_checkouts"] > before["pool_checkouts"]
-            finally:
-                oracle.close()
-            # Closed pools drop out of the live aggregate.
-            assert server.stats()["pool_pools"] == before["pool_pools"]
-
-    def test_fleet_stats_merge_pool_counters(self):
-        from repro.server.core import RoundServer
-        from repro.server.store import SessionStore
-
-        with SessionStore() as store:
-            for worker in ("w1", "w2"):
-                server = RoundServer(store, worker_id=worker)
-                store.save_worker_stats(worker, server.stats())
-            merged = store.fleet_stats()
-        assert "pool_checkouts" in merged
-        assert merged["workers"] == 2

@@ -316,6 +316,109 @@ class TestWireErrors:
         assert_bit_identical(finished, wire, target)
 
 
+class TestUnexpectedFaults:
+    """Any other fault while handling a message becomes a counted error
+    reply instead of a dropped connection; the live session is dropped
+    with its claim, so the next message replays it from its last
+    durable round."""
+
+    def test_oversized_open_gets_a_counted_error(self):
+        async def main():
+            with SessionStore() as store:
+                server = RoundServer(store)
+                await server.start()
+                client = await Client.connect(server.port)
+                await client.send(type="open", n=100_000)
+                error = await client.recv()
+                errors = server.wire_errors
+                await client.send(type="open", n=3)
+                first = await client.recv()
+                await client.close()
+                await server.close()
+                return error, errors, first
+
+        error, errors, first = run(main())
+        assert error["type"] == "error"
+        assert "100000" in error["message"]
+        assert errors == 1
+        assert first["type"] == "round"
+
+    def test_fault_after_a_step_replays_from_the_store(
+        self, monkeypatch, caplog
+    ):
+        """The learner steps, then the handler fails: memory is a round
+        ahead of the store until the session is dropped.  Resending the
+        same answers must continue exactly where the store left off."""
+        target = random_qhorn1(3, random.Random(5))
+        feed = LearningSession.feed
+        calls = []
+
+        def feed_then_fail_once(self, answers):
+            event = feed(self, answers)
+            calls.append(len(answers))
+            if len(calls) == 2:
+                raise RuntimeError("injected fault")
+            return event
+
+        monkeypatch.setattr(LearningSession, "feed", feed_then_fail_once)
+
+        async def main():
+            with SessionStore() as store:
+                server = RoundServer(store)
+                await server.start()
+                client = await Client.connect(server.port)
+                oracle = QueryOracle(target)
+                await client.send(type="open", n=3)
+                first = await client.recv()
+                sid = first["session"]
+                questions, answers = answer(first, oracle)
+                await client.send(type="answers", session=sid, answers=answers)
+                second = await client.recv()
+                assert second["type"] == "round", second
+                await client.send(
+                    type="answers",
+                    session=sid,
+                    answers=answer(second, oracle)[1],
+                )
+                error = await client.recv()
+                dropped = sid not in server._sessions
+                owner = store.owner_of(sid)
+                errors = server.wire_errors
+                finished, wire = await answer_until_done(
+                    client, oracle, first=second
+                )
+                replayed = server.sessions_replayed
+                await client.close()
+                await server.close()
+                wire = list(zip(questions, answers)) + wire
+                return error, dropped, owner, errors, finished, wire, replayed
+
+        error, dropped, owner, errors, finished, wire, replayed = run(main())
+        assert error["type"] == "error"
+        assert "RuntimeError: injected fault" in error["message"]
+        assert "Traceback" in caplog.text  # the operator gets the stack
+        assert dropped and owner is None
+        assert errors == 1
+        assert replayed == 1
+        assert_bit_identical(finished, wire, target)
+
+    def test_failed_first_write_keeps_no_live_session(self):
+        """An open whose first round-boundary write fails with any error
+        leaves nothing live that the store does not hold."""
+
+        class SaveRaises(SessionStore):
+            def save(self, record):
+                raise TypeError("unserialisable snapshot")
+
+        with SaveRaises() as store:
+            server = RoundServer(store)
+            replies = server._handle_line('{"type": "open", "n": 3}')
+            assert [r["type"] for r in replies] == ["error"]
+            assert "TypeError: unserialisable snapshot" in replies[0]["message"]
+            assert server.stats()["live_sessions"] == 0
+            assert server.wire_errors == 1
+
+
 class TestStoreFailure:
     """A failed round-boundary write never leaves memory ahead of the
     store: the round is rolled back and the client told so."""

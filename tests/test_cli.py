@@ -115,21 +115,24 @@ class TestBackendFlag:
         for name in ("bitmask", "sharded", "dbapi"):
             assert name in out
         assert "--backend-opt" in out
-        assert "third-party backends" in out
 
     def test_choices_derived_from_capability_flags(self):
-        """learn/verify offer exactly the supports_oracle backends, demo
-        offers everything — no name literals in the CLI."""
-        from repro.data.backends import REGISTRY
+        """learn/verify offer exactly the backends that answer membership
+        questions, demo offers every backend."""
+        from repro.cli import ORACLE_BACKENDS, SQL_BACKENDS
+        from repro.data.backends import BACKENDS
 
+        assert ORACLE_BACKENDS == {"bitmask", "dbapi"}
+        assert SQL_BACKENDS <= ORACLE_BACKENDS <= set(BACKENDS)
         parser = build_parser()
-        args = parser.parse_args(["learn", "∃x1", "--backend", "dbapi"])
-        assert args.backend == "dbapi"
-        oracle_names = set(REGISTRY.names_with(supports_oracle=True))
-        assert {"bitmask", "dbapi"} <= oracle_names
+        for name in ORACLE_BACKENDS:
+            for command in (["learn", "∃x1"], ["verify", "∃x1", "∃x1"]):
+                args = parser.parse_args(command + ["--backend", name])
+                assert args.backend == name
         with pytest.raises(SystemExit):
             parser.parse_args(["learn", "∃x1", "--backend", "sharded"])
-        parser.parse_args(["demo", "--backend", "sharded"])
+        for name in BACKENDS:
+            assert parser.parse_args(["demo", "--backend", name]).backend == name
         with pytest.raises(SystemExit):
             parser.parse_args(["demo", "--backend", "numpy"])
 
@@ -210,35 +213,35 @@ class TestBackendOptions:
         assert "positive" in capsys.readouterr().err
 
 
-class TestThirdPartyBackends:
-    PLUGIN = """
-        class EchoBackend:
-            name = "echo"
-            capabilities = {"supports_sql": False}
+class TestInputErrors:
+    """A malformed query or an out-of-range port is the caller's input
+    error: one line on stderr and exit 2, never a traceback."""
 
-            def __init__(self, relation, vocabulary, **options):
-                raise NotImplementedError
-    """
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["learn", "∀x1 ∃"],
+            ["verify", "∀x1 ∃", "∀x1"],
+            ["revise", "∀x1", "∀x1 ∃"],
+            ["sql", "∀x1 ∃"],
+        ],
+        ids=["learn", "verify", "revise", "sql"],
+    )
+    def test_malformed_query_exits_two(self, argv, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"repro {argv[0]}: unparsed query text: '∃'\n"
+        assert captured.out == ""
 
-    def test_env_plugin_appears_in_demo_choices(
-        self, tmp_path, monkeypatch, capsys
-    ):
-        """Acceptance criterion: REPRO_BACKENDS plugins join the
-        --backend choices without editing repro.data.backends."""
-        import textwrap
-
-        from repro.data.backends import REGISTRY
-
-        (tmp_path / "cli_plugin.py").write_text(textwrap.dedent(self.PLUGIN))
-        monkeypatch.syspath_prepend(str(tmp_path))
-        monkeypatch.setenv("REPRO_BACKENDS", "echo=cli_plugin:EchoBackend")
-        try:
-            args = build_parser().parse_args(["demo", "--backend", "echo"])
-            assert args.backend == "echo"
-        finally:
-            REGISTRY.unregister("echo")
-            monkeypatch.setenv("REPRO_BACKENDS", "")
-            REGISTRY.names()  # re-sync the env-discovery cache
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("port", ["70000", "-1"])
+    def test_out_of_range_port_exits_two(self, port, workers, tmp_path, capsys):
+        store = str(tmp_path / "sessions.sqlite")
+        with pytest.raises(SystemExit) as exit_:
+            main(["serve", "--port", port, "--store", store,
+                  "--workers", workers])
+        assert exit_.value.code == 2
+        assert f"port must be 0-65535, got {port}" in capsys.readouterr().err
 
 
 class TestServeStdio:

@@ -15,7 +15,6 @@ from repro.oracle import (
     CountingOracle,
     ExhaustedReplayError,
     FunctionOracle,
-    HumanOracle,
     MembershipOracle,
     NoisyOracle,
     QueryOracle,
@@ -317,19 +316,6 @@ class TestReplayOracle:
     def test_needs_live_or_n(self):
         with pytest.raises(ValueError):
             ReplayOracle([True], live=None)
-
-
-class TestHumanOracle:
-    def test_reads_labels(self):
-        answers = iter(["y", "junk", "n"])
-        printed: list[str] = []
-        oracle = HumanOracle(
-            2, input_fn=lambda _: next(answers), output_fn=printed.append
-        )
-        assert oracle.ask(Question.from_strings("11")) is True
-        assert oracle.ask(Question.from_strings("10")) is False
-        assert oracle.asked == 2
-        assert any("membership question" in line for line in printed)
 
 
 class TestAdversary:

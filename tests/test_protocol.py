@@ -1,10 +1,9 @@
 """Unit tests for the sans-io step protocol (DESIGN.md §2e): the
-Round/Finished state machine, the driver dispatch, the async adapters,
-and the round payloads' wire form."""
+Round/Finished state machine, the driver dispatch, and the round
+payloads' wire form."""
 
 from __future__ import annotations
 
-import asyncio
 import json
 import random
 
@@ -18,13 +17,7 @@ from repro.interactive import (
     SnapshotError,
 )
 from repro.learning import Qhorn1Learner
-from repro.oracle import (
-    AsyncOracle,
-    CountingOracle,
-    QueryOracle,
-    QueueUserOracle,
-    ask_all_async,
-)
+from repro.oracle import CountingOracle, QueryOracle
 from repro.oracle.expression import ExpressionQuestion
 from repro.protocol import (
     Finished,
@@ -211,92 +204,6 @@ class TestExpressionQuestion:
             ExpressionQuestion(kind="implication", variables=(0,))
         with pytest.raises(ValueError):
             ExpressionQuestion(kind="conjunction", variables=(0,), head=1)
-
-
-class TestAsyncAdapters:
-    def test_ask_all_async_chunking_and_fallback(self):
-        class AskOnly:
-            def __init__(self):
-                self.n = 2
-                self.asked = 0
-
-            async def ask(self, question):
-                self.asked += 1
-                return True
-
-        async def main():
-            target = random_qhorn1(3, random.Random(9))
-            sync = CountingOracle(QueryOracle(target))
-            wrapped = AsyncOracle(sync)
-            questions = [q(3, m) for m in range(8)]
-            answers = await ask_all_async(wrapped, questions, chunk_size=3)
-            assert answers == [QueryOracle(target).ask(x) for x in questions]
-            assert sync.stats.rounds == 3  # ceil(8 / 3) transport calls
-
-            ask_only = AskOnly()
-            assert await ask_all_async(ask_only, [q(2, 1)] * 4) == [True] * 4
-            assert ask_only.asked == 4
-
-        asyncio.run(main())
-
-    def test_queue_user_oracle_round_trip(self):
-        async def main():
-            oracle = QueueUserOracle(3)
-
-            async def user():
-                questions = await oracle.outbox.get()
-                await oracle.inbox.put([True] * len(questions))
-
-            task = asyncio.ensure_future(user())
-            answers = await oracle.ask_many([q(3, 1), q(3, 2)])
-            await task
-            assert answers == [True, True]
-
-        asyncio.run(main())
-
-    def test_queue_user_oracle_reasks_on_mismatch(self):
-        """A mismatched answer batch re-posts the same questions to the
-        outbox (reject-and-reprompt) instead of wedging the dialogue."""
-
-        async def main():
-            oracle = QueueUserOracle(3)
-            questions = [q(3, 1), q(3, 2)]
-
-            async def user():
-                first = await oracle.outbox.get()
-                await oracle.inbox.put([True])  # wrong size → re-ask
-                second = await oracle.outbox.get()
-                assert second == first  # the same batch, re-posted
-                await oracle.inbox.put(None)  # not a batch → re-ask
-                await oracle.outbox.get()
-                await oracle.inbox.put([True, False])
-
-            task = asyncio.ensure_future(user())
-            answers = await oracle.ask_many(questions)
-            await task
-            assert answers == [True, False]
-            assert oracle.reasks == 2
-
-        asyncio.run(main())
-
-    def test_queue_user_oracle_gives_up_after_max_reasks(self):
-        async def main():
-            oracle = QueueUserOracle(3, max_reasks=1)
-
-            async def user():
-                for _ in range(2):
-                    await oracle.outbox.get()
-                    await oracle.inbox.put([True])
-
-            task = asyncio.ensure_future(user())
-            with pytest.raises(
-                ProtocolError, match="answered 1 of 2.*giving up after 1"
-            ):
-                await oracle.ask_many([q(3, 1), q(3, 2)])
-            await task
-            assert oracle.reasks == 2
-
-        asyncio.run(main())
 
 
 class TestSessionStepMode:
