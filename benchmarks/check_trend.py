@@ -11,7 +11,7 @@ session, see ``benchmarks/conftest.py``) vs the committed
 
 The baseline pins a *band*, not a point: raw medians vary wildly across
 machines, but the explicit speedup records (warm-vs-cold, batched
-vs sequential, sharded vs whole-relation…) are dimensionless and stable,
+vs sequential, tabled kernel vs scan…) are dimensionless and stable,
 so each baseline entry carries ``min_speedup`` — the floor below which a
 run is a regression — derived from the committed result tables with
 generous tolerance under the per-experiment gates.  Entries marked

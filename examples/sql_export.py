@@ -4,7 +4,7 @@
 "SQL interfaces force us to formulate precise quantified queries from the
 get go."  Here the quantified query is *learned* from yes/no examples, then
 compiled to SQL and executed on a real SQLite database through the
-pooled ``dbapi`` backend — with the in-process engine cross-checking
+``dbapi`` backend — with the in-process engine cross-checking
 every answer.
 
 Run:  python examples/sql_export.py

@@ -31,10 +31,7 @@ from repro.core.query import QhornQuery
 from repro.core.tuples import Question
 from repro.data import (
     DbApiBackend,
-    PooledConnectionSource,
     QueryEngine,
-    SqlDialect,
-    get_dialect,
     parse_backend_opts,
 )
 from repro.learning import (
@@ -65,10 +62,7 @@ __all__ = [
     "CanonicalForm",
     "CountingOracle",
     "DbApiBackend",
-    "PooledConnectionSource",
     "QueryEngine",
-    "SqlDialect",
-    "get_dialect",
     "parse_backend_opts",
     "ExistentialConjunction",
     "MembershipOracle",

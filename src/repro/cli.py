@@ -18,6 +18,7 @@ import sys
 from repro.core.normalize import canonicalize
 from repro.core.parser import ParseError, parse_query
 from repro.core.serialize import query_to_json
+from repro.core.tuples import MAX_VARIABLES
 from repro.data.backends import BACKENDS, parse_backend_opts
 from repro.learning import (
     Qhorn1Learner,
@@ -34,44 +35,32 @@ from repro.verification import Verifier
 
 __all__ = ["main", "build_parser"]
 
-#: Backends that can answer membership questions for ``learn``/``verify``.
-ORACLE_BACKENDS = frozenset({"bitmask", "dbapi"})
-
 #: Backends whose membership oracle runs SQL and takes ``--backend-opt``.
 SQL_BACKENDS = frozenset({"dbapi"})
 
 #: Backend-selection guide shown in ``--help`` (DESIGN.md §2c).
 BACKEND_GUIDE = """\
 evaluation backends (--backend):
-  bitmask   one in-process inverted bitmask index over the whole relation;
-            the default and the mask-native oracle for learn/verify
-  sharded   the same bitmask kernel over object-position blocks with
-            bounded bitset widths; E23 records 1.0-1.2x the speed of
-            bitmask at 4k-40k objects (cold build + full-relation
-            labeling)
+  bitmask   one in-process inverted bitmask index over the whole relation,
+            built in one pass over the rows; the default, and the
+            mask-native oracle for learn/verify
   dbapi     the database answers (DESIGN.md §2i): the relation loads into
-            any DB-API database, queries compile to SQL once through a
-            SQL dialect (placeholder style, identifier quoting, type
-            mapping) and run in one round trip through a bounded
-            connection pool with health checks and retry-on-stale;
-            learn/verify answer membership questions through the same
-            pooled path.  The built-in connector is SQLite: a private
+            a SQLite database, queries compile to SQL once and run in one
+            round trip on the backend's one connection, replayed once on
+            a fresh connection when a statement fails; learn/verify
+            answer membership questions the same way.  A private
             shared-memory database by default, or
             --backend-opt uri=file:/path/db.sqlite for a file-backed
-            store; a client/server database plugs in through
-            DbApiBackend(connect=...) in code
-All backends return identical answers on identical state (DESIGN.md §2c).
-learn/verify take the backends that answer membership questions (bitmask,
-dbapi); demo takes all three.
+            store
+Both backends return identical answers on identical state (DESIGN.md
+§2c), and learn, verify and demo take either.
 
 backend options (--backend-opt KEY=VALUE, repeatable):
   one uniform options pipeline for every subcommand: each occurrence is
   a key=value pair forwarded to the backend (or its oracle) constructor
   with typed coercion (true/false → bool, digits → int/float,
   none → None).  Examples:
-    --backend sharded --backend-opt shard_size=4096
-    --backend dbapi --backend-opt uri=file:/tmp/store.sqlite \
-                    --backend-opt pool_size=2
+    --backend dbapi --backend-opt uri=file:/tmp/store.sqlite
   The same pairs drive QueryEngine(backend_options=...) in code and the
   pytest --backend/--backend-opt fixtures in the test-suite.
 
@@ -117,8 +106,8 @@ exhaustive conformance (repro enumerate, DESIGN.md §2j):
   (deduplicated up to semantic equivalence) and EVERY relation up to
   --max-objects objects, then drives each through the full matrix —
   learner (qhorn1/naive/role-preserving) × oracle transport
-  (direct/dbapi-pooled) × driver (pull/sans-io), and every evaluation
-  backend — asserting bit-identical transcripts, stats and learned
+  (direct/dbapi) × driver (pull/sans-io), and both evaluation
+  backends — asserting bit-identical transcripts, stats and learned
   queries everywhere, and checking Theorem 3.1's question bound on
   every single instance.  Any disagreement is shrunk to a minimal
   witness and written to the JSONL corpus (--out FILE), which
@@ -223,13 +212,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_backend_flag(p, oracle_only: bool = False) -> None:
-        # learn/verify need a backend that can answer membership
-        # questions; demo evaluates a relation on any backend.
-        choices = sorted(ORACLE_BACKENDS if oracle_only else BACKENDS)
+    def add_backend_flag(p) -> None:
         p.add_argument(
             "--backend",
-            choices=choices,
+            choices=sorted(BACKENDS),
             default="bitmask",
             help="evaluation backend (default: bitmask; see the guide at "
             "the bottom of `repro --help`)",
@@ -252,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="role-preserving",
     )
     learn.add_argument("--json", action="store_true", help="emit JSON")
-    add_backend_flag(learn, oracle_only=True)
+    add_backend_flag(learn)
 
     verify = sub.add_parser(
         "verify", help="verify a given query against an intended one"
@@ -260,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("given")
     verify.add_argument("intended")
     verify.add_argument("--n", type=int, default=None)
-    add_backend_flag(verify, oracle_only=True)
+    add_backend_flag(verify)
 
     revise = sub.add_parser(
         "revise", help="revise a close query toward the intended one"
@@ -362,16 +348,28 @@ def _backend_opts(args, command: str) -> dict | None:
         return None
 
 
+def _too_wide(command: str, query) -> bool:
+    """Is ``query`` too wide for a membership question?  If so, say so
+    on stderr: the commands that ask questions then exit 2."""
+    if 0 < query.n <= MAX_VARIABLES:
+        return False
+    print(
+        f"repro {command}: query over n={query.n} variables; membership "
+        f"questions hold 1..{MAX_VARIABLES}",
+        file=sys.stderr,
+    )
+    return True
+
+
 def _target_oracle(target, backend: str, options: dict):
     """The ground-truth oracle for ``target`` under a backend choice.
 
     SQL-capable backends (``dbapi``) answer through
-    :class:`SqlQueryOracle`'s one-round-trip ``ask_many``: batches check
-    connections out of a health-checked ``PooledConnectionSource``
-    exactly like ``DbApiBackend`` evaluations do, and
-    ``--backend-opt uri=file:...`` / ``pool_size=N`` configure the pool.
-    Returns ``(oracle, closer)`` where ``closer`` releases the
-    connection pool — ``None`` when nothing needs closing.
+    :class:`SqlQueryOracle`'s one-round-trip ``ask_many`` on one
+    connection, exactly like ``DbApiBackend`` evaluations do, and
+    ``--backend-opt uri=file:...`` places its database.  Returns
+    ``(oracle, closer)`` where ``closer`` releases the connection —
+    ``None`` when nothing needs closing.
     """
     sql_capable = backend in SQL_BACKENDS
     if not sql_capable and options:
@@ -387,6 +385,8 @@ def _target_oracle(target, backend: str, options: dict):
 
 def _cmd_learn(args) -> int:
     target = parse_query(args.target, n=args.n)
+    if _too_wide("learn", target):
+        return 2
     options = _backend_opts(args, "learn")
     if options is None:
         return 2
@@ -430,6 +430,8 @@ def _cmd_verify(args) -> int:
     intended = parse_query(args.intended, n=n or given.n)
     if intended.n > given.n:
         given = parse_query(args.given, n=intended.n)
+    if _too_wide("verify", intended):
+        return 2
     options = _backend_opts(args, "verify")
     if options is None:
         return 2
@@ -458,6 +460,8 @@ def _cmd_revise(args) -> int:
     intended = parse_query(args.intended, n=n or given.n)
     if intended.n > given.n:
         given = parse_query(args.given, n=intended.n)
+    if _too_wide("revise", intended):
+        return 2
     oracle = CountingOracle(QueryOracle(intended))
     result = revise_query(given, oracle)
     exact = canonicalize(result.query) == canonicalize(intended)

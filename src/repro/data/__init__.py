@@ -8,19 +8,12 @@ from repro.data.backends import (
     BitmaskBackend,
     DbApiBackend,
     EvaluationBackend,
-    PooledConnectionSource,
-    ShardedBitmaskBackend,
     coerce_option,
     parse_backend_opts,
 )
 from repro.data.engine import ExampleFactory, ExpressionReport, QueryEngine
 from repro.data.index import RelationIndex
-from repro.data.sql import (
-    DIALECTS,
-    SqlDialect,
-    get_dialect,
-    to_sql,
-)
+from repro.data.sql import to_sql
 from repro.data.propositions import (
     Between,
     BoolIs,
@@ -48,14 +41,9 @@ __all__ = [
     "Between",
     "BitmaskBackend",
     "BoolIs",
-    "DIALECTS",
     "DbApiBackend",
     "EvaluationBackend",
-    "PooledConnectionSource",
-    "ShardedBitmaskBackend",
-    "SqlDialect",
     "coerce_option",
-    "get_dialect",
     "parse_backend_opts",
     "to_sql",
     "Equals",

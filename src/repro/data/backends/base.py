@@ -4,8 +4,8 @@ The paper (§5) observes that membership questions can be answered either
 by synthesizing examples or by evaluating against a real database.  This
 module pins down the contract every evaluation backend satisfies, so the
 learner/oracle stack above :class:`~repro.data.engine.QueryEngine` never
-cares *how* a relation is evaluated — in-process bitmask algebra, sharded
-bitmask blocks, a SQL database, or any future remote/async executor.
+cares *how* a relation is evaluated — in-process bitmask algebra or a
+SQL database.
 
 The contract
 ------------
@@ -25,8 +25,8 @@ exactly the answers of the per-object reference path
 (``QhornQuery.evaluate`` over ``Vocabulary.abstract_object``), for every
 qhorn query, including ``require_guarantees`` witness edge cases and
 empty objects.  The differential property suite
-(``tests/properties/test_prop_backends.py``) enforces pairwise agreement
-across all registered backends on ≥ 1000 seeded cases.
+(``tests/properties/test_prop_backends.py``) enforces agreement of both
+backends on ≥ 1000 seeded cases.
 
 **Versioning / refresh.**  Backends snapshot the relation's monotone
 ``version`` counter when they build.  With ``auto_refresh=True`` (the
@@ -36,10 +36,9 @@ on mismatch, so inserts are never silently ignored; :attr:`is_stale` and
 of an object's ``rows`` bypasses the counter — callers must
 ``refresh(force=True)``.
 
-**Determinism.**  Answer order is relation order; sharding/partitioning
-is an internal layout choice that must not leak into answers (shard
-boundaries are unobservable, exactly like oracle batch boundaries in
-DESIGN.md §2b).
+**Determinism.**  Answer order is relation order, whatever order the
+backend computes answers in (the SQL backend's rows come back in key
+order).
 """
 
 from __future__ import annotations
@@ -70,7 +69,7 @@ class EvaluationBackend(Protocol):
 
     The seam's input type is the *source* :class:`QhornQuery`: backends
     compile it into whatever internal form they need (bitmasks, SQL).
-    The bitmask-family backends additionally accept a pre-compiled
+    The bitmask backend additionally accepts a pre-compiled
     :class:`~repro.core.query.CompiledQuery` as an optimization, but a
     ``CompiledQuery`` has no propositions and therefore cannot cross
     every backend (the ``dbapi`` backend rejects it with ``TypeError``) —
@@ -78,8 +77,8 @@ class EvaluationBackend(Protocol):
     :class:`~repro.data.engine.QueryEngine` does.
     """
 
-    #: Key in :data:`~repro.data.backends.BACKENDS` (``"bitmask"``,
-    #: ``"sharded"``, ``"dbapi"``).
+    #: Key in :data:`~repro.data.backends.BACKENDS` (``"bitmask"`` or
+    #: ``"dbapi"``).
     name: str
     relation: NestedRelation
     vocabulary: Vocabulary

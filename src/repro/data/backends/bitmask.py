@@ -29,11 +29,8 @@ class BitmaskBackend:
     Parameters
     ----------
     relation, vocabulary:
-        The evaluated pair.
-    index:
-        An existing :class:`RelationIndex` to adopt (shared across
-        engines); must have been built over the same relation.  Built
-        lazily on first evaluation otherwise.
+        The evaluated pair; the index over them is built lazily on first
+        evaluation.
     auto_refresh:
         Forwarded to the index: evaluations rebuild on version mismatch.
     """
@@ -44,15 +41,12 @@ class BitmaskBackend:
         self,
         relation: NestedRelation,
         vocabulary: Vocabulary,
-        index: RelationIndex | None = None,
         auto_refresh: bool = True,
     ) -> None:
-        if index is not None and index.relation is not relation:
-            raise ValueError("index was built over a different relation")
         self.relation = relation
         self.vocabulary = vocabulary
         self.auto_refresh = auto_refresh
-        self._index = index
+        self._index: RelationIndex | None = None
 
     @property
     def index(self) -> RelationIndex:
@@ -81,9 +75,8 @@ class BitmaskBackend:
 
     @property
     def is_stale(self) -> bool:
-        # "Not built yet" counts as stale, matching the sharded and SQL
-        # backends, so warm-build-via-refresh works identically across
-        # the seam.
+        # "Not built yet" counts as stale, matching the SQL backend, so
+        # warm-build-via-refresh works identically across the seam.
         return self._index is None or self._index.is_stale
 
     def refresh(self, force: bool = False) -> bool:

@@ -14,7 +14,6 @@ from typing import Any
 from repro.data.backends.base import EvaluationBackend
 from repro.data.backends.bitmask import BitmaskBackend
 from repro.data.backends.dbapi import DbApiBackend
-from repro.data.backends.sharded import ShardedBitmaskBackend
 
 __all__ = [
     "BACKENDS",
@@ -29,7 +28,6 @@ __all__ = [
 BACKENDS: dict[str, type] = {
     BitmaskBackend.name: BitmaskBackend,
     DbApiBackend.name: DbApiBackend,
-    ShardedBitmaskBackend.name: ShardedBitmaskBackend,
 }
 
 
@@ -61,7 +59,7 @@ def coerce_option(value: str) -> Any:
 
     ``true/false/yes/no/on/off`` → bool, ``none/null`` → None, int- and
     float-looking strings → numbers, everything else stays a string
-    (URIs, dialect names, file paths).
+    (URIs, file paths).
     """
     lowered = value.lower()
     if lowered in ("true", "yes", "on"):
@@ -82,7 +80,8 @@ def coerce_option(value: str) -> Any:
 
 
 def parse_backend_opts(pairs: Any) -> dict[str, Any]:
-    """``["uri=file:x.db", "pool_size=2"]`` → ``{"uri": ..., "pool_size": 2}``.
+    """``["uri=file:x.db", "auto_refresh=off"]`` →
+    ``{"uri": "file:x.db", "auto_refresh": False}``.
 
     The one options pipeline shared by the CLI subcommands, the pytest
     ``--backend-opt`` flag and anything else that accepts repeatable

@@ -11,12 +11,10 @@ Two evaluation paths coexist (DESIGN.md §2): the per-object *reference
 path* (:meth:`QueryEngine.matches` / :meth:`QueryEngine.execute`), which
 abstracts rows on every call, and the *batch path*
 (:meth:`QueryEngine.execute_batch` / :meth:`QueryEngine.matches_many`),
-which dispatches to a pluggable
-:class:`~repro.data.backends.EvaluationBackend` (DESIGN.md §2c) —
-single bitmask index, sharded bitmask blocks (both on the one bitmask
-kernel, :class:`~repro.data.index.BitsetKernel`), or SQL batch
-execution.  Every backend must return identical answers on identical
-state.
+which dispatches to an :class:`~repro.data.backends.EvaluationBackend`
+(DESIGN.md §2c) — the bitmask index on the one bitmask kernel,
+:class:`~repro.data.index.BitsetKernel`, or SQL batch execution.  Both
+backends must return identical answers on identical state.
 """
 
 from __future__ import annotations
@@ -52,14 +50,12 @@ class ExpressionReport:
 class QueryEngine:
     """Evaluates queries over a nested relation via a vocabulary.
 
-    The batch evaluation methods dispatch to a pluggable
+    The batch evaluation methods dispatch to an
     :class:`~repro.data.backends.EvaluationBackend` (``backend=`` accepts
-    a backend name — ``"bitmask"``, ``"sharded"``, ``"dbapi"`` — or a
-    constructed backend instance; backends build lazily on first batch
-    call).  The per-object methods keep the seed
-    reference semantics regardless of backend.  A shared
-    :class:`RelationIndex` is injected with ``backend_options={"index":
-    index}`` on the ``bitmask`` backend.
+    a backend name — ``"bitmask"`` or ``"dbapi"`` — or a constructed
+    backend instance; backends build lazily on first batch call).  The
+    per-object methods keep the seed reference semantics regardless of
+    backend.
     """
 
     def __init__(
@@ -114,8 +110,8 @@ class QueryEngine:
         """The engine's bitmask relation index, built on first access.
 
         For the bitmask backend this *is* the evaluation structure; for
-        other backends it is an introspection view (mask statistics,
-        shared-index reuse) built independently of the answering path.
+        the dbapi backend it is an introspection view (mask statistics)
+        built independently of the answering path.
         """
         backend = self.backend
         if isinstance(backend, BitmaskBackend):

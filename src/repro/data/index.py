@@ -3,20 +3,22 @@
 The seed :class:`~repro.data.engine.QueryEngine` re-abstracts every object's
 rows through the :class:`~repro.data.propositions.Vocabulary` on every
 ``matches()`` call — the hot path of every benchmark and every oracle
-answer.  A :class:`RelationIndex` pays that abstraction cost once:
-
-* each object's rows collapse to a ``frozenset`` of Boolean-tuple bitmasks;
-* an *inverted index* maps each distinct mask to the **object-position
-  bitset** of the objects exhibiting it (an arbitrary-width ``int`` with
-  bit ``i`` set iff object ``i`` contains the mask).
+answer.  A :class:`RelationIndex` pays that abstraction cost once: its
+*inverted index* maps each distinct Boolean-tuple mask to the
+**object-position bitset** of the objects exhibiting it (an
+arbitrary-width ``int`` with bit ``i`` set iff object ``i`` contains the
+mask).  The build is one pass over the rows
+(:meth:`~repro.data.propositions.Vocabulary.mask_positions` lists each
+mask's object positions) and one packing step per distinct mask
+(:func:`pack_positions`), linear in the relation's size.
 
 Evaluating a :class:`~repro.core.query.CompiledQuery` then reduces to set
 algebra over big integers: a universal Horn expression contributes one
 "violators" bitset and one "witnesses" bitset (unions over the distinct
 masks, not over objects), an existential conjunction one "witnesses"
 bitset, and the answer set is a handful of AND/OR/NOT operations.
-:class:`BitsetKernel` — the one evaluation kernel, behind the index and
-every sharded backend shard — precomputes those unions for every mask in
+:class:`BitsetKernel` — the one evaluation kernel, behind the index —
+precomputes those unions for every mask in
 lazily built superset-union tables (:func:`superset_unions`), so
 computing the answer bitset (:meth:`RelationIndex.matching_bits`) costs
 ``O(#expressions × W/64)`` word operations over ``W`` objects.  Data
@@ -35,7 +37,7 @@ contract are documented in DESIGN.md §2.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -49,8 +51,8 @@ __all__ = [
     "RelationIndex",
     "ZETA_TABLE_BUDGET",
     "evaluate_inverted",
-    "invert",
     "labels_of",
+    "pack_positions",
     "positions_of",
     "superset_unions",
     "zeta_bits",
@@ -77,9 +79,8 @@ def labels_of(bits: int, count: int) -> list[bool]:
     position — ``O(count)`` per shift, ``O(count²)`` for a pass — which
     dominated full-relation labeling at large relations.  ``to_bytes``
     extracts every position in one linear pass instead; a 256-entry table
-    then expands each byte to its 8 labels.  Shared by every bitmask
-    evaluation path: :meth:`RelationIndex.matches_many` and the sharded
-    backend's per-shard extraction.
+    then expands each byte to its 8 labels.  The full-relation path of
+    :meth:`RelationIndex.matches_many`.
     """
     if count <= 0:
         return []
@@ -98,22 +99,34 @@ def positions_of(bits: int, count: int) -> list[int]:
     answer, ``O(answers × W)`` over ``W`` objects.  Instead ``to_bytes``
     copies the bitset once, ``np.unpackbits`` expands it to one byte per
     position and ``np.flatnonzero`` collects the set ones:
-    ``O(W/8 + answers)``.  The one decoder behind every bitmask
-    backend's ``execute``: :meth:`RelationIndex.execute` and the sharded
-    backend.
+    ``O(W/8 + answers)``.  The decoder behind
+    :meth:`RelationIndex.execute`; :func:`pack_positions` is its reverse.
     """
     packed = np.frombuffer(bits.to_bytes((count + 7) // 8, "little"), np.uint8)
     return np.flatnonzero(np.unpackbits(packed, bitorder="little")).tolist()
 
 
-def invert(mask_sets: Sequence[Iterable[int]]) -> dict[int, int]:
-    """The inverted ``mask → object-position bitset`` index of per-object
-    mask sets (object order = bit position)."""
+def pack_positions(
+    positions: Mapping[int, Sequence[int]], count: int
+) -> dict[int, int]:
+    """The inverted ``mask → object-position bitset`` index over
+    ``count`` objects, from each mask's list of object positions.
+
+    Accumulating ``1 << position`` per (object, mask) pair would copy a
+    ``W``-bit integer each time, ``O(W²)`` over ``W`` objects.  Instead
+    each list sets its positions in one reused flag array,
+    ``np.packbits`` packs the array (the bytes :func:`positions_of`
+    unpacks) and ``int.from_bytes`` reads the bitset off it:
+    ``O(W/8 + positions)`` per distinct mask.
+    """
+    flags = np.zeros(count, dtype=np.bool_)
     inverted: dict[int, int] = {}
-    for position, masks in enumerate(mask_sets):
-        bit = 1 << position
-        for m in masks:
-            inverted[m] = inverted.get(m, 0) | bit
+    for mask, listed in positions.items():
+        where = np.array(listed, dtype=np.intp)
+        flags[where] = True
+        packed = np.packbits(flags, bitorder="little")
+        inverted[mask] = int.from_bytes(packed.tobytes(), "little")
+        flags[where] = False
     return inverted
 
 
@@ -207,10 +220,9 @@ class BitsetKernel:
     head bit ``h`` clear — at a few ``W``-bit operations per quantifier
     (:meth:`matching_bits`) instead of one per distinct mask.
 
-    :class:`RelationIndex` holds one over the whole relation and every
-    sharded-backend ``Shard`` is one over its block.  The tables are
-    derived state, built on first use (``Z`` once, one ``V_h`` per head
-    bit queried) and dropped with the kernel.  Data that
+    :class:`RelationIndex` holds one over the whole relation.  The tables
+    are derived state, built on first use (``Z`` once, one ``V_h`` per
+    head bit queried) and dropped with the kernel.  Data that
     :func:`zeta_bits` refuses, and hand-built multi-bit heads, go through
     the :func:`evaluate_inverted` scan instead.
     """
@@ -271,7 +283,8 @@ class BitsetKernel:
 
 
 class RelationIndex:
-    """Precomputed mask sets + inverted mask index for one nested relation.
+    """The inverted mask index of one nested relation, in a
+    :class:`BitsetKernel`.
 
     Parameters
     ----------
@@ -304,11 +317,13 @@ class RelationIndex:
     # ------------------------------------------------------------------
     def _build(self) -> None:
         objects = self.relation.objects
-        # Bulk abstraction: one distinct-row memo across the whole build.
-        mask_sets = self.vocabulary.mask_sets(obj.rows for obj in objects)
+        # One pass over the rows with one distinct-row memo, then one
+        # packed bitset per distinct mask.
+        positions = self.vocabulary.mask_positions(obj.rows for obj in objects)
         self._objects = objects
-        self._mask_sets = mask_sets
-        self._kernel = BitsetKernel(invert(mask_sets), len(objects))
+        self._kernel = BitsetKernel(
+            pack_positions(positions, len(objects)), len(objects)
+        )
         self._positions = {o.key: i for i, o in enumerate(objects)}
         self._built_version = getattr(self.relation, "version", None)
 
@@ -341,15 +356,6 @@ class RelationIndex:
         """Number of distinct Boolean tuples across the whole relation."""
         self._ensure_fresh()
         return len(self._kernel.inverted)
-
-    def mask_set(self, obj: NestedObject) -> frozenset[int]:
-        """The abstracted mask set of ``obj`` — from the index when the
-        object belongs to the relation, abstracted on the fly otherwise."""
-        self._ensure_fresh()
-        position = self._positions.get(obj.key)
-        if position is not None and self._objects[position] is obj:
-            return self._mask_sets[position]
-        return frozenset(self.vocabulary.boolean_tuples(obj.rows))
 
     # ------------------------------------------------------------------
     # Batch evaluation
@@ -396,11 +402,6 @@ class RelationIndex:
                     compiled.evaluate(self.vocabulary.boolean_tuples(obj.rows))
                 )
         return labels
-
-    def __iter__(self) -> Iterator[frozenset[int]]:
-        """Iterate the per-object mask sets, in relation order."""
-        self._ensure_fresh()
-        return iter(self._mask_sets)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -261,7 +261,7 @@ class Vocabulary:
         )
         # Attributes the propositions actually read: rows agreeing on
         # these values must abstract to the same mask, which is what the
-        # bulk fast path (:meth:`mask_sets`) memoizes on.
+        # bulk pass (:meth:`mask_positions`) memoizes on.
         self._key_attributes = tuple(
             sorted({p.attribute for p in self.propositions})
         )
@@ -312,55 +312,64 @@ class Vocabulary:
         """Abstract an object's rows into its set of Boolean tuples."""
         return frozenset(self.boolean_tuples(rows))
 
-    def mask_sets(
+    def mask_positions(
         self, objects_rows: Iterable[Iterable[Mapping[str, Any]]]
-    ) -> list[frozenset[int]]:
-        """Bulk abstraction: one mask set per object, in object order.
+    ) -> dict[int, list[int]]:
+        """Bulk abstraction: each distinct mask → the ascending positions
+        of the objects exhibiting it (object order = position).
 
         The per-row reference path (:meth:`boolean_tuple`) re-evaluates
         every proposition on every row.  Across a whole relation, rows
         repeat heavily — propositions only read the attributes they name,
-        so any two rows agreeing on those values share a mask.  This fast
-        path memoizes masks per distinct projection of a row onto the
-        proposition-referenced attributes, turning the dominant build
-        cost of every bitmask backend into one dict lookup per repeated
-        row.
+        so any two rows agreeing on those values share a mask.  This pass
+        memoizes, per distinct projection of a row onto the
+        proposition-referenced attributes, the position list of the
+        row's mask, so a repeated row costs one dict lookup, and records
+        each object's position once per distinct mask.  No per-object
+        mask set is built: the lists are what
+        :func:`~repro.data.index.pack_positions` packs into the inverted
+        index of every bitmask build.
 
         The memo lives for one call, so it covers an entire build without
         growing unboundedly across relation versions.  Rows with
         unhashable attribute values fall back to direct evaluation.
-        Answers are exactly those of ``frozenset(boolean_tuples(rows))``
-        per object.
+        Object ``i`` is listed under mask ``m`` exactly when ``m`` is in
+        ``frozenset(boolean_tuples(rows_i))``.
         """
         evaluators = self._evaluators
         key_of = self._key_getter
-        memo: dict[Any, int] = {}
+        positions: dict[int, list[int]] = {}
+        memo: dict[Any, list[int]] = {}
         memo_get = memo.get
-        out: list[frozenset[int]] = []
-        for rows in objects_rows:
-            masks: set[int] = set()
+
+        def position_list(row: Mapping[str, Any]) -> list[int]:
+            mask = 0
+            for bit, evaluate in evaluators:
+                if evaluate(row):
+                    mask |= bit
+            found = positions.get(mask)
+            if found is None:
+                found = positions[mask] = []
+            return found
+
+        for position, rows in enumerate(objects_rows):
             for row in rows:
+                found = None
                 if key_of is not None:
                     try:
                         key = key_of(row)
-                        mask = memo_get(key, -1)
-                        if mask < 0:
-                            mask = 0
-                            for bit, evaluate in evaluators:
-                                if evaluate(row):
-                                    mask |= bit
-                            memo[key] = mask
-                        masks.add(mask)
-                        continue
+                        found = memo_get(key)
+                        if found is None:
+                            found = memo[key] = position_list(row)
                     except (TypeError, KeyError):  # unhashable / partial row
                         pass
-                mask = 0
-                for bit, evaluate in evaluators:
-                    if evaluate(row):
-                        mask |= bit
-                masks.add(mask)
-            out.append(frozenset(masks))
-        return out
+                if found is None:
+                    found = position_list(row)
+                # Positions arrive in order: the object is listed already
+                # iff it is the last one listed.
+                if not found or found[-1] != position:
+                    found.append(position)
+        return positions
 
     # ------------------------------------------------------------------
     # Boolean -> Data (assumption (i))

@@ -5,7 +5,7 @@ matrix and every leg must agree **exactly**:
 
 * **Learner matrix** (per query — learners never see the store):
   learner (``qhorn1`` / ``naive`` / ``role-preserving``) × oracle
-  transport (in-process ``direct`` / ``dbapi`` pooled scratch database)
+  transport (in-process ``direct`` / ``dbapi`` scratch database)
   × driver (``pull`` ``learn()`` vs manual ``sansio``
   :class:`~repro.protocol.core.LearnerProtocol` stepping).  Across all
   legs the question/answer transcript, the learned query and the
@@ -15,13 +15,13 @@ matrix and every leg must agree **exactly**:
   (``12·n·lg n + 12``, the constant the learning suite pins) for the
   qhorn-1 learner, the role-preserving bound
   (``4n³ + 6kn·lg n + 40``) for the §4 learner.
-* **Backend matrix** (per (query, store) pair): every registered
-  evaluation backend — ``bitmask``, ``sharded``, ``dbapi`` — must
-  produce the per-object labels, answer keys and answer bitmask that
+* **Backend matrix** (per (query, store) pair): both evaluation
+  backends — ``bitmask`` and ``dbapi`` — must produce the per-object
+  labels, answer keys and answer bitmask that
   :class:`~repro.core.query.CompiledQuery` computes from each object's
   abstraction.  The ``dbapi`` leg additionally answers membership
-  questions through a pooled :class:`~repro.oracle.SqlQueryOracle`
-  *sharing the backend's connection pool*
+  questions through a :class:`~repro.oracle.SqlQueryOracle` *on the
+  backend's own connection*
   (:meth:`~repro.oracle.SqlQueryOracle.for_backend`), so oracle batching
   and relation evaluation are checked against each other inside one
   database.
@@ -42,6 +42,7 @@ from repro.core.normalize import brute_force_equivalent
 from repro.core.query import QhornQuery
 from repro.core.serialize import query_to_dict
 from repro.core.tuples import Question
+from repro.data.backends import create
 from repro.enumerate.space import EnumeratedQuery, EnumeratedStore
 from repro.learning import Qhorn1Learner, RolePreservingLearner
 from repro.learning.baselines import NaiveQhorn1Learner
@@ -104,7 +105,7 @@ class MatrixSpec:
     learners: tuple[str, ...] = ("qhorn1", "naive", "role-preserving")
     oracles: tuple[str, ...] = ("direct", "dbapi")
     drivers: tuple[str, ...] = ("pull", "sansio")
-    backends: tuple[str, ...] = ("bitmask", "sharded", "dbapi")
+    backends: tuple[str, ...] = ("bitmask", "dbapi")
 
     @classmethod
     def parse(cls, spec: str | None) -> "MatrixSpec":
@@ -398,14 +399,6 @@ def _in_learner_class(query: QhornQuery, learner: str) -> bool:
 # ----------------------------------------------------------------------
 # Backend matrix
 # ----------------------------------------------------------------------
-#: Backend leg name → (backend name, constructor options).
-BACKEND_LEGS: dict[str, tuple[str, dict]] = {
-    "bitmask": ("bitmask", {}),
-    "sharded": ("sharded", {"shard_size": 2}),
-    "dbapi": ("dbapi", {"pool_size": 2}),
-}
-
-
 def reference_labels(
     query: QhornQuery, relation: Any, vocabulary: Any
 ) -> list[bool]:
@@ -418,13 +411,6 @@ def reference_labels(
     ]
 
 
-def _build_backend(leg: str, relation: Any, vocabulary: Any) -> Any:
-    from repro.data.backends import create
-
-    name, options = BACKEND_LEGS[leg]
-    return create(name, relation, vocabulary, **options)
-
-
 def check_backends(
     entry: EnumeratedQuery,
     store: EnumeratedStore,
@@ -434,8 +420,8 @@ def check_backends(
 ) -> tuple[dict, list[Divergence]]:
     """Check every built backend against the reference on one pair.
 
-    ``backends`` maps leg name → built backend (callers build once per
-    store and sweep all queries over it).
+    ``backends`` maps backend name → built backend (callers build once
+    per store and sweep all queries over it).
     """
     query = entry.query
     expected = reference_labels(query, relation, vocabulary)
@@ -473,7 +459,7 @@ def check_backends(
         except Exception as error:
             problem = f"{type(error).__name__}: {error}"
         if problem is None and leg == "dbapi":
-            problem = _check_pooled_oracle(query, backend, store)
+            problem = _check_backend_oracle(query, backend, store)
         if problem is not None:
             shrunk_query, shrunk_store = shrink_backend_case(
                 query, store, leg
@@ -493,12 +479,12 @@ def check_backends(
     return record, divergences
 
 
-def _check_pooled_oracle(
+def _check_backend_oracle(
     query: QhornQuery, backend: Any, store: EnumeratedStore
 ) -> str | None:
-    """The §2j pooled-oracle cross-check: membership answers through the
-    *backend's own* connection pool must match the compiled query on
-    every (non-empty) object of the store."""
+    """The §2j oracle cross-check: membership answers on the *backend's
+    own* connection must match the compiled query on every (non-empty)
+    object of the store."""
     questions = [
         Question.of(store.n, masks) for masks in store.mask_sets if masks
     ]
@@ -510,11 +496,11 @@ def _check_pooled_oracle(
     try:
         got = oracle.ask_many(questions)
     except Exception as error:
-        return f"pooled oracle: {type(error).__name__}: {error}"
+        return f"backend oracle: {type(error).__name__}: {error}"
     finally:
         oracle.close()
     if got != expected:
-        return f"pooled oracle answers {got!r} != {expected!r}"
+        return f"backend oracle answers {got!r} != {expected!r}"
     return None
 
 
@@ -616,13 +602,13 @@ def shrink_backend_case(
         relation = probe_store.relation(vocabulary)
         backend = None
         try:
-            backend = _build_backend(leg, relation, vocabulary)
+            backend = create(leg, relation, vocabulary)
             expected = reference_labels(q, relation, vocabulary)
             if list(backend.matches_many(q)) != expected:
                 return True
             if leg == "dbapi":
                 return (
-                    _check_pooled_oracle(q, backend, probe_store) is not None
+                    _check_backend_oracle(q, backend, probe_store) is not None
                 )
             return False
         except Exception:

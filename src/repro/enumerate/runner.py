@@ -31,13 +31,12 @@ from __future__ import annotations
 import json
 import sys
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator, TextIO
+from typing import Any, Callable, TextIO
 
+from repro.data.backends import create
 from repro.enumerate.differ import (
-    BACKEND_LEGS,
     Divergence,
     MatrixSpec,
-    _build_backend,
     check_backends,
     check_learners,
 )
@@ -231,9 +230,8 @@ def run(
                 continue
             relation = store.relation(vocabulary)
             backends = {
-                leg: _build_backend(leg, relation, vocabulary)
-                for leg in matrix.backends
-                if leg in BACKEND_LEGS
+                name: create(name, relation, vocabulary)
+                for name in matrix.backends
             }
             try:
                 for entry in pending:
@@ -267,19 +265,6 @@ def run(
 
     emit(result.summary())
     return result
-
-
-def iter_records(path: str) -> Iterator[dict[str, Any]]:
-    """Stream a corpus file's JSON records (skipping torn lines)."""
-    with open(path, encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                yield json.loads(line)
-            except json.JSONDecodeError:
-                continue
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -10,21 +10,20 @@ questions as objects of scratch tables and answers them all in **one
 round trip** — the ``SELECT`` returns exactly the keys of the answer
 questions.
 
-Every statement runs through a
-:class:`~repro.data.backends.dbapi.PooledConnectionSource` checkout:
-either the oracle's own pool (SQLite over ``uri=``, or a private
-shared-memory database) or, through :meth:`SqlQueryOracle.for_backend`,
-the pool a :class:`~repro.data.backends.dbapi.DbApiBackend` already
-holds open, so oracle batches and backend evaluations share one bounded,
-health-checked connection set.  The scratch tables are named
+Every statement runs on one
+:class:`~repro.data.backends.dbapi.RetryingConnection`: either the
+oracle's own (SQLite over ``uri=``, or a private shared-memory
+database) or, through :meth:`SqlQueryOracle.for_backend`, the one a
+:class:`~repro.data.backends.dbapi.DbApiBackend` already holds, so
+oracle batches and backend evaluations share one connection and one
+database.  The scratch tables are named
 ``question_objects``/``question_rows`` so they coexist with a loaded
 relation's ``objects``/``rows`` in the same database, and a statement
-that dies on a stale connection is replayed once on a fresh checkout
-(:meth:`~repro.data.backends.dbapi.PooledConnectionSource.run`, counted
-in the pool's ``stale_retries``).
+that fails with ``sqlite3.Error`` is replayed once on a fresh
+connection (counted in the connection's ``stale_retries``).
 
 The oracle is a pure function of each question (no state across calls
-beyond the reusable pool), so the sequential-equivalence contract of
+beyond the connection), so the sequential-equivalence contract of
 DESIGN.md §2b holds trivially; agreement with the in-process
 :class:`~repro.oracle.base.QueryOracle` on identical targets is part of
 the backend differential suite.
@@ -32,19 +31,18 @@ the backend differential suite.
 
 from __future__ import annotations
 
-import sqlite3
 from typing import Any, Sequence
 
 from repro.core.query import QhornQuery
 from repro.core.tuples import Question
 from repro.data.backends.dbapi import (
-    PooledConnectionSource,
+    RetryingConnection,
     memory_uri,
     sqlite_connector,
 )
 from repro.data.propositions import BoolIs, Vocabulary
-from repro.data.schema import Attribute, FlatSchema
-from repro.data.sql import SqlDialect, get_dialect, to_sql
+from repro.data.schema import Attribute, AttributeType, FlatSchema
+from repro.data.sql import column_type, identifier, to_sql
 
 __all__ = ["SqlQueryOracle"]
 
@@ -73,88 +71,58 @@ class SqlQueryOracle:
     Parameters
     ----------
     uri:
-        SQLite location of the oracle's own pool — a file URI
+        SQLite location of the oracle's own database — a file URI
         (``repro learn --backend dbapi --backend-opt uri=file:...``) or
         omitted for a private shared-memory database.
-    dialect:
-        ``"sqlite"`` (default), ``"postgres"`` or a
-        :class:`~repro.data.sql.SqlDialect` (DESIGN.md §2i).
-    pool:
-        An existing :class:`PooledConnectionSource` (any DB-API driver)
-        to check connections out of instead of opening one; it stays its
-        owner's to close.  Replaces ``uri=``; :meth:`for_backend` passes
-        a backend's pool.
-    pool_size:
-        Bound on the oracle's own pool (default 4).
-    retry_on:
-        Driver errors that replay a statement once on a fresh checkout
-        (default ``sqlite3.Error`` for the oracle's own pool, any
-        ``Exception`` for a given one).
 
     The scratch tables are dropped and recreated at construction, so
     reusing a file (or a backend's database) between runs is safe.
     """
 
-    def __init__(
-        self,
-        target: QhornQuery,
-        uri: str | None = None,
-        dialect: SqlDialect | str | None = "sqlite",
-        pool: PooledConnectionSource | None = None,
-        pool_size: int = 4,
-        retry_on: tuple[type[BaseException], ...] | None = None,
+    def __init__(self, target: QhornQuery, uri: str | None = None) -> None:
+        self.uri = uri if uri is not None else memory_uri("oracle")
+        connection = RetryingConnection(sqlite_connector(self.uri), keeper=True)
+        self._prepare(target, connection, owned=True)
+
+    @classmethod
+    def for_backend(cls, target: QhornQuery, backend: Any) -> "SqlQueryOracle":
+        """An oracle batching on ``backend``'s connection (a
+        :class:`~repro.data.backends.dbapi.DbApiBackend`): membership
+        answering and relation evaluation share one connection and one
+        database, and the connection stays the backend's to close."""
+        oracle = cls.__new__(cls)
+        oracle.uri = backend.uri
+        oracle._prepare(target, backend.connection, owned=False)
+        return oracle
+
+    def _prepare(
+        self, target: QhornQuery, connection: RetryingConnection, owned: bool
     ) -> None:
+        """Compile the target and (re)create the scratch tables."""
         self.target = target
         self.n = target.n
-        self.dialect = d = get_dialect(dialect)
-        #: What :meth:`close` releases: the oracle's own pool and the
-        #: keeper connection that pins its database.
-        self._owned: list[Any] = []
-        if pool is None:
-            self.uri = uri if uri is not None else memory_uri("oracle")
-            connect = sqlite_connector(self.uri)
-            pool = PooledConnectionSource(connect, maxsize=pool_size)
-            # A shared-memory database lives while one connection stays
-            # open; the keeper pins it across pool churn.
-            self._owned = [pool, connect()]
-            if retry_on is None:
-                retry_on = (sqlite3.Error,)
-        elif uri is not None:
-            raise ValueError(
-                "pool= replaces uri=: the oracle checks connections out "
-                "of the given pool"
-            )
-        else:
-            self.uri = None
-            if retry_on is None:
-                retry_on = (Exception,)
-        self.pool = pool
-        self._retry_on = retry_on
+        self.connection = connection
+        #: Whether :meth:`close` closes the connection.
+        self._owned = owned
         self._sql = to_sql(
             target,
             _boolean_vocabulary(target.n),
-            dialect=d,
             objects_table=OBJECTS_TABLE,
             rows_table=ROWS_TABLE,
         )
         names = [f"p{i + 1}" for i in range(target.n)]
-        objects_table = d.identifier(OBJECTS_TABLE)
-        rows_table = d.identifier(ROWS_TABLE)
+        objects_table = identifier(OBJECTS_TABLE)
+        rows_table = identifier(ROWS_TABLE)
         self._objects_table = objects_table
         self._rows_table = rows_table
-        self._insert_object = (
-            f"INSERT INTO {objects_table} VALUES "
-            f"({d.placeholders(['object_key'])})"
-        )
+        self._insert_object = f"INSERT INTO {objects_table} VALUES (?)"
         self._insert_row = (
             f"INSERT INTO {rows_table} VALUES "
-            f"({d.placeholders(['object_key'] + names)})"
+            f"({', '.join(['?'] * (1 + len(names)))})"
         )
-        boolean_type = d.type_names.get("BOOLEAN", "INTEGER")
-        cols = ", ".join(
-            f"{d.identifier(name)} {boolean_type}" for name in names
-        )
-        index_name = d.identifier(f"{ROWS_TABLE}_by_object")
+        boolean_type = column_type(AttributeType.BOOLEAN)
+        cols = ", ".join(f"{identifier(name)} {boolean_type}" for name in names)
+        index_name = identifier(f"{ROWS_TABLE}_by_object")
         ddl = (
             f"DROP TABLE IF EXISTS {rows_table}",
             f"DROP TABLE IF EXISTS {objects_table}",
@@ -170,23 +138,10 @@ class SqlQueryOracle:
             connection.commit()
 
         try:
-            self.pool.run(setup, self._retry_on)
+            connection.run(setup)
         except BaseException:
             self.close()
             raise
-
-    @classmethod
-    def for_backend(cls, target: QhornQuery, backend: Any) -> "SqlQueryOracle":
-        """An oracle batching through ``backend``'s existing connection
-        pool (a :class:`~repro.data.backends.dbapi.DbApiBackend`):
-        membership answering and relation evaluation share one bounded
-        connection set, one dialect, one database."""
-        return cls(
-            target,
-            pool=backend.pool,
-            dialect=backend.dialect,
-            retry_on=getattr(backend, "_retry_on", None),
-        )
 
     # ------------------------------------------------------------------
     # Execution
@@ -232,24 +187,20 @@ class SqlQueryOracle:
                 ],
             )
             found = {row[0] for row in cur.execute(self._sql)}
-            # Pooled connections interleave with other checkouts; never
-            # park an open write transaction in the pool.
+            # A backend's evaluations share the connection; never leave
+            # an open write transaction behind.
             connection.commit()
             return found
 
-        answers = self.pool.run(answer, self._retry_on)
+        answers = self.connection.run(answer)
         return [keys[q] in answers for q in questions]
 
     def close(self) -> None:
-        """Close the oracle's own pool and keeper (safe to call twice).
-        A pool passed in through ``pool=``/:meth:`for_backend` is left
-        open — its owner decides its lifetime."""
-        for resource in self._owned:
-            try:
-                resource.close()
-            except Exception:
-                pass
-        self._owned = []
+        """Close the oracle's own connection and keeper (safe to call
+        twice).  A backend's connection (:meth:`for_backend`) is left
+        open — the backend decides its lifetime."""
+        if self._owned:
+            self.connection.close()
 
     def __enter__(self) -> "SqlQueryOracle":
         return self

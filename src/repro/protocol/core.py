@@ -41,7 +41,6 @@ __all__ = [
     "Finished",
     "ProtocolError",
     "LearnerProtocol",
-    "StepLearner",
     "as_protocol",
     "ask_one",
     "ask_round",
@@ -191,13 +190,6 @@ class LearnerProtocol:
         self._event = event
         self.rounds += 1
         return event
-
-
-class StepLearner:
-    """Structural type of a step-driven learner: anything with ``steps()``."""
-
-    def steps(self) -> Steps:  # pragma: no cover - protocol stub
-        raise NotImplementedError
 
 
 def as_protocol(learner: Any) -> LearnerProtocol:

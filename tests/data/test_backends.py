@@ -2,8 +2,8 @@
 
 The answer-identity contract across backends is enforced at scale by
 ``tests/properties/test_prop_backends.py``; these tests pin the seam
-itself — construction, dispatch, staleness, sharding layout, the dbapi
-pool and lifecycle — on the chocolate-store domain.
+itself — construction, dispatch, staleness, the dbapi connection and
+lifecycle — on the chocolate-store domain.
 
 Tests taking the ``backend_name`` fixture run once per backend
 (restrict with ``pytest --backend dbapi``).
@@ -18,16 +18,11 @@ import pytest
 
 from repro.core.parser import parse_query
 from repro.core.query import QhornQuery
-from repro.data import (
-    EvaluationBackend,
-    QueryEngine,
-    RelationIndex,
-    ShardedBitmaskBackend,
-)
+from repro.data import EvaluationBackend, QueryEngine, RelationIndex
 from repro.data.backends import (
     BACKENDS,
+    BitmaskBackend,
     DbApiBackend,
-    PooledConnectionSource,
     create,
 )
 from repro.data.backends.dbapi import memory_uri
@@ -69,16 +64,16 @@ def _reference(engine, query):
 
 class TestRegistry:
     def test_all_backends_registered(self):
-        assert set(BACKENDS) == {"bitmask", "dbapi", "sharded"}
+        assert set(BACKENDS) == {"bitmask", "dbapi"}
 
     def test_unknown_backend_rejected(self, store, vocab):
         with pytest.raises(ValueError, match="unknown evaluation backend"):
             create("async", store, vocab)
 
     def test_options_forwarded(self, store, vocab):
-        backend = create("sharded", store, vocab, shard_size=10)
-        assert backend.shard_size == 10
-        assert backend.shard_count == 6
+        backend = create("bitmask", store, vocab, auto_refresh=False)
+        assert backend.auto_refresh is False
+        assert backend.index.auto_refresh is False
 
     def test_created_backends_satisfy_protocol(
         self, store, vocab, backend_name, backend_options
@@ -225,15 +220,17 @@ class TestEngineDispatch:
 
     def test_backend_options_thread_through(self, store, vocab):
         engine = QueryEngine(
-            store, vocab, backend="sharded", backend_options={"shard_size": 8}
+            store, vocab, backend="dbapi",
+            backend_options={"auto_refresh": False},
         )
-        assert engine.backend.shard_size == 8
+        with engine.backend as backend:
+            assert backend.auto_refresh is False
 
     def test_injected_backend_instance(self, store, vocab):
-        backend = ShardedBitmaskBackend(store, vocab, shard_size=5)
+        backend = BitmaskBackend(store, vocab)
         engine = QueryEngine(store, vocab, backend=backend)
         assert engine.backend is backend
-        assert engine.backend_name == "sharded"
+        assert engine.backend_name == "bitmask"
 
     def test_backend_relation_mismatch_rejected(self, vocab):
         a = random_store(5, random.Random(1))
@@ -250,21 +247,6 @@ class TestEngineDispatch:
         assert isinstance(index, RelationIndex)
         assert index.distinct_masks <= 16
         assert engine.index is index  # cached
-
-
-class TestShardedLayout:
-    def test_shard_size_validation(self, store, vocab):
-        with pytest.raises(ValueError):
-            ShardedBitmaskBackend(store, vocab, shard_size=0)
-
-    @pytest.mark.parametrize("shard_size", [1, 3, 59, 60, 61, 4096])
-    def test_shard_boundaries_are_unobservable(self, store, vocab, shard_size):
-        single = QueryEngine(store, vocab)
-        backend = ShardedBitmaskBackend(store, vocab, shard_size=shard_size)
-        for query in _queries():
-            assert backend.matching_bits(query) == (
-                single.index.matching_bits(query)
-            )
 
 
 class TestBitmaskKernel:
@@ -284,62 +266,9 @@ class TestBitmaskKernel:
             assert scan.matching_bits(query) == tabled.matching_bits(query)
 
 
-class TestPooledConnectionSource:
-    def test_bounded_capacity_and_reuse(self):
-        pool = PooledConnectionSource(
-            lambda: sqlite3.connect(":memory:"), maxsize=2, timeout=0.05
-        )
-        a = pool.acquire()
-        b = pool.acquire()
-        with pytest.raises(TimeoutError, match="maxsize=2"):
-            pool.acquire()
-        pool.release(a)
-        c = pool.acquire()
-        assert c is a  # idle connection reused, not reopened
-        assert pool.connections_opened == 2
-        pool.release(b)
-        pool.release(c)
-        pool.close()
-
-    def test_health_check_discards_stale_on_checkout(self):
-        pool = PooledConnectionSource(
-            lambda: sqlite3.connect(":memory:"), maxsize=2
-        )
-        stale = pool.acquire()
-        pool.release(stale)
-        stale.close()  # dies behind the pool's back
-        fresh = pool.acquire()
-        assert fresh is not stale
-        assert pool.health_failures == 1
-        fresh.execute("SELECT 1")  # the replacement really works
-        pool.release(fresh)
-        pool.close()
-
-    def test_close_refuses_checkout_and_drains_idle(self):
-        pool = PooledConnectionSource(lambda: sqlite3.connect(":memory:"))
-        with pool.connection():
-            pass
-        assert pool.idle_count == 1
-        pool.close()
-        assert pool.idle_count == 0
-        with pytest.raises(RuntimeError, match="closed"):
-            pool.acquire()
-        pool.close()  # idempotent
-
-    def test_discard_frees_the_slot(self):
-        pool = PooledConnectionSource(
-            lambda: sqlite3.connect(":memory:"), maxsize=1, timeout=0.05
-        )
-        conn = pool.acquire()
-        pool.discard(conn)
-        replacement = pool.acquire()  # would TimeoutError if slot leaked
-        pool.release(replacement)
-        pool.close()
-
-
 class _FlakyConnection:
-    """Passes ``SELECT 1`` health checks; once poisoned, the next real
-    statement raises as if the server dropped the connection."""
+    """Once poisoned, the next statement raises as if the server dropped
+    the connection."""
 
     def __init__(self, inner):
         self._inner = inner
@@ -361,7 +290,7 @@ class _FlakyCursor:
         self._inner = inner
 
     def execute(self, sql, params=()):
-        if self._owner.poisoned and sql != "SELECT 1":
+        if self._owner.poisoned:
             raise sqlite3.OperationalError("server closed the connection")
         return self._inner.execute(sql, params)
 
@@ -404,25 +333,23 @@ class TestDbApiBackendLifecycle:
         made = []
 
         def connect():
-            conn = _FlakyConnection(
-                sqlite3.connect(path, check_same_thread=False)
-            )
+            conn = _FlakyConnection(sqlite3.connect(path))
             made.append(conn)
             return conn
 
-        backend = DbApiBackend(store, vocab, connect=connect, pool_size=2)
+        backend = DbApiBackend(store, vocab, connect=connect)
         try:
             query = intro_query()
             first = backend.matching_bits(query)
-            opened = backend.pool.connections_opened
+            opened = backend.connection.connections_opened
             for conn in made:
-                conn.poisoned = True  # slips past the checkout health check
+                conn.poisoned = True
             assert backend.matching_bits(query) == first
-            # The poisoned checkout was discarded and the statement
-            # re-ran on a freshly opened connection.
-            assert backend.pool.connections_opened == opened + 1
-            assert backend.pool.stale_retries == 1
-            assert "1 stale retries" in backend.pool.describe()
+            # The poisoned connection was closed and the statement
+            # re-ran on a freshly opened one.
+            assert backend.connection.connections_opened == opened + 1
+            assert backend.connection.stale_retries == 1
+            assert "1 stale retries" in backend.describe()
         finally:
             backend.close()
 
@@ -436,22 +363,21 @@ class TestDbApiBackendLifecycle:
         "uri", [":memory:", "", "file::memory:", "file:scratch?mode=memory"]
     )
     def test_private_in_memory_uri_rejected(self, store, vocab, uri):
-        """Each pooled connection would open its own empty database:
-        with one connection checked out, a query on a second one found
-        no ``objects`` table.  The connector refuses such URIs."""
+        """Each connection would open its own empty database: a statement
+        replayed on a fresh connection would find no ``objects`` table.
+        The connector refuses such URIs."""
         with pytest.raises(ValueError, match="omit uri"):
-            DbApiBackend(store, vocab, uri=uri, pool_size=2)
+            DbApiBackend(store, vocab, uri=uri)
 
-    def test_shared_cache_memory_uri_spans_the_pool(self, store, vocab):
+    def test_shared_cache_memory_uri_survives_a_replay(self, store, vocab):
         """The accepted in-memory spelling: one shared-cache database
-        behind every pooled connection."""
+        that the keeper holds open, so the replacement connection of a
+        replay sees the loaded relation."""
         expected = _reference(QueryEngine(store, vocab), intro_query())
-        with DbApiBackend(
-            store, vocab, uri=memory_uri("test"), pool_size=2
-        ) as backend:
+        with DbApiBackend(store, vocab, uri=memory_uri("test")) as backend:
             backend.refresh()  # loads through the first connection
-            with backend.pool.connection():  # which is now held
-                keys = [o.key for o in backend.execute(intro_query())]
+            backend.connection.handle.close()  # dies behind our back
+            keys = [o.key for o in backend.execute(intro_query())]
             assert keys == expected
-            assert backend.pool.connections_opened == 2
-            assert backend.pool.stale_retries == 0
+            assert backend.connection.connections_opened == 2
+            assert backend.connection.stale_retries == 1

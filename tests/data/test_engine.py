@@ -8,7 +8,7 @@ import pytest
 
 from repro.core.parser import parse_query
 from repro.core.tuples import Question
-from repro.data import ExampleFactory, QueryEngine, RelationIndex
+from repro.data import ExampleFactory, QueryEngine
 from repro.data.chocolate import (
     intro_query,
     paper_figure1_relation,
@@ -118,29 +118,6 @@ class TestBatchEngine:
             "Madagascar Select"
         ]
         assert not engine.index.is_stale
-
-    def test_shared_index_across_engines(self):
-        store = random_store(30, random.Random(5))
-        vocab = storefront_vocabulary()
-        index = RelationIndex(store, vocab)
-        a = QueryEngine(store, vocab, backend_options={"index": index})
-        b = QueryEngine(store, vocab, backend_options={"index": index})
-        assert a.index is index and b.index is index
-        assert [o.key for o in a.execute_batch(intro_query())] == [
-            o.key for o in b.execute_batch(intro_query())
-        ]
-
-    def test_index_rejects_foreign_relation(self):
-        vocab = storefront_vocabulary()
-        index = RelationIndex(random_store(5, random.Random(6)), vocab)
-        engine = QueryEngine(
-            random_store(5, random.Random(8)),
-            vocab,
-            backend="bitmask",
-            backend_options={"index": index},
-        )
-        with pytest.raises(ValueError):
-            engine.backend  # the mismatch surfaces at the lazy build
 
     def test_batch_width_mismatch_rejected(self):
         engine = QueryEngine(paper_figure1_relation(), paper_vocabulary())

@@ -100,6 +100,16 @@ class TestVocabularyAbstraction:
             Vocabulary(chocolate_schema(), [])
 
 
+def _listed(vocab, objects_rows):
+    """The per-row reference for :meth:`Vocabulary.mask_positions`: each
+    mask's ascending object positions, from ``boolean_tuples``."""
+    expected: dict[int, list[int]] = {}
+    for position, rows in enumerate(objects_rows):
+        for mask in sorted(set(vocab.boolean_tuples(rows))):
+            expected.setdefault(mask, []).append(position)
+    return expected
+
+
 class TestMaskSets:
     """The bulk abstraction every bitmask build runs: answers exactly
     those of the per-row reference path, memo hits and misses alike."""
@@ -123,14 +133,15 @@ class TestMaskSets:
 
     def test_matches_the_per_row_path(self):
         objects_rows = [self._rows(), self._rows()[:1], []]
-        assert self.VOCAB.mask_sets(objects_rows) == [
-            frozenset(self.VOCAB.boolean_tuples(rows)) for rows in objects_rows
-        ]
+        assert self.VOCAB.mask_positions(objects_rows) == _listed(
+            self.VOCAB, objects_rows
+        )
 
     def test_unhashable_value_falls_back(self):
         vocab = Vocabulary(NUM_SCHEMA, [Equals("kind", "a")])
         rows = [{"kind": ["a"]}, {"kind": "a"}]  # a list is no memo key
-        assert vocab.mask_sets([rows]) == [frozenset({0, 1})]
+        assert vocab.mask_positions([rows]) == _listed(vocab, [rows])
+        assert vocab.mask_positions([rows]) == {0: [0], 1: [0]}
 
 
 class TestSynthesis:

@@ -17,11 +17,11 @@ from repro.data.backends import (
 
 class TestErrors:
     def test_unknown_backend_lists_sorted_choices(self):
-        assert sorted(BACKENDS) == ["bitmask", "dbapi", "sharded"]
+        assert sorted(BACKENDS) == ["bitmask", "dbapi"]
         with pytest.raises(
             ValueError,
             match=r"unknown evaluation backend 'missing'; "
-            r"choices: bitmask, dbapi, sharded$",
+            r"choices: bitmask, dbapi$",
         ):
             create("missing", None, None)
 
@@ -45,18 +45,18 @@ class TestOptionPipeline:
 
     def test_parse_pairs(self):
         options = parse_backend_opts(
-            ["uri=file:x.db", "pool_size=2", "auto_refresh=false"]
+            ["uri=file:x.db", "answers=2", "auto_refresh=false"]
         )
         assert options == {
             "uri": "file:x.db",
-            "pool_size": 2,
+            "answers": 2,
             "auto_refresh": False,
         }
         assert parse_backend_opts(None) == {}
 
     def test_malformed_pair_rejected(self):
         with pytest.raises(ValueError, match="key=value"):
-            parse_backend_opts(["pool_size"])
+            parse_backend_opts(["auto_refresh"])
         with pytest.raises(ValueError, match="key=value"):
             parse_backend_opts(["=3"])
 

@@ -26,11 +26,9 @@ from repro.data.propositions import (
 )
 from repro.data.schema import Attribute, FlatSchema
 from repro.data.sql import (
-    DIALECTS,
-    POSTGRES_DIALECT,
-    SQLITE_DIALECT,
     SqlCompileError,
-    get_dialect,
+    column_type,
+    identifier,
     proposition_to_sql,
     to_sql,
 )
@@ -91,86 +89,113 @@ class TestToSql:
             to_sql(parse_query("∃x1x2x3x4"), paper_vocabulary())
 
 
-class TestDialects:
-    """Golden renderings: the same proposition/query per dialect.
+class TestSqliteSpelling:
+    """Golden renderings of the one SQL spelling, SQLite's: the query
+    text, the loaders' statements, identifier quoting and literal
+    escaping must stay byte for byte what statement caches and learn
+    transcripts were built on."""
 
-    The SQLite dialect must reproduce the PR 3 output byte for byte
-    (statement caches and learn transcripts depend on it); the postgres
-    dialect makes the spelling differences — boolean literals, reserved
-    ``rows``, %s placeholders — observable."""
+    def test_identifier_quoting(self):
+        # SQLite accepts keyword-ish names such as ``rows`` bare.
+        assert identifier("rows") == "rows"
+        assert identifier("origin") == "origin"
+        # Non-plain identifiers are quoted, embedded quotes doubled.
+        assert identifier("two words") == '"two words"'
+        assert identifier('odd"name') == '"odd""name"'
 
-    def test_bool_is_per_dialect(self):
-        prop = BoolIs("isDark")
-        assert proposition_to_sql(prop, dialect="sqlite") == "r.isDark = 1"
-        assert (
-            proposition_to_sql(prop, dialect="postgres") == "r.isDark = TRUE"
+    def test_loader_statements(self):
+        """Both table loaders — the dbapi backend's relation and the SQL
+        oracle's scratch tables — emit qmark placeholders and SQLite
+        column types, statement for statement."""
+        import sqlite3
+
+        from repro.core.tuples import Question
+        from repro.oracle import SqlQueryOracle
+
+        statements = []
+
+        class Cursor(sqlite3.Cursor):
+            def execute(self, sql, *params):
+                statements.append(sql)
+                return super().execute(sql, *params)
+
+            def executemany(self, sql, rows):
+                statements.append(sql)
+                return super().executemany(sql, rows)
+
+        class Connection(sqlite3.Connection):
+            def cursor(self, factory=Cursor):
+                return super().cursor(factory)
+
+        def connect():
+            return sqlite3.connect(":memory:", factory=Connection)
+
+        backend = DbApiBackend(
+            paper_figure1_relation(), paper_vocabulary(), connect=connect
         )
-        assert (
-            proposition_to_sql(BoolIs("isDark", value=False), dialect="postgres")
-            == "r.isDark = FALSE"
-        )
-
-    def test_reserved_identifier_quoting(self):
-        assert SQLITE_DIALECT.identifier("rows") == "rows"
-        assert POSTGRES_DIALECT.identifier("rows") == '"rows"'
-        assert POSTGRES_DIALECT.identifier("origin") == "origin"
-        # Non-plain identifiers are quoted everywhere.
-        assert SQLITE_DIALECT.identifier("two words") == '"two words"'
-        assert POSTGRES_DIALECT.identifier('odd"name') == '"odd""name"'
-
-    def test_placeholder_styles(self):
-        assert SQLITE_DIALECT.placeholders(["a", "b"]) == "?, ?"
-        assert POSTGRES_DIALECT.placeholders(["a", "b"]) == "%s, %s"
-        pyformat = SQLITE_DIALECT.__class__(
-            name="py", paramstyle="pyformat"
-        )
-        assert pyformat.placeholders(["a", "b"]) == "%(a)s, %(b)s"
-        broken = SQLITE_DIALECT.__class__(name="x", paramstyle="numeric")
-        with pytest.raises(SqlCompileError, match="paramstyle"):
-            broken.placeholder(0)
+        try:
+            backend.refresh()
+            assert statements == [
+                "DROP TABLE IF EXISTS rows",
+                "DROP TABLE IF EXISTS objects",
+                "CREATE TABLE objects (object_key TEXT PRIMARY KEY, "
+                "name TEXT)",
+                "CREATE TABLE rows (object_key TEXT REFERENCES objects, "
+                "isDark INTEGER, hasFilling INTEGER, isSugarFree INTEGER, "
+                "hasNuts INTEGER, origin TEXT)",
+                "CREATE INDEX rows_by_object ON rows (object_key)",
+            ] + (
+                ["INSERT INTO objects VALUES (?, ?)"]
+                + ["INSERT INTO rows VALUES (?, ?, ?, ?, ?, ?)"] * 3
+            ) * 2
+            statements.clear()
+            oracle = SqlQueryOracle.for_backend(parse_query("∃x1x2"), backend)
+            oracle.ask_many([Question.of(2, [3])])
+            *scratch, select = statements
+            assert scratch == [
+                "DROP TABLE IF EXISTS question_rows",
+                "DROP TABLE IF EXISTS question_objects",
+                "CREATE TABLE question_objects (object_key TEXT PRIMARY KEY)",
+                "CREATE TABLE question_rows (object_key TEXT, p1 INTEGER, "
+                "p2 INTEGER)",
+                "CREATE INDEX question_rows_by_object ON question_rows "
+                "(object_key)",
+                "DELETE FROM question_rows",
+                "DELETE FROM question_objects",
+                "INSERT INTO question_objects VALUES (?)",
+                "INSERT INTO question_rows VALUES (?, ?, ?)",
+            ]
+            assert select.startswith(
+                "SELECT o.object_key FROM question_objects o\nWHERE EXISTS "
+                "(SELECT 1 FROM question_rows r WHERE r.object_key = "
+                "o.object_key AND r.p1 = 1 AND r.p2 = 1)"
+            )
+        finally:
+            backend.close()
 
     def test_column_type_mapping(self):
         from repro.data.schema import AttributeType
 
-        assert SQLITE_DIALECT.column_type(AttributeType.BOOLEAN) == "INTEGER"
-        assert POSTGRES_DIALECT.column_type(AttributeType.BOOLEAN) == "BOOLEAN"
-        assert SQLITE_DIALECT.column_type(AttributeType.FLOAT) == "REAL"
-        assert (
-            POSTGRES_DIALECT.column_type(AttributeType.FLOAT)
-            == "DOUBLE PRECISION"
-        )
+        assert column_type(AttributeType.BOOLEAN) == "INTEGER"
+        assert column_type(AttributeType.INTEGER) == "INTEGER"
+        assert column_type(AttributeType.FLOAT) == "REAL"
+        assert column_type(AttributeType.CATEGORY) == "TEXT"
 
-    def test_to_sql_golden_per_dialect(self):
+    def test_to_sql_golden(self):
         query = parse_query("∀x1→x2", n=3, require_guarantees=False)
-        vocab = paper_vocabulary()
-        sqlite_sql = to_sql(query, vocab, dialect="sqlite")
-        assert sqlite_sql == (
+        assert to_sql(query, paper_vocabulary()) == (
             "SELECT o.object_key FROM objects o\n"
             "WHERE NOT EXISTS (SELECT 1 FROM rows r "
             "WHERE r.object_key = o.object_key AND r.isDark = 1 "
             "AND NOT (r.hasFilling = 1))\n"
             "ORDER BY o.object_key"
         )
-        # Default dialect is byte-identical to the explicit sqlite one.
-        assert to_sql(query, vocab) == sqlite_sql
-        postgres_sql = to_sql(query, vocab, dialect="postgres")
-        assert '"rows" r' in postgres_sql
-        assert "r.isDark = TRUE" in postgres_sql
-        assert "NOT (r.hasFilling = TRUE)" in postgres_sql
 
-    def test_one_of_rendering_per_dialect(self):
+    def test_one_of_escaping(self):
         prop = OneOf("origin", {"Belgium", "O'Hare"})
-        for name in DIALECTS:
-            assert proposition_to_sql(prop, dialect=name) == (
-                "r.origin IN ('Belgium', 'O''Hare')"
-            )
-
-    def test_get_dialect_resolution(self):
-        assert get_dialect(None) is SQLITE_DIALECT
-        assert get_dialect("postgres") is POSTGRES_DIALECT
-        assert get_dialect(POSTGRES_DIALECT) is POSTGRES_DIALECT
-        with pytest.raises(SqlCompileError, match="unknown SQL dialect"):
-            get_dialect("oracle9i")
+        assert proposition_to_sql(prop) == (
+            "r.origin IN ('Belgium', 'O''Hare')"
+        )
 
 
 def _keys(backend, query):
@@ -196,7 +221,7 @@ class TestSqlEvaluation:
         ) as backend:
             assert backend.execute(parse_query("∃x1", n=3))
         with pytest.raises(RuntimeError, match="closed"):
-            backend.pool.acquire()
+            backend.execute(parse_query("∃x1", n=3))
 
     def test_cross_check_against_memory_engine(self):
         """The two evaluators must agree on every random query."""
@@ -257,9 +282,9 @@ class TestSqlEvaluation:
 
 
 class TestSqlEdgeCases:
-    """Edge cases of the SQL translation, cross-checked against both
-    bitmask backends (single-index and sharded): empty nested sets,
-    all-false vocabulary rows, and guarantee-clause queries."""
+    """Edge cases of the SQL translation, cross-checked against the
+    bitmask backend: empty nested sets, all-false vocabulary rows, and
+    guarantee-clause queries."""
 
     def _vocab_and_relation(self, objects):
         """A 3-proposition boolean domain with the given mask lists."""
@@ -294,16 +319,12 @@ class TestSqlEdgeCases:
 
         reference = QueryEngine(relation, vocab)
         bitmask = create("bitmask", relation, vocab)
-        sharded = create("sharded", relation, vocab, shard_size=2)
         with DbApiBackend(relation, vocab) as sql_backend:
             for q in queries:
                 expected = _keys(reference, q)
                 assert _keys(sql_backend, q) == expected, q.shorthand()
                 assert sorted(
                     o.key for o in bitmask.execute(q)
-                ) == expected, q.shorthand()
-                assert sorted(
-                    o.key for o in sharded.execute(q)
                 ) == expected, q.shorthand()
 
     def _query_zoo(self):

@@ -6,6 +6,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.parser import parse_query
+from repro.data.backends import create
 from repro.enumerate.differ import (
     MatrixSpec,
     check_backends,
@@ -15,7 +16,6 @@ from repro.enumerate.differ import (
     shrink_query,
     shrink_store,
     theorem_31_bound,
-    _build_backend,
 )
 from repro.enumerate.space import (
     enumerate_queries,
@@ -115,8 +115,8 @@ class TestBackendMatrix:
         for store in list(enumerate_stores(2, 2))[:15]:
             relation = store.relation(vocabulary)
             backends = {
-                leg: _build_backend(leg, relation, vocabulary)
-                for leg in MATRIX.backends
+                name: create(name, relation, vocabulary)
+                for name in MATRIX.backends
             }
             try:
                 for entry in entries:
@@ -141,8 +141,8 @@ class TestBackendMatrix:
         )
         relation = store.relation(vocabulary)
         backends = {
-            leg: _build_backend(leg, relation, vocabulary)
-            for leg in ("bitmask", "dbapi")
+            name: create(name, relation, vocabulary)
+            for name in ("bitmask", "dbapi")
         }
         try:
             for entry in entries:
@@ -161,7 +161,7 @@ class TestBackendMatrix:
         store = next(s for s in enumerate_stores(2, 2) if len(s.objects) == 2)
         vocabulary = store_vocabulary(2, "bool")
         relation = store.relation(vocabulary)
-        reference = _build_backend("bitmask", relation, vocabulary)
+        reference = create("bitmask", relation, vocabulary)
 
         class InvertingBackend:
             def matches_many(self, query, objects=None):

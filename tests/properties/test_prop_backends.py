@@ -1,18 +1,16 @@
 """Differential properties: the evaluation backends are answer-identical.
 
 The :class:`~repro.data.backends.EvaluationBackend` contract (DESIGN.md
-§2c) demands that ``bitmask``, ``sharded`` and ``dbapi`` return
-exactly the answers of the per-object reference path on identical
-state, for every qhorn query.  The SQL leg is the strongest form of the
-check: it evaluates propositions over *real rows* in SQLite while the
-bitmask legs evaluate vocabulary abstractions in-process, so agreement
-exercises the whole ``proposition_to_sql`` / ``Proposition.holds``
-correspondence too.
+§2c) demands that ``bitmask`` and ``dbapi`` return exactly the answers
+of the per-object reference path on identical state, for every qhorn
+query.  The SQL leg is the strongest form of the check: it evaluates
+propositions over *real rows* in SQLite while the bitmask leg evaluates
+vocabulary abstractions in-process, so agreement exercises the whole
+``proposition_to_sql`` / ``Proposition.holds`` correspondence too.
 
 Two layers, mirroring ``test_prop_engine.py``:
 
-* hypothesis properties over random relations/queries (sharding forced to
-  multiple shards so block boundaries are genuinely crossed);
+* hypothesis properties over random relations/queries;
 * a seeded exhaustive sweep of ≥ 1000 random (query, relation) cases
   comparing all backends and the SQL-backed batch oracle, so the
   agreement count demanded by the acceptance criteria is explicit.
@@ -36,17 +34,11 @@ from tests.properties.test_prop_engine import (
 )
 
 
-def _backends(relation, vocab, rng):
-    """One instance of every backend; sharded gets a tiny shard size so
-    even 2-object relations span multiple shards.  The dbapi leg runs on
-    its default private shared-memory database through a two-connection
-    pool, so the pooled/dialect path is differentially pinned."""
-    shard_size = rng.randint(1, 3)
-    return [
-        create("bitmask", relation, vocab),
-        create("sharded", relation, vocab, shard_size=shard_size),
-        create("dbapi", relation, vocab, pool_size=2),
-    ]
+def _backends(relation, vocab):
+    """One instance of each backend.  The dbapi leg runs on its default
+    private shared-memory database, so the SQL path is differentially
+    pinned."""
+    return [create("bitmask", relation, vocab), create("dbapi", relation, vocab)]
 
 
 # ----------------------------------------------------------------------
@@ -65,7 +57,7 @@ def test_backends_agree_on_execute_and_labels(case):
     engine = QueryEngine(relation, vocab)
     expected_keys = [o.key for o in engine.execute(query)]
     expected_labels = [engine.matches(query, o) for o in relation]
-    for backend in _backends(relation, vocab, rng):
+    for backend in _backends(relation, vocab):
         assert [o.key for o in backend.execute(query)] == expected_keys
         assert backend.matches_many(query) == expected_labels
 
@@ -79,7 +71,7 @@ def test_backends_agree_after_mutation(case):
     query = random_query(rng, n)
     relation = relation_from_masks(n, mask_sets)
     vocab = bool_vocabulary(n)
-    backends = _backends(relation, vocab, rng)
+    backends = _backends(relation, vocab)
     for backend in backends:
         backend.matches_many(query)  # build pre-mutation state
     relation.add_object(
@@ -114,7 +106,7 @@ def test_differential_thousand_cases_across_backends():
         engine = QueryEngine(relation, vocab)
         expected_keys = [o.key for o in engine.execute(query)]
         expected_labels = [engine.matches(query, o) for o in relation]
-        for backend in _backends(relation, vocab, rng):
+        for backend in _backends(relation, vocab):
             assert [o.key for o in backend.execute(query)] == expected_keys, (
                 backend.name,
                 query.shorthand(),
@@ -156,7 +148,7 @@ def test_backends_agree_at_word_packing_boundaries():
             expected_keys = [o.key for o in engine.execute(query)]
             expected_labels = [engine.matches(query, o) for o in relation]
             assert len(expected_labels) == count
-            for backend in _backends(relation, vocab, rng):
+            for backend in _backends(relation, vocab):
                 assert backend.matching_bits(query) == expected_bits, (
                     backend.name, count, query.shorthand(),
                 )
@@ -189,7 +181,7 @@ def test_backends_agree_on_empty_and_all_false_relations():
             query = random_query(rng, n)
             expected_keys = [o.key for o in engine.execute(query)]
             expected = [engine.matches(query, o) for o in relation]
-            for backend in _backends(relation, vocab, rng):
+            for backend in _backends(relation, vocab):
                 assert [o.key for o in backend.execute(query)] == (
                     expected_keys
                 ), (backend.name, label, query.shorthand())

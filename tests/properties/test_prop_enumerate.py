@@ -42,7 +42,7 @@ class TestExhaustiveConformance:
         assert result.stores == 93  # 15 at n=1 + 78 at n=2
         assert result.pairs == 888
         assert result.learner_runs == 13 * 3 * 2 * 2
-        assert result.backend_checks == 888 * 3
+        assert result.backend_checks == 888 * 2  # bitmask, dbapi
 
 
 class TestTheorem31Exhaustive:

@@ -1,7 +1,7 @@
 """Differential properties: the superset-union (tabled) kernel vs the scan.
 
-:class:`~repro.data.index.BitsetKernel` (the one kernel behind the
-bitmask and sharded backends) answers from lazily built superset-union
+:class:`~repro.data.index.BitsetKernel` (the kernel behind the bitmask
+backend) answers from lazily built superset-union
 tables when :func:`~repro.data.index.zeta_bits` admits them, and scans
 otherwise.  Either way its answer bitset must be bit-identical to
 :func:`~repro.data.index.evaluate_inverted` over the same inverted
@@ -19,7 +19,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core.query import CompiledQuery
-from repro.data.index import BitsetKernel, evaluate_inverted, invert, zeta_bits
+from repro.data.index import (
+    BitsetKernel,
+    evaluate_inverted,
+    pack_positions,
+    zeta_bits,
+)
 
 MAX_DATA_BITS = 6
 #: Query width beyond the data's: bits no data mask carries.
@@ -29,7 +34,11 @@ MAX_EXTRA_BITS = 3
 def _assert_match_scan(mask_sets, queries):
     """The kernel equals the scan on every query, in order, so tables
     one query builds serve the next."""
-    inverted = invert(mask_sets)
+    positions: dict[int, list[int]] = {}
+    for position, masks in enumerate(mask_sets):
+        for m in masks:
+            positions.setdefault(m, []).append(position)
+    inverted = pack_positions(positions, len(mask_sets))
     kernel = BitsetKernel(inverted, len(mask_sets))
     all_bits = (1 << len(mask_sets)) - 1
     for compiled in queries:

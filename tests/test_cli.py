@@ -97,42 +97,43 @@ class TestBackendFlag:
         assert "verified: True" in capsys.readouterr().out
 
     def test_demo_backend_choices(self, capsys):
-        for backend in ("bitmask", "sharded", "dbapi"):
+        for backend in ("bitmask", "dbapi"):
             assert main(["demo", "--backend", backend]) == 0
             out = capsys.readouterr().out
             assert "matching boxes:" in out
             assert backend in out  # describe() names the active backend
 
     def test_sharded_rejected_for_learn(self, capsys):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["learn", "∃x1", "--backend", "sharded"])
+        """The sharded backend is gone: an argparse error (exit 2) on
+        every subcommand that takes --backend."""
+        for command in (["learn", "∃x1"], ["verify", "∃x1", "∃x1"], ["demo"]):
+            with pytest.raises(SystemExit) as exit_:
+                main(command + ["--backend", "sharded"])
+            assert exit_.value.code == 2
+            assert "invalid choice: 'sharded'" in capsys.readouterr().err
 
     def test_help_contains_backend_guide(self, capsys):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["--help"])
         out = capsys.readouterr().out
         assert "evaluation backends (--backend):" in out
-        for name in ("bitmask", "sharded", "dbapi"):
+        for name in ("bitmask", "dbapi"):
             assert name in out
         assert "--backend-opt" in out
 
-    def test_choices_derived_from_capability_flags(self):
-        """learn/verify offer exactly the backends that answer membership
-        questions, demo offers every backend."""
-        from repro.cli import ORACLE_BACKENDS, SQL_BACKENDS
+    def test_every_command_takes_every_backend(self):
+        """Both backends answer membership questions, so learn, verify
+        and demo offer the same choices: every name in BACKENDS."""
+        from repro.cli import SQL_BACKENDS
         from repro.data.backends import BACKENDS
 
-        assert ORACLE_BACKENDS == {"bitmask", "dbapi"}
-        assert SQL_BACKENDS <= ORACLE_BACKENDS <= set(BACKENDS)
+        assert set(BACKENDS) == {"bitmask", "dbapi"}
+        assert SQL_BACKENDS <= set(BACKENDS)
         parser = build_parser()
-        for name in ORACLE_BACKENDS:
-            for command in (["learn", "∃x1"], ["verify", "∃x1", "∃x1"]):
+        for name in BACKENDS:
+            for command in (["learn", "∃x1"], ["verify", "∃x1", "∃x1"], ["demo"]):
                 args = parser.parse_args(command + ["--backend", name])
                 assert args.backend == name
-        with pytest.raises(SystemExit):
-            parser.parse_args(["learn", "∃x1", "--backend", "sharded"])
-        for name in BACKENDS:
-            assert parser.parse_args(["demo", "--backend", name]).backend == name
         with pytest.raises(SystemExit):
             parser.parse_args(["demo", "--backend", "numpy"])
 
@@ -171,13 +172,13 @@ class TestBackendOptions:
         assert main(
             ["demo", "--backend", "dbapi",
              "--backend-opt", f"uri=file:{tmp_path}/d.sqlite",
-             "--backend-opt", "pool_size=2"]
+             "--backend-opt", "auto_refresh=off"]
         ) == 0
         assert "matching boxes:" in capsys.readouterr().out
 
     def test_malformed_backend_opt_exits_two(self, capsys):
         for command in (
-            ["learn", "∃x1", "--backend-opt", "pool_size"],
+            ["learn", "∃x1", "--backend-opt", "uri"],
             ["verify", "∃x1", "∃x1", "--backend-opt", "=x"],
             ["demo", "--backend-opt", "justakey"],
         ):
@@ -194,9 +195,17 @@ class TestBackendOptions:
              "--backend-opt", "uri=file:/nope.db"]
         ) == 2
         assert "backend" in capsys.readouterr().err
+        # SQLite is the one SQL spelling: dialect= is an unknown option.
+        for command in (["learn", "∃x1"], ["demo"]):
+            assert main(
+                command + ["--backend", "dbapi",
+                           "--backend-opt", "dialect=postgres"]
+            ) == 2
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1 and "'dialect'" in err
 
     def test_private_in_memory_uri_exits_two(self, capsys):
-        # Every pooled connection would see its own empty database.
+        # The replay's fresh connection would see its own empty database.
         assert main(
             ["learn", "∃x1", "--backend", "dbapi",
              "--backend-opt", "uri=:memory:"]
@@ -206,16 +215,17 @@ class TestBackendOptions:
         assert captured.out == ""
 
     def test_typed_coercion_reaches_backend(self, capsys):
-        # pool_size must arrive as an int for range checks to work.
+        # "7" arrives as the int 7, which is no URI.
         assert main(
-            ["demo", "--backend", "dbapi", "--backend-opt", "pool_size=0"]
+            ["demo", "--backend", "dbapi", "--backend-opt", "uri=7"]
         ) == 2
-        assert "positive" in capsys.readouterr().err
+        assert "uri must be a string, got int 7" in capsys.readouterr().err
 
 
 class TestInputErrors:
-    """A malformed query or an out-of-range port is the caller's input
-    error: one line on stderr and exit 2, never a traceback."""
+    """A malformed query, a query too wide for a question or an
+    out-of-range port is the caller's input error: one line on stderr
+    and exit 2, never a traceback."""
 
     @pytest.mark.parametrize(
         "argv",
@@ -231,6 +241,29 @@ class TestInputErrors:
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.err == f"repro {argv[0]}: unparsed query text: '∃'\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["learn", "∃x300"],
+            ["learn", "∃x1", "--n", "300"],
+            ["verify", "∃x300", "∃x300"],
+            ["verify", "∃x1", "∃x1", "--n", "300"],
+            ["revise", "∃x300", "∃x300"],
+            ["revise", "∃x1", "∃x1", "--n", "300"],
+        ],
+        ids=["learn", "learn-n", "verify", "verify-n", "revise", "revise-n"],
+    )
+    def test_too_wide_query_exits_two(self, argv, capsys):
+        """A question holds at most MAX_VARIABLES = 256 variables: the
+        commands that ask questions refuse a wider query up front."""
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"repro {argv[0]}: query over n=300 variables; membership "
+            f"questions hold 1..256\n"
+        )
         assert captured.out == ""
 
     @pytest.mark.parametrize("workers", ["1", "2"])

@@ -546,63 +546,30 @@ class TestSqlQueryOracle:
             assert oracle.ask(empty) is QueryOracle(relaxed).ask(empty)
 
 
-class TestSqlQueryOraclePooled:
-    def test_pooled_agrees_with_query_oracle(self):
-        from repro.oracle import SqlQueryOracle
-
-        rng = random.Random(19)
-        target = random_qhorn1(3, rng)
-        questions = [
-            Question.of(3, [rng.randrange(8) for _ in range(rng.randint(0, 3))])
-            for _ in range(40)
-        ]
-        oracle = SqlQueryOracle(target, pool_size=2)
-        try:
-            assert oracle.ask_many(questions) == QueryOracle(target).ask_many(
-                questions
-            )
-            assert oracle.pool.checkouts >= 1
-        finally:
-            oracle.close()
-
-    def test_pooled_close_closes_owned_pool(self):
+class TestSqlQueryOracleConnection:
+    def test_close_closes_owned_connection(self):
         from repro.oracle import SqlQueryOracle
 
         oracle = SqlQueryOracle(parse_query("∃x1"))
-        pool = oracle.pool
         oracle.close()
-        with pytest.raises(RuntimeError):
-            pool.acquire()
-
-    def test_pool_conflicts_with_uri(self):
-        from repro.data.backends.dbapi import (
-            PooledConnectionSource,
-            memory_uri,
-            sqlite_connector,
-        )
-        from repro.oracle import SqlQueryOracle
-
-        pool = PooledConnectionSource(sqlite_connector(memory_uri("test")))
-        try:
-            with pytest.raises(ValueError, match="pool="):
-                SqlQueryOracle(
-                    parse_query("∃x1"), uri=memory_uri("test"), pool=pool
-                )
-        finally:
-            pool.close()
+        with pytest.raises(RuntimeError, match="closed"):
+            oracle.ask(Question.of(1, [1]))
+        oracle.close()  # idempotent
 
     def test_private_in_memory_uri_rejected(self):
-        """The oracle's own pool has the dbapi backend's trap: a private
-        in-memory database per connection.  The connector refuses it."""
+        """The oracle's own database has the dbapi backend's trap: a
+        private in-memory database per connection, which a replay on a
+        fresh connection would not see.  The connector refuses it."""
         from repro.oracle import SqlQueryOracle
 
         for uri in (":memory:", "file::memory:"):
             with pytest.raises(ValueError, match="omit uri"):
                 SqlQueryOracle(parse_query("∃x1"), uri=uri)
 
-    def test_for_backend_shares_pool_and_coexists(self):
+    def test_for_backend_shares_connection_and_coexists(self):
         """The §2j integration: oracle batches and relation evaluation
-        share one pool and one database without clobbering each other."""
+        share one connection and one database without clobbering each
+        other."""
         from repro.data.backends import DbApiBackend
         from repro.data.chocolate import random_store, storefront_vocabulary
         from repro.oracle import SqlQueryOracle
@@ -610,11 +577,11 @@ class TestSqlQueryOraclePooled:
         store = random_store(25, random.Random(7))
         vocab = storefront_vocabulary()
         target = parse_query("∀x1 ∃x2x3", n=4)
-        backend = DbApiBackend(store, vocab, pool_size=2)
+        backend = DbApiBackend(store, vocab)
         try:
             before = [o.key for o in backend.execute(target)]
             oracle = SqlQueryOracle.for_backend(target, backend)
-            assert oracle.pool is backend.pool
+            assert oracle.connection is backend.connection
             rng = random.Random(3)
             questions = [
                 Question.of(4, [rng.randrange(16) for _ in range(2)])
@@ -626,7 +593,7 @@ class TestSqlQueryOraclePooled:
             # The oracle's scratch tables are question_-prefixed: the
             # backend's loaded relation still answers identically.
             assert [o.key for o in backend.execute(target)] == before
-            oracle.close()  # shared pool stays the backend's to close
+            oracle.close()  # the connection stays the backend's to close
             assert [o.key for o in backend.execute(target)] == before
         finally:
             backend.close()
@@ -646,12 +613,12 @@ class TestSqlQueryOraclePooled:
                     raise _sqlite3.OperationalError("synthetic stale handle")
                 return "answered"
 
-            retry_on = (_sqlite3.OperationalError,)
-            assert oracle.pool.run(work, retry_on) == "answered"
+            assert oracle.connection.run(work) == "answered"
             assert len(calls) == 2
             assert calls[1] is not calls[0]
-            assert oracle.pool.stale_retries == 1
-            # The oracle still answers after the synthetic failure.
+            assert oracle.connection.stale_retries == 1
+            # The oracle still answers after the synthetic failure: the
+            # keeper held its shared-memory database open.
             assert oracle.ask(Question.of(2, [3])) is True
         finally:
             oracle.close()

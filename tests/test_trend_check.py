@@ -68,7 +68,7 @@ class TestCommittedBaseline:
                 {
                     "e21_engine_scale_warm": {"speedup": 25.0},
                     "e22_oracle_batching": {"speedup": 11.0},
-                    "e23_backend_scale_sharded": {"speedup": 2.9},
+                    "e23_dbapi": {"speedup": 0.2},
                     "e26_numpy_kernel": {"speedup": 31.0},
                 }
             )
