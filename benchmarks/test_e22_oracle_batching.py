@@ -1,20 +1,23 @@
-"""E22 — the oracle side at scale: sequential ``ask`` vs batched
-``ask_many`` on a ground-truth :class:`~repro.oracle.base.QueryOracle`.
+"""E22 — the oracle side at scale: per-question reference evaluation vs
+batched ``ask_many`` on a ground-truth
+:class:`~repro.oracle.base.QueryOracle`.
 
-Not a paper experiment, but the measurement behind the batch-first
-protocol (DESIGN.md §2b): a learner-shaped question stream — many
-questions, heavy repetition across phases and restarts — answered one
-call at a time versus as mask-native batches.  Sequential ``ask`` runs
-the reference evaluator per call (re-deriving expression masks every
-time); ``ask_many`` compiles the hidden target once and evaluates each
-*distinct* question's mask set exactly once, reusing answers for
-duplicates.  Responses are asserted identical, always.
+Not a paper experiment, but the measurement behind the round protocol
+(DESIGN.md §2b): a learner-shaped question stream — many questions,
+heavy repetition across phases and restarts — answered one question at a
+time versus as mask-native batches.  The sequential leg runs the
+reference evaluator ``QhornQuery.evaluate`` per question (re-deriving
+expression masks every time); ``ask_many`` compiles the hidden target
+once and evaluates each *distinct* question's mask set exactly once,
+reusing answers for duplicates.  Responses are asserted identical,
+always.
 
 Workloads draw from a bounded pool of distinct questions (pool = size/20,
 the repetition a caching/replaying session exhibits) plus one
 all-distinct control row showing the compile-only speedup without any
 dedup leverage.  The acceptance gate: batched answering is ≥ 5× faster
-than sequential ``ask`` on every repetitive workload of ≥ 1000 questions.
+than per-question evaluation on every repetitive workload of ≥ 1000
+questions.
 """
 
 from __future__ import annotations
@@ -92,9 +95,8 @@ def test_e22_oracle_batching(report, trend, benchmark):
         questions = _workload(random.Random(2200 + size), size, pool_size)
         distinct = len(set(questions))
 
-        sequential_oracle = QueryOracle(target)
         t0 = time.perf_counter()
-        sequential = [sequential_oracle.ask(q) for q in questions]
+        sequential = [target.evaluate(q) for q in questions]
         sequential_ms = (time.perf_counter() - t0) * 1000
 
         batched_oracle = QueryOracle(target)
@@ -110,7 +112,8 @@ def test_e22_oracle_batching(report, trend, benchmark):
         repetitive = distinct < size
         if repetitive and size >= GATE_MIN_QUESTIONS:
             assert speedup >= SPEEDUP_FLOOR, (
-                f"ask_many only {speedup:.1f}x faster than sequential ask "
+                f"ask_many only {speedup:.1f}x faster than sequential "
+                "evaluate "
                 f"on {size} questions / {distinct} distinct "
                 f"(floor {SPEEDUP_FLOOR}x)"
             )
@@ -136,15 +139,15 @@ def test_e22_oracle_batching(report, trend, benchmark):
         [
             "questions",
             "distinct",
-            "sequential ask ms",
+            "sequential evaluate ms",
             "ask_many ms",
             "speedup",
             "gated",
         ],
         rows,
         title=(
-            "E22 — membership-question workloads: sequential QueryOracle"
-            ".ask vs mask-native ask_many (one compile + one evaluation "
+            "E22 — membership-question workloads: sequential QhornQuery"
+            ".evaluate vs mask-native ask_many (one compile + one evaluation "
             "per distinct question; responses always identical; gate: "
             f"≥{SPEEDUP_FLOOR:.0f}x on repetitive workloads "
             f"≥{GATE_MIN_QUESTIONS} questions)"

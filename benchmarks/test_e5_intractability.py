@@ -72,7 +72,9 @@ def test_e5_adversarial_play(report, benchmark):
         ):
             if adv.is_identified():
                 break
-            adv.ask(Question.of(n, [top, bt.with_false(top, list(alias))]))
+            adv.ask_many(
+                [Question.of(n, [top, bt.with_false(top, list(alias))])]
+            )
         rows.append(
             [n, len(cands), adv.questions_asked, 2**n - 1,
              "yes" if adv.questions_asked >= 2**n - 1 else "no"]
@@ -97,6 +99,8 @@ def test_e5_adversarial_play(report, benchmark):
         ):
             if adv.is_identified():
                 break
-            adv.ask(Question.of(8, [top, bt.with_false(top, list(alias))]))
+            adv.ask_many(
+                [Question.of(8, [top, bt.with_false(top, list(alias))])]
+            )
 
     benchmark(play_once)

@@ -63,8 +63,8 @@ def test_e7_adversarial_lower_bound(report, benchmark):
             if adv.is_identified():
                 break
             falsify = [blocks[b][i] for b, i in enumerate(removal)] + [head]
-            adv.ask(
-                Question.of(n_body + 1, [top, bt.with_false(top, falsify)])
+            adv.ask_many(
+                [Question.of(n_body + 1, [top, bt.with_false(top, falsify)])]
             )
         bound = block ** (theta - 1) - 1
         rows.append(

@@ -30,7 +30,11 @@ class Shopper:
         self.n = vocabulary.n
         self.inspected = 0
 
-    def ask(self, question):
+    def ask_many(self, questions):
+        """Label one round of boxes, in the order they are offered."""
+        return [self.label(question) for question in questions]
+
+    def label(self, question):
         box = self.factory.from_database(question)
         self.inspected += 1
         if self.inspected <= 2:  # show the first couple of boxes

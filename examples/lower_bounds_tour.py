@@ -43,7 +43,9 @@ def theorem_2_1(n: int = 6) -> None:
     ):
         if adversary.is_identified():
             break
-        adversary.ask(Question.of(n, [top, bt.with_false(top, list(alias))]))
+        adversary.ask_many(
+            [Question.of(n, [top, bt.with_false(top, list(alias))])]
+        )
         if adversary.questions_asked in checkpoints:
             print(
                 f"  after {adversary.questions_asked:4d} questions: "

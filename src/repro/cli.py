@@ -106,8 +106,8 @@ exhaustive conformance (repro enumerate, DESIGN.md §2j):
   (deduplicated up to semantic equivalence) and EVERY relation up to
   --max-objects objects, then drives each through the full matrix —
   learner (qhorn1/naive/role-preserving) × oracle transport
-  (direct/dbapi) × driver (pull/sans-io), and both evaluation
-  backends — asserting bit-identical transcripts, stats and learned
+  (direct/dbapi), and both evaluation backends — asserting
+  bit-identical transcripts, stats and learned
   queries everywhere, and checking Theorem 3.1's question bound on
   every single instance.  Any disagreement is shrunk to a minimal
   witness and written to the JSONL corpus (--out FILE), which
@@ -168,8 +168,8 @@ def _add_enumerate_arguments(parser: argparse.ArgumentParser) -> None:
         default="full",
         metavar="SPEC",
         help="conformance matrix: 'full' or axis=a+b pairs joined by ';' "
-        "(axes: learners, oracles, drivers, backends), e.g. "
-        "'learners=qhorn1;backends=bitmask+dbapi;drivers=pull'",
+        "(axes: learners, oracles, backends), e.g. "
+        "'learners=qhorn1;backends=bitmask+dbapi;oracles=direct'",
     )
     parser.add_argument(
         "--out",
@@ -510,32 +510,32 @@ def _cmd_demo(args) -> int:
 
     vocabulary = storefront_vocabulary()
     store = random_store(100, random.Random(1304))
-    print("propositions:")
-    print(vocabulary.legend())
-    cache = CachingOracle(QueryOracle(intro_query()))
-    oracle = CountingOracle(cache)
-    result = learn_qhorn1(oracle)
-    print(f"\nintended: {intro_query().shorthand()}")
-    print(f"learned : {result.query.shorthand()} "
-          f"({oracle.questions_asked} questions, "
-          f"{cache.stats.misses} distinct, "
-          f"{oracle.stats.rounds} rounds)")
     engine = QueryEngine(
         store, vocabulary, backend=args.backend, backend_options=backend_options
     )
     try:
-        try:
-            matches = engine.execute_batch(result.query)
-        except (TypeError, ValueError) as error:
-            print(f"repro demo: {error}", file=sys.stderr)
-            return 2
+        # Build the backend before the first line of output, so a
+        # rejected option exits 2 with nothing printed.
+        backend = engine.backend
+    except (TypeError, ValueError) as error:
+        print(f"repro demo: {error}", file=sys.stderr)
+        return 2
+    try:
+        print("propositions:")
+        print(vocabulary.legend())
+        cache = CachingOracle(QueryOracle(intro_query()))
+        oracle = CountingOracle(cache)
+        result = learn_qhorn1(oracle)
+        print(f"\nintended: {intro_query().shorthand()}")
+        print(f"learned : {result.query.shorthand()} "
+              f"({oracle.questions_asked} questions, "
+              f"{cache.stats.misses} distinct, "
+              f"{oracle.stats.rounds} rounds)")
+        matches = engine.execute_batch(result.query)
         print(f"matching boxes: {len(matches)} / {len(store)} "
-              f"({engine.backend.describe()})")
+              f"({backend.describe()})")
     finally:
-        # Only a backend that actually built needs closing (bad options
-        # fail inside the lazy build, leaving nothing behind).
-        built = getattr(engine, "_backend", None)
-        close = getattr(built, "close", None)
+        close = getattr(backend, "close", None)
         if close is not None:
             close()
     for box in matches[:5]:

@@ -15,10 +15,8 @@ A backend is bound to one ``(relation, vocabulary)`` pair and answers:
   (bit ``i`` set iff object ``i`` in relation order is an answer);
 * :meth:`~EvaluationBackend.execute` — the answer objects in relation
   order;
-* :meth:`~EvaluationBackend.matches_many` — per-object answer labels, for
-  the whole relation (``objects=None``) or an explicit object list,
-  where *foreign* objects (not members of the relation) are abstracted
-  through the vocabulary and evaluated via the compiled query.
+* :meth:`~EvaluationBackend.matches_many` — per-object answer labels for
+  the whole relation, in relation order.
 
 **Answer identity.**  On identical relation state, every backend returns
 exactly the answers of the per-object reference path
@@ -43,7 +41,7 @@ order).
 
 from __future__ import annotations
 
-from typing import Iterable, Protocol, runtime_checkable
+from typing import Protocol, runtime_checkable
 
 from repro.core.query import CompiledQuery, QhornQuery
 from repro.data.propositions import Vocabulary
@@ -91,12 +89,8 @@ class EvaluationBackend(Protocol):
         """The relation's answers to ``query``, in relation order."""
         ...
 
-    def matches_many(
-        self,
-        query: QhornQuery,
-        objects: Iterable[NestedObject] | None = None,
-    ) -> list[bool]:
-        """Per-object answer labels (whole relation when ``objects=None``)."""
+    def matches_many(self, query: QhornQuery) -> list[bool]:
+        """Per-object answer labels for the whole relation."""
         ...
 
     @property

@@ -12,8 +12,6 @@ the pre-seam engine.
 
 from __future__ import annotations
 
-from typing import Iterable
-
 from repro.core.query import CompiledQuery, QhornQuery
 from repro.data.backends.base import check_width
 from repro.data.index import RelationIndex
@@ -65,13 +63,9 @@ class BitmaskBackend:
         check_width(query, self.vocabulary)
         return self.index.execute(query)
 
-    def matches_many(
-        self,
-        query: QhornQuery | CompiledQuery,
-        objects: Iterable[NestedObject] | None = None,
-    ) -> list[bool]:
+    def matches_many(self, query: QhornQuery | CompiledQuery) -> list[bool]:
         check_width(query, self.vocabulary)
-        return self.index.matches_many(query, objects)
+        return self.index.matches_many(query)
 
     @property
     def is_stale(self) -> bool:

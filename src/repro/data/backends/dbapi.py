@@ -27,7 +27,7 @@ from __future__ import annotations
 import itertools
 import os
 import sqlite3
-from typing import Any, Callable, Iterable, TypeVar
+from typing import Any, Callable, TypeVar
 from urllib.parse import parse_qs, urlsplit
 
 from repro.core import tuples as bt
@@ -330,28 +330,10 @@ class DbApiBackend:
         keys = self._matching_keys(query)
         return [o for o in self._objects if o.key in keys]
 
-    def matches_many(
-        self,
-        query: QhornQuery | CompiledQuery,
-        objects: Iterable[NestedObject] | None = None,
-    ) -> list[bool]:
+    def matches_many(self, query: QhornQuery | CompiledQuery) -> list[bool]:
         query = self._require_query(query)
         keys = self._matching_keys(query)
-        if objects is None:
-            return [o.key in keys for o in self._objects]
-        compiled = query.compile()
-        labels: list[bool] = []
-        for obj in objects:
-            position = self._positions.get(obj.key)
-            if position is not None and self._objects[position] is obj:
-                labels.append(obj.key in keys)
-            else:
-                # Foreign object: not in the loaded database; abstract
-                # and evaluate in process (the §2c seam contract).
-                labels.append(
-                    compiled.evaluate(self.vocabulary.boolean_tuples(obj.rows))
-                )
-        return labels
+        return [o.key in keys for o in self._objects]
 
     # ------------------------------------------------------------------
     # Lifecycle / introspection

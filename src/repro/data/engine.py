@@ -20,7 +20,7 @@ backends must return identical answers on identical state.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterable
+from typing import Any
 
 from repro.core.query import QhornQuery
 from repro.core.tuples import Question
@@ -147,19 +147,11 @@ class QueryEngine:
         self._check(query)
         return self.backend.execute(query)
 
-    def matches_many(
-        self,
-        query: QhornQuery,
-        objects: Iterable[NestedObject] | None = None,
-    ) -> list[bool]:
-        """Answer labels for many objects at once via the backend.
-
-        ``objects=None`` labels every object of the relation in relation
-        order; otherwise labels the given objects (foreign objects are
-        abstracted once and evaluated through the compiled query).
-        """
+    def matches_many(self, query: QhornQuery) -> list[bool]:
+        """Answer labels for every object of the relation, in relation
+        order, via the backend."""
         self._check(query)
-        return self.backend.matches_many(query, objects)
+        return self.backend.matches_many(query)
 
     def explain(self, query: QhornQuery, obj: NestedObject) -> list[ExpressionReport]:
         """Per-expression satisfaction report for ``obj`` (UI affordance)."""

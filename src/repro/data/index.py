@@ -37,7 +37,7 @@ contract are documented in DESIGN.md §2.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -324,7 +324,6 @@ class RelationIndex:
         self._kernel = BitsetKernel(
             pack_positions(positions, len(objects)), len(objects)
         )
-        self._positions = {o.key: i for i, o in enumerate(objects)}
         self._built_version = getattr(self.relation, "version", None)
 
     @property
@@ -377,31 +376,10 @@ class RelationIndex:
         objects = self._objects
         return [objects[i] for i in positions_of(bits, len(objects))]
 
-    def matches_many(
-        self,
-        query: QhornQuery | CompiledQuery,
-        objects: Iterable[NestedObject] | None = None,
-    ) -> list[bool]:
-        """Per-object answer labels, reusing the index for indexed objects.
-
-        With ``objects=None`` labels the whole relation (in relation
-        order).  Foreign objects — not part of the indexed relation — are
-        abstracted once and evaluated through the compiled query.
-        """
-        bits = self.matching_bits(query)
-        if objects is None:
-            return labels_of(bits, len(self._objects))
-        compiled = query.compile() if isinstance(query, QhornQuery) else query
-        labels: list[bool] = []
-        for obj in objects:
-            position = self._positions.get(obj.key)
-            if position is not None and self._objects[position] is obj:
-                labels.append(bool(bits >> position & 1))
-            else:
-                labels.append(
-                    compiled.evaluate(self.vocabulary.boolean_tuples(obj.rows))
-                )
-        return labels
+    def matches_many(self, query: QhornQuery | CompiledQuery) -> list[bool]:
+        """Per-object answer labels for the whole relation, in relation
+        order."""
+        return labels_of(self.matching_bits(query), len(self._objects))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

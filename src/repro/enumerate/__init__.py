@@ -4,7 +4,7 @@ The property suites sample; this package *enumerates*.  ``space``
 generates every qhorn query and every relation up to small size bounds
 (deduplicated up to semantic equivalence, stable content-hash ids), and
 ``differ`` drives each enumerated (query, store) pair through the full
-learner × transport × driver matrix and every backend, asserting
+learner × oracle transport matrix and every backend, asserting
 bit-identical behaviour everywhere and checking the paper's Theorem 3.1
 question bound exactly on every instance.  ``runner`` adds the
 ``repro enumerate`` CLI face: JSONL corpus export (which

@@ -5,10 +5,8 @@ matrix and every leg must agree **exactly**:
 
 * **Learner matrix** (per query — learners never see the store):
   learner (``qhorn1`` / ``naive`` / ``role-preserving``) × oracle
-  transport (in-process ``direct`` / ``dbapi`` scratch database)
-  × driver (``pull`` ``learn()`` vs manual ``sansio``
-  :class:`~repro.protocol.core.LearnerProtocol` stepping).  Across all
-  legs the question/answer transcript, the learned query and the
+  transport (in-process ``direct`` / ``dbapi`` scratch database).
+  Across all legs the question/answer transcript, the learned query and the
   :class:`~repro.oracle.counting.QuestionStats` must be bit-identical,
   the learned query must be semantically equivalent to the target, and
   the question count must satisfy the paper's bound — Theorem 3.1
@@ -48,8 +46,6 @@ from repro.learning import Qhorn1Learner, RolePreservingLearner
 from repro.learning.baselines import NaiveQhorn1Learner
 from repro.oracle import CountingOracle, QueryOracle, SqlQueryOracle
 from repro.oracle.counting import RecordingOracle
-from repro.protocol.core import Finished, LearnerProtocol
-from repro.protocol.drivers import answer_round
 
 __all__ = [
     "Divergence",
@@ -99,12 +95,11 @@ class MatrixSpec:
 
     ``parse`` accepts ``"full"`` or a ``;``-separated spec of
     ``axis=choice+choice`` entries, e.g.
-    ``learners=qhorn1+naive;backends=bitmask+dbapi;drivers=pull``.
+    ``learners=qhorn1+naive;backends=bitmask+dbapi;oracles=direct``.
     """
 
     learners: tuple[str, ...] = ("qhorn1", "naive", "role-preserving")
     oracles: tuple[str, ...] = ("direct", "dbapi")
-    drivers: tuple[str, ...] = ("pull", "sansio")
     backends: tuple[str, ...] = ("bitmask", "dbapi")
 
     @classmethod
@@ -192,7 +187,6 @@ def _stats_key(stats: Any) -> tuple:
         stats.questions,
         stats.tuples,
         stats.rounds,
-        stats.batched_questions,
         stats.largest_batch,
     )
 
@@ -206,27 +200,14 @@ def _transcript_key(
 
 
 def run_learner_leg(
-    target: QhornQuery,
-    learner_kind: str,
-    oracle_kind: str,
-    driver: str,
+    target: QhornQuery, learner_kind: str, oracle_kind: str
 ) -> LearnerOutcome:
     """Run one leg of the learner matrix to completion."""
     transport, closeables = _transport_oracle(target, oracle_kind)
     try:
         recording = RecordingOracle(transport)
         counting = CountingOracle(recording)
-        learner = LEARNER_FACTORIES[learner_kind](counting)
-        if driver == "pull":
-            result = learner.learn()
-        elif driver == "sansio":
-            protocol = LearnerProtocol(learner.steps())
-            event = protocol.start()
-            while not isinstance(event, Finished):
-                event = protocol.feed(answer_round(counting, event))
-            result = event.result
-        else:
-            raise ValueError(f"unknown driver {driver!r}")
+        result = LEARNER_FACTORIES[learner_kind](counting).learn()
         learned = getattr(result, "query", result)
         return LearnerOutcome(
             transcript=_transcript_key(recording.transcript),
@@ -291,18 +272,10 @@ def check_learners(
     for learner_kind in matrix.learners:
         reference: LearnerOutcome | None = None
         reference_combo: dict | None = None
-        for oracle_kind, driver in (
-            (o, d) for o in matrix.oracles for d in matrix.drivers
-        ):
-            combo = {
-                "learner": learner_kind,
-                "oracle": oracle_kind,
-                "driver": driver,
-            }
+        for oracle_kind in matrix.oracles:
+            combo = {"learner": learner_kind, "oracle": oracle_kind}
             try:
-                outcome = run_learner_leg(
-                    target, learner_kind, oracle_kind, driver
-                )
+                outcome = run_learner_leg(target, learner_kind, oracle_kind)
             except Exception as error:
                 divergences.append(
                     Divergence(
@@ -374,12 +347,8 @@ def _learner_leg_differs(
     if not _in_learner_class(query, combo["learner"]):
         return False
     try:
-        probe = run_learner_leg(
-            query, combo["learner"], combo["oracle"], combo["driver"]
-        )
-        reference = run_learner_leg(
-            query, combo["learner"], matrix.oracles[0], matrix.drivers[0]
-        )
+        probe = run_learner_leg(query, combo["learner"], combo["oracle"])
+        reference = run_learner_leg(query, combo["learner"], matrix.oracles[0])
     except Exception:
         return True
     return (

@@ -8,7 +8,7 @@ learning algorithm restart[s] query learning from the point of error" — the
 corrected prefix is replayed (learners are deterministic given responses),
 and live answering resumes after it.
 
-On top of the sans-io step protocol (DESIGN.md §2e) the session is also a
+The session runs on the sans-io step protocol (DESIGN.md §2e) and is a
 *resumable service*: :meth:`LearningSession.step` /
 :meth:`~LearningSession.feed` expose the learner's rounds directly (no
 oracle required — a server forwards rounds to a remote user and feeds the
@@ -16,8 +16,9 @@ labels back), :meth:`~LearningSession.snapshot` parks the session as a
 serializable replay log, and :meth:`~LearningSession.resume` replays that
 log through a fresh learner to the exact parked round.  Because learners
 are deterministic given responses, the transcript *is* the session state —
-the same property :meth:`~LearningSession.rerun_with_correction` has
-always exploited.
+the same property :meth:`~LearningSession.rerun_with_correction` exploits.
+:meth:`~LearningSession.run` is the same dialogue with every round
+answered by the attached oracle.
 
 :class:`CorrectionLoop` automates the correction cycle against a noisy
 simulated user until the transcript is clean, which is experiment E14.
@@ -32,7 +33,7 @@ from typing import Callable, Sequence
 from repro.core.query import QhornQuery
 from repro.core.tuples import Question
 from repro.interactive.transcript import Transcript
-from repro.oracle.base import MembershipOracle, QueryOracle, ask_all
+from repro.oracle.base import MembershipOracle, QueryOracle
 from repro.oracle.noisy import NoisyOracle, ReplayOracle
 from repro.protocol.core import (
     Finished,
@@ -40,6 +41,7 @@ from repro.protocol.core import (
     ProtocolError,
     Round,
 )
+from repro.protocol.drivers import answer_round
 from repro.protocol.wire import payload_from_dict, payload_to_dict
 from repro.verification.verifier import VerificationOutcome, verify_query
 
@@ -60,7 +62,8 @@ class SnapshotError(ProtocolError):
 
 
 class _TranscriptOracle:
-    """Internal wrapper: records every exchange into a transcript."""
+    """Internal wrapper for :class:`VerificationSession`: records every
+    exchange into a transcript."""
 
     def __init__(
         self,
@@ -73,17 +76,12 @@ class _TranscriptOracle:
         self.transcript = transcript
         self.renderer = renderer
 
-    def ask(self, question: Question) -> bool:
-        response = self.inner.ask(question)
-        self.transcript.record(question, response, self.renderer)
-        return response
-
     def ask_many(self, questions) -> list[bool]:
-        """Forward the batch and record every exchange in question order,
-        so the replay/correction machinery sees the same positional
-        transcript as a sequential run."""
+        """Forward the batch and record every exchange in question order."""
         questions = list(questions)
-        responses = ask_all(self.inner, questions)
+        if not questions:
+            return []
+        responses = self.inner.ask_many(questions)
         for question, response in zip(questions, responses):
             self.transcript.record(question, response, self.renderer)
         return responses
@@ -97,16 +95,10 @@ class _ConstructionOracle:
     def __init__(self, n: int) -> None:
         self.n = n
 
-    def _refuse(self) -> bool:
+    def ask_many(self, questions) -> list[bool]:
         raise ProtocolError(
             "step-driven session: answers arrive via feed(), not the oracle"
         )
-
-    def ask(self, question: Question) -> bool:
-        return self._refuse()
-
-    def ask_many(self, questions) -> list[bool]:
-        return self._refuse()
 
 
 @dataclass
@@ -140,7 +132,6 @@ class SessionSnapshot:
     responses: list[bool] = field(default_factory=list)
     #: Membership questions or expression payloads (DESIGN.md §2e).
     pending: list | None = None
-    pending_batched: bool = True
     restarts: int = 0
 
     def to_dict(self) -> dict:
@@ -153,12 +144,13 @@ class SessionSnapshot:
                 if self.pending is None
                 else [payload_to_dict(q) for q in self.pending]
             ),
-            "pending_batched": self.pending_batched,
             "restarts": self.restarts,
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "SessionSnapshot":
+        """Rebuild a snapshot; keys this version does not read are
+        ignored, so rows written by earlier versions still load."""
         if data.get("version") != 1:
             raise SnapshotError(
                 f"unsupported snapshot version {data.get('version')!r}"
@@ -172,7 +164,6 @@ class SessionSnapshot:
                 if pending is None
                 else [payload_from_dict(q) for q in pending]
             ),
-            pending_batched=bool(data.get("pending_batched", True)),
             restarts=int(data.get("restarts", 0)),
         )
 
@@ -183,15 +174,13 @@ class LearningSession:
     Parameters
     ----------
     learner_factory:
-        Builds a learner from an oracle; the learner must expose ``learn()``
-        returning an object with a ``query`` attribute (all provided
-        learners do).  For the step-driven mode the learner must also be
-        sans-io (expose ``steps()``), which every learner in
-        :mod:`repro.learning` is.
+        Builds a learner from an oracle; the learner must be sans-io
+        (expose ``steps()``, which every learner in :mod:`repro.learning`
+        does) and finish with an object carrying a ``query`` attribute.
     oracle:
-        The user.  Simulated, noisy, adversarial or human.  Optional for
-        step-driven sessions, where the caller supplies answers through
-        :meth:`feed`.
+        The user, answering the rounds of :meth:`run`.  Simulated, noisy,
+        adversarial or human.  Optional for step-driven sessions, where
+        the caller supplies answers through :meth:`feed`.
     renderer:
         Optional ``Question -> str`` used to render questions into the data
         domain for the transcript (e.g. ``vocabulary.render_question``).
@@ -229,27 +218,20 @@ class LearningSession:
         return self._n
 
     # ------------------------------------------------------------------
-    # Pull-driven mode (the historical API)
+    # Oracle-answered runs
     # ------------------------------------------------------------------
-    def _run(self, oracle: MembershipOracle, restarts: int = 0) -> SessionResult:
-        """Shared run body: wrap ``oracle`` in a transcript recorder,
-        build the learner, learn.  Both :meth:`run` and
-        :meth:`rerun_with_correction` are this with different oracles."""
-        transcript = Transcript()
-        wrapped = _TranscriptOracle(oracle, transcript, self.renderer)
-        learner = self.learner_factory(wrapped)
-        result = learner.learn()  # type: ignore[attr-defined]
-        return SessionResult(
-            query=result.query,  # type: ignore[attr-defined]
-            transcript=transcript,
-            learner_result=result,
-            restarts=restarts,
-        )
-
     def run(self) -> SessionResult:
+        """Run a fresh dialogue to the end, answering each round with the
+        attached oracle (this session's own step state is untouched)."""
         if self.oracle is None:
             raise ProtocolError("run() needs an attached oracle")
-        return self._run(self.oracle)
+        session = LearningSession(
+            self.learner_factory, renderer=self.renderer, n=self.oracle.n
+        )
+        event = session.start()
+        while isinstance(event, Round):
+            event = session.feed(answer_round(self.oracle, event))
+        return session.result
 
     def rerun_with_correction(
         self,
@@ -267,7 +249,11 @@ class LearningSession:
         prefix = previous.transcript.responses()[:error_index]
         prefix.append(corrected_response)
         replay = ReplayOracle(prefix, live or self.oracle)
-        return self._run(replay, restarts=previous.restarts + 1)
+        result = LearningSession(
+            self.learner_factory, replay, self.renderer
+        ).run()
+        result.restarts = previous.restarts + 1
+        return result
 
     # ------------------------------------------------------------------
     # Step-driven mode (sans-io, DESIGN.md §2e)
@@ -303,8 +289,7 @@ class LearningSession:
         """Answer the pending round; returns the next round or the result.
 
         Every (question, answer) pair is recorded into the session
-        transcript in question order — the same positional log the
-        pull-driven mode keeps, and the replay log that
+        transcript in question order — the positional replay log that
         :meth:`snapshot`/:meth:`resume` park and restore.
         """
         if self._protocol is None:
@@ -361,7 +346,6 @@ class LearningSession:
             n=self.n,
             responses=self.transcript.responses(),
             pending=None if pending is None else list(pending.questions),
-            pending_batched=pending.batched if pending is not None else True,
             restarts=self._restarts,
         )
 
@@ -396,10 +380,7 @@ class LearningSession:
                 "responses past the learner's final round"
             )
         if isinstance(event, Round) and snapshot.pending is not None:
-            if (
-                list(event.questions) != snapshot.pending
-                or event.batched != snapshot.pending_batched
-            ):
+            if list(event.questions) != snapshot.pending:
                 raise SnapshotError(
                     "replay diverged: pending round does not match the "
                     "snapshot (different learner factory or version?)"
@@ -443,16 +424,18 @@ class CorrectionLoop:
             responses = result.transcript.responses()
             verified_prefix = responses[:error]
             verified_prefix.append(
-                truth.ask(result.transcript.entries[error].question)
+                truth.ask_many([result.transcript.entries[error].question])[0]
             )
         raise RuntimeError(
             f"no clean transcript after {self.max_restarts} restarts"
         )
 
     def _first_error(self, transcript: Transcript) -> int | None:
-        truth = QueryOracle(self.target)
-        for entry in transcript:
-            if truth.ask(entry.question) != entry.response:
+        labels = QueryOracle(self.target).ask_many(
+            [entry.question for entry in transcript]
+        )
+        for entry, label in zip(transcript, labels):
+            if label != entry.response:
                 return entry.index
         return None
 

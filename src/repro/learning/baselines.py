@@ -54,7 +54,7 @@ class NaiveQhorn1Learner:
         self.n = oracle.n
 
     def learn(self) -> Qhorn1Result:
-        """Pull-driven entry point: drive :meth:`steps` with the oracle."""
+        """Drive :meth:`steps` to the end, answering with the oracle."""
         return drive(self, self.oracle)
 
     def steps(self) -> Steps:
@@ -205,7 +205,7 @@ class BruteForceLearner:
         self.questions_asked = 0
 
     def learn(self) -> QhornQuery:
-        """Pull-driven entry point: drive :meth:`steps` with the oracle."""
+        """Drive :meth:`steps` to the end, answering with the oracle."""
         return drive(self, self.oracle)
 
     def steps(self) -> Steps:
@@ -259,7 +259,7 @@ class HeadPairLearner:
         return (yield from ask_one(q))
 
     def learn(self) -> tuple[int, int]:
-        """Pull-driven entry point: drive :meth:`steps` with the oracle."""
+        """Drive :meth:`steps` to the end, answering with the oracle."""
         return drive(self, self.oracle)
 
     def steps(self) -> Steps:

@@ -22,7 +22,7 @@ Sans-io (DESIGN.md §2e): the learner emits
 :class:`~repro.oracle.expression.ExpressionQuestion` payloads through the
 same :class:`~repro.protocol.core.Round` protocol as the membership
 learners — drivers dispatch them onto an expression oracle's methods one
-call per question, exactly as the pull-based code did.
+call per question.
 """
 
 from __future__ import annotations
@@ -65,7 +65,7 @@ class ExpressionLearner:
         self._asked = 0
 
     def learn(self) -> ExpressionLearnerResult:
-        """Pull-driven entry point: drive :meth:`steps` with the oracle."""
+        """Drive :meth:`steps` to the end, answering with the oracle."""
         return drive(self, self.oracle)
 
     # -- question predicates (step generators) --------------------------

@@ -108,7 +108,7 @@ class PacLearner:
         self.rng = rng
 
     def learn(self) -> PacResult:
-        """Pull-driven entry point: drive :meth:`steps` with the oracle."""
+        """Drive :meth:`steps` to the end, answering with the oracle."""
         return drive(self, self.oracle)
 
     def steps(self) -> Steps:

@@ -32,8 +32,7 @@ batches level by level via
 head-splitting classification is one batch per group), while the adaptive
 binary-search chains (*Find*, *GetHead*) remain single-question rounds by
 necessity.  :meth:`Qhorn1Learner.learn` drives those steps against the
-construction oracle, reproducing the historical pull behaviour
-bit-identically; question multiset and the learned query are unchanged.
+construction oracle.
 """
 
 from __future__ import annotations
@@ -145,7 +144,7 @@ class Qhorn1Learner:
 
     # -- learning tasks -----------------------------------------------------
     def learn(self) -> Qhorn1Result:
-        """Pull-driven entry point: drive :meth:`steps` with the oracle."""
+        """Drive :meth:`steps` to the end, answering with the oracle."""
         return drive(self, self.oracle)
 
     def steps(self) -> Steps:

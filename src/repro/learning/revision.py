@@ -70,7 +70,7 @@ class QueryReviser:
 
     # ------------------------------------------------------------------
     def revise(self) -> RevisionResult:
-        """Pull-driven entry point: drive :meth:`steps` with the oracle."""
+        """Drive :meth:`steps` to the end, answering with the oracle."""
         return drive(self, self.oracle)
 
     def learn(self) -> RevisionResult:

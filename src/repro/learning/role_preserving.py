@@ -26,11 +26,10 @@ searched.
 
 Sans-io (DESIGN.md §2e): the learner body is the
 :meth:`RolePreservingLearner.steps` generator; ``learn()`` drives it
-against the construction oracle, bit-identical to the historical pull
-path.  The body/conjunction subroutines are step generators too, shared
-with the reviser (:mod:`repro.learning.revision`); the plain-callable
-``_learn_bodies``/``_learn_conjunctions`` faces drive them inline for
-white-box callers.
+against the construction oracle.  The body/conjunction subroutines are
+step generators too, shared with the reviser
+(:mod:`repro.learning.revision`); white-box callers drive them with
+:func:`~repro.protocol.drivers.drive`.
 """
 
 from __future__ import annotations
@@ -100,7 +99,7 @@ class RolePreservingLearner:
 
     # ------------------------------------------------------------------
     def learn(self) -> RolePreservingResult:
-        """Pull-driven entry point: drive :meth:`steps` with the oracle."""
+        """Drive :meth:`steps` to the end, answering with the oracle."""
         return drive(self, self.oracle)
 
     def steps(self) -> Steps:
@@ -150,27 +149,6 @@ class RolePreservingLearner:
     # ------------------------------------------------------------------
     # §3.2.1 — universal Horn expressions
     # ------------------------------------------------------------------
-    def _learn_bodies(
-        self,
-        head: int,
-        all_heads: Sequence[int],
-        seed_bodies: Sequence[FrozenSet[int]] = (),
-        probe_roots_first: bool = False,
-        bottom_is_answer: bool | None = None,
-    ) -> list[FrozenSet[int]]:
-        """Plain-callable face of :meth:`_learn_bodies_steps`, answered by
-        the construction oracle (white-box tests, ad-hoc callers)."""
-        return drive(
-            self._learn_bodies_steps(
-                head,
-                all_heads,
-                seed_bodies=seed_bodies,
-                probe_roots_first=probe_roots_first,
-                bottom_is_answer=bottom_is_answer,
-            ),
-            self.oracle,
-        )
-
     def _learn_bodies_steps(
         self,
         head: int,
@@ -262,19 +240,6 @@ class RolePreservingLearner:
     # ------------------------------------------------------------------
     # §3.2.2 — existential conjunctions
     # ------------------------------------------------------------------
-    def _learn_conjunctions(
-        self,
-        universals: Sequence[UniversalHorn],
-        seed_discovered: Sequence[int] = (),
-    ) -> list[int]:
-        """Plain-callable face of :meth:`_learn_conjunctions_steps`."""
-        return drive(
-            self._learn_conjunctions_steps(
-                universals, seed_discovered=seed_discovered
-            ),
-            self.oracle,
-        )
-
     def _learn_conjunctions_steps(
         self,
         universals: Sequence[UniversalHorn],

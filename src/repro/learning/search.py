@@ -3,29 +3,24 @@
 The learning algorithms repeatedly reduce "which variables/tuples matter?"
 to monotone set queries answered by the user:
 
-* :func:`find_one` — Alg. 2 (*Find*): locate one positive item in a set, or
-  report that there is none, with O(lg |V|) questions per item.
-* :func:`find_all` — Alg. 3 (*FindAll*): locate every positive item with
-  O(|found| · lg |V|) questions.
-* :func:`find_all_batch` — batch-first FindAll: the same questions, asked
-  level by level so each round is one oracle batch.
-* :func:`minimal_prefix` — binary search for the shortest prefix satisfying
-  a monotone predicate (the engine behind *GetHead*, Alg. 5).
-* :func:`minimal_satisfying_subset` — Alg. 8 (*Prune*): extract a minimal
-  subset that keeps a monotone predicate true, O(|kept| · lg |V|) questions.
+* :func:`find_one_steps` — Alg. 2 (*Find*): locate one positive item in a
+  set, or report that there is none, with O(lg |V|) questions per item.
+* :func:`find_all_steps` — Alg. 3 (*FindAll*): locate every positive item
+  with O(|found| · lg |V|) questions.
+* :func:`find_all_batch_steps` — batch-first FindAll: the same questions,
+  asked level by level so each round is one oracle batch.
+* :func:`minimal_prefix_steps` — binary search for the shortest prefix
+  satisfying a monotone predicate (the engine behind *GetHead*, Alg. 5).
+* :func:`minimal_satisfying_subset_steps` — Alg. 8 (*Prune*): extract a
+  minimal subset that keeps a monotone predicate true, O(|kept| · lg |V|)
+  questions.
 
-Every primitive exists in two faces sharing ONE implementation:
+Every primitive takes *step-generator* predicates — generators that
+yield :class:`~repro.protocol.core.Round` objects and return the
+predicate's truth — and is itself a step generator, so the sans-io
+learners compose it with ``yield from``.
 
-* the ``*_steps`` form (the implementation) takes *step-generator*
-  predicates — generators that yield :class:`~repro.protocol.core.Round`
-  objects and return the predicate's truth — and is itself a step
-  generator, so the sans-io learners compose it with ``yield from``;
-* the plain-callable form (the historical API) lifts an ordinary
-  predicate into a never-yielding step generator and runs the steps
-  inline, asking exactly the same questions in the same order.
-
-:func:`find_one`, :func:`minimal_prefix` and
-:func:`minimal_satisfying_subset` are inherently *adaptive* — every
+Find, the prefix search and Prune are inherently *adaptive* — every
 question depends on the previous answer — so their rounds are single
 questions; only FindAll's recursion tree contains independent questions
 to batch.  Each primitive documents its question complexity so the
@@ -36,8 +31,6 @@ from __future__ import annotations
 
 from typing import Callable, Generator, Sequence, TypeVar
 
-from repro.protocol.core import run_inline
-
 T = TypeVar("T")
 
 #: A step-generator predicate over one subset.
@@ -46,28 +39,12 @@ StepPredicate = Callable[[Sequence[T]], Generator]
 StepBatchPredicate = Callable[[Sequence[Sequence[T]]], Generator]
 
 __all__ = [
-    "find_one",
     "find_one_steps",
-    "find_all",
     "find_all_steps",
-    "find_all_batch",
     "find_all_batch_steps",
-    "minimal_prefix",
     "minimal_prefix_steps",
-    "minimal_satisfying_subset",
     "minimal_satisfying_subset_steps",
-    "lift_predicate",
 ]
-
-
-def lift_predicate(fn: Callable) -> Callable[..., Generator]:
-    """Lift a plain callable into a step generator that never yields."""
-
-    def step(*args):
-        return fn(*args)
-        yield  # pragma: no cover - makes `step` a generator function
-
-    return step
 
 
 # ----------------------------------------------------------------------
@@ -101,13 +78,6 @@ def find_one_steps(
     return items[0]
 
 
-def find_one(
-    contains: Callable[[Sequence[T]], bool], items: Sequence[T]
-) -> T | None:
-    """Plain-callable face of :func:`find_one_steps`."""
-    return run_inline(find_one_steps(lift_predicate(contains), items))
-
-
 # ----------------------------------------------------------------------
 # Alg. 3 — FindAll
 # ----------------------------------------------------------------------
@@ -134,13 +104,6 @@ def find_all_steps(
     return first + second
 
 
-def find_all(
-    contains: Callable[[Sequence[T]], bool], items: Sequence[T]
-) -> list[T]:
-    """Plain-callable face of :func:`find_all_steps`."""
-    return run_inline(find_all_steps(lift_predicate(contains), items))
-
-
 def find_all_batch_steps(
     contains_each: StepBatchPredicate, items: Sequence[T]
 ) -> Generator:
@@ -150,9 +113,9 @@ def find_all_batch_steps(
     subset in one round.  A node's question depends only on its own
     ancestors' answers — sibling subtrees are independent — so walking the
     recursion tree level by level asks exactly the questions of the
-    sequential :func:`find_all` (same multiset, O(lg |items|) rounds of at
-    most 2·|found| questions each) and returns the same items in the same
-    left-to-right order.
+    depth-first :func:`find_all_steps` (same multiset, O(lg |items|)
+    rounds of at most 2·|found| questions each) and returns the same
+    items in the same left-to-right order.
     """
     items = list(items)
     if not items:
@@ -175,16 +138,6 @@ def find_all_batch_steps(
             next_frontier.append(subset[mid:])
         frontier = next_frontier
     return [items[i] for i in sorted(found_positions)]
-
-
-def find_all_batch(
-    contains_each: Callable[[Sequence[Sequence[T]]], Sequence[bool]],
-    items: Sequence[T],
-) -> list[T]:
-    """Plain-callable face of :func:`find_all_batch_steps`."""
-    return run_inline(
-        find_all_batch_steps(lift_predicate(contains_each), items)
-    )
 
 
 # ----------------------------------------------------------------------
@@ -214,13 +167,6 @@ def minimal_prefix_steps(
     return items[:lo]
 
 
-def minimal_prefix(
-    pred: Callable[[Sequence[T]], bool], items: Sequence[T]
-) -> list[T] | None:
-    """Plain-callable face of :func:`minimal_prefix_steps`."""
-    return run_inline(minimal_prefix_steps(lift_predicate(pred), items))
-
-
 def minimal_satisfying_subset_steps(
     pred: StepPredicate, items: Sequence[T]
 ) -> Generator:
@@ -248,12 +194,3 @@ def minimal_satisfying_subset_steps(
         kept.append(rest[lo - 1])
         rest = rest[: lo - 1]
     return kept
-
-
-def minimal_satisfying_subset(
-    pred: Callable[[Sequence[T]], bool], items: Sequence[T]
-) -> list[T]:
-    """Plain-callable face of :func:`minimal_satisfying_subset_steps`."""
-    return run_inline(
-        minimal_satisfying_subset_steps(lift_predicate(pred), items)
-    )

@@ -13,10 +13,9 @@ floor on the enumerable class.
 
 Candidate filtering is mask-native: every evaluation goes through the
 candidates' :class:`~repro.core.query.CompiledQuery` forms (memoized per
-query), and :meth:`VersionSpace.record_many` /
-:meth:`VersionSpace.record_from` consume a whole response batch — e.g. a
-verification set answered in one :func:`~repro.oracle.base.ask_all` round
-— in a single filtering pass.
+query), and :meth:`VersionSpace.record_many` consumes a whole response
+batch — e.g. a verification set answered in one ``ask_many`` round — in
+a single filtering pass.
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ from repro.core.normalize import canonicalize, enumerate_objects
 from repro.core.generators import enumerate_role_preserving
 from repro.core.query import QhornQuery
 from repro.core.tuples import Question
-from repro.oracle.base import ask_all
 
 __all__ = ["VersionSpace", "SplitQuality"]
 
@@ -110,12 +108,6 @@ class VersionSpace:
             )
         return before - len(self.candidates)
 
-    def record_from(
-        self, oracle, questions: Sequence[Question]
-    ) -> int:
-        """Ask ``questions`` as one batch and record every response."""
-        return self.record_many(questions, ask_all(oracle, questions))
-
     def identified(self) -> QhornQuery | None:
         """The unique remaining query, if the space has converged."""
         forms = {canonicalize(c) for c in self.candidates}
@@ -162,7 +154,7 @@ class VersionSpace:
             split = self.best_question()
             if split is None:
                 break
-            self.record(split.question, oracle.ask(split.question))
+            self.record(split.question, oracle.ask_many([split.question])[0])
             asked += 1
         result = self.identified()
         if result is None:  # pragma: no cover - defensive

@@ -1,13 +1,7 @@
 """Membership oracles: simulated users, wrappers, adversaries (§2.1.2)."""
 
 from repro.oracle.adversaries import CandidateEliminationAdversary, max_elimination
-from repro.oracle.base import (
-    ASK_ALL_CHUNK_SIZE,
-    FunctionOracle,
-    MembershipOracle,
-    QueryOracle,
-    ask_all,
-)
+from repro.oracle.base import FunctionOracle, MembershipOracle, QueryOracle
 from repro.oracle.caching import CacheStats, CachingOracle
 from repro.oracle.counting import CountingOracle, QuestionStats, RecordingOracle
 from repro.oracle.expression import (
@@ -19,7 +13,6 @@ from repro.oracle.noisy import ExhaustedReplayError, NoisyOracle, ReplayOracle
 from repro.oracle.sqlbacked import SqlQueryOracle
 
 __all__ = [
-    "ASK_ALL_CHUNK_SIZE",
     "ExpressionQuestion",
     "CacheStats",
     "CachingOracle",
@@ -36,6 +29,5 @@ __all__ = [
     "QuestionStats",
     "RecordingOracle",
     "ReplayOracle",
-    "ask_all",
     "max_elimination",
 ]

@@ -47,21 +47,19 @@ class CandidateEliminationAdversary:
     def remaining(self) -> int:
         return len(self.candidates)
 
-    def ask(self, question: Question) -> bool:
-        self.questions_asked += 1
-        yes = [q for q in self.candidates if q.evaluate(question)]
-        no = [q for q in self.candidates if not q.evaluate(question)]
-        if len(no) >= len(yes):
-            self.candidates = no
-            return False
-        self.candidates = yes
-        return True
-
-    def ask_many(self, questions) -> list[bool]:
+    def ask_many(self, questions: Sequence[Question]) -> list[bool]:
         """The adversary's answers are history-dependent by construction
         (each shrinks the candidate set), so the batch is processed
         strictly in order — batching never weakens the adversary."""
-        return [self.ask(q) for q in questions]
+        answers: list[bool] = []
+        for question in questions:
+            self.questions_asked += 1
+            yes = [q for q in self.candidates if q.evaluate(question)]
+            no = [q for q in self.candidates if not q.evaluate(question)]
+            answer = len(no) < len(yes)
+            self.candidates = yes if answer else no
+            answers.append(answer)
+        return answers
 
     def is_identified(self) -> bool:
         return len(self.candidates) == 1

@@ -6,50 +6,36 @@ questions in this library — learners, verifiers, interactive sessions —
 talks to a :class:`MembershipOracle`, so simulated users, counting wrappers,
 noise injection, adversaries and real humans compose freely.
 
-The protocol is *batch-first* (DESIGN.md §2b): next to the per-question
-:meth:`~MembershipOracle.ask`, every oracle answers
-:meth:`~MembershipOracle.ask_many`, which labels a whole question list in
-one round.  The contract is strict sequential equivalence — on identical
-oracle state, ``ask_many(qs)`` returns exactly ``[ask(q) for q in qs]``
-with identical side effects (statistics, noise draws, replay positions) —
-so batching is purely a latency/evaluation optimization, never a semantic
-one.  Question-asking layers route batches through :func:`ask_all`, which
-falls back to a sequential loop for ask-only user oracles.
+The protocol is one method (DESIGN.md §2b): an oracle labels a *round*
+of questions with :meth:`~MembershipOracle.ask_many`, the answers
+positionally aligned with the questions.  Batch boundaries are
+unobservable: answering a list in one call, in consecutive chunks or one
+question per call gives the same answers and leaves every wrapper in the
+same state (statistics, noise draws, replay positions) — except the
+per-call round tally of :class:`~repro.oracle.counting.CountingOracle`,
+which counts calls by design.  A caller that needs one answer writes
+``oracle.ask_many([q])[0]``; a wrapper never forwards an empty batch.
 
 The equivalence is promised for batches that complete.  When answering
 *raises* (exhausted replay, width mismatch), a batch is atomic at each
 wrapper: no per-question statistics or transcript entries are recorded
-for the failed call, while the sequential loop records the prefix it
-answered before the error (and inner state, e.g. a replay position, may
-have advanced either way).  Error paths abort the interaction; they are
-not part of the question-count cost model.
+for the failed call (inner state, e.g. a replay position, may have
+advanced).  Error paths abort the interaction; they are not part of the
+question-count cost model.
 """
 
 from __future__ import annotations
 
-from itertools import islice
-from typing import Iterable, Protocol, Sequence, runtime_checkable
+from typing import Protocol, Sequence, runtime_checkable
 
 from repro.core.query import QhornQuery
 from repro.core.tuples import Question
 
 __all__ = [
-    "ASK_ALL_CHUNK_SIZE",
     "MembershipOracle",
     "QueryOracle",
     "FunctionOracle",
-    "ask_all",
 ]
-
-#: Default upper bound on one ``ask_many`` call issued by :func:`ask_all`.
-#: Batch boundaries are unobservable under the sequential-equivalence
-#: contract (DESIGN.md §2b), so splitting a huge batch into consecutive
-#: chunks changes nothing semantically — it only bounds how much one call
-#: materializes at once, so multi-million-question fallback batches are
-#: never handed to an oracle as a single list.  (``CountingOracle`` round
-#: statistics count transport calls, so a > chunk-size batch tallies one
-#: round per chunk — which is what actually happened.)
-ASK_ALL_CHUNK_SIZE = 65536
 
 
 @runtime_checkable
@@ -58,59 +44,17 @@ class MembershipOracle(Protocol):
 
     n: int
 
-    def ask(self, question: Question) -> bool:
-        """Return ``True`` for *answer*, ``False`` for *non-answer*."""
-        ...
-
     def ask_many(self, questions: Sequence[Question]) -> list[bool]:
-        """Label a batch of questions; positionally equivalent to asking
-        each question in order through :meth:`ask`."""
+        """Label a round of questions: ``True`` for *answer*, ``False``
+        for *non-answer*, positionally aligned with ``questions``."""
         ...
-
-
-def ask_all(
-    oracle: MembershipOracle,
-    questions: Iterable[Question],
-    chunk_size: int | None = ASK_ALL_CHUNK_SIZE,
-) -> list[bool]:
-    """Ask a batch through ``oracle``, whatever protocol it speaks.
-
-    Uses the oracle's :meth:`~MembershipOracle.ask_many` when it has one
-    and otherwise degrades to a sequential :meth:`~MembershipOracle.ask`
-    loop, so ad-hoc user oracles that only implement ``ask`` (stateful
-    simulations, humans, test doubles) keep their exact sequential
-    semantics.  All batch-emitting layers go through this helper rather
-    than calling ``ask_many`` directly.
-
-    Very large batches are split into bounded chunks of ``chunk_size``
-    questions issued as consecutive ``ask_many`` calls — semantically
-    identical by the batch-boundary contract, but no single call ever
-    materializes more than one chunk.  ``chunk_size=None`` disables
-    chunking; the sequential fallback streams the iterable either way.
-    """
-    if chunk_size is not None and chunk_size < 1:
-        raise ValueError(f"chunk_size must be positive or None, got {chunk_size}")
-    ask_many = getattr(oracle, "ask_many", None)
-    if ask_many is None:
-        return [oracle.ask(q) for q in questions]
-    if chunk_size is None:
-        questions = list(questions)
-        return list(ask_many(questions)) if questions else []
-    responses: list[bool] = []
-    iterator = iter(questions)
-    while True:
-        chunk = list(islice(iterator, chunk_size))
-        if not chunk:
-            return responses
-        responses.extend(ask_many(chunk))
 
 
 class QueryOracle:
     """The ideal user: labels questions with a hidden target query.
 
     This is the ground-truth oracle used by exact-identification experiments;
-    the learner never inspects :attr:`target`, only :meth:`ask` /
-    :meth:`ask_many`.
+    the learner never inspects :attr:`target`, only :meth:`ask_many`.
     """
 
     def __init__(self, target: QhornQuery) -> None:
@@ -123,10 +67,6 @@ class QueryOracle:
                 f"question over n={question.n} variables, oracle has n={self.n}"
             )
 
-    def ask(self, question: Question) -> bool:
-        self._check(question)
-        return self.target.evaluate(question)
-
     def ask_many(self, questions: Sequence[Question]) -> list[bool]:
         """Mask-native batch answering: one compile, one evaluation per
         *distinct* question.
@@ -135,8 +75,8 @@ class QueryOracle:
         mask set is evaluated through the compiled form exactly once;
         duplicate questions reuse the answer.  ``CompiledQuery.evaluate``
         agrees with ``QhornQuery.evaluate`` by the batch-evaluation
-        contract (DESIGN.md §2), so the responses are identical to a
-        sequential :meth:`ask` loop.
+        contract (DESIGN.md §2), so each response is the target's
+        reference label for its question.
         """
         compiled = self.target.compile()
         evaluate = compiled.evaluate
@@ -161,9 +101,6 @@ class FunctionOracle:
     def __init__(self, n: int, fn) -> None:
         self.n = n
         self._fn = fn
-
-    def ask(self, question: Question) -> bool:
-        return bool(self._fn(question))
 
     def ask_many(self, questions: Sequence[Question]) -> list[bool]:
         """Sequential application: a plain callable has no batch form."""

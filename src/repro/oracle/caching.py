@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from repro.core.tuples import Question
-from repro.oracle.base import MembershipOracle, ask_all
+from repro.oracle.base import MembershipOracle
 
 __all__ = ["CacheStats", "CachingOracle"]
 
@@ -79,29 +79,21 @@ class CachingOracle:
         self._cache: OrderedDict[Question, bool] = OrderedDict()
         self.stats = CacheStats()
 
-    def ask(self, question: Question) -> bool:
-        cached = self._cache.get(question, _MISSING)
-        if cached is not _MISSING:
-            self._cache.move_to_end(question)
-            self.stats.hits += 1
-            return cached  # type: ignore[return-value]
-        response = self.inner.ask(question)
-        self._store(question, response)
-        return response
-
     def ask_many(self, questions: Sequence[Question]) -> list[bool]:
         """Answer hits from the cache and forward only the misses, in one
-        batch, to the inner oracle.
+        batch, to the inner oracle (no call at all when every question
+        hits).
 
-        Sequential equivalence is exact, including the awkward cases: a
-        duplicate of an uncached question is a *hit* from its second
-        occurrence on (the first occurrence populates the cache), unless an
-        eviction inside the batch pushed it out again first — then it is
-        re-forwarded, exactly as a sequential loop would re-ask.  The first
-        pass below replays the LRU key dynamics (hit reorderings, inserts,
-        evictions) without answers to derive the precise miss sequence the
-        inner oracle must see; the second pass fills in responses and
-        updates the real cache and statistics per question, in order.
+        The outcome does not depend on batch boundaries, including the
+        awkward cases: a duplicate of an uncached question is a *hit* from
+        its second occurrence on (the first occurrence populates the
+        cache), unless an eviction inside the batch pushed it out again
+        first — then it is re-forwarded, exactly as asking one question at
+        a time would re-ask.  The first pass below replays the LRU key
+        dynamics (hit reorderings, inserts, evictions) without answers to
+        derive the precise miss sequence the inner oracle must see; the
+        second pass fills in responses and updates the real cache and
+        statistics per question, in order.
         """
         questions = list(questions)
         simulated: OrderedDict[Question, None] = OrderedDict.fromkeys(
@@ -116,7 +108,7 @@ class CachingOracle:
             simulated[q] = None
             if self.maxsize is not None and len(simulated) > self.maxsize:
                 simulated.popitem(last=False)
-        responses = iter(ask_all(self.inner, missing))
+        responses = iter(self.inner.ask_many(missing) if missing else ())
         out: list[bool] = []
         for q in questions:
             cached = self._cache.get(q, _MISSING)

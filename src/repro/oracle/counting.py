@@ -5,8 +5,8 @@ and *tuples per question* (§2.1.2: question generation must stay polynomial,
 which entails polynomially many tuples per question).  The wrappers here
 measure both, so every theorem becomes a measurable quantity.
 
-With the batch-first protocol (DESIGN.md §2b) a third quantity matters:
-how many *rounds* of interaction the questions arrived in.  A batch of N
+With the round protocol (DESIGN.md §2b) a third quantity matters: how
+many *rounds* of interaction the questions arrived in.  A batch of N
 questions through :meth:`CountingOracle.ask_many` counts as N questions
 (the paper's cost model is untouched) but only one round; the per-round
 statistics quantify how much latency the batching saves.
@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from repro.core.tuples import Question
-from repro.oracle.base import MembershipOracle, ask_all
+from repro.oracle.base import MembershipOracle
 
 __all__ = ["QuestionStats", "CountingOracle", "RecordingOracle"]
 
@@ -33,10 +33,8 @@ class QuestionStats:
     answers: int = 0
     non_answers: int = 0
     tuples_histogram: dict[int, int] = field(default_factory=dict)
-    #: Interaction rounds: one per ``ask`` call, one per ``ask_many`` batch.
+    #: Interaction rounds: one per non-empty ``ask_many`` batch.
     rounds: int = 0
-    #: Questions that arrived inside an ``ask_many`` batch.
-    batched_questions: int = 0
     #: Size of the largest single batch seen.
     largest_batch: int = 0
 
@@ -51,11 +49,9 @@ class QuestionStats:
         else:
             self.non_answers += 1
 
-    def record_round(self, batch_size: int, batched: bool) -> None:
+    def record_round(self, batch_size: int) -> None:
         """Tally one interaction round of ``batch_size`` questions."""
         self.rounds += 1
-        if batched:
-            self.batched_questions += batch_size
         self.largest_batch = max(self.largest_batch, batch_size)
 
     @property
@@ -76,25 +72,20 @@ class CountingOracle:
         self.n = inner.n
         self.stats = QuestionStats()
 
-    def ask(self, question: Question) -> bool:
-        response = self.inner.ask(question)
-        self.stats.record(question, response)
-        self.stats.record_round(1, batched=False)
-        return response
-
     def ask_many(self, questions: Sequence[Question]) -> list[bool]:
         """Forward the batch, then count each question individually.
 
-        Question/tuple/answer statistics equal a sequential :meth:`ask`
-        loop exactly; only the round bookkeeping differs (one round for
-        the whole batch).
+        Question/tuple/answer statistics do not depend on how a list is
+        split into batches; the round bookkeeping counts one round per
+        non-empty batch.
         """
         questions = list(questions)
-        responses = ask_all(self.inner, questions)
+        if not questions:
+            return []
+        responses = self.inner.ask_many(questions)
         for question, response in zip(questions, responses):
             self.stats.record(question, response)
-        if questions:
-            self.stats.record_round(len(questions), batched=True)
+        self.stats.record_round(len(questions))
         return responses
 
     @property
@@ -119,15 +110,12 @@ class RecordingOracle:
         self.n = inner.n
         self.transcript: list[tuple[Question, bool]] = []
 
-    def ask(self, question: Question) -> bool:
-        response = self.inner.ask(question)
-        self.transcript.append((question, response))
-        return response
-
     def ask_many(self, questions: Sequence[Question]) -> list[bool]:
         """Forward the batch and append each exchange in question order."""
         questions = list(questions)
-        responses = ask_all(self.inner, questions)
+        if not questions:
+            return []
+        responses = self.inner.ask_many(questions)
         self.transcript.extend(zip(questions, responses))
         return responses
 

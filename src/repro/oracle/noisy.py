@@ -15,7 +15,7 @@ import random
 from typing import Sequence
 
 from repro.core.tuples import Question
-from repro.oracle.base import MembershipOracle, ask_all
+from repro.oracle.base import MembershipOracle
 
 __all__ = ["NoisyOracle", "ReplayOracle", "ExhaustedReplayError"]
 
@@ -39,21 +39,18 @@ class NoisyOracle:
         self.given: list[bool] = []
         self.truth: list[bool] = []
 
-    def ask(self, question: Question) -> bool:
-        true_response = self.inner.ask(question)
-        return self._corrupt(true_response)
-
     def ask_many(self, questions: Sequence[Question]) -> list[bool]:
         """Batch the inner oracle, then flip per question in list order.
 
-        One seeded ``rng.random()`` draw per question, in question order —
-        exactly the draws a sequential :meth:`ask` loop consumes — so the
-        flip pattern is identical whether a learner batches or not.  (The
-        guarantee assumes the inner oracle does not consume the same
-        ``rng`` instance, which no provided oracle does.)
+        One seeded ``rng.random()`` draw per question, in question order,
+        so the flip pattern is identical however a question list is split
+        into batches.  (The guarantee assumes the inner oracle does not
+        consume the same ``rng`` instance, which no provided oracle does.)
         """
-        true_responses = ask_all(self.inner, questions)
-        return [self._corrupt(t) for t in true_responses]
+        questions = list(questions)
+        if not questions:
+            return []
+        return [self._corrupt(t) for t in self.inner.ask_many(questions)]
 
     def _corrupt(self, true_response: bool) -> bool:
         response = (
@@ -96,26 +93,14 @@ class ReplayOracle:
         self.n = live.n if live is not None else int(n)  # type: ignore[arg-type]
         self.position = 0
 
-    def ask(self, question: Question) -> bool:
-        if self.position < len(self.prefix):
-            response = self.prefix[self.position]
-            self.position += 1
-            return response
-        if self.live is None:
-            raise ExhaustedReplayError(
-                "replay prefix exhausted and no live oracle attached"
-            )
-        return self.live.ask(question)
-
     def ask_many(self, questions: Sequence[Question]) -> list[bool]:
         """Serve the batch from the prefix, then forward the remainder to
         the live oracle in one sub-batch.
 
-        Replay order is positional, exactly as sequential :meth:`ask`
-        calls: the first ``len(prefix) - position`` questions consume
-        recorded responses, everything after goes live.  Running past the
-        prefix without a live oracle raises :class:`ExhaustedReplayError`
-        just as the sequential loop would at that question.
+        Replay order is positional: the first ``len(prefix) - position``
+        questions consume recorded responses, everything after goes live.
+        Running past the prefix without a live oracle raises
+        :class:`ExhaustedReplayError`.
         """
         questions = list(questions)
         take = min(len(questions), len(self.prefix) - self.position)
@@ -127,5 +112,5 @@ class ReplayOracle:
                 raise ExhaustedReplayError(
                     "replay prefix exhausted and no live oracle attached"
                 )
-            out.extend(ask_all(self.live, rest))
+            out.extend(self.live.ask_many(rest))
         return out

@@ -23,8 +23,8 @@ that fails with ``sqlite3.Error`` is replayed once on a fresh
 connection (counted in the connection's ``stale_retries``).
 
 The oracle is a pure function of each question (no state across calls
-beyond the connection), so the sequential-equivalence contract of
-DESIGN.md §2b holds trivially; agreement with the in-process
+beyond the connection), so the batch-boundary contract of DESIGN.md §2b
+holds trivially; agreement with the in-process
 :class:`~repro.oracle.base.QueryOracle` on identical targets is part of
 the backend differential suite.
 """
@@ -151,9 +151,6 @@ class SqlQueryOracle:
             raise ValueError(
                 f"question over n={question.n} variables, oracle has n={self.n}"
             )
-
-    def ask(self, question: Question) -> bool:
-        return self.ask_many([question])[0]
 
     def ask_many(self, questions: Sequence[Question]) -> list[bool]:
         """One round trip: distinct questions become scratch objects, the

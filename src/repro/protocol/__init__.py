@@ -3,8 +3,8 @@
 * :mod:`repro.protocol.core` — :class:`Round` / :class:`Finished` events,
   the :class:`LearnerProtocol` state machine, and the ``ask_one`` /
   ``ask_round`` yield-point helpers step-driven learners are written with.
-* :mod:`repro.protocol.drivers` — the synchronous pull driver,
-  bit-identical to the historical inline oracle calls.
+* :mod:`repro.protocol.drivers` — the synchronous driver: one
+  ``oracle.ask_many`` call per round.
 * :mod:`repro.protocol.wire` — question payloads and answer batches as
   JSON data; :mod:`repro.server` serves rounds with them.
 """
@@ -17,7 +17,6 @@ from repro.protocol.core import (
     as_protocol,
     ask_one,
     ask_round,
-    run_inline,
 )
 from repro.protocol.drivers import answer_round, drive
 from repro.protocol.wire import (
@@ -39,5 +38,4 @@ __all__ = [
     "drive",
     "payload_from_dict",
     "payload_to_dict",
-    "run_inline",
 ]

@@ -9,8 +9,8 @@ and :class:`LearnerProtocol` wraps that generator behind
 ``start() -> Round | Finished`` / ``feed(answers) -> Round | Finished``.
 
 Nothing in this module performs I/O or touches an oracle.  The driver
-lives in :mod:`repro.protocol.drivers` (synchronous, bit-identical to
-the old pull path); :class:`~repro.interactive.session.LearningSession`
+lives in :mod:`repro.protocol.drivers` (one ``ask_many`` call per
+membership round); :class:`~repro.interactive.session.LearningSession`
 builds parking and snapshot/resume on top, and
 :class:`~repro.server.RoundServer` serves remote answerers with it.
 
@@ -25,10 +25,9 @@ receives answer lists::
             ...
         return result
 
-``ask_round`` corresponds to the old ``ask_all(oracle, ...)`` call and
-``ask_one`` to ``oracle.ask(...)``; the distinction is preserved in
-:attr:`Round.batched` so drivers reproduce the exact transport calls —
-and therefore the exact wrapper statistics — of the pull-based code.
+Whoever drives the generator answers each round in one go: the
+synchronous driver with one ``oracle.ask_many`` call, the server with one
+``answers`` message.
 """
 
 from __future__ import annotations
@@ -44,7 +43,6 @@ __all__ = [
     "as_protocol",
     "ask_one",
     "ask_round",
-    "run_inline",
 ]
 
 #: A learner step generator: yields rounds, receives answer sequences,
@@ -63,14 +61,10 @@ class Round:
     ``questions`` usually holds :class:`~repro.core.tuples.Question`
     membership questions; the expression learner emits
     :class:`~repro.oracle.expression.ExpressionQuestion` payloads through
-    the same protocol.  ``batched`` records how the pull-based code issued
-    this round — ``True`` for an ``ask_all`` batch, ``False`` for a single
-    ``oracle.ask`` call — so drivers can replay the exact transport
-    pattern (round statistics count transport calls).
+    the same protocol.
     """
 
     questions: tuple[Any, ...]
-    batched: bool = True
 
     def __post_init__(self) -> None:
         if not self.questions:
@@ -88,25 +82,23 @@ class Finished:
 
 
 def ask_one(question: Any) -> Steps:
-    """Yield-point equivalent of ``oracle.ask(question)``.
+    """Ask one question as a round of its own.
 
     Usage inside a step generator: ``answer = yield from ask_one(q)``.
     """
-    answers = yield Round((question,), batched=False)
+    answers = yield Round((question,))
     return bool(answers[0])
 
 
 def ask_round(questions: Iterable[Any]) -> Steps:
-    """Yield-point equivalent of ``ask_all(oracle, questions)``.
+    """Ask a batch of questions as one round.
 
-    An empty batch asks nothing and returns ``[]``, exactly like
-    :func:`~repro.oracle.base.ask_all` (which issues no transport call for
-    an empty list).
+    An empty batch asks nothing (no round) and returns ``[]``.
     """
     questions = tuple(questions)
     if not questions:
         return []
-    answers = yield Round(questions, batched=True)
+    answers = yield Round(questions)
     if len(answers) != len(questions):
         raise ProtocolError(
             f"round of {len(questions)} questions got {len(answers)} answers"
@@ -205,18 +197,3 @@ def as_protocol(learner: Any) -> LearnerProtocol:
         f"cannot drive {type(learner).__name__}: expected a LearnerProtocol, "
         "a step generator, or an object with a steps() method"
     )
-
-
-def run_inline(steps: Steps) -> Any:
-    """Exhaust a step generator that never yields and return its result.
-
-    Used to express plain-callable search primitives in terms of their
-    step-generator twins (:mod:`repro.learning.search`): when every
-    predicate is a lifted ordinary function the generator runs to
-    completion without emitting a round.
-    """
-    try:
-        next(steps)
-    except StopIteration as stop:
-        return stop.value
-    raise ProtocolError("inline steps unexpectedly yielded a round")

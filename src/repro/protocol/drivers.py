@@ -1,20 +1,15 @@
-"""Synchronous drivers: pull answers for a sans-io learner (DESIGN.md §2e).
+"""The synchronous driver: answer a sans-io learner's rounds (DESIGN.md §2e).
 
-:func:`drive` reproduces the pre-protocol pull path *bit-identically*: a
-round recorded as ``batched`` is answered through
-:func:`~repro.oracle.base.ask_all` (chunking included) and a single-ask
-round through ``oracle.ask``, so every wrapper in the oracle stack — cache
-residency, counting statistics, seeded noise draws, replay positions,
-transcripts — observes exactly the transport calls the old inline code
-made.  The learners' public ``learn()`` methods are now thin shims over
-``drive(self, self.oracle)``.
+:func:`answer_round` answers one round with one ``oracle.ask_many`` call
+(or, for expression questions, one expression-oracle call per question);
+:func:`drive` runs a learner to completion that way.  The learners'
+public ``learn()`` methods are ``drive(self, self.oracle)``.
 """
 
 from __future__ import annotations
 
 from typing import Any
 
-from repro.oracle.base import ask_all
 from repro.oracle.expression import ExpressionQuestion
 from repro.protocol.core import Finished, Round, as_protocol
 
@@ -22,19 +17,17 @@ __all__ = ["answer_round", "drive"]
 
 
 def answer_round(oracle: Any, round_: Round) -> list[bool]:
-    """Answer one round through ``oracle``, replaying the legacy transport.
+    """Answer one round through ``oracle``.
 
-    Membership rounds go through ``ask_all`` (batched) or ``oracle.ask``
-    (single); expression-question rounds dispatch onto the oracle's
-    ``requires_conjunction`` / ``requires_implication`` methods one call
-    per question, as the pull-based expression learner did.
+    A membership round is one ``oracle.ask_many`` call; an
+    expression-question round dispatches onto the oracle's
+    ``requires_conjunction`` / ``requires_implication`` methods, one call
+    per question.
     """
     questions = round_.questions
     if isinstance(questions[0], ExpressionQuestion):
         return [q.answer_with(oracle) for q in questions]
-    if round_.batched:
-        return ask_all(oracle, questions)
-    return [bool(oracle.ask(q)) for q in questions]
+    return oracle.ask_many(questions)
 
 
 def drive(learner: Any, oracle: Any) -> Any:
@@ -42,7 +35,7 @@ def drive(learner: Any, oracle: Any) -> Any:
 
     ``learner`` may be an object with ``steps()``, a step generator, or a
     :class:`~repro.protocol.core.LearnerProtocol`.  Returns the learner's
-    result — the same object the old pull-based ``learn()`` returned.
+    result.
     """
     protocol = as_protocol(learner)
     event = protocol.start()

@@ -22,8 +22,7 @@ client → server
     ``{"type": "quit", "session": ID}``      park the session and detach
 
 server → client
-    ``{"type": "round", "session": ID, "index": i, "batched": b,
-    "questions": [...]}``
+    ``{"type": "round", "session": ID, "index": i, "questions": [...]}``
     ``{"type": "snapshot", "session": ID, "snapshot": {...}}``
     ``{"type": "finished", "session": ID, ..., "metering": {...}}``
     ``{"type": "closed", "session": ID}``    reply to quit
@@ -131,7 +130,6 @@ def round_to_dict(round_: Round, index: int) -> dict[str, Any]:
     return {
         "type": "round",
         "index": index,
-        "batched": round_.batched,
         "questions": [payload_to_dict(q) for q in round_.questions],
     }
 

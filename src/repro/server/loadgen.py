@@ -246,7 +246,7 @@ async def simulate_user(
                 if rng is not None:
                     delay *= 0.5 + rng.random()
                 await asyncio.sleep(delay)
-            answers = [truth.ask(q) for q in questions]
+            answers = truth.ask_many(questions)
             result.transcript.append((questions, answers))
             answered += 1
             answered_since_hop += 1

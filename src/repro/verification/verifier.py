@@ -63,11 +63,8 @@ class Verifier:
     def run(
         self, oracle: MembershipOracle, stop_at_first: bool = False
     ) -> VerificationOutcome:
-        """Ask every question; collect the user's disagreements.
-
-        Pull-driven entry point: drives :meth:`steps` against ``oracle``,
-        bit-identical to the historical inline loop.
-        """
+        """Ask every question; collect the user's disagreements, driving
+        :meth:`steps` against ``oracle``."""
         return drive(self.steps(stop_at_first=stop_at_first), oracle)
 
     def steps(self, stop_at_first: bool = False) -> Steps:

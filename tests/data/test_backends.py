@@ -31,7 +31,6 @@ from repro.data.chocolate import (
     random_store,
     storefront_vocabulary,
 )
-from repro.data.relation import NestedObject
 
 WORKLOAD = [
     "∀x1 ∃x2x3",
@@ -96,29 +95,6 @@ class TestBackendContract:
             assert labels == [o.key in expected for o in store]
             bits = backend.matching_bits(query)
             assert [bool(bits >> i & 1) for i in range(len(store))] == labels
-
-    def test_explicit_objects_and_foreign_fallback(
-        self, store, vocab, backend_name, backend_options
-    ):
-        backend = create(backend_name, store, vocab, **backend_options)
-        engine = QueryEngine(store, vocab)
-        query = intro_query()
-        objs = store.objects[:7]
-        foreign = NestedObject(
-            key="not-in-store",
-            rows=[
-                {
-                    "isDark": True,
-                    "isSugarFree": True,
-                    "hasNuts": True,
-                    "hasFilling": True,
-                    "origin": "Belgium",
-                }
-            ],
-        )
-        labels = backend.matches_many(query, objs + [foreign])
-        assert labels[:-1] == [engine.matches(query, o) for o in objs]
-        assert labels[-1] == engine.matches(query, foreign)
 
     def test_auto_refresh_sees_inserts(
         self, store, vocab, backend_name, backend_options

@@ -92,15 +92,6 @@ class TestBatchEngine:
         labels = engine.matches_many(intro_query())
         assert labels == [engine.matches(intro_query(), o) for o in store]
 
-    def test_matches_many_foreign_object(self):
-        engine = QueryEngine(paper_figure1_relation(), paper_vocabulary())
-        query = parse_query("∀x1 ∃x2x3")
-        foreign = paper_figure1_relation().get("Global Ground")
-        # Same key as an indexed object but a different instance: must be
-        # abstracted on the fly, not looked up by key alone.
-        (label,) = engine.matches_many(query, [foreign])
-        assert label == engine.matches(query, foreign)
-
     def test_index_auto_refresh_on_insert(self):
         rel = paper_figure1_relation()
         engine = QueryEngine(rel, paper_vocabulary())

@@ -32,14 +32,16 @@ class TestMatrixSpec:
         assert MatrixSpec.parse(None) == MatrixSpec()
 
     def test_axis_selection(self):
-        spec = MatrixSpec.parse("learners=qhorn1+naive;drivers=sansio")
+        spec = MatrixSpec.parse("learners=qhorn1+naive;oracles=dbapi")
         assert spec.learners == ("qhorn1", "naive")
-        assert spec.drivers == ("sansio",)
-        assert spec.oracles == MatrixSpec().oracles  # untouched axis
+        assert spec.oracles == ("dbapi",)
+        assert spec.backends == MatrixSpec().backends  # untouched axis
 
     def test_unknown_axis_and_choice_rejected(self):
         with pytest.raises(ValueError, match="unknown matrix axis"):
             MatrixSpec.parse("flavor=vanilla")
+        with pytest.raises(ValueError, match="unknown matrix axis"):
+            MatrixSpec.parse("drivers=pull")
         with pytest.raises(ValueError, match="unknown learners choice"):
             MatrixSpec.parse("learners=gradient-descent")
 
@@ -56,7 +58,7 @@ class TestLearnerMatrix:
             report, divergences = check_learners(entry, MATRIX)
             assert divergences == [], [d.detail for d in divergences]
             assert report["status"] == "ok"
-            assert report["combos"] == 3 * 2 * 2  # learners×oracles×drivers
+            assert report["combos"] == 3 * 2  # learners×oracles
 
     def test_question_counts_within_paper_bounds(self):
         for entry in enumerate_queries(2):
@@ -67,13 +69,13 @@ class TestLearnerMatrix:
                 role_preserving_bound(n, entry.query.size)
             )
 
-    def test_transcripts_identical_across_drivers(self):
+    def test_transcripts_identical_across_oracles(self):
         target = parse_query("∀x1→x2 ∃x1x2", n=2)
-        pull = run_learner_leg(target, "qhorn1", "direct", "pull")
-        sansio = run_learner_leg(target, "qhorn1", "dbapi", "sansio")
-        assert pull.transcript == sansio.transcript
-        assert pull.stats == sansio.stats
-        assert pull.learned == sansio.learned
+        direct = run_learner_leg(target, "qhorn1", "direct")
+        dbapi = run_learner_leg(target, "qhorn1", "dbapi")
+        assert direct.transcript == dbapi.transcript
+        assert direct.stats == dbapi.stats
+        assert direct.learned == dbapi.learned
 
     def test_wrong_oracle_becomes_divergence_with_witness(self):
         """A transport that lies about one answer must be caught and the
@@ -86,17 +88,12 @@ class TestLearnerMatrix:
         original = differ_module.QueryOracle
 
         class LyingOracle(original):  # type: ignore[misc,valid-type]
-            def ask(self, question):
-                return not super().ask(question)
-
             def ask_many(self, questions):
                 return [not a for a in super().ask_many(questions)]
 
         differ_module.QueryOracle = LyingOracle
         try:
-            spec = MatrixSpec.parse(
-                "learners=qhorn1;oracles=direct;drivers=pull"
-            )
+            spec = MatrixSpec.parse("learners=qhorn1;oracles=direct")
             report, divergences = check_learners(entry, spec)
         finally:
             differ_module.QueryOracle = original
@@ -164,8 +161,8 @@ class TestBackendMatrix:
         reference = create("bitmask", relation, vocabulary)
 
         class InvertingBackend:
-            def matches_many(self, query, objects=None):
-                return [not b for b in reference.matches_many(query, objects)]
+            def matches_many(self, query):
+                return [not b for b in reference.matches_many(query)]
 
             def execute(self, query):
                 return reference.execute(query)

@@ -125,7 +125,7 @@ class TestLowerBoundFamilies:
             combinations(range(n), r) for r in range(n + 1)
         ):
             pattern = bt.with_false(top, list(alias))
-            adv.ask(Question.of(n, [top, pattern]))
+            adv.ask_many([Question.of(n, [top, pattern])])
             if adv.is_identified():
                 break
         assert adv.questions_asked >= len(candidates) - 1

@@ -38,7 +38,10 @@ class DataDomainUser:
         self.n = vocabulary.n
         self.boxes_seen = 0
 
-    def ask(self, question):
+    def ask_many(self, questions):
+        return [self._label(question) for question in questions]
+
+    def _label(self, question):
         box = self.factory.from_database(question)
         self.boxes_seen += 1
         tuples = self.vocabulary.abstract_object(box.rows)

@@ -95,7 +95,7 @@ class TestOracleContractViolations:
     def test_width_mismatch_raises(self):
         oracle = QueryOracle(parse_query("∃x1x2"))
         with pytest.raises(ValueError):
-            oracle.ask(Question.from_strings("101"))
+            oracle.ask_many([Question.from_strings("101")])
 
     def test_reviser_handles_totally_wrong_given(self, rng):
         """Revision from a maximally wrong query still lands exactly."""

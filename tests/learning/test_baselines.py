@@ -112,8 +112,8 @@ class TestBruteForceLearner:
         class Liar:
             n = 1
 
-            def ask(self, q):
-                return False
+            def ask_many(self, questions):
+                return [False] * len(questions)
 
         learner = BruteForceLearner(Liar(), candidates * 2, self._all_objects(1))
         with pytest.raises(RuntimeError):

@@ -10,6 +10,7 @@ from repro.core.normalize import canonicalize
 from repro.core.parser import parse_query
 from repro.learning import RolePreservingLearner
 from repro.oracle import CountingOracle, QueryOracle
+from repro.protocol import drive
 
 
 class TestSeededBodySearch:
@@ -17,11 +18,14 @@ class TestSeededBodySearch:
         target = paper_running_query()
         oracle = CountingOracle(QueryOracle(target))
         learner = RolePreservingLearner(oracle)
-        bodies = learner._learn_bodies(
-            4,
-            [4, 5],
-            seed_bodies=[frozenset({0, 3}), frozenset({2, 3})],
-            probe_roots_first=True,
+        bodies = drive(
+            learner._learn_bodies_steps(
+                4,
+                [4, 5],
+                seed_bodies=[frozenset({0, 3}), frozenset({2, 3})],
+                probe_roots_first=True,
+            ),
+            oracle,
         )
         assert set(bodies) == {frozenset({0, 3}), frozenset({2, 3})}
         # bodyless test + single combined root probe = 2 questions
@@ -30,13 +34,16 @@ class TestSeededBodySearch:
     def test_probe_false_falls_through_to_search(self):
         """When a body is missing from the seed, the probe fails and the
         root search finds it."""
-        target = paper_running_query()
-        learner = RolePreservingLearner(QueryOracle(target))
-        bodies = learner._learn_bodies(
-            4,
-            [4, 5],
-            seed_bodies=[frozenset({0, 3})],
-            probe_roots_first=True,
+        oracle = QueryOracle(paper_running_query())
+        learner = RolePreservingLearner(oracle)
+        bodies = drive(
+            learner._learn_bodies_steps(
+                4,
+                [4, 5],
+                seed_bodies=[frozenset({0, 3})],
+                probe_roots_first=True,
+            ),
+            oracle,
         )
         assert frozenset({2, 3}) in set(bodies)
 
@@ -45,13 +52,15 @@ class TestSeededBodySearch:
             target = random_role_preserving(6, rng, theta=2)
             base = RolePreservingLearner(QueryOracle(target)).learn()
             for head in base.heads:
-                seeded = RolePreservingLearner(
-                    QueryOracle(target)
-                )._learn_bodies(
-                    head,
-                    sorted(base.heads),
-                    seed_bodies=base.bodies_per_head[head],
-                    probe_roots_first=True,
+                oracle = QueryOracle(target)
+                seeded = drive(
+                    RolePreservingLearner(oracle)._learn_bodies_steps(
+                        head,
+                        sorted(base.heads),
+                        seed_bodies=base.bodies_per_head[head],
+                        probe_roots_first=True,
+                    ),
+                    oracle,
                 )
                 assert set(seeded) == set(base.bodies_per_head[head])
 
@@ -65,8 +74,11 @@ class TestSeededConjunctionWalk:
         ]
         oracle = CountingOracle(QueryOracle(target))
         learner = RolePreservingLearner(oracle)
-        discovered = learner._learn_conjunctions(
-            sorted(canon.universals), seed_discovered=seeds
+        discovered = drive(
+            learner._learn_conjunctions_steps(
+                sorted(canon.universals), seed_discovered=seeds
+            ),
+            oracle,
         )
         found = {
             frozenset(i for i in range(6) if t & (1 << i))
@@ -80,10 +92,12 @@ class TestSeededConjunctionWalk:
         assert oracle.questions_asked <= 6
 
     def test_duplicate_seeds_deduplicated(self):
-        target = parse_query("∃x1x2", n=2)
-        learner = RolePreservingLearner(QueryOracle(target))
-        discovered = learner._learn_conjunctions(
-            [], seed_discovered=[0b11, 0b11]
+        oracle = QueryOracle(parse_query("∃x1x2", n=2))
+        discovered = drive(
+            RolePreservingLearner(oracle)._learn_conjunctions_steps(
+                [], seed_discovered=[0b11, 0b11]
+            ),
+            oracle,
         )
         assert discovered.count(0b11) == 1
 

@@ -1,4 +1,10 @@
-"""Unit tests for the binary-search primitives (Algs. 2, 3, 8)."""
+"""Unit tests for the binary-search primitives (Algs. 2, 3, 8).
+
+Each primitive is a step generator; the tests drive it with
+:func:`~repro.protocol.drive`, every predicate evaluation being a
+one-question round whose payload is the subset, answered by a
+:class:`~repro.oracle.FunctionOracle` over the test's predicate.
+"""
 
 from __future__ import annotations
 
@@ -7,11 +13,39 @@ import math
 import pytest
 
 from repro.learning.search import (
-    find_all,
-    find_one,
-    minimal_prefix,
-    minimal_satisfying_subset,
+    find_all_batch_steps,
+    find_all_steps,
+    find_one_steps,
+    minimal_prefix_steps,
+    minimal_satisfying_subset_steps,
 )
+from repro.oracle import FunctionOracle
+from repro.protocol import ask_one, ask_round, drive
+
+
+def _asking(subset):
+    """Step predicate: ask about ``subset`` in a round of its own."""
+    return (yield from ask_one(tuple(subset)))
+
+
+def _run(search, pred, items):
+    return drive(search(_asking, items), FunctionOracle(0, pred))
+
+
+def find_one(pred, items):
+    return _run(find_one_steps, pred, items)
+
+
+def find_all(pred, items):
+    return _run(find_all_steps, pred, items)
+
+
+def minimal_prefix(pred, items):
+    return _run(minimal_prefix_steps, pred, items)
+
+
+def minimal_satisfying_subset(pred, items):
+    return _run(minimal_satisfying_subset_steps, pred, items)
 
 
 class Counter:
@@ -81,6 +115,37 @@ class TestFindAll:
     def test_all_targets(self):
         items = list(range(4))
         assert find_all(lambda s: bool(s), items) == items
+
+    def test_batch_form_same_questions_fewer_rounds(self):
+        """Level-by-level FindAll asks the depth-first questions, one
+        round per tree level."""
+        targets = {3, 64, 100, 127}
+        items = list(range(128))
+
+        class Tally:
+            n = 0
+
+            def __init__(self):
+                self.rounds: list[list[tuple]] = []
+
+            def ask_many(self, subsets):
+                self.rounds.append(list(subsets))
+                return [bool(set(s) & targets) for s in subsets]
+
+        def asking_each(subsets):
+            return (yield from ask_round(tuple(s) for s in subsets))
+
+        depth_first, level = Tally(), Tally()
+        found = drive(find_all_steps(_asking, items), depth_first)
+        assert drive(find_all_batch_steps(asking_each, items), level) == found
+        assert set(found) == targets
+
+        def asked(tally):
+            return sorted(s for round_ in tally.rounds for s in round_)
+
+        assert asked(level) == asked(depth_first)
+        assert len(level.rounds) == math.ceil(math.log2(len(items))) + 1
+        assert all(len(round_) == 1 for round_ in depth_first.rounds)
 
 
 class TestMinimalPrefix:

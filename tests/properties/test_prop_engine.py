@@ -140,12 +140,6 @@ def test_matches_many_agrees_with_matches(case):
     engine = QueryEngine(relation, bool_vocabulary(n))
     labels = engine.matches_many(query)
     assert labels == [engine.matches(query, o) for o in relation]
-    # Explicit object lists, including a foreign (non-indexed) object.
-    objs = relation.objects
-    foreign = relation_from_masks(n, [frozenset([0])]).objects[0]
-    labels2 = engine.matches_many(query, objs + [foreign])
-    assert labels2[:-1] == labels
-    assert labels2[-1] == engine.matches(query, foreign)
 
 
 @given(engine_cases())

@@ -1,20 +1,23 @@
-"""Differential properties: batched ``ask_many`` vs sequential ``ask``.
+"""Differential properties of the one-method oracle protocol.
 
-The batched-oracle contract (DESIGN.md §2b) demands strict sequential
-equivalence for every oracle and wrapper: on identical starting state,
-``ask_many(qs)`` returns exactly ``[ask(q) for q in qs]`` — pointwise,
-for shuffled and duplicated question lists, with identical side effects
-(cache stats and residency, counting stats, transcripts, seeded noise
-flips, replay positions).  This suite checks the contract two ways:
+The oracle contract (DESIGN.md §2b) makes batch boundaries unobservable:
+answering a question list in one ``ask_many`` call, in consecutive
+chunks or one question per call gives the same answers and leaves every
+wrapper in the same observable state (cache stats and residency,
+counting stats, transcripts, seeded noise flips, replay positions) —
+for shuffled and duplicated question lists.  A wrapper never forwards an
+empty batch.  This suite checks the contract two ways:
 
 * hypothesis properties over random question lists and wrapper stacks;
 * a seeded exhaustive sweep of ≥ 1000 (oracle stack, question list)
   cases, so the agreement count demanded by the acceptance criteria is
   explicit.
 
-Each case builds two *independent* copies of the same oracle stack from
-the same seeds, drives one sequentially and one in batches, and compares
-responses plus all observable state.
+Each case builds independent copies of the same oracle stack from the
+same seeds, drives one with the whole list and the others chunk by
+chunk, and compares responses plus all observable state.  Every stack
+bottoms out in an oracle that fails on an empty batch, and the truthful
+stacks are checked against the reference ``QhornQuery.evaluate``.
 """
 
 from __future__ import annotations
@@ -39,7 +42,6 @@ from repro.oracle import (
     QueryOracle,
     RecordingOracle,
     ReplayOracle,
-    ask_all,
 )
 
 MAX_N = 6
@@ -84,11 +86,25 @@ def random_questions(rng: random.Random, n: int, count: int) -> list[Question]:
 # ----------------------------------------------------------------------
 
 
+class _NonEmpty:
+    """The innermost oracle of every wrapper stack: a ``QueryOracle``
+    that fails on an empty batch."""
+
+    def __init__(self, target: QhornQuery) -> None:
+        self.inner = QueryOracle(target)
+        self.n = target.n
+
+    def ask_many(self, questions):
+        questions = list(questions)
+        assert questions, "a wrapper forwarded an empty batch"
+        return self.inner.ask_many(questions)
+
+
 def _build_stack(kind: str, rng_seed: int, n: int, target: QhornQuery):
     """One of the wrapper configurations under test, freshly constructed."""
-    base = QueryOracle(target)
     if kind == "query":
-        return base
+        return QueryOracle(target)
+    base = _NonEmpty(target)
     if kind == "function":
         return FunctionOracle(n, target.evaluate)
     if kind == "counting":
@@ -134,6 +150,9 @@ KINDS = (
     "adversary",
 )
 
+#: Stacks that answer with the target's true labels.
+TRUTHFUL = ("query", "function", "counting", "recording", "caching", "caching-tiny")
+
 
 def _observable_state(kind: str, oracle) -> tuple:
     """Everything the contract says must match a sequential run."""
@@ -169,21 +188,34 @@ def _observable_state(kind: str, oracle) -> tuple:
     return ()
 
 
-def assert_batch_equals_sequential(
-    kind: str, seed: int, n: int, questions: list[Question]
-) -> None:
-    rng = random.Random(seed)
-    target = random_query(rng, n)
-    sequential = _build_stack(kind, seed, n, target)
-    batched = _build_stack(kind, seed, n, target)
+def chunk_sizes(rng: random.Random, count: int, largest: int) -> list[int]:
+    """Consecutive chunk sizes (1..largest) covering ``count`` questions."""
+    sizes: list[int] = []
+    while sum(sizes) < count:
+        sizes.append(rng.randint(1, largest))
+    return sizes
 
-    expected = [sequential.ask(q) for q in questions]
-    got = batched.ask_many(questions)
+
+def assert_chunks_equal_one_batch(
+    kind: str, seed: int, n: int, questions: list[Question], sizes: list[int]
+) -> None:
+    """Asking ``questions`` in consecutive chunks of ``sizes`` equals one
+    ``ask_many`` call: same answers, same observable state."""
+    target = random_query(random.Random(seed), n)
+    whole = _build_stack(kind, seed, n, target)
+    chunked = _build_stack(kind, seed, n, target)
+
+    expected = whole.ask_many(questions)
+    got: list[bool] = []
+    start = 0
+    for size in sizes:
+        got.extend(chunked.ask_many(questions[start : start + size]))
+        start += size
 
     assert got == expected
-    assert _observable_state(kind, batched) == _observable_state(
-        kind, sequential
-    )
+    assert _observable_state(kind, chunked) == _observable_state(kind, whole)
+    if kind in TRUTHFUL:
+        assert expected == [target.evaluate(q) for q in questions]
 
 
 # ----------------------------------------------------------------------
@@ -202,57 +234,22 @@ def oracle_cases(draw):
 
 @given(oracle_cases())
 def test_ask_many_agrees_with_sequential_ask(case):
+    """One question per ``ask_many`` call equals one batch."""
     kind, n, count, seed = case
     questions = random_questions(random.Random(seed ^ 0xA5A5), n, count)
-    assert_batch_equals_sequential(kind, seed, n, questions)
+    assert_chunks_equal_one_batch(kind, seed, n, questions, [1] * count)
 
 
 @given(oracle_cases())
 def test_chunked_batches_agree_with_one_batch(case):
     """Splitting a question list into arbitrary consecutive chunks and
-    asking each chunk through ``ask_many`` equals one big batch (and hence
-    the sequential loop) — batching boundaries are unobservable."""
+    asking each chunk through ``ask_many`` equals one big batch —
+    batching boundaries are unobservable."""
     kind, n, count, seed = case
     rng = random.Random(seed ^ 0x5A5A)
     questions = random_questions(rng, n, count)
-    target = random_query(random.Random(seed), n)
-    whole = _build_stack(kind, seed, n, target)
-    chunked = _build_stack(kind, seed, n, target)
-
-    expected = whole.ask_many(questions)
-    got: list[bool] = []
-    i = 0
-    while i < len(questions):
-        step = rng.randint(1, 5)
-        got.extend(chunked.ask_many(questions[i : i + step]))
-        i += step
-    assert got == expected
-    assert _observable_state(kind, chunked) == _observable_state(kind, whole)
-
-
-@given(oracle_cases())
-def test_ask_all_falls_back_for_ask_only_oracles(case):
-    """`ask_all` must preserve exact sequential semantics for user oracles
-    that only implement ``ask`` — including stateful, order-dependent
-    ones, modeled here by an oracle that flips every third response."""
-    _, n, count, seed = case
-    questions = random_questions(random.Random(seed), n, count)
-    target = random_query(random.Random(seed), n)
-
-    class Moody:
-        def __init__(self) -> None:
-            self.n = n
-            self.calls = 0
-
-        def ask(self, q: Question) -> bool:
-            self.calls += 1
-            truthful = target.evaluate(q)
-            return not truthful if self.calls % 3 == 0 else truthful
-
-    reference, via_helper = Moody(), Moody()
-    expected = [reference.ask(q) for q in questions]
-    assert ask_all(via_helper, questions) == expected
-    assert via_helper.calls == reference.calls
+    sizes = chunk_sizes(rng, count, 5)
+    assert_chunks_equal_one_batch(kind, seed, n, questions, sizes)
 
 
 # ----------------------------------------------------------------------
@@ -261,6 +258,8 @@ def test_ask_all_falls_back_for_ask_only_oracles(case):
 
 
 def test_differential_thousand_cases():
+    """Every case checks singleton chunks and one random chunking
+    against one batch."""
     rng = random.Random(20130624)
     cases = 0
     for i in range(110):
@@ -269,7 +268,8 @@ def test_differential_thousand_cases():
             count = rng.randrange(0, 24)
             seed = rng.randrange(2**32)
             questions = random_questions(random.Random(seed), n, count)
-            assert_batch_equals_sequential(kind, seed, n, questions)
+            for sizes in ([1] * count, chunk_sizes(rng, count, 8)):
+                assert_chunks_equal_one_batch(kind, seed, n, questions, sizes)
             cases += 1
     assert cases >= 1000
 
@@ -279,31 +279,30 @@ def test_differential_thousand_cases():
 # ----------------------------------------------------------------------
 
 
-class AskOnly:
-    """Strips the batch protocol off an oracle, forcing every batch
-    emitted by a learner through the sequential :func:`ask_all` fallback
-    — the "sequential ask" side of the acceptance criterion."""
+class OneAtATime:
+    """Splits every round into one-question ``ask_many`` calls — the
+    "sequential" side: a learner must not notice how its rounds reach
+    the user."""
 
     def __init__(self, inner) -> None:
         self.inner = inner
         self.n = inner.n
 
-    def ask(self, question: Question) -> bool:
-        return self.inner.ask(question)
+    def ask_many(self, questions) -> list[bool]:
+        return [self.inner.ask_many([q])[0] for q in questions]
 
 
 def _run_learner(make_learner, target: QhornQuery, batched: bool):
     counting = CountingOracle(QueryOracle(target))
-    oracle = counting if batched else AskOnly(counting)
+    oracle = counting if batched else OneAtATime(counting)
     result = make_learner(oracle).learn()
     return result.query, counting.stats
 
 
 def test_learners_identical_through_batched_and_sequential_paths():
     """Identical learned queries, question counts and question multisets
-    whether the oracle speaks the batch protocol or only sequential
-    ``ask`` (question *order* may differ: batched FindAll walks its
-    recursion tree level by level)."""
+    whether each round reaches the counting oracle as one batch or one
+    question per call."""
     from repro.learning import Qhorn1Learner, RolePreservingLearner
     from repro.learning.baselines import NaiveQhorn1Learner
 
@@ -335,7 +334,7 @@ def test_reviser_identical_through_both_paths():
         results = []
         for batched in (True, False):
             counting = CountingOracle(QueryOracle(intended))
-            oracle = counting if batched else AskOnly(counting)
+            oracle = counting if batched else OneAtATime(counting)
             out = QueryReviser(given, oracle).revise()
             results.append((canonicalize(out.query), counting.stats.questions))
         assert results[0] == results[1]
@@ -358,7 +357,7 @@ def test_verifier_identical_through_both_paths():
         outcomes = []
         for batched in (True, False):
             counting = CountingOracle(QueryOracle(intended))
-            oracle = counting if batched else AskOnly(counting)
+            oracle = counting if batched else OneAtATime(counting)
             out = Verifier(given).run(oracle)
             outcomes.append(
                 (
@@ -397,7 +396,8 @@ def build_verification_set_of(query):
 
 
 def test_replay_exhaustion_raises_identically():
-    """Past-prefix batches without a live oracle raise in both modes."""
+    """Past-prefix batches without a live oracle raise however the
+    questions are chunked."""
     import pytest
 
     from repro.oracle import ExhaustedReplayError
@@ -405,8 +405,11 @@ def test_replay_exhaustion_raises_identically():
     q = Question.of(2, [bt.all_true(2)])
     sequential = ReplayOracle([True, False], live=None, n=2)
     batched = ReplayOracle([True, False], live=None, n=2)
-    assert [sequential.ask(q), sequential.ask(q)] == batched.ask_many([q, q])
+    assert [
+        sequential.ask_many([q])[0],
+        sequential.ask_many([q])[0],
+    ] == batched.ask_many([q, q])
     with pytest.raises(ExhaustedReplayError):
-        sequential.ask(q)
+        sequential.ask_many([q])
     with pytest.raises(ExhaustedReplayError):
         batched.ask_many([q])

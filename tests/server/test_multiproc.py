@@ -85,7 +85,7 @@ async def answer_round(connection, message, user):
     """Answer ``message``'s round as ``user`` and return the reply."""
     truth = QueryOracle(user.intent)
     questions = [payload_from_dict(d) for d in message["questions"]]
-    answers = [truth.ask(q) for q in questions]
+    answers = truth.ask_many(questions)
     user.transcript.append((questions, answers))
     reply = await ask(
         connection, type="answers", session=user.session_id, answers=answers
@@ -252,7 +252,7 @@ class TestKillOneWorker:
             questions = [
                 payload_from_dict(d) for d in message["questions"]
             ]
-            answers = [truth.ask(q) for q in questions]
+            answers = truth.ask_many(questions)
             writer.write(
                 (
                     json.dumps(

@@ -78,7 +78,7 @@ def assert_bit_identical(finished, wire, intent):
 def answer(message, oracle):
     """The (questions, answers) for one round message."""
     questions = [payload_from_dict(d) for d in message["questions"]]
-    return questions, [oracle.ask(q) for q in questions]
+    return questions, oracle.ask_many(questions)
 
 
 async def answer_until_done(client, oracle, session_id=None, first=None):
@@ -90,9 +90,11 @@ async def answer_until_done(client, oracle, session_id=None, first=None):
         if message["type"] == "finished":
             return message, transcript
         assert message["type"] == "round", message
+        # The whole wire shape of a round: no transport hints.
+        assert set(message) == {"type", "session", "worker", "index", "questions"}
         session_id = message["session"]
         questions = [payload_from_dict(d) for d in message["questions"]]
-        answers = [oracle.ask(q) for q in questions]
+        answers = oracle.ask_many(questions)
         transcript.extend(zip(questions, answers))
         await client.send(
             type="answers", session=session_id, answers=answers
@@ -163,7 +165,7 @@ class TestFullDialogue:
                             payload_from_dict(d)
                             for d in message["questions"]
                         ]
-                        answers = [oracles[sid].ask(q) for q in questions]
+                        answers = oracles[sid].ask_many(questions)
                         await client.send(
                             type="answers", session=sid, answers=answers
                         )
@@ -859,7 +861,7 @@ class TestRestartDurability:
                     questions = [
                         payload_from_dict(d) for d in message["questions"]
                     ]
-                    answers = [oracle.ask(q) for q in questions]
+                    answers = oracle.ask_many(questions)
                     await client.send(
                         type="answers",
                         session=message["session"],

@@ -34,7 +34,6 @@ def record(session_id="s1", **overrides):
             n=3,
             responses=[True, False],
             pending=[q(3, 7), q(3, 1)],
-            pending_batched=False,
             restarts=1,
         ),
     )

@@ -214,6 +214,22 @@ class TestBackendOptions:
         assert "omit uri" in captured.err
         assert captured.out == ""
 
+    def test_demo_rejects_backend_option_before_printing(self, capsys):
+        """The demo builds its backend before its first line of output:
+        a rejected option exits 2 with an empty stdout."""
+        for backend, option in (
+            ("dbapi", "pool_size=2"),
+            ("dbapi", "uri=7"),
+            ("bitmask", "uri=file:/nope.db"),
+        ):
+            assert main(
+                ["demo", "--backend", backend, "--backend-opt", option]
+            ) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("repro demo: ")
+            assert captured.err.count("\n") == 1
+
     def test_typed_coercion_reaches_backend(self, capsys):
         # "7" arrives as the int 7, which is no URI.
         assert main(
@@ -327,9 +343,9 @@ class TestServeStdio:
     def _answer(self, proc, message, oracle):
         from repro.core.serialize import question_from_dict
 
-        answers = [
-            oracle.ask(question_from_dict(d)) for d in message["questions"]
-        ]
+        answers = oracle.ask_many(
+            [question_from_dict(d) for d in message["questions"]]
+        )
         self._send(
             proc, type="answers", session=message["session"], answers=answers
         )

@@ -90,17 +90,18 @@ class TestLearningSession:
             def __init__(self):
                 self.count = 0
 
-            def ask(self, q):
-                self.count += 1
-                truthful = truth.ask(q)
-                return not truthful if self.count == 1 else truthful
+            def ask_many(self, questions):
+                answers = []
+                for truthful in truth.ask_many(questions):
+                    self.count += 1
+                    answers.append(not truthful if self.count == 1 else truthful)
+                return answers
 
         session = LearningSession(Qhorn1Learner, OneLie())
         first = session.run()
         # repair response #0 and restart from there, answering live truthfully
-        fixed = session.rerun_with_correction(
-            first, 0, truth.ask(first.transcript.entries[0].question), live=truth
-        )
+        corrected = truth.ask_many([first.transcript.entries[0].question])[0]
+        fixed = session.rerun_with_correction(first, 0, corrected, live=truth)
         assert fixed.restarts == 1
         assert_equivalent(fixed.query, target)
 

@@ -27,13 +27,13 @@ from repro.oracle import (
 class TestQueryOracle:
     def test_labels_match_target(self):
         oracle = QueryOracle(parse_query("∃x1x2"))
-        assert oracle.ask(Question.from_strings("11"))
-        assert not oracle.ask(Question.from_strings("10", "01"))
+        assert oracle.ask_many([Question.from_strings("11")])[0]
+        assert not oracle.ask_many([Question.from_strings("10", "01")])[0]
 
     def test_rejects_wrong_width(self):
         oracle = QueryOracle(parse_query("∃x1x2"))
         with pytest.raises(ValueError):
-            oracle.ask(Question.from_strings("111"))
+            oracle.ask_many([Question.from_strings("111")])
 
     def test_satisfies_protocol(self):
         assert isinstance(QueryOracle(parse_query("∃x1")), MembershipOracle)
@@ -42,15 +42,15 @@ class TestQueryOracle:
 class TestFunctionOracle:
     def test_wraps_callable(self):
         oracle = FunctionOracle(2, lambda q: len(q) > 1)
-        assert oracle.ask(Question.from_strings("10", "01"))
-        assert not oracle.ask(Question.from_strings("11"))
+        assert oracle.ask_many([Question.from_strings("10", "01")])[0]
+        assert not oracle.ask_many([Question.from_strings("11")])[0]
 
 
 class TestCountingOracle:
     def test_counts_questions_and_tuples(self):
         oracle = CountingOracle(QueryOracle(parse_query("∃x1x2")))
-        oracle.ask(Question.from_strings("11"))
-        oracle.ask(Question.from_strings("10", "01"))
+        oracle.ask_many([Question.from_strings("11")])
+        oracle.ask_many([Question.from_strings("10", "01")])
         assert oracle.questions_asked == 2
         assert oracle.stats.tuples == 3
         assert oracle.stats.max_tuples == 2
@@ -61,7 +61,7 @@ class TestCountingOracle:
 
     def test_reset(self):
         oracle = CountingOracle(QueryOracle(parse_query("∃x1")))
-        oracle.ask(Question.from_strings("1"))
+        oracle.ask_many([Question.from_strings("1")])
         oracle.reset()
         assert oracle.questions_asked == 0
 
@@ -75,8 +75,9 @@ class TestCachingOracle:
         inner = CountingOracle(QueryOracle(parse_query("∃x1x2")))
         cached = CachingOracle(inner)
         q_yes, q_no = Question.from_strings("11"), Question.from_strings("10")
-        assert cached.ask(q_yes) and cached.ask(q_yes)
-        assert not cached.ask(q_no) and not cached.ask(q_no)
+        assert cached.ask_many([q_yes, q_yes]) == [True, True]
+        assert cached.ask_many([q_no]) == [False]
+        assert cached.ask_many([q_no]) == [False]
         assert inner.questions_asked == 2
         assert cached.stats.hits == 2
         assert cached.stats.misses == 2
@@ -89,12 +90,12 @@ class TestCachingOracle:
         q1 = Question.of(1, [0])
         q2 = Question.of(1, [1])
         q3 = Question.of(1, [0, 1])
-        cached.ask(q1)
-        cached.ask(q2)
-        cached.ask(q3)  # evicts q1 (least recently asked)
+        cached.ask_many([q1])
+        cached.ask_many([q2])
+        cached.ask_many([q3])  # evicts q1 (least recently asked)
         assert cached.stats.evictions == 1
         assert q1 not in cached and q2 in cached and q3 in cached
-        cached.ask(q1)  # a miss again
+        cached.ask_many([q1])  # a miss again
         assert cached.stats.misses == 4
 
     def test_invalid_maxsize(self):
@@ -140,28 +141,23 @@ class TestCachingOracle:
     def test_clear_and_reset_stats(self):
         cached = CachingOracle(QueryOracle(parse_query("∃x1")))
         q = Question.from_strings("1")
-        cached.ask(q)
+        cached.ask_many([q])
         cached.reset_stats()
         assert cached.stats.questions == 0
         assert cached.stats.resident_histogram == {1: 1}
         cached.clear()
         assert len(cached) == 0
-        cached.ask(q)
+        cached.ask_many([q])
         assert cached.stats.misses == 1
 
 
 class _BatchSpy:
-    """Inner oracle that records how questions arrive (calls + batches)."""
+    """Inner oracle that records every batch it receives."""
 
     def __init__(self, inner):
         self.inner = inner
         self.n = inner.n
-        self.ask_calls = 0
         self.batches: list[list[Question]] = []
-
-    def ask(self, q):
-        self.ask_calls += 1
-        return self.inner.ask(q)
 
     def ask_many(self, questions):
         self.batches.append(list(questions))
@@ -180,7 +176,7 @@ class TestCachingOracleBatching:
         q_old = Question.from_strings("11")
         q_new1 = Question.from_strings("10")
         q_new2 = Question.from_strings("01", "10")
-        cached.ask(q_old)  # pre-cache
+        cached.ask_many([q_old])  # pre-cache
 
         batch = [q_old, q_new1, q_new1, q_old, q_new2, q_new1]
         responses = cached.ask_many(batch)
@@ -189,9 +185,9 @@ class TestCachingOracleBatching:
         assert cached.stats.misses == 3  # q_old (pre-batch), q_new1, q_new2
         assert cached.stats.hits == 4  # q_old ×2, q_new1 duplicates ×2
         assert cached.stats.questions == 7
-        # The inner oracle saw exactly one batch with only the two misses.
-        assert spy.batches == [[q_new1, q_new2]]
-        assert spy.ask_calls == 1  # only the pre-cache ask
+        # Past the pre-cache call, the inner oracle saw exactly one batch
+        # with only the two misses.
+        assert spy.batches == [[q_old], [q_new1, q_new2]]
 
     def test_batch_eviction_reforwards_duplicates(self):
         """With a tiny LRU, a duplicate whose first occurrence was evicted
@@ -220,7 +216,7 @@ class TestCachingOracleBatching:
         questions = [rng.choice(questions) for _ in range(120)]
         sequential = CachingOracle(QueryOracle(target), maxsize=8)
         batched = CachingOracle(QueryOracle(target), maxsize=8)
-        expected = [sequential.ask(q) for q in questions]
+        expected = [sequential.ask_many([q])[0] for q in questions]
         assert batched.ask_many(questions) == expected
         assert batched.stats.hits == sequential.stats.hits
         assert batched.stats.misses == sequential.stats.misses
@@ -238,11 +234,11 @@ class TestCountingOracleBatching:
     def test_round_stats_separate_batched_from_sequential(self):
         oracle = CountingOracle(QueryOracle(parse_query("∃x1x2")))
         q = Question.from_strings("11")
-        oracle.ask(q)
+        oracle.ask_many([q])
         oracle.ask_many([q, q, q])
+        oracle.ask_many([])  # no round
         assert oracle.questions_asked == 4
         assert oracle.stats.rounds == 2
-        assert oracle.stats.batched_questions == 3
         assert oracle.stats.largest_batch == 3
         assert oracle.stats.mean_batch == pytest.approx(2.0)
 
@@ -271,8 +267,8 @@ class TestRecordingOracle:
     def test_transcript_order_and_content(self):
         oracle = RecordingOracle(QueryOracle(parse_query("∃x1")))
         q1, q2 = Question.from_strings("1"), Question.from_strings("0")
-        oracle.ask(q1)
-        oracle.ask(q2)
+        oracle.ask_many([q1])
+        oracle.ask_many([q2])
         assert [q for q, _ in oracle.transcript] == [q1, q2]
         assert oracle.responses() == [True, False]
 
@@ -282,14 +278,14 @@ class TestNoisyOracle:
         target = parse_query("∃x1x2")
         noisy = NoisyOracle(QueryOracle(target), 0.0, random.Random(1))
         q = Question.from_strings("11")
-        assert noisy.ask(q) == target.evaluate(q)
+        assert noisy.ask_many([q])[0] == target.evaluate(q)
         assert noisy.first_error() is None
 
     def test_full_noise_always_flips(self):
         target = parse_query("∃x1x2")
         noisy = NoisyOracle(QueryOracle(target), 1.0, random.Random(1))
         q = Question.from_strings("11")
-        assert noisy.ask(q) != target.evaluate(q)
+        assert noisy.ask_many([q])[0] != target.evaluate(q)
         assert noisy.first_error() == 0
 
     def test_invalid_probability(self):
@@ -302,16 +298,16 @@ class TestReplayOracle:
         live = QueryOracle(parse_query("∃x1"))
         replay = ReplayOracle([False, False], live)
         q_yes = Question.from_strings("1")
-        assert replay.ask(q_yes) is False
-        assert replay.ask(q_yes) is False
-        assert replay.ask(q_yes) is True  # live now
+        assert replay.ask_many([q_yes])[0] is False
+        assert replay.ask_many([q_yes])[0] is False
+        assert replay.ask_many([q_yes])[0] is True  # live now
 
     def test_exhausted_without_live_raises(self):
         replay = ReplayOracle([True], live=None, n=1)
         q = Question.from_strings("1")
-        assert replay.ask(q)
+        assert replay.ask_many([q])[0]
         with pytest.raises(ExhaustedReplayError):
-            replay.ask(q)
+            replay.ask_many([q])
 
     def test_needs_live_or_n(self):
         with pytest.raises(ValueError):
@@ -327,13 +323,13 @@ class TestAdversary:
         adv = CandidateEliminationAdversary(candidates)
         # the {1^n, pattern} question eliminates at most one candidate
         q = Question.from_strings("111", "011")
-        adv.ask(q)
+        adv.ask_many([q])
         assert adv.remaining >= len(candidates) - 1
 
     def test_answers_consistent_with_some_candidate(self):
         candidates = [parse_query("∃x1", n=2), parse_query("∃x2", n=2)]
         adv = CandidateEliminationAdversary(candidates)
-        response = adv.ask(Question.from_strings("10"))
+        response = adv.ask_many([Question.from_strings("10")])[0]
         assert any(
             c.evaluate(Question.from_strings("10")) == response
             for c in adv.candidates
@@ -367,110 +363,6 @@ class TestAdversary:
             tuples = [t for i, t in enumerate(universe) if bits & (1 << i)]
             questions.append(Question.of(n, tuples))
         assert max_elimination(candidates, questions) <= 1
-
-
-class _ChunkSpy:
-    """Records the size of every ``ask_many`` batch it receives."""
-
-    def __init__(self, target):
-        self.inner = QueryOracle(target)
-        self.n = self.inner.n
-        self.batch_sizes: list[int] = []
-
-    def ask(self, question):
-        return self.inner.ask(question)
-
-    def ask_many(self, questions):
-        self.batch_sizes.append(len(questions))
-        return self.inner.ask_many(questions)
-
-
-class _AskOnlySpy:
-    """An ask-only oracle (no ``ask_many``) counting its calls."""
-
-    def __init__(self, target):
-        self._inner = QueryOracle(target)
-        self.n = self._inner.n
-        self.calls = 0
-
-    def ask(self, question):
-        self.calls += 1
-        return self._inner.ask(question)
-
-
-class TestAskAllChunking:
-    def _questions(self, count, n=3, seed=9):
-        rng = random.Random(seed)
-        return [
-            Question.of(
-                n, [rng.randrange(1 << n) for _ in range(rng.randint(1, 3))]
-            )
-            for _ in range(count)
-        ]
-
-    def test_large_batches_split_into_bounded_chunks(self):
-        from repro.oracle import ask_all
-
-        target = parse_query("∃x1x2", n=3)
-        spy = _ChunkSpy(target)
-        questions = self._questions(25)
-        answers = ask_all(spy, questions, chunk_size=10)
-        assert answers == QueryOracle(target).ask_many(questions)
-        assert spy.batch_sizes == [10, 10, 5]
-
-    def test_chunked_equals_unchunked(self):
-        from repro.oracle import ask_all
-
-        target = parse_query("∀x1 ∃x2x3")
-        questions = self._questions(41)
-        reference = ask_all(_ChunkSpy(target), questions, chunk_size=None)
-        for size in (1, 7, 41, 1000):
-            assert ask_all(_ChunkSpy(target), questions, chunk_size=size) == (
-                reference
-            )
-
-    def test_default_chunk_bounds_single_call(self):
-        from repro.oracle import ASK_ALL_CHUNK_SIZE, ask_all
-
-        target = parse_query("∃x1", n=2)
-        spy = _ChunkSpy(target)
-        count = ASK_ALL_CHUNK_SIZE + 17
-        questions = [Question.of(2, [3])] * count
-        assert ask_all(spy, questions) == [True] * count
-        assert spy.batch_sizes == [ASK_ALL_CHUNK_SIZE, 17]
-
-    def test_ask_only_oracle_streams_without_materializing(self):
-        from repro.oracle import ask_all
-
-        target = parse_query("∃x1x2", n=3)
-        spy = _AskOnlySpy(target)
-        questions = self._questions(12)
-        answers = ask_all(spy, iter(questions), chunk_size=4)
-        assert answers == QueryOracle(target).ask_many(questions)
-        assert spy.calls == 12
-
-    def test_rejects_nonpositive_chunk(self):
-        from repro.oracle import ask_all
-
-        with pytest.raises(ValueError):
-            ask_all(_ChunkSpy(parse_query("∃x1")), [], chunk_size=0)
-
-    def test_empty_batch(self):
-        from repro.oracle import ask_all
-
-        spy = _ChunkSpy(parse_query("∃x1"))
-        assert ask_all(spy, []) == []
-        assert spy.batch_sizes == []
-
-    def test_chunks_count_as_rounds(self):
-        """A > chunk-size batch is genuinely several transport calls, and
-        the round statistics say so."""
-        from repro.oracle import ask_all
-
-        oracle = CountingOracle(QueryOracle(parse_query("∃x1", n=2)))
-        ask_all(oracle, [Question.of(2, [3])] * 10, chunk_size=4)
-        assert oracle.stats.rounds == 3
-        assert oracle.questions_asked == 10
 
 
 class TestSqlQueryOracle:
@@ -508,8 +400,8 @@ class TestSqlQueryOracle:
         with SqlQueryOracle(target) as oracle:
             q_yes = Question.from_strings("111")
             q_no = Question.from_strings("011")
-            assert oracle.ask(q_yes) is True
-            assert oracle.ask(q_no) is False
+            assert oracle.ask_many([q_yes])[0] is True
+            assert oracle.ask_many([q_no])[0] is False
             assert oracle.ask_many([q_yes, q_no, q_yes, q_yes]) == [
                 True,
                 False,
@@ -522,7 +414,7 @@ class TestSqlQueryOracle:
 
         with SqlQueryOracle(parse_query("∃x1x2")) as oracle:
             with pytest.raises(ValueError):
-                oracle.ask(Question.from_strings("111"))
+                oracle.ask_many([Question.from_strings("111")])
 
     def test_satisfies_protocol_and_drives_learning(self):
         from repro.learning import RolePreservingLearner
@@ -543,7 +435,9 @@ class TestSqlQueryOracle:
         with SqlQueryOracle(relaxed) as oracle:
             assert oracle.ask_many([]) == []
             empty = Question.of(2, [])
-            assert oracle.ask(empty) is QueryOracle(relaxed).ask(empty)
+            assert oracle.ask_many([empty]) == QueryOracle(relaxed).ask_many(
+                [empty]
+            )
 
 
 class TestSqlQueryOracleConnection:
@@ -553,7 +447,7 @@ class TestSqlQueryOracleConnection:
         oracle = SqlQueryOracle(parse_query("∃x1"))
         oracle.close()
         with pytest.raises(RuntimeError, match="closed"):
-            oracle.ask(Question.of(1, [1]))
+            oracle.ask_many([Question.of(1, [1])])
         oracle.close()  # idempotent
 
     def test_private_in_memory_uri_rejected(self):
@@ -619,6 +513,6 @@ class TestSqlQueryOracleConnection:
             assert oracle.connection.stale_retries == 1
             # The oracle still answers after the synthetic failure: the
             # keeper held its shared-memory database open.
-            assert oracle.ask(Question.of(2, [3])) is True
+            assert oracle.ask_many([Question.of(2, [3])])[0] is True
         finally:
             oracle.close()

@@ -29,7 +29,6 @@ from repro.protocol import (
     ask_one,
     ask_round,
     drive,
-    run_inline,
 )
 
 
@@ -54,7 +53,7 @@ class TestAskHelpers:
         protocol = LearnerProtocol(steps())
         event = protocol.start()
         assert isinstance(event, Round)
-        assert not event.batched and len(event) == 1
+        assert event.questions == (q(2, 3),)
         done = protocol.feed([True])
         assert isinstance(done, Finished) and done.result is True
 
@@ -71,7 +70,7 @@ class TestAskHelpers:
 
         protocol = LearnerProtocol(steps())
         event = protocol.start()
-        assert event.batched and len(event) == 2
+        assert event.questions == (q(2, 1), q(2, 2))
         assert protocol.feed([True, False]).result == [True, False]
 
 
@@ -144,22 +143,6 @@ class TestAsProtocol:
             as_protocol(42)
 
 
-class TestRunInline:
-    def test_returns_value(self):
-        def steps():
-            return 7
-            yield  # pragma: no cover
-
-        assert run_inline(steps()) == 7
-
-    def test_rejects_yielding_steps(self):
-        def steps():
-            yield Round((q(2, 1),))
-
-        with pytest.raises(ProtocolError, match="unexpectedly yielded"):
-            run_inline(steps())
-
-
 class TestDrive:
     def test_drive_matches_learn(self):
         target = random_qhorn1(4, random.Random(3))
@@ -171,13 +154,13 @@ class TestDrive:
         assert vars(a.stats) == vars(b.stats)
 
     def test_answer_round_dispatch(self):
+        """One ``ask_many`` call per membership round."""
         oracle = CountingOracle(QueryOracle(random_qhorn1(3, random.Random(1))))
-        single = Round((q(3, 7),), batched=False)
-        batch = Round((q(3, 7), q(3, 5)), batched=True)
-        answer_round(oracle, single)
-        answer_round(oracle, batch)
+        answer_round(oracle, Round((q(3, 7),)))
+        answer_round(oracle, Round((q(3, 7), q(3, 5))))
         assert oracle.stats.rounds == 2
-        assert oracle.stats.batched_questions == 2
+        assert oracle.stats.largest_batch == 2
+        assert oracle.questions_asked == 3
 
     def test_answer_round_expression_dispatch(self):
         class Fake:
@@ -271,11 +254,17 @@ class TestSessionStepMode:
             n=3,
             responses=[True, False],
             pending=[q(3, 7), q(3, 1)],
-            pending_batched=False,
             restarts=2,
         )
         data = json.loads(json.dumps(snapshot.to_dict()))
         assert SessionSnapshot.from_dict(data) == snapshot
+
+    def test_snapshot_from_dict_ignores_retired_key(self):
+        """Rows written with the retired ``pending_batched`` key load."""
+        data = SessionSnapshot(n=3, responses=[True], pending=[q(3, 7)]).to_dict()
+        assert "pending_batched" not in data
+        legacy = dict(data, pending_batched=False)
+        assert SessionSnapshot.from_dict(legacy) == SessionSnapshot.from_dict(data)
 
     def test_snapshot_version_guard(self):
         with pytest.raises(SnapshotError, match="version"):
