@@ -9,7 +9,7 @@ the relation grows?
 
 The bitmask index builds in one pass over the rows (a position list per
 mask, each packed into its bitset), and labels through the linear
-:func:`~repro.data.index.labels_of`, so both phases scale linearly.  The
+:func:`~repro.data.index.flags_of`, so both phases scale linearly.  The
 ``dbapi`` row (DESIGN.md §2i) runs the workload in SQLite round trips on
 a *file-backed* URI over the backend's one connection — informational
 (trend entry ``e23_dbapi``), since disk overhead is machine-dependent.

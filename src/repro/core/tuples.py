@@ -64,7 +64,7 @@ def variables_of(mask: int) -> Iterator[int]:
 
     Every step copies ``mask``, so this suits variable masks (at most
     :data:`MAX_VARIABLES` bits); object-position bitsets decode with
-    :func:`repro.data.index.positions_of`.
+    :func:`repro.data.index.flags_of`.
     """
     while mask:
         low = mask & -mask

@@ -26,7 +26,9 @@ whose tables :func:`zeta_bits` refuses (a mask space much wider than the
 distinct masks in it) goes through the :func:`evaluate_inverted` scan
 instead: ``O(#distinct_masks × #expressions)`` mask tests and bitset
 unions.  Turning the bitset into objects (:meth:`RelationIndex.execute`)
-adds one ``O(W/8 + answers)`` decode (:func:`positions_of`).
+adds one ``O(W)`` decode to a boolean flag array (:func:`flags_of`) and
+one numpy gather from the object array built with the index: no Python
+``int`` is made per answer.
 
 Agreement with the per-object reference path is enforced by the
 differential property suite in ``tests/properties/test_prop_engine.py``;
@@ -51,9 +53,8 @@ __all__ = [
     "RelationIndex",
     "ZETA_TABLE_BUDGET",
     "evaluate_inverted",
-    "labels_of",
+    "flags_of",
     "pack_positions",
-    "positions_of",
     "superset_unions",
     "zeta_bits",
 ]
@@ -65,45 +66,21 @@ __all__ = [
 #: bit queried).
 ZETA_TABLE_BUDGET = 1 << 24
 
-#: Byte value → its 8 bit labels (LSB first), so decoding an
-#: object-position bitset costs one table lookup per 8 positions.
-_BYTE_LABELS = tuple(
-    tuple(bool(value >> i & 1) for i in range(8)) for value in range(256)
-)
 
-
-def labels_of(bits: int, count: int) -> list[bool]:
-    """Decode an object-position bitset into ``count`` per-position labels.
-
-    The obvious ``bits >> i & 1`` loop re-shifts the full big integer per
-    position — ``O(count)`` per shift, ``O(count²)`` for a pass — which
-    dominated full-relation labeling at large relations.  ``to_bytes``
-    extracts every position in one linear pass instead; a 256-entry table
-    then expands each byte to its 8 labels.  The full-relation path of
-    :meth:`RelationIndex.matches_many`.
-    """
-    if count <= 0:
-        return []
-    out: list[bool] = []
-    for byte in bits.to_bytes((count + 7) // 8, "little"):
-        out.extend(_BYTE_LABELS[byte])
-    del out[count:]
-    return out
-
-
-def positions_of(bits: int, count: int) -> list[int]:
-    """Decode an object-position bitset over ``count`` objects into its
-    set positions, ascending.
+def flags_of(bits: int, count: int) -> np.ndarray:
+    """Decode an object-position bitset over ``count`` objects into a
+    boolean flag array of length ``count``: entry ``i`` is bit ``i``.
 
     Peeling off the lowest set bit would copy the whole big integer per
     answer, ``O(answers × W)`` over ``W`` objects.  Instead ``to_bytes``
-    copies the bitset once, ``np.unpackbits`` expands it to one byte per
-    position and ``np.flatnonzero`` collects the set ones:
-    ``O(W/8 + answers)``.  The decoder behind
-    :meth:`RelationIndex.execute`; :func:`pack_positions` is its reverse.
+    copies the bitset once and ``np.unpackbits`` expands it to one byte
+    per position, viewed as ``bool``: ``O(W)``, with no Python object
+    per position.  The decoder behind :meth:`RelationIndex.execute` and
+    :meth:`RelationIndex.matches_many`; :func:`pack_positions` is its
+    reverse.
     """
     packed = np.frombuffer(bits.to_bytes((count + 7) // 8, "little"), np.uint8)
-    return np.flatnonzero(np.unpackbits(packed, bitorder="little")).tolist()
+    return np.unpackbits(packed, count=count, bitorder="little").view(np.bool_)
 
 
 def pack_positions(
@@ -115,7 +92,7 @@ def pack_positions(
     Accumulating ``1 << position`` per (object, mask) pair would copy a
     ``W``-bit integer each time, ``O(W²)`` over ``W`` objects.  Instead
     each list sets its positions in one reused flag array,
-    ``np.packbits`` packs the array (the bytes :func:`positions_of`
+    ``np.packbits`` packs the array (the bytes :func:`flags_of`
     unpacks) and ``int.from_bytes`` reads the bitset off it:
     ``O(W/8 + positions)`` per distinct mask.
     """
@@ -316,15 +293,17 @@ class RelationIndex:
     # Construction / freshness
     # ------------------------------------------------------------------
     def _build(self) -> None:
-        objects = self.relation.objects
+        relation = self.relation
+        count = len(relation)
         # One pass over the rows with one distinct-row memo, then one
         # packed bitset per distinct mask.
-        positions = self.vocabulary.mask_positions(obj.rows for obj in objects)
-        self._objects = objects
-        self._kernel = BitsetKernel(
-            pack_positions(positions, len(objects)), len(objects)
-        )
-        self._built_version = getattr(self.relation, "version", None)
+        positions = self.vocabulary.mask_positions(obj.rows for obj in relation)
+        # The objects as a 1-D object array, for ``execute``'s boolean-mask
+        # gather; ``np.fromiter`` stores each reference without probing it
+        # for nested sequences, as ``np.array`` would.
+        self._objects = np.fromiter(relation, dtype=object, count=count)
+        self._kernel = BitsetKernel(pack_positions(positions, count), count)
+        self._built_version = getattr(relation, "version", None)
 
     @property
     def is_stale(self) -> bool:
@@ -371,15 +350,16 @@ class RelationIndex:
         return self._kernel.matching_bits(compiled)
 
     def execute(self, query: QhornQuery | CompiledQuery) -> list[NestedObject]:
-        """The relation's answers to ``query``, in relation order."""
+        """The relation's answers to ``query``, in relation order: a
+        plain list of the relation's own objects."""
         bits = self.matching_bits(query)
         objects = self._objects
-        return [objects[i] for i in positions_of(bits, len(objects))]
+        return objects[flags_of(bits, len(objects))].tolist()
 
     def matches_many(self, query: QhornQuery | CompiledQuery) -> list[bool]:
         """Per-object answer labels for the whole relation, in relation
         order."""
-        return labels_of(self.matching_bits(query), len(self._objects))
+        return flags_of(self.matching_bits(query), len(self._objects)).tolist()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

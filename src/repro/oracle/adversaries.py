@@ -54,8 +54,10 @@ class CandidateEliminationAdversary:
         answers: list[bool] = []
         for question in questions:
             self.questions_asked += 1
-            yes = [q for q in self.candidates if q.evaluate(question)]
-            no = [q for q in self.candidates if not q.evaluate(question)]
+            yes: list[QhornQuery] = []
+            no: list[QhornQuery] = []
+            for q in self.candidates:
+                (yes if q.evaluate(question) else no).append(q)
             answer = len(no) < len(yes)
             self.candidates = yes if answer else no
             answers.append(answer)

@@ -82,9 +82,13 @@ class TestBatchEngine:
         engine = QueryEngine(store, storefront_vocabulary())
         for shorthand in ("∀x1 ∃x1x2x3", "∀x2→x1", "∃x3x4", "∀x1x2→x4 ∃x3"):
             query = parse_query(shorthand, n=4)
-            assert [o.key for o in engine.execute_batch(query)] == [
+            answers = engine.execute_batch(query)
+            assert [o.key for o in answers] == [
                 o.key for o in engine.execute(query)
             ]
+            # A plain list of the relation's own objects, not copies.
+            assert type(answers) is list
+            assert all(store.get(o.key) is o for o in answers)
 
     def test_matches_many_whole_relation(self):
         store = random_store(40, random.Random(4))
@@ -97,7 +101,7 @@ class TestBatchEngine:
         engine = QueryEngine(rel, paper_vocabulary())
         query = parse_query("∀x1 ∃x2x3")
         assert engine.execute_batch(query) == []
-        rel.add_object(
+        added = rel.add_object(
             "Madagascar Select",
             rows=[
                 dict(origin="Madagascar", isSugarFree=True, isDark=True,
@@ -105,9 +109,11 @@ class TestBatchEngine:
             ],
         )
         assert engine.index.is_stale
-        assert [o.key for o in engine.execute_batch(query)] == [
-            "Madagascar Select"
-        ]
+        answers = engine.execute_batch(query)
+        assert [o.key for o in answers] == ["Madagascar Select"]
+        # The rebuilt object array serves the inserted object itself.
+        assert type(answers) is list
+        assert answers[0] is added
         assert not engine.index.is_stale
 
     def test_batch_width_mismatch_rejected(self):

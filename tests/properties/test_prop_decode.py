@@ -1,31 +1,32 @@
-"""Differential properties: the object-position bitset decoders.
+"""Differential properties: the object-position bitset decoder.
 
-:func:`~repro.data.index.positions_of` (answer positions, behind every
-bitmask backend's ``execute``) and :func:`~repro.data.index.labels_of`
-(per-position labels, behind ``matches_many``) both decode an
-arbitrary-width ``int`` in one ``to_bytes`` pass.  Both are pinned here
-against two reference loops: lowest-set-bit peeling
+:func:`~repro.data.index.flags_of` decodes an arbitrary-width ``int`` in
+one ``to_bytes`` pass into a boolean flag array: the mask behind every
+bitmask backend's ``execute`` gather, and, through ``.tolist()``, the
+per-position labels of ``matches_many``.  It is pinned here against two
+reference loops: lowest-set-bit peeling
 (:func:`repro.core.tuples.variables_of`) and the per-position shift
 ``bits >> i & 1``.  Counts 7/8/9 straddle a byte, 63/64/65 a word.
 """
 
 from __future__ import annotations
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import tuples as bt
-from repro.data.index import labels_of, positions_of
+from repro.data.index import flags_of
 
 EDGE_COUNTS = (0, 1, 7, 8, 9, 63, 64, 65)
 
 
 def _assert_decodes(bits: int, count: int) -> None:
-    positions = positions_of(bits, count)
-    assert positions == list(bt.variables_of(bits))
-    assert positions == [i for i in range(count) if bits >> i & 1]
-    assert all(type(i) is int for i in positions)
-    labels = labels_of(bits, count)
+    flags = flags_of(bits, count)
+    assert flags.dtype == np.bool_
+    assert flags.shape == (count,)
+    assert np.flatnonzero(flags).tolist() == list(bt.variables_of(bits))
+    labels = flags.tolist()
     assert labels == [bool(bits >> i & 1) for i in range(count)]
     assert all(type(label) is bool for label in labels)
 
