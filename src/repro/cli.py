@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import random
+import sqlite3
 import sys
 
 from repro.core.normalize import canonicalize
@@ -25,41 +26,31 @@ from repro.learning import (
     RolePreservingLearner,
     revise_query,
 )
-from repro.oracle import (
-    CachingOracle,
-    CountingOracle,
-    QueryOracle,
-    SqlQueryOracle,
-)
+from repro.oracle import CachingOracle, CountingOracle, QueryOracle
 from repro.verification import Verifier
 
 __all__ = ["main", "build_parser"]
-
-#: Backends whose membership oracle runs SQL and takes ``--backend-opt``.
-SQL_BACKENDS = frozenset({"dbapi"})
 
 #: Backend-selection guide shown in ``--help`` (DESIGN.md §2c).
 BACKEND_GUIDE = """\
 evaluation backends (--backend):
   bitmask   one in-process inverted bitmask index over the whole relation,
-            built in one pass over the rows; the default, and the
-            mask-native oracle for learn/verify
+            built in one pass over the rows; the default
   dbapi     the database answers (DESIGN.md §2i): the relation loads into
             a SQLite database, queries compile to SQL once and run in one
             round trip on the backend's one connection, replayed once on
-            a fresh connection when a statement fails; learn/verify
-            answer membership questions the same way.  A private
+            a fresh connection when a statement fails.  A private
             shared-memory database by default, or
             --backend-opt uri=file:/path/db.sqlite for a file-backed
             store
 Both backends return identical answers on identical state (DESIGN.md
-§2c), and learn, verify and demo take either.
+§2c).  demo evaluates its learned query with either; learn and verify
+evaluate no relation and take no --backend.
 
 backend options (--backend-opt KEY=VALUE, repeatable):
-  one uniform options pipeline for every subcommand: each occurrence is
-  a key=value pair forwarded to the backend (or its oracle) constructor
-  with typed coercion (true/false → bool, digits → int/float,
-  none → None).  Examples:
+  each occurrence is a key=value pair forwarded to the backend
+  constructor with typed coercion (true/false → bool, digits →
+  int/float, none → None); uri (dbapi) is the one option.  Example:
     --backend dbapi --backend-opt uri=file:/tmp/store.sqlite
   The same pairs drive QueryEngine(backend_options=...) in code and the
   pytest --backend/--backend-opt fixtures in the test-suite.
@@ -104,102 +95,16 @@ exhaustive conformance (repro enumerate, DESIGN.md §2j):
   where the property suites sample, `repro enumerate` proves by cases:
   it generates EVERY qhorn-1 query up to --max-props propositions
   (deduplicated up to semantic equivalence) and EVERY relation up to
-  --max-objects objects, then drives each through the full matrix —
-  learner (qhorn1/naive/role-preserving) × oracle transport
-  (direct/dbapi), and both evaluation backends — asserting
-  bit-identical transcripts, stats and learned
-  queries everywhere, and checking Theorem 3.1's question bound on
-  every single instance.  Any disagreement is shrunk to a minimal
+  --max-objects objects.  Every learner (qhorn1/naive/role-preserving)
+  must learn each query to an equivalent one, within the paper's
+  question bound where one applies, and both evaluation backends must
+  reproduce the compiled reference labels on every (query, store) pair.
+  Any disagreement is shrunk to a minimal
   witness and written to the JSONL corpus (--out FILE), which
   `python -m repro.server.loadgen --scenario FILE` replays as server
   load and --resume continues after an interruption.  Exit status 1 on
   any divergence.
 """
-
-
-def _add_enumerate_arguments(parser: argparse.ArgumentParser) -> None:
-    """The `repro enumerate` surface (shared with python -m
-    repro.enumerate.runner)."""
-    parser.add_argument(
-        "--max-props",
-        type=int,
-        default=2,
-        metavar="K",
-        help="enumerate every query over up to K propositions "
-        "(semantic dedup walks 2^(2^K) objects: K<=4; default 2)",
-    )
-    parser.add_argument(
-        "--max-objects",
-        type=int,
-        default=2,
-        metavar="N",
-        help="enumerate every relation with up to N objects (default 2)",
-    )
-    parser.add_argument(
-        "--max-rows",
-        type=int,
-        default=2,
-        metavar="R",
-        help="rows (distinct tuples) per enumerated object (default 2)",
-    )
-    parser.add_argument(
-        "--max-exprs",
-        type=int,
-        default=None,
-        metavar="E",
-        help="expressions per enumerated query (default: n at each n)",
-    )
-    parser.add_argument(
-        "--vocab",
-        choices=("bool", "mixed"),
-        default="bool",
-        help="store concretization: pure Boolean attributes, or mixed "
-        "Boolean/category/numeric (exercises typed SQL rendering)",
-    )
-    parser.add_argument(
-        "--guarantees",
-        choices=("true", "both"),
-        default="true",
-        help="evaluation semantics to enumerate: the paper default, or "
-        "also the relaxed no-guarantee variant",
-    )
-    parser.add_argument(
-        "--matrix",
-        default="full",
-        metavar="SPEC",
-        help="conformance matrix: 'full' or axis=a+b pairs joined by ';' "
-        "(axes: learners, oracles, backends), e.g. "
-        "'learners=qhorn1;backends=bitmask+dbapi;oracles=direct'",
-    )
-    parser.add_argument(
-        "--out",
-        metavar="FILE",
-        default=None,
-        help="append the JSONL corpus (queries, stores, verdicts, "
-        "divergences, summary) here; doubles as a loadgen scenario file",
-    )
-    parser.add_argument(
-        "--resume",
-        action="store_true",
-        help="skip work already verified clean in --out and append",
-    )
-    parser.add_argument(
-        "--progress-every",
-        type=int,
-        default=25,
-        metavar="N",
-        help="progress line to stderr every N units of work (default 25)",
-    )
-
-
-def build_enumerate_parser() -> argparse.ArgumentParser:
-    """Standalone parser for ``python -m repro.enumerate.runner``."""
-    parser = argparse.ArgumentParser(
-        prog="repro-enumerate",
-        description="bounded-exhaustive differential conformance sweep",
-    )
-    _add_enumerate_arguments(parser)
-    return parser
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -212,23 +117,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_backend_flag(p) -> None:
-        p.add_argument(
-            "--backend",
-            choices=sorted(BACKENDS),
-            default="bitmask",
-            help="evaluation backend (default: bitmask; see the guide at "
-            "the bottom of `repro --help`)",
-        )
-        p.add_argument(
-            "--backend-opt",
-            action="append",
-            default=None,
-            metavar="KEY=VALUE",
-            help="backend constructor option, repeatable, typed coercion "
-            "(see the guide at the bottom of `repro --help`)",
-        )
-
     learn = sub.add_parser("learn", help="learn a target query by example")
     learn.add_argument("target", help="query shorthand, e.g. '∀x1 ∃x2x3'")
     learn.add_argument("--n", type=int, default=None)
@@ -238,7 +126,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="role-preserving",
     )
     learn.add_argument("--json", action="store_true", help="emit JSON")
-    add_backend_flag(learn)
 
     verify = sub.add_parser(
         "verify", help="verify a given query against an intended one"
@@ -246,7 +133,6 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("given")
     verify.add_argument("intended")
     verify.add_argument("--n", type=int, default=None)
-    add_backend_flag(verify)
 
     revise = sub.add_parser(
         "revise", help="revise a close query toward the intended one"
@@ -260,7 +146,21 @@ def build_parser() -> argparse.ArgumentParser:
     sql.add_argument("--n", type=int, default=None)
 
     demo = sub.add_parser("demo", help="run the chocolate-store walkthrough")
-    add_backend_flag(demo)
+    demo.add_argument(
+        "--backend",
+        choices=sorted(BACKENDS),
+        default="bitmask",
+        help="evaluation backend (default: bitmask; see the guide at "
+        "the bottom of `repro --help`)",
+    )
+    demo.add_argument(
+        "--backend-opt",
+        action="append",
+        default=None,
+        metavar="KEY=VALUE",
+        help="backend constructor option, repeatable, typed coercion "
+        "(see the guide at the bottom of `repro --help`)",
+    )
 
     serve = sub.add_parser(
         "serve",
@@ -324,7 +224,77 @@ def build_parser() -> argparse.ArgumentParser:
         help="exhaustive bounded enumeration + differential conformance "
         "(see the enumerate guide at the bottom of `repro --help`)",
     )
-    _add_enumerate_arguments(enumerate_)
+    enumerate_.add_argument(
+        "--max-props",
+        type=_max_props,
+        default=2,
+        metavar="K",
+        help="enumerate every query over up to K propositions "
+        "(semantic dedup walks 2^(2^K) objects: K<=4; default 2)",
+    )
+    enumerate_.add_argument(
+        "--max-objects",
+        type=int,
+        default=2,
+        metavar="N",
+        help="enumerate every relation with up to N objects (default 2)",
+    )
+    enumerate_.add_argument(
+        "--max-rows",
+        type=int,
+        default=2,
+        metavar="R",
+        help="rows (distinct tuples) per enumerated object (default 2)",
+    )
+    enumerate_.add_argument(
+        "--max-exprs",
+        type=int,
+        default=None,
+        metavar="E",
+        help="expressions per enumerated query (default: n at each n)",
+    )
+    enumerate_.add_argument(
+        "--vocab",
+        choices=("bool", "mixed"),
+        default="bool",
+        help="store concretization: pure Boolean attributes, or mixed "
+        "Boolean/category/numeric (exercises typed SQL rendering)",
+    )
+    enumerate_.add_argument(
+        "--guarantees",
+        choices=("true", "both"),
+        default="true",
+        help="evaluation semantics to enumerate: the paper default, or "
+        "also the relaxed no-guarantee variant",
+    )
+    enumerate_.add_argument(
+        "--matrix",
+        type=_matrix,
+        default="full",
+        metavar="SPEC",
+        help="conformance matrix: 'full' or axis=a+b pairs joined by ';' "
+        "(axes: learners, backends), e.g. "
+        "'learners=qhorn1;backends=bitmask+dbapi'",
+    )
+    enumerate_.add_argument(
+        "--out",
+        metavar="FILE",
+        default=None,
+        help="append the JSONL corpus (queries, stores, verdicts, "
+        "divergences, summary) here; doubles as a loadgen scenario file",
+    )
+    enumerate_.add_argument(
+        "--resume",
+        action="store_true",
+        help="skip work already verified clean in --out and append",
+    )
+    enumerate_.add_argument(
+        "--progress-every",
+        type=_positive,
+        default=25,
+        metavar="N",
+        help="progress line to stderr every N units of work (default 25)",
+    )
     return parser
 
 
@@ -339,13 +309,39 @@ def _port(text: str) -> int:
     return port
 
 
-def _backend_opts(args, command: str) -> dict | None:
-    """Parse the repeatable ``--backend-opt`` pairs; None + message on error."""
+def _positive(text: str) -> int:
+    """argparse type of ``--progress-every``: an int of 1 or more."""
     try:
-        return parse_backend_opts(getattr(args, "backend_opt", None))
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be 1 or more, got {value}")
+    return value
+
+
+def _max_props(text: str) -> int:
+    """argparse type of ``--max-props``: 1 to ``MAX_PROPS``."""
+    from repro.enumerate.space import MAX_PROPS
+
+    value = _positive(text)
+    if value > MAX_PROPS:
+        raise argparse.ArgumentTypeError(
+            f"at most {MAX_PROPS} (semantic dedup walks 2^(2^K) "
+            f"objects), got {value}"
+        )
+    return value
+
+
+def _matrix(text: str) -> str:
+    """argparse type of ``--matrix``: a spec ``MatrixSpec.parse`` accepts."""
+    from repro.enumerate.differ import MatrixSpec
+
+    try:
+        MatrixSpec.parse(text)
     except ValueError as error:
-        print(f"repro {command}: {error}", file=sys.stderr)
-        return None
+        raise argparse.ArgumentTypeError(str(error)) from None
+    return text
 
 
 def _too_wide(command: str, query) -> bool:
@@ -361,50 +357,16 @@ def _too_wide(command: str, query) -> bool:
     return True
 
 
-def _target_oracle(target, backend: str, options: dict):
-    """The ground-truth oracle for ``target`` under a backend choice.
-
-    SQL-capable backends (``dbapi``) answer through
-    :class:`SqlQueryOracle`'s one-round-trip ``ask_many`` on one
-    connection, exactly like ``DbApiBackend`` evaluations do, and
-    ``--backend-opt uri=file:...`` places its database.  Returns
-    ``(oracle, closer)`` where ``closer`` releases the connection —
-    ``None`` when nothing needs closing.
-    """
-    sql_capable = backend in SQL_BACKENDS
-    if not sql_capable and options:
-        raise ValueError(
-            f"backend {backend!r} answers in process and takes no "
-            f"--backend-opt (got: {', '.join(sorted(options))})"
-        )
-    if sql_capable:
-        oracle = SqlQueryOracle(target, **options)
-        return oracle, oracle
-    return QueryOracle(target), None
-
-
 def _cmd_learn(args) -> int:
     target = parse_query(args.target, n=args.n)
     if _too_wide("learn", target):
         return 2
-    options = _backend_opts(args, "learn")
-    if options is None:
-        return 2
-    try:
-        evaluator, closer = _target_oracle(target, args.backend, options)
-    except (TypeError, ValueError) as error:
-        print(f"repro learn: {error}", file=sys.stderr)
-        return 2
-    cache = CachingOracle(evaluator)
+    cache = CachingOracle(QueryOracle(target))
     oracle = CountingOracle(cache)
     learner_cls = (
         Qhorn1Learner if args.learner == "qhorn1" else RolePreservingLearner
     )
-    try:
-        result = learner_cls(oracle).learn()
-    finally:
-        if closer is not None:
-            closer.close()
+    result = learner_cls(oracle).learn()
     exact = canonicalize(result.query) == canonicalize(target)
     if args.json:
         print(query_to_json(result.query))
@@ -432,19 +394,7 @@ def _cmd_verify(args) -> int:
         given = parse_query(args.given, n=intended.n)
     if _too_wide("verify", intended):
         return 2
-    options = _backend_opts(args, "verify")
-    if options is None:
-        return 2
-    try:
-        evaluator, closer = _target_oracle(intended, args.backend, options)
-    except (TypeError, ValueError) as error:
-        print(f"repro verify: {error}", file=sys.stderr)
-        return 2
-    try:
-        outcome = Verifier(given).run(evaluator)
-    finally:
-        if closer is not None:
-            closer.close()
+    outcome = Verifier(given).run(QueryOracle(intended))
     print(f"given   : {given.shorthand()}")
     print(f"intended: {intended.shorthand()}")
     print(f"verified: {outcome.verified} "
@@ -496,10 +446,6 @@ def _cmd_sql(args) -> int:
 
 
 def _cmd_demo(args) -> int:
-    backend_options = _backend_opts(args, "demo")
-    if backend_options is None:
-        return 2
-
     from repro.data import QueryEngine
     from repro.data.chocolate import (
         intro_query,
@@ -510,12 +456,15 @@ def _cmd_demo(args) -> int:
 
     vocabulary = storefront_vocabulary()
     store = random_store(100, random.Random(1304))
-    engine = QueryEngine(
-        store, vocabulary, backend=args.backend, backend_options=backend_options
-    )
     try:
         # Build the backend before the first line of output, so a
         # rejected option exits 2 with nothing printed.
+        engine = QueryEngine(
+            store,
+            vocabulary,
+            backend=args.backend,
+            backend_options=parse_backend_opts(args.backend_opt),
+        )
         backend = engine.backend
     except (TypeError, ValueError) as error:
         print(f"repro demo: {error}", file=sys.stderr)
@@ -692,8 +641,9 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except ParseError as error:
-        # A malformed query argument is an input error, not a crash.
+    except (ParseError, OSError, sqlite3.Error) as error:
+        # A malformed query, or a file, database or address the command
+        # cannot open, is an input error, not a crash.
         print(f"repro {args.command}: {error}", file=sys.stderr)
         return 2
 

@@ -27,12 +27,11 @@ empty objects.  The differential property suite
 backends on ≥ 1000 seeded cases.
 
 **Versioning / refresh.**  Backends snapshot the relation's monotone
-``version`` counter when they build.  With ``auto_refresh=True`` (the
-default everywhere) every evaluation first compares counters and rebuilds
-on mismatch, so inserts are never silently ignored; :attr:`is_stale` and
-:meth:`refresh` expose the same contract explicitly.  In-place mutation
-of an object's ``rows`` bypasses the counter — callers must
-``refresh(force=True)``.
+``version`` counter when they build.  Every evaluation first compares
+counters and rebuilds on mismatch, so inserts are never silently
+ignored; :attr:`is_stale` and :meth:`refresh` expose the same contract
+explicitly.  In-place mutation of an object's ``rows`` bypasses the
+counter — callers must ``refresh(force=True)``.
 
 **Determinism.**  Answer order is relation order, whatever order the
 backend computes answers in (the SQL backend's rows come back in key

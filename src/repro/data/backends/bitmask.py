@@ -28,31 +28,21 @@ class BitmaskBackend:
     ----------
     relation, vocabulary:
         The evaluated pair; the index over them is built lazily on first
-        evaluation.
-    auto_refresh:
-        Forwarded to the index: evaluations rebuild on version mismatch.
+        evaluation, and rebuilt when the relation's version moves.
     """
 
     name = "bitmask"
 
-    def __init__(
-        self,
-        relation: NestedRelation,
-        vocabulary: Vocabulary,
-        auto_refresh: bool = True,
-    ) -> None:
+    def __init__(self, relation: NestedRelation, vocabulary: Vocabulary) -> None:
         self.relation = relation
         self.vocabulary = vocabulary
-        self.auto_refresh = auto_refresh
         self._index: RelationIndex | None = None
 
     @property
     def index(self) -> RelationIndex:
         """The backing index, built on first access."""
         if self._index is None:
-            self._index = RelationIndex(
-                self.relation, self.vocabulary, auto_refresh=self.auto_refresh
-            )
+            self._index = RelationIndex(self.relation, self.vocabulary)
         return self._index
 
     def matching_bits(self, query: QhornQuery | CompiledQuery) -> int:

@@ -5,11 +5,9 @@ relation into a PEP 249 database, compiles each query to SQL once (a
 per-backend statement cache keyed on the hashable ``QhornQuery``), and
 answers every evaluation in one round trip on the one connection it
 holds, a :class:`RetryingConnection`: work that fails with
-``sqlite3.Error`` replays once on a freshly opened connection.
-:class:`~repro.oracle.SqlQueryOracle` runs its statements the same way,
-on its own connection or, through
-:meth:`~repro.oracle.SqlQueryOracle.for_backend`, on a backend's, so this
-is the one SQL path for evaluation and membership answering.
+``sqlite3.Error`` replays once on a freshly opened connection.  This is
+the one SQL path; membership questions are answered in process
+(:class:`~repro.oracle.QueryOracle`).
 
 Because SQL evaluates propositions over the *real* rows while the
 bitmask backend evaluates vocabulary abstractions, answer identity
@@ -49,7 +47,7 @@ __all__ = [
 _memory_counter = itertools.count(1)
 
 
-def memory_uri(tag: str = "dbapi") -> str:
+def memory_uri() -> str:
     """A process-unique shared-cache in-memory SQLite URI.
 
     ``cache=shared`` makes the database visible to every connection
@@ -58,7 +56,7 @@ def memory_uri(tag: str = "dbapi") -> str:
     (the *keeper* of :class:`RetryingConnection`).
     """
     return (
-        f"file:repro-{tag}-{os.getpid()}-{next(_memory_counter)}"
+        f"file:repro-dbapi-{os.getpid()}-{next(_memory_counter)}"
         f"?mode=memory&cache=shared"
     )
 
@@ -176,9 +174,9 @@ class DbApiBackend:
     connect:
         Zero-argument callable returning a DB-API connection that speaks
         SQLite's SQL; also how tests substitute failing connections.
-    auto_refresh:
-        Reload the database on relation-version mismatch before every
-        evaluation (the §2c contract).
+
+    Every evaluation first reloads the database when the relation's
+    version moved (the §2c contract).
     """
 
     name = "dbapi"
@@ -189,11 +187,9 @@ class DbApiBackend:
         vocabulary: Vocabulary,
         uri: str | None = None,
         connect: Callable[[], Any] | None = None,
-        auto_refresh: bool = True,
     ) -> None:
         self.relation = relation
         self.vocabulary = vocabulary
-        self.auto_refresh = auto_refresh
         if connect is None:
             self.uri = uri if uri is not None else memory_uri()
             # A shared-memory database lives exactly as long as one
@@ -216,38 +212,32 @@ class DbApiBackend:
     # ------------------------------------------------------------------
     def _load(self, connection: Any) -> None:
         schema = self.relation.schema
-        objects_table = identifier("objects")
-        rows_table = identifier("rows")
         cur = connection.cursor()
-        cur.execute(f"DROP TABLE IF EXISTS {rows_table}")
-        cur.execute(f"DROP TABLE IF EXISTS {objects_table}")
+        cur.execute("DROP TABLE IF EXISTS rows")
+        cur.execute("DROP TABLE IF EXISTS objects")
         object_cols = "".join(
             f", {identifier(a.name)} {column_type(a.type)}"
             for a in schema.object_attributes
         )
         cur.execute(
-            f"CREATE TABLE {objects_table} "
-            f"(object_key TEXT PRIMARY KEY{object_cols})"
+            f"CREATE TABLE objects (object_key TEXT PRIMARY KEY{object_cols})"
         )
         row_cols = ", ".join(
             f"{identifier(a.name)} {column_type(a.type)}"
             for a in schema.embedded.attributes
         )
         cur.execute(
-            f"CREATE TABLE {rows_table} "
-            f"(object_key TEXT REFERENCES {objects_table}, {row_cols})"
+            f"CREATE TABLE rows (object_key TEXT REFERENCES objects, {row_cols})"
         )
-        cur.execute(
-            f"CREATE INDEX rows_by_object ON {rows_table} (object_key)"
-        )
+        cur.execute("CREATE INDEX rows_by_object ON rows (object_key)")
         object_names = [a.name for a in schema.object_attributes]
         insert_objects = (
-            f"INSERT INTO {objects_table} VALUES "
+            "INSERT INTO objects VALUES "
             f"({', '.join(['?'] * (1 + len(object_names)))})"
         )
         row_names = list(schema.embedded.attribute_names)
         insert_rows = (
-            f"INSERT INTO {rows_table} VALUES "
+            "INSERT INTO rows VALUES "
             f"({', '.join(['?'] * (1 + len(row_names)))})"
         )
         for obj in self.relation:
@@ -281,7 +271,7 @@ class DbApiBackend:
         return False
 
     def _ensure_fresh(self) -> None:
-        if not self._loaded or (self.auto_refresh and self.is_stale):
+        if self.is_stale:
             self._build()
 
     # ------------------------------------------------------------------

@@ -4,7 +4,7 @@
 :func:`create` is the one construction seam: the engine, the CLI, the
 conformance differ and the benchmarks all build backends through it.
 :func:`parse_backend_opts` is the one ``--backend-opt KEY=VALUE``
-pipeline, shared by the CLI subcommands and the pytest fixtures.
+pipeline, shared by ``repro demo`` and the pytest fixtures.
 """
 
 from __future__ import annotations
@@ -80,10 +80,9 @@ def coerce_option(value: str) -> Any:
 
 
 def parse_backend_opts(pairs: Any) -> dict[str, Any]:
-    """``["uri=file:x.db", "auto_refresh=off"]`` →
-    ``{"uri": "file:x.db", "auto_refresh": False}``.
+    """``["uri=file:x.db"]`` → ``{"uri": "file:x.db"}``.
 
-    The one options pipeline shared by the CLI subcommands, the pytest
+    The one options pipeline shared by ``repro demo``, the pytest
     ``--backend-opt`` flag and anything else that accepts repeatable
     ``key=value`` strings; values go through :func:`coerce_option`.
     """

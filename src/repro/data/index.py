@@ -269,24 +269,17 @@ class RelationIndex:
         The indexed :class:`NestedRelation`.
     vocabulary:
         The abstraction vocabulary; its width fixes the query width.
-    auto_refresh:
-        When ``True`` (default), every evaluation first compares the
-        relation's ``version`` counter against the version the index was
-        built from and rebuilds on mismatch, so objects inserted after
-        construction are never silently ignored.  In-place mutation of an
-        object's ``rows`` list bypasses the counter — call
-        :meth:`refresh` with ``force=True`` after doing that.
+
+    Every evaluation first compares the relation's ``version`` counter
+    against the version the index was built from and rebuilds on
+    mismatch, so objects inserted after construction are never silently
+    ignored.  In-place mutation of an object's ``rows`` list bypasses the
+    counter — call :meth:`refresh` with ``force=True`` after doing that.
     """
 
-    def __init__(
-        self,
-        relation: NestedRelation,
-        vocabulary: Vocabulary,
-        auto_refresh: bool = True,
-    ) -> None:
+    def __init__(self, relation: NestedRelation, vocabulary: Vocabulary) -> None:
         self.relation = relation
         self.vocabulary = vocabulary
-        self.auto_refresh = auto_refresh
         self._build()
 
     # ------------------------------------------------------------------
@@ -319,7 +312,7 @@ class RelationIndex:
         return False
 
     def _ensure_fresh(self) -> None:
-        if self.auto_refresh and self.is_stale:
+        if self.is_stale:
             self._build()
 
     # ------------------------------------------------------------------

@@ -112,7 +112,6 @@ def proposition_to_sql(prop: Proposition, alias: str = "r") -> str:
 
 def _exists(
     vocabulary: Vocabulary,
-    rows_table: str,
     true_vars: Iterable[int],
     false_vars: Iterable[int] = (),
     negate: bool = False,
@@ -123,44 +122,32 @@ def _exists(
     for v in false_vars:
         rendered = proposition_to_sql(vocabulary.propositions[v])
         conds.append(f"NOT ({rendered})")
-    body = f"SELECT 1 FROM {rows_table} r WHERE " + " AND ".join(conds)
+    body = "SELECT 1 FROM rows r WHERE " + " AND ".join(conds)
     return f"{'NOT ' if negate else ''}EXISTS ({body})"
 
 
-def to_sql(
-    query: QhornQuery,
-    vocabulary: Vocabulary,
-    objects_table: str = "objects",
-    rows_table: str = "rows",
-) -> str:
-    """Compile ``query`` to a SQL statement selecting answer object keys.
-
-    ``objects_table``/``rows_table`` override the standard two-table
-    names — the seam that lets :class:`~repro.oracle.SqlQueryOracle`
-    keep its scratch tables in the *same* database as a loaded
-    :class:`~repro.data.backends.dbapi.DbApiBackend` relation without
-    clobbering it (DESIGN.md §2j).
-    """
+def to_sql(query: QhornQuery, vocabulary: Vocabulary) -> str:
+    """Compile ``query`` to a SQL statement selecting the answer object
+    keys of the two-table encoding (``objects``/``rows``) in key order."""
     if query.n != vocabulary.n:
         raise SqlCompileError(
             f"query over n={query.n} propositions, vocabulary has "
             f"{vocabulary.n}"
         )
-    rows = identifier(rows_table)
     clauses: list[str] = []
     for u in sorted(query.universals):
         # ∀ B → h: no row with B true and h false …
         clauses.append(
-            _exists(vocabulary, rows, sorted(u.body), [u.head], negate=True)
+            _exists(vocabulary, sorted(u.body), [u.head], negate=True)
         )
         if query.require_guarantees:
             # … and a witness row with B ∧ h true (qhorn property 2).
-            clauses.append(_exists(vocabulary, rows, sorted(u.variables)))
+            clauses.append(_exists(vocabulary, sorted(u.variables)))
     for e in sorted(query.existentials):
-        clauses.append(_exists(vocabulary, rows, sorted(e.variables)))
+        clauses.append(_exists(vocabulary, sorted(e.variables)))
     where = "\n  AND ".join(clauses) if clauses else "1 = 1"
     return (
-        f"SELECT o.object_key FROM {identifier(objects_table)} o\nWHERE "
+        "SELECT o.object_key FROM objects o\nWHERE "
         + where
         + "\nORDER BY o.object_key"
     )

@@ -3,10 +3,10 @@
 The property suites sample; this package *enumerates*.  ``space``
 generates every qhorn query and every relation up to small size bounds
 (deduplicated up to semantic equivalence, stable content-hash ids), and
-``differ`` drives each enumerated (query, store) pair through the full
-learner × oracle transport matrix and every backend, asserting
-bit-identical behaviour everywhere and checking the paper's Theorem 3.1
-question bound exactly on every instance.  ``runner`` adds the
+``differ`` runs every learner on each enumerated query, checking the
+learned query and the paper's Theorem 3.1 question bound exactly on
+every instance, and checks every backend against the compiled reference
+on each (query, store) pair.  ``runner`` adds the
 ``repro enumerate`` CLI face: JSONL corpus export (which
 ``repro.server.loadgen --scenario`` replays), resume-from-checkpoint and
 progress reporting.

@@ -1,28 +1,21 @@
 """Differential conformance over the enumerated spaces (DESIGN.md §2j).
 
-Every enumerated (query, store) pair runs through the full cartesian
-matrix and every leg must agree **exactly**:
+Every enumerated query, and every enumerated (query, store) pair, runs
+through each leg of the matrix:
 
-* **Learner matrix** (per query — learners never see the store):
-  learner (``qhorn1`` / ``naive`` / ``role-preserving``) × oracle
-  transport (in-process ``direct`` / ``dbapi`` scratch database).
-  Across all legs the question/answer transcript, the learned query and the
-  :class:`~repro.oracle.counting.QuestionStats` must be bit-identical,
-  the learned query must be semantically equivalent to the target, and
-  the question count must satisfy the paper's bound — Theorem 3.1
-  (``12·n·lg n + 12``, the constant the learning suite pins) for the
-  qhorn-1 learner, the role-preserving bound
-  (``4n³ + 6kn·lg n + 40``) for the §4 learner.
+* **Learner matrix** (per query — learners never see the store): one
+  leg per learner (``qhorn1`` / ``naive`` / ``role-preserving``), each
+  answered by the in-process simulated user
+  (:class:`~repro.oracle.QueryOracle`).  The learned query must be
+  semantically equivalent to the target, and the question count must
+  satisfy the paper's bound — Theorem 3.1 (``12·n·lg n + 12``, the
+  constant the learning suite pins) for the qhorn-1 learner, the
+  role-preserving bound (``4n³ + 6kn·lg n + 40``) for the §4 learner.
 * **Backend matrix** (per (query, store) pair): both evaluation
-  backends — ``bitmask`` and ``dbapi`` — must produce the per-object
-  labels, answer keys and answer bitmask that
+  backends — ``bitmask`` and ``dbapi`` — must produce exactly the
+  per-object labels, answer keys and answer bitmask that
   :class:`~repro.core.query.CompiledQuery` computes from each object's
-  abstraction.  The ``dbapi`` leg additionally answers membership
-  questions through a :class:`~repro.oracle.SqlQueryOracle` *on the
-  backend's own connection*
-  (:meth:`~repro.oracle.SqlQueryOracle.for_backend`), so oracle batching
-  and relation evaluation are checked against each other inside one
-  database.
+  abstraction.
 
 A failed leg becomes a :class:`Divergence` carrying a greedily
 **shrunk** witness (expressions dropped from the query, objects and
@@ -39,13 +32,11 @@ from typing import Any, Callable, Sequence
 from repro.core.normalize import brute_force_equivalent
 from repro.core.query import QhornQuery
 from repro.core.serialize import query_to_dict
-from repro.core.tuples import Question
 from repro.data.backends import create
 from repro.enumerate.space import EnumeratedQuery, EnumeratedStore
 from repro.learning import Qhorn1Learner, RolePreservingLearner
 from repro.learning.baselines import NaiveQhorn1Learner
-from repro.oracle import CountingOracle, QueryOracle, SqlQueryOracle
-from repro.oracle.counting import RecordingOracle
+from repro.oracle import CountingOracle, QueryOracle
 
 __all__ = [
     "Divergence",
@@ -95,11 +86,10 @@ class MatrixSpec:
 
     ``parse`` accepts ``"full"`` or a ``;``-separated spec of
     ``axis=choice+choice`` entries, e.g.
-    ``learners=qhorn1+naive;backends=bitmask+dbapi;oracles=direct``.
+    ``learners=qhorn1+naive;backends=bitmask+dbapi``.
     """
 
     learners: tuple[str, ...] = ("qhorn1", "naive", "role-preserving")
-    oracles: tuple[str, ...] = ("direct", "dbapi")
     backends: tuple[str, ...] = ("bitmask", "dbapi")
 
     @classmethod
@@ -135,7 +125,7 @@ class MatrixSpec:
 class Divergence:
     """One matrix leg that disagreed, with a shrunk witness."""
 
-    site: str  # "backend" | "learner" | "equivalence" | "bound" | "crash"
+    site: str  # "backend" | "equivalence" | "bound" | "crash"
     query_id: str
     detail: str
     store_id: str | None = None
@@ -161,69 +151,22 @@ class Divergence:
 # ----------------------------------------------------------------------
 @dataclass
 class LearnerOutcome:
-    """Everything one learner leg must agree on, in comparable form."""
+    """What one learner leg is checked on."""
 
-    transcript: tuple
-    stats: tuple
     learned: QhornQuery
     questions: int
     rounds: int
 
 
-def _transport_oracle(
-    target: QhornQuery, oracle_kind: str
-) -> tuple[Any, list[Any]]:
-    """Build one leg's transport oracle; returns (oracle, closeables)."""
-    if oracle_kind == "direct":
-        return QueryOracle(target), []
-    if oracle_kind == "dbapi":
-        oracle = SqlQueryOracle(target)
-        return oracle, [oracle]
-    raise ValueError(f"unknown oracle transport {oracle_kind!r}")
-
-
-def _stats_key(stats: Any) -> tuple:
-    return (
-        stats.questions,
-        stats.tuples,
-        stats.rounds,
-        stats.largest_batch,
+def run_learner_leg(target: QhornQuery, learner_kind: str) -> LearnerOutcome:
+    """Run one learner against the simulated user of ``target``."""
+    counting = CountingOracle(QueryOracle(target))
+    result = LEARNER_FACTORIES[learner_kind](counting).learn()
+    return LearnerOutcome(
+        learned=getattr(result, "query", result),
+        questions=counting.stats.questions,
+        rounds=counting.stats.rounds,
     )
-
-
-def _transcript_key(
-    transcript: Sequence[tuple[Question, bool]]
-) -> tuple:
-    return tuple(
-        (q.n, tuple(q.sorted_tuples()), bool(a)) for q, a in transcript
-    )
-
-
-def run_learner_leg(
-    target: QhornQuery, learner_kind: str, oracle_kind: str
-) -> LearnerOutcome:
-    """Run one leg of the learner matrix to completion."""
-    transport, closeables = _transport_oracle(target, oracle_kind)
-    try:
-        recording = RecordingOracle(transport)
-        counting = CountingOracle(recording)
-        result = LEARNER_FACTORIES[learner_kind](counting).learn()
-        learned = getattr(result, "query", result)
-        return LearnerOutcome(
-            transcript=_transcript_key(recording.transcript),
-            stats=_stats_key(counting.stats),
-            learned=learned,
-            questions=counting.stats.questions,
-            rounds=counting.stats.rounds,
-        )
-    finally:
-        for closeable in closeables:
-            close = getattr(closeable, "close", None)
-            if close is not None:
-                try:
-                    close()
-                except Exception:
-                    pass
 
 
 def check_learners(
@@ -252,111 +195,74 @@ def check_learners(
         "bounds": {},
         "status": "ok",
     }
-
-    def diverge(site: str, detail: str, combo: dict) -> None:
-        shrunk = shrink_query(
-            target,
-            lambda q: _learner_leg_differs(q, matrix, combo),
-        )
-        divergences.append(
-            Divergence(
-                site=site,
-                query_id=entry.id,
-                detail=detail,
-                combo=combo,
-                shrunk_query=query_to_dict(shrunk),
-            )
-        )
-        report["status"] = "divergent"
-
     for learner_kind in matrix.learners:
-        reference: LearnerOutcome | None = None
-        reference_combo: dict | None = None
-        for oracle_kind in matrix.oracles:
-            combo = {"learner": learner_kind, "oracle": oracle_kind}
-            try:
-                outcome = run_learner_leg(target, learner_kind, oracle_kind)
-            except Exception as error:
+        combo = {"learner": learner_kind}
+        try:
+            outcome = run_learner_leg(target, learner_kind)
+        except Exception as error:
+            divergences.append(
+                Divergence(
+                    site="crash",
+                    query_id=entry.id,
+                    detail=f"{type(error).__name__}: {error}",
+                    combo=combo,
+                    shrunk_query=query_to_dict(target),
+                )
+            )
+            report["status"] = "divergent"
+            continue
+        report["combos"] += 1
+        if not brute_force_equivalent(outcome.learned, target):
+            shrunk = shrink_query(
+                target, lambda q: _learns_wrong_query(q, learner_kind)
+            )
+            divergences.append(
+                Divergence(
+                    site="equivalence",
+                    query_id=entry.id,
+                    detail=(
+                        f"{learner_kind} learned "
+                        f"{outcome.learned.shorthand()!r}, target "
+                        f"{target.shorthand()!r}"
+                    ),
+                    combo=combo,
+                    shrunk_query=query_to_dict(shrunk),
+                )
+            )
+            report["status"] = "divergent"
+        bound = question_bound(learner_kind, target)
+        report["questions"][learner_kind] = outcome.questions
+        report["rounds"][learner_kind] = outcome.rounds
+        if bound is not None:
+            report["bounds"][learner_kind] = round(bound, 3)
+            if outcome.questions > bound:
                 divergences.append(
                     Divergence(
-                        site="crash",
+                        site="bound",
                         query_id=entry.id,
-                        detail=f"{type(error).__name__}: {error}",
+                        detail=(
+                            f"{learner_kind} asked "
+                            f"{outcome.questions} questions > "
+                            f"bound {bound:.1f} at n={target.n}"
+                        ),
                         combo=combo,
                         shrunk_query=query_to_dict(target),
                     )
                 )
                 report["status"] = "divergent"
-                continue
-            report["combos"] += 1
-            if reference is None:
-                reference = outcome
-                reference_combo = combo
-                # Correctness + bound checks once per learner: the
-                # other legs are then pinned bit-identical to this one.
-                if not brute_force_equivalent(outcome.learned, target):
-                    diverge(
-                        "equivalence",
-                        f"{learner_kind} learned "
-                        f"{outcome.learned.shorthand()!r}, target "
-                        f"{target.shorthand()!r}",
-                        combo,
-                    )
-                bound = question_bound(learner_kind, target)
-                report["questions"][learner_kind] = outcome.questions
-                report["rounds"][learner_kind] = outcome.rounds
-                if bound is not None:
-                    report["bounds"][learner_kind] = round(bound, 3)
-                    if outcome.questions > bound:
-                        divergences.append(
-                            Divergence(
-                                site="bound",
-                                query_id=entry.id,
-                                detail=(
-                                    f"{learner_kind} asked "
-                                    f"{outcome.questions} questions > "
-                                    f"bound {bound:.1f} at n={target.n}"
-                                ),
-                                combo=combo,
-                                shrunk_query=query_to_dict(target),
-                            )
-                        )
-                        report["status"] = "divergent"
-                continue
-            for aspect, got, want in (
-                ("transcript", outcome.transcript, reference.transcript),
-                ("stats", outcome.stats, reference.stats),
-                ("learned", outcome.learned, reference.learned),
-            ):
-                if got != want:
-                    diverge(
-                        "learner",
-                        f"{aspect} differs from reference combo "
-                        f"{reference_combo}",
-                        combo,
-                    )
-                    break
     return report, divergences
 
 
-def _learner_leg_differs(
-    query: QhornQuery, matrix: MatrixSpec, combo: dict
-) -> bool:
-    """Shrinking predicate: does ``combo``'s leg still disagree with the
-    first-configured leg of the same learner on ``query``?"""
-    if not _in_learner_class(query, combo["learner"]):
+def _learns_wrong_query(query: QhornQuery, learner: str) -> bool:
+    """Shrinking predicate: does ``learner`` still learn a query that is
+    not equivalent to ``query``?"""
+    if not _in_learner_class(query, learner):
         return False
     try:
-        probe = run_learner_leg(query, combo["learner"], combo["oracle"])
-        reference = run_learner_leg(query, combo["learner"], matrix.oracles[0])
+        learned = run_learner_leg(query, learner).learned
     except Exception:
         return True
-    return (
-        probe.transcript != reference.transcript
-        or probe.stats != reference.stats
-        or probe.learned != reference.learned
-        or not brute_force_equivalent(probe.learned, query)
-    )
+    return not brute_force_equivalent(learned, query)
 
 
 def _in_learner_class(query: QhornQuery, learner: str) -> bool:
@@ -427,8 +333,6 @@ def check_backends(
                     )
         except Exception as error:
             problem = f"{type(error).__name__}: {error}"
-        if problem is None and leg == "dbapi":
-            problem = _check_backend_oracle(query, backend, store)
         if problem is not None:
             shrunk_query, shrunk_store = shrink_backend_case(
                 query, store, leg
@@ -446,31 +350,6 @@ def check_backends(
             )
             record["status"] = "divergent"
     return record, divergences
-
-
-def _check_backend_oracle(
-    query: QhornQuery, backend: Any, store: EnumeratedStore
-) -> str | None:
-    """The §2j oracle cross-check: membership answers on the *backend's
-    own* connection must match the compiled query on every (non-empty)
-    object of the store."""
-    questions = [
-        Question.of(store.n, masks) for masks in store.mask_sets if masks
-    ]
-    if not questions:
-        return None
-    compiled = query.compile()
-    expected = [compiled.evaluate(q.tuples) for q in questions]
-    oracle = SqlQueryOracle.for_backend(query, backend)
-    try:
-        got = oracle.ask_many(questions)
-    except Exception as error:
-        return f"backend oracle: {type(error).__name__}: {error}"
-    finally:
-        oracle.close()
-    if got != expected:
-        return f"backend oracle answers {got!r} != {expected!r}"
-    return None
 
 
 # ----------------------------------------------------------------------
@@ -573,13 +452,7 @@ def shrink_backend_case(
         try:
             backend = create(leg, relation, vocabulary)
             expected = reference_labels(q, relation, vocabulary)
-            if list(backend.matches_many(q)) != expected:
-                return True
-            if leg == "dbapi":
-                return (
-                    _check_backend_oracle(q, backend, probe_store) is not None
-                )
-            return False
+            return list(backend.matches_many(q)) != expected
         except Exception:
             return True
         finally:

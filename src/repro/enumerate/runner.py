@@ -267,18 +267,9 @@ def run(
     return result
 
 
-def main(argv: list[str] | None = None) -> int:
-    """Standalone entry point (`python -m repro.enumerate.runner`);
-    ``repro enumerate`` wraps this with the shared CLI surface."""
-    from repro.cli import build_enumerate_parser
-
-    parser = build_enumerate_parser()
-    args = parser.parse_args(argv)
-    return run_from_args(args)
-
-
 def run_from_args(args: Any) -> int:
-    """Shared driver for ``repro enumerate`` and ``python -m``."""
+    """``repro enumerate``: one sweep from the parsed arguments; prints
+    the summary line and returns 1 on any divergence."""
     config = RunConfig(
         max_props=args.max_props,
         max_objects=args.max_objects,

@@ -10,13 +10,11 @@ from repro.oracle.expression import (
     ExpressionQuestion,
 )
 from repro.oracle.noisy import ExhaustedReplayError, NoisyOracle, ReplayOracle
-from repro.oracle.sqlbacked import SqlQueryOracle
 
 __all__ = [
     "ExpressionQuestion",
     "CacheStats",
     "CachingOracle",
-    "SqlQueryOracle",
     "CandidateEliminationAdversary",
     "CountingExpressionOracle",
     "CountingOracle",

@@ -70,9 +70,9 @@ class TestRegistry:
             create("async", store, vocab)
 
     def test_options_forwarded(self, store, vocab):
-        backend = create("bitmask", store, vocab, auto_refresh=False)
-        assert backend.auto_refresh is False
-        assert backend.index.auto_refresh is False
+        uri = memory_uri()
+        with create("dbapi", store, vocab, uri=uri) as backend:
+            assert backend.uri == uri
 
     def test_created_backends_satisfy_protocol(
         self, store, vocab, backend_name, backend_options
@@ -124,10 +124,7 @@ class TestBackendContract:
     def test_explicit_refresh(
         self, store, vocab, backend_name, backend_options
     ):
-        backend = create(
-            backend_name, store, vocab,
-            **dict(backend_options, auto_refresh=False),
-        )
+        backend = create(backend_name, store, vocab, **backend_options)
         backend.matches_many(QhornQuery(n=4))
         assert backend.refresh() is False  # fresh: no rebuild
         store.add_object("x", rows=[])
@@ -195,12 +192,12 @@ class TestEngineDispatch:
             QueryEngine(store, vocab, backend="remote")
 
     def test_backend_options_thread_through(self, store, vocab):
+        uri = memory_uri()
         engine = QueryEngine(
-            store, vocab, backend="dbapi",
-            backend_options={"auto_refresh": False},
+            store, vocab, backend="dbapi", backend_options={"uri": uri}
         )
         with engine.backend as backend:
-            assert backend.auto_refresh is False
+            assert backend.uri == uri
 
     def test_injected_backend_instance(self, store, vocab):
         backend = BitmaskBackend(store, vocab)
@@ -334,6 +331,8 @@ class TestDbApiBackendLifecycle:
         backend.matches_many(QhornQuery(n=4))
         backend.close()
         backend.close()
+        with pytest.raises(RuntimeError, match="closed"):
+            backend.matches_many(QhornQuery(n=4))
 
     @pytest.mark.parametrize(
         "uri", [":memory:", "", "file::memory:", "file:scratch?mode=memory"]
@@ -350,7 +349,7 @@ class TestDbApiBackendLifecycle:
         that the keeper holds open, so the replacement connection of a
         replay sees the loaded relation."""
         expected = _reference(QueryEngine(store, vocab), intro_query())
-        with DbApiBackend(store, vocab, uri=memory_uri("test")) as backend:
+        with DbApiBackend(store, vocab, uri=memory_uri()) as backend:
             backend.refresh()  # loads through the first connection
             backend.connection.handle.close()  # dies behind our back
             keys = [o.key for o in backend.execute(intro_query())]

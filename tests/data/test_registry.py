@@ -45,18 +45,18 @@ class TestOptionPipeline:
 
     def test_parse_pairs(self):
         options = parse_backend_opts(
-            ["uri=file:x.db", "answers=2", "auto_refresh=false"]
+            ["uri=file:x.db", "answers=2", "strict=false"]
         )
         assert options == {
             "uri": "file:x.db",
             "answers": 2,
-            "auto_refresh": False,
+            "strict": False,
         }
         assert parse_backend_opts(None) == {}
 
     def test_malformed_pair_rejected(self):
         with pytest.raises(ValueError, match="key=value"):
-            parse_backend_opts(["auto_refresh"])
+            parse_backend_opts(["strict"])
         with pytest.raises(ValueError, match="key=value"):
             parse_backend_opts(["=3"])
 

@@ -91,9 +91,9 @@ class TestToSql:
 
 class TestSqliteSpelling:
     """Golden renderings of the one SQL spelling, SQLite's: the query
-    text, the loaders' statements, identifier quoting and literal
-    escaping must stay byte for byte what statement caches and learn
-    transcripts were built on."""
+    text, the loader's statements, identifier quoting and literal
+    escaping must stay byte for byte what statement caches were built
+    on."""
 
     def test_identifier_quoting(self):
         # SQLite accepts keyword-ish names such as ``rows`` bare.
@@ -104,13 +104,9 @@ class TestSqliteSpelling:
         assert identifier('odd"name') == '"odd""name"'
 
     def test_loader_statements(self):
-        """Both table loaders — the dbapi backend's relation and the SQL
-        oracle's scratch tables — emit qmark placeholders and SQLite
-        column types, statement for statement."""
+        """The dbapi backend's table loader emits qmark placeholders and
+        SQLite column types, statement for statement."""
         import sqlite3
-
-        from repro.core.tuples import Question
-        from repro.oracle import SqlQueryOracle
 
         statements = []
 
@@ -118,10 +114,6 @@ class TestSqliteSpelling:
             def execute(self, sql, *params):
                 statements.append(sql)
                 return super().execute(sql, *params)
-
-            def executemany(self, sql, rows):
-                statements.append(sql)
-                return super().executemany(sql, rows)
 
         class Connection(sqlite3.Connection):
             def cursor(self, factory=Cursor):
@@ -148,28 +140,6 @@ class TestSqliteSpelling:
                 ["INSERT INTO objects VALUES (?, ?)"]
                 + ["INSERT INTO rows VALUES (?, ?, ?, ?, ?, ?)"] * 3
             ) * 2
-            statements.clear()
-            oracle = SqlQueryOracle.for_backend(parse_query("∃x1x2"), backend)
-            oracle.ask_many([Question.of(2, [3])])
-            *scratch, select = statements
-            assert scratch == [
-                "DROP TABLE IF EXISTS question_rows",
-                "DROP TABLE IF EXISTS question_objects",
-                "CREATE TABLE question_objects (object_key TEXT PRIMARY KEY)",
-                "CREATE TABLE question_rows (object_key TEXT, p1 INTEGER, "
-                "p2 INTEGER)",
-                "CREATE INDEX question_rows_by_object ON question_rows "
-                "(object_key)",
-                "DELETE FROM question_rows",
-                "DELETE FROM question_objects",
-                "INSERT INTO question_objects VALUES (?)",
-                "INSERT INTO question_rows VALUES (?, ?, ?)",
-            ]
-            assert select.startswith(
-                "SELECT o.object_key FROM question_objects o\nWHERE EXISTS "
-                "(SELECT 1 FROM question_rows r WHERE r.object_key = "
-                "o.object_key AND r.p1 = 1 AND r.p2 = 1)"
-            )
         finally:
             backend.close()
 

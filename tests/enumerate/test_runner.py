@@ -39,9 +39,9 @@ class TestRun:
         assert summary["divergences"] == 0
         assert summary["bound_ok"] is True
         assert summary["status"] == "ok"
-        # The full learner axes: 3 learners × 2 oracle transports = 3×2
-        # legs per query.
-        assert summary["learner_runs"] == 2 * 3 * 2
+        # The full learner axis: one leg for each of the 3 learners per
+        # query.
+        assert summary["learner_runs"] == 2 * 3
         assert summary["backend_checks"] == summary["pairs"] * 2
 
     def test_learner_records_carry_bounds(self):
@@ -182,7 +182,7 @@ class TestRelaxedSemanticsGate:
         from repro.enumerate.differ import run_learner_leg
 
         relaxed = parse_query("∀x1", n=1, require_guarantees=False)
-        outcome = run_learner_leg(relaxed, "qhorn1", "direct")
+        outcome = run_learner_leg(relaxed, "qhorn1")
         # The learner answers consistently with the oracle yet cannot
         # express the relaxed semantics: not a conformance bug.
         assert not brute_force_equivalent(outcome.learned, relaxed)

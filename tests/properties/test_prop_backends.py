@@ -12,8 +12,8 @@ Two layers, mirroring ``test_prop_engine.py``:
 
 * hypothesis properties over random relations/queries;
 * a seeded exhaustive sweep of ≥ 1000 random (query, relation) cases
-  comparing all backends and the SQL-backed batch oracle, so the
-  agreement count demanded by the acceptance criteria is explicit.
+  comparing all backends, so the agreement count demanded by the
+  acceptance criteria is explicit.
 """
 
 from __future__ import annotations
@@ -24,8 +24,6 @@ from hypothesis import given, settings
 
 from repro.data import QueryEngine
 from repro.data.backends import create
-from repro.oracle import QueryOracle, SqlQueryOracle
-from repro.core.tuples import Question
 from tests.properties.test_prop_engine import (
     bool_vocabulary,
     engine_cases,
@@ -220,26 +218,3 @@ def test_dbapi_file_backed_store_agrees(tmp_path):
                 ), query.shorthand()
                 checked += 1
     assert checked == 200
-
-
-def test_sql_oracle_thousand_question_agreement():
-    """The SQL-backed batch oracle labels exactly like the in-process
-    ground-truth oracle, over ≥ 1000 random questions."""
-    rng = random.Random(1304)
-    labelled = 0
-    for _ in range(40):
-        n = rng.randrange(1, 6)
-        target = random_query(rng, n)
-        questions = [
-            Question.of(
-                n, [rng.randrange(1 << n) for _ in range(rng.randrange(0, 4))]
-            )
-            for _ in range(30)
-        ]
-        reference = QueryOracle(target)
-        with SqlQueryOracle(target) as sql_oracle:
-            assert sql_oracle.ask_many(questions) == reference.ask_many(
-                questions
-            ), target.shorthand()
-        labelled += len(questions)
-    assert labelled >= 1000

@@ -3,9 +3,9 @@
 Where the other property suites sample random (query, relation) pairs,
 this one *proves by cases* at small bounds (DESIGN.md §2j):
 
-* the full conformance matrix — learner × oracle transport, and every
-  evaluation backend — produces **zero divergences** over the
-  complete enumerated space at ``n ≤ 2``;
+* the full conformance matrix — every learner, and every evaluation
+  backend — produces **zero divergences** over the complete enumerated
+  space at ``n ≤ 2``;
 * Theorem 3.1's question bound (at the constants pinned by the learning
   suite: ``12·n·lg n + 12``) holds on **every** enumerated instance,
   not just sampled ones — and the exhaustive maxima are pinned exactly,
@@ -41,13 +41,13 @@ class TestExhaustiveConformance:
         assert result.queries == 13
         assert result.stores == 93  # 15 at n=1 + 78 at n=2
         assert result.pairs == 888
-        assert result.learner_runs == 13 * 3 * 2
+        assert result.learner_runs == 13 * 3  # one leg per learner
         assert result.backend_checks == 888 * 2  # bitmask, dbapi
 
 
 class TestTheorem31Exhaustive:
     def test_bound_holds_on_every_instance(self):
-        matrix = MatrixSpec.parse("learners=qhorn1;oracles=direct")
+        matrix = MatrixSpec.parse("learners=qhorn1")
         for entry in enumerate_queries(2):
             report, divergences = check_learners(entry, matrix)
             assert divergences == []
@@ -56,7 +56,7 @@ class TestTheorem31Exhaustive:
     def test_exhaustive_maxima_pinned_exactly(self):
         """The worst case over the WHOLE bounded space, by n — a
         one-question learner regression moves these."""
-        matrix = MatrixSpec.parse("learners=qhorn1;oracles=direct")
+        matrix = MatrixSpec.parse("learners=qhorn1")
         worst: dict[int, int] = {}
         for entry in enumerate_queries(2):
             report, _ = check_learners(entry, matrix)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import socket
 
 import pytest
 
@@ -76,25 +77,21 @@ class TestParser:
 
 
 class TestBackendFlag:
-    def test_learn_with_sql_backend(self, capsys):
-        assert main(
-            ["learn", "∀x1x2→x3 ∃x4", "--learner", "qhorn1", "--backend", "dbapi"]
-        ) == 0
-        assert "exact: True" in capsys.readouterr().out
-
-    def test_learn_backends_ask_identical_questions(self, capsys):
-        """The backend choice changes who evaluates, never what is asked."""
-        outputs = []
-        for backend in ("bitmask", "dbapi"):
-            assert main(["learn", "∀x1 ∃x2x3", "--backend", backend]) == 0
-            outputs.append(capsys.readouterr().out)
-        assert outputs[0] == outputs[1]
-
-    def test_verify_with_sql_backend(self, capsys):
-        assert main(
-            ["verify", "∀x1 ∃x2", "∀x1 ∃x2", "--backend", "dbapi"]
-        ) == 0
-        assert "verified: True" in capsys.readouterr().out
+    def test_learn_and_verify_take_no_backend_flag(self, capsys):
+        """learn and verify evaluate no relation: their simulated user
+        answers in process, and --backend/--backend-opt are argparse
+        errors (exit 2)."""
+        for command in (["learn", "∃x1"], ["verify", "∃x1", "∃x1"]):
+            for flag in (
+                ["--backend", "dbapi"],
+                ["--backend-opt", "uri=file:/nope.db"],
+            ):
+                with pytest.raises(SystemExit) as exit_:
+                    main(command + flag)
+                assert exit_.value.code == 2
+                captured = capsys.readouterr()
+                assert "unrecognized arguments" in captured.err
+                assert captured.out == ""
 
     def test_demo_backend_choices(self, capsys):
         for backend in ("bitmask", "dbapi"):
@@ -105,12 +102,12 @@ class TestBackendFlag:
 
     def test_sharded_rejected_for_learn(self, capsys):
         """The sharded backend is gone: an argparse error (exit 2) on
-        every subcommand that takes --backend."""
+        every subcommand."""
         for command in (["learn", "∃x1"], ["verify", "∃x1", "∃x1"], ["demo"]):
             with pytest.raises(SystemExit) as exit_:
                 main(command + ["--backend", "sharded"])
             assert exit_.value.code == 2
-            assert "invalid choice: 'sharded'" in capsys.readouterr().err
+            assert "sharded" in capsys.readouterr().err
 
     def test_help_contains_backend_guide(self, capsys):
         with pytest.raises(SystemExit):
@@ -122,93 +119,56 @@ class TestBackendFlag:
         assert "--backend-opt" in out
 
     def test_every_command_takes_every_backend(self):
-        """Both backends answer membership questions, so learn, verify
-        and demo offer the same choices: every name in BACKENDS."""
-        from repro.cli import SQL_BACKENDS
+        """The one command with --backend, demo, offers every name in
+        BACKENDS."""
         from repro.data.backends import BACKENDS
 
         assert set(BACKENDS) == {"bitmask", "dbapi"}
-        assert SQL_BACKENDS <= set(BACKENDS)
         parser = build_parser()
         for name in BACKENDS:
-            for command in (["learn", "∃x1"], ["verify", "∃x1", "∃x1"], ["demo"]):
-                args = parser.parse_args(command + ["--backend", name])
-                assert args.backend == name
+            assert parser.parse_args(["demo", "--backend", name]).backend == name
         with pytest.raises(SystemExit):
             parser.parse_args(["demo", "--backend", "numpy"])
 
     def test_sql_backend_is_gone(self, capsys):
         """dbapi is the one SQL path; ``--backend sql`` is an argparse
-        error on every subcommand."""
-        parser = build_parser()
-        for command in (["learn", "∃x1"], ["verify", "∃x1", "∃x1"], ["demo"]):
-            with pytest.raises(SystemExit):
-                parser.parse_args(command + ["--backend", "sql"])
-            err = capsys.readouterr().err
-            assert "invalid choice" in err and "sql" in err
+        error."""
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["demo", "--backend", "sql"])
+        err = capsys.readouterr().err
+        assert "invalid choice" in err and "sql" in err
 
 
 class TestBackendOptions:
-    def test_learn_dbapi_file_backed_transcript_identical(
-        self, capsys, tmp_path
-    ):
-        """The acceptance criterion: a file-backed dbapi learn produces a
-        transcript bit-identical to the bitmask one."""
-        uri = f"file:{tmp_path}/learn.sqlite"
-        outputs = []
-        for extra in ([], ["--backend", "dbapi", "--backend-opt", f"uri={uri}"]):
-            assert main(["learn", "∀x1 ∃x2x3"] + extra) == 0
-            outputs.append(capsys.readouterr().out)
-        assert outputs[0] == outputs[1]
-        assert (tmp_path / "learn.sqlite").exists()
-
-    def test_verify_and_demo_honor_backend_opt(self, capsys, tmp_path):
-        uri = f"file:{tmp_path}/v.sqlite"
-        assert main(
-            ["verify", "∀x1 ∃x2", "∀x1 ∃x2",
-             "--backend", "dbapi", "--backend-opt", f"uri={uri}"]
-        ) == 0
-        assert "verified: True" in capsys.readouterr().out
+    def test_demo_honors_backend_opt(self, capsys, tmp_path):
         assert main(
             ["demo", "--backend", "dbapi",
-             "--backend-opt", f"uri=file:{tmp_path}/d.sqlite",
-             "--backend-opt", "auto_refresh=off"]
+             "--backend-opt", f"uri=file:{tmp_path}/d.sqlite"]
         ) == 0
         assert "matching boxes:" in capsys.readouterr().out
+        assert (tmp_path / "d.sqlite").exists()
 
     def test_malformed_backend_opt_exits_two(self, capsys):
-        for command in (
-            ["learn", "∃x1", "--backend-opt", "uri"],
-            ["verify", "∃x1", "∃x1", "--backend-opt", "=x"],
-            ["demo", "--backend-opt", "justakey"],
-        ):
-            assert main(command) == 2
+        for option in ("uri", "=x", "justakey"):
+            assert main(["demo", "--backend-opt", option]) == 2
             captured = capsys.readouterr()
             assert "key=value" in captured.err
             assert captured.out == ""
 
     def test_unsupported_option_exits_two(self, capsys):
-        # bitmask does not speak SQL: passing uri= is a typed error, not
-        # a crash.
-        assert main(
-            ["learn", "∃x1", "--backend", "bitmask",
-             "--backend-opt", "uri=file:/nope.db"]
-        ) == 2
-        assert "backend" in capsys.readouterr().err
-        # SQLite is the one SQL spelling: dialect= is an unknown option.
-        for command in (["learn", "∃x1"], ["demo"]):
+        # SQLite is the one SQL spelling and the backends always refresh
+        # on insert: dialect= and auto_refresh= are unknown options.
+        for key, value in (("dialect", "postgres"), ("auto_refresh", "off")):
             assert main(
-                command + ["--backend", "dbapi",
-                           "--backend-opt", "dialect=postgres"]
+                ["demo", "--backend", "dbapi", "--backend-opt", f"{key}={value}"]
             ) == 2
             err = capsys.readouterr().err
-            assert err.count("\n") == 1 and "'dialect'" in err
+            assert err.count("\n") == 1 and f"'{key}'" in err
 
     def test_private_in_memory_uri_exits_two(self, capsys):
         # The replay's fresh connection would see its own empty database.
         assert main(
-            ["learn", "∃x1", "--backend", "dbapi",
-             "--backend-opt", "uri=:memory:"]
+            ["demo", "--backend", "dbapi", "--backend-opt", "uri=:memory:"]
         ) == 2
         captured = capsys.readouterr()
         assert "omit uri" in captured.err
@@ -239,9 +199,11 @@ class TestBackendOptions:
 
 
 class TestInputErrors:
-    """A malformed query, a query too wide for a question or an
-    out-of-range port is the caller's input error: one line on stderr
-    and exit 2, never a traceback."""
+    """A malformed query, a query too wide for a question, an
+    out-of-range option or a file, database or address the command
+    cannot open is the caller's input error: exit 2 with one line on
+    stderr (argparse's usage and message for a rejected option), never a
+    traceback."""
 
     @pytest.mark.parametrize(
         "argv",
@@ -291,6 +253,61 @@ class TestInputErrors:
                   "--workers", workers])
         assert exit_.value.code == 2
         assert f"port must be 0-65535, got {port}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["serve", "--store", "{missing}/s.sqlite"],
+            ["serve", "--stdio", "--store", "{missing}/s.sqlite"],
+            ["serve", "--stats", "--store", "{missing}/s.sqlite"],
+            ["serve", "--workers", "2", "--store", "{missing}/s.sqlite"],
+            ["serve", "--port", "{busy}"],
+            ["demo", "--backend", "dbapi",
+             "--backend-opt", "uri=file:{missing}/x.sqlite"],
+            ["enumerate", "--max-props", "1", "--max-objects", "0",
+             "--out", "{missing}/c.jsonl"],
+        ],
+        ids=["serve", "stdio", "stats", "workers", "busy-port", "demo",
+             "enumerate"],
+    )
+    def test_unopenable_input_exits_two(self, argv, tmp_path, capsys):
+        """No process starts: the fleet opens its store in the parent
+        before it forks."""
+        with socket.socket() as busy:
+            busy.bind(("127.0.0.1", 0))
+            busy.listen()
+            argv = [
+                arg.replace("{missing}", str(tmp_path / "missing")).replace(
+                    "{busy}", str(busy.getsockname()[1])
+                )
+                for arg in argv
+            ]
+            assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"repro {argv[0]}: ")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        ("option", "message"),
+        [
+            (["--matrix", "flavor=x"], "unknown matrix axis 'flavor'"),
+            (["--matrix", "oracles=direct"], "unknown matrix axis 'oracles'"),
+            (["--max-props", "5"], "at most 4"),
+            (["--max-props", "0"], "must be 1 or more, got 0"),
+            (["--progress-every", "0"], "must be 1 or more, got 0"),
+        ],
+        ids=["axis", "oracles-axis", "max-props-5", "max-props-0",
+             "progress-every-0"],
+    )
+    def test_rejected_enumerate_option_exits_two(self, option, message, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(["enumerate", "--max-props", "1", "--max-objects", "0"]
+                 + option)
+        assert exit_.value.code == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == ""
 
 
 class TestServeStdio:

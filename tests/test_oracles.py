@@ -363,156 +363,3 @@ class TestAdversary:
             tuples = [t for i, t in enumerate(universe) if bits & (1 << i)]
             questions.append(Question.of(n, tuples))
         assert max_elimination(candidates, questions) <= 1
-
-
-class TestSqlQueryOracle:
-    def _pairs(self, count=300, seed=77):
-        from repro.oracle import SqlQueryOracle
-
-        rng = random.Random(seed)
-        for _ in range(count):
-            n = rng.randint(1, 5)
-            yield rng, n
-
-    def test_agrees_with_query_oracle(self):
-        from repro.oracle import SqlQueryOracle
-
-        rng = random.Random(41)
-        for _ in range(60):
-            n = rng.randint(1, 5)
-            target = random_qhorn1(n, rng)
-            questions = [
-                Question.of(
-                    n,
-                    [rng.randrange(1 << n) for _ in range(rng.randint(0, 4))],
-                )
-                for _ in range(25)
-            ]
-            with SqlQueryOracle(target) as sql_oracle:
-                assert sql_oracle.ask_many(questions) == QueryOracle(
-                    target
-                ).ask_many(questions), target.shorthand()
-
-    def test_single_ask_and_duplicates(self):
-        from repro.oracle import SqlQueryOracle
-
-        target = parse_query("∀x1 ∃x2x3")
-        with SqlQueryOracle(target) as oracle:
-            q_yes = Question.from_strings("111")
-            q_no = Question.from_strings("011")
-            assert oracle.ask_many([q_yes])[0] is True
-            assert oracle.ask_many([q_no])[0] is False
-            assert oracle.ask_many([q_yes, q_no, q_yes, q_yes]) == [
-                True,
-                False,
-                True,
-                True,
-            ]
-
-    def test_rejects_wrong_width(self):
-        from repro.oracle import SqlQueryOracle
-
-        with SqlQueryOracle(parse_query("∃x1x2")) as oracle:
-            with pytest.raises(ValueError):
-                oracle.ask_many([Question.from_strings("111")])
-
-    def test_satisfies_protocol_and_drives_learning(self):
-        from repro.learning import RolePreservingLearner
-        from repro.oracle import SqlQueryOracle
-
-        target = parse_query("∀x1→x2 ∃x3")
-        with SqlQueryOracle(target) as oracle:
-            assert isinstance(oracle, MembershipOracle)
-            result = RolePreservingLearner(CountingOracle(oracle)).learn()
-        from repro.core.normalize import canonicalize
-
-        assert canonicalize(result.query) == canonicalize(target)
-
-    def test_empty_question_and_empty_batch(self):
-        from repro.oracle import SqlQueryOracle
-
-        relaxed = parse_query("∀x1", n=2, require_guarantees=False)
-        with SqlQueryOracle(relaxed) as oracle:
-            assert oracle.ask_many([]) == []
-            empty = Question.of(2, [])
-            assert oracle.ask_many([empty]) == QueryOracle(relaxed).ask_many(
-                [empty]
-            )
-
-
-class TestSqlQueryOracleConnection:
-    def test_close_closes_owned_connection(self):
-        from repro.oracle import SqlQueryOracle
-
-        oracle = SqlQueryOracle(parse_query("∃x1"))
-        oracle.close()
-        with pytest.raises(RuntimeError, match="closed"):
-            oracle.ask_many([Question.of(1, [1])])
-        oracle.close()  # idempotent
-
-    def test_private_in_memory_uri_rejected(self):
-        """The oracle's own database has the dbapi backend's trap: a
-        private in-memory database per connection, which a replay on a
-        fresh connection would not see.  The connector refuses it."""
-        from repro.oracle import SqlQueryOracle
-
-        for uri in (":memory:", "file::memory:"):
-            with pytest.raises(ValueError, match="omit uri"):
-                SqlQueryOracle(parse_query("∃x1"), uri=uri)
-
-    def test_for_backend_shares_connection_and_coexists(self):
-        """The §2j integration: oracle batches and relation evaluation
-        share one connection and one database without clobbering each
-        other."""
-        from repro.data.backends import DbApiBackend
-        from repro.data.chocolate import random_store, storefront_vocabulary
-        from repro.oracle import SqlQueryOracle
-
-        store = random_store(25, random.Random(7))
-        vocab = storefront_vocabulary()
-        target = parse_query("∀x1 ∃x2x3", n=4)
-        backend = DbApiBackend(store, vocab)
-        try:
-            before = [o.key for o in backend.execute(target)]
-            oracle = SqlQueryOracle.for_backend(target, backend)
-            assert oracle.connection is backend.connection
-            rng = random.Random(3)
-            questions = [
-                Question.of(4, [rng.randrange(16) for _ in range(2)])
-                for _ in range(20)
-            ]
-            assert oracle.ask_many(questions) == QueryOracle(
-                target
-            ).ask_many(questions)
-            # The oracle's scratch tables are question_-prefixed: the
-            # backend's loaded relation still answers identically.
-            assert [o.key for o in backend.execute(target)] == before
-            oracle.close()  # the connection stays the backend's to close
-            assert [o.key for o in backend.execute(target)] == before
-        finally:
-            backend.close()
-
-    def test_stale_statement_replays_once_and_counts(self):
-        import sqlite3 as _sqlite3
-
-        from repro.oracle import SqlQueryOracle
-
-        oracle = SqlQueryOracle(parse_query("∃x1x2"))
-        try:
-            calls = []
-
-            def work(connection):
-                calls.append(connection)
-                if len(calls) == 1:
-                    raise _sqlite3.OperationalError("synthetic stale handle")
-                return "answered"
-
-            assert oracle.connection.run(work) == "answered"
-            assert len(calls) == 2
-            assert calls[1] is not calls[0]
-            assert oracle.connection.stale_retries == 1
-            # The oracle still answers after the synthetic failure: the
-            # keeper held its shared-memory database open.
-            assert oracle.ask_many([Question.of(2, [3])])[0] is True
-        finally:
-            oracle.close()
