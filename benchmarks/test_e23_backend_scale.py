@@ -1,11 +1,11 @@
-"""E23 — evaluation backends at scale: the bitmask index vs the
-file-backed dbapi backend (SQL batch execution).
+"""E23 — the one engine's index vs the SQL reference at scale: the
+bitmask index vs the file-backed dbapi backend (SQL batch execution).
 
-Not a paper experiment, but the measurement the `EvaluationBackend` seam
-(DESIGN.md §2c) exists to answer: which backend serves an oracle-style
-workload — build the evaluation structure, then label **every object of
-the relation** for each query of the 8-query mixed workload — fastest as
-the relation grows?
+Not a paper experiment, but the price of the SQL reference (DESIGN.md
+§2c) next to the in-process index: how fast does each serve an
+oracle-style workload — build the evaluation structure, then label
+**every object of the relation** for each query of the 8-query mixed
+workload — as the relation grows?
 
 The bitmask index builds in one pass over the rows (a position list per
 mask, each packed into its bitset), and labels through the linear
@@ -13,7 +13,7 @@ mask, each packed into its bitset), and labels through the linear
 ``dbapi`` row (DESIGN.md §2i) runs the workload in SQLite round trips on
 a *file-backed* URI over the backend's one connection — informational
 (trend entry ``e23_dbapi``), since disk overhead is machine-dependent.
-Answers are asserted identical across both backends on every tier (the
+Answers are asserted identical between the two on every tier (the
 differential contract); the largest tier is ≥ 10× the seed benchmark
 size.
 """
@@ -23,7 +23,7 @@ from __future__ import annotations
 import time
 
 from repro.analysis import render_table
-from repro.data.backends import create
+from repro.data import DbApiBackend, RelationIndex
 from repro.data.chocolate import intro_query
 
 SEED_STORE_BOXES = 400  # the seed E21 benchmark store size
@@ -67,19 +67,16 @@ def test_e23_backend_scaling(
     bitmask = None
     for size in SIZES:
         store = store_factory(size)
-        bitmask = create("bitmask", store, storefront_vocab)
+        bitmask = RelationIndex(store, storefront_vocab)
         bitmask_ms = _measure(bitmask, engine_workload)
         # The external-database row (DESIGN.md §2i) runs against a
         # file-backed SQLite URI, not shared memory — the
         # deployment-shaped configuration.
-        with create(
-            "dbapi",
-            store,
-            storefront_vocab,
-            uri=f"file:{tmp_path}/e23-{size}.sqlite",
+        with DbApiBackend(
+            store, storefront_vocab, uri=f"file:{tmp_path}/e23-{size}.sqlite"
         ) as dbapi:
             dbapi_ms = _measure(dbapi, engine_workload)
-        # Identical answers on identical state, whatever the backend.
+        # Identical answers on identical state from both evaluators.
         assert dbapi_ms[2] == bitmask_ms[2]
 
         bitmask_total = bitmask_ms[0] + bitmask_ms[1]

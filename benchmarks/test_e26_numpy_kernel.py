@@ -5,10 +5,11 @@ The measurement the superset-union tables of
 answer: at 100 000 objects, how much faster is warm query evaluation
 when each quantifier reads one precomputed table row instead of
 scanning every distinct mask's bitset?  Both sides run over the same
-inverted index of the default ``bitmask`` backend: the scan is
-:func:`~repro.data.index.evaluate_inverted` (the kernel's fallback for
-data whose tables are refused), the tabled side is the backend's warm
-``matching_bits``.
+inverted index of one :class:`~repro.data.index.RelationIndex` (the
+index :class:`~repro.data.engine.QueryEngine` answers from): the scan
+is :func:`~repro.data.index.evaluate_inverted` (the kernel's fallback
+for data whose tables are refused), the tabled side is the index's
+warm ``matching_bits``.
 
 Two workloads, because the answer depends on the mask-space density:
 
@@ -24,7 +25,7 @@ Two workloads, because the answer depends on the mask-space density:
   single-core and bandwidth-bound).
 
 Answers are asserted bit-identical between the two sides on every query
-of both workloads (the full cross-backend identity lives in
+of both workloads (identity with the SQL reference lives in
 ``tests/properties/test_prop_backends.py``).
 """
 
@@ -39,8 +40,7 @@ from repro.data import (
     NestedRelation,
     Vocabulary,
 )
-from repro.data.backends import create
-from repro.data.index import evaluate_inverted
+from repro.data.index import RelationIndex, evaluate_inverted
 from repro.data.schema import Attribute, FlatSchema, NestedSchema
 from repro.core.query import QhornQuery
 
@@ -115,17 +115,16 @@ def _measure(compiled, evaluate):
 
 def _kernel_row(label, relation, vocab, workload, gated):
     """Warm scan vs tabled-kernel sweep on one workload; returns the
-    table row, the measured speedup and the warm backend."""
+    table row, the measured speedup and the warm index."""
     compiled = [q.compile() for q in workload]
-    backend = create("bitmask", relation, vocab)
-    index = backend.index
+    index = RelationIndex(relation, vocab)
     inverted, all_bits = index._kernel.inverted, index._kernel.all_bits
-    backend.matching_bits(compiled[0])  # build the zeta tables
+    index.matching_bits(compiled[0])  # build the zeta tables
 
     scan_ms, scan_answers = _measure(
         compiled, lambda c: evaluate_inverted(c, inverted, all_bits)
     )
-    tabled_ms, tabled_answers = _measure(compiled, backend.matching_bits)
+    tabled_ms, tabled_answers = _measure(compiled, index.matching_bits)
     assert tabled_answers == scan_answers, (
         f"{label}: tabled kernel answers diverge from evaluate_inverted"
     )
@@ -138,7 +137,7 @@ def _kernel_row(label, relation, vocab, workload, gated):
         f"{speedup:.1f}x",
         "yes" if gated else "-",
     ]
-    return row, speedup, backend
+    return row, speedup, index
 
 
 def test_e26_numpy_kernel(
@@ -153,7 +152,7 @@ def test_e26_numpy_kernel(
     )
     wide_relation, wide_vocab = _wide_relation(WIDE_N, SIZE, seed=1303)
     wide_workload = _wide_workload(WIDE_N, seed=2026)
-    wide_row, wide_speedup, wide_backend = _kernel_row(
+    wide_row, wide_speedup, wide_index = _kernel_row(
         f"wide (n={WIDE_N})",
         wide_relation,
         wide_vocab,
@@ -181,4 +180,4 @@ def test_e26_numpy_kernel(
 
     # pytest-benchmark median on the gated warm path.
     compiled = wide_workload[0].compile()
-    benchmark(wide_backend.matching_bits, compiled)
+    benchmark(wide_index.matching_bits, compiled)

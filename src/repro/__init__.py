@@ -29,11 +29,7 @@ from repro.core.normalize import (
 from repro.core.parser import parse_query
 from repro.core.query import QhornQuery
 from repro.core.tuples import Question
-from repro.data import (
-    DbApiBackend,
-    QueryEngine,
-    parse_backend_opts,
-)
+from repro.data import DbApiBackend, QueryEngine
 from repro.learning import (
     Qhorn1Learner,
     Qhorn1Result,
@@ -63,7 +59,6 @@ __all__ = [
     "CountingOracle",
     "DbApiBackend",
     "QueryEngine",
-    "parse_backend_opts",
     "ExistentialConjunction",
     "MembershipOracle",
     "NoisyOracle",

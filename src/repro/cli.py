@@ -20,7 +20,6 @@ from repro.core.normalize import canonicalize
 from repro.core.parser import ParseError, parse_query
 from repro.core.serialize import query_to_json
 from repro.core.tuples import MAX_VARIABLES
-from repro.data.backends import BACKENDS, parse_backend_opts
 from repro.learning import (
     Qhorn1Learner,
     RolePreservingLearner,
@@ -31,30 +30,8 @@ from repro.verification import Verifier
 
 __all__ = ["main", "build_parser"]
 
-#: Backend-selection guide shown in ``--help`` (DESIGN.md §2c).
-BACKEND_GUIDE = """\
-evaluation backends (--backend):
-  bitmask   one in-process inverted bitmask index over the whole relation,
-            built in one pass over the rows; the default
-  dbapi     the database answers (DESIGN.md §2i): the relation loads into
-            a SQLite database, queries compile to SQL once and run in one
-            round trip on the backend's one connection, replayed once on
-            a fresh connection when a statement fails.  A private
-            shared-memory database by default, or
-            --backend-opt uri=file:/path/db.sqlite for a file-backed
-            store
-Both backends return identical answers on identical state (DESIGN.md
-§2c).  demo evaluates its learned query with either; learn and verify
-evaluate no relation and take no --backend.
-
-backend options (--backend-opt KEY=VALUE, repeatable):
-  each occurrence is a key=value pair forwarded to the backend
-  constructor with typed coercion (true/false → bool, digits →
-  int/float, none → None); uri (dbapi) is the one option.  Example:
-    --backend dbapi --backend-opt uri=file:/tmp/store.sqlite
-  The same pairs drive QueryEngine(backend_options=...) in code and the
-  pytest --backend/--backend-opt fixtures in the test-suite.
-
+#: The serve and enumerate guide shown at the bottom of ``repro --help``.
+COMMAND_GUIDE = """\
 multi-session server (repro serve, DESIGN.md §2f):
   an asyncio TCP server multiplexing many concurrent dialogues in one
   event loop, speaking newline-delimited JSON framed with a session id:
@@ -97,8 +74,9 @@ exhaustive conformance (repro enumerate, DESIGN.md §2j):
   (deduplicated up to semantic equivalence) and EVERY relation up to
   --max-objects objects.  Every learner (qhorn1/naive/role-preserving)
   must learn each query to an equivalent one, within the paper's
-  question bound where one applies, and both evaluation backends must
-  reproduce the compiled reference labels on every (query, store) pair.
+  question bound where one applies, and both evaluators (the in-process
+  bitmask index and the SQL reference, dbapi) must reproduce the
+  compiled reference labels on every (query, store) pair.
   Any disagreement is shrunk to a minimal
   witness and written to the JSONL corpus (--out FILE), which
   `python -m repro.server.loadgen --scenario FILE` replays as server
@@ -112,7 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro",
         description="qhorn: learn and verify quantified Boolean queries "
         "by example (PODS 2013)",
-        epilog=BACKEND_GUIDE,
+        epilog=COMMAND_GUIDE,
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -145,22 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
     sql.add_argument("query")
     sql.add_argument("--n", type=int, default=None)
 
-    demo = sub.add_parser("demo", help="run the chocolate-store walkthrough")
-    demo.add_argument(
-        "--backend",
-        choices=sorted(BACKENDS),
-        default="bitmask",
-        help="evaluation backend (default: bitmask; see the guide at "
-        "the bottom of `repro --help`)",
-    )
-    demo.add_argument(
-        "--backend-opt",
-        action="append",
-        default=None,
-        metavar="KEY=VALUE",
-        help="backend constructor option, repeatable, typed coercion "
-        "(see the guide at the bottom of `repro --help`)",
-    )
+    sub.add_parser("demo", help="run the chocolate-store walkthrough")
 
     serve = sub.add_parser(
         "serve",
@@ -234,21 +197,22 @@ def build_parser() -> argparse.ArgumentParser:
     )
     enumerate_.add_argument(
         "--max-objects",
-        type=int,
+        type=_non_negative,
         default=2,
         metavar="N",
-        help="enumerate every relation with up to N objects (default 2)",
+        help="enumerate every relation with up to N objects (default 2; "
+        "0 is the empty relation alone)",
     )
     enumerate_.add_argument(
         "--max-rows",
-        type=int,
+        type=_non_negative,
         default=2,
         metavar="R",
         help="rows (distinct tuples) per enumerated object (default 2)",
     )
     enumerate_.add_argument(
         "--max-exprs",
-        type=int,
+        type=_positive,
         default=None,
         metavar="E",
         help="expressions per enumerated query (default: n at each n)",
@@ -309,15 +273,28 @@ def _port(text: str) -> int:
     return port
 
 
-def _positive(text: str) -> int:
-    """argparse type of ``--progress-every``: an int of 1 or more."""
+def _at_least(text: str, low: int) -> int:
+    """``text`` as an int of ``low`` or more, else an argparse error."""
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be 1 or more, got {value}")
+    if value < low:
+        raise argparse.ArgumentTypeError(f"must be {low} or more, got {value}")
     return value
+
+
+def _positive(text: str) -> int:
+    """argparse type of ``--progress-every`` and ``--max-exprs``: an int
+    of 1 or more (no expressions is no query to check)."""
+    return _at_least(text, 1)
+
+
+def _non_negative(text: str) -> int:
+    """argparse type of ``--max-objects`` and ``--max-rows``: an int of
+    0 or more (0 names a real space: the empty relation, or objects with
+    no rows)."""
+    return _at_least(text, 0)
 
 
 def _max_props(text: str) -> int:
@@ -456,37 +433,22 @@ def _cmd_demo(args) -> int:
 
     vocabulary = storefront_vocabulary()
     store = random_store(100, random.Random(1304))
-    try:
-        # Build the backend before the first line of output, so a
-        # rejected option exits 2 with nothing printed.
-        engine = QueryEngine(
-            store,
-            vocabulary,
-            backend=args.backend,
-            backend_options=parse_backend_opts(args.backend_opt),
-        )
-        backend = engine.backend
-    except (TypeError, ValueError) as error:
-        print(f"repro demo: {error}", file=sys.stderr)
-        return 2
-    try:
-        print("propositions:")
-        print(vocabulary.legend())
-        cache = CachingOracle(QueryOracle(intro_query()))
-        oracle = CountingOracle(cache)
-        result = learn_qhorn1(oracle)
-        print(f"\nintended: {intro_query().shorthand()}")
-        print(f"learned : {result.query.shorthand()} "
-              f"({oracle.questions_asked} questions, "
-              f"{cache.stats.misses} distinct, "
-              f"{oracle.stats.rounds} rounds)")
-        matches = engine.execute_batch(result.query)
-        print(f"matching boxes: {len(matches)} / {len(store)} "
-              f"({backend.describe()})")
-    finally:
-        close = getattr(backend, "close", None)
-        if close is not None:
-            close()
+    engine = QueryEngine(store, vocabulary)
+    print("propositions:")
+    print(vocabulary.legend())
+    cache = CachingOracle(QueryOracle(intro_query()))
+    oracle = CountingOracle(cache)
+    result = learn_qhorn1(oracle)
+    print(f"\nintended: {intro_query().shorthand()}")
+    print(f"learned : {result.query.shorthand()} "
+          f"({oracle.questions_asked} questions, "
+          f"{cache.stats.misses} distinct, "
+          f"{oracle.stats.rounds} rounds)")
+    matches = engine.execute_batch(result.query)
+    index = engine.index
+    print(f"matching boxes: {len(matches)} / {len(store)} "
+          f"(bitmask: {len(index)} objects, "
+          f"{index.distinct_masks} distinct masks)")
     for box in matches[:5]:
         print(f"  {box.key}")
     return 0

@@ -4,13 +4,7 @@ Schemas, relations, proposition vocabularies with interference checking,
 Boolean-tuple→row synthesis, question rendering, and a query engine.
 """
 
-from repro.data.backends import (
-    BitmaskBackend,
-    DbApiBackend,
-    EvaluationBackend,
-    coerce_option,
-    parse_backend_opts,
-)
+from repro.data.dbapi import DbApiBackend
 from repro.data.engine import ExampleFactory, ExpressionReport, QueryEngine
 from repro.data.index import RelationIndex
 from repro.data.sql import to_sql
@@ -39,12 +33,8 @@ __all__ = [
     "Attribute",
     "AttributeType",
     "Between",
-    "BitmaskBackend",
     "BoolIs",
     "DbApiBackend",
-    "EvaluationBackend",
-    "coerce_option",
-    "parse_backend_opts",
     "to_sql",
     "Equals",
     "ExampleFactory",

@@ -1,4 +1,5 @@
-"""External databases as first-class backends (DESIGN.md §2i).
+"""The SQL reference: a relation answered by a DB-API database
+(DESIGN.md §2c, §2i).
 
 The database answers, not the process.  :class:`DbApiBackend` loads the
 relation into a PEP 249 database, compiles each query to SQL once (a
@@ -7,12 +8,14 @@ answers every evaluation in one round trip on the one connection it
 holds, a :class:`RetryingConnection`: work that fails with
 ``sqlite3.Error`` replays once on a freshly opened connection.  This is
 the one SQL path; membership questions are answered in process
-(:class:`~repro.oracle.QueryOracle`).
+(:class:`~repro.oracle.QueryOracle`), and batch evaluation in process
+by :class:`~repro.data.index.RelationIndex`.
 
 Because SQL evaluates propositions over the *real* rows while the
-bitmask backend evaluates vocabulary abstractions, answer identity
-across the seam doubles as an end-to-end check that
-``proposition_to_sql`` and ``Proposition.holds`` agree.
+index evaluates vocabulary abstractions, answer identity between the
+two (checked by the enumerate differ on every (query, store) pair)
+doubles as an end-to-end check that ``proposition_to_sql`` and
+``Proposition.holds`` agree.
 
 The built-in connector is SQLite over a URI: ``uri=file:...`` for a
 file-backed store, or by default a per-backend shared-memory database.
@@ -30,7 +33,7 @@ from urllib.parse import parse_qs, urlsplit
 
 from repro.core import tuples as bt
 from repro.core.query import CompiledQuery, QhornQuery
-from repro.data.backends.base import check_width
+from repro.data.index import check_width
 from repro.data.propositions import Vocabulary
 from repro.data.relation import NestedObject, NestedRelation
 from repro.data.sql import column_type, identifier, to_sql
@@ -84,11 +87,6 @@ def sqlite_connector(uri: str) -> Callable[[], sqlite3.Connection]:
     URI, so a URI that gives each connection its own empty database is
     refused up front.
     """
-    if not isinstance(uri, str):
-        raise TypeError(
-            f"uri must be a string, got {type(uri).__name__} {uri!r}; "
-            f"spell a numeric file name as file:{uri}"
-        )
     if _private_per_connection(uri):
         raise ValueError(
             f"uri={uri!r} gives every connection its own empty database; "
@@ -152,19 +150,15 @@ class RetryingConnection:
                 _close_quietly(handle)
         self.handle = self._keeper = None
 
-    def describe(self) -> str:
-        return (
-            f"{self.connections_opened} connections opened, "
-            f"{self.stale_retries} stale retries"
-        )
-
 
 class DbApiBackend:
     """Evaluates queries on a DB-API database over one connection.
 
-    Parameters (all but ``connect`` reachable as CLI
-    ``--backend-opt key=value``)
-    ----------------------------------------------------------------
+    Parameters
+    ----------
+    relation, vocabulary:
+        The evaluated pair, loaded into the database on first
+        evaluation.
     uri:
         Database location for the built-in SQLite connector —
         ``file:/path/db.sqlite`` (file-backed), a plain path, or omitted
@@ -176,10 +170,9 @@ class DbApiBackend:
         SQLite's SQL; also how tests substitute failing connections.
 
     Every evaluation first reloads the database when the relation's
-    version moved (the §2c contract).
+    version moved (the §2c contract), and answers exactly as
+    :class:`~repro.data.index.RelationIndex` does on the same state.
     """
-
-    name = "dbapi"
 
     def __init__(
         self,
@@ -326,7 +319,7 @@ class DbApiBackend:
         return [o.key in keys for o in self._objects]
 
     # ------------------------------------------------------------------
-    # Lifecycle / introspection
+    # Lifecycle
     # ------------------------------------------------------------------
     def close(self) -> None:
         """Close the connection and the keeper (safe to call twice)."""
@@ -338,16 +331,6 @@ class DbApiBackend:
 
     def __exit__(self, *exc: Any) -> None:
         self.close()
-
-    def describe(self) -> str:
-        where = self.uri or "driver connection"
-        if not self._loaded:
-            return f"dbapi: not loaded yet ({where})"
-        return (
-            f"dbapi: {len(self._objects)} objects at {where}, "
-            f"{len(self._sql_cache)} cached statements, "
-            f"{self.connection.describe()}"
-        )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"DbApiBackend({len(self.relation)} objects, {self.uri!r})"

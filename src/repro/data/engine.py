@@ -7,14 +7,14 @@ questions into concrete example objects — synthesizing rows (assumption (i))
 or, as §5 suggests for rich databases, selecting matching rows from an
 actual relation.
 
-Two evaluation paths coexist (DESIGN.md §2): the per-object *reference
-path* (:meth:`QueryEngine.matches` / :meth:`QueryEngine.execute`), which
-abstracts rows on every call, and the *batch path*
-(:meth:`QueryEngine.execute_batch` / :meth:`QueryEngine.matches_many`),
-which dispatches to an :class:`~repro.data.backends.EvaluationBackend`
-(DESIGN.md §2c) — the bitmask index on the one bitmask kernel,
-:class:`~repro.data.index.BitsetKernel`, or SQL batch execution.  Both
-backends must return identical answers on identical state.
+The engine answers in two ways (DESIGN.md §2): the per-object
+*reference path* (:meth:`QueryEngine.matches` /
+:meth:`QueryEngine.execute`), which abstracts rows on every call, and
+the *batch path* (:meth:`QueryEngine.execute_batch` /
+:meth:`QueryEngine.matches_many`), which asks the engine's one
+:class:`~repro.data.index.RelationIndex` and its bitmask kernel.  Both
+return identical answers on identical state, and so does the SQL
+reference, :class:`~repro.data.dbapi.DbApiBackend` (DESIGN.md §2c).
 """
 
 from __future__ import annotations
@@ -24,14 +24,7 @@ from typing import Any
 
 from repro.core.query import QhornQuery
 from repro.core.tuples import Question
-from repro.data.backends import (
-    BitmaskBackend,
-    EvaluationBackend,
-    backend_class,
-    create,
-)
-from repro.data.backends.base import check_width
-from repro.data.index import RelationIndex
+from repro.data.index import RelationIndex, check_width
 from repro.data.propositions import Vocabulary
 from repro.data.relation import NestedObject, NestedRelation
 
@@ -50,75 +43,27 @@ class ExpressionReport:
 class QueryEngine:
     """Evaluates queries over a nested relation via a vocabulary.
 
-    The batch evaluation methods dispatch to an
-    :class:`~repro.data.backends.EvaluationBackend` (``backend=`` accepts
-    a backend name — ``"bitmask"`` or ``"dbapi"`` — or a constructed
-    backend instance; backends build lazily on first batch call).  The
-    per-object methods keep the seed reference semantics regardless of
-    backend.
+    The batch methods answer from one :class:`RelationIndex` over the
+    relation, built on first use and rebuilt when the relation's version
+    moves; the per-object methods keep the seed reference semantics.
     """
 
-    def __init__(
-        self,
-        relation: NestedRelation,
-        vocabulary: Vocabulary,
-        backend: str | EvaluationBackend = "bitmask",
-        backend_options: dict[str, Any] | None = None,
-    ) -> None:
+    def __init__(self, relation: NestedRelation, vocabulary: Vocabulary) -> None:
         self.relation = relation
         self.vocabulary = vocabulary
-        if isinstance(backend, str):
-            # Validate the name eagerly (fail at construction, not first
-            # batch call) but build the backend lazily.
-            self._backend: EvaluationBackend | None = None
-            self._backend_spec = backend
-            self._backend_options = dict(backend_options or {})
-            backend_class(backend)
-        else:
-            if backend.relation is not relation:
-                raise ValueError(
-                    "backend was built over a different relation"
-                )
-            if backend_options:
-                raise ValueError(
-                    "backend_options only apply when the backend is "
-                    "selected by name; configure the instance directly"
-                )
-            self._backend = backend
-            self._backend_spec = backend.name
-            self._backend_options = {}
-
-    @property
-    def backend(self) -> EvaluationBackend:
-        """The engine's evaluation backend, built on first access."""
-        if self._backend is None:
-            self._backend = create(
-                self._backend_spec,
-                self.relation,
-                self.vocabulary,
-                **self._backend_options,
-            )
-        return self._backend
-
-    @property
-    def backend_name(self) -> str:
-        """Name of the active backend (without building it)."""
-        return self._backend_spec
+        self._index: RelationIndex | None = None
 
     @property
     def index(self) -> RelationIndex:
-        """The engine's bitmask relation index, built on first access.
+        """The engine's relation index, built on first access."""
+        if self._index is None:
+            self._index = RelationIndex(self.relation, self.vocabulary)
+        return self._index
 
-        For the bitmask backend this *is* the evaluation structure; for
-        the dbapi backend it is an introspection view (mask statistics)
-        built independently of the answering path.
-        """
-        backend = self.backend
-        if isinstance(backend, BitmaskBackend):
-            return backend.index
-        if getattr(self, "_intro_index", None) is None:
-            self._intro_index = RelationIndex(self.relation, self.vocabulary)
-        return self._intro_index
+    #: The index under its older name, which ``perfbench/engine_scan.py``
+    #: still reads (``engine.backend.refresh()``); it goes when that
+    #: caller reads ``engine.index``.
+    backend = index
 
     def matches(self, query: QhornQuery, obj: NestedObject) -> bool:
         """Does ``obj`` satisfy ``query``?  (Per-object reference path.)"""
@@ -138,20 +83,17 @@ class QueryEngine:
         return [o for o in self.relation if evaluate(abstract(o.rows))]
 
     def execute_batch(self, query: QhornQuery) -> list[NestedObject]:
-        """All answers to ``query`` via the evaluation backend.
+        """All answers to ``query`` via the index.
 
-        Identical answers to :meth:`execute` whatever the backend; the
-        backend amortizes row abstraction (or database loading) across
-        calls (DESIGN.md §2, §2c).
+        Identical answers to :meth:`execute`; the index amortizes row
+        abstraction across calls (DESIGN.md §2).
         """
-        self._check(query)
-        return self.backend.execute(query)
+        return self.index.execute(query)
 
     def matches_many(self, query: QhornQuery) -> list[bool]:
         """Answer labels for every object of the relation, in relation
-        order, via the backend."""
-        self._check(query)
-        return self.backend.matches_many(query)
+        order, via the index."""
+        return self.index.matches_many(query)
 
     def explain(self, query: QhornQuery, obj: NestedObject) -> list[ExpressionReport]:
         """Per-expression satisfaction report for ``obj`` (UI affordance)."""

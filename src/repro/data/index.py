@@ -30,11 +30,15 @@ adds one ``O(W)`` decode to a boolean flag array (:func:`flags_of`) and
 one numpy gather from the object array built with the index: no Python
 ``int`` is made per answer.
 
-Agreement with the per-object reference path is enforced by the
-differential property suite in ``tests/properties/test_prop_engine.py``;
+:class:`~repro.data.engine.QueryEngine` holds one index, built on first
+use, and answers its batch calls from it.  Agreement with the
+per-object reference path is enforced by the differential property
+suite in ``tests/properties/test_prop_engine.py``, and agreement with
+the SQL reference (:class:`~repro.data.dbapi.DbApiBackend`) by
+``tests/properties/test_prop_backends.py`` and the enumerate differ;
 the tabled path is pinned to the scan by
 ``tests/properties/test_prop_tables.py``; the representation and
-contract are documented in DESIGN.md §2.
+contract are documented in DESIGN.md §2 and §2c.
 """
 
 from __future__ import annotations
@@ -52,6 +56,7 @@ __all__ = [
     "BitsetKernel",
     "RelationIndex",
     "ZETA_TABLE_BUDGET",
+    "check_width",
     "evaluate_inverted",
     "flags_of",
     "pack_positions",
@@ -259,6 +264,17 @@ class BitsetKernel:
         return answers
 
 
+def check_width(
+    query: QhornQuery | CompiledQuery, vocabulary: Vocabulary
+) -> None:
+    """Query and vocabulary must agree on the width ``n``."""
+    if query.n != vocabulary.n:
+        raise ValueError(
+            f"query over n={query.n} propositions, vocabulary has "
+            f"{vocabulary.n}"
+        )
+
+
 class RelationIndex:
     """The inverted mask index of one nested relation, in a
     :class:`BitsetKernel`.
@@ -335,11 +351,7 @@ class RelationIndex:
         """Object-position bitset of the relation's answers to ``query``."""
         self._ensure_fresh()
         compiled = query.compile() if isinstance(query, QhornQuery) else query
-        if compiled.n != self.vocabulary.n:
-            raise ValueError(
-                f"query over n={compiled.n} propositions, vocabulary has "
-                f"{self.vocabulary.n}"
-            )
+        check_width(compiled, self.vocabulary)
         return self._kernel.matching_bits(compiled)
 
     def execute(self, query: QhornQuery | CompiledQuery) -> list[NestedObject]:

@@ -16,12 +16,13 @@ using the classic translation of quantifiers:
 
 The SQL is spelled for SQLite: booleans are the literals ``1``/``0``,
 identifiers stay bare unless they are not plain names, and string
-literals double their quotes.  The ``dbapi`` evaluation backend
-(:class:`~repro.data.backends.dbapi.DbApiBackend`) loads a
+literals double their quotes.  The SQL reference
+(:class:`~repro.data.dbapi.DbApiBackend`) loads a
 :class:`~repro.data.relation.NestedRelation` into this encoding and
-executes the generated SQL — the test-suite cross-checks it against the
-in-process :class:`~repro.data.engine.QueryEngine` on every query, so
-the two evaluators validate each other.
+executes the generated SQL; the enumerate differ and the test-suite
+cross-check it against the in-process
+:class:`~repro.data.index.RelationIndex` on every query, so the two
+evaluators validate each other.
 """
 
 from __future__ import annotations

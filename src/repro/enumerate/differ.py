@@ -11,9 +11,11 @@ through each leg of the matrix:
   satisfy the paper's bound — Theorem 3.1 (``12·n·lg n + 12``, the
   constant the learning suite pins) for the qhorn-1 learner, the
   role-preserving bound (``4n³ + 6kn·lg n + 40``) for the §4 learner.
-* **Backend matrix** (per (query, store) pair): both evaluation
-  backends — ``bitmask`` and ``dbapi`` — must produce exactly the
-  per-object labels, answer keys and answer bitmask that
+* **Backend matrix** (per (query, store) pair): both evaluators in
+  :data:`BACKEND_LEGS` — ``bitmask``, the in-process
+  :class:`~repro.data.index.RelationIndex`, and ``dbapi``, the SQL
+  reference :class:`~repro.data.dbapi.DbApiBackend` — must produce
+  exactly the per-object labels, answer keys and answer bitmask that
   :class:`~repro.core.query.CompiledQuery` computes from each object's
   abstraction.
 
@@ -32,13 +34,15 @@ from typing import Any, Callable, Sequence
 from repro.core.normalize import brute_force_equivalent
 from repro.core.query import QhornQuery
 from repro.core.serialize import query_to_dict
-from repro.data.backends import create
+from repro.data.dbapi import DbApiBackend
+from repro.data.index import RelationIndex
 from repro.enumerate.space import EnumeratedQuery, EnumeratedStore
 from repro.learning import Qhorn1Learner, RolePreservingLearner
 from repro.learning.baselines import NaiveQhorn1Learner
 from repro.oracle import CountingOracle, QueryOracle
 
 __all__ = [
+    "BACKEND_LEGS",
     "Divergence",
     "LearnerOutcome",
     "MatrixSpec",
@@ -69,6 +73,14 @@ LEARNER_FACTORIES: dict[str, Callable[[Any], Any]] = {
     "role-preserving": RolePreservingLearner,
 }
 
+#: The backend matrix's legs: each class is built as ``cls(relation,
+#: vocabulary)`` and answers ``matches_many``, ``execute`` and
+#: ``matching_bits``.
+BACKEND_LEGS: dict[str, type] = {
+    "bitmask": RelationIndex,
+    "dbapi": DbApiBackend,
+}
+
 #: (learner kind, n) → question-count bound, or None for unbounded
 #: baselines.  ``naive`` is the Θ(n²) control — it must agree
 #: everywhere but no paper bound applies.
@@ -90,7 +102,7 @@ class MatrixSpec:
     """
 
     learners: tuple[str, ...] = ("qhorn1", "naive", "role-preserving")
-    backends: tuple[str, ...] = ("bitmask", "dbapi")
+    backends: tuple[str, ...] = tuple(BACKEND_LEGS)
 
     @classmethod
     def parse(cls, spec: str | None) -> "MatrixSpec":
@@ -110,6 +122,10 @@ class MatrixSpec:
                     f"{', '.join(full.__dataclass_fields__)}"
                 )
             values = tuple(v.strip() for v in raw.split("+") if v.strip())
+            if not values:
+                # An axis with no legs would report a clean sweep over
+                # nothing.
+                raise ValueError(f"matrix axis {axis!r} names no choices")
             allowed = getattr(full, axis)
             for value in values:
                 if value not in allowed:
@@ -450,7 +466,7 @@ def shrink_backend_case(
         relation = probe_store.relation(vocabulary)
         backend = None
         try:
-            backend = create(leg, relation, vocabulary)
+            backend = BACKEND_LEGS[leg](relation, vocabulary)
             expected = reference_labels(q, relation, vocabulary)
             return list(backend.matches_many(q)) != expected
         except Exception:

@@ -33,8 +33,8 @@ import sys
 from dataclasses import dataclass, field
 from typing import Any, Callable, TextIO
 
-from repro.data.backends import create
 from repro.enumerate.differ import (
+    BACKEND_LEGS,
     Divergence,
     MatrixSpec,
     check_backends,
@@ -230,7 +230,7 @@ def run(
                 continue
             relation = store.relation(vocabulary)
             backends = {
-                name: create(name, relation, vocabulary)
+                name: BACKEND_LEGS[name](relation, vocabulary)
                 for name in matrix.backends
             }
             try:

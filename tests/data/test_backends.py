@@ -1,12 +1,15 @@
-"""Unit tests for the pluggable evaluation backends (DESIGN.md §2c).
+"""Unit tests for the one engine's index and the SQL reference
+(DESIGN.md §2c).
 
-The answer-identity contract across backends is enforced at scale by
-``tests/properties/test_prop_backends.py``; these tests pin the seam
-itself — construction, dispatch, staleness, the dbapi connection and
-lifecycle — on the chocolate-store domain.
+The answer-identity contract between them is enforced at scale by
+``tests/properties/test_prop_backends.py``; these tests pin each leg on
+the chocolate-store domain — answers, staleness and width checks — and
+the dbapi connection and lifecycle.
 
-Tests taking the ``backend_name`` fixture run once per backend
-(restrict with ``pytest --backend dbapi``).
+``TestBackendContract`` runs every case on three legs built directly:
+``RelationIndex``, ``DbApiBackend`` on its default shared-memory
+database, and ``DbApiBackend`` on a file-backed store (the on-disk
+reload path).
 """
 
 from __future__ import annotations
@@ -18,19 +21,13 @@ import pytest
 
 from repro.core.parser import parse_query
 from repro.core.query import QhornQuery
-from repro.data import EvaluationBackend, QueryEngine, RelationIndex
-from repro.data.backends import (
-    BACKENDS,
-    BitmaskBackend,
-    DbApiBackend,
-    create,
-)
-from repro.data.backends.dbapi import memory_uri
+from repro.data import DbApiBackend, QueryEngine, RelationIndex
 from repro.data.chocolate import (
     intro_query,
     random_store,
     storefront_vocabulary,
 )
+from repro.data.dbapi import memory_uri
 
 WORKLOAD = [
     "∀x1 ∃x2x3",
@@ -61,33 +58,31 @@ def _reference(engine, query):
     return [o.key for o in engine.execute(query)]
 
 
-class TestRegistry:
-    def test_all_backends_registered(self):
-        assert set(BACKENDS) == {"bitmask", "dbapi"}
+@pytest.fixture(params=["bitmask", "dbapi", "dbapi-file"])
+def build(request, tmp_path):
+    """Builds one contract leg over a relation and vocabulary; the SQL
+    legs are closed after the test."""
+    opened = []
 
-    def test_unknown_backend_rejected(self, store, vocab):
-        with pytest.raises(ValueError, match="unknown evaluation backend"):
-            create("async", store, vocab)
+    def leg(relation, vocabulary):
+        if request.param == "bitmask":
+            return RelationIndex(relation, vocabulary)
+        uri = None
+        if request.param == "dbapi-file":
+            uri = f"file:{tmp_path}/contract.sqlite"
+        backend = DbApiBackend(relation, vocabulary, uri=uri)
+        opened.append(backend)
+        return backend
 
-    def test_options_forwarded(self, store, vocab):
-        uri = memory_uri()
-        with create("dbapi", store, vocab, uri=uri) as backend:
-            assert backend.uri == uri
-
-    def test_created_backends_satisfy_protocol(
-        self, store, vocab, backend_name, backend_options
-    ):
-        backend = create(backend_name, store, vocab, **backend_options)
-        assert isinstance(backend, EvaluationBackend)
-        assert backend.name == backend_name
+    yield leg
+    for backend in opened:
+        backend.close()
 
 
 class TestBackendContract:
-    def test_agrees_with_reference_path(
-        self, store, vocab, backend_name, backend_options
-    ):
+    def test_agrees_with_reference_path(self, store, vocab, build):
         engine = QueryEngine(store, vocab)
-        backend = create(backend_name, store, vocab, **backend_options)
+        backend = build(store, vocab)
         for query in _queries():
             expected = _reference(engine, query)
             assert [o.key for o in backend.execute(query)] == expected
@@ -96,10 +91,8 @@ class TestBackendContract:
             bits = backend.matching_bits(query)
             assert [bool(bits >> i & 1) for i in range(len(store))] == labels
 
-    def test_auto_refresh_sees_inserts(
-        self, store, vocab, backend_name, backend_options
-    ):
-        backend = create(backend_name, store, vocab, **backend_options)
+    def test_auto_refresh_sees_inserts(self, store, vocab, build):
+        backend = build(store, vocab)
         query = QhornQuery(n=4)
         before = backend.matches_many(query)
         assert backend.is_stale is False
@@ -121,10 +114,8 @@ class TestBackendContract:
         assert after[-1] is True
         assert backend.is_stale is False
 
-    def test_explicit_refresh(
-        self, store, vocab, backend_name, backend_options
-    ):
-        backend = create(backend_name, store, vocab, **backend_options)
+    def test_explicit_refresh(self, store, vocab, build):
+        backend = build(store, vocab)
         backend.matches_many(QhornQuery(n=4))
         assert backend.refresh() is False  # fresh: no rebuild
         store.add_object("x", rows=[])
@@ -132,18 +123,14 @@ class TestBackendContract:
         assert len(backend.matches_many(QhornQuery(n=4))) == len(store)
         assert backend.refresh(force=True) is True
 
-    def test_width_mismatch_rejected(
-        self, store, vocab, backend_name, backend_options
-    ):
-        backend = create(backend_name, store, vocab, **backend_options)
+    def test_width_mismatch_rejected(self, store, vocab, build):
+        backend = build(store, vocab)
         with pytest.raises(ValueError):
             backend.execute(parse_query("∃x1x2x3x4x5"))
 
-    def test_answers_over_a_65_proposition_vocabulary(
-        self, backend_name, backend_options
-    ):
-        """No backend caps the vocabulary width: past 64 propositions
-        each answers exactly like the reference path."""
+    def test_answers_over_a_65_proposition_vocabulary(self, build):
+        """No leg caps the vocabulary width: past 64 propositions each
+        answers exactly like the reference path."""
         from repro.data import BoolIs, NestedRelation, Vocabulary
         from repro.data.schema import Attribute, FlatSchema, NestedSchema
 
@@ -165,61 +152,8 @@ class TestBackendContract:
         query = parse_query("∀x64→x65 ∃x1x65", n=65)
         expected = [o.key for o in QueryEngine(relation, wide).execute(query)]
         assert 0 < len(expected) < len(relation)
-        backend = create(backend_name, relation, wide, **backend_options)
+        backend = build(relation, wide)
         assert [o.key for o in backend.execute(query)] == expected
-
-    def test_describe_is_informative(
-        self, store, vocab, backend_name, backend_options
-    ):
-        backend = create(backend_name, store, vocab, **backend_options)
-        assert backend_name in backend.describe()
-        backend.matches_many(intro_query())
-        assert str(len(store)) in backend.describe()
-
-
-class TestEngineDispatch:
-    def test_backend_names_construct(self, store, vocab, backend_name):
-        engine = QueryEngine(store, vocab, backend=backend_name)
-        assert engine.backend_name == backend_name
-        reference = QueryEngine(store, vocab)
-        for query in _queries():
-            assert [o.key for o in engine.execute_batch(query)] == (
-                _reference(reference, query)
-            )
-
-    def test_unknown_name_fails_at_construction(self, store, vocab):
-        with pytest.raises(ValueError, match="unknown evaluation backend"):
-            QueryEngine(store, vocab, backend="remote")
-
-    def test_backend_options_thread_through(self, store, vocab):
-        uri = memory_uri()
-        engine = QueryEngine(
-            store, vocab, backend="dbapi", backend_options={"uri": uri}
-        )
-        with engine.backend as backend:
-            assert backend.uri == uri
-
-    def test_injected_backend_instance(self, store, vocab):
-        backend = BitmaskBackend(store, vocab)
-        engine = QueryEngine(store, vocab, backend=backend)
-        assert engine.backend is backend
-        assert engine.backend_name == "bitmask"
-
-    def test_backend_relation_mismatch_rejected(self, vocab):
-        a = random_store(5, random.Random(1))
-        b = random_store(5, random.Random(2))
-        with DbApiBackend(b, vocab) as foreign:
-            with pytest.raises(ValueError, match="different relation"):
-                QueryEngine(a, vocab, backend=foreign)
-
-    def test_index_property_is_introspection_for_other_backends(
-        self, store, vocab
-    ):
-        engine = QueryEngine(store, vocab, backend="dbapi")
-        index = engine.index
-        assert isinstance(index, RelationIndex)
-        assert index.distinct_masks <= 16
-        assert engine.index is index  # cached
 
 
 class TestBitmaskKernel:
@@ -228,12 +162,12 @@ class TestBitmaskKernel:
         superset-union tables and scans; answers must not change."""
         from repro.data import index
 
-        tabled = create("bitmask", store, vocab)
-        assert tabled.index._kernel._zeta_bits >= 0
+        tabled = RelationIndex(store, vocab)
+        assert tabled._kernel._zeta_bits >= 0
 
         monkeypatch.setattr(index, "ZETA_TABLE_BUDGET", 0)
-        scan = create("bitmask", store, vocab)
-        assert scan.index._kernel._zeta_bits == -1
+        scan = RelationIndex(store, vocab)
+        assert scan._kernel._zeta_bits == -1
 
         for query in _queries():
             assert scan.matching_bits(query) == tabled.matching_bits(query)
@@ -322,7 +256,6 @@ class TestDbApiBackendLifecycle:
             # re-ran on a freshly opened one.
             assert backend.connection.connections_opened == opened + 1
             assert backend.connection.stale_retries == 1
-            assert "1 stale retries" in backend.describe()
         finally:
             backend.close()
 

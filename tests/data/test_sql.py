@@ -284,11 +284,10 @@ class TestSqlEdgeCases:
         return vocab, relation
 
     def _cross_check(self, vocab, relation, queries):
-        from repro.data import QueryEngine
-        from repro.data.backends import create
+        from repro.data import QueryEngine, RelationIndex
 
         reference = QueryEngine(relation, vocab)
-        bitmask = create("bitmask", relation, vocab)
+        bitmask = RelationIndex(relation, vocab)
         with DbApiBackend(relation, vocab) as sql_backend:
             for q in queries:
                 expected = _keys(reference, q)

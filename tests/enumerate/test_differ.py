@@ -6,8 +6,8 @@ from __future__ import annotations
 import pytest
 
 from repro.core.parser import parse_query
-from repro.data.backends import create
 from repro.enumerate.differ import (
+    BACKEND_LEGS,
     MatrixSpec,
     check_backends,
     check_learners,
@@ -29,6 +29,7 @@ class TestMatrixSpec:
     def test_full_is_default(self):
         assert MatrixSpec.parse("full") == MatrixSpec()
         assert MatrixSpec.parse(None) == MatrixSpec()
+        assert MatrixSpec().backends == tuple(BACKEND_LEGS) == ("bitmask", "dbapi")
 
     def test_axis_selection(self):
         spec = MatrixSpec.parse("learners=qhorn1+naive")
@@ -45,6 +46,13 @@ class TestMatrixSpec:
             MatrixSpec.parse("oracles=direct")
         with pytest.raises(ValueError, match="unknown learners choice"):
             MatrixSpec.parse("learners=gradient-descent")
+
+    def test_empty_axis_rejected(self):
+        """An axis with no choices would run no legs and still report a
+        clean sweep."""
+        for spec in ("learners=", "backends=", "learners=+", "backends"):
+            with pytest.raises(ValueError, match="names no choices"):
+                MatrixSpec.parse(spec)
 
     def test_bounds_are_the_pinned_constants(self):
         import math
@@ -105,7 +113,7 @@ class TestBackendMatrix:
         for store in list(enumerate_stores(2, 2))[:15]:
             relation = store.relation(vocabulary)
             backends = {
-                name: create(name, relation, vocabulary)
+                name: BACKEND_LEGS[name](relation, vocabulary)
                 for name in MATRIX.backends
             }
             try:
@@ -131,8 +139,8 @@ class TestBackendMatrix:
         )
         relation = store.relation(vocabulary)
         backends = {
-            name: create(name, relation, vocabulary)
-            for name in ("bitmask", "dbapi")
+            name: leg(relation, vocabulary)
+            for name, leg in BACKEND_LEGS.items()
         }
         try:
             for entry in entries:
@@ -151,7 +159,7 @@ class TestBackendMatrix:
         store = next(s for s in enumerate_stores(2, 2) if len(s.objects) == 2)
         vocabulary = store_vocabulary(2, "bool")
         relation = store.relation(vocabulary)
-        reference = create("bitmask", relation, vocabulary)
+        reference = BACKEND_LEGS["bitmask"](relation, vocabulary)
 
         class InvertingBackend:
             def matches_many(self, query):

@@ -1,18 +1,21 @@
-"""Differential properties: the evaluation backends are answer-identical.
+"""Differential properties: the index and the SQL reference are
+answer-identical.
 
-The :class:`~repro.data.backends.EvaluationBackend` contract (DESIGN.md
-§2c) demands that ``bitmask`` and ``dbapi`` return exactly the answers
-of the per-object reference path on identical state, for every qhorn
-query.  The SQL leg is the strongest form of the check: it evaluates
-propositions over *real rows* in SQLite while the bitmask leg evaluates
-vocabulary abstractions in-process, so agreement exercises the whole
-``proposition_to_sql`` / ``Proposition.holds`` correspondence too.
+DESIGN.md §2c demands that the in-process
+:class:`~repro.data.index.RelationIndex` (``bitmask``) and the SQL
+reference :class:`~repro.data.dbapi.DbApiBackend` (``dbapi``) return
+exactly the answers of the per-object reference path on identical
+state, for every qhorn query.  The SQL leg is the strongest form of the
+check: it evaluates propositions over *real rows* in SQLite while the
+index evaluates vocabulary abstractions in-process, so agreement
+exercises the whole ``proposition_to_sql`` / ``Proposition.holds``
+correspondence too.
 
 Two layers, mirroring ``test_prop_engine.py``:
 
 * hypothesis properties over random relations/queries;
 * a seeded exhaustive sweep of ≥ 1000 random (query, relation) cases
-  comparing all backends, so the agreement count demanded by the
+  comparing both legs, so the agreement count demanded by the
   acceptance criteria is explicit.
 """
 
@@ -22,8 +25,7 @@ import random
 
 from hypothesis import given, settings
 
-from repro.data import QueryEngine
-from repro.data.backends import create
+from repro.data import DbApiBackend, QueryEngine, RelationIndex
 from tests.properties.test_prop_engine import (
     bool_vocabulary,
     engine_cases,
@@ -33,10 +35,10 @@ from tests.properties.test_prop_engine import (
 
 
 def _backends(relation, vocab):
-    """One instance of each backend.  The dbapi leg runs on its default
-    private shared-memory database, so the SQL path is differentially
-    pinned."""
-    return [create("bitmask", relation, vocab), create("dbapi", relation, vocab)]
+    """The index and the SQL reference.  The dbapi leg runs on its
+    default private shared-memory database, so the SQL path is
+    differentially pinned."""
+    return [RelationIndex(relation, vocab), DbApiBackend(relation, vocab)]
 
 
 # ----------------------------------------------------------------------
@@ -63,7 +65,7 @@ def test_backends_agree_on_execute_and_labels(case):
 @given(engine_cases())
 @settings(max_examples=25, deadline=None)
 def test_backends_agree_after_mutation(case):
-    """The version/refresh contract: an insert is visible to every backend."""
+    """The version/refresh contract: an insert is visible to both legs."""
     n, mask_sets, seed = case
     rng = random.Random(seed)
     query = random_query(rng, n)
@@ -75,7 +77,7 @@ def test_backends_agree_after_mutation(case):
     relation.add_object(
         "late", rows=[{f"b{v + 1}": True for v in range(n)}]
     )
-    engine = QueryEngine(relation, vocab, backend="bitmask")
+    engine = QueryEngine(relation, vocab)
     expected = [engine.matches(query, o) for o in relation]
     for backend in backends:
         assert backend.is_stale
@@ -106,11 +108,11 @@ def test_differential_thousand_cases_across_backends():
         expected_labels = [engine.matches(query, o) for o in relation]
         for backend in _backends(relation, vocab):
             assert [o.key for o in backend.execute(query)] == expected_keys, (
-                backend.name,
+                type(backend).__name__,
                 query.shorthand(),
             )
             assert backend.matches_many(query) == expected_labels, (
-                backend.name,
+                type(backend).__name__,
                 query.shorthand(),
             )
         cases += 1
@@ -142,19 +144,19 @@ def test_backends_agree_at_word_packing_boundaries():
         engine = QueryEngine(relation, vocab)
         for _ in range(12):
             query = random_query(rng, n)
-            expected_bits = engine.backend.matching_bits(query)
+            expected_bits = engine.index.matching_bits(query)
             expected_keys = [o.key for o in engine.execute(query)]
             expected_labels = [engine.matches(query, o) for o in relation]
             assert len(expected_labels) == count
             for backend in _backends(relation, vocab):
                 assert backend.matching_bits(query) == expected_bits, (
-                    backend.name, count, query.shorthand(),
+                    type(backend).__name__, count, query.shorthand(),
                 )
                 assert [o.key for o in backend.execute(query)] == (
                     expected_keys
-                ), (backend.name, count, query.shorthand())
+                ), (type(backend).__name__, count, query.shorthand())
                 assert backend.matches_many(query) == expected_labels, (
-                    backend.name, count, query.shorthand(),
+                    type(backend).__name__, count, query.shorthand(),
                 )
 
 
@@ -182,15 +184,15 @@ def test_backends_agree_on_empty_and_all_false_relations():
             for backend in _backends(relation, vocab):
                 assert [o.key for o in backend.execute(query)] == (
                     expected_keys
-                ), (backend.name, label, query.shorthand())
+                ), (type(backend).__name__, label, query.shorthand())
                 assert backend.matches_many(query) == expected, (
-                    backend.name, label, query.shorthand(),
+                    type(backend).__name__, label, query.shorthand(),
                 )
 
 
 def test_dbapi_file_backed_store_agrees(tmp_path):
-    """The dbapi backend over a *file-backed* SQLite URI answers exactly
-    like ``bitmask`` — the acceptance-criteria path of DESIGN.md §2i.
+    """The SQL reference over a *file-backed* SQLite URI answers exactly
+    like the index — the acceptance-criteria path of DESIGN.md §2i.
     The same file is reused across cases (tables drop and reload), so
     stale on-disk state from a previous case would be caught too."""
     rng = random.Random(9213)
@@ -206,8 +208,8 @@ def test_dbapi_file_backed_store_agrees(tmp_path):
         ]
         relation = relation_from_masks(n, mask_sets)
         vocab = bool_vocabulary(n)
-        bitmask = create("bitmask", relation, vocab)
-        with create("dbapi", relation, vocab, uri=uri) as dbapi:
+        bitmask = RelationIndex(relation, vocab)
+        with DbApiBackend(relation, vocab, uri=uri) as dbapi:
             for _ in range(5):
                 query = random_query(rng, n)
                 assert dbapi.matching_bits(query) == (

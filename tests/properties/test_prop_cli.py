@@ -3,11 +3,12 @@
 ``cli.main`` is the boundary between a shell and the learners.  Whatever
 argv ``learn``, ``verify``, ``revise``, ``sql`` and ``demo`` receive —
 valid and malformed query strings, widths inside and outside 1..256,
-any learner name, and for ``demo`` any backend name and backend options
-the backends do or do not take, including a database it cannot open —
+any learner name, and for ``demo`` the ``--backend`` and
+``--backend-opt`` flags it no longer takes, with any value —
 ``main`` must return 0, 1 or 2, or raise argparse's ``SystemExit(2)``;
-no other exception may escape.  Widths that pass validation stay at 4
-or below, so the dialogues that do run are short.
+no other exception may escape, and ``demo`` with either flag must exit
+2.  Widths that pass validation stay at 4 or below, so the dialogues
+that do run are short.
 """
 
 from __future__ import annotations
@@ -35,10 +36,11 @@ QUERIES = (
 )
 WIDTHS = (None, -1, 0, 1, 2, 3, 4, 257, 300)
 LEARNERS = (None, "qhorn1", "role-preserving", "bogus")
+#: Values for ``demo``'s removed ``--backend`` flag (``None`` omits it).
 BACKENDS = (None, "bitmask", "dbapi", "sharded", "bogus")
-#: ``--backend-opt`` pairs, some naming options no backend takes (the
-#: removed SQL dialect, pool size and refresh switch); ``{store}`` becomes
-#: the test's temporary directory, and a ``None`` value drops the ``=``.
+#: Values for ``demo``'s removed ``--backend-opt`` flag, among them the
+#: options the SQL backend once took; ``{store}`` becomes the test's
+#: temporary directory, and a ``None`` value drops the ``=``.
 OPTIONS = (
     ("dialect", "postgres"),
     ("pool_size", "2"),
@@ -98,4 +100,5 @@ def test_main_returns_an_exit_status(tmp_path_factory, argv):
         except SystemExit as exit_:
             assert exit_.code == 2, (argv, err.getvalue())
             return
+    assert argv[0] != "demo" or argv == ["demo"], argv  # demo takes no flag
     assert status in (0, 1, 2), (argv, status)

@@ -63,7 +63,10 @@ class TestDemo:
     def test_demo_runs(self, capsys):
         assert main(["demo"]) == 0
         out = capsys.readouterr().out
-        assert "matching boxes" in out
+        assert (
+            "matching boxes: 7 / 100 (bitmask: 100 objects, 16 distinct masks)"
+            in out
+        )
 
 
 class TestParser:
@@ -78,10 +81,11 @@ class TestParser:
 
 class TestBackendFlag:
     def test_learn_and_verify_take_no_backend_flag(self, capsys):
-        """learn and verify evaluate no relation: their simulated user
-        answers in process, and --backend/--backend-opt are argparse
-        errors (exit 2)."""
-        for command in (["learn", "∃x1"], ["verify", "∃x1", "∃x1"]):
+        """No command picks an evaluator: learn and verify evaluate no
+        relation (their simulated user answers in process), and demo
+        answers from the engine's one index, so --backend and
+        --backend-opt are argparse errors (exit 2) on all three."""
+        for command in (["learn", "∃x1"], ["verify", "∃x1", "∃x1"], ["demo"]):
             for flag in (
                 ["--backend", "dbapi"],
                 ["--backend-opt", "uri=file:/nope.db"],
@@ -93,13 +97,6 @@ class TestBackendFlag:
                 assert "unrecognized arguments" in captured.err
                 assert captured.out == ""
 
-    def test_demo_backend_choices(self, capsys):
-        for backend in ("bitmask", "dbapi"):
-            assert main(["demo", "--backend", backend]) == 0
-            out = capsys.readouterr().out
-            assert "matching boxes:" in out
-            assert backend in out  # describe() names the active backend
-
     def test_sharded_rejected_for_learn(self, capsys):
         """The sharded backend is gone: an argparse error (exit 2) on
         every subcommand."""
@@ -109,93 +106,14 @@ class TestBackendFlag:
             assert exit_.value.code == 2
             assert "sharded" in capsys.readouterr().err
 
-    def test_help_contains_backend_guide(self, capsys):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["--help"])
-        out = capsys.readouterr().out
-        assert "evaluation backends (--backend):" in out
-        for name in ("bitmask", "dbapi"):
-            assert name in out
-        assert "--backend-opt" in out
-
-    def test_every_command_takes_every_backend(self):
-        """The one command with --backend, demo, offers every name in
-        BACKENDS."""
-        from repro.data.backends import BACKENDS
-
-        assert set(BACKENDS) == {"bitmask", "dbapi"}
-        parser = build_parser()
-        for name in BACKENDS:
-            assert parser.parse_args(["demo", "--backend", name]).backend == name
-        with pytest.raises(SystemExit):
-            parser.parse_args(["demo", "--backend", "numpy"])
-
     def test_sql_backend_is_gone(self, capsys):
-        """dbapi is the one SQL path; ``--backend sql`` is an argparse
-        error."""
-        with pytest.raises(SystemExit):
+        """dbapi is the one SQL path and demo takes no --backend:
+        ``--backend sql`` is an argparse error."""
+        with pytest.raises(SystemExit) as exit_:
             build_parser().parse_args(["demo", "--backend", "sql"])
+        assert exit_.value.code == 2
         err = capsys.readouterr().err
-        assert "invalid choice" in err and "sql" in err
-
-
-class TestBackendOptions:
-    def test_demo_honors_backend_opt(self, capsys, tmp_path):
-        assert main(
-            ["demo", "--backend", "dbapi",
-             "--backend-opt", f"uri=file:{tmp_path}/d.sqlite"]
-        ) == 0
-        assert "matching boxes:" in capsys.readouterr().out
-        assert (tmp_path / "d.sqlite").exists()
-
-    def test_malformed_backend_opt_exits_two(self, capsys):
-        for option in ("uri", "=x", "justakey"):
-            assert main(["demo", "--backend-opt", option]) == 2
-            captured = capsys.readouterr()
-            assert "key=value" in captured.err
-            assert captured.out == ""
-
-    def test_unsupported_option_exits_two(self, capsys):
-        # SQLite is the one SQL spelling and the backends always refresh
-        # on insert: dialect= and auto_refresh= are unknown options.
-        for key, value in (("dialect", "postgres"), ("auto_refresh", "off")):
-            assert main(
-                ["demo", "--backend", "dbapi", "--backend-opt", f"{key}={value}"]
-            ) == 2
-            err = capsys.readouterr().err
-            assert err.count("\n") == 1 and f"'{key}'" in err
-
-    def test_private_in_memory_uri_exits_two(self, capsys):
-        # The replay's fresh connection would see its own empty database.
-        assert main(
-            ["demo", "--backend", "dbapi", "--backend-opt", "uri=:memory:"]
-        ) == 2
-        captured = capsys.readouterr()
-        assert "omit uri" in captured.err
-        assert captured.out == ""
-
-    def test_demo_rejects_backend_option_before_printing(self, capsys):
-        """The demo builds its backend before its first line of output:
-        a rejected option exits 2 with an empty stdout."""
-        for backend, option in (
-            ("dbapi", "pool_size=2"),
-            ("dbapi", "uri=7"),
-            ("bitmask", "uri=file:/nope.db"),
-        ):
-            assert main(
-                ["demo", "--backend", backend, "--backend-opt", option]
-            ) == 2
-            captured = capsys.readouterr()
-            assert captured.out == ""
-            assert captured.err.startswith("repro demo: ")
-            assert captured.err.count("\n") == 1
-
-    def test_typed_coercion_reaches_backend(self, capsys):
-        # "7" arrives as the int 7, which is no URI.
-        assert main(
-            ["demo", "--backend", "dbapi", "--backend-opt", "uri=7"]
-        ) == 2
-        assert "uri must be a string, got int 7" in capsys.readouterr().err
+        assert "unrecognized arguments" in err and "sql" in err
 
 
 class TestInputErrors:
@@ -262,13 +180,10 @@ class TestInputErrors:
             ["serve", "--stats", "--store", "{missing}/s.sqlite"],
             ["serve", "--workers", "2", "--store", "{missing}/s.sqlite"],
             ["serve", "--port", "{busy}"],
-            ["demo", "--backend", "dbapi",
-             "--backend-opt", "uri=file:{missing}/x.sqlite"],
             ["enumerate", "--max-props", "1", "--max-objects", "0",
              "--out", "{missing}/c.jsonl"],
         ],
-        ids=["serve", "stdio", "stats", "workers", "busy-port", "demo",
-             "enumerate"],
+        ids=["serve", "stdio", "stats", "workers", "busy-port", "enumerate"],
     )
     def test_unopenable_input_exits_two(self, argv, tmp_path, capsys):
         """No process starts: the fleet opens its store in the parent
@@ -296,11 +211,21 @@ class TestInputErrors:
             (["--max-props", "5"], "at most 4"),
             (["--max-props", "0"], "must be 1 or more, got 0"),
             (["--progress-every", "0"], "must be 1 or more, got 0"),
+            (["--max-exprs", "0"], "must be 1 or more, got 0"),
+            (["--max-objects", "-1"], "must be 0 or more, got -1"),
+            (["--max-rows", "-1"], "must be 0 or more, got -1"),
+            (["--matrix", "learners="], "matrix axis 'learners' names no"),
+            (["--matrix", "backends="], "matrix axis 'backends' names no"),
         ],
         ids=["axis", "oracles-axis", "max-props-5", "max-props-0",
-             "progress-every-0"],
+             "progress-every-0", "max-exprs-0", "max-objects-negative",
+             "max-rows-negative", "empty-learners-axis",
+             "empty-backends-axis"],
     )
     def test_rejected_enumerate_option_exits_two(self, option, message, capsys):
+        """An option enumerate cannot honour (an unknown axis, a bound out
+        of range, or an empty space or axis that would report a clean
+        sweep over nothing) exits 2 before any work."""
         with pytest.raises(SystemExit) as exit_:
             main(["enumerate", "--max-props", "1", "--max-objects", "0"]
                  + option)
