@@ -160,13 +160,6 @@ def build_parser() -> argparse.ArgumentParser:
         "stay parked in the store; reconnect resumes them)",
     )
     serve.add_argument(
-        "--max-outbox",
-        type=int,
-        default=64,
-        metavar="N",
-        help="per-connection reply queue bound (backpressure)",
-    )
-    serve.add_argument(
         "--workers",
         type=int,
         default=1,
@@ -486,18 +479,14 @@ def _cmd_serve(args) -> int:
     if args.workers != 1:
         return _cmd_serve_fleet(args)
     try:
-        check_limits(args.max_outbox, args.idle_timeout)
+        check_limits(args.idle_timeout)
     except ValueError as error:
         print(f"repro serve: {error}", file=sys.stderr)
         return 2
 
     async def serve() -> int:
         store = SessionStore(args.store)
-        server = RoundServer(
-            store,
-            max_outbox=args.max_outbox,
-            idle_timeout=args.idle_timeout,
-        )
+        server = RoundServer(store, idle_timeout=args.idle_timeout)
         stop = asyncio.Event()
         if not args.stdio:
             await server.start(args.host, args.port)
@@ -559,7 +548,6 @@ def _cmd_serve_fleet(args) -> int:
             workers=args.workers,
             host=args.host,
             port=args.port,
-            max_outbox=args.max_outbox,
             idle_timeout=args.idle_timeout,
         )
     except (RuntimeError, ValueError) as error:

@@ -92,20 +92,26 @@ def with_true(t: int, variables: Iterable[int]) -> int:
     return t | mask_of(variables)
 
 
+#: Deletes the tuple digits, leaving only the characters a tuple string
+#: may not hold.
+_STRAY = str.maketrans("", "", "01")
+
+
 def parse_tuple(text: str) -> int:
     """Parse the paper's string form, e.g. ``"1011"`` (``x1`` leftmost)."""
-    mask = 0
-    for i, ch in enumerate(text.strip()):
-        if ch == "1":
-            mask |= 1 << i
-        elif ch != "0":
-            raise ValueError(f"invalid tuple character {ch!r} in {text!r}")
-    return mask
+    bits = text.strip()
+    # int() also takes "_", signs, whitespace and non-ASCII digits: only
+    # "0" and "1" may reach it.
+    stray = bits.translate(_STRAY)
+    if stray:
+        raise ValueError(f"invalid tuple character {stray[0]!r} in {text!r}")
+    return int(bits[::-1], 2) if bits else 0
 
 
 def format_tuple(t: int, n: int) -> str:
-    """Format a tuple the way the paper prints it (``x1`` leftmost)."""
-    return "".join("1" if t & (1 << i) else "0" for i in range(n))
+    """Format a tuple the way the paper prints it (``x1`` leftmost);
+    bits at or above ``n`` are ignored."""
+    return format(t & ((1 << n) - 1), f"0{n}b")[::-1] if n > 0 else ""
 
 
 def popcount(mask: int) -> int:

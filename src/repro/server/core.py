@@ -37,21 +37,25 @@ Rounds are the billable unit of user interaction (Drachsler-Cohen et
 al.; Bshouty et al. — see PAPERS.md): every session carries per-round
 metering counters that ride along in the ``finished`` summary.
 
-Backpressure is per connection: replies flow through a bounded outbox
-drained by a writer task, so a slow reader suspends its own reader loop
-(and eventually TCP) instead of growing server memory.  Idle sessions
-are evicted from memory on a timer — eviction is safe *because* the
-round-boundary snapshot is already durable; a later message under the
-same session id transparently resumes from the store.
+Backpressure is per connection: each line's replies are written to the
+transport and the reader loop awaits ``drain()`` before it reads the
+next line, so a client that stops reading stops being read (and
+eventually TCP pushes back) instead of growing server memory.  Idle
+sessions are evicted from memory on a timer — eviction is safe
+*because* the round-boundary snapshot is already durable; a later
+message under the same session id transparently resumes from the store.
 
 A ``quit`` also keeps the parked session *warm*: up to
 :data:`WARM_SESSIONS` of them per server, least recently parked dropped
-first.  A reconnect still loads and claims the row, then reuses the warm
-session only if the row's snapshot equals the warm session's exactly;
-anything else (another worker advanced the row, a correction rewrote it,
-a restart, an eviction) replays the log.  ``stats()`` counts every store
-rebuild in ``sessions_resumed`` and the replayed ones, a subset, in
-``sessions_replayed``.
+first.  A reconnect first claims the row on the condition that it still
+holds exactly what this server last saved for the warm session (status,
+learner, ``n``, counters and snapshot text); then the warm session is
+reused without reading the row back.  Any other row takes the general
+path: load, claim, reuse the warm session only if the parsed snapshot
+equals its own, and replay the log otherwise (another worker advanced
+the row, a correction rewrote it, a restart, an eviction).  ``stats()``
+counts every store rebuild in ``sessions_resumed`` and the replayed
+ones, a subset, in ``sessions_replayed``.
 
 Since §2h one ``RoundServer`` is also one *fleet worker*: N of them can
 listen on the same host:port (``SO_REUSEPORT``) over one shared
@@ -112,13 +116,9 @@ WARM_SESSIONS = 1024
 MAX_LINE_BYTES = 1 << 16
 
 
-def check_limits(max_outbox: int, idle_timeout: float | None) -> None:
-    """Reject server limits that would switch a safeguard off silently:
-    ``asyncio.Queue(maxsize=0)`` is unbounded, so an outbox bound below
-    1 drops backpressure, and an idle timeout of 0 or less evicts every
-    session on the shortest sweep."""
-    if max_outbox < 1:
-        raise ValueError(f"max_outbox must be at least 1, got {max_outbox}")
+def check_limits(idle_timeout: float | None) -> None:
+    """Reject an idle timeout that would switch a safeguard off silently:
+    one of 0 or less evicts every session on the shortest sweep."""
     if idle_timeout is not None and not idle_timeout > 0:
         raise ValueError(
             f"idle_timeout must be positive (or None), got {idle_timeout}"
@@ -132,6 +132,11 @@ def round_to_dict(round_: Round, index: int) -> dict[str, Any]:
         "index": index,
         "questions": [payload_to_dict(q) for q in round_.questions],
     }
+
+
+def _encode(messages: list[dict]) -> bytes:
+    """Wire messages as newline-delimited JSON."""
+    return "".join(json.dumps(m) + "\n" for m in messages).encode()
 
 
 def finished_to_dict(session: LearningSession, rounds: int) -> dict[str, Any]:
@@ -183,6 +188,10 @@ class _LiveSession:
     session: LearningSession
     meter: SessionMeter = field(default_factory=SessionMeter)
     last_used: float = 0.0
+    #: The record this server last saved for the session and the
+    #: snapshot JSON the store wrote for it (``None`` until then): what
+    #: the row still holds if nobody else wrote it since.
+    saved: tuple[StoredSession, str] | None = None
 
 
 class RoundServer:
@@ -194,9 +203,6 @@ class RoundServer:
         Snapshot persistence; the caller owns its lifecycle.
     learners:
         Wire-addressable learner registry (default :data:`LEARNERS`).
-    max_outbox:
-        Per-connection reply queue bound (backpressure: a connection
-        whose client stops reading stops being served new replies).
     idle_timeout:
         Seconds of inactivity after which a live session is evicted from
         memory (its snapshot stays parked in the store).  ``None``
@@ -207,22 +213,22 @@ class RoundServer:
         session-ownership claim token derives from it plus the pid, so a
         server must be constructed in the process that runs it.
 
-    Construction raises ``ValueError`` on limits :func:`check_limits`
-    rejects.
+    Construction raises ``ValueError`` on an idle timeout
+    :func:`check_limits` rejects.  Replies are written inline: a
+    connection whose client stops reading stops being read once its
+    transport is past the high-water mark.
     """
 
     def __init__(
         self,
         store: SessionStore,
         learners: Mapping[str, Callable[..., Any]] = LEARNERS,
-        max_outbox: int = 64,
         idle_timeout: float | None = None,
         worker_id: str | None = None,
     ) -> None:
-        check_limits(max_outbox, idle_timeout)
+        check_limits(idle_timeout)
         self.store = store
         self.learners = dict(learners)
-        self.max_outbox = max_outbox
         self.idle_timeout = idle_timeout
         self.worker_id = worker_id or uuid.uuid4().hex[:8]
         self._claim_token = owner_token(self.worker_id)
@@ -371,68 +377,44 @@ class RoundServer:
     # Connection plumbing
     # ------------------------------------------------------------------
     async def _handle_connection(self, reader, writer) -> None:
+        """Serve one connection: read a line, write its replies, and
+        await ``drain()`` before the next read.  ``drain()`` waits while
+        the transport is past its high-water mark, so a client that
+        stops reading stops being read.  A failed read, write or drain
+        ends the connection; every session it carried stays in the store
+        at its last round."""
         task = asyncio.current_task()
         if task is not None:
             self._connections.add(task)
-        outbox: asyncio.Queue = asyncio.Queue(maxsize=self.max_outbox)
-        pump = asyncio.ensure_future(self._pump(outbox, writer))
         try:
             while True:
                 try:
                     line = await reader.readline()
                 except ValueError:  # the line overran MAX_LINE_BYTES
-                    await outbox.put(
-                        self._error(
-                            f"line longer than {MAX_LINE_BYTES} bytes; "
-                            "closing the connection"
-                        )
+                    error = self._error(
+                        f"line longer than {MAX_LINE_BYTES} bytes; "
+                        "closing the connection"
                     )
+                    writer.write(_encode([error]))
+                    await writer.drain()
                     break
                 if not line:
                     break
                 text = line.strip().decode("utf-8", errors="replace")
                 if not text:
                     continue
-                for message in self._handle_line(text):
-                    await outbox.put(message)
-        except (ConnectionError, asyncio.CancelledError):
+                writer.write(_encode(self._handle_line(text)))
+                await writer.drain()
+        except (OSError, RuntimeError, asyncio.CancelledError):
             pass
         finally:
-            try:
-                outbox.put_nowait(None)
-            except asyncio.QueueFull:
-                pump.cancel()
-            try:
-                await pump
-            except (ConnectionError, asyncio.CancelledError):
-                pass
             writer.close()
             try:
                 await writer.wait_closed()
-            except (ConnectionError, OSError, asyncio.CancelledError):
+            except (OSError, asyncio.CancelledError):
                 pass
             if task is not None:
                 self._connections.discard(task)
-
-    async def _pump(self, outbox: asyncio.Queue, writer) -> None:
-        """Writer task: drain the bounded outbox onto the transport.
-
-        A broken transport flips the pump into discard mode instead of
-        raising: it keeps consuming so the producer (the reader loop,
-        which blocks on the bounded queue) can never deadlock against a
-        dead client."""
-        broken = False
-        while True:
-            message = await outbox.get()
-            if message is None:
-                return
-            if broken:
-                continue
-            try:
-                writer.write((json.dumps(message) + "\n").encode())
-                await writer.drain()
-            except (ConnectionError, RuntimeError, OSError):
-                broken = True
 
     # ------------------------------------------------------------------
     # Message dispatch (synchronous — stepping a learner is CPU work)
@@ -580,6 +562,16 @@ class RoundServer:
             return live
         # Popped before any check, so a stale entry dies on every path.
         warm = self._warm.pop(session_id, None)
+        if (
+            warm is not None
+            and warm.saved is not None
+            and self.store.claim(
+                session_id, self._claim_token, unchanged=warm.saved
+            )
+        ):
+            # The row is exactly what this server last wrote for the
+            # warm session, so the checks below would reuse it too.
+            return self._resumed(warm.saved[0], warm.session, warm.saved)
         record = self.store.load(session_id)
         if record is None:
             raise ProtocolError(f"unknown session {session_id!r}")
@@ -624,17 +616,27 @@ class RoundServer:
                 self.store.release(session_id, self._claim_token)
                 raise
             self.sessions_replayed += 1
+        return self._resumed(record, session, None)
+
+    def _resumed(
+        self,
+        record: StoredSession,
+        session: LearningSession,
+        saved: tuple[StoredSession, str] | None,
+    ) -> _LiveSession:
+        """Make a session rebuilt for ``record``'s row live again."""
         live = _LiveSession(
-            session_id,
+            record.session_id,
             record.learner,
             session,
             # Rounds and questions are lifetime totals from the row, on
-            # both paths; errors and resumes start again here.
+            # every path; errors and resumes start again here.
             meter=SessionMeter(
                 rounds=record.rounds, questions=record.questions, resumes=1
             ),
+            saved=saved,
         )
-        self._sessions[session_id] = live
+        self._sessions[record.session_id] = live
         self.sessions_resumed += 1
         return live
 
@@ -648,7 +650,8 @@ class RoundServer:
         here); finished rows carry none — there is nothing left to own.
         A failed write drops the live session, which is now a round
         ahead of its row, and releases the claim where it can: memory
-        never runs ahead of the store.
+        never runs ahead of the store.  A successful one keeps the record
+        and the JSON written, for the next warm reconnect's claim.
         """
         record = StoredSession(
             session_id=live.session_id,
@@ -661,11 +664,12 @@ class RoundServer:
             owner=self._claim_token if status == ACTIVE else None,
         )
         try:
-            self.store.save(record)
+            snapshot_json = self.store.save(record)
         except Exception:
             self._sessions.pop(live.session_id, None)
             self._release(live.session_id)
             raise
+        live.saved = (record, snapshot_json)
 
     def _release(self, session_id: str) -> None:
         """Release our claim on a session that left memory, where the

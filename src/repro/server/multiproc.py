@@ -61,7 +61,6 @@ def _worker_main(
     store_path: str,
     host: str,
     port: int,
-    max_outbox: int,
     idle_timeout: float | None,
     ready,
 ) -> None:
@@ -74,7 +73,6 @@ def _worker_main(
                 store_path,
                 host,
                 port,
-                max_outbox,
                 idle_timeout,
                 ready,
             )
@@ -88,7 +86,6 @@ async def _worker_serve(
     store_path: str,
     host: str,
     port: int,
-    max_outbox: int,
     idle_timeout: float | None,
     ready,
 ) -> None:
@@ -98,10 +95,7 @@ async def _worker_serve(
 
     store = SessionStore(store_path)
     server = RoundServer(
-        store,
-        max_outbox=max_outbox,
-        idle_timeout=idle_timeout,
-        worker_id=f"w{index}",
+        store, idle_timeout=idle_timeout, worker_id=f"w{index}"
     )
     try:
         await server.start(host, port, reuse_port=True)
@@ -143,7 +137,7 @@ class ServerFleet:
 
     The workers share the port through ``SO_REUSEPORT``; construction
     raises ``RuntimeError`` on a platform without it, and ``ValueError``
-    on a negative ``workers`` or on limits
+    on a negative ``workers`` or on an idle timeout
     :func:`~repro.server.core.check_limits` rejects, before forking.
     """
 
@@ -153,7 +147,6 @@ class ServerFleet:
         workers: int = 0,
         host: str = "127.0.0.1",
         port: int = 0,
-        max_outbox: int = 64,
         idle_timeout: float | None = None,
     ) -> None:
         self.store_path = str(store)
@@ -170,11 +163,10 @@ class ServerFleet:
             )
         if workers < 0:
             raise ValueError(f"workers must be 0 or more, got {workers}")
-        check_limits(max_outbox, idle_timeout)
+        check_limits(idle_timeout)
         self.workers = workers if workers > 0 else default_workers()
         self.host = host
         self.requested_port = port
-        self.max_outbox = max_outbox
         self.idle_timeout = idle_timeout
         self._processes: list[multiprocessing.process.BaseProcess] = []
         self._port: int | None = None
@@ -226,7 +218,6 @@ class ServerFleet:
                         self.store_path,
                         self.host,
                         port,
-                        self.max_outbox,
                         self.idle_timeout,
                         ready,
                     ),

@@ -3,8 +3,8 @@
 The server parks every :class:`~repro.interactive.session.LearningSession`
 as a :class:`~repro.interactive.session.SessionSnapshot` replay log on
 each round boundary.  This module backs those parked snapshots with
-SQLite on disk: one table, write-through on every save, plain
-``INSERT OR REPLACE`` keyed by session id, and a context-manager face
+SQLite on disk: one table, write-through on every save, an upsert that
+updates the row in place keyed by session id, and a context-manager face
 over an owned connection.
 
 Because a snapshot *is* the session state (learners are deterministic
@@ -31,7 +31,10 @@ Since §2h the store is also the *only* shared state of a multi-process
   (a SIGKILLed worker cannot release; liveness is checked by pid), and
   *rejects* rows live on another running worker — the concurrent-claim
   error the wire surfaces.  Workers park-and-release (quit, eviction,
-  clean shutdown) before any other worker may rebuild the session.
+  clean shutdown) before any other worker may rebuild the session.  Its
+  conditional form claims a row only while it still holds exactly what
+  this worker last saved there, which is how a worker reuses a session
+  it parked warm without reading the row back.
 * **Metering aggregates through the store.**  Each worker persists its
   server counters under its worker id (:meth:`save_worker_stats`);
   :meth:`fleet_stats` sums them into the fleet-wide ``repro serve``
@@ -233,10 +236,21 @@ class SessionStore:
     # ------------------------------------------------------------------
     # Persistence
     # ------------------------------------------------------------------
-    def save(self, record: StoredSession) -> None:
-        """Write-through one parked session (upsert on session id)."""
+    def save(self, record: StoredSession) -> str:
+        """Write-through one parked session; returns the snapshot JSON it
+        wrote, which a later conditional :meth:`claim` compares.
+
+        An existing row is updated in place (an ``INSERT OR REPLACE``
+        would delete it and insert it again, index entries included).
+        """
+        snapshot = json.dumps(record.snapshot.to_dict())
         self.connection.execute(
-            "INSERT OR REPLACE INTO sessions VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
+            "INSERT INTO sessions VALUES (?, ?, ?, ?, ?, ?, ?, ?) "
+            "ON CONFLICT(session_id) DO UPDATE SET "
+            "learner = excluded.learner, n = excluded.n, "
+            "status = excluded.status, rounds = excluded.rounds, "
+            "questions = excluded.questions, snapshot = excluded.snapshot, "
+            "owner = excluded.owner",
             (
                 record.session_id,
                 record.learner,
@@ -244,10 +258,11 @@ class SessionStore:
                 record.status,
                 record.rounds,
                 record.questions,
-                json.dumps(record.snapshot.to_dict()),
+                snapshot,
                 record.owner,
             ),
         )
+        return snapshot
 
     def load(self, session_id: str) -> StoredSession | None:
         """The parked session under ``session_id``, or ``None``."""
@@ -292,7 +307,12 @@ class SessionStore:
     # ------------------------------------------------------------------
     # Ownership handoff (§2h): claim tokens with dead-owner steal
     # ------------------------------------------------------------------
-    def claim(self, session_id: str, owner: str) -> bool:
+    def claim(
+        self,
+        session_id: str,
+        owner: str,
+        unchanged: tuple[StoredSession, str] | None = None,
+    ) -> bool:
         """Atomically claim a session for ``owner`` (a claim token).
 
         Succeeds when the row is unowned (parked-and-released), already
@@ -300,7 +320,34 @@ class SessionStore:
         can never release; its sessions must stay resumable).  Returns
         ``False`` on an unknown session or one live on another running
         worker — the caller surfaces that as the concurrent-claim error.
+
+        With ``unchanged``, a record this store saved and the JSON
+        :meth:`save` returned for it, the claim is one conditional
+        ``UPDATE``: it succeeds only on an active, unowned-or-ours row
+        that still holds that record's learner, ``n``, ``rounds``,
+        ``questions`` and snapshot text byte for byte.  It never steals;
+        on any other row it returns ``False`` and changes nothing.
         """
+        if unchanged is not None:
+            record, snapshot = unchanged
+            cursor = self.connection.execute(
+                "UPDATE sessions SET owner = ? "
+                "WHERE session_id = ? AND status = ? AND learner = ? "
+                "AND n = ? AND rounds = ? AND questions = ? "
+                "AND snapshot = ? AND (owner IS NULL OR owner = ?)",
+                (
+                    owner,
+                    session_id,
+                    ACTIVE,
+                    record.learner,
+                    record.n,
+                    record.rounds,
+                    record.questions,
+                    snapshot,
+                    owner,
+                ),
+            )
+            return bool(cursor.rowcount)
         cursor = self.connection.execute(
             "UPDATE sessions SET owner = ? "
             "WHERE session_id = ? AND (owner IS NULL OR owner = ?)",

@@ -11,6 +11,7 @@ from __future__ import annotations
 import asyncio
 import json
 import random
+import socket
 import sqlite3
 
 import pytest
@@ -22,6 +23,7 @@ from repro.oracle import QueryOracle
 from repro.protocol.wire import payload_from_dict
 from repro.server import RoundServer, SessionStore, StoredSession
 from repro.server import core as server_core
+from repro.server.store import owner_token
 
 
 class Client:
@@ -432,7 +434,7 @@ class TestStoreFailure:
             if self.fail_next_save:
                 self.fail_next_save = False
                 raise sqlite3.OperationalError("database is locked")
-            super().save(record)
+            return super().save(record)
 
     def test_failed_save_rolls_the_round_back(self):
         target = random_qhorn1(3, random.Random(31))
@@ -664,6 +666,19 @@ class TestParkAndResume:
         assert "already finished" in reply["message"]
 
 
+def count_calls(monkeypatch, owner, name):
+    """Record every call of ``owner.name`` (still calling through)."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
 class TestWarmParkedSessions:
     """quit keeps the parked session warm on its worker; a reconnect
     reuses it only while the stored row still matches it exactly, and
@@ -672,14 +687,11 @@ class TestWarmParkedSessions:
     def test_same_worker_reconnect_reuses_the_warm_session(
         self, monkeypatch
     ):
-        replays = []
-        resume = LearningSession.resume
-
-        def counted_resume(session, snapshot):
-            replays.append(snapshot)
-            return resume(session, snapshot)
-
-        monkeypatch.setattr(LearningSession, "resume", counted_resume)
+        """Every reconnect is one conditional claim: the row is never
+        read back, parsed or replayed."""
+        replays = count_calls(monkeypatch, LearningSession, "resume")
+        loads = count_calls(monkeypatch, SessionStore, "load")
+        parses = count_calls(monkeypatch, SessionSnapshot, "from_dict")
         target = random_qhorn1(3, random.Random(31))
 
         async def main():
@@ -713,10 +725,102 @@ class TestWarmParkedSessions:
         finished, wire, hops, stats = run(main())
         assert_bit_identical(finished, wire, target)
         assert hops > 1
-        assert replays == []
+        assert replays == loads == parses == []
         assert stats["sessions_resumed"] == hops
         assert stats["sessions_replayed"] == 0
         assert finished["metering"]["resumes"] == 1
+
+    #: Each way the parked row can differ from what this server last
+    #: wrote (an SQL edit behind its back), and what the reconnect must
+    #: then do: (reply index or error text, resumed, replayed, claims
+    #: rejected, the live meter's rounds and questions).
+    ROW_CHANGES = {
+        # Same log, other bytes: parsed equal, so the warm session is
+        # reused with no replay.
+        "snapshot text": (
+            "UPDATE sessions SET snapshot = replace(snapshot, ', ', ',')",
+            (1, 1, 0, 0, (2, 3)),
+        ),
+        # Counters come from the row; the warm session is reused.
+        "rounds": (
+            "UPDATE sessions SET rounds = rounds + 3",
+            (4, 1, 0, 0, (5, 3)),
+        ),
+        "questions": (
+            "UPDATE sessions SET questions = questions + 3",
+            (1, 1, 0, 0, (2, 6)),
+        ),
+        # Another learner's replay of the log diverges from it.
+        "learner": (
+            "UPDATE sessions SET learner = 'role-preserving'",
+            ("replay diverged", 0, 0, 0, None),
+        ),
+        "finished": (
+            "UPDATE sessions SET status = 'finished'",
+            ("already finished", 0, 0, 0, None),
+        ),
+        "deleted": (
+            "DELETE FROM sessions",
+            ("unknown session", 0, 0, 0, None),
+        ),
+        "live owner": (
+            f"UPDATE sessions SET owner = '{owner_token('elsewhere')}'",
+            ("live on another worker", 0, 0, 1, None),
+        ),
+        # A dead pid's claim is stolen; the log still matches.
+        "dead owner": (
+            "UPDATE sessions SET owner = '0.dead'",
+            (1, 1, 0, 0, (2, 3)),
+        ),
+    }
+
+    @pytest.mark.parametrize("change", sorted(ROW_CHANGES))
+    def test_changed_row_takes_the_general_path(self, change, monkeypatch):
+        """A row that differs in any way from what this server wrote
+        fails the conditional claim and is loaded, claimed and compared
+        as before: reused, replayed, stolen or refused."""
+        statement, expected = self.ROW_CHANGES[change]
+        target = random_qhorn1(3, random.Random(31))
+
+        async def main():
+            with SessionStore() as store:
+                server = RoundServer(store)
+                await server.start()
+                client = await Client.connect(server.port)
+                await client.send(type="open", n=3)
+                first = await client.recv()
+                sid = first["session"]
+                _, answers = answer(first, QueryOracle(target))
+                await client.send(type="answers", session=sid, answers=answers)
+                parked = await client.recv()
+                await client.send(type="quit", session=sid)
+                assert (await client.recv())["type"] == "closed"
+                store.connection.execute(statement)
+                loads = count_calls(monkeypatch, SessionStore, "load")
+                await client.send(type="reconnect", session=sid)
+                reply = await client.recv()
+                live = server._sessions.get(sid)
+                meter = live and (live.meter.rounds, live.meter.questions)
+                stats = server.stats()
+                await client.close()
+                await server.close()
+                return parked, reply, meter, stats, len(loads)
+
+        parked, reply, meter, stats, loads = run(main())
+        shown, resumed, replayed, rejected, live_meter = expected
+        if isinstance(shown, int):
+            assert reply["type"] == "round", reply
+            assert reply["index"] == shown
+            assert reply["questions"] == parked["questions"]
+        else:
+            assert reply["type"] == "error", reply
+            assert shown in reply["message"]
+        assert meter == live_meter
+        assert stats["sessions_resumed"] == resumed
+        assert stats["sessions_replayed"] == replayed
+        assert stats["claims_rejected"] == rejected
+        assert stats["warm_sessions"] == 0
+        assert loads == 1
 
     def test_rewritten_row_replays_to_the_corrected_round(self):
         """A correction rewrites the parked row to a shorter log: the
@@ -939,25 +1043,72 @@ class TestRestartDurability:
 
 
 class TestBackpressure:
-    def test_bounded_outbox_still_serves_a_slow_reader(self):
-        """A tiny outbox (maxsize=1) forces the reply path through the
-        backpressure machinery; the dialogue still completes."""
-        target = random_qhorn1(3, random.Random(81))
+    def test_a_client_that_stops_reading_stops_being_read(self):
+        """Replies are written inline and each line waits for drain():
+        while the client reads nothing, the server stops handling its
+        lines once the replies pass the transport's high-water mark;
+        when it reads again, every reply arrives once and in order."""
+        requests = 2000
 
         async def main():
             with SessionStore() as store:
-                server = RoundServer(store, max_outbox=1)
-                await server.start()
-                client = await Client.connect(server.port)
-                await client.send(type="open", n=3)
-                finished, _ = await answer_until_done(
-                    client, QueryOracle(target)
-                )
-                await client.close()
-                await server.close()
-                return finished
+                server = RoundServer(store)
+                handled = []
+                handle_line = server._handle_line
 
-        assert run(main())["type"] == "finished"
+                def counted(text):
+                    handled.append(text)
+                    return handle_line(text)
+
+                server._handle_line = counted
+                # Small socket buffers, so the replies back up in the
+                # server's transport rather than in the kernel.
+                ours, theirs = socket.socketpair()
+                for sock in (ours, theirs):
+                    sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+                    sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+                serving = asyncio.ensure_future(
+                    server._handle_connection(
+                        *await asyncio.open_connection(sock=theirs)
+                    )
+                )
+                reader, writer = await asyncio.open_connection(
+                    sock=ours, limit=4096
+                )
+                client = Client(reader, writer)
+                sids = []
+                for _ in range(3):
+                    await client.send(type="open", n=8)
+                    sids.append((await client.recv())["session"])
+                rng = random.Random(7)
+                order = [rng.choice(sids) for _ in range(requests)]
+                # Send every request without waiting for the server to
+                # take them, and read nothing.
+                writer.write(
+                    "".join(
+                        json.dumps({"type": "snapshot", "session": sid}) + "\n"
+                        for sid in order
+                    ).encode()
+                )
+                await asyncio.sleep(0.3)
+                stalled = len(handled)
+                await asyncio.sleep(0.3)
+                still = len(handled)
+                replies = [await client.recv() for _ in order]
+                writer.write_eof()
+                rest = await asyncio.wait_for(reader.read(), timeout=30)
+                await asyncio.wait_for(serving, timeout=30)
+                writer.close()
+                await server.close()
+                return order, stalled, still, replies, rest, len(handled)
+
+        order, stalled, still, replies, rest, handled = run(main())
+        opens = 3
+        assert opens < stalled == still < opens + requests
+        assert [r["type"] for r in replies] == ["snapshot"] * requests
+        assert [r["session"] for r in replies] == order
+        assert rest == b""
+        assert handled == opens + requests
 
     def test_evict_loop_runs_with_idle_timeout(self):
         async def main():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import multiprocessing
 import os
 import random
@@ -61,6 +62,21 @@ class TestSessionStore:
             loaded = store.load("s1")
             assert loaded.rounds == 9 and loaded.finished
             assert len(store) == 1
+
+    def test_save_updates_in_place_and_returns_its_json(self):
+        """A re-save rewrites the row where it is (a delete and insert
+        would move it to a new rowid) and returns the snapshot text it
+        wrote."""
+        with SessionStore() as store:
+            store.save(record("s1"))
+            store.save(record("s2"))
+            text = store.save(record("s1", rounds=7, owner="7.w"))
+            row = store.connection.execute(
+                "SELECT rowid, rounds, owner, snapshot FROM sessions "
+                "WHERE session_id = 's1'"
+            ).fetchone()
+            assert row == (1, 7, "7.w", text)
+            assert SessionSnapshot.from_dict(json.loads(text)) == record().snapshot
 
     def test_container_and_listing(self):
         with SessionStore() as store:
@@ -287,6 +303,35 @@ class TestClaimTokens:
             assert store.claim("s1", owner_token("a"))
             assert not store.release("s1", owner_token("b"))
             assert store.owner_of("s1") == owner_token("a")
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            "snapshot = replace(snapshot, ', ', ',')",
+            "status = 'finished'",
+            "learner = 'role-preserving'",
+            "n = 4",
+            "rounds = 3",
+            "questions = 5",
+            "owner = '0.dead'",
+        ],
+    )
+    def test_conditional_claim_needs_the_row_unchanged(self, change):
+        """The conditional form claims only the exact row a save wrote,
+        unowned or ours; it steals from nobody, and a refused claim
+        writes nothing."""
+        mine = owner_token("a")
+        with SessionStore() as store:
+            saved = record()
+            written = (saved, store.save(saved))
+            assert store.claim("s1", mine, unchanged=written)
+            assert store.claim("s1", mine, unchanged=written)  # ours
+            assert store.release("s1", mine)
+            store.connection.execute(f"UPDATE sessions SET {change}")
+            owner = store.owner_of("s1")
+            assert not store.claim("s1", mine, unchanged=written)
+            assert store.owner_of("s1") == owner
+            assert not store.claim("nope", mine, unchanged=written)
 
     def test_claim_unknown_session_fails(self):
         with SessionStore() as store:

@@ -453,7 +453,6 @@ class TestServeFleetFlags:
 
 class TestServeLimits:
     """Out-of-range limits would switch a safeguard off silently: an
-    outbox bound below 1 is an unbounded queue (no backpressure), an
     idle timeout of 0 or less evicts every session on the shortest
     sweep, and a negative worker count forked one worker per core.
     Both constructors and `repro serve` refuse them."""
@@ -461,8 +460,6 @@ class TestServeLimits:
     @pytest.mark.parametrize(
         "option, value",
         [
-            ("max_outbox", 0),
-            ("max_outbox", -1),
             ("idle_timeout", 0.0),
             ("idle_timeout", -1.0),
             ("workers", -1),
@@ -483,3 +480,12 @@ class TestServeLimits:
         flag = "--" + option.replace("_", "-")
         assert main(["serve", "--store", store, flag, str(value)]) == 2
         assert option in capsys.readouterr().err
+
+    def test_max_outbox_is_gone(self, capsys):
+        """Replies are written inline, so there is no reply queue to
+        bound: ``--max-outbox`` is an argparse error."""
+        with pytest.raises(SystemExit) as exit_:
+            main(["serve", "--max-outbox", "8"])
+        assert exit_.value.code == 2
+        err = capsys.readouterr().err
+        assert "unrecognized arguments: --max-outbox 8" in err
