@@ -16,8 +16,7 @@ so each baseline entry carries ``min_speedup`` — the floor below which a
 run is a regression — derived from the committed result tables with
 generous tolerance under the per-experiment gates.  Entries marked
 ``"required": false`` may be absent from the current run (benchmarks that
-self-skip, e.g. the 4-worker gate below 4 cores) but still fail when
-present-and-regressed.
+self-skip) but still fail when present-and-regressed.
 
 Exit status: 0 clean, 1 regression(s) found, 2 usage/IO error.
 """

@@ -43,7 +43,10 @@ multi-session server (repro serve, DESIGN.md §2f):
   eviction (--idle-timeout) and full server restarts; per-round metering
   counters ride along in each {"type":"finished"} summary.  The server
   prints one {"type":"listening","port":P} line on startup (--port 0
-  picks an ephemeral port) and exits cleanly on SIGINT/SIGTERM.
+  picks an ephemeral port) and exits cleanly on SIGINT/SIGTERM.  One
+  process serves a store; a second server on the same --store file
+  rejects a dialogue live on the first with a recoverable error and
+  resumes one whose server was killed (DESIGN.md §2h).
 
 remote sessions (repro serve --stdio, DESIGN.md §2e):
   the same server and wire over one connection on stdin/stdout instead
@@ -54,19 +57,6 @@ remote sessions (repro serve --stdio, DESIGN.md §2e):
   {"type":"reconnect","session":ID} at the exact same round.  Pipe it to
   a subprocess, an ssh session or a websocket bridge to serve a remote
   user without a listening socket.
-
-multi-process fleet (repro serve --workers N, DESIGN.md §2h):
-  N worker processes each run their own RoundServer event loop on the
-  same host:port via SO_REUSEPORT (required: without it there is no
-  fleet), with the file-backed --store as the only shared state (WAL
-  mode, per-worker connections).  A reconnect landing on a different
-  worker rebuilds the parked session from the store; a session still
-  live on another running worker is a recoverable error (ownership
-  claim tokens), and sessions owned by a killed worker are stolen and
-  resumed.  N=0 uses every core.  SIGTERM fans out to every
-  worker and joins them; the shutdown line merges all worker counters.
-  `repro serve --stats --store FILE` prints the merged counters of the
-  last fleet on that store and exits.
 
 exhaustive conformance (repro enumerate, DESIGN.md §2j):
   where the property suites sample, `repro enumerate` proves by cases:
@@ -158,21 +148,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="SECONDS",
         help="evict sessions idle this long from memory (their snapshots "
         "stay parked in the store; reconnect resumes them)",
-    )
-    serve.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        metavar="N",
-        help="serve from N worker processes on one host:port "
-        "(SO_REUSEPORT; 0 = one per core; requires a file-backed "
-        "--store — see the fleet guide at the bottom of `repro --help`)",
-    )
-    serve.add_argument(
-        "--stats",
-        action="store_true",
-        help="print the merged per-worker counters recorded in --store "
-        "by the last fleet shutdown, then exit",
     )
 
     enumerate_ = sub.add_parser(
@@ -448,9 +423,8 @@ def _cmd_demo(args) -> int:
 
 
 def _cmd_serve(args) -> int:
-    """Multi-session round server (DESIGN.md §2f), single-process by
-    default; ``--stdio`` serves one connection on stdin/stdout (§2e),
-    ``--workers N`` serves from an N-process fleet (§2h)."""
+    """Multi-session round server (DESIGN.md §2f) on a TCP port;
+    ``--stdio`` serves one connection on stdin/stdout (§2e)."""
     import asyncio
     import json
     import signal
@@ -458,26 +432,13 @@ def _cmd_serve(args) -> int:
     from repro.server import RoundServer, SessionStore
     from repro.server.core import check_limits
 
-    if args.stats:
-        if args.store == ":memory:":
-            print(
-                "repro serve --stats: needs --store FILE (an in-memory "
-                "store records nothing to report)",
-                file=sys.stderr,
-            )
-            return 2
-        with SessionStore(args.store) as store:
-            print(json.dumps(store.fleet_stats()))
-        return 0
-    if args.stdio and (args.workers != 1 or args.idle_timeout is not None):
+    if args.stdio and args.idle_timeout is not None:
         print(
-            "repro serve: --stdio serves one connection from one process "
-            "and takes no --workers or --idle-timeout",
+            "repro serve: --stdio serves one connection and takes no "
+            "--idle-timeout",
             file=sys.stderr,
         )
         return 2
-    if args.workers != 1:
-        return _cmd_serve_fleet(args)
     try:
         check_limits(args.idle_timeout)
     except ValueError as error:
@@ -520,56 +481,6 @@ def _cmd_serve(args) -> int:
         return 0
 
     return asyncio.run(serve())
-
-
-def _cmd_serve_fleet(args) -> int:
-    """The §2h multi-process serving tier: `repro serve --workers N`.
-
-    The parent is a supervisor, not a server: it forks the workers,
-    prints the listening handshake, and waits for SIGINT/SIGTERM — which
-    it fans out to every worker before joining them and printing the
-    merged fleet counters.
-    """
-    import signal
-    import threading
-
-    from repro.server.multiproc import ServerFleet, print_listening
-
-    if args.store == ":memory:":
-        print(
-            "repro serve: --workers needs a file-backed --store (the "
-            "store is the only state the workers share)",
-            file=sys.stderr,
-        )
-        return 2
-    try:
-        fleet = ServerFleet(
-            args.store,
-            workers=args.workers,
-            host=args.host,
-            port=args.port,
-            idle_timeout=args.idle_timeout,
-        )
-    except (RuntimeError, ValueError) as error:
-        # No SO_REUSEPORT, a negative --workers or a rejected limit:
-        # nothing was forked yet.
-        print(f"repro serve: {error}", file=sys.stderr)
-        return 2
-    fleet.start()
-    print_listening(fleet)
-    stop = threading.Event()
-    for signum in (signal.SIGINT, signal.SIGTERM):
-        signal.signal(signum, lambda *_: stop.set())
-    try:
-        # Wake periodically so a fleet whose workers all died (crash,
-        # external kill) does not leave a zombie supervisor behind.
-        while not stop.wait(0.2):
-            if not fleet.alive():
-                break
-    finally:
-        stats = fleet.stop()
-        print(f"repro serve: shut down clean {stats}", file=sys.stderr)
-    return 0
 
 
 def _cmd_enumerate(args) -> int:

@@ -52,21 +52,20 @@ holds exactly what this server last saved for the warm session (status,
 learner, ``n``, counters and snapshot text); then the warm session is
 reused without reading the row back.  Any other row takes the general
 path: load, claim, reuse the warm session only if the parsed snapshot
-equals its own, and replay the log otherwise (another worker advanced
+equals its own, and replay the log otherwise (another server advanced
 the row, a correction rewrote it, a restart, an eviction).  ``stats()``
 counts every store rebuild in ``sessions_resumed`` and the replayed
 ones, a subset, in ``sessions_replayed``.
 
-Since §2h one ``RoundServer`` is also one *fleet worker*: N of them can
-listen on the same host:port (``SO_REUSEPORT``) over one shared
-file-backed store.  Every server message carries ``"worker"`` — the
-server's worker id — so clients (and the load generator) can observe
-which worker served them.  While a session is live in memory, the worker
-*owns* its store row under a claim token; parking (quit, idle eviction,
-clean shutdown) releases the claim, and a store-rebuild in
+One server per process serves a store, but a store file may be open in
+two processes at once (DESIGN.md §2h).  Every server message carries
+``"worker"``, the server's id, so a client can tell which server
+answered.  While a session is live in memory, the server *owns* its
+store row under a claim token; parking (quit, idle eviction, clean
+shutdown) releases the claim, and a store rebuild in
 :meth:`RoundServer._require_session` must claim first — a session live
-on another running worker is a recoverable ``{"type": "error"}``, one
-that died with its worker is stolen and resumed.
+on another running server is a recoverable ``{"type": "error"}``, one
+whose server died is stolen and resumed.
 """
 
 from __future__ import annotations
@@ -106,7 +105,7 @@ LEARNERS: Mapping[str, Callable[..., Any]] = {
 
 DEFAULT_LEARNER = "qhorn1"
 
-#: Parked sessions one worker keeps warm for a same-worker reconnect.
+#: Parked sessions one server keeps warm for a reconnect to it.
 #: Past this many, the least recently parked one drops (and replays if
 #: it ever comes back).  One parked session holds about 4-20 KiB.
 WARM_SESSIONS = 1024
@@ -208,10 +207,10 @@ class RoundServer:
         memory (its snapshot stays parked in the store).  ``None``
         disables the background sweep; :meth:`evict_idle` still works.
     worker_id:
-        This server's name in a fleet (stamped on every wire message and
-        on persisted worker stats).  Defaults to a fresh short id.  The
-        session-ownership claim token derives from it plus the pid, so a
-        server must be constructed in the process that runs it.
+        This server's name, stamped on every wire message.  Defaults to
+        a fresh short id.  The session-ownership claim token derives
+        from it plus the pid, so a server must be constructed in the
+        process that runs it.
 
     Construction raises ``ValueError`` on an idle timeout
     :func:`check_limits` rejects.  Replies are written inline: a
@@ -252,24 +251,14 @@ class RoundServer:
     # Lifecycle
     # ------------------------------------------------------------------
     async def start(
-        self,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        reuse_port: bool = False,
+        self, host: str = "127.0.0.1", port: int = 0
     ) -> asyncio.AbstractServer:
         """Bind and serve; ``port=0`` picks an ephemeral port (see
-        :meth:`port`).  With ``reuse_port`` the socket binds with
-        ``SO_REUSEPORT`` so N fleet workers can share one host:port and
-        let the kernel balance connections.  Returns the underlying
-        asyncio server."""
+        :meth:`port`).  Returns the underlying asyncio server."""
         if self._server is not None:
             raise RuntimeError("server already started")
         self._server = await asyncio.start_server(
-            self._handle_connection,
-            host,
-            port,
-            reuse_port=reuse_port,
-            limit=MAX_LINE_BYTES,
+            self._handle_connection, host, port, limit=MAX_LINE_BYTES
         )
         if self.idle_timeout is not None:
             self._evictor = asyncio.ensure_future(self._evict_loop())
@@ -308,8 +297,8 @@ class RoundServer:
         in the store (that is the durability story, not a data loss).
 
         Clean shutdown is the ownership handoff: every live session's
-        claim is released so any other fleet worker may rebuild it, and
-        this worker's counters are persisted for fleet-wide aggregation.
+        claim is released, where the store lets us, so the next server
+        on the store may rebuild it.
         """
         if self._evictor is not None:
             self._evictor.cancel()
@@ -327,7 +316,6 @@ class RoundServer:
             self._release(session_id)
         self._sessions.clear()
         self._warm.clear()
-        self.store.save_worker_stats(self.worker_id, self.stats())
 
     def stats(self) -> dict[str, int]:
         return {
@@ -350,10 +338,10 @@ class RoundServer:
 
         Safe at any time: the round-boundary snapshot in the store is
         the authoritative state, so eviction only frees memory — and
-        releases the ownership claim, so any fleet worker may pick the
-        session back up.  Warm parked sessions idle as long are dropped
-        too, uncounted: they hold no claim.  Returns the number of live
-        sessions evicted."""
+        releases the ownership claim, so another server on the store may
+        pick the session back up.  Warm parked sessions idle as long are
+        dropped too, uncounted: they hold no claim.  Returns the number
+        of live sessions evicted."""
         now = _now()
         evicted = 0
         for session_id, live in list(self._sessions.items()):
@@ -531,10 +519,10 @@ class RoundServer:
         if session_id is None:
             raise ProtocolError('"quit" needs a "session" id')
         # Quit parks rather than destroys: the snapshot stays in the
-        # store, so the same id can reconnect later — on *any* fleet
-        # worker, which is why parking releases the ownership claim
+        # store, so the same id can reconnect later — to any server on
+        # the store, which is why parking releases the ownership claim
         # before the "closed" reply reaches the client.  The session
-        # stays warm here, so a reconnect to this worker can skip the
+        # stays warm here, so a reconnect to this server can skip the
         # replay.
         live = self._sessions.pop(session_id, None)
         if live is not None:
@@ -553,7 +541,7 @@ class RoundServer:
     ) -> _LiveSession:
         """The live session for ``session_id``, resuming from the store
         when it is not in memory (quit, eviction or a past server
-        restart).  A session this worker parked warm is reused when the
+        restart).  A session this server parked warm is reused when the
         row still matches it exactly; otherwise the log is replayed."""
         if session_id is None:
             raise ProtocolError(f'"{verb}" needs a "session" id')
@@ -581,9 +569,9 @@ class RoundServer:
             )
         # Ownership handoff (§2h): rebuilding from the store claims the
         # row first.  A parked session is released and claims cleanly; a
-        # session still live on another *running* worker is rejected
+        # session still live on another *running* server is rejected
         # (the client must quit there first, or wait for idle eviction);
-        # one whose worker died is stolen — that is the crash story.
+        # one whose server died is stolen — that is the crash story.
         if not self.store.claim(session_id, self._claim_token):
             self.claims_rejected += 1
             raise ProtocolError(
@@ -646,7 +634,7 @@ class RoundServer:
     def _persist(self, live: _LiveSession, status: str) -> None:
         """Round-boundary durability: park the replay log write-through.
 
-        Active rows carry this worker's claim token (the session is live
+        Active rows carry this server's claim token (the session is live
         here); finished rows carry none — there is nothing left to own.
         A failed write drops the live session, which is now a round
         ahead of its row, and releases the claim where it can: memory

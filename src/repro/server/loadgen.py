@@ -1,8 +1,7 @@
 """E25 load generator: N simulated users answering rounds with think-time.
 
 Each simulated user opens one TCP connection to a
-:class:`~repro.server.core.RoundServer` (or a whole
-:class:`~repro.server.multiproc.ServerFleet`), starts (or reconnects) a
+:class:`~repro.server.core.RoundServer`, starts (or reconnects) a
 dialogue, and answers every round from a ground-truth
 :class:`~repro.oracle.QueryOracle` over their intended query after an
 optional think-time sleep — the load shape the paper's interaction model
@@ -11,22 +10,14 @@ records per-round latency (answers sent → next round received) and the
 full wire transcript, so callers can assert bit-identical transcripts
 against the synchronous in-process path.
 
-Two fleet-era load shapes (§2h):
-
-* ``hop_every=k`` parks the dialogue (quit) after every ``k`` answered
-  rounds, drops the connection, and reconnects on a fresh one — under a
-  multi-process fleet each reconnect is kernel-balanced onto whichever
-  worker accepts, so dialogues deliberately hop workers and exercise the
-  store's ownership handoff.  ``UserResult.workers`` records every
-  worker id that served the user.
-* :func:`run_load_multiprocess` fans the users over C client processes,
-  so the load generator itself stops being the single-core bottleneck
-  when measuring a fleet (E25c).
+With ``hop_every=k`` a user parks the dialogue (quit) after every ``k``
+answered rounds, drops the connection, and reconnects on a fresh one,
+which drives the server's park-and-resume path on every hop.
 
 Run standalone against a live server (the CI smoke does)::
 
     python -m repro.server.loadgen --port 40001 --users 8 --n 4 \
-        --hop-every 1 --expect-workers 2
+        --hop-every 1
 """
 
 from __future__ import annotations
@@ -48,7 +39,6 @@ __all__ = [
     "LoadReport",
     "simulate_user",
     "run_load",
-    "run_load_multiprocess",
     "random_intents",
     "load_scenarios",
 ]
@@ -68,8 +58,6 @@ class UserResult:
     #: Seconds from sending answers to receiving the next message.
     round_latencies: list = field(default_factory=list)
     metering: dict = field(default_factory=dict)
-    #: Every worker id that served this user (fleet mode).
-    workers: set = field(default_factory=set)
     #: Park-and-reconnect hops this user performed.
     hops: int = 0
 
@@ -101,10 +89,6 @@ class LoadReport:
     def total_hops(self) -> int:
         return sum(u.hops for u in self.users)
 
-    @property
-    def workers_seen(self) -> set:
-        return set().union(*(u.workers for u in self.users), set())
-
     def latency_percentile(self, q: float) -> float:
         """The ``q``-quantile round latency in seconds (0 <= q <= 1)."""
         latencies = sorted(
@@ -124,7 +108,6 @@ class LoadReport:
             "rounds": self.total_rounds,
             "questions": self.total_questions,
             "hops": self.total_hops,
-            "workers": sorted(self.workers_seen),
             "p50_round_ms": round(self.latency_percentile(0.50) * 1000, 3),
             "p99_round_ms": round(self.latency_percentile(0.99) * 1000, 3),
         }
@@ -142,6 +125,12 @@ async def _open(host: str, port: int, hello: dict):
     writer.write((json.dumps(hello) + "\n").encode())
     await writer.drain()
     return reader, writer
+
+
+def _check_hop_every(hop_every: int | None) -> None:
+    """A hop after fewer than one answered round would hop forever."""
+    if hop_every is not None and hop_every < 1:
+        raise ValueError(f"hop_every must be 1 or more, got {hop_every}")
 
 
 async def _close(writer) -> None:
@@ -168,15 +157,15 @@ async def simulate_user(
 
     With ``session_id`` the user reconnects to a parked dialogue instead
     of opening a new one — the resumed rounds continue the same
-    transcript.  With ``hop_every=k`` the user parks (quit) after every
-    ``k`` answered rounds and reconnects on a brand-new connection —
-    against a fleet, that connection lands on whichever worker the
-    kernel picks, so the dialogue hops workers.
-    The quit's ``closed`` reply is awaited before reconnecting: the park
-    releases the session's ownership claim, so the next worker's rebuild
-    is guaranteed to find it released.  ``think_time`` sleeps before
-    each answer batch, jittered ±50% when ``rng`` is given.
+    transcript.  With ``hop_every=k`` (1 or more, else ``ValueError``)
+    the user parks (quit) after every ``k`` answered rounds and
+    reconnects on a brand-new connection.  The quit's ``closed`` reply
+    is awaited before reconnecting: the park releases the session's
+    ownership claim, so the rebuild is guaranteed to find it released.
+    ``think_time`` sleeps before each answer batch, jittered ±50% when
+    ``rng`` is given.
     """
+    _check_hop_every(hop_every)
     truth = QueryOracle(intent)
     result = UserResult(session_id=session_id or "", intent=intent)
     if session_id is None:
@@ -197,14 +186,10 @@ async def simulate_user(
                 result.questions = message["questions"]
                 result.rounds = message["rounds"]
                 result.metering = message.get("metering", {})
-                if "worker" in message:
-                    result.workers.add(message["worker"])
                 return result
             if kind != "round":
                 raise AssertionError(f"unexpected server message: {message}")
             result.session_id = message["session"]
-            if "worker" in message:
-                result.workers.add(message["worker"])
             if stop_after_rounds is not None and answered >= stop_after_rounds:
                 writer.write(
                     json.dumps(
@@ -216,9 +201,9 @@ async def simulate_user(
                 result.rounds = message["index"]
                 return result
             if hop_every is not None and answered_since_hop >= hop_every:
-                # Park here, resume over there: quit (awaiting the
-                # "closed" reply, which guarantees the claim release
-                # happened), drop the connection, reconnect fresh.
+                # Park, then resume: quit (awaiting the "closed" reply,
+                # which guarantees the claim release happened), drop the
+                # connection, reconnect fresh.
                 writer.write(
                     json.dumps(
                         {"type": "quit", "session": result.session_id}
@@ -279,6 +264,7 @@ async def run_load(
     hop_every: int | None = None,
 ) -> LoadReport:
     """Run one simulated user per intent, all concurrent on this loop."""
+    _check_hop_every(hop_every)
     rng = random.Random(seed)
     rngs = [random.Random(rng.random()) for _ in intents]
     started = time.perf_counter()
@@ -302,85 +288,6 @@ async def run_load(
     )
     return LoadReport(
         users=list(users), elapsed_s=time.perf_counter() - started
-    )
-
-
-def _load_slice(payload: tuple) -> list[UserResult]:
-    """One client process's share of the users (module-level: picklable
-    under any multiprocessing start method)."""
-    host, port, intents, learner, think_time, seed, hop_every = payload
-    report = asyncio.run(
-        run_load(
-            host,
-            port,
-            intents,
-            learner=learner,
-            think_time=think_time,
-            seed=seed,
-            hop_every=hop_every,
-        )
-    )
-    return report.users
-
-
-def run_load_multiprocess(
-    host: str,
-    port: int,
-    intents: Sequence[QhornQuery],
-    processes: int,
-    learner: str = "qhorn1",
-    think_time: float = 0.0,
-    seed: int = 2013,
-    hop_every: int | None = None,
-) -> LoadReport:
-    """Fan the users over ``processes`` client processes.
-
-    A single asyncio loop answering thousands of rounds becomes the
-    bottleneck before a multi-worker fleet does; C client processes keep
-    the measurement about the server.  Elapsed time is the parent's wall
-    clock around the whole fan-out, so ``sessions_per_s`` stays an
-    end-to-end number.
-    """
-    import concurrent.futures
-    import multiprocessing
-
-    if processes <= 1:
-        return asyncio.run(
-            run_load(
-                host,
-                port,
-                intents,
-                learner=learner,
-                think_time=think_time,
-                seed=seed,
-                hop_every=hop_every,
-            )
-        )
-    context_name = (
-        "fork"
-        if "fork" in multiprocessing.get_all_start_methods()
-        else "spawn"
-    )
-    slices: list[list[QhornQuery]] = [[] for _ in range(processes)]
-    for index, intent in enumerate(intents):
-        slices[index % processes].append(intent)
-    payloads = [
-        (host, port, chunk, learner, think_time, seed + rank, hop_every)
-        for rank, chunk in enumerate(slices)
-        if chunk
-    ]
-    started = time.perf_counter()
-    with concurrent.futures.ProcessPoolExecutor(
-        max_workers=len(payloads),
-        mp_context=multiprocessing.get_context(context_name),
-    ) as pool:
-        users = [
-            user
-            for chunk in pool.map(_load_slice, payloads)
-            for user in chunk
-        ]
-    return LoadReport(
-        users=users, elapsed_s=time.perf_counter() - started
     )
 
 
@@ -434,6 +341,10 @@ def load_scenarios(path: str) -> list[QhornQuery]:
 def main(argv: Sequence[str] | None = None) -> int:
     import argparse
 
+    # Zero users would report a clean run over no dialogues; a hop
+    # every zero rounds never answers one.
+    from repro.cli import _positive
+
     parser = argparse.ArgumentParser(
         prog="python -m repro.server.loadgen",
         description="simulated-user load generator for `repro serve`",
@@ -442,7 +353,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser.add_argument("--port", type=int, required=True)
     parser.add_argument(
         "--users",
-        type=int,
+        type=_positive,
         default=None,
         help="simulated users (default: 8, or one per scenario intent "
         "with --scenario; more users cycle the scenario list)",
@@ -461,28 +372,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, default=2013)
     parser.add_argument(
         "--hop-every",
-        type=int,
+        type=_positive,
         default=None,
         metavar="K",
         help="park (quit) and reconnect on a fresh connection after "
-        "every K answered rounds — against a fleet, dialogues hop "
-        "workers through the shared store",
-    )
-    parser.add_argument(
-        "--processes",
-        type=int,
-        default=1,
-        metavar="C",
-        help="fan the users over C client processes (keeps the load "
-        "generator off the critical path when measuring a fleet)",
-    )
-    parser.add_argument(
-        "--expect-workers",
-        type=int,
-        default=None,
-        metavar="W",
-        help="fail unless at least W distinct worker ids served the "
-        "load (asserts fleet balancing end-to-end)",
+        "every K answered rounds",
     )
     args = parser.parse_args(argv)
 
@@ -496,29 +390,17 @@ def main(argv: Sequence[str] | None = None) -> int:
     else:
         count = args.users if args.users is not None else 8
         intents = random_intents(count, args.n, seed=args.seed)
-    if args.processes > 1:
-        report = run_load_multiprocess(
+    report = asyncio.run(
+        run_load(
             args.host,
             args.port,
             intents,
-            processes=args.processes,
             learner=args.learner,
             think_time=args.think_time,
             seed=args.seed,
             hop_every=args.hop_every,
         )
-    else:
-        report = asyncio.run(
-            run_load(
-                args.host,
-                args.port,
-                intents,
-                learner=args.learner,
-                think_time=args.think_time,
-                seed=args.seed,
-                hop_every=args.hop_every,
-            )
-        )
+    )
     # Every dialogue must both finish and learn a query equivalent to
     # its own intent.
     wrong = [
@@ -535,15 +417,6 @@ def main(argv: Sequence[str] | None = None) -> int:
                 f"loadgen: session {u.session_id} learned {u.learned!r}, "
                 f"intended {u.intent.shorthand()!r}"
             )
-        return 1
-    if (
-        args.expect_workers is not None
-        and len(report.workers_seen) < args.expect_workers
-    ):
-        print(
-            f"loadgen: expected >= {args.expect_workers} distinct "
-            f"workers, saw {sorted(report.workers_seen)}"
-        )
         return 1
     return 0
 

@@ -13,32 +13,30 @@ resume a dialogue at its exact parked round — after a disconnect, an
 idle eviction, or a full server restart.  ``:memory:`` stores work for
 tests and survive only the process, file-backed stores survive anything.
 
-Since §2h the store is also the *only* shared state of a multi-process
-:class:`~repro.server.multiproc.ServerFleet`, which imposes three rules:
+One store file may be shared by more than one process: two ``repro
+serve`` processes can open one ``--store`` at once, and a server started
+after a killed one finds the dead server's rows still claimed.  That
+imposes two rules (DESIGN.md §2h):
 
-* **Connections are per process.**  File-backed connections open in WAL
-  journal mode with ``busy_timeout`` and ``synchronous=NORMAL``, in
-  sqlite autocommit mode (``isolation_level=None``) so every statement
-  commits atomically on its own — concurrent workers serialize on the
-  WAL writer lock instead of corrupting each other.  A connection must
-  never cross :func:`os.fork`: :meth:`reopen` rebinds explicitly, and
-  every access goes through a pid guard that rebinds automatically when
-  it finds itself on the wrong side of a fork.
-* **Ownership is a claim token.**  A worker that holds a session live in
+* **Connections commit every statement and never wait long.**
+  File-backed connections open in WAL journal mode with
+  ``synchronous=NORMAL``, in sqlite autocommit mode
+  (``isolation_level=None``) so every statement commits atomically on
+  its own.  A statement waits at most :data:`BUSY_TIMEOUT` seconds for
+  another connection's write lock and then fails with ``database is
+  locked``, which the server turns into a recoverable error; the wait
+  runs on the server's event loop, so it must stay short.
+* **Ownership is a claim token.**  A server that holds a session live in
   memory owns its row (``owner`` column).  :meth:`claim` is an atomic
   compare-and-swap: it succeeds on unowned rows (a parked session is
   released property) and on rows whose owner token names a dead process
-  (a SIGKILLed worker cannot release; liveness is checked by pid), and
-  *rejects* rows live on another running worker — the concurrent-claim
-  error the wire surfaces.  Workers park-and-release (quit, eviction,
-  clean shutdown) before any other worker may rebuild the session.  Its
+  (a killed server cannot release; liveness is checked by pid), and
+  *rejects* rows live on another running server — the concurrent-claim
+  error the wire surfaces.  A server parks and releases (quit, eviction,
+  clean shutdown) before another may rebuild the session.  Its
   conditional form claims a row only while it still holds exactly what
-  this worker last saved there, which is how a worker reuses a session
+  this server last saved there, which is how a server reuses a session
   it parked warm without reading the row back.
-* **Metering aggregates through the store.**  Each worker persists its
-  server counters under its worker id (:meth:`save_worker_stats`);
-  :meth:`fleet_stats` sums them into the fleet-wide ``repro serve``
-  stats line.
 """
 
 from __future__ import annotations
@@ -70,25 +68,18 @@ CREATE TABLE IF NOT EXISTS sessions (
 )
 """
 
-#: ``session_ids(status=...)`` is on the accept path of every fleet
-#: worker; without this index it scans the whole table.
-_STATUS_INDEX = (
-    "CREATE INDEX IF NOT EXISTS sessions_status ON sessions(status)"
-)
-
-_WORKER_STATS_SCHEMA = """
-CREATE TABLE IF NOT EXISTS worker_stats (
-    worker_id TEXT PRIMARY KEY,
-    stats TEXT NOT NULL
-)
-"""
+#: Seconds a statement waits on another connection's write lock before
+#: failing with ``database is locked``.  The wait blocks the server's
+#: event loop, and a failed round-boundary save plus the claim release
+#: after it wait twice.
+BUSY_TIMEOUT = 1.0
 
 
 def owner_token(worker_id: str) -> str:
     """A claim token naming this process: ``"<pid>.<worker_id>"``.
 
     The pid prefix is what lets :meth:`SessionStore.claim` steal sessions
-    from a SIGKILLed worker (which can never release them) while still
+    from a killed server (which can never release them) while still
     rejecting claims against a live one.
     """
     return f"{os.getpid()}.{worker_id}"
@@ -98,8 +89,8 @@ def owner_alive(token: str) -> bool:
     """Whether the process named by a claim token is still running.
 
     Unparseable tokens count as alive (never steal what we cannot
-    check); pid probing is same-host only, which is exactly the fleet's
-    deployment shape (N forked workers, one store file).
+    check); pid probing is same-host only, as is sharing one sqlite
+    store file.
     """
     pid_text, _, _ = token.partition(".")
     try:
@@ -125,7 +116,7 @@ class StoredSession:
     factory from (a snapshot replays only through the same learner that
     produced it); ``rounds``/``questions`` are lifetime totals across
     restarts, which is what per-round metering bills on.  ``owner`` is
-    the claim token of the worker currently holding the session live
+    the claim token of the server currently holding the session live
     (``None`` = parked and free to claim).
     """
 
@@ -151,50 +142,30 @@ class SessionStore:
     path:
         Database file; created when absent, reused when present.
         ``":memory:"`` keeps the store process-local (tests).
-    busy_timeout:
-        Seconds a statement waits on another process's write lock before
-        failing — the multi-writer knob (WAL mode serializes writers).
     """
 
-    def __init__(
-        self, path: str | Path = ":memory:", busy_timeout: float = 30.0
-    ) -> None:
+    def __init__(self, path: str | Path = ":memory:") -> None:
         self.path = str(path)
-        self.busy_timeout = busy_timeout
-        self._connection: sqlite3.Connection | None = None
-        self._pid = os.getpid()
-        self._connect()
-
-    # ------------------------------------------------------------------
-    # Connection discipline (per-process, fork-aware, autocommit)
-    # ------------------------------------------------------------------
-    def _connect(self) -> None:
         # isolation_level=None puts sqlite in autocommit: every statement
-        # is its own atomic transaction, so two worker processes can
-        # interleave saves/claims without ever holding a dangling
-        # transaction open across the wire (the commit discipline §2h
-        # requires — there is no implicit BEGIN to forget to close).
+        # is its own atomic transaction, so two processes on one file can
+        # interleave saves and claims without either holding a
+        # transaction open across the wire (there is no implicit BEGIN
+        # to forget to close).
         connection = sqlite3.connect(
-            self.path, timeout=self.busy_timeout, isolation_level=None
+            self.path, timeout=BUSY_TIMEOUT, isolation_level=None
         )
-        connection.execute(
-            f"PRAGMA busy_timeout = {int(self.busy_timeout * 1000)}"
-        )
-        # WAL lets N workers read while one writes; NORMAL is durable to
-        # application crash (the fleet's failure mode) without an fsync
-        # per round boundary.  Both are no-ops on :memory: stores.
+        # WAL lets readers run beside the one writer; NORMAL is durable
+        # to an application crash without an fsync per round boundary.
+        # Both are no-ops on :memory: stores.
         connection.execute("PRAGMA journal_mode = WAL")
         connection.execute("PRAGMA synchronous = NORMAL")
         connection.execute(_SCHEMA)
-        connection.execute(_STATUS_INDEX)
-        connection.execute(_WORKER_STATS_SCHEMA)
         self._migrate(connection)
-        self._connection = connection
-        self._pid = os.getpid()
+        self._connection: sqlite3.Connection | None = connection
 
     @staticmethod
     def _migrate(connection: sqlite3.Connection) -> None:
-        """Pre-§2h store files lack the ``owner`` claim column."""
+        """Store files older than the claims lack the ``owner`` column."""
         columns = {
             row[1]
             for row in connection.execute("PRAGMA table_info(sessions)")
@@ -206,32 +177,10 @@ class SessionStore:
 
     @property
     def connection(self) -> sqlite3.Connection:
-        """The per-process connection, rebound if a fork intervened.
-
-        A sqlite connection must never be shared across ``fork()``; a
-        store object inherited by a worker process transparently reopens
-        on first use (the inherited handle is abandoned, not closed —
-        closing it from the child could step on the parent's side).
-        """
+        """The open connection; ``RuntimeError`` once the store closed."""
         if self._connection is None:
             raise RuntimeError("SessionStore is closed")
-        if os.getpid() != self._pid:
-            self._connection = None  # abandon, do not close, see above
-            self._connect()
         return self._connection
-
-    def reopen(self) -> None:
-        """Drop the current connection and bind a fresh one.
-
-        For workers that inherit a file-backed store across a process
-        boundary and want the rebind to happen eagerly rather than on
-        first use.  On ``:memory:`` stores this starts an empty store —
-        only file-backed stores are shared state.
-        """
-        if self._connection is not None and os.getpid() == self._pid:
-            self._connection.close()
-        self._connection = None
-        self._connect()
 
     # ------------------------------------------------------------------
     # Persistence
@@ -316,10 +265,10 @@ class SessionStore:
         """Atomically claim a session for ``owner`` (a claim token).
 
         Succeeds when the row is unowned (parked-and-released), already
-        ours (idempotent), or owned by a dead process (a killed worker
+        ours (idempotent), or owned by a dead process (a killed server
         can never release; its sessions must stay resumable).  Returns
         ``False`` on an unknown session or one live on another running
-        worker — the caller surfaces that as the concurrent-claim error.
+        server — the caller surfaces that as the concurrent-claim error.
 
         With ``unchanged``, a record this store saved and the JSON
         :meth:`save` returned for it, the claim is one conditional
@@ -391,40 +340,6 @@ class SessionStore:
         return None if row is None else row[0]
 
     # ------------------------------------------------------------------
-    # Fleet-wide metering aggregation (§2h)
-    # ------------------------------------------------------------------
-    def save_worker_stats(self, worker_id: str, stats: dict) -> None:
-        """Upsert one worker's server counters (on clean shutdown)."""
-        self.connection.execute(
-            "INSERT OR REPLACE INTO worker_stats VALUES (?, ?)",
-            (worker_id, json.dumps(stats)),
-        )
-
-    def clear_worker_stats(self) -> None:
-        """Reset the per-worker counters (a fresh fleet start)."""
-        self.connection.execute("DELETE FROM worker_stats")
-
-    def worker_stats(self) -> dict[str, dict]:
-        """Per-worker counters, keyed by worker id."""
-        return {
-            worker_id: json.loads(stats)
-            for worker_id, stats in self.connection.execute(
-                "SELECT worker_id, stats FROM worker_stats "
-                "ORDER BY worker_id"
-            )
-        }
-
-    def fleet_stats(self) -> dict[str, int]:
-        """Every worker's counters summed into one fleet-wide view."""
-        merged: dict[str, int] = {"workers": 0}
-        for stats in self.worker_stats().values():
-            merged["workers"] += 1
-            for key, value in stats.items():
-                if isinstance(value, (int, float)):
-                    merged[key] = merged.get(key, 0) + value
-        return merged
-
-    # ------------------------------------------------------------------
     # Container face / lifecycle
     # ------------------------------------------------------------------
     def __len__(self) -> int:
@@ -442,7 +357,7 @@ class SessionStore:
         )
 
     def close(self) -> None:
-        if self._connection is not None and os.getpid() == self._pid:
+        if self._connection is not None:
             self._connection.close()
         self._connection = None
 

@@ -1,10 +1,11 @@
-"""Integration tests for the multi-process serving tier (§2h).
+"""The claims between two servers sharing one store file (§2h).
 
-Real forked worker processes, real sockets, one shared file-backed
-store: kernel-balanced ``SO_REUSEPORT`` accept (required: no fallback),
-worker-hopping reconnects through the ownership handoff,
-concurrent-claim rejection, and the kill-one-worker durability variant
-of the E25b restart story.
+Two in-process ``RoundServer`` instances, each with its own
+``SessionStore`` connection to one file, on one event loop: a session
+live on one server is rejected by the other until it is parked, a clean
+close or an eviction releases the claim, and a server's warm parked
+session is reused only while the row still holds what that server
+wrote.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ from repro.interactive import LearningSession
 from repro.learning import Qhorn1Learner
 from repro.oracle import QueryOracle
 from repro.protocol.wire import payload_from_dict
-from repro.server import RoundServer, ServerFleet, SessionStore
-from repro.server.loadgen import UserResult, random_intents, run_load
+from repro.server import RoundServer, SessionStore
+from repro.server.loadgen import UserResult
 
 
 def run(coro):
@@ -31,7 +32,7 @@ def run(coro):
 
 def sync_reference(intent):
     """The synchronous in-process path the wire must be bit-identical
-    to, fleet or no fleet."""
+    to."""
     session = LearningSession(
         lambda oracle: Qhorn1Learner(oracle), oracle=QueryOracle(intent)
     )
@@ -49,8 +50,8 @@ def assert_bit_identical(user):
 
 
 @contextlib.asynccontextmanager
-async def two_workers(store_path):
-    """Workers "wa" and "wb" over one store file, one connection each."""
+async def two_servers(store_path):
+    """Servers "wa" and "wb" over one store file, one connection each."""
     stores = [SessionStore(store_path), SessionStore(store_path)]
     servers = [
         RoundServer(store, worker_id=name)
@@ -100,193 +101,9 @@ def store_path(tmp_path):
     return tmp_path / "sessions.sqlite"
 
 
-class TestServerFleet:
-    def test_memory_store_rejected(self):
-        with pytest.raises(ValueError, match="file-backed"):
-            ServerFleet(":memory:", workers=2)
-
-    def test_hopping_dialogues_finish_bit_identical(self, store_path):
-        """The tentpole end-to-end: dialogues park-and-reconnect every
-        round across a 2-worker fleet; every one finishes, every
-        transcript is bit-identical to the synchronous path, and both
-        workers demonstrably served (with ~60 kernel-balanced connects,
-        one worker seeing none has probability ~2^-59)."""
-        intents = random_intents(12, 3, seed=2600)
-        with ServerFleet(store_path, workers=2) as fleet:
-            report = run(
-                run_load(
-                    fleet.host,
-                    fleet.port,
-                    intents,
-                    seed=2600,
-                    hop_every=1,
-                )
-            )
-            stats = fleet.stop()
-        assert all(user.finished for user in report.users)
-        for user in report.users:
-            reference = assert_bit_identical(user)
-            assert user.questions == reference.questions_asked
-        assert report.workers_seen == {"w0", "w1"}
-        assert report.total_hops > 0
-        # Merged fleet counters account for every dialogue and resume.
-        assert stats["workers"] == 2
-        assert stats["sessions_finished"] == len(intents)
-        assert stats["sessions_opened"] == len(intents)
-        assert stats["sessions_resumed"] == report.total_hops
-        # Same-worker reconnects reuse the warm parked session, hops to
-        # the other worker replay: with ~60 kernel-balanced reconnects
-        # both happen with overwhelming probability.
-        assert 0 < stats["sessions_replayed"] < stats["sessions_resumed"]
-        assert stats["claims_rejected"] == 0
-
-    def test_double_start_rejected(self, store_path):
-        fleet = ServerFleet(store_path, workers=1)
-        fleet.start()
-        try:
-            with pytest.raises(RuntimeError, match="already started"):
-                fleet.start()
-        finally:
-            fleet.stop()
-
-    def test_port_before_start_rejected(self, store_path):
-        with pytest.raises(RuntimeError, match="not started"):
-            ServerFleet(store_path, workers=1).port
-
-    def test_missing_reuse_port_rejected_before_forking(
-        self, store_path, monkeypatch
-    ):
-        import multiprocessing
-        import socket
-
-        monkeypatch.delattr(socket, "SO_REUSEPORT")
-        before = multiprocessing.active_children()
-        with pytest.raises(RuntimeError, match="SO_REUSEPORT"):
-            ServerFleet(store_path, workers=2)
-        assert multiprocessing.active_children() == before
-
-
-class TestKillOneWorker:
-    def test_parked_and_live_sessions_survive_a_killed_worker(
-        self, store_path
-    ):
-        """The E25b variant for fleets: park some dialogues cleanly,
-        abandon others live (no quit — their claims stay held), SIGKILL
-        one worker, and resume *every* session on the survivors.  Parked
-        sessions were released; the killed worker's live ones are stolen
-        via the dead-pid check; stitched transcripts stay bit-identical
-        and metering spans the kill."""
-        parked_intents = random_intents(6, 3, seed=2602)
-        live_intents = random_intents(4, 3, seed=2603)
-        with ServerFleet(store_path, workers=2) as fleet:
-            parked = run(
-                run_load(
-                    fleet.host,
-                    fleet.port,
-                    parked_intents,
-                    seed=2602,
-                    stop_after_rounds=1,
-                )
-            ).users
-            # One-round dialogues can finish before parking; the rest
-            # parked mid-session (quit → claim released).
-            parked = [user for user in parked if not user.finished]
-            assert parked
-            # Abandoned dialogues: answer one round, then drop the
-            # connection without quit — the serving worker keeps them
-            # live in memory and keeps their store claims.
-            abandoned = run(
-                self._abandon_live(fleet.host, fleet.port, live_intents)
-            )
-            fleet.kill_worker(0)
-            assert fleet.alive() == [1]
-
-            survivors = run(
-                run_load(
-                    fleet.host,
-                    fleet.port,
-                    [user.intent for user in parked + abandoned],
-                    seed=2604,
-                    session_ids=[
-                        user.session_id for user in parked + abandoned
-                    ],
-                )
-            )
-            for before, after in zip(parked + abandoned, survivors.users):
-                assert after.finished
-                stitched_user = after
-                stitched_user.transcript = (
-                    before.transcript + after.transcript
-                )
-                reference = assert_bit_identical(stitched_user)
-                # Metering spans the kill: questions is a lifetime total.
-                assert after.questions == reference.questions_asked
-                assert after.workers == {"w1"}
-            # Parked sessions were released by quit and rebuilt from the
-            # store; their metering records the resume.
-            for after in survivors.users[: len(parked)]:
-                assert after.metering["resumes"] >= 1
-
-    @staticmethod
-    async def _abandon_live(host, port, intents):
-        """Open dialogues, answer one round each, drop the connections
-        without quitting — sessions stay live (and claimed) server-side."""
-        from repro.protocol.wire import payload_from_dict
-        from repro.server.loadgen import UserResult
-
-        abandoned = []
-        for intent in intents:
-            truth = QueryOracle(intent)
-            reader, writer = await asyncio.open_connection(host, port)
-            writer.write(
-                (
-                    json.dumps(
-                        {"type": "open", "n": intent.n, "learner": "qhorn1"}
-                    )
-                    + "\n"
-                ).encode()
-            )
-            await writer.drain()
-            message = json.loads(await reader.readline())
-            assert message["type"] == "round"
-            questions = [
-                payload_from_dict(d) for d in message["questions"]
-            ]
-            answers = truth.ask_many(questions)
-            writer.write(
-                (
-                    json.dumps(
-                        {
-                            "type": "answers",
-                            "session": message["session"],
-                            "answers": answers,
-                        }
-                    )
-                    + "\n"
-                ).encode()
-            )
-            await writer.drain()
-            second = json.loads(await reader.readline())
-            user = UserResult(
-                session_id=message["session"], intent=intent
-            )
-            if second["type"] == "finished":
-                user.learned = second["query"]
-            else:
-                user.transcript.append((questions, answers))
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-            if not user.finished:
-                abandoned.append(user)
-        return abandoned
-
-
 class TestOwnershipHandoff:
-    """Two RoundServers on one store file — the fleet's claim semantics
-    pinned without forking (deterministic, same event loop)."""
+    """Two RoundServers on one store file: the claim semantics, pinned
+    deterministically on one event loop."""
 
     def test_live_session_on_another_worker_is_rejected(self, store_path):
         async def main():
@@ -399,8 +216,8 @@ class TestOwnershipHandoff:
 
 
 class TestWarmParkedSessions:
-    """A worker's warm parked session is reused only while the store row
-    still matches it; another worker's progress forces a replay."""
+    """A server's warm parked session is reused only while the store row
+    still matches it; another server's progress forces a replay."""
 
     def test_stale_warm_session_replays_the_other_workers_round(
         self, store_path
@@ -408,7 +225,7 @@ class TestWarmParkedSessions:
         intent = random_qhorn1(3, random.Random(31))
 
         async def main():
-            async with two_workers(store_path) as (servers, (on_a, on_b)):
+            async with two_servers(store_path) as (servers, (on_a, on_b)):
                 first = await ask(on_a, type="open", n=3)
                 user = UserResult(session_id=first["session"], intent=intent)
                 sid = user.session_id
@@ -443,7 +260,7 @@ class TestWarmParkedSessions:
 
         async def main():
             seen = {}
-            async with two_workers(store_path) as (servers, (on_a, on_b)):
+            async with two_servers(store_path) as (servers, (on_a, on_b)):
                 a = servers[0]
                 first = await ask(on_a, type="open", n=3)
                 user = UserResult(session_id=first["session"], intent=intent)
@@ -483,7 +300,7 @@ class TestWarmParkedSessions:
         intent = random_qhorn1(3, random.Random(31))
 
         async def main():
-            async with two_workers(store_path) as (servers, (on_a, on_b)):
+            async with two_servers(store_path) as (servers, (on_a, on_b)):
                 a = servers[0]
                 first = await ask(on_a, type="open", n=3)
                 user = UserResult(session_id=first["session"], intent=intent)

@@ -13,6 +13,7 @@ import json
 import random
 import socket
 import sqlite3
+import time
 
 import pytest
 
@@ -523,15 +524,67 @@ class TestStoreFailure:
                 await server.close()
                 with pytest.raises(OSError):
                     await Client.connect(port)
-                return evicted, owners, finished, wire, store.fleet_stats()
+                return evicted, owners, finished, wire, server.stats()
 
-        evicted, owners, finished, wire, fleet = run(main())
+        evicted, owners, finished, wire, closed = run(main())
         assert evicted["evictions"] == 2
         assert evicted["live_sessions"] == 0
         assert owners[0] == owners[1] is not None  # still ours
         assert_bit_identical(finished, wire, targets[0])
-        assert fleet["workers"] == 1
-        assert fleet["sessions_resumed"] == 2
+        assert closed["live_sessions"] == 0
+        assert closed["sessions_resumed"] == 2
+
+    def test_locked_store_fails_the_round_within_the_busy_timeout(
+        self, tmp_path
+    ):
+        """Another connection holding the store's write lock fails the
+        round after a bounded wait (the save's and the release's, each
+        ``BUSY_TIMEOUT``), not the default 30 s per statement; after it
+        commits, the same answers continue the dialogue."""
+        target = random_qhorn1(3, random.Random(31))
+        path = tmp_path / "sessions.sqlite"
+
+        async def main():
+            with SessionStore(path) as store:
+                server = RoundServer(store)
+                await server.start()
+                client = await Client.connect(server.port)
+                await client.send(type="open", n=3)
+                first = await client.recv()
+                sid = first["session"]
+                oracle = QueryOracle(target)
+                questions, answers = answer(first, oracle)
+                holder = sqlite3.connect(path, isolation_level=None)
+                try:
+                    holder.execute("BEGIN IMMEDIATE")
+                    began = time.perf_counter()
+                    await client.send(
+                        type="answers", session=sid, answers=answers
+                    )
+                    error = await client.recv()
+                    waited = time.perf_counter() - began
+                    row = store.load(sid)
+                    holder.execute("COMMIT")
+                finally:
+                    holder.close()
+                await client.send(type="answers", session=sid, answers=answers)
+                finished, wire = await answer_until_done(
+                    client, oracle, first=await client.recv()
+                )
+                await client.close()
+                await server.close()
+                wire = list(zip(questions, answers)) + wire
+                return error, waited, row, finished, wire
+
+        error, waited, row, finished, wire = run(asyncio.wait_for(main(), 10))
+        assert error["type"] == "error"
+        assert error["session"] == finished["session"]
+        assert error["message"] == (
+            "session store failed: database is locked"
+        )
+        assert waited < 5
+        assert row.rounds == 1 and row.snapshot.responses == []
+        assert_bit_identical(finished, wire, target)
 
 
 class TestParkAndResume:
@@ -680,7 +733,7 @@ def count_calls(monkeypatch, owner, name):
 
 
 class TestWarmParkedSessions:
-    """quit keeps the parked session warm on its worker; a reconnect
+    """quit keeps the parked session warm on its server; a reconnect
     reuses it only while the stored row still matches it exactly, and
     replays the log otherwise (``sessions_replayed`` tells which)."""
 

@@ -138,8 +138,8 @@ class TestSessionStore:
 
 
 class TestMultiProcessReadiness:
-    """The §2h prerequisites: WAL, busy_timeout, commit discipline, and
-    the status index — what makes concurrent worker connections safe."""
+    """The §2h prerequisites: WAL, a short busy timeout and autocommit —
+    what makes two processes' connections to one file safe."""
 
     def test_file_store_opens_in_wal_mode(self, tmp_path):
         with SessionStore(tmp_path / "s.sqlite") as store:
@@ -154,7 +154,7 @@ class TestMultiProcessReadiness:
             (busy,) = store.connection.execute(
                 "PRAGMA busy_timeout"
             ).fetchone()
-            assert busy == 30_000
+            assert busy == 1_000  # BUSY_TIMEOUT, 1 s
 
     def test_connection_is_autocommit(self):
         # isolation_level=None: every statement commits on its own, so a
@@ -165,23 +165,8 @@ class TestMultiProcessReadiness:
             store.save(record())
             assert not store.connection.in_transaction
 
-    def test_status_index_exists(self):
-        with SessionStore() as store:
-            names = {
-                name
-                for (name,) in store.connection.execute(
-                    "SELECT name FROM sqlite_master WHERE type = 'index'"
-                )
-            }
-            assert "sessions_status" in names
-            (plan,) = store.connection.execute(
-                "EXPLAIN QUERY PLAN "
-                "SELECT session_id FROM sessions WHERE status = 'active'"
-            ).fetchall()
-            assert "sessions_status" in plan[-1]
-
     def test_two_handles_interleave_on_one_file(self, tmp_path):
-        """Two store connections on one file — the fleet's actual shape —
+        """Two store connections on one file (two servers sharing it)
         interleaving save/load/delete and observing each other."""
         path = tmp_path / "s.sqlite"
         with SessionStore(path) as a, SessionStore(path) as b:
@@ -229,44 +214,11 @@ class TestMultiProcessReadiness:
             assert loaded == old and loaded.owner is None
             assert store.claim("s1", "token")
 
-    def test_reopen_rebinds_a_file_store(self, tmp_path):
-        with SessionStore(tmp_path / "s.sqlite") as store:
-            store.save(record())
-            before = store.connection
-            store.reopen()
-            assert store.connection is not before
-            assert store.load("s1") == record()
-
     def test_closed_store_rejects_use(self):
         store = SessionStore()
         store.close()
         with pytest.raises(RuntimeError, match="closed"):
             store.load("s1")
-
-    @pytest.mark.skipif(
-        "fork" not in multiprocessing.get_all_start_methods(),
-        reason="fork start method unavailable",
-    )
-    def test_inherited_store_rebinds_across_fork(self, tmp_path):
-        """A store object carried across fork() must not reuse the
-        parent's sqlite connection: the pid guard rebinds in the child,
-        and the child's writes land in the shared file."""
-        path = tmp_path / "s.sqlite"
-        store = SessionStore(path)
-        store.save(record("parent"))
-
-        def child(inherited):
-            inherited.save(record("child", rounds=3))
-            inherited.close()
-
-        context = multiprocessing.get_context("fork")
-        process = context.Process(target=child, args=(store,))
-        process.start()
-        process.join(timeout=30)
-        assert process.exitcode == 0
-        assert store.load("child").rounds == 3
-        assert store.load("parent") is not None
-        store.close()
 
 
 class TestClaimTokens:
@@ -338,8 +290,8 @@ class TestClaimTokens:
             assert not store.claim("nope", "1.x")
 
     def test_dead_owner_is_stolen(self):
-        """A SIGKILLed worker can never release; its pid goes dead and
-        the next claimant steals the session — the crash-resume path."""
+        """A killed server can never release; its pid goes dead and the
+        next claimant steals the session — the crash-resume path."""
 
         def exit_now():
             os._exit(0)
@@ -367,32 +319,3 @@ class TestClaimTokens:
             loaded = store.load("s1")
             assert loaded.owner == "7.w"
             assert loaded == record()  # owner excluded from comparison
-
-
-class TestWorkerStats:
-    """Fleet-wide metering aggregation through the store (§2h)."""
-
-    def test_merge_counters_across_workers(self):
-        with SessionStore() as store:
-            store.save_worker_stats(
-                "w0", {"sessions_finished": 3, "wire_errors": 1}
-            )
-            store.save_worker_stats(
-                "w1", {"sessions_finished": 5, "evictions": 2}
-            )
-            assert store.worker_stats()["w1"]["evictions"] == 2
-            merged = store.fleet_stats()
-            assert merged == {
-                "workers": 2,
-                "sessions_finished": 8,
-                "wire_errors": 1,
-                "evictions": 2,
-            }
-
-    def test_upsert_and_clear(self):
-        with SessionStore() as store:
-            store.save_worker_stats("w0", {"sessions_finished": 1})
-            store.save_worker_stats("w0", {"sessions_finished": 9})
-            assert store.fleet_stats()["sessions_finished"] == 9
-            store.clear_worker_stats()
-            assert store.fleet_stats() == {"workers": 0}

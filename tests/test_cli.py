@@ -162,13 +162,11 @@ class TestInputErrors:
         )
         assert captured.out == ""
 
-    @pytest.mark.parametrize("workers", ["1", "2"])
     @pytest.mark.parametrize("port", ["70000", "-1"])
-    def test_out_of_range_port_exits_two(self, port, workers, tmp_path, capsys):
+    def test_out_of_range_port_exits_two(self, port, tmp_path, capsys):
         store = str(tmp_path / "sessions.sqlite")
         with pytest.raises(SystemExit) as exit_:
-            main(["serve", "--port", port, "--store", store,
-                  "--workers", workers])
+            main(["serve", "--port", port, "--store", store])
         assert exit_.value.code == 2
         assert f"port must be 0-65535, got {port}" in capsys.readouterr().err
 
@@ -177,17 +175,13 @@ class TestInputErrors:
         [
             ["serve", "--store", "{missing}/s.sqlite"],
             ["serve", "--stdio", "--store", "{missing}/s.sqlite"],
-            ["serve", "--stats", "--store", "{missing}/s.sqlite"],
-            ["serve", "--workers", "2", "--store", "{missing}/s.sqlite"],
             ["serve", "--port", "{busy}"],
             ["enumerate", "--max-props", "1", "--max-objects", "0",
              "--out", "{missing}/c.jsonl"],
         ],
-        ids=["serve", "stdio", "stats", "workers", "busy-port", "enumerate"],
+        ids=["serve", "stdio", "busy-port", "enumerate"],
     )
     def test_unopenable_input_exits_two(self, argv, tmp_path, capsys):
-        """No process starts: the fleet opens its store in the parent
-        before it forks."""
         with socket.socket() as busy:
             busy.bind(("127.0.0.1", 0))
             busy.listen()
@@ -351,10 +345,14 @@ class TestServeStdio:
             assert proc.wait(timeout=30) == 0
 
     def test_stdio_rejects_workers_and_idle_timeout(self, capsys):
-        assert main(["serve", "--stdio", "--workers", "2"]) == 2
+        with pytest.raises(SystemExit) as exit_:
+            main(["serve", "--stdio", "--workers", "2"])
+        assert exit_.value.code == 2
+        err = capsys.readouterr().err
+        assert "unrecognized arguments: --workers 2" in err
         assert main(["serve", "--stdio", "--idle-timeout", "5"]) == 2
         err = capsys.readouterr().err
-        assert err.count("takes no --workers or --idle-timeout") == 2
+        assert "takes no --idle-timeout" in err
 
     def test_learn_requires_target_without_serve(self, capsys):
         with pytest.raises(SystemExit) as exit_info:
@@ -416,67 +414,27 @@ class TestServeCommand:
             proc.kill()
 
 
-class TestServeFleetFlags:
-    """The §2h CLI surface that doesn't need a live fleet subprocess
-    (the fleet itself is covered by tests/server/test_multiproc.py and
-    the CI serve smoke)."""
-
-    def test_workers_require_a_file_store(self, capsys):
-        assert main(["serve", "--port", "0", "--workers", "2"]) == 2
-        assert "file-backed --store" in capsys.readouterr().err
-
-    def test_missing_reuse_port_exits_two(self, tmp_path, monkeypatch, capsys):
-        import socket
-
-        monkeypatch.delattr(socket, "SO_REUSEPORT")
-        store = str(tmp_path / "sessions.sqlite")
-        assert main(["serve", "--store", store, "--workers", "2"]) == 2
-        assert "SO_REUSEPORT" in capsys.readouterr().err
-
-    def test_stats_require_a_file_store(self, capsys):
-        assert main(["serve", "--stats"]) == 2
-        assert "--store FILE" in capsys.readouterr().err
-
-    def test_stats_print_the_merged_fleet_counters(self, tmp_path, capsys):
-        import json
-
-        from repro.server import SessionStore
-
-        store_path = tmp_path / "sessions.sqlite"
-        with SessionStore(store_path) as store:
-            store.save_worker_stats("w0", {"sessions_finished": 3})
-            store.save_worker_stats("w1", {"sessions_finished": 4})
-        assert main(["serve", "--store", str(store_path), "--stats"]) == 0
-        merged = json.loads(capsys.readouterr().out)
-        assert merged == {"workers": 2, "sessions_finished": 7}
-
-
 class TestServeLimits:
-    """Out-of-range limits would switch a safeguard off silently: an
+    """An out-of-range limit would switch a safeguard off silently: an
     idle timeout of 0 or less evicts every session on the shortest
-    sweep, and a negative worker count forked one worker per core.
-    Both constructors and `repro serve` refuse them."""
+    sweep.  The constructor and `repro serve` refuse it."""
 
     @pytest.mark.parametrize(
         "option, value",
         [
             ("idle_timeout", 0.0),
             ("idle_timeout", -1.0),
-            ("workers", -1),
         ],
     )
     def test_out_of_range_limit_is_rejected(
         self, option, value, tmp_path, capsys
     ):
-        from repro.server import RoundServer, ServerFleet, SessionStore
+        from repro.server import RoundServer, SessionStore
 
         store = str(tmp_path / "sessions.sqlite")
-        with pytest.raises(ValueError, match=option):
-            ServerFleet(store, **{option: value})
-        if option != "workers":
-            with SessionStore() as sessions:
-                with pytest.raises(ValueError, match=option):
-                    RoundServer(sessions, **{option: value})
+        with SessionStore() as sessions:
+            with pytest.raises(ValueError, match=option):
+                RoundServer(sessions, **{option: value})
         flag = "--" + option.replace("_", "-")
         assert main(["serve", "--store", store, flag, str(value)]) == 2
         assert option in capsys.readouterr().err
@@ -489,3 +447,15 @@ class TestServeLimits:
         assert exit_.value.code == 2
         err = capsys.readouterr().err
         assert "unrecognized arguments: --max-outbox 8" in err
+
+    @pytest.mark.parametrize(
+        "flags", [["--workers", "2"], ["--stats"]], ids=["workers", "stats"]
+    )
+    def test_fleet_flags_are_gone(self, flags, capsys):
+        """One process serves a store: there is no multi-process fleet
+        to size and no fleet counters to print."""
+        with pytest.raises(SystemExit) as exit_:
+            main(["serve"] + flags)
+        assert exit_.value.code == 2
+        err = capsys.readouterr().err
+        assert f"unrecognized arguments: {' '.join(flags)}" in err
