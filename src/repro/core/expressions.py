@@ -13,6 +13,10 @@ class once existential Horn expressions are rewritten as conjunctions (§2.1.4):
   guarantee clause ``∃(B ∧ h)``, i.e. the conjunction over ``B ∪ {h}``.
 
 Variables are 0-based indices; display names are ``x1..xn``.
+
+Both forms sort by a total key — a universal expression by its head, then
+its sorted body; a conjunction by its sorted variables — so equal queries
+print, serialize and compile alike whatever order their sets iterate in.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ def var_names(vs) -> str:
     return "".join(var_name(v) for v in sorted(vs))
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class UniversalHorn:
     """``∀t ∈ S (body → head)`` plus its guarantee clause ``∃(body ∧ head)``.
 
@@ -89,13 +93,18 @@ class UniversalHorn:
         """Rule R2: ``∀B→h`` dominates ``∀B'→h`` whenever ``B' ⊇ B``."""
         return self.head == other.head and self.body <= other.body
 
+    def __lt__(self, other: "UniversalHorn") -> bool:
+        if not isinstance(other, UniversalHorn):
+            return NotImplemented
+        return (self.head, sorted(self.body)) < (other.head, sorted(other.body))
+
     def __str__(self) -> str:
         if self.is_bodyless:
             return f"∀{var_name(self.head)}"
         return f"∀{var_names(self.body)}→{var_name(self.head)}"
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class ExistentialConjunction:
     """``∃t ∈ S (C)``: some tuple has every variable in ``C`` true."""
 
@@ -125,6 +134,11 @@ class ExistentialConjunction:
     def dominates(self, other: "ExistentialConjunction") -> bool:
         """Rule R1: a conjunction dominates any conjunction over a subset."""
         return self.variables >= other.variables
+
+    def __lt__(self, other: "ExistentialConjunction") -> bool:
+        if not isinstance(other, ExistentialConjunction):
+            return NotImplemented
+        return sorted(self.variables) < sorted(other.variables)
 
     def __str__(self) -> str:
         return f"∃{var_names(self.variables)}"

@@ -19,7 +19,8 @@ record per unit of work to the corpus file:
 ``divergence``
     any disagreement, with a shrunk witness;
 ``summary``
-    exhaustive coverage counts (last line).
+    exhaustive coverage counts and per-learner question and round
+    totals (last line).
 
 Because every record carries the stable content-hash id of its subject,
 ``--resume`` replays the corpus file, collects the ids already verified
@@ -30,6 +31,7 @@ from __future__ import annotations
 
 import json
 import sys
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Callable, TextIO
 
@@ -92,6 +94,9 @@ class RunResult:
     learner_runs: int = 0
     backend_checks: int = 0
     max_questions: int = 0
+    #: Per-learner totals over the learner runs of this sweep.
+    questions: Counter[str] = field(default_factory=Counter)
+    rounds: Counter[str] = field(default_factory=Counter)
     divergences: list[Divergence] = field(default_factory=list)
     skipped: int = 0
 
@@ -108,6 +113,8 @@ class RunResult:
             "learner_runs": self.learner_runs,
             "backend_checks": self.backend_checks,
             "max_questions": self.max_questions,
+            "questions": dict(self.questions),
+            "rounds": dict(self.rounds),
             "divergences": len(self.divergences),
             "skipped": self.skipped,
             "bound_ok": self.ok,
@@ -196,6 +203,8 @@ def run(
                 result.max_questions = max(
                     result.max_questions, max(report["questions"].values())
                 )
+            result.questions.update(report["questions"])
+            result.rounds.update(report["rounds"])
             for divergence in divergences:
                 result.divergences.append(divergence)
                 emit(divergence.to_record())

@@ -56,6 +56,10 @@ __all__ = [
 
 LearnerFactory = Callable[[MembershipOracle], object]
 
+#: The replay-log format :meth:`SessionSnapshot.to_dict` writes and
+#: :meth:`SessionSnapshot.from_dict` accepts.
+SNAPSHOT_VERSION = 2
+
 
 class SnapshotError(ProtocolError):
     """A session snapshot could not be taken or replayed."""
@@ -126,6 +130,12 @@ class SessionSnapshot:
     to restart "from the point of error").  ``pending`` optionally pins
     the parked round's questions so :meth:`LearningSession.resume` can
     verify the replay converged to the same state.
+
+    The log is positional, so it replays only through learners that ask
+    in the same round order.  :data:`SNAPSHOT_VERSION` names that order:
+    version 2 is the round-parallel learners' (DESIGN.md §2e), and a
+    version-1 log, written in the older one-search-at-a-time order, is
+    rejected rather than fed to the wrong questions.
     """
 
     n: int
@@ -136,7 +146,7 @@ class SessionSnapshot:
 
     def to_dict(self) -> dict:
         return {
-            "version": 1,
+            "version": SNAPSHOT_VERSION,
             "n": self.n,
             "responses": [bool(r) for r in self.responses],
             "pending": (
@@ -150,10 +160,11 @@ class SessionSnapshot:
     @classmethod
     def from_dict(cls, data: dict) -> "SessionSnapshot":
         """Rebuild a snapshot; keys this version does not read are
-        ignored, so rows written by earlier versions still load."""
-        if data.get("version") != 1:
+        ignored.  Any other version is a :class:`SnapshotError`."""
+        if data.get("version") != SNAPSHOT_VERSION:
             raise SnapshotError(
-                f"unsupported snapshot version {data.get('version')!r}"
+                f"unsupported snapshot version {data.get('version')!r} "
+                f"(this build replays version {SNAPSHOT_VERSION} logs)"
             )
         pending = data.get("pending")
         return cls(

@@ -29,10 +29,13 @@ set does not depend on its own answers is one round (the universal-head
 scan is one batch of ``n`` questions, each FindAll of dependence probes
 batches level by level via
 :func:`~repro.learning.search.find_all_batch_steps`, and the pairwise
-head-splitting classification is one batch per group), while the adaptive
-binary-search chains (*Find*, *GetHead*) remain single-question rounds by
-necessity.  :meth:`Qhorn1Learner.learn` drives those steps against the
-construction oracle.
+head-splitting classification is one batch per group).  The adaptive
+binary-search chains (*Find*, *GetHead*) ask one question per round, but
+two kinds of work decide no later question and so share rounds with the
+main search (:func:`~repro.protocol.core.ask_parallel`): *Find*'s
+narrowing once its root question came back true, and a lone variable's
+single-tuple question.  :meth:`Qhorn1Learner.learn` drives those steps
+against the construction oracle.
 """
 
 from __future__ import annotations
@@ -51,11 +54,12 @@ from repro.learning.questions import (
 )
 from repro.learning.search import (
     find_all_batch_steps,
-    find_one_steps,
     minimal_prefix_steps,
+    narrow_steps,
 )
 from repro.oracle.base import MembershipOracle
-from repro.protocol.core import Steps, ask_one, ask_round
+from repro.protocol import core as protocol
+from repro.protocol.core import Fork, Steps, ask_one, ask_round
 from repro.protocol.drivers import drive
 
 __all__ = ["Qhorn1Group", "Qhorn1Result", "Qhorn1Learner", "learn_qhorn1"]
@@ -157,11 +161,40 @@ class Qhorn1Learner:
         universal_heads = [
             v for v, is_answer in enumerate(head_answers) if not is_answer
         ]
+        groups: dict[FrozenSet[int], Qhorn1Group] = {}
+        unconstrained: set[int] = set()
+        # Called through the module: that one name decides how branches
+        # share rounds, for both served learners.
+        yield from protocol.ask_parallel(
+            [self._search_steps(universal_heads, groups, unconstrained)]
+        )
+        return Qhorn1Result(
+            n=self.n,
+            query=self._assemble(groups),
+            groups=list(groups.values()),
+            universal_heads=frozenset(universal_heads),
+            unconstrained=frozenset(unconstrained),
+        )
+
+    def _search_steps(
+        self,
+        universal_heads: Sequence[int],
+        groups: dict[FrozenSet[int], Qhorn1Group],
+        unconstrained: set[int],
+    ) -> Steps:
+        """Tasks 2 and 3, filling ``groups`` and ``unconstrained``.
+
+        Runs as the main branch of :meth:`steps` and hands off
+        (:class:`~repro.protocol.core.Fork`) the work whose answers
+        change neither ``known_bodies`` nor ``processed``, so no later
+        question: *Find*'s narrowing once its root question came back
+        true (the body it picks is already known), and a lone variable's
+        single-tuple question.  A handed-off head joins its group when its
+        branch finishes.
+        """
         existential_vars = [
             v for v in range(self.n) if v not in set(universal_heads)
         ]
-
-        groups: dict[FrozenSet[int], Qhorn1Group] = {}
         known_bodies: list[FrozenSet[int]] = []
 
         def group_for(body: FrozenSet[int]) -> Qhorn1Group:
@@ -171,12 +204,53 @@ class Qhorn1Learner:
                     known_bodies.append(body)
             return groups[body]
 
-        # Task 2 (Alg. 1): bodies of universal head variables.
-        for h in universal_heads:
-            body = yield from self._find_universal_body(
-                h, existential_vars, known_bodies
+        def in_known_body(x: int, universal: bool) -> Steps:
+            """Alg. 2 (*Find*) over the known bodies' variables: is ``x``
+            a head of a known body?  The root question decides what comes
+            next, so it is asked here; the narrowing to the body is
+            handed off."""
+            known_vars = sorted({v for b in known_bodies for v in b})
+            if not known_vars:
+                return False
+            depends = partial(
+                self._depends_universally
+                if universal
+                else self._depends_existentially,
+                x,
             )
-            group_for(body).universal_heads.add(h)
+            if not (yield from depends(known_vars)):
+                return False
+            bodies = list(known_bodies)
+
+            def narrow() -> Steps:
+                b = yield from narrow_steps(depends, known_vars)
+                g = group_for(next(body for body in bodies if b in body))
+                (g.universal_heads if universal else g.existential_heads).add(x)
+
+            yield Fork(narrow())
+            return True
+
+        def lone(e: int) -> Steps:
+            """``∃e`` or unconstrained: one single-tuple question."""
+            if (yield from ask_one(single_false_question(self.n, e))):
+                unconstrained.add(e)
+            else:
+                group_for(frozenset()).existential_heads.add(e)
+
+        # Task 2 (Alg. 1): bodies of universal head variables.  The
+        # shared-body shortcut first searches the known bodies; the fresh
+        # body's FindAll batches level by level.
+        for h in universal_heads:
+            candidates = existential_vars
+            if self.use_shared_body_shortcut:
+                if (yield from in_known_body(h, universal=True)):
+                    continue
+                known = {v for b in known_bodies for v in b}
+                candidates = [v for v in existential_vars if v not in known]
+            body = yield from find_all_batch_steps(
+                partial(self._depends_universally_each, h), candidates
+            )
+            group_for(frozenset(body)).universal_heads.add(h)
 
         # Task 3 (Alg. 4): existential Horn expressions.
         universal_body_vars = {v for b in known_bodies for v in b}
@@ -184,14 +258,11 @@ class Qhorn1Learner:
             v for v in existential_vars if v not in universal_body_vars
         ]
         processed: set[int] = set()
-        unconstrained: set[int] = set()
         for e in available:
             if e in processed:
                 continue
             processed.add(e)
-            body = yield from self._find_known_body_of(e, known_bodies)
-            if body is not None:
-                group_for(body).existential_heads.add(e)
+            if (yield from in_known_body(e, universal=False)):
                 continue
             remaining = [
                 v for v in available if v not in processed
@@ -201,10 +272,7 @@ class Qhorn1Learner:
                 remaining,
             )
             if not dependents:
-                if (yield from ask_one(single_false_question(self.n, e))):
-                    unconstrained.add(e)
-                else:
-                    group_for(frozenset()).existential_heads.add(e)
+                yield Fork(lone(e))
                 continue
             processed.update(dependents)
             heads = yield from self._split_heads(e, sorted(dependents))
@@ -219,62 +287,7 @@ class Qhorn1Learner:
                 g = group_for(frozenset(dependents))
                 g.existential_heads.add(e)
 
-        query = self._assemble(groups)
-        return Qhorn1Result(
-            n=self.n,
-            query=query,
-            groups=list(groups.values()),
-            universal_heads=frozenset(universal_heads),
-            unconstrained=frozenset(unconstrained),
-        )
-
     # -- subroutines ---------------------------------------------------------
-    def _find_universal_body(
-        self,
-        head: int,
-        existential_vars: Sequence[int],
-        known_bodies: list[FrozenSet[int]],
-    ) -> Steps:
-        """Alg. 1: search known bodies first, then FindAll a fresh body.
-
-        The shared-body shortcut's binary search (*Find*) is adaptive and
-        stays sequential; both FindAll variants batch level by level.
-        """
-        if not self.use_shared_body_shortcut:
-            body = yield from find_all_batch_steps(
-                partial(self._depends_universally_each, head),
-                list(existential_vars),
-            )
-            return frozenset(body)
-        known_vars = sorted({v for b in known_bodies for v in b})
-        if known_vars:
-            b = yield from find_one_steps(
-                partial(self._depends_universally, head), known_vars
-            )
-            if b is not None:
-                return next(body for body in known_bodies if b in body)
-        known = set(known_vars)
-        fresh_candidates = [v for v in existential_vars if v not in known]
-        body = yield from find_all_batch_steps(
-            partial(self._depends_universally_each, head),
-            fresh_candidates,
-        )
-        return frozenset(body)
-
-    def _find_known_body_of(
-        self, e: int, known_bodies: list[FrozenSet[int]]
-    ) -> Steps:
-        """Alg. 4's first step: is ``e`` an existential head of a known body?"""
-        known_vars = sorted({v for b in known_bodies for v in b})
-        if not known_vars:
-            return None
-        b = yield from find_one_steps(
-            partial(self._depends_existentially, e), known_vars
-        )
-        if b is None:
-            return None
-        return next(body for body in known_bodies if b in body)
-
     def _split_heads(self, e: int, dependents: list[int]) -> Steps:
         """Alg. 5 (*GetHead*) + pairwise classification (Lemma 3.3).
 

@@ -26,10 +26,13 @@ searched.
 
 Sans-io (DESIGN.md §2e): the learner body is the
 :meth:`RolePreservingLearner.steps` generator; ``learn()`` drives it
-against the construction oracle.  The body/conjunction subroutines are
-step generators too, shared with the reviser
-(:mod:`repro.learning.revision`); white-box callers drive them with
-:func:`~repro.protocol.drivers.drive`.
+against the construction oracle.  Each head's body search is an adaptive
+chain, but the searches of different heads are independent, so they run
+side by side (:func:`~repro.protocol.core.ask_parallel`) and share their
+rounds; the conjunction walk stays one chain.  The body/conjunction
+subroutines are step generators too, shared with the reviser
+(:mod:`repro.learning.revision`, which keeps one search at a time);
+white-box callers drive them with :func:`~repro.protocol.drivers.drive`.
 """
 
 from __future__ import annotations
@@ -47,6 +50,7 @@ from repro.lattice.boolean_lattice import BodyLattice, compliant_children
 from repro.learning.questions import two_tuple_question, universal_head_question
 from repro.learning.search import minimal_satisfying_subset_steps
 from repro.oracle.base import MembershipOracle
+from repro.protocol import core as protocol
 from repro.protocol.core import Steps, ask_one, ask_round
 from repro.protocol.drivers import drive
 
@@ -119,12 +123,19 @@ class RolePreservingLearner:
                 for h in heads
             ]
         )
+        # The per-head body searches read only ``heads`` and their own
+        # answers, so they run side by side and share rounds.
+        searches = yield from protocol.ask_parallel(
+            [
+                self._learn_bodies_steps(
+                    h, heads, bottom_is_answer=bottom_is_answer
+                )
+                for h, bottom_is_answer in zip(heads, bottom_answers)
+            ]
+        )
         bodies_per_head: dict[int, list[FrozenSet[int]]] = {}
         universals: list[UniversalHorn] = []
-        for h, bottom_is_answer in zip(heads, bottom_answers):
-            bodies = yield from self._learn_bodies_steps(
-                h, heads, bottom_is_answer=bottom_is_answer
-            )
+        for h, bodies in zip(heads, searches):
             bodies_per_head[h] = bodies
             universals.extend(
                 UniversalHorn(head=h, body=body) for body in bodies

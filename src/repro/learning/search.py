@@ -3,8 +3,9 @@
 The learning algorithms repeatedly reduce "which variables/tuples matter?"
 to monotone set queries answered by the user:
 
-* :func:`find_one_steps` — Alg. 2 (*Find*): locate one positive item in a
-  set, or report that there is none, with O(lg |V|) questions per item.
+* :func:`narrow_steps` — Alg. 2 (*Find*)'s narrowing: once the root
+  question ``contains(V)`` came back true (the caller asks it), locate one
+  positive item of ``V`` with ⌈lg |V|⌉ questions at most.
 * :func:`find_all_steps` — Alg. 3 (*FindAll*): locate every positive item
   with O(|found| · lg |V|) questions.
 * :func:`find_all_batch_steps` — batch-first FindAll: the same questions,
@@ -20,11 +21,15 @@ yield :class:`~repro.protocol.core.Round` objects and return the
 predicate's truth — and is itself a step generator, so the sans-io
 learners compose it with ``yield from``.
 
-Find, the prefix search and Prune are inherently *adaptive* — every
-question depends on the previous answer — so their rounds are single
-questions; only FindAll's recursion tree contains independent questions
-to batch.  Each primitive documents its question complexity so the
-learners' totals can be audited against the paper's theorems.
+Find's narrowing, the prefix search and Prune are inherently *adaptive* —
+every question depends on the previous answer — so each is a chain of
+single-question rounds; only FindAll's recursion tree contains
+independent questions to batch.  A chain whose answers no later question
+needs can still share rounds with other work: the qhorn-1 learner hands
+Find's narrowing to :func:`~repro.protocol.core.ask_parallel` once the
+root question is answered.  Each primitive documents its question
+complexity so the learners' totals can be audited against the paper's
+theorems.
 """
 
 from __future__ import annotations
@@ -39,7 +44,7 @@ StepPredicate = Callable[[Sequence[T]], Generator]
 StepBatchPredicate = Callable[[Sequence[Sequence[T]]], Generator]
 
 __all__ = [
-    "find_one_steps",
+    "narrow_steps",
     "find_all_steps",
     "find_all_batch_steps",
     "minimal_prefix_steps",
@@ -52,23 +57,18 @@ __all__ = [
 # ----------------------------------------------------------------------
 
 
-def find_one_steps(
-    contains: StepPredicate, items: Sequence[T]
-) -> Generator:
-    """Alg. 2 (*Find*): return one item of a non-empty positive subset.
+def narrow_steps(contains: StepPredicate, items: Sequence[T]) -> Generator:
+    """Alg. 2 (*Find*)'s narrowing: one item of a positive set.
 
     ``contains(S)`` must be a monotone step predicate meaning "``S``
-    contains at least one target item".  Returns ``None`` when
-    ``contains(items)`` is false.  Asks 1 question when empty-handed,
-    otherwise O(lg |items|): the paper's version re-asks the second half
+    contains at least one target item", and ``contains(items)`` must be
+    true: Find's root question, which the caller asks, since its answer
+    decides what the caller does next.  Asks ⌊lg |items|⌋ or
+    ⌈lg |items|⌉ questions: the paper's version re-asks the second half
     after a failed first half; we use the implied answer instead (one
     fewer question per level).
     """
     items = list(items)
-    if not items:
-        return None
-    if not (yield from contains(items)):
-        return None
     while len(items) > 1:
         mid = len(items) // 2
         first, second = items[:mid], items[mid:]

@@ -1,8 +1,10 @@
 """Sans-io learner protocol: rounds out, answers in (DESIGN.md §2e).
 
 * :mod:`repro.protocol.core` — :class:`Round` / :class:`Finished` events,
-  the :class:`LearnerProtocol` state machine, and the ``ask_one`` /
-  ``ask_round`` yield-point helpers step-driven learners are written with.
+  the :class:`LearnerProtocol` state machine, the ``ask_one`` /
+  ``ask_round`` yield-point helpers step-driven learners are written with,
+  and ``ask_parallel``, which runs independent step generators (and their
+  :class:`Fork` hand-offs) in shared rounds.
 * :mod:`repro.protocol.drivers` — the synchronous driver: one
   ``oracle.ask_many`` call per round.
 * :mod:`repro.protocol.wire` — question payloads and answer batches as
@@ -11,11 +13,13 @@
 
 from repro.protocol.core import (
     Finished,
+    Fork,
     LearnerProtocol,
     ProtocolError,
     Round,
     as_protocol,
     ask_one,
+    ask_parallel,
     ask_round,
 )
 from repro.protocol.drivers import answer_round, drive
@@ -27,12 +31,14 @@ from repro.protocol.wire import (
 
 __all__ = [
     "Finished",
+    "Fork",
     "LearnerProtocol",
     "ProtocolError",
     "Round",
     "answer_round",
     "as_protocol",
     "ask_one",
+    "ask_parallel",
     "ask_round",
     "decode_answers",
     "drive",

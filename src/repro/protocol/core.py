@@ -28,6 +28,16 @@ receives answer lists::
 Whoever drives the generator answers each round in one go: the
 synchronous driver with one ``oracle.ask_many`` call, the server with one
 ``answers`` message.
+
+Searches that do not depend on each other share rounds through
+:func:`ask_parallel`: every round carries each running branch's pending
+questions, and a branch may hand off (:class:`Fork`) work whose answers
+decide none of its later questions::
+
+    bodies = yield from ask_parallel([search(h) for h in heads])
+
+An adaptive chain stays sequential within itself; only the round count
+falls, never the questions asked.
 """
 
 from __future__ import annotations
@@ -43,11 +53,14 @@ __all__ = [
     "as_protocol",
     "ask_one",
     "ask_round",
+    "ask_parallel",
+    "Fork",
 ]
 
-#: A learner step generator: yields rounds, receives answer sequences,
-#: returns the learner's result.
-Steps = Generator["Round", Sequence[bool], Any]
+#: A learner step generator: yields rounds (and, inside
+#: :func:`ask_parallel`, hand-offs), receives answer sequences, returns
+#: the learner's result.
+Steps = Generator["Round | Fork", Sequence[bool], Any]
 
 
 class ProtocolError(RuntimeError):
@@ -72,6 +85,18 @@ class Round:
 
     def __len__(self) -> int:
         return len(self.questions)
+
+
+@dataclass(frozen=True)
+class Fork:
+    """A branch's hand-off inside :func:`ask_parallel`: run ``steps`` as a
+    further branch, whose questions join the rounds from the next one on.
+
+    The handing branch continues at once, so it must not need the
+    hand-off's answers: ``steps`` reports its result through its own code.
+    """
+
+    steps: Steps
 
 
 @dataclass(frozen=True)
@@ -104,6 +129,75 @@ def ask_round(questions: Iterable[Any]) -> Steps:
             f"round of {len(questions)} questions got {len(answers)} answers"
         )
     return list(answers)
+
+
+@dataclass(eq=False)
+class _Branch:
+    """One running branch of :func:`ask_parallel` (compared by identity)."""
+
+    slot: int | None  # where its result goes; None for a hand-off
+    steps: Steps
+    pending: Round | None = None
+
+
+def ask_parallel(branches: Iterable[Steps]) -> Steps:
+    """Run step generators side by side, sharing each round.
+
+    Every round joins the pending questions of every running branch, in
+    the order the branches started, and the answers are split back to
+    the branches by length.  A branch that yields a :class:`Fork` starts
+    the handed-off branch at once and continues; a branch that finishes
+    leaves the rounds.  Returns the given branches' results, in order,
+    once every branch (hand-offs included) has finished.
+    """
+    results: list[Any] = []
+    running: list[_Branch] = []
+
+    def advance(branch: _Branch, answers: Sequence[bool] | None) -> None:
+        """Run one branch to its next round, starting its hand-offs."""
+        while True:
+            try:
+                event = branch.steps.send(answers)
+            except StopIteration as stop:
+                running.remove(branch)
+                if branch.slot is not None:
+                    results[branch.slot] = stop.value
+                return
+            if isinstance(event, Fork):
+                start(None, event.steps)
+                answers = None
+                continue
+            if not isinstance(event, Round):
+                raise ProtocolError(
+                    f"branch yielded {type(event).__name__}, expected a Round"
+                )
+            branch.pending = event
+            return
+
+    def start(slot: int | None, steps: Steps) -> None:
+        branch = _Branch(slot, steps)
+        running.append(branch)
+        advance(branch, None)
+
+    for steps in branches:
+        results.append(None)
+        start(len(results) - 1, steps)
+    while running:
+        waiting = list(running)
+        questions = tuple(
+            q for branch in waiting for q in branch.pending.questions
+        )
+        answers = yield Round(questions)
+        if len(answers) != len(questions):
+            raise ProtocolError(
+                f"round of {len(questions)} questions got {len(answers)} answers"
+            )
+        position = 0
+        for branch in waiting:
+            size = len(branch.pending.questions)
+            advance(branch, answers[position : position + size])
+            position += size
+    return results
 
 
 class LearnerProtocol:

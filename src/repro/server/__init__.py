@@ -9,26 +9,17 @@
   claim tokens let two processes share one store file.
 * :mod:`repro.server.loadgen` — the E25 load generator: N simulated
   users answering rounds with think-time, optionally parking and
-  reconnecting after every few rounds.
+  reconnecting after every few rounds.  The package does not import it,
+  so ``python -m repro.server.loadgen`` runs the module once.
 """
 
 from repro.server.core import LEARNERS, RoundServer, SessionMeter
-from repro.server.loadgen import (
-    LoadReport,
-    UserResult,
-    run_load,
-    simulate_user,
-)
 from repro.server.store import SessionStore, StoredSession
 
 __all__ = [
     "LEARNERS",
-    "LoadReport",
     "RoundServer",
     "SessionMeter",
     "SessionStore",
     "StoredSession",
-    "UserResult",
-    "run_load",
-    "simulate_user",
 ]

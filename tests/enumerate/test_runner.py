@@ -43,6 +43,13 @@ class TestRun:
         # query.
         assert summary["learner_runs"] == 2 * 3
         assert summary["backend_checks"] == summary["pairs"] * 2
+        # Per-learner totals are the sums over the learner records.
+        learners = [r for r in records if r["kind"] == "learner"]
+        for key in ("questions", "rounds"):
+            assert summary[key] == {
+                name: sum(r[key][name] for r in learners)
+                for name in ("naive", "qhorn1", "role-preserving")
+            }
 
     def test_learner_records_carry_bounds(self):
         sink = io.StringIO()

@@ -15,9 +15,9 @@ import pytest
 from repro.learning.search import (
     find_all_batch_steps,
     find_all_steps,
-    find_one_steps,
     minimal_prefix_steps,
     minimal_satisfying_subset_steps,
+    narrow_steps,
 )
 from repro.oracle import FunctionOracle
 from repro.protocol import ask_one, ask_round, drive
@@ -32,8 +32,8 @@ def _run(search, pred, items):
     return drive(search(_asking, items), FunctionOracle(0, pred))
 
 
-def find_one(pred, items):
-    return _run(find_one_steps, pred, items)
+def narrow(pred, items):
+    return _run(narrow_steps, pred, items)
 
 
 def find_all(pred, items):
@@ -61,35 +61,31 @@ class Counter:
 
 
 class TestFindOne:
+    """Alg. 2 (*Find*)'s narrowing.  The root question ``pred(items)`` is
+    the caller's, so every case starts from a set holding a target."""
+
     def test_finds_a_target(self):
         targets = {7}
         pred = Counter(lambda s: bool(set(s) & targets))
-        assert find_one(pred, list(range(16))) == 7
-
-    def test_none_when_absent(self):
-        pred = Counter(lambda s: False)
-        assert find_one(pred, list(range(16))) is None
-        assert pred.calls == 1  # one question establishes absence
-
-    def test_empty_items_ask_nothing(self):
-        pred = Counter(lambda s: True)
-        assert find_one(pred, []) is None
-        assert pred.calls == 0
+        assert narrow(pred, list(range(16))) == 7
+        assert pred.calls == 4
 
     def test_logarithmic_questions(self):
-        for size in (8, 64, 256):
-            pred = Counter(lambda s: 0 in s)
-            find_one(pred, list(range(size)))
-            assert pred.calls <= 1 + math.ceil(math.log2(size)) + 1
+        for size in (5, 8, 64, 100, 256):
+            for target in (0, size - 1):
+                pred = Counter(lambda s, target=target: target in s)
+                assert narrow(pred, list(range(size))) == target
+                assert pred.calls <= math.ceil(math.log2(size))
 
     def test_single_item(self):
+        """The root question already decided a one-item set."""
         pred = Counter(lambda s: 3 in s)
-        assert find_one(pred, [3]) == 3
-        assert pred.calls == 1
+        assert narrow(pred, [3]) == 3
+        assert pred.calls == 0
 
     def test_finds_some_target_among_many(self):
         targets = {2, 9, 13}
-        found = find_one(lambda s: bool(set(s) & targets), list(range(16)))
+        found = narrow(lambda s: bool(set(s) & targets), list(range(16)))
         assert found in targets
 
 

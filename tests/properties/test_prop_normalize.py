@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.normalize import (
     brute_force_equivalent,
@@ -12,6 +13,8 @@ from repro.core.normalize import (
     normalize,
     r3_closure,
 )
+from repro.core.query import QhornQuery
+from repro.core.serialize import query_to_dict
 
 from tests.properties.strategies import (
     qhorn1_queries,
@@ -94,3 +97,28 @@ def test_canonical_size_never_larger_than_pool(query):
 
     canon = canonicalize(query)
     assert canon.conjunctions <= conjunction_pool(query)
+
+
+@given(
+    st.one_of(qhorn1_queries(max_n=8), role_preserving_queries(max_n=6)),
+    st.randoms(use_true_random=False),
+)
+@settings(max_examples=200, deadline=None)
+def test_equal_queries_print_alike(query, rng):
+    """Expressions sort by a total key, so a query rebuilt from its
+    expressions in any order prints and serializes like the original
+    (a subset order on frozensets let the output follow set iteration
+    order, which depends on insertion order)."""
+    universals = list(query.universals)
+    existentials = list(query.existentials)
+    rng.shuffle(universals)
+    rng.shuffle(existentials)
+    rebuilt = QhornQuery(
+        query.n,
+        frozenset(universals),
+        frozenset(existentials),
+        query.require_guarantees,
+    )
+    assert rebuilt == query
+    assert rebuilt.shorthand() == query.shorthand()
+    assert query_to_dict(rebuilt) == query_to_dict(query)

@@ -10,9 +10,14 @@ from __future__ import annotations
 
 import asyncio
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.core.parser import parse_query
 from repro.core.serialize import query_to_dict
 from repro.interactive import LearningSession
@@ -150,3 +155,19 @@ class TestCommandLine:
             main(["--port", "0", flag, value])
         assert exit_.value.code == 2
         assert f"must be 1 or more, got {value}" in capsys.readouterr().err
+
+    def test_python_m_runs_the_module_once(self):
+        """``repro.server`` does not import the loadgen, so ``python -m``
+        runs it once: runpy's "found in sys.modules" RuntimeWarning,
+        raised as an error here, would fail the command."""
+        env = dict(os.environ)
+        src = str(Path(repro.__file__).resolve().parent.parent)
+        existing = env.get("PYTHONPATH")
+        env["PYTHONPATH"] = src + (os.pathsep + existing if existing else "")
+        done = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning",
+             "-m", "repro.server.loadgen", "--help"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert "usage:" in done.stdout

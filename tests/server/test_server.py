@@ -718,6 +718,51 @@ class TestParkAndResume:
         assert reply["type"] == "error"
         assert "already finished" in reply["message"]
 
+    def test_version_one_row_is_refused_and_stays_unclaimed(self):
+        """A version-1 replay log was written in the one-search-at-a-time
+        round order; replaying it positionally would feed its answers to
+        the wrong questions, so reconnect gets a recoverable error and
+        the row is left as it was, unclaimed."""
+        target = random_qhorn1(4, random.Random(52))
+        session = LearningSession(lambda oracle: Qhorn1Learner(oracle), n=4)
+        event = session.start()
+        session.feed(QueryOracle(target).ask_many(event.questions))
+        legacy = json.dumps(dict(session.snapshot().to_dict(), version=1))
+        with SessionStore() as store:
+            store.save(
+                StoredSession(
+                    session_id="old",
+                    learner="qhorn1",
+                    n=4,
+                    status="active",
+                    rounds=2,
+                    questions=len(session.transcript),
+                    snapshot=session.snapshot(),
+                )
+            )
+            store.connection.execute(
+                "UPDATE sessions SET snapshot = ? WHERE session_id = 'old'",
+                (legacy,),
+            )
+            server = RoundServer(store)
+            replies = server._handle_line(
+                json.dumps({"type": "reconnect", "session": "old"})
+            )
+            assert [r["type"] for r in replies] == ["error"]
+            assert replies[0]["session"] == "old"
+            assert "unsupported snapshot version 1" in replies[0]["message"]
+            assert store.owner_of("old") is None
+            (row,) = store.connection.execute(
+                "SELECT snapshot FROM sessions WHERE session_id = 'old'"
+            ).fetchall()
+            assert row == (legacy,)
+            stats = server.stats()
+            assert stats["live_sessions"] == 0
+            assert stats["sessions_resumed"] == 0
+            # The error is recoverable: the connection keeps serving.
+            (opened,) = server._handle_line('{"type": "open", "n": 2}')
+            assert opened["type"] == "round"
+
 
 def count_calls(monkeypatch, owner, name):
     """Record every call of ``owner.name`` (still calling through)."""

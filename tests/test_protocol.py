@@ -21,12 +21,14 @@ from repro.oracle import CountingOracle, QueryOracle
 from repro.oracle.expression import ExpressionQuestion
 from repro.protocol import (
     Finished,
+    Fork,
     LearnerProtocol,
     ProtocolError,
     Round,
     answer_round,
     as_protocol,
     ask_one,
+    ask_parallel,
     ask_round,
     drive,
 )
@@ -126,6 +128,132 @@ class TestLearnerProtocol:
             yield "not a round"
 
         with pytest.raises(ProtocolError, match="expected a Round"):
+            LearnerProtocol(steps()).start()
+
+
+def asking(name, *sizes):
+    """A branch asking rounds of the given sizes, question ``(name, r, i)``
+    for the i-th question of its r-th round; returns its answer lists."""
+    got = []
+    for r, size in enumerate(sizes):
+        got.append((yield from ask_round([(name, r, i) for i in range(size)])))
+    return got
+
+
+def instant(value):
+    """A branch that finishes without asking anything."""
+    return value
+    yield  # pragma: no cover - makes this a generator
+
+
+def by_label(question):
+    """A deterministic answer that differs between neighbours."""
+    return question[-1] % 2 == 0
+
+
+def run_rounds(steps, answer=by_label):
+    """Drive ``steps``; return the rounds it emitted and its result."""
+    protocol = LearnerProtocol(steps)
+    event = protocol.start()
+    rounds = []
+    while isinstance(event, Round):
+        rounds.append(list(event.questions))
+        event = protocol.feed([answer(x) for x in event.questions])
+    return rounds, event.result
+
+
+class TestAskParallel:
+    def test_rounds_join_pending_questions_in_branch_order(self):
+        rounds, _ = run_rounds(
+            ask_parallel([asking("a", 1, 2), asking("b", 2, 1, 1)])
+        )
+        assert rounds == [
+            [("a", 0, 0), ("b", 0, 0), ("b", 0, 1)],
+            [("a", 1, 0), ("a", 1, 1), ("b", 1, 0)],
+            [("b", 2, 0)],
+        ]
+
+    def test_answers_are_split_back_by_length(self):
+        _, (a, b) = run_rounds(
+            ask_parallel([asking("a", 3, 1), asking("b", 2, 2)])
+        )
+        assert a == [[True, False, True], [True]]
+        assert b == [[True, False], [True, False]]
+
+    def test_branches_that_end_early_or_never_ask(self):
+        rounds, results = run_rounds(
+            ask_parallel(
+                [instant("none"), asking("a", 1, 1), asking("b", 1)]
+            )
+        )
+        assert rounds == [[("a", 0, 0), ("b", 0, 0)], [("a", 1, 0)]]
+        assert results == ["none", [[True], [True]], [[True]]]
+
+    def test_nothing_to_ask_finishes_without_a_round(self):
+        assert LearnerProtocol(ask_parallel([])).start() == Finished([])
+        event = LearnerProtocol(ask_parallel([instant(1), instant(2)])).start()
+        assert event == Finished([1, 2])
+
+    def test_hand_off_joins_from_the_next_round(self):
+        handed = []
+
+        def handing():
+            first = yield from ask_one(("h", 0, 0))
+            yield Fork(recording(asking("f", 1, 1)))
+            second = yield from ask_one(("h", 1, 0))
+            return first, second
+
+        def recording(steps):
+            handed.append((yield from steps))
+
+        rounds, results = run_rounds(
+            ask_parallel([handing(), asking("b", 1, 1, 1)])
+        )
+        assert rounds == [
+            [("h", 0, 0), ("b", 0, 0)],
+            [("h", 1, 0), ("b", 1, 0), ("f", 0, 0)],
+            [("b", 2, 0), ("f", 1, 0)],
+        ]
+        # A hand-off reports through its own code, not the results.
+        assert results == [(True, True), [[True], [True], [True]]]
+        assert handed == [[[True], [True]]]
+
+    def test_hand_off_before_the_first_round_joins_it(self):
+        def handing():
+            yield Fork(asking("f", 2))
+            return (yield from ask_one(("h", 0, 1)))
+
+        rounds, results = run_rounds(ask_parallel([handing()]))
+        assert rounds == [[("h", 0, 1), ("f", 0, 0), ("f", 0, 1)]]
+        assert results == [False]
+
+    def test_results_come_back_in_branch_order(self):
+        """The first branch finishes last; its result still comes first."""
+        _, results = run_rounds(
+            ask_parallel(
+                [asking("long", 1, 1, 1), asking("short", 1), instant("x")]
+            )
+        )
+        assert results == [[[True], [True], [True]], [[True]], "x"]
+
+    def test_wrong_answer_count_raises(self):
+        steps = ask_parallel([asking("a", 1), asking("b", 2)])
+        assert len(next(steps)) == 3
+        with pytest.raises(ProtocolError, match="3 questions got 2 answers"):
+            steps.send([True, False])
+
+    def test_non_round_yield_rejected(self):
+        def steps():
+            yield "not a round"
+
+        with pytest.raises(ProtocolError, match="expected a Round"):
+            LearnerProtocol(ask_parallel([steps()])).start()
+
+    def test_fork_outside_ask_parallel_rejected(self):
+        def steps():
+            yield Fork(asking("f", 1))
+
+        with pytest.raises(ProtocolError, match="yielded Fork"):
             LearnerProtocol(steps()).start()
 
 
@@ -269,6 +397,14 @@ class TestSessionStepMode:
     def test_snapshot_version_guard(self):
         with pytest.raises(SnapshotError, match="version"):
             SessionSnapshot.from_dict({"version": 99, "n": 2, "responses": []})
+
+    def test_version_one_log_rejected(self):
+        """Version-1 logs hold answers in the one-search-at-a-time round
+        order; replayed positionally they would answer other questions."""
+        data = SessionSnapshot(n=3, responses=[True]).to_dict()
+        assert data["version"] == 2
+        with pytest.raises(SnapshotError, match="version 1"):
+            SessionSnapshot.from_dict(dict(data, version=1))
 
 
 class TestExpressionPayloadWire:
