@@ -26,6 +26,7 @@ simulated user until the transcript is clean, which is experiment E14.
 
 from __future__ import annotations
 
+import json
 import random
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -42,7 +43,11 @@ from repro.protocol.core import (
     Round,
 )
 from repro.protocol.drivers import answer_round
-from repro.protocol.wire import payload_from_dict, payload_to_dict
+from repro.protocol.wire import (
+    encode_payloads,
+    payload_from_dict,
+    payload_to_dict,
+)
 from repro.verification.verifier import VerificationOutcome, verify_query
 
 __all__ = [
@@ -136,6 +141,10 @@ class SessionSnapshot:
     version 2 is the round-parallel learners' (DESIGN.md §2e), and a
     version-1 log, written in the older one-search-at-a-time order, is
     rejected rather than fed to the wrong questions.
+
+    :meth:`to_json` writes the text of ``json.dumps(snapshot.to_dict())``
+    without building the dicts: one ``json.dumps`` of the responses and
+    :func:`~repro.protocol.wire.encode_payloads` of the pending round.
     """
 
     n: int
@@ -143,6 +152,16 @@ class SessionSnapshot:
     #: Membership questions or expression payloads (DESIGN.md §2e).
     pending: list | None = None
     restarts: int = 0
+
+    def to_json(self) -> str:
+        """The snapshot as JSON text: ``json.dumps(self.to_dict())``."""
+        responses = json.dumps([bool(r) for r in self.responses])
+        pending = "null" if self.pending is None else encode_payloads(self.pending)
+        return (
+            f'{{"version": {SNAPSHOT_VERSION}, "n": {self.n}, '
+            f'"responses": {responses}, "pending": {pending}, '
+            f'"restarts": {self.restarts}}}'
+        )
 
     def to_dict(self) -> dict:
         return {
@@ -198,6 +217,10 @@ class LearningSession:
     n:
         Number of Boolean variables; required only when no oracle is
         attached (step-driven sessions size the learner from it).
+
+    A step-driven session also holds its pending round as JSON text, for
+    a server to send: :attr:`pending_json` encodes it once, on first
+    use.  :meth:`run` never asks for it, so it encodes nothing.
     """
 
     def __init__(
@@ -217,6 +240,9 @@ class LearningSession:
         self._event: Round | Finished | None = None
         self._result: SessionResult | None = None
         self._restarts = 0
+        # The pending round's questions as JSON text (None until asked
+        # for).
+        self._pending_json: str | None = None
 
     @property
     def n(self) -> int:
@@ -319,6 +345,7 @@ class LearningSession:
 
     def _absorb(self, event: Round | Finished) -> Round | Finished:
         self._event = event
+        self._pending_json = None
         if isinstance(event, Finished):
             result = event.result
             self._result = SessionResult(
@@ -328,6 +355,20 @@ class LearningSession:
                 restarts=self._restarts,
             )
         return event
+
+    @property
+    def pending_json(self) -> str:
+        """The pending round's questions as JSON text (``null`` once the
+        dialogue finished): :func:`~repro.protocol.wire.encode_payloads`,
+        run once per round."""
+        if self._protocol is None:
+            raise ProtocolError("pending_json before start()")
+        if self._pending_json is None:
+            pending = self._protocol.pending
+            self._pending_json = (
+                "null" if pending is None else encode_payloads(pending.questions)
+            )
+        return self._pending_json
 
     @property
     def finished(self) -> bool:

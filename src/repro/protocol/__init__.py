@@ -8,7 +8,8 @@
 * :mod:`repro.protocol.drivers` — the synchronous driver: one
   ``oracle.ask_many`` call per round.
 * :mod:`repro.protocol.wire` — question payloads and answer batches as
-  JSON data; :mod:`repro.server` serves rounds with them.
+  JSON data, and a round's payloads as JSON text; :mod:`repro.server`
+  serves rounds with them.
 """
 
 from repro.protocol.core import (
@@ -25,6 +26,7 @@ from repro.protocol.core import (
 from repro.protocol.drivers import answer_round, drive
 from repro.protocol.wire import (
     decode_answers,
+    encode_payloads,
     payload_from_dict,
     payload_to_dict,
 )
@@ -42,6 +44,7 @@ __all__ = [
     "ask_round",
     "decode_answers",
     "drive",
+    "encode_payloads",
     "payload_from_dict",
     "payload_to_dict",
 ]

@@ -6,18 +6,26 @@ objects or :class:`~repro.oracle.expression.ExpressionQuestion` payloads
 Membership questions keep the paper-style tuple-string form of
 :func:`~repro.core.serialize.question_to_dict`; expression questions are
 tagged by their ``kind`` key, which no membership dict has.
+:func:`encode_payloads` writes a whole round's payloads as JSON text
+without building the dicts, for round replies and snapshot text.
 """
 
 from __future__ import annotations
 
-from typing import Any
+import json
+from typing import Any, Iterable
 
 from repro.core.serialize import question_from_dict, question_to_dict
-from repro.core.tuples import Question
+from repro.core.tuples import Question, format_tuple
 from repro.oracle.expression import ExpressionQuestion
 from repro.protocol.core import ProtocolError
 
-__all__ = ["payload_to_dict", "payload_from_dict", "decode_answers"]
+__all__ = [
+    "payload_to_dict",
+    "payload_from_dict",
+    "encode_payloads",
+    "decode_answers",
+]
 
 
 def payload_to_dict(question: Any) -> dict[str, Any]:
@@ -35,6 +43,28 @@ def payload_to_dict(question: Any) -> dict[str, Any]:
     raise TypeError(
         f"cannot serialize round payload of type {type(question).__name__}"
     )
+
+
+def encode_payloads(questions: Iterable[Any]) -> str:
+    """A round's payloads as JSON array text, byte-identical to
+    ``json.dumps([payload_to_dict(q) for q in questions])``.
+
+    Membership questions are written straight from their tuples: a
+    :func:`~repro.core.tuples.format_tuple` string holds only ``0`` and
+    ``1``, so it needs no escaping.  Expression questions go through
+    :func:`payload_to_dict`.
+    """
+    parts = []
+    for question in questions:
+        if isinstance(question, Question):
+            n = question.n
+            tuples = ", ".join(
+                [f'"{format_tuple(t, n)}"' for t in question.sorted_tuples()]
+            )
+            parts.append(f'{{"n": {n}, "tuples": [{tuples}]}}')
+        else:
+            parts.append(json.dumps(payload_to_dict(question)))
+    return "[" + ", ".join(parts) + "]"
 
 
 def decode_answers(message: dict[str, Any]) -> list[bool]:

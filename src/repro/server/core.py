@@ -37,13 +37,20 @@ Rounds are the billable unit of user interaction (Drachsler-Cohen et
 al.; Bshouty et al. — see PAPERS.md): every session carries per-round
 metering counters that ride along in the ``finished`` summary.
 
-Backpressure is per connection: each line's replies are written to the
-transport and the reader loop awaits ``drain()`` before it reads the
-next line, so a client that stops reading stops being read (and
-eventually TCP pushes back) instead of growing server memory.  Idle
-sessions are evicted from memory on a timer — eviction is safe
-*because* the round-boundary snapshot is already durable; a later
-message under the same session id transparently resumes from the store.
+Each connection is one :class:`asyncio.Protocol`: it splits the bytes
+it receives into lines and writes each line's reply from the same
+callback.  Backpressure is per connection: once the transport's write
+buffer passes its high-water mark the connection handles no further
+line and stops reading, keeping the lines it already holds, until the
+buffer drains; so a client that stops reading stops being read (and
+eventually TCP pushes back) instead of growing server memory.  Each
+round's questions are encoded to JSON once, by the session
+(:attr:`~repro.interactive.session.LearningSession.pending_json`), and
+that text goes into the round reply and every re-send on a warm
+reconnect.  Idle sessions are evicted from memory on a
+timer — eviction is safe *because* the round-boundary snapshot is
+already durable; a later message under the same session id
+transparently resumes from the store.
 
 A ``quit`` also keeps the parked session *warm*: up to
 :data:`WARM_SESSIONS` of them per server, least recently parked dropped
@@ -125,7 +132,10 @@ def check_limits(idle_timeout: float | None) -> None:
 
 
 def round_to_dict(round_: Round, index: int) -> dict[str, Any]:
-    """The wire form of one round (membership or expression questions)."""
+    """The wire form of one round (membership or expression questions),
+    before session framing.  The server writes the same message as text
+    (:meth:`RoundServer._round_line`) around the session's encoded
+    questions."""
     return {
         "type": "round",
         "index": index,
@@ -133,9 +143,9 @@ def round_to_dict(round_: Round, index: int) -> dict[str, Any]:
     }
 
 
-def _encode(messages: list[dict]) -> bytes:
-    """Wire messages as newline-delimited JSON."""
-    return "".join(json.dumps(m) + "\n" for m in messages).encode()
+def _line(message: dict[str, Any]) -> str:
+    """One wire message as a line of JSON."""
+    return json.dumps(message) + "\n"
 
 
 def finished_to_dict(session: LearningSession, rounds: int) -> dict[str, Any]:
@@ -193,6 +203,145 @@ class _LiveSession:
     saved: tuple[StoredSession, str] | None = None
 
 
+class _Connection(asyncio.Protocol):
+    """One wire connection: splits the bytes it receives into lines and
+    writes each line's reply from the same callback.
+
+    A TCP connection reads and writes one transport.  A stdio connection
+    reads the stdin pipe and writes ``sink``, the stdout pipe, whose flow
+    control and loss :class:`_PipeSink` passes on.  Framing is that of
+    :meth:`asyncio.StreamReader.readline` with a limit of
+    :data:`MAX_LINE_BYTES`: a line (the bytes before ``\\n``, or before
+    EOF for the last one) longer than the limit, or an unterminated
+    buffer past it, gets one counted error and the connection closes.
+
+    While the sink is past its high-water mark the connection answers no
+    line and reads nothing; the lines it holds wait in ``buffer`` and are
+    answered in order once the sink drains.  ``closed`` resolves when the
+    sink is gone.
+    """
+
+    def __init__(self, server: "RoundServer") -> None:
+        self.server = server
+        self.source: asyncio.ReadTransport | None = None
+        self.sink: asyncio.WriteTransport | None = None
+        self.buffer = bytearray()
+        self.paused = False
+        self.eof = False
+        self.closed = asyncio.get_running_loop().create_future()
+
+    def connection_made(self, transport) -> None:
+        self.source = transport
+        if self.sink is None:
+            self.sink = transport
+        self.server._open_connections.add(self)
+
+    def data_received(self, data: bytes) -> None:
+        self.buffer += data
+        # Unless paused, the buffer held no whole line before ``data``.
+        if not self.paused and (
+            b"\n" in data or len(self.buffer) > MAX_LINE_BYTES
+        ):
+            self._handle_lines()
+
+    def eof_received(self) -> bool:
+        self.eof = True
+        self._handle_lines()
+        return True  # _handle_lines closes once the last line is answered
+
+    def connection_lost(self, exc: Exception | None) -> None:
+        if self.sink is self.source:
+            self._lost()
+        else:  # the stdin pipe ended: answer what it sent, then close
+            self.eof_received()
+
+    def pause_writing(self) -> None:
+        self.paused = True
+        self.source.pause_reading()
+
+    def resume_writing(self) -> None:
+        # Called from inside the transport's write callback, which must
+        # not see its transport closed under it: answer the held lines on
+        # the next loop pass.
+        asyncio.get_running_loop().call_soon(self._resume)
+
+    def _resume(self) -> None:
+        self.paused = False
+        self._handle_lines()
+        if not self.paused and not self.source.is_closing():
+            self.source.resume_reading()
+
+    def _handle_lines(self) -> None:
+        """Answer the whole lines held, in order, until the sink pauses or
+        closes; then refuse an unterminated buffer past the limit, or at
+        EOF answer the last line and close."""
+        buffer, sink = self.buffer, self.sink
+        start = 0
+        while not self.paused and not sink.is_closing():
+            end = buffer.find(b"\n", start)
+            if end < 0:
+                break
+            if end - start > MAX_LINE_BYTES:
+                self._refuse()
+                return
+            self._answer(buffer[start:end])
+            start = end + 1
+        del buffer[:start]
+        if self.paused or sink.is_closing():
+            return
+        if len(buffer) > MAX_LINE_BYTES:
+            self._refuse()
+        elif self.eof:
+            self._answer(buffer)
+            buffer.clear()
+            sink.close()
+
+    def _answer(self, line: bytearray) -> None:
+        text = line.strip().decode("utf-8", errors="replace")
+        if text:
+            self.sink.write(self.server._handle_line(text).encode())
+
+    def _refuse(self) -> None:
+        """Answer an overlong line with one error, then close: the rest of
+        the line cannot be resynchronised."""
+        error = self.server._error(
+            f"line longer than {MAX_LINE_BYTES} bytes; closing the connection"
+        )
+        self.buffer.clear()
+        self.sink.write(error.encode())
+        self.close()
+
+    def close(self) -> None:
+        """Close both directions; the sink writes what it holds first."""
+        for transport in (self.source, self.sink):
+            if transport is not None:
+                transport.close()
+
+    def _lost(self) -> None:
+        self.server._open_connections.discard(self)
+        if self.source is not None:
+            self.source.close()
+        if not self.closed.done():
+            self.closed.set_result(None)
+
+
+class _PipeSink(asyncio.Protocol):
+    """The stdout pipe of a stdio connection: passes its flow control and
+    its loss on to the connection."""
+
+    def __init__(self, connection: _Connection) -> None:
+        self.connection = connection
+
+    def pause_writing(self) -> None:
+        self.connection.pause_writing()
+
+    def resume_writing(self) -> None:
+        self.connection.resume_writing()
+
+    def connection_lost(self, exc: Exception | None) -> None:
+        self.connection._lost()
+
+
 class RoundServer:
     """Asyncio server multiplexing learning dialogues in one event loop.
 
@@ -213,9 +362,9 @@ class RoundServer:
         process that runs it.
 
     Construction raises ``ValueError`` on an idle timeout
-    :func:`check_limits` rejects.  Replies are written inline: a
-    connection whose client stops reading stops being read once its
-    transport is past the high-water mark.
+    :func:`check_limits` rejects.  Replies are written from the callback
+    that received their line: a connection whose client stops reading
+    stops being read once its transport is past the high-water mark.
     """
 
     def __init__(
@@ -230,6 +379,7 @@ class RoundServer:
         self.learners = dict(learners)
         self.idle_timeout = idle_timeout
         self.worker_id = worker_id or uuid.uuid4().hex[:8]
+        self._worker_json = json.dumps(self.worker_id)
         self._claim_token = owner_token(self.worker_id)
         self._sessions: dict[str, _LiveSession] = {}
         # Parked sessions kept warm by quit, oldest first; a store
@@ -237,7 +387,7 @@ class RoundServer:
         self._warm: OrderedDict[str, _LiveSession] = OrderedDict()
         self._server: asyncio.AbstractServer | None = None
         self._evictor: asyncio.Task | None = None
-        self._connections: set[asyncio.Task] = set()
+        self._open_connections: set[_Connection] = set()
         # Server-level counters (surfaced by stats()).
         self.sessions_opened = 0
         self.sessions_resumed = 0
@@ -257,8 +407,8 @@ class RoundServer:
         :meth:`port`).  Returns the underlying asyncio server."""
         if self._server is not None:
             raise RuntimeError("server already started")
-        self._server = await asyncio.start_server(
-            self._handle_connection, host, port, limit=MAX_LINE_BYTES
+        self._server = await asyncio.get_running_loop().create_server(
+            lambda: _Connection(self), host, port
         )
         if self.idle_timeout is not None:
             self._evictor = asyncio.ensure_future(self._evict_loop())
@@ -273,24 +423,20 @@ class RoundServer:
     async def serve_stdio(self, stdin, stdout) -> None:
         """Serve one connection over ``stdin``/``stdout`` (pipes, sockets
         or a terminal; ``repro serve --stdio``): the TCP wire, line limit
-        included, without the idle evictor.  Returns when the client
-        closes ``stdin``; the caller still owns :meth:`close`."""
+        and backpressure included, without the idle evictor.  Returns
+        once the client has closed ``stdin`` and every reply is written;
+        the caller still owns :meth:`close`."""
         loop = asyncio.get_running_loop()
-        reader = asyncio.StreamReader(limit=MAX_LINE_BYTES)
-        source, _ = await loop.connect_read_pipe(
-            lambda: asyncio.StreamReaderProtocol(reader), stdin
+        connection = _Connection(self)
+        # The sink comes first, so the first line has somewhere to go.
+        connection.sink, _ = await loop.connect_write_pipe(
+            lambda: _PipeSink(connection), stdout
         )
         try:
-            # The protocol gives the writer flow control and a close
-            # waiter.
-            sink, protocol = await loop.connect_write_pipe(
-                lambda: asyncio.StreamReaderProtocol(asyncio.StreamReader()),
-                stdout,
-            )
-            writer = asyncio.StreamWriter(sink, protocol, None, loop)
-            await self._handle_connection(reader, writer)
+            await loop.connect_read_pipe(lambda: connection, stdin)
+            await connection.closed
         finally:
-            source.close()
+            connection.close()
 
     async def close(self) -> None:
         """Stop accepting, drop connections, keep every session parked
@@ -304,14 +450,14 @@ class RoundServer:
             self._evictor.cancel()
             await asyncio.gather(self._evictor, return_exceptions=True)
             self._evictor = None
+        connections = list(self._open_connections)
+        for connection in connections:
+            connection.close()
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
-        for task in list(self._connections):
-            task.cancel()
-        if self._connections:
-            await asyncio.gather(*self._connections, return_exceptions=True)
+        await asyncio.gather(*(c.closed for c in connections))
         for session_id in self._sessions:
             self._release(session_id)
         self._sessions.clear()
@@ -362,69 +508,28 @@ class RoundServer:
             self.evict_idle(self.idle_timeout)
 
     # ------------------------------------------------------------------
-    # Connection plumbing
-    # ------------------------------------------------------------------
-    async def _handle_connection(self, reader, writer) -> None:
-        """Serve one connection: read a line, write its replies, and
-        await ``drain()`` before the next read.  ``drain()`` waits while
-        the transport is past its high-water mark, so a client that
-        stops reading stops being read.  A failed read, write or drain
-        ends the connection; every session it carried stays in the store
-        at its last round."""
-        task = asyncio.current_task()
-        if task is not None:
-            self._connections.add(task)
-        try:
-            while True:
-                try:
-                    line = await reader.readline()
-                except ValueError:  # the line overran MAX_LINE_BYTES
-                    error = self._error(
-                        f"line longer than {MAX_LINE_BYTES} bytes; "
-                        "closing the connection"
-                    )
-                    writer.write(_encode([error]))
-                    await writer.drain()
-                    break
-                if not line:
-                    break
-                text = line.strip().decode("utf-8", errors="replace")
-                if not text:
-                    continue
-                writer.write(_encode(self._handle_line(text)))
-                await writer.drain()
-        except (OSError, RuntimeError, asyncio.CancelledError):
-            pass
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (OSError, asyncio.CancelledError):
-                pass
-            if task is not None:
-                self._connections.discard(task)
-
-    # ------------------------------------------------------------------
     # Message dispatch (synchronous — stepping a learner is CPU work)
     # ------------------------------------------------------------------
-    def _error(self, message: str, session_id: str | None = None) -> dict:
+    def _error(self, message: str, session_id: str | None = None) -> str:
+        """A counted error reply line."""
         self.wire_errors += 1
         out: dict[str, Any] = {"type": "error", "message": message}
         if session_id is not None:
             out["session"] = session_id
-        return out
+        return _line(out)
 
-    def _handle_line(self, text: str) -> list[dict]:
+    def _handle_line(self, text: str) -> str:
+        """The reply line (JSON plus ``\\n``) to one inbound line."""
         try:
             message = json.loads(text)
         except json.JSONDecodeError:
-            return [self._error("expected one JSON object per line")]
+            return self._error("expected one JSON object per line")
         if not isinstance(message, dict):
-            return [self._error("expected a JSON object")]
+            return self._error("expected a JSON object")
         kind = message.get("type")
         session_id = message.get("session")
         if session_id is not None and not isinstance(session_id, str):
-            return [self._error('"session" must be a string id')]
+            return self._error('"session" must be a string id')
         try:
             if kind == "open":
                 return self._handle_open(message)
@@ -440,14 +545,12 @@ class RoundServer:
             live = self._sessions.get(session_id or "")
             if live is not None:
                 live.meter.errors += 1
-            return [self._error(str(error), session_id)]
+            return self._error(str(error), session_id)
         except sqlite3.Error as error:
             # Nothing live ran ahead of the store (see _persist): the
             # next message rebuilds the session from its last durable
             # round.
-            return [
-                self._error(f"session store failed: {error}", session_id)
-            ]
+            return self._error(f"session store failed: {error}", session_id)
         except Exception as error:
             # Any other fault may have left the live session half-stepped:
             # forget it and its claim, so the next message replays it from
@@ -457,19 +560,16 @@ class RoundServer:
                 self._warm.pop(session_id, None)
                 self._sessions.pop(session_id, None)
                 self._release(session_id)
-            return [
-                self._error(
-                    f"server failed on {kind!r}: "
-                    f"{type(error).__name__}: {error}",
-                    session_id,
-                )
-            ]
-        return [self._error(f"unknown type {kind!r}", session_id)]
+            return self._error(
+                f"server failed on {kind!r}: {type(error).__name__}: {error}",
+                session_id,
+            )
+        return self._error(f"unknown type {kind!r}", session_id)
 
-    def _handle_open(self, message: dict) -> list[dict]:
+    def _handle_open(self, message: dict) -> str:
         n = message.get("n")
         if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-            return [self._error('"open" needs a positive integer "n"')]
+            return self._error('"open" needs a positive integer "n"')
         learner = message.get("learner", DEFAULT_LEARNER)
         # A non-string learner (a JSON list or object) is unhashable:
         # answer it like any other unknown name.
@@ -478,9 +578,7 @@ class RoundServer:
         )
         if learner_cls is None:
             known = ", ".join(sorted(self.learners))
-            return [
-                self._error(f"unknown learner {learner!r} (known: {known})")
-            ]
+            return self._error(f"unknown learner {learner!r} (known: {known})")
         session_id = uuid.uuid4().hex[:12]
         session = LearningSession(
             lambda oracle: learner_cls(oracle), n=n
@@ -491,31 +589,29 @@ class RoundServer:
         self.sessions_opened += 1
         return self._emit_event(live, event, fresh_round=True)
 
-    def _handle_reconnect(self, session_id: str | None) -> list[dict]:
+    def _handle_reconnect(self, session_id: str | None) -> str:
         live = self._require_session(session_id, "reconnect")
         event = live.session.step()
         return self._emit_event(live, event, fresh_round=False)
 
-    def _handle_answers(
-        self, session_id: str | None, message: dict
-    ) -> list[dict]:
+    def _handle_answers(self, session_id: str | None, message: dict) -> str:
         live = self._require_session(session_id, "answers")
         answers = decode_answers(message)
         event = live.session.feed(answers)
         return self._emit_event(live, event, fresh_round=True)
 
-    def _handle_snapshot(self, session_id: str | None) -> list[dict]:
+    def _handle_snapshot(self, session_id: str | None) -> str:
         live = self._require_session(session_id, "snapshot")
         self._touch(live)
-        return [
+        return _line(
             {
                 "type": "snapshot",
                 "session": live.session_id,
                 "snapshot": live.session.snapshot().to_dict(),
             }
-        ]
+        )
 
-    def _handle_quit(self, session_id: str | None) -> list[dict]:
+    def _handle_quit(self, session_id: str | None) -> str:
         if session_id is None:
             raise ProtocolError('"quit" needs a "session" id')
         # Quit parks rather than destroys: the snapshot stays in the
@@ -531,7 +627,7 @@ class RoundServer:
             self._warm[session_id] = live
             if len(self._warm) > WARM_SESSIONS:
                 self._warm.popitem(last=False)
-        return [{"type": "closed", "session": session_id}]
+        return _line({"type": "closed", "session": session_id})
 
     # ------------------------------------------------------------------
     # Session state helpers
@@ -669,8 +765,8 @@ class RoundServer:
 
     def _emit_event(
         self, live: _LiveSession, event: Round | Finished, fresh_round: bool
-    ) -> list[dict]:
-        """Turn a session event into wire messages, metering and
+    ) -> str:
+        """Turn a session event into its reply line, metering and
         persisting at the round boundary."""
         self._touch(live)
         if isinstance(event, Finished):
@@ -682,12 +778,20 @@ class RoundServer:
             summary["session"] = live.session_id
             summary["worker"] = self.worker_id
             summary["metering"] = live.meter.to_dict()
-            return [summary]
+            return _line(summary)
         if fresh_round:
             live.meter.rounds += 1
             live.meter.questions = len(live.session.transcript)
             self._persist(live, ACTIVE)
-        message = round_to_dict(event, live.meter.rounds - 1)
-        message["session"] = live.session_id
-        message["worker"] = self.worker_id
-        return [message]
+        return self._round_line(live)
+
+    def _round_line(self, live: _LiveSession) -> str:
+        """The round reply for ``live``'s pending round: the text of
+        ``json.dumps`` of :func:`round_to_dict` framed with ``session``
+        and ``worker``, written around the session's encoded questions."""
+        return (
+            f'{{"type": "round", "index": {live.meter.rounds - 1}, '
+            f'"questions": {live.session.pending_json}, '
+            f'"session": {json.dumps(live.session_id)}, '
+            f'"worker": {self._worker_json}}}\n'
+        )

@@ -189,10 +189,14 @@ class SessionStore:
         """Write-through one parked session; returns the snapshot JSON it
         wrote, which a later conditional :meth:`claim` compares.
 
-        An existing row is updated in place (an ``INSERT OR REPLACE``
-        would delete it and insert it again, index entries included).
+        The JSON is :meth:`SessionSnapshot.to_json
+        <repro.interactive.session.SessionSnapshot.to_json>`, the text of
+        ``json.dumps(record.snapshot.to_dict())`` written without
+        building the dicts.  An existing row is updated in place (an
+        ``INSERT OR REPLACE`` would delete it and insert it again, index
+        entries included).
         """
-        snapshot = json.dumps(record.snapshot.to_dict())
+        snapshot = record.snapshot.to_json()
         self.connection.execute(
             "INSERT INTO sessions VALUES (?, ?, ?, ?, ?, ?, ?, ?) "
             "ON CONFLICT(session_id) DO UPDATE SET "

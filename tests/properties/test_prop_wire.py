@@ -82,7 +82,10 @@ def test_no_exception_escapes_and_every_error_is_counted(data):
         errors = 0
         for _ in range(data.draw(st.integers(1, 12))):
             line = json.dumps(_message(data, pending))
-            replies = server._handle_line(line)
+            replies = [
+                json.loads(reply)
+                for reply in server._handle_line(line).splitlines()
+            ]
             assert replies, line
             for reply in replies:
                 assert reply["type"] in (

@@ -109,6 +109,11 @@ def run(coro):
     return asyncio.run(coro)
 
 
+def handle_line(server, text):
+    """The reply messages ``server`` writes for one inbound line."""
+    return [json.loads(line) for line in server._handle_line(text).splitlines()]
+
+
 class TestFullDialogue:
     def test_wire_transcript_bit_identical_to_sync_path(self):
         target = random_qhorn1(3, random.Random(7))
@@ -417,7 +422,7 @@ class TestUnexpectedFaults:
 
         with SaveRaises() as store:
             server = RoundServer(store)
-            replies = server._handle_line('{"type": "open", "n": 3}')
+            replies = handle_line(server, '{"type": "open", "n": 3}')
             assert [r["type"] for r in replies] == ["error"]
             assert "TypeError: unserialisable snapshot" in replies[0]["message"]
             assert server.stats()["live_sessions"] == 0
@@ -745,8 +750,8 @@ class TestParkAndResume:
                 (legacy,),
             )
             server = RoundServer(store)
-            replies = server._handle_line(
-                json.dumps({"type": "reconnect", "session": "old"})
+            replies = handle_line(
+                server, json.dumps({"type": "reconnect", "session": "old"})
             )
             assert [r["type"] for r in replies] == ["error"]
             assert replies[0]["session"] == "old"
@@ -760,7 +765,7 @@ class TestParkAndResume:
             assert stats["live_sessions"] == 0
             assert stats["sessions_resumed"] == 0
             # The error is recoverable: the connection keeps serving.
-            (opened,) = server._handle_line('{"type": "open", "n": 2}')
+            (opened,) = handle_line(server, '{"type": "open", "n": 2}')
             assert opened["type"] == "round"
 
 
@@ -1142,9 +1147,9 @@ class TestRestartDurability:
 
 class TestBackpressure:
     def test_a_client_that_stops_reading_stops_being_read(self):
-        """Replies are written inline and each line waits for drain():
-        while the client reads nothing, the server stops handling its
-        lines once the replies pass the transport's high-water mark;
+        """Replies are written from the callback that received their
+        line: while the client reads nothing, the server stops handling
+        its lines once the replies pass the transport's high-water mark;
         when it reads again, every reply arrives once and in order."""
         requests = 2000
 
@@ -1165,11 +1170,12 @@ class TestBackpressure:
                 for sock in (ours, theirs):
                     sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
                     sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
-                serving = asyncio.ensure_future(
-                    server._handle_connection(
-                        *await asyncio.open_connection(sock=theirs)
+                _, connection = await (
+                    asyncio.get_running_loop().connect_accepted_socket(
+                        lambda: server_core._Connection(server), theirs
                     )
                 )
+                serving = connection.closed
                 reader, writer = await asyncio.open_connection(
                     sock=ours, limit=4096
                 )
