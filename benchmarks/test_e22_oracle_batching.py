@@ -17,7 +17,9 @@ the repetition a caching/replaying session exhibits) plus one
 all-distinct control row showing the compile-only speedup without any
 dedup leverage.  The acceptance gate: batched answering is ≥ 5× faster
 than per-question evaluation on every repetitive workload of ≥ 1000
-questions.
+questions.  Each leg is timed as the best of :data:`REPEATS` runs, the
+two legs alternating, so one scheduling stall on a busy host cannot
+decide the gate.
 """
 
 from __future__ import annotations
@@ -35,6 +37,8 @@ N_VARS = 16
 SIZES = (1000, 4000, 10000)
 SPEEDUP_FLOOR = 5.0
 GATE_MIN_QUESTIONS = 1000
+#: Alternating runs per leg; each leg keeps its fastest.
+REPEATS = 5
 
 
 def _target() -> QhornQuery:
@@ -84,6 +88,13 @@ def _workload(
     return [rng.choice(pool) for _ in range(size)]
 
 
+def _timed(fn):
+    """``fn()``'s result and its wall time in ms."""
+    t0 = time.perf_counter()
+    result = fn()
+    return result, (time.perf_counter() - t0) * 1000
+
+
 def test_e22_oracle_batching(report, trend, benchmark):
     target = _target()
     rows = []
@@ -95,16 +106,15 @@ def test_e22_oracle_batching(report, trend, benchmark):
         questions = _workload(random.Random(2200 + size), size, pool_size)
         distinct = len(set(questions))
 
-        t0 = time.perf_counter()
-        sequential = [target.evaluate(q) for q in questions]
-        sequential_ms = (time.perf_counter() - t0) * 1000
-
-        batched_oracle = QueryOracle(target)
-        t0 = time.perf_counter()
-        batched = batched_oracle.ask_many(questions)
-        batched_ms = (time.perf_counter() - t0) * 1000
-
-        assert batched == sequential  # identical responses, always
+        sequential_ms = batched_ms = float("inf")
+        for _ in range(REPEATS):
+            sequential, ms = _timed(
+                lambda: [target.evaluate(q) for q in questions]
+            )
+            sequential_ms = min(sequential_ms, ms)
+            batched, ms = _timed(lambda: QueryOracle(target).ask_many(questions))
+            batched_ms = min(batched_ms, ms)
+            assert batched == sequential  # identical responses, always
 
         speedup = (
             sequential_ms / batched_ms if batched_ms else float("inf")

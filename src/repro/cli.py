@@ -45,7 +45,8 @@ multi-session server (repro serve, DESIGN.md §2f):
   prints one {"type":"listening","port":P} line on startup (--port 0
   picks an ephemeral port) and exits cleanly on SIGINT/SIGTERM.  One
   process serves a store; a second server on the same --store file
-  rejects a dialogue live on the first with a recoverable error and
+  rejects a dialogue the first holds in memory, live or parked, with a
+  recoverable error until the first evicts it or shuts down, and
   resumes one whose server was killed (DESIGN.md §2h).
 
 remote sessions (repro serve --stdio, DESIGN.md §2e):

@@ -52,27 +52,24 @@ timer — eviction is safe *because* the round-boundary snapshot is
 already durable; a later message under the same session id
 transparently resumes from the store.
 
-A ``quit`` also keeps the parked session *warm*: up to
+A ``quit`` parks the session *warm*: it stays in memory, up to
 :data:`WARM_SESSIONS` of them per server, least recently parked dropped
-first.  A reconnect first claims the row on the condition that it still
-holds exactly what this server last saved for the warm session (status,
-learner, ``n``, counters and snapshot text); then the warm session is
-reused without reading the row back.  Any other row takes the general
-path: load, claim, reuse the warm session only if the parsed snapshot
-equals its own, and replay the log otherwise (another server advanced
-the row, a correction rewrote it, a restart, an eviction).  ``stats()``
-counts every store rebuild in ``sessions_resumed`` and the replayed
-ones, a subset, in ``sessions_replayed``.
+first, and a reconnect to this server reuses it as it is.  ``stats()``
+counts every such reuse and every store rebuild in ``sessions_resumed``,
+and the store rebuilds, which always replay the log, in
+``sessions_replayed``.
 
 One server per process serves a store, but a store file may be open in
 two processes at once (DESIGN.md §2h).  Every server message carries
 ``"worker"``, the server's id, so a client can tell which server
-answered.  While a session is live in memory, the server *owns* its
-store row under a claim token; parking (quit, idle eviction, clean
-shutdown) releases the claim, and a store rebuild in
-:meth:`RoundServer._require_session` must claim first — a session live
-on another running server is a recoverable ``{"type": "error"}``, one
-whose server died is stolen and resumed.
+answered.  While a session is in memory, live or parked warm, the
+server *owns* its store row under a claim token, so nobody else writes
+the row and the warm session stays what the row holds.  Every path that
+takes a session out of memory (idle eviction, a full warm table, a
+fault, clean shutdown) releases the claim, and a store rebuild in
+:meth:`RoundServer._require_session` must claim first — a session in
+memory on another running server is a recoverable ``{"type": "error"}``,
+one whose server died is stolen and resumed.
 """
 
 from __future__ import annotations
@@ -113,8 +110,9 @@ LEARNERS: Mapping[str, Callable[..., Any]] = {
 DEFAULT_LEARNER = "qhorn1"
 
 #: Parked sessions one server keeps warm for a reconnect to it.
-#: Past this many, the least recently parked one drops (and replays if
-#: it ever comes back).  One parked session holds about 4-20 KiB.
+#: Past this many, the least recently parked one drops and is released
+#: (and replays if it ever comes back).  One parked session holds about
+#: 4-20 KiB.
 WARM_SESSIONS = 1024
 
 #: Longest inbound line in bytes.  A longer one gets an error reply and
@@ -197,10 +195,6 @@ class _LiveSession:
     session: LearningSession
     meter: SessionMeter = field(default_factory=SessionMeter)
     last_used: float = 0.0
-    #: The record this server last saved for the session and the
-    #: snapshot JSON the store wrote for it (``None`` until then): what
-    #: the row still holds if nobody else wrote it since.
-    saved: tuple[StoredSession, str] | None = None
 
 
 class _Connection(asyncio.Protocol):
@@ -382,8 +376,7 @@ class RoundServer:
         self._worker_json = json.dumps(self.worker_id)
         self._claim_token = owner_token(self.worker_id)
         self._sessions: dict[str, _LiveSession] = {}
-        # Parked sessions kept warm by quit, oldest first; a store
-        # rebuild reuses one only while its row still matches it.
+        # Parked sessions kept warm by quit, oldest first, still claimed.
         self._warm: OrderedDict[str, _LiveSession] = OrderedDict()
         self._server: asyncio.AbstractServer | None = None
         self._evictor: asyncio.Task | None = None
@@ -442,9 +435,9 @@ class RoundServer:
         """Stop accepting, drop connections, keep every session parked
         in the store (that is the durability story, not a data loss).
 
-        Clean shutdown is the ownership handoff: every live session's
-        claim is released, where the store lets us, so the next server
-        on the store may rebuild it.
+        Clean shutdown is the ownership handoff: every live and warm
+        session's claim is released, where the store lets us, so the
+        next server on the store may rebuild it.
         """
         if self._evictor is not None:
             self._evictor.cancel()
@@ -458,7 +451,7 @@ class RoundServer:
             await self._server.wait_closed()
             self._server = None
         await asyncio.gather(*(c.closed for c in connections))
-        for session_id in self._sessions:
+        for session_id in (*self._sessions, *self._warm):
             self._release(session_id)
         self._sessions.clear()
         self._warm.clear()
@@ -486,18 +479,16 @@ class RoundServer:
         the authoritative state, so eviction only frees memory — and
         releases the ownership claim, so another server on the store may
         pick the session back up.  Warm parked sessions idle as long are
-        dropped too, uncounted: they hold no claim.  Returns the number
-        of live sessions evicted."""
+        dropped and released too, uncounted.  Returns the number of live
+        sessions evicted."""
         now = _now()
-        evicted = 0
-        for session_id, live in list(self._sessions.items()):
-            if now - live.last_used >= max_idle:
-                del self._sessions[session_id]
-                self._release(session_id)
-                evicted += 1
-        for session_id, warm in list(self._warm.items()):
-            if now - warm.last_used >= max_idle:
-                del self._warm[session_id]
+        live_before = len(self._sessions)
+        for table in (self._sessions, self._warm):
+            for session_id, live in list(table.items()):
+                if now - live.last_used >= max_idle:
+                    del table[session_id]
+                    self._release(session_id)
+        evicted = live_before - len(self._sessions)
         self.evictions += evicted
         return evicted
 
@@ -615,18 +606,17 @@ class RoundServer:
         if session_id is None:
             raise ProtocolError('"quit" needs a "session" id')
         # Quit parks rather than destroys: the snapshot stays in the
-        # store, so the same id can reconnect later — to any server on
-        # the store, which is why parking releases the ownership claim
-        # before the "closed" reply reaches the client.  The session
-        # stays warm here, so a reconnect to this server can skip the
-        # replay.
+        # store, so the same id can reconnect later.  The session stays
+        # warm here and keeps its claim, so nobody else writes its row
+        # and a reconnect to this server reuses it without the store,
+        # until it leaves memory (overflow, eviction, a fault, close()),
+        # which releases the claim.
         live = self._sessions.pop(session_id, None)
         if live is not None:
-            self.store.release(session_id, self._claim_token)
             self._touch(live)
             self._warm[session_id] = live
             if len(self._warm) > WARM_SESSIONS:
-                self._warm.popitem(last=False)
+                self._release(self._warm.popitem(last=False)[0])
         return _line({"type": "closed", "session": session_id})
 
     # ------------------------------------------------------------------
@@ -635,27 +625,18 @@ class RoundServer:
     def _require_session(
         self, session_id: str | None, verb: str
     ) -> _LiveSession:
-        """The live session for ``session_id``, resuming from the store
-        when it is not in memory (quit, eviction or a past server
-        restart).  A session this server parked warm is reused when the
-        row still matches it exactly; otherwise the log is replayed."""
+        """The live session for ``session_id``: in memory, live or parked
+        warm here, or rebuilt from the store (eviction, a full warm
+        table or a past server restart) by load, claim and replay."""
         if session_id is None:
             raise ProtocolError(f'"{verb}" needs a "session" id')
         live = self._sessions.get(session_id)
         if live is not None:
             return live
-        # Popped before any check, so a stale entry dies on every path.
-        warm = self._warm.pop(session_id, None)
-        if (
-            warm is not None
-            and warm.saved is not None
-            and self.store.claim(
-                session_id, self._claim_token, unchanged=warm.saved
-            )
-        ):
-            # The row is exactly what this server last wrote for the
-            # warm session, so the checks below would reuse it too.
-            return self._resumed(warm.saved[0], warm.session, warm.saved)
+        live = self._warm.pop(session_id, None)
+        if live is not None:
+            # Still claimed by this server: the row is what it last saved.
+            return self._resumed(live)
         record = self.store.load(session_id)
         if record is None:
             raise ProtocolError(f"unknown session {session_id!r}")
@@ -664,15 +645,16 @@ class RoundServer:
                 f"session {session_id!r} already finished"
             )
         # Ownership handoff (§2h): rebuilding from the store claims the
-        # row first.  A parked session is released and claims cleanly; a
-        # session still live on another *running* server is rejected
-        # (the client must quit there first, or wait for idle eviction);
-        # one whose server died is stolen — that is the crash story.
+        # row first.  A released session claims cleanly; a session still
+        # in memory on another *running* server is rejected (until that
+        # server evicts it, drops it from a full warm table or shuts
+        # down); one whose server died is stolen — that is the crash
+        # story.
         if not self.store.claim(session_id, self._claim_token):
             self.claims_rejected += 1
             raise ProtocolError(
                 f"session {session_id!r} is live on another worker "
-                "(park it there first, or wait for idle eviction)"
+                "(wait for its eviction there, or for that server to shut down)"
             )
         learner_cls = self.learners.get(record.learner)
         if learner_cls is None:
@@ -681,46 +663,26 @@ class RoundServer:
                 f"session {session_id!r} needs unknown learner "
                 f"{record.learner!r}"
             )
-        if (
-            warm is not None
-            and warm.learner == record.learner
-            and warm.session.n == record.n
-            and warm.session.snapshot() == record.snapshot
-        ):
-            # Equal logs give equal learner state: this is the session
-            # a replay would build.
-            session = warm.session
-        else:
-            session = LearningSession(
-                lambda oracle: learner_cls(oracle), n=record.n
-            )
-            try:
-                session.resume(record.snapshot)
-            except Exception:
-                self.store.release(session_id, self._claim_token)
-                raise
-            self.sessions_replayed += 1
-        return self._resumed(record, session, None)
-
-    def _resumed(
-        self,
-        record: StoredSession,
-        session: LearningSession,
-        saved: tuple[StoredSession, str] | None,
-    ) -> _LiveSession:
-        """Make a session rebuilt for ``record``'s row live again."""
-        live = _LiveSession(
-            record.session_id,
-            record.learner,
-            session,
-            # Rounds and questions are lifetime totals from the row, on
-            # every path; errors and resumes start again here.
-            meter=SessionMeter(
-                rounds=record.rounds, questions=record.questions, resumes=1
-            ),
-            saved=saved,
+        session = LearningSession(
+            lambda oracle: learner_cls(oracle), n=record.n
         )
-        self._sessions[record.session_id] = live
+        try:
+            session.resume(record.snapshot)
+        except Exception:
+            self.store.release(session_id, self._claim_token)
+            raise
+        self.sessions_replayed += 1
+        meter = SessionMeter(rounds=record.rounds, questions=record.questions)
+        return self._resumed(
+            _LiveSession(session_id, record.learner, session, meter)
+        )
+
+    def _resumed(self, live: _LiveSession) -> _LiveSession:
+        """Make a warm or rebuilt session live again.  Its meter's rounds
+        and questions are lifetime totals; errors and resumes start
+        again here."""
+        live.meter.errors, live.meter.resumes = 0, 1
+        self._sessions[live.session_id] = live
         self.sessions_resumed += 1
         return live
 
@@ -734,8 +696,7 @@ class RoundServer:
         here); finished rows carry none — there is nothing left to own.
         A failed write drops the live session, which is now a round
         ahead of its row, and releases the claim where it can: memory
-        never runs ahead of the store.  A successful one keeps the record
-        and the JSON written, for the next warm reconnect's claim.
+        never runs ahead of the store.
         """
         record = StoredSession(
             session_id=live.session_id,
@@ -748,12 +709,11 @@ class RoundServer:
             owner=self._claim_token if status == ACTIVE else None,
         )
         try:
-            snapshot_json = self.store.save(record)
+            self.store.save(record)
         except Exception:
             self._sessions.pop(live.session_id, None)
             self._release(live.session_id)
             raise
-        live.saved = (record, snapshot_json)
 
     def _release(self, session_id: str) -> None:
         """Release our claim on a session that left memory, where the

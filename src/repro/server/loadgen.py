@@ -160,8 +160,8 @@ async def simulate_user(
     transcript.  With ``hop_every=k`` (1 or more, else ``ValueError``)
     the user parks (quit) after every ``k`` answered rounds and
     reconnects on a brand-new connection.  The quit's ``closed`` reply
-    is awaited before reconnecting: the park releases the session's
-    ownership claim, so the rebuild is guaranteed to find it released.
+    is awaited before reconnecting, so the reconnect reaches the server
+    after the quit.
     ``think_time`` sleeps before each answer batch, jittered ±50% when
     ``rng`` is given.
     """
@@ -202,8 +202,8 @@ async def simulate_user(
                 return result
             if hop_every is not None and answered_since_hop >= hop_every:
                 # Park, then resume: quit (awaiting the "closed" reply,
-                # which guarantees the claim release happened), drop the
-                # connection, reconnect fresh.
+                # so the reconnect comes after it), drop the connection,
+                # reconnect fresh.
                 writer.write(
                     json.dumps(
                         {"type": "quit", "session": result.session_id}

@@ -26,17 +26,15 @@ imposes two rules (DESIGN.md §2h):
   another connection's write lock and then fails with ``database is
   locked``, which the server turns into a recoverable error; the wait
   runs on the server's event loop, so it must stay short.
-* **Ownership is a claim token.**  A server that holds a session live in
-  memory owns its row (``owner`` column).  :meth:`claim` is an atomic
-  compare-and-swap: it succeeds on unowned rows (a parked session is
-  released property) and on rows whose owner token names a dead process
-  (a killed server cannot release; liveness is checked by pid), and
-  *rejects* rows live on another running server — the concurrent-claim
-  error the wire surfaces.  A server parks and releases (quit, eviction,
-  clean shutdown) before another may rebuild the session.  Its
-  conditional form claims a row only while it still holds exactly what
-  this server last saved there, which is how a server reuses a session
-  it parked warm without reading the row back.
+* **Ownership is a claim token.**  A server that holds a session in
+  memory, live or parked warm, owns its row (``owner`` column).
+  :meth:`claim` is an atomic compare-and-swap: it succeeds on unowned
+  (released) rows and on rows whose owner token names a dead process
+  (a killed server cannot release; liveness is checked by pid),
+  and *rejects* rows owned by another running server — the
+  concurrent-claim error the wire surfaces.  A server releases a
+  session when it leaves memory (idle eviction, a full warm table, a
+  fault, clean shutdown), and only then may another rebuild it.
 """
 
 from __future__ import annotations
@@ -185,18 +183,16 @@ class SessionStore:
     # ------------------------------------------------------------------
     # Persistence
     # ------------------------------------------------------------------
-    def save(self, record: StoredSession) -> str:
-        """Write-through one parked session; returns the snapshot JSON it
-        wrote, which a later conditional :meth:`claim` compares.
+    def save(self, record: StoredSession) -> None:
+        """Write-through one parked session.
 
-        The JSON is :meth:`SessionSnapshot.to_json
+        The snapshot is stored as :meth:`SessionSnapshot.to_json
         <repro.interactive.session.SessionSnapshot.to_json>`, the text of
         ``json.dumps(record.snapshot.to_dict())`` written without
         building the dicts.  An existing row is updated in place (an
         ``INSERT OR REPLACE`` would delete it and insert it again, index
         entries included).
         """
-        snapshot = record.snapshot.to_json()
         self.connection.execute(
             "INSERT INTO sessions VALUES (?, ?, ?, ?, ?, ?, ?, ?) "
             "ON CONFLICT(session_id) DO UPDATE SET "
@@ -211,11 +207,10 @@ class SessionStore:
                 record.status,
                 record.rounds,
                 record.questions,
-                snapshot,
+                record.snapshot.to_json(),
                 record.owner,
             ),
         )
-        return snapshot
 
     def load(self, session_id: str) -> StoredSession | None:
         """The parked session under ``session_id``, or ``None``."""
@@ -260,47 +255,15 @@ class SessionStore:
     # ------------------------------------------------------------------
     # Ownership handoff (§2h): claim tokens with dead-owner steal
     # ------------------------------------------------------------------
-    def claim(
-        self,
-        session_id: str,
-        owner: str,
-        unchanged: tuple[StoredSession, str] | None = None,
-    ) -> bool:
+    def claim(self, session_id: str, owner: str) -> bool:
         """Atomically claim a session for ``owner`` (a claim token).
 
-        Succeeds when the row is unowned (parked-and-released), already
-        ours (idempotent), or owned by a dead process (a killed server
-        can never release; its sessions must stay resumable).  Returns
-        ``False`` on an unknown session or one live on another running
+        Succeeds when the row is unowned (released), already ours
+        (idempotent), or owned by a dead process (a killed server can
+        never release; its sessions must stay resumable).  Returns
+        ``False`` on an unknown session or one owned by another running
         server — the caller surfaces that as the concurrent-claim error.
-
-        With ``unchanged``, a record this store saved and the JSON
-        :meth:`save` returned for it, the claim is one conditional
-        ``UPDATE``: it succeeds only on an active, unowned-or-ours row
-        that still holds that record's learner, ``n``, ``rounds``,
-        ``questions`` and snapshot text byte for byte.  It never steals;
-        on any other row it returns ``False`` and changes nothing.
         """
-        if unchanged is not None:
-            record, snapshot = unchanged
-            cursor = self.connection.execute(
-                "UPDATE sessions SET owner = ? "
-                "WHERE session_id = ? AND status = ? AND learner = ? "
-                "AND n = ? AND rounds = ? AND questions = ? "
-                "AND snapshot = ? AND (owner IS NULL OR owner = ?)",
-                (
-                    owner,
-                    session_id,
-                    ACTIVE,
-                    record.learner,
-                    record.n,
-                    record.rounds,
-                    record.questions,
-                    snapshot,
-                    owner,
-                ),
-            )
-            return bool(cursor.rowcount)
         cursor = self.connection.execute(
             "UPDATE sessions SET owner = ? "
             "WHERE session_id = ? AND (owner IS NULL OR owner = ?)",

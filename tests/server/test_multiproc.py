@@ -2,10 +2,8 @@
 
 Two in-process ``RoundServer`` instances, each with its own
 ``SessionStore`` connection to one file, on one event loop: a session
-live on one server is rejected by the other until it is parked, a clean
-close or an eviction releases the claim, and a server's warm parked
-session is reused only while the row still holds what that server
-wrote.
+in memory on one server, live or parked warm, is rejected by the other
+until an eviction or a clean close releases the claim.
 """
 
 from __future__ import annotations
@@ -106,68 +104,45 @@ class TestOwnershipHandoff:
     deterministically on one event loop."""
 
     def test_live_session_on_another_worker_is_rejected(self, store_path):
+        """B is refused a session live on A and still refused once A
+        parks it; it resumes the session by replay once A evicts it (the
+        first one) or closes (the second)."""
+        intents = [random_qhorn1(3, random.Random(seed)) for seed in (31, 32)]
+
         async def main():
-            store_a = SessionStore(store_path)
-            store_b = SessionStore(store_path)
-            a = RoundServer(store_a, worker_id="wa")
-            b = RoundServer(store_b, worker_id="wb")
-            await a.start()
-            await b.start()
-            reader_a, writer_a = await asyncio.open_connection(
-                "127.0.0.1", a.port
-            )
-            writer_a.write(b'{"type": "open", "n": 3}\n')
-            await writer_a.drain()
-            first = json.loads(await reader_a.readline())
-            sid = first["session"]
-            assert first["worker"] == "wa"
+            refused, users = [], []
+            async with two_servers(store_path) as (servers, (on_a, on_b)):
+                a, b = servers
+                for intent, release in zip(intents, ("evict", "close")):
+                    first = await ask(on_a, type="open", n=3)
+                    assert first["worker"] == "wa"
+                    sid = first["session"]
+                    refused.append(await ask(on_b, type="reconnect", session=sid))
+                    closed = await ask(on_a, type="quit", session=sid)
+                    assert closed["type"] == "closed"
+                    refused.append(await ask(on_b, type="reconnect", session=sid))
+                    if release == "evict":
+                        assert a.evict_idle(0.0) == 0  # warm: uncounted
+                    else:
+                        await a.close()
+                    message = await ask(on_b, type="reconnect", session=sid)
+                    assert message["worker"] == "wb"
+                    assert message["index"] == first["index"] == 0
+                    assert message["questions"] == first["questions"]
+                    user = UserResult(session_id=sid, intent=intent)
+                    while message["type"] == "round":
+                        message = await answer_round(on_b, message, user)
+                    users.append(user)
+                return refused, users, b.stats()
 
-            # Concurrent claim: the session is live on A, so B must
-            # reject the reconnect with a recoverable error...
-            reader_b, writer_b = await asyncio.open_connection(
-                "127.0.0.1", b.port
-            )
-            writer_b.write(
-                json.dumps({"type": "reconnect", "session": sid}).encode()
-                + b"\n"
-            )
-            await writer_b.drain()
-            rejected = json.loads(await reader_b.readline())
-
-            # ...until A parks it (quit releases the claim), after which
-            # B rebuilds it from the store and serves the same round.
-            writer_a.write(
-                json.dumps({"type": "quit", "session": sid}).encode()
-                + b"\n"
-            )
-            await writer_a.drain()
-            closed = json.loads(await reader_a.readline())
-            writer_b.write(
-                json.dumps({"type": "reconnect", "session": sid}).encode()
-                + b"\n"
-            )
-            await writer_b.drain()
-            resumed = json.loads(await reader_b.readline())
-
-            for writer in (writer_a, writer_b):
-                writer.close()
-            await a.close()
-            await b.close()
-            stats_b = b.stats()
-            store_a.close()
-            store_b.close()
-            return first, rejected, closed, resumed, stats_b
-
-        first, rejected, closed, resumed, stats_b = run(main())
-        assert rejected["type"] == "error"
-        assert "another worker" in rejected["message"]
-        assert closed["type"] == "closed"
-        assert resumed["type"] == "round"
-        assert resumed["worker"] == "wb"
-        assert resumed["questions"] == first["questions"]
-        assert resumed["index"] == first["index"]
-        assert stats_b["claims_rejected"] == 1
-        assert stats_b["sessions_resumed"] == stats_b["sessions_replayed"] == 1
+        refused, users, stats_b = run(main())
+        for rejected in refused:
+            assert rejected["type"] == "error"
+            assert "another worker" in rejected["message"]
+        for user in users:
+            assert_bit_identical(user)
+        assert stats_b["claims_rejected"] == len(refused) == 4
+        assert stats_b["sessions_resumed"] == stats_b["sessions_replayed"] == 2
 
     def test_clean_close_releases_every_claim(self, store_path):
         async def main():
@@ -213,108 +188,3 @@ class TestOwnershipHandoff:
         owned_before, owner_after = run(main())
         assert owned_before is not None
         assert owner_after is None
-
-
-class TestWarmParkedSessions:
-    """A server's warm parked session is reused only while the store row
-    still matches it; another server's progress forces a replay."""
-
-    def test_stale_warm_session_replays_the_other_workers_round(
-        self, store_path
-    ):
-        intent = random_qhorn1(3, random.Random(31))
-
-        async def main():
-            async with two_servers(store_path) as (servers, (on_a, on_b)):
-                first = await ask(on_a, type="open", n=3)
-                user = UserResult(session_id=first["session"], intent=intent)
-                sid = user.session_id
-                closed = await ask(on_a, type="quit", session=sid)
-                assert closed["type"] == "closed"
-                # B advances the row one round, then parks it.
-                resumed = await ask(on_b, type="reconnect", session=sid)
-                second = await answer_round(on_b, resumed, user)
-                await ask(on_b, type="quit", session=sid)
-                # A's warm session is a round behind the row: replay.
-                again = await ask(on_a, type="reconnect", session=sid)
-                message = again
-                while message["type"] == "round":
-                    message = await answer_round(on_a, message, user)
-            return first, resumed, second, again, user, servers
-
-        first, resumed, second, again, user, servers = run(main())
-        assert resumed["questions"] == first["questions"]
-        assert second["type"] == "round" and second["worker"] == "wb"
-        assert again["worker"] == "wa"
-        assert again["index"] == second["index"] == 1
-        assert again["questions"] == second["questions"]
-        assert_bit_identical(user)
-        a, b = (server.stats() for server in servers)
-        assert a["sessions_resumed"] == a["sessions_replayed"] == 1
-        assert b["sessions_resumed"] == b["sessions_replayed"] == 1
-
-    def test_reconnect_to_a_session_live_elsewhere_drops_the_warm_entry(
-        self, store_path
-    ):
-        intent = random_qhorn1(3, random.Random(31))
-
-        async def main():
-            seen = {}
-            async with two_servers(store_path) as (servers, (on_a, on_b)):
-                a = servers[0]
-                first = await ask(on_a, type="open", n=3)
-                user = UserResult(session_id=first["session"], intent=intent)
-                sid = user.session_id
-                await ask(on_a, type="quit", session=sid)
-                seen["parked"] = a.stats()
-                await ask(on_b, type="reconnect", session=sid)
-                seen["rejected"] = await ask(
-                    on_a, type="reconnect", session=sid
-                )
-                seen["after_rejection"] = a.stats()
-                # B parks it unchanged: the row matches what A parked,
-                # but A dropped its entry, so A replays.
-                await ask(on_b, type="quit", session=sid)
-                again = await ask(on_a, type="reconnect", session=sid)
-                message = again
-                while message["type"] == "round":
-                    message = await answer_round(on_a, message, user)
-                seen["finished"] = a.stats()
-            return first, again, user, seen
-
-        first, again, user, seen = run(main())
-        assert seen["parked"]["warm_sessions"] == 1
-        assert seen["rejected"]["type"] == "error"
-        assert "another worker" in seen["rejected"]["message"]
-        assert seen["after_rejection"]["warm_sessions"] == 0
-        assert again["questions"] == first["questions"]
-        assert again["index"] == first["index"] == 0
-        assert_bit_identical(user)
-        a = seen["finished"]
-        assert a["claims_rejected"] == 1
-        assert a["sessions_resumed"] == a["sessions_replayed"] == 1
-
-    def test_reconnect_to_a_session_finished_elsewhere_drops_the_warm_entry(
-        self, store_path
-    ):
-        intent = random_qhorn1(3, random.Random(31))
-
-        async def main():
-            async with two_servers(store_path) as (servers, (on_a, on_b)):
-                a = servers[0]
-                first = await ask(on_a, type="open", n=3)
-                user = UserResult(session_id=first["session"], intent=intent)
-                sid = user.session_id
-                await ask(on_a, type="quit", session=sid)
-                message = await ask(on_b, type="reconnect", session=sid)
-                while message["type"] == "round":
-                    message = await answer_round(on_b, message, user)
-                rejected = await ask(on_a, type="reconnect", session=sid)
-                return rejected, user, a.stats()
-
-        rejected, user, a = run(main())
-        assert_bit_identical(user)
-        assert rejected["type"] == "error"
-        assert "already finished" in rejected["message"]
-        assert a["warm_sessions"] == 0
-        assert a["sessions_resumed"] == 0

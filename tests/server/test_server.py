@@ -783,19 +783,26 @@ def count_calls(monkeypatch, owner, name):
 
 
 class TestWarmParkedSessions:
-    """quit keeps the parked session warm on its server; a reconnect
-    reuses it only while the stored row still matches it exactly, and
-    replays the log otherwise (``sessions_replayed`` tells which)."""
+    """quit keeps the parked session warm on its server, still claimed,
+    and a reconnect there reuses it as it is; a session that left memory
+    is released and replays from the store (``sessions_replayed``)."""
 
     def test_same_worker_reconnect_reuses_the_warm_session(
         self, monkeypatch
     ):
-        """Every reconnect is one conditional claim: the row is never
-        read back, parsed or replayed."""
+        """A quit and the reconnect after it make no store call: the row
+        is never claimed, released, written, read back, parsed or
+        replayed."""
         replays = count_calls(monkeypatch, LearningSession, "resume")
-        loads = count_calls(monkeypatch, SessionStore, "load")
         parses = count_calls(monkeypatch, SessionSnapshot, "from_dict")
+        store_calls = {
+            name: count_calls(monkeypatch, SessionStore, name)
+            for name in ("claim", "release", "save", "load")
+        }
         target = random_qhorn1(3, random.Random(31))
+
+        def counts():
+            return {name: len(calls) for name, calls in store_calls.items()}
 
         async def main():
             with SessionStore() as store:
@@ -808,10 +815,13 @@ class TestWarmParkedSessions:
                 while message["type"] == "round":
                     # Park after every round, then reconnect.
                     sid = message["session"]
+                    before = counts()
                     await client.send(type="quit", session=sid)
                     assert (await client.recv())["type"] == "closed"
                     await client.send(type="reconnect", session=sid)
                     again = await client.recv()
+                    assert counts() == before
+                    assert store.owner_of(sid) is not None
                     hops += 1
                     assert again["index"] == message["index"]
                     assert again["questions"] == message["questions"]
@@ -828,30 +838,32 @@ class TestWarmParkedSessions:
         finished, wire, hops, stats = run(main())
         assert_bit_identical(finished, wire, target)
         assert hops > 1
-        assert replays == loads == parses == []
+        assert replays == parses == []
+        for name in ("claim", "release", "load"):
+            assert store_calls[name] == [], name
         assert stats["sessions_resumed"] == hops
         assert stats["sessions_replayed"] == 0
         assert finished["metering"]["resumes"] == 1
 
-    #: Each way the parked row can differ from what this server last
-    #: wrote (an SQL edit behind its back), and what the reconnect must
-    #: then do: (reply index or error text, resumed, replayed, claims
-    #: rejected, the live meter's rounds and questions).
+    #: Each way a released row can differ from what this server last
+    #: wrote (an SQL edit once the session left memory), and what the
+    #: reconnect must then do: (reply index or error text, resumed,
+    #: replayed, claims rejected, the live meter's rounds and
+    #: questions).
     ROW_CHANGES = {
-        # Same log, other bytes: parsed equal, so the warm session is
-        # reused with no replay.
+        # Same log, other bytes: parsed equal, replayed as usual.
         "snapshot text": (
             "UPDATE sessions SET snapshot = replace(snapshot, ', ', ',')",
-            (1, 1, 0, 0, (2, 3)),
+            (1, 1, 1, 0, (2, 3)),
         ),
-        # Counters come from the row; the warm session is reused.
+        # Counters come from the row.
         "rounds": (
             "UPDATE sessions SET rounds = rounds + 3",
-            (4, 1, 0, 0, (5, 3)),
+            (4, 1, 1, 0, (5, 3)),
         ),
         "questions": (
             "UPDATE sessions SET questions = questions + 3",
-            (1, 1, 0, 0, (2, 6)),
+            (1, 1, 1, 0, (2, 6)),
         ),
         # Another learner's replay of the log diverges from it.
         "learner": (
@@ -870,18 +882,18 @@ class TestWarmParkedSessions:
             f"UPDATE sessions SET owner = '{owner_token('elsewhere')}'",
             ("live on another worker", 0, 0, 1, None),
         ),
-        # A dead pid's claim is stolen; the log still matches.
+        # A dead pid's claim is stolen.
         "dead owner": (
             "UPDATE sessions SET owner = '0.dead'",
-            (1, 1, 0, 0, (2, 3)),
+            (1, 1, 1, 0, (2, 3)),
         ),
     }
 
     @pytest.mark.parametrize("change", sorted(ROW_CHANGES))
     def test_changed_row_takes_the_general_path(self, change, monkeypatch):
-        """A row that differs in any way from what this server wrote
-        fails the conditional claim and is loaded, claimed and compared
-        as before: reused, replayed, stolen or refused."""
+        """Once the parked session is evicted, its row is the whole
+        truth: a row edited in any way is loaded, claimed and replayed
+        as it stands, stolen or refused."""
         statement, expected = self.ROW_CHANGES[change]
         target = random_qhorn1(3, random.Random(31))
 
@@ -898,6 +910,7 @@ class TestWarmParkedSessions:
                 parked = await client.recv()
                 await client.send(type="quit", session=sid)
                 assert (await client.recv())["type"] == "closed"
+                server.evict_idle(0.0)
                 store.connection.execute(statement)
                 loads = count_calls(monkeypatch, SessionStore, "load")
                 await client.send(type="reconnect", session=sid)
@@ -926,8 +939,8 @@ class TestWarmParkedSessions:
         assert loads == 1
 
     def test_rewritten_row_replays_to_the_corrected_round(self):
-        """A correction rewrites the parked row to a shorter log: the
-        warm session no longer matches, and the reconnect replays to the
+        """Once the parked session is evicted, a correction may rewrite
+        its row to a shorter log, and the reconnect replays to the
         corrected round."""
         target = random_qhorn1(3, random.Random(31))
 
@@ -951,6 +964,8 @@ class TestWarmParkedSessions:
                 assert (await client.recv())["type"] == "round"
                 await client.send(type="quit", session=sid)
                 assert (await client.recv())["type"] == "closed"
+                server.evict_idle(0.0)
+                assert store.owner_of(sid) is None
                 # Rewrite the row back to the second round's log.
                 store.save(
                     StoredSession(
@@ -1039,6 +1054,40 @@ class TestWarmParkedSessions:
         assert seen["finished"]["sessions_replayed"] == 1 + len(targets)
         assert seen["before_close"]["warm_sessions"] == 1
         assert seen["closed"]["warm_sessions"] == 0
+
+    def test_every_drop_from_memory_releases_the_claim(self, monkeypatch):
+        """A parked session keeps its claim while it is warm; a full
+        table, evict_idle and close() each release what they drop."""
+        monkeypatch.setattr(server_core, "WARM_SESSIONS", 2)
+        with SessionStore() as store:
+            server = RoundServer(store)
+
+            def open_one():
+                (first,) = handle_line(server, '{"type": "open", "n": 3}')
+                return first["session"]
+
+            def park(sid):
+                (closed,) = handle_line(
+                    server, json.dumps({"type": "quit", "session": sid})
+                )
+                assert closed["type"] == "closed"
+
+            def claimed(sids):
+                return [store.owner_of(sid) is not None for sid in sids]
+
+            overflow = [open_one() for _ in range(3)]
+            for sid in overflow:
+                park(sid)
+            assert claimed(overflow) == [False, True, True]
+            assert server.evict_idle(0.0) == 0
+            assert claimed(overflow) == [False, False, False]
+            parked, live = [open_one() for _ in range(2)], open_one()
+            for sid in parked:
+                park(sid)
+            assert claimed([*parked, live]) == [True, True, True]
+            run(server.close())
+            assert claimed([*parked, live]) == [False, False, False]
+            assert server.stats()["claims_rejected"] == 0
 
 
 class TestRestartDurability:

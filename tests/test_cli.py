@@ -412,6 +412,9 @@ class TestServeCommand:
             assert "shut down clean" in proc.stderr.read()
         finally:
             proc.kill()
+            proc.wait(timeout=30)
+            proc.stdout.close()
+            proc.stderr.close()
 
 
 class TestServeLimits:
