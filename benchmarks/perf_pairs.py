@@ -17,7 +17,8 @@ host a concurrent job skews whichever side it overlaps.
 Per workload it prints one line per run (side, seed, exit code, failed
 operations, correctness and the metric values), then whether every run
 exited 0 with every answer correct and whether ``rounds_per_op`` and
-``items_per_op`` repeat per seed.  Per metric it prints each side's
+``items_per_op`` repeat per seed (``n/a`` on engine-scan, whose
+``items_per_op`` averages over however many queries a run finished).  Per metric it prints each side's
 median and quartiles, the change in the median, the pairs the change won
 (a tie counts for neither side) and a verdict:
 
@@ -55,6 +56,14 @@ from pathlib import Path
 from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parents[1]
+#: Workloads whose counts a seed does not fix, and why: their per-seed
+#: repeat line reads ``n/a``.
+UNREPEATED_COUNTS = {
+    "engine-scan": (
+        "items_per_op is the mean answers per query over the queries a "
+        "timed run finished"
+    ),
+}
 #: A claim needs at least this many pairs ...
 MIN_PAIRS = 10
 #: ... and wins in at least this share of them.
@@ -234,7 +243,11 @@ def report(workload: str, runs: list[Run], metrics: list[dict]) -> list[str]:
             f"{100 * s.delta:+7.1f}%  {s.wins:>2d}/{s.pairs}  {s.verdict}"
         )
     counted = ("rounds_per_op", "items_per_op")
-    if all(name in r.metrics for r in runs for name in counted):
+    if workload in UNREPEATED_COUNTS:
+        lines.append(
+            f"rounds/items identical per seed: n/a ({UNREPEATED_COUNTS[workload]})"
+        )
+    elif all(name in r.metrics for r in runs for name in counted):
         same = all(
             p.metrics[name] == c.metrics[name]
             for p, c in zip(parent, change)

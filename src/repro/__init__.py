@@ -47,7 +47,6 @@ from repro.oracle import (
 )
 from repro.protocol import (
     Finished,
-    LearnerProtocol,
     Round,
     drive,
 )
@@ -66,7 +65,6 @@ __all__ = [
     "Qhorn1Learner",
     "Qhorn1Result",
     "Finished",
-    "LearnerProtocol",
     "Round",
     "Question",
     "QueryOracle",

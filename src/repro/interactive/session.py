@@ -9,10 +9,12 @@ corrected prefix is replayed (learners are deterministic given responses),
 and live answering resumes after it.
 
 The session runs on the sans-io step protocol (DESIGN.md §2e) and is a
-*resumable service*: :meth:`LearningSession.step` /
+*resumable service*: it steps the learner's generator itself, checking
+and recording each answer batch and counting the rounds
+(:attr:`LearningSession.rounds`), and :meth:`~LearningSession.step` /
 :meth:`~LearningSession.feed` expose the learner's rounds directly (no
 oracle required — a server forwards rounds to a remote user and feeds the
-labels back), :meth:`~LearningSession.snapshot` parks the session as a
+labels back).  :meth:`~LearningSession.snapshot` parks the session as a
 serializable replay log, and :meth:`~LearningSession.resume` replays that
 log through a fresh learner to the exact parked round.  Because learners
 are deterministic given responses, the transcript *is* the session state —
@@ -36,12 +38,7 @@ from repro.core.tuples import Question
 from repro.interactive.transcript import Transcript
 from repro.oracle.base import MembershipOracle, QueryOracle
 from repro.oracle.noisy import NoisyOracle, ReplayOracle
-from repro.protocol.core import (
-    Finished,
-    LearnerProtocol,
-    ProtocolError,
-    Round,
-)
+from repro.protocol.core import Finished, ProtocolError, Round, Steps
 from repro.protocol.drivers import answer_round
 from repro.protocol.wire import (
     encode_payloads,
@@ -235,9 +232,11 @@ class LearningSession:
         self.renderer = renderer
         self._n = n
         # Step-driven state (None until start()/resume()).
-        self._protocol: LearnerProtocol | None = None
+        self._steps: Steps | None = None
         self.transcript: Transcript = Transcript()
         self._event: Round | Finished | None = None
+        #: Rounds the learner has asked so far, the pending one included.
+        self.rounds = 0
         self._result: SessionResult | None = None
         self._restarts = 0
         # The pending round's questions as JSON text (None until asked
@@ -299,7 +298,7 @@ class LearningSession:
         """Begin the step-driven dialogue: run the learner to its first
         round.  The session owns a live transcript; answers arrive via
         :meth:`feed`."""
-        if self._protocol is not None:
+        if self._steps is not None:
             raise ProtocolError("session already started")
         learner = self.learner_factory(_ConstructionOracle(self.n))
         steps = getattr(learner, "steps", None)
@@ -308,15 +307,15 @@ class LearningSession:
                 f"{type(learner).__name__} is not a sans-io learner "
                 "(no steps() method)"
             )
-        self._protocol = LearnerProtocol(steps())
+        self._steps = steps()
         self.transcript = Transcript()
-        return self._absorb(self._protocol.start())
+        return self._advance(None)
 
     def step(self) -> Round | Finished:
         """The pending event: what the learner needs next.  Starts the
         dialogue on first call; afterwards returns the unanswered round
         (or the terminal :class:`Finished`) without advancing."""
-        if self._protocol is None:
+        if self._steps is None:
             return self.start()
         if self._event is None:  # pragma: no cover - defensive
             raise ProtocolError("session has no pending event")
@@ -329,31 +328,44 @@ class LearningSession:
         transcript in question order — the positional replay log that
         :meth:`snapshot`/:meth:`resume` park and restore.
         """
-        if self._protocol is None:
-            raise ProtocolError("feed() before start()")
-        pending = self._protocol.pending
-        if pending is None:
-            raise ProtocolError("no pending round to feed")
+        pending = self._event
+        if not isinstance(pending, Round):
+            raise ProtocolError(
+                "feed() before start()"
+                if self._steps is None
+                else "no pending round to feed"
+            )
         if len(answers) != len(pending.questions):
             raise ProtocolError(
                 f"pending round has {len(pending.questions)} questions, "
                 f"got {len(answers)} answers"
             )
-        for question, answer in zip(pending.questions, answers):
-            self.transcript.record(question, bool(answer), self.renderer)
-        return self._absorb(self._protocol.feed(answers))
+        coerced = [bool(a) for a in answers]
+        for question, answer in zip(pending.questions, coerced):
+            self.transcript.record(question, answer, self.renderer)
+        return self._advance(coerced)
 
-    def _absorb(self, event: Round | Finished) -> Round | Finished:
-        self._event = event
-        self._pending_json = None
-        if isinstance(event, Finished):
-            result = event.result
+    def _advance(self, answers: list[bool] | None) -> Round | Finished:
+        """Run the learner to its next round, or to its result."""
+        try:
+            event = self._steps.send(answers)
+        except StopIteration as stop:
+            event = Finished(stop.value)
             self._result = SessionResult(
-                query=result.query,  # type: ignore[attr-defined]
+                query=stop.value.query,
                 transcript=self.transcript,
-                learner_result=result,
+                learner_result=stop.value,
                 restarts=self._restarts,
             )
+        else:
+            if not isinstance(event, Round):
+                raise ProtocolError(
+                    f"step generator yielded {type(event).__name__}, "
+                    "expected a Round"
+                )
+            self.rounds += 1
+        self._event = event
+        self._pending_json = None
         return event
 
     @property
@@ -361,12 +373,14 @@ class LearningSession:
         """The pending round's questions as JSON text (``null`` once the
         dialogue finished): :func:`~repro.protocol.wire.encode_payloads`,
         run once per round."""
-        if self._protocol is None:
+        if self._steps is None:
             raise ProtocolError("pending_json before start()")
         if self._pending_json is None:
-            pending = self._protocol.pending
+            pending = self._event
             self._pending_json = (
-                "null" if pending is None else encode_payloads(pending.questions)
+                encode_payloads(pending.questions)
+                if isinstance(pending, Round)
+                else "null"
             )
         return self._pending_json
 
@@ -391,13 +405,15 @@ class LearningSession:
         :meth:`SessionSnapshot.to_dict` — so a server can serialize it
         between user answers.
         """
-        if self._protocol is None:
+        if self._steps is None:
             raise ProtocolError("snapshot() before start()")
-        pending = self._protocol.pending
+        pending = self._event
         return SessionSnapshot(
             n=self.n,
             responses=self.transcript.responses(),
-            pending=None if pending is None else list(pending.questions),
+            pending=(
+                list(pending.questions) if isinstance(pending, Round) else None
+            ),
             restarts=self._restarts,
         )
 
@@ -407,7 +423,7 @@ class LearningSession:
         responses).  Returns the pending round — verified against the
         snapshot's, if it pinned one — and the session continues with
         :meth:`feed` as if it had never been parked."""
-        if self._protocol is not None:
+        if self._steps is not None:
             raise ProtocolError("resume() needs a fresh session")
         if snapshot.n != self.n:
             raise SnapshotError(

@@ -55,7 +55,7 @@ class NaiveQhorn1Learner:
 
     def learn(self) -> Qhorn1Result:
         """Drive :meth:`steps` to the end, answering with the oracle."""
-        return drive(self, self.oracle)
+        return drive(self.steps(), self.oracle)
 
     def steps(self) -> Steps:
         """The learner as a sans-io step generator (DESIGN.md §2e)."""
@@ -206,7 +206,7 @@ class BruteForceLearner:
 
     def learn(self) -> QhornQuery:
         """Drive :meth:`steps` to the end, answering with the oracle."""
-        return drive(self, self.oracle)
+        return drive(self.steps(), self.oracle)
 
     def steps(self) -> Steps:
         remaining = list(self.candidates)
@@ -260,7 +260,7 @@ class HeadPairLearner:
 
     def learn(self) -> tuple[int, int]:
         """Drive :meth:`steps` to the end, answering with the oracle."""
-        return drive(self, self.oracle)
+        return drive(self.steps(), self.oracle)
 
     def steps(self) -> Steps:
         block_size = max(1, self.c // 2)

@@ -66,7 +66,7 @@ class ExpressionLearner:
 
     def learn(self) -> ExpressionLearnerResult:
         """Drive :meth:`steps` to the end, answering with the oracle."""
-        return drive(self, self.oracle)
+        return drive(self.steps(), self.oracle)
 
     # -- question predicates (step generators) --------------------------
     def _requires_implication(self, body: Iterable[int], head: int) -> Steps:

@@ -109,7 +109,7 @@ class PacLearner:
 
     def learn(self) -> PacResult:
         """Drive :meth:`steps` to the end, answering with the oracle."""
-        return drive(self, self.oracle)
+        return drive(self.steps(), self.oracle)
 
     def steps(self) -> Steps:
         """The learner as a sans-io step generator (DESIGN.md §2e)."""

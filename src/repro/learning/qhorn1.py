@@ -149,7 +149,7 @@ class Qhorn1Learner:
     # -- learning tasks -----------------------------------------------------
     def learn(self) -> Qhorn1Result:
         """Drive :meth:`steps` to the end, answering with the oracle."""
-        return drive(self, self.oracle)
+        return drive(self.steps(), self.oracle)
 
     def steps(self) -> Steps:
         """The learner as a sans-io step generator (DESIGN.md §2e)."""

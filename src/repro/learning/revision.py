@@ -71,7 +71,7 @@ class QueryReviser:
     # ------------------------------------------------------------------
     def revise(self) -> RevisionResult:
         """Drive :meth:`steps` to the end, answering with the oracle."""
-        return drive(self, self.oracle)
+        return drive(self.steps(), self.oracle)
 
     def learn(self) -> RevisionResult:
         """Learner-shaped alias for :meth:`revise`, so revisers drop into

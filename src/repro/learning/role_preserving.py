@@ -104,7 +104,7 @@ class RolePreservingLearner:
     # ------------------------------------------------------------------
     def learn(self) -> RolePreservingResult:
         """Drive :meth:`steps` to the end, answering with the oracle."""
-        return drive(self, self.oracle)
+        return drive(self.steps(), self.oracle)
 
     def steps(self) -> Steps:
         """The learner as a sans-io step generator (DESIGN.md §2e)."""

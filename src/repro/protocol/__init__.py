@@ -1,12 +1,14 @@
 """Sans-io learner protocol: rounds out, answers in (DESIGN.md §2e).
 
 * :mod:`repro.protocol.core` — :class:`Round` / :class:`Finished` events,
-  the :class:`LearnerProtocol` state machine, the ``ask_one`` /
-  ``ask_round`` yield-point helpers step-driven learners are written with,
-  and ``ask_parallel``, which runs independent step generators (and their
-  :class:`Fork` hand-offs) in shared rounds.
-* :mod:`repro.protocol.drivers` — the synchronous driver: one
-  ``oracle.ask_many`` call per round.
+  the ``ask_one`` / ``ask_round`` yield-point helpers step-driven learners
+  are written with, and ``ask_parallel``, which runs independent step
+  generators (and their :class:`Fork` hand-offs) in shared rounds.
+* :mod:`repro.protocol.drivers` — the synchronous driver: ``drive``
+  steps one generator, answering each round with one
+  ``oracle.ask_many`` call.  The other stepper is
+  :class:`~repro.interactive.session.LearningSession`, which takes its
+  answers from ``feed``.
 * :mod:`repro.protocol.wire` — question payloads and answer batches as
   JSON data, and a round's payloads as JSON text; :mod:`repro.server`
   serves rounds with them.
@@ -15,10 +17,8 @@
 from repro.protocol.core import (
     Finished,
     Fork,
-    LearnerProtocol,
     ProtocolError,
     Round,
-    as_protocol,
     ask_one,
     ask_parallel,
     ask_round,
@@ -34,11 +34,9 @@ from repro.protocol.wire import (
 __all__ = [
     "Finished",
     "Fork",
-    "LearnerProtocol",
     "ProtocolError",
     "Round",
     "answer_round",
-    "as_protocol",
     "ask_one",
     "ask_parallel",
     "ask_round",

@@ -4,14 +4,15 @@ The paper's dialogues are turn-based — the learner shows the user a batch
 of membership questions, the user labels them, repeat (Abouzied et al.,
 PODS 2013).  This module makes those *rounds* the API surface instead of
 an implementation detail buried in call stacks: a learner is a generator
-of :class:`Round` objects that receives the answers at each ``yield``,
-and :class:`LearnerProtocol` wraps that generator behind
-``start() -> Round | Finished`` / ``feed(answers) -> Round | Finished``.
+of :class:`Round` objects that receives the answers at each ``yield``
+and returns its result.
 
-Nothing in this module performs I/O or touches an oracle.  The driver
-lives in :mod:`repro.protocol.drivers` (one ``ask_many`` call per
-membership round); :class:`~repro.interactive.session.LearningSession`
-builds parking and snapshot/resume on top, and
+Nothing in this module performs I/O or touches an oracle.  Two callers
+step a learner's generator: :func:`~repro.protocol.drivers.drive` (one
+``ask_many`` call per membership round), and
+:class:`~repro.interactive.session.LearningSession`, whose
+``start() -> Round | Finished`` / ``feed(answers) -> Round | Finished``
+take answers from anywhere and add parking and snapshot/resume;
 :class:`~repro.server.RoundServer` serves remote answerers with it.
 
 Writing a step-driven learner
@@ -49,8 +50,6 @@ __all__ = [
     "Round",
     "Finished",
     "ProtocolError",
-    "LearnerProtocol",
-    "as_protocol",
     "ask_one",
     "ask_round",
     "ask_parallel",
@@ -198,96 +197,3 @@ def ask_parallel(branches: Iterable[Steps]) -> Steps:
             advance(branch, answers[position : position + size])
             position += size
     return results
-
-
-class LearnerProtocol:
-    """State machine over a learner's step generator.
-
-    ``start()`` runs the learner to its first round; each ``feed(answers)``
-    supplies the pending round's labels and runs to the next round (or to
-    :class:`Finished`).  The protocol object never touches an oracle — the
-    caller decides where answers come from, which is what lets one learner
-    body serve the synchronous driver and parked/resumed server
-    sessions.
-    """
-
-    def __init__(self, steps: Steps) -> None:
-        self._gen = steps
-        self._started = False
-        self._event: Round | Finished | None = None
-        #: Rounds emitted so far (including the pending one).
-        self.rounds = 0
-        #: Questions answered via :meth:`feed` so far.
-        self.questions_answered = 0
-
-    # -- state ---------------------------------------------------------
-    @property
-    def pending(self) -> Round | None:
-        """The unanswered round, if the learner is waiting on one."""
-        return self._event if isinstance(self._event, Round) else None
-
-    @property
-    def finished(self) -> bool:
-        return isinstance(self._event, Finished)
-
-    @property
-    def result(self) -> Any:
-        if not isinstance(self._event, Finished):
-            raise ProtocolError("learner has not finished")
-        return self._event.result
-
-    # -- transitions ---------------------------------------------------
-    def start(self) -> Round | Finished:
-        """Run the learner to its first round (or straight to the result)."""
-        if self._started:
-            raise ProtocolError("protocol already started")
-        self._started = True
-        return self._advance(lambda: next(self._gen))
-
-    def feed(self, answers: Sequence[bool]) -> Round | Finished:
-        """Answer the pending round and run to the next event."""
-        pending = self.pending
-        if pending is None:
-            raise ProtocolError(
-                "no pending round to feed"
-                if self._started
-                else "feed() before start()"
-            )
-        if len(answers) != len(pending.questions):
-            raise ProtocolError(
-                f"pending round has {len(pending.questions)} questions, "
-                f"got {len(answers)} answers"
-            )
-        coerced = [bool(a) for a in answers]
-        self.questions_answered += len(coerced)
-        return self._advance(lambda: self._gen.send(coerced))
-
-    def _advance(self, step) -> Round | Finished:
-        try:
-            event = step()
-        except StopIteration as stop:
-            self._event = Finished(stop.value)
-            return self._event
-        if not isinstance(event, Round):
-            raise ProtocolError(
-                f"step generator yielded {type(event).__name__}, "
-                "expected a Round"
-            )
-        self._event = event
-        self.rounds += 1
-        return event
-
-
-def as_protocol(learner: Any) -> LearnerProtocol:
-    """Coerce a learner object, step generator, or protocol to a protocol."""
-    if isinstance(learner, LearnerProtocol):
-        return learner
-    steps = getattr(learner, "steps", None)
-    if callable(steps):
-        return LearnerProtocol(steps())
-    if isinstance(learner, Generator):
-        return LearnerProtocol(learner)
-    raise TypeError(
-        f"cannot drive {type(learner).__name__}: expected a LearnerProtocol, "
-        "a step generator, or an object with a steps() method"
-    )

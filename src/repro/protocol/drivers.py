@@ -2,8 +2,9 @@
 
 :func:`answer_round` answers one round with one ``oracle.ask_many`` call
 (or, for expression questions, one expression-oracle call per question);
-:func:`drive` runs a learner to completion that way.  The learners'
-public ``learn()`` methods are ``drive(self, self.oracle)``.
+:func:`drive` runs a step generator to completion that way.  The
+learners' public ``learn()`` methods are ``drive(self.steps(),
+self.oracle)``.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 from typing import Any
 
 from repro.oracle.expression import ExpressionQuestion
-from repro.protocol.core import Finished, Round, as_protocol
+from repro.protocol.core import ProtocolError, Round, Steps
 
 __all__ = ["answer_round", "drive"]
 
@@ -30,15 +31,28 @@ def answer_round(oracle: Any, round_: Round) -> list[bool]:
     return oracle.ask_many(questions)
 
 
-def drive(learner: Any, oracle: Any) -> Any:
-    """Run a step-driven learner to completion against ``oracle``.
+def drive(steps: Steps, oracle: Any) -> Any:
+    """Run a step generator to completion against ``oracle``, one
+    :func:`answer_round` per round, and return its result.
 
-    ``learner`` may be an object with ``steps()``, a step generator, or a
-    :class:`~repro.protocol.core.LearnerProtocol`.  Returns the learner's
-    result.
+    The oracle is the user, so what it returns is checked: a round must
+    get one answer per question, and each answer is coerced to ``bool``.
+    A yield that is not a :class:`Round` is a :class:`ProtocolError`.
     """
-    protocol = as_protocol(learner)
-    event = protocol.start()
-    while not isinstance(event, Finished):
-        event = protocol.feed(answer_round(oracle, event))
-    return event.result
+    answers: list[bool] | None = None
+    while True:
+        try:
+            round_ = steps.send(answers)
+        except StopIteration as stop:
+            return stop.value
+        if not isinstance(round_, Round):
+            raise ProtocolError(
+                f"step generator yielded {type(round_).__name__}, "
+                "expected a Round"
+            )
+        answers = [bool(a) for a in answer_round(oracle, round_)]
+        if len(answers) != len(round_.questions):
+            raise ProtocolError(
+                f"round of {len(round_.questions)} questions got "
+                f"{len(answers)} answers"
+            )

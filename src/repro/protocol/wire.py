@@ -68,14 +68,16 @@ def encode_payloads(questions: Iterable[Any]) -> str:
 
 
 def decode_answers(message: dict[str, Any]) -> list[bool]:
-    """Validate and coerce the ``"answers"`` payload of a wire message.
+    """Validate the ``"answers"`` payload of a wire message.
 
     Malformed clients are a protocol condition, not a server crash: a
     message with no ``"answers"`` key must not silently become an empty
-    batch, and a non-list value (``"answers": true``, a string, an
-    object…) must not surface as a ``TypeError`` in a comprehension.
-    Both raise :class:`~repro.protocol.core.ProtocolError`, which every
-    server loop converts into a recoverable ``{"type": "error"}`` line.
+    batch, a non-list value (``"answers": true``, a string, an object…)
+    must not surface as a ``TypeError`` in a comprehension, and an
+    element that is not a JSON boolean (``"false"``, ``0``, ``null``)
+    must not be read by its truthiness.  Each raises
+    :class:`~repro.protocol.core.ProtocolError`, which the server
+    converts into a recoverable ``{"type": "error"}`` line.
     """
     if "answers" not in message:
         raise ProtocolError('answers message has no "answers" key')
@@ -85,7 +87,13 @@ def decode_answers(message: dict[str, Any]) -> list[bool]:
             f'"answers" must be a list of booleans, '
             f"got {type(answers).__name__}"
         )
-    return [bool(a) for a in answers]
+    for index, answer in enumerate(answers):
+        if not isinstance(answer, bool):
+            raise ProtocolError(
+                f'"answers" must be a list of booleans, got '
+                f"{type(answer).__name__} at index {index}"
+            )
+    return answers
 
 
 def payload_from_dict(data: dict[str, Any]) -> Question | ExpressionQuestion:

@@ -13,13 +13,12 @@
   so ``python -m repro.server.loadgen`` runs the module once.
 """
 
-from repro.server.core import LEARNERS, RoundServer, SessionMeter
+from repro.server.core import LEARNERS, RoundServer
 from repro.server.store import SessionStore, StoredSession
 
 __all__ = [
     "LEARNERS",
     "RoundServer",
-    "SessionMeter",
     "SessionStore",
     "StoredSession",
 ]

@@ -34,8 +34,10 @@ server → client
         message rebuilds it from its last durable round
 
 Rounds are the billable unit of user interaction (Drachsler-Cohen et
-al.; Bshouty et al. — see PAPERS.md): every session carries per-round
-metering counters that ride along in the ``finished`` summary.
+al.; Bshouty et al. — see PAPERS.md): the ``finished`` summary's
+``metering`` carries the dialogue's rounds and questions, which the
+session counts from its answer log, and the errors and resumes since the
+session last came into memory.
 
 Each connection is one :class:`asyncio.Protocol`: it splits the bytes
 it receives into lines and writes each line's reply from the same
@@ -81,10 +83,11 @@ import sqlite3
 import time
 import uuid
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Mapping
 
 from repro.core.serialize import query_to_dict
+from repro.core.tuples import MAX_VARIABLES
 from repro.interactive.session import LearningSession
 from repro.learning import Qhorn1Learner, RolePreservingLearner
 from repro.protocol.core import Finished, ProtocolError, Round
@@ -97,7 +100,7 @@ from repro.server.store import (
     owner_token,
 )
 
-__all__ = ["LEARNERS", "SessionMeter", "RoundServer"]
+__all__ = ["LEARNERS", "RoundServer"]
 
 _log = logging.getLogger(__name__)
 
@@ -146,7 +149,7 @@ def _line(message: dict[str, Any]) -> str:
     return json.dumps(message) + "\n"
 
 
-def finished_to_dict(session: LearningSession, rounds: int) -> dict[str, Any]:
+def finished_to_dict(session: LearningSession) -> dict[str, Any]:
     """The wire form of the terminal summary, before session framing and
     metering."""
     result = session.result
@@ -155,7 +158,7 @@ def finished_to_dict(session: LearningSession, rounds: int) -> dict[str, Any]:
         "query": result.query.shorthand(),
         "query_json": query_to_dict(result.query),
         "questions": result.questions_asked,
-        "rounds": rounds,
+        "rounds": session.rounds,
         "restarts": result.restarts,
     }
 
@@ -169,31 +172,18 @@ def _now() -> float:
 
 
 @dataclass
-class SessionMeter:
-    """Per-session interaction metering (rounds are the billable unit)."""
-
-    rounds: int = 0
-    questions: int = 0
-    errors: int = 0
-    resumes: int = 0
-
-    def to_dict(self) -> dict[str, int]:
-        return {
-            "rounds": self.rounds,
-            "questions": self.questions,
-            "errors": self.errors,
-            "resumes": self.resumes,
-        }
-
-
-@dataclass
 class _LiveSession:
-    """One in-memory dialogue: the session plus its server bookkeeping."""
+    """One in-memory dialogue: the session plus its server bookkeeping.
+
+    The session counts the dialogue's rounds and questions (its log fixes
+    both); ``errors`` and ``resumes`` count since it last came into
+    memory."""
 
     session_id: str
     learner: str
     session: LearningSession
-    meter: SessionMeter = field(default_factory=SessionMeter)
+    errors: int = 0
+    resumes: int = 0
     last_used: float = 0.0
 
 
@@ -535,7 +525,7 @@ class RoundServer:
         except ProtocolError as error:
             live = self._sessions.get(session_id or "")
             if live is not None:
-                live.meter.errors += 1
+                live.errors += 1
             return self._error(str(error), session_id)
         except sqlite3.Error as error:
             # Nothing live ran ahead of the store (see _persist): the
@@ -561,6 +551,11 @@ class RoundServer:
         n = message.get("n")
         if isinstance(n, bool) or not isinstance(n, int) or n < 1:
             return self._error('"open" needs a positive integer "n"')
+        if n > MAX_VARIABLES:
+            return self._error(
+                f'"open" over n={n} variables; membership questions hold '
+                f"1..{MAX_VARIABLES}"
+            )
         learner = message.get("learner", DEFAULT_LEARNER)
         # A non-string learner (a JSON list or object) is unhashable:
         # answer it like any other unknown name.
@@ -672,16 +667,13 @@ class RoundServer:
             self.store.release(session_id, self._claim_token)
             raise
         self.sessions_replayed += 1
-        meter = SessionMeter(rounds=record.rounds, questions=record.questions)
-        return self._resumed(
-            _LiveSession(session_id, record.learner, session, meter)
-        )
+        return self._resumed(_LiveSession(session_id, record.learner, session))
 
     def _resumed(self, live: _LiveSession) -> _LiveSession:
-        """Make a warm or rebuilt session live again.  Its meter's rounds
-        and questions are lifetime totals; errors and resumes start
+        """Make a warm or rebuilt session live again.  Its rounds and
+        questions are the whole dialogue's; errors and resumes start
         again here."""
-        live.meter.errors, live.meter.resumes = 0, 1
+        live.errors, live.resumes = 0, 1
         self._sessions[live.session_id] = live
         self.sessions_resumed += 1
         return live
@@ -703,8 +695,8 @@ class RoundServer:
             learner=live.learner,
             n=live.session.n,
             status=status,
-            rounds=live.meter.rounds,
-            questions=live.meter.questions,
+            rounds=live.session.rounds,
+            questions=len(live.session.transcript),
             snapshot=live.session.snapshot(),
             owner=self._claim_token if status == ACTIVE else None,
         )
@@ -726,22 +718,24 @@ class RoundServer:
     def _emit_event(
         self, live: _LiveSession, event: Round | Finished, fresh_round: bool
     ) -> str:
-        """Turn a session event into its reply line, metering and
-        persisting at the round boundary."""
+        """Turn a session event into its reply line, persisting at the
+        round boundary."""
         self._touch(live)
         if isinstance(event, Finished):
-            live.meter.questions = len(live.session.transcript)
             self._persist(live, FINISHED)
             self.sessions_finished += 1
             del self._sessions[live.session_id]
-            summary = finished_to_dict(live.session, live.meter.rounds)
+            summary = finished_to_dict(live.session)
             summary["session"] = live.session_id
             summary["worker"] = self.worker_id
-            summary["metering"] = live.meter.to_dict()
+            summary["metering"] = {
+                "rounds": live.session.rounds,
+                "questions": len(live.session.transcript),
+                "errors": live.errors,
+                "resumes": live.resumes,
+            }
             return _line(summary)
         if fresh_round:
-            live.meter.rounds += 1
-            live.meter.questions = len(live.session.transcript)
             self._persist(live, ACTIVE)
         return self._round_line(live)
 
@@ -750,7 +744,7 @@ class RoundServer:
         ``json.dumps`` of :func:`round_to_dict` framed with ``session``
         and ``worker``, written around the session's encoded questions."""
         return (
-            f'{{"type": "round", "index": {live.meter.rounds - 1}, '
+            f'{{"type": "round", "index": {live.session.rounds - 1}, '
             f'"questions": {live.session.pending_json}, '
             f'"session": {json.dumps(live.session_id)}, '
             f'"worker": {self._worker_json}}}\n'

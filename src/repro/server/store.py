@@ -112,8 +112,9 @@ class StoredSession:
 
     ``learner`` is the registry name the server rebuilds the learner
     factory from (a snapshot replays only through the same learner that
-    produced it); ``rounds``/``questions`` are lifetime totals across
-    restarts, which is what per-round metering bills on.  ``owner`` is
+    produced it); ``rounds``/``questions`` are the dialogue's totals so
+    far, as its log fixes them (a server rebuilding the session counts
+    them again by replay and does not read them).  ``owner`` is
     the claim token of the server currently holding the session live
     (``None`` = parked and free to claim).
     """

@@ -78,10 +78,10 @@ class RoundLog:
 
 def assert_same_questions_fewer_rounds(make_learner, target):
     parallel = RoundLog(target)
-    learned = drive(make_learner(parallel), parallel).query
+    learned = drive(make_learner(parallel).steps(), parallel).query
     with sequential_rounds():
         twin = RoundLog(target)
-        twin_learned = drive(make_learner(twin), twin).query
+        twin_learned = drive(make_learner(twin).steps(), twin).query
     assert parallel.pairs() == twin.pairs()
     assert learned == twin_learned
     assert len(parallel.rounds) <= len(twin.rounds)
@@ -125,9 +125,9 @@ def test_twin_is_swapped_in_and_restored():
     target = parse_query("∀x1x2→x3 ∀x1x2→x4 ∃x5 ∃x6", n=6)
     for learner in (Qhorn1Learner, RolePreservingLearner):
         parallel = RoundLog(target)
-        drive(learner(parallel), parallel)
+        drive(learner(parallel).steps(), parallel)
         with sequential_rounds():
             twin = RoundLog(target)
-            drive(learner(twin), twin)
+            drive(learner(twin).steps(), twin)
         assert len(parallel.rounds) < len(twin.rounds), learner
     assert protocol_core.ask_parallel is not sequential

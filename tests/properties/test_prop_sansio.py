@@ -4,9 +4,10 @@ The step-protocol contract (DESIGN.md §2e) demands that driving a learner
 through ``start()``/``feed()`` is observationally identical to the
 historical pull path for *any* way of answering the rounds:
 
-* ``learn()`` (the pull entry point, now ``drive(self, self.oracle)``)
-  and a manual ``LearnerProtocol`` loop answering each round with the
-  same oracle stack produce the same learned query, the same transcript
+* ``learn()`` (the pull entry point, ``drive(self.steps(),
+  self.oracle)``) and a manual loop that ``send``s each round's answers
+  from the same oracle stack into ``steps()`` produce the same learned
+  query, the same transcript
   (questions and responses, positionally), and the same wrapper
   statistics — counting stats, cache residency, seeded noise flips;
 * a session parked with ``snapshot()`` at *any* round and resumed through
@@ -47,7 +48,7 @@ from repro.oracle import (
     QueryOracle,
     RecordingOracle,
 )
-from repro.protocol import Finished, LearnerProtocol, Round, answer_round
+from repro.protocol import Finished, Round, answer_round
 from repro.verification import Verifier
 
 CASES_TARGET = 1000
@@ -172,15 +173,18 @@ def _result_key(kind: str, result):
 
 
 def _drive_manual(factory, oracle):
-    """Drive steps() by hand through LearnerProtocol + answer_round."""
-    learner = factory(oracle)
-    protocol = LearnerProtocol(learner.steps())
-    event = protocol.start()
+    """Drive steps() by hand: send each round's answer_round into it."""
+    steps = factory(oracle).steps()
     rounds = []
-    while isinstance(event, Round):
+    answers = None
+    while True:
+        try:
+            event = steps.send(answers)
+        except StopIteration as stop:
+            return stop.value, rounds
+        assert isinstance(event, Round)
         rounds.append(event)
-        event = protocol.feed(answer_round(oracle, event))
-    return event.result, rounds
+        answers = answer_round(oracle, event)
 
 
 # ----------------------------------------------------------------------

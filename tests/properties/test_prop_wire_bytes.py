@@ -121,7 +121,8 @@ def test_served_lines_and_stored_snapshots_are_json_dumps_text(dialogue, data):
                 json.dumps({"type": "answers", "session": sid, "answers": answers})
             )
             rounds += 1
-        summary = finished_to_dict(reference, rounds - 1)
+        summary = finished_to_dict(reference)
+        assert summary["rounds"] == rounds - 1
         summary.update(
             session=sid,
             worker=worker,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import logging
 import random
 import socket
 import sqlite3
@@ -21,7 +22,8 @@ from repro.core.generators import random_qhorn1
 from repro.interactive import LearningSession, SessionSnapshot, SnapshotError
 from repro.learning import Qhorn1Learner
 from repro.oracle import QueryOracle
-from repro.protocol.wire import payload_from_dict
+from repro.protocol import ProtocolError
+from repro.protocol.wire import decode_answers, payload_from_dict
 from repro.server import RoundServer, SessionStore, StoredSession
 from repro.server import core as server_core
 from repro.server.store import owner_token
@@ -268,6 +270,61 @@ class TestWireErrors:
             errors,
         ):
             assert needle in message, (needle, message)
+
+    def test_answers_must_be_json_booleans(self):
+        """An answer that is not a JSON boolean is a counted error, not
+        an answer read by its truthiness: the session stays at its
+        round, and nothing is fed or saved."""
+        with pytest.raises(ProtocolError, match="str at index 0"):
+            decode_answers({"answers": ["false", "no", 0, None, 2]})
+        target = random_qhorn1(3, random.Random(5))
+        with SessionStore() as store:
+            server = RoundServer(store)
+            (first,) = handle_line(server, '{"type": "open", "n": 3}')
+            sid = first["session"]
+            size = len(first["questions"])
+            for bad in (["false"] * size, [0] * size, [None] * size):
+                (reply,) = handle_line(
+                    server,
+                    json.dumps({"type": "answers", "session": sid, "answers": bad}),
+                )
+                assert reply["type"] == "error", reply
+                assert "list of booleans" in reply["message"]
+            assert server.wire_errors == 3
+            assert store.load(sid).snapshot.responses == []
+            (again,) = handle_line(
+                server, json.dumps({"type": "reconnect", "session": sid})
+            )
+            assert again == first
+            oracle = QueryOracle(target)
+            message, wire = first, []
+            while message["type"] == "round":
+                questions, answers = answer(message, oracle)
+                wire.extend(zip(questions, answers))
+                (message,) = handle_line(
+                    server,
+                    json.dumps(
+                        {"type": "answers", "session": sid, "answers": answers}
+                    ),
+                )
+        assert_bit_identical(message, wire, target)
+        assert message["metering"]["errors"] == 3
+
+    def test_too_wide_open_is_a_client_error(self, caplog):
+        """An ``open`` past MAX_VARIABLES is refused before a learner is
+        built: a counted error naming the range, with no fault logged."""
+        with SessionStore() as store:
+            server = RoundServer(store)
+            with caplog.at_level(logging.ERROR):
+                (reply,) = handle_line(server, '{"type": "open", "n": 257}')
+            assert reply["type"] == "error", reply
+            assert "1..256" in reply["message"]
+            assert "server failed" not in reply["message"]
+            assert not [r for r in caplog.records if r.levelno >= logging.ERROR]
+            assert server.wire_errors == 1
+            assert server.stats()["live_sessions"] == 0
+            (first,) = handle_line(server, '{"type": "open", "n": 256}')
+            assert first["type"] == "round"
 
     def test_errors_are_metered_per_session(self):
         target = random_qhorn1(3, random.Random(5))
@@ -848,7 +905,7 @@ class TestWarmParkedSessions:
     #: Each way a released row can differ from what this server last
     #: wrote (an SQL edit once the session left memory), and what the
     #: reconnect must then do: (reply index or error text, resumed,
-    #: replayed, claims rejected, the live meter's rounds and
+    #: replayed, claims rejected, the live session's rounds and
     #: questions).
     ROW_CHANGES = {
         # Same log, other bytes: parsed equal, replayed as usual.
@@ -856,14 +913,14 @@ class TestWarmParkedSessions:
             "UPDATE sessions SET snapshot = replace(snapshot, ', ', ',')",
             (1, 1, 1, 0, (2, 3)),
         ),
-        # Counters come from the row.
+        # Counters come from the replayed log, not the row's columns.
         "rounds": (
             "UPDATE sessions SET rounds = rounds + 3",
-            (4, 1, 1, 0, (5, 3)),
+            (1, 1, 1, 0, (2, 3)),
         ),
         "questions": (
             "UPDATE sessions SET questions = questions + 3",
-            (1, 1, 1, 0, (2, 6)),
+            (1, 1, 1, 0, (2, 3)),
         ),
         # Another learner's replay of the log diverges from it.
         "learner": (
@@ -916,14 +973,17 @@ class TestWarmParkedSessions:
                 await client.send(type="reconnect", session=sid)
                 reply = await client.recv()
                 live = server._sessions.get(sid)
-                meter = live and (live.meter.rounds, live.meter.questions)
+                counted = live and (
+                    live.session.rounds,
+                    len(live.session.transcript),
+                )
                 stats = server.stats()
                 await client.close()
                 await server.close()
-                return parked, reply, meter, stats, len(loads)
+                return parked, reply, counted, stats, len(loads)
 
-        parked, reply, meter, stats, loads = run(main())
-        shown, resumed, replayed, rejected, live_meter = expected
+        parked, reply, counted, stats, loads = run(main())
+        shown, resumed, replayed, rejected, live_counts = expected
         if isinstance(shown, int):
             assert reply["type"] == "round", reply
             assert reply["index"] == shown
@@ -931,12 +991,51 @@ class TestWarmParkedSessions:
         else:
             assert reply["type"] == "error", reply
             assert shown in reply["message"]
-        assert meter == live_meter
+        assert counted == live_counts
         assert stats["sessions_resumed"] == resumed
         assert stats["sessions_replayed"] == replayed
         assert stats["claims_rejected"] == rejected
         assert stats["warm_sessions"] == 0
         assert loads == 1
+
+    def test_rebuilt_dialogue_meters_like_one_that_stayed(self):
+        """A dialogue rebuilt from the store after eviction, before every
+        round it answers, finishes with the rounds and questions of one
+        that never left memory: the replayed log counts them."""
+        target = random_qhorn1(4, random.Random(37))
+        oracle = QueryOracle(target)
+
+        def dialogue(evict):
+            with SessionStore() as store:
+                server = RoundServer(store)
+                (message,) = handle_line(server, '{"type": "open", "n": 4}')
+                sid = message["session"]
+                answered = 0
+                while message["type"] == "round":
+                    if evict:
+                        assert server.evict_idle(0.0) == 1
+                    _, answers = answer(message, oracle)
+                    answered += 1
+                    (message,) = handle_line(
+                        server,
+                        json.dumps(
+                            {"type": "answers", "session": sid, "answers": answers}
+                        ),
+                    )
+                row = store.load(sid)
+                replayed = server.stats()["sessions_replayed"]
+                assert replayed == (answered if evict else 0)
+                return message, (row.rounds, row.questions)
+
+        stayed, stayed_row = dialogue(evict=False)
+        rebuilt, rebuilt_row = dialogue(evict=True)
+        assert stayed["type"] == rebuilt["type"] == "finished"
+        counts = (stayed["metering"]["rounds"], stayed["metering"]["questions"])
+        assert counts == (stayed["rounds"], stayed["questions"])
+        assert counts == (rebuilt["metering"]["rounds"], rebuilt["metering"]["questions"])
+        assert counts == (rebuilt["rounds"], rebuilt["questions"])
+        assert counts == stayed_row == rebuilt_row
+        assert (stayed["metering"]["resumes"], rebuilt["metering"]["resumes"]) == (0, 1)
 
     def test_rewritten_row_replays_to_the_corrected_round(self):
         """Once the parked session is evicted, a correction may rewrite

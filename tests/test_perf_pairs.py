@@ -1,7 +1,7 @@
 """The paired-run summary of benchmarks/perf_pairs.py on fixed numbers:
 wins (ties count for neither side), the 10-pair, 9-in-10 and
 interquartile claim rule, the bound and spread verdicts, and the report's
-line per run."""
+line per run and per-seed repeat line."""
 
 from __future__ import annotations
 
@@ -119,3 +119,30 @@ def test_report_prints_every_run():
     table = [line for line in lines if line.startswith("throughput_per_s")]
     assert len(table) == 1 and table[0].endswith("10/10  gain")
     assert not any(line.startswith("gc.pause_ms") for line in lines)
+
+
+def _counted_runs(change_items):
+    """Ten pairs with equal rounds and the given change-side items."""
+    return [
+        perf_pairs.Run(side, seed, 0, True, 0,
+                       {"rounds_per_op": 16.9, "items_per_op": items})
+        for seed in range(401, 411)
+        for side, items in (("parent", 27.7), ("change", change_items))
+    ]
+
+
+def test_serve_workloads_report_whether_counts_repeat_per_seed():
+    metrics = [{"name": "rounds_per_op", "better": "lower", "bound": 0.15}]
+    lines = perf_pairs.report("serve-steady", _counted_runs(27.7), metrics)
+    assert lines[-1] == "rounds/items identical per seed: True"
+    lines = perf_pairs.report("serve-resume", _counted_runs(27.8), metrics)
+    assert lines[-1] == "rounds/items identical per seed: False"
+
+
+def test_engine_scan_counts_are_not_compared_per_seed():
+    """engine-scan's items_per_op is a mean over however many queries a
+    timed run finished, so it differs between sides with speed alone."""
+    metrics = [{"name": "rounds_per_op", "better": "lower", "bound": 0.15}]
+    lines = perf_pairs.report("engine-scan", _counted_runs(27.8), metrics)
+    assert lines[-1].startswith("rounds/items identical per seed: n/a (")
+    assert "timed run" in lines[-1]

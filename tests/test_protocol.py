@@ -1,11 +1,13 @@
-"""Unit tests for the sans-io step protocol (DESIGN.md §2e): the
-Round/Finished state machine, the driver dispatch, and the round
-payloads' wire form."""
+"""Unit tests for the sans-io step protocol (DESIGN.md §2e): the two
+steppers of a learner's generator (``drive`` and ``LearningSession``),
+the yield-point helpers, shared rounds, the driver dispatch, and the
+round payloads' wire form."""
 
 from __future__ import annotations
 
 import json
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -22,11 +24,9 @@ from repro.oracle.expression import ExpressionQuestion
 from repro.protocol import (
     Finished,
     Fork,
-    LearnerProtocol,
     ProtocolError,
     Round,
     answer_round,
-    as_protocol,
     ask_one,
     ask_parallel,
     ask_round,
@@ -36,6 +36,45 @@ from repro.protocol import (
 
 def q(n, *masks):
     return Question.of(n, masks)
+
+
+def by_label(question):
+    """A deterministic answer that differs between neighbours."""
+    return question[-1] % 2 == 0
+
+
+class RoundOracle:
+    """Answers every question with ``answer`` and keeps each round."""
+
+    def __init__(self, answer=by_label, n=2):
+        self.answer = answer
+        self.n = n
+        self.rounds = []
+
+    def ask_many(self, questions):
+        self.rounds.append(list(questions))
+        return [self.answer(x) for x in questions]
+
+
+def run_rounds(steps, answer=by_label):
+    """Drive ``steps``; return the rounds it asked and its result."""
+    oracle = RoundOracle(answer)
+    result = drive(steps, oracle)
+    return oracle.rounds, result
+
+
+def session_of(steps):
+    """A step-driven session whose learner runs the generator function
+    ``steps``; its result's ``query`` is what ``steps`` returns."""
+
+    class Learner:
+        def __init__(self, oracle):
+            pass
+
+        def steps(self):
+            return SimpleNamespace(query=(yield from steps()))
+
+    return LearningSession(Learner, n=2)
 
 
 class TestRound:
@@ -52,83 +91,103 @@ class TestAskHelpers:
         def steps():
             return (yield from ask_one(q(2, 3)))
 
-        protocol = LearnerProtocol(steps())
-        event = protocol.start()
-        assert isinstance(event, Round)
-        assert event.questions == (q(2, 3),)
-        done = protocol.feed([True])
-        assert isinstance(done, Finished) and done.result is True
+        rounds, result = run_rounds(steps(), lambda question: True)
+        assert rounds == [[q(2, 3)]]
+        assert result is True
 
     def test_ask_round_empty_asks_nothing(self):
         def steps():
             answers = yield from ask_round([])
             return answers
 
-        assert isinstance(LearnerProtocol(steps()).start(), Finished)
+        assert run_rounds(steps()) == ([], [])
 
     def test_ask_round_batched(self):
         def steps():
             return (yield from ask_round([q(2, 1), q(2, 2)]))
 
-        protocol = LearnerProtocol(steps())
-        event = protocol.start()
-        assert event.questions == (q(2, 1), q(2, 2))
-        assert protocol.feed([True, False]).result == [True, False]
+        rounds, result = run_rounds(steps(), lambda question: question == q(2, 1))
+        assert rounds == [[q(2, 1), q(2, 2)]]
+        assert result == [True, False]
 
 
 class TestLearnerProtocol:
-    def _steps(self):
+    """The learner protocol's state machine is ``LearningSession``'s: it
+    steps its learner's generator, checks the order of calls and every
+    answer batch, and counts the rounds."""
+
+    @staticmethod
+    def _steps():
         a = yield from ask_one(q(2, 1))
         b = yield from ask_round([q(2, 2), q(2, 3)])
         return (a, b)
 
     def test_state_machine(self):
-        protocol = LearnerProtocol(self._steps())
-        assert protocol.pending is None and not protocol.finished
-        first = protocol.start()
-        assert protocol.pending is first and protocol.rounds == 1
+        session = session_of(self._steps)
+        assert session.rounds == 0 and not session.finished
+        first = session.start()
+        assert session.step() is first and session.rounds == 1
         with pytest.raises(ProtocolError):
-            protocol.result
-        second = protocol.feed([True])
-        assert len(second) == 2
-        done = protocol.feed([False, True])
-        assert isinstance(done, Finished)
-        assert protocol.finished and protocol.result == (True, [False, True])
-        assert protocol.questions_answered == 3
+            session.result
+        second = session.feed([1])
+        assert len(second) == 2 and session.rounds == 2
+        done = session.feed([False, True])
+        assert isinstance(done, Finished) and session.step() is done
+        assert session.finished
+        assert session.result.query == (True, [False, True])
+        # Finishing asks no round; the transcript holds every answer,
+        # coerced to bool.
+        assert session.rounds == 2
+        assert session.transcript.responses() == [True, False, True]
 
     def test_double_start_rejected(self):
-        protocol = LearnerProtocol(self._steps())
-        protocol.start()
+        session = session_of(self._steps)
+        session.start()
         with pytest.raises(ProtocolError, match="already started"):
-            protocol.start()
+            session.start()
+
+    def test_learner_without_steps_rejected(self):
+        session = LearningSession(lambda oracle: object(), n=2)
+        with pytest.raises(ProtocolError, match="no steps"):
+            session.start()
 
     def test_feed_before_start_rejected(self):
-        protocol = LearnerProtocol(self._steps())
+        session = session_of(self._steps)
         with pytest.raises(ProtocolError, match="before start"):
-            protocol.feed([True])
+            session.feed([True])
 
     def test_wrong_answer_count_rejected(self):
-        protocol = LearnerProtocol(self._steps())
-        protocol.start()
+        session = session_of(self._steps)
+        session.start()
         with pytest.raises(ProtocolError, match="1 questions, got 2"):
-            protocol.feed([True, False])
+            session.feed([True, False])
+        # The round is still pending, with nothing recorded.
+        assert session.rounds == 1 and len(session.transcript) == 0
+        assert len(session.feed([True])) == 2
 
     def test_feed_after_finish_rejected(self):
         def steps():
             return (yield from ask_one(q(2, 1)))
 
-        protocol = LearnerProtocol(steps())
-        protocol.start()
-        protocol.feed([True])
+        session = session_of(steps)
+        session.start()
+        session.feed([True])
         with pytest.raises(ProtocolError, match="no pending round"):
-            protocol.feed([True])
+            session.feed([True])
 
     def test_non_round_yield_rejected(self):
         def steps():
             yield "not a round"
 
-        with pytest.raises(ProtocolError, match="expected a Round"):
-            LearnerProtocol(steps()).start()
+        with pytest.raises(ProtocolError, match="yielded str, expected a Round"):
+            session_of(steps).start()
+
+    def test_fork_outside_ask_parallel_rejected(self):
+        def steps():
+            yield Fork(asking("f", 1))
+
+        with pytest.raises(ProtocolError, match="yielded Fork"):
+            session_of(steps).start()
 
 
 def asking(name, *sizes):
@@ -144,22 +203,6 @@ def instant(value):
     """A branch that finishes without asking anything."""
     return value
     yield  # pragma: no cover - makes this a generator
-
-
-def by_label(question):
-    """A deterministic answer that differs between neighbours."""
-    return question[-1] % 2 == 0
-
-
-def run_rounds(steps, answer=by_label):
-    """Drive ``steps``; return the rounds it emitted and its result."""
-    protocol = LearnerProtocol(steps)
-    event = protocol.start()
-    rounds = []
-    while isinstance(event, Round):
-        rounds.append(list(event.questions))
-        event = protocol.feed([answer(x) for x in event.questions])
-    return rounds, event.result
 
 
 class TestAskParallel:
@@ -190,9 +233,8 @@ class TestAskParallel:
         assert results == ["none", [[True], [True]], [[True]]]
 
     def test_nothing_to_ask_finishes_without_a_round(self):
-        assert LearnerProtocol(ask_parallel([])).start() == Finished([])
-        event = LearnerProtocol(ask_parallel([instant(1), instant(2)])).start()
-        assert event == Finished([1, 2])
+        assert run_rounds(ask_parallel([])) == ([], [])
+        assert run_rounds(ask_parallel([instant(1), instant(2)])) == ([], [1, 2])
 
     def test_hand_off_joins_from_the_next_round(self):
         handed = []
@@ -247,28 +289,14 @@ class TestAskParallel:
             yield "not a round"
 
         with pytest.raises(ProtocolError, match="expected a Round"):
-            LearnerProtocol(ask_parallel([steps()])).start()
+            run_rounds(ask_parallel([steps()]))
 
     def test_fork_outside_ask_parallel_rejected(self):
         def steps():
             yield Fork(asking("f", 1))
 
         with pytest.raises(ProtocolError, match="yielded Fork"):
-            LearnerProtocol(steps()).start()
-
-
-class TestAsProtocol:
-    def test_accepts_learner_generator_protocol(self):
-        target = random_qhorn1(3, random.Random(5))
-        learner = Qhorn1Learner(QueryOracle(target))
-        assert isinstance(as_protocol(learner), LearnerProtocol)
-        assert isinstance(as_protocol(learner.steps()), LearnerProtocol)
-        protocol = LearnerProtocol(learner.steps())
-        assert as_protocol(protocol) is protocol
-
-    def test_rejects_other_objects(self):
-        with pytest.raises(TypeError):
-            as_protocol(42)
+            run_rounds(steps())
 
 
 class TestDrive:
@@ -277,9 +305,60 @@ class TestDrive:
         a = CountingOracle(QueryOracle(target))
         b = CountingOracle(QueryOracle(target))
         r1 = Qhorn1Learner(a).learn()
-        r2 = drive(Qhorn1Learner(b), b)
+        r2 = drive(Qhorn1Learner(b).steps(), b)
         assert r1.query == r2.query
         assert vars(a.stats) == vars(b.stats)
+
+    def test_drive_matches_the_session(self):
+        """Both steppers ask the same rounds and count them alike."""
+        target = random_qhorn1(5, random.Random(8))
+        truth = QueryOracle(target)
+        oracle = RoundOracle(lambda x: truth.ask_many([x])[0], n=5)
+        learned = drive(Qhorn1Learner(oracle).steps(), oracle)
+        session = LearningSession(lambda o: Qhorn1Learner(o), n=5)
+        event = session.start()
+        rounds = []
+        while isinstance(event, Round):
+            rounds.append(list(event.questions))
+            event = session.feed(truth.ask_many(event.questions))
+        assert rounds == oracle.rounds
+        assert session.rounds == len(rounds)
+        assert session.result.query == learned.query
+
+    def test_wrong_answer_count_rejected(self):
+        """The oracle is the user: a round it answers short or long is a
+        protocol error, not a learner fed the wrong questions."""
+
+        class Miscounting:
+            def __init__(self, extra):
+                self.extra = extra
+
+            def ask_many(self, questions):
+                return [True] * (len(questions) + self.extra)
+
+        def steps():
+            return (yield from ask_round([q(2, 1), q(2, 2)]))
+
+        with pytest.raises(ProtocolError, match="2 questions got 3 answers"):
+            drive(steps(), Miscounting(1))
+        with pytest.raises(ProtocolError, match="2 questions got 1 answers"):
+            drive(steps(), Miscounting(-1))
+
+    def test_answers_coerced_to_bool(self):
+        def steps():
+            return (yield from ask_round([q(2, 1), q(2, 2)]))
+
+        assert drive(steps(), RoundOracle(lambda x: x == q(2, 1) and 1)) == [
+            True,
+            False,
+        ]
+
+    def test_non_round_yield_rejected(self):
+        def steps():
+            yield "not a round"
+
+        with pytest.raises(ProtocolError, match="yielded str, expected a Round"):
+            drive(steps(), RoundOracle())
 
     def test_answer_round_dispatch(self):
         """One ``ask_many`` call per membership round."""
